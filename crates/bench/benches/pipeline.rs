@@ -2,7 +2,8 @@
 //! corpora.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use diffcode::{apply_filters, DiffCode};
+use diffcode::{apply_filters, DiffCode, SeenDups};
+use obs::{MetricsRegistry, TraceSink};
 use std::hint::black_box;
 
 fn bench_mine(c: &mut Criterion) {
@@ -16,7 +17,7 @@ fn bench_mine(c: &mut Criterion) {
             |b, corpus| {
                 b.iter(|| {
                     let mut dc = DiffCode::new();
-                    dc.mine(black_box(corpus), &[]).changes.len()
+                    dc.mine(black_box(corpus), &[], None).changes.len()
                 });
             },
         );
@@ -27,9 +28,17 @@ fn bench_mine(c: &mut Criterion) {
 fn bench_filter(c: &mut Criterion) {
     let corpus = corpus::generate(&corpus::GeneratorConfig::small(10, 0xE2E));
     let mut dc = DiffCode::new();
-    let mined = dc.mine(&corpus, &[]);
+    let mined = dc.mine(&corpus, &[], None);
     c.bench_function("pipeline/filter", |b| {
-        b.iter(|| apply_filters(black_box(mined.changes.clone())).1);
+        b.iter(|| {
+            apply_filters(
+                black_box(mined.changes.clone()),
+                &mut SeenDups::new(),
+                &mut MetricsRegistry::new(),
+                &mut TraceSink::disabled(),
+            )
+            .1
+        });
     });
 }
 

@@ -7,7 +7,7 @@
 //! pipeline (which is what the committed bench baseline pins).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use diffcode::mine_parallel_traced;
+use diffcode::{mine_parallel, MineOptions};
 use obs::{MetricsRegistry, TraceSink};
 use std::hint::black_box;
 
@@ -26,14 +26,11 @@ fn bench_tracing_overhead(c: &mut Criterion) {
             b.iter(|| {
                 let mut registry = MetricsRegistry::new();
                 let mut trace = make_sink();
-                let result = mine_parallel_traced(
-                    black_box(corpus),
-                    &[],
-                    4,
-                    &mut registry,
-                    None,
-                    &mut trace,
-                );
+                let opts = MineOptions {
+                    threads: 4,
+                    ..MineOptions::default()
+                };
+                let result = mine_parallel(black_box(corpus), &[], opts, &mut registry, &mut trace);
                 (result.changes.len(), trace.len())
             });
         });

@@ -14,7 +14,10 @@
 //! Usage: `cargo run --release -p diffcode-bench --bin ablation [n_projects] [seed]`
 
 use cluster::{agglomerate_matrix, usage_distance_matrix, Linkage};
-use diffcode::{apply_filters, stage_changes, DiffCode, FilterStage, MinedUsageChange, Table};
+use diffcode::{
+    apply_filters, stage_changes, DiffCode, FilterStage, FilterStats, MinedUsageChange, SeenDups,
+    Table,
+};
 use diffcode_bench::{config_from_args, header};
 use usagegraph::{FeaturePath, UsageChange};
 
@@ -46,10 +49,10 @@ fn ablate_depth(corpus: &corpus::Corpus) {
     ]);
     for depth in [2usize, 3, 5, 7] {
         let mut dc = DiffCode::with_depth(depth);
-        let mined = dc.mine(corpus, &[]);
+        let mined = dc.mine(corpus, &[], None);
         let fix_surviving = fixes_surviving(&mined.changes);
         let total = mined.changes.len();
-        let (kept, stats) = apply_filters(mined.changes);
+        let (kept, stats) = filter(mined.changes);
         let _ = kept;
         table.row([
             depth.to_string(),
@@ -66,12 +69,22 @@ fn ablate_depth(corpus: &corpus::Corpus) {
     );
 }
 
+/// The four filters with fresh `fdup` state, unobserved.
+fn filter(changes: Vec<MinedUsageChange>) -> (Vec<MinedUsageChange>, FilterStats) {
+    apply_filters(
+        changes,
+        &mut SeenDups::new(),
+        &mut obs::MetricsRegistry::new(),
+        &mut obs::TraceSink::disabled(),
+    )
+}
+
 /// Number of generator-labelled fix commits with at least one semantic
 /// usage change.
 fn fixes_surviving(changes: &[MinedUsageChange]) -> usize {
     use std::collections::BTreeSet;
     let mut surviving: BTreeSet<&str> = BTreeSet::new();
-    for (stage, change) in stage_changes(changes) {
+    for (stage, change) in stage_changes(changes, &mut SeenDups::new()) {
         if change.meta.message.starts_with("Security:") && !matches!(stage, FilterStage::FSame) {
             surviving.insert(change.meta.commit.as_str());
         }
@@ -86,13 +99,13 @@ fn fixes_surviving(changes: &[MinedUsageChange]) -> usize {
 fn ablate_linkage(corpus: &corpus::Corpus) {
     header("Ablation 2 — clustering linkage (paper uses complete)");
     let mut dc = DiffCode::new();
-    let mined = dc.mine(corpus, &[]);
+    let mined = dc.mine(corpus, &[], None);
     let cipher: Vec<MinedUsageChange> = mined
         .changes
         .into_iter()
         .filter(|c| c.class == "Cipher")
         .collect();
-    let (filtered, _) = apply_filters(cipher);
+    let (filtered, _) = filter(cipher);
     let changes: Vec<UsageChange> = filtered.iter().map(|c| c.change.clone()).collect();
     println!("{} filtered Cipher changes\n", changes.len());
 
@@ -197,14 +210,14 @@ fn coarsen(change: &MinedUsageChange) -> MinedUsageChange {
 fn ablate_abstraction(corpus: &corpus::Corpus) {
     header("Ablation 3 — string-constant tracking (paper §3.3)");
     let mut dc = DiffCode::new();
-    let mined = dc.mine(corpus, &[]);
+    let mined = dc.mine(corpus, &[], None);
 
     let precise_fixes = fixes_surviving(&mined.changes);
     let coarse: Vec<MinedUsageChange> = mined.changes.iter().map(coarsen).collect();
     let coarse_fixes = fixes_surviving(&coarse);
 
-    let (_, precise_stats) = apply_filters(mined.changes);
-    let (_, coarse_stats) = apply_filters(coarse);
+    let (_, precise_stats) = filter(mined.changes);
+    let (_, coarse_stats) = filter(coarse);
 
     let mut table = Table::new([
         "abstraction",

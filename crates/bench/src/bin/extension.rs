@@ -9,8 +9,9 @@
 //!
 //! Usage: `cargo run --release -p diffcode-bench --bin extension [n_projects] [seed]`
 
-use diffcode::{apply_filters, elicit_auto, DiffCode, Table};
+use diffcode::{apply_filters, elicit_auto, DiffCode, SeenDups, Table};
 use diffcode_bench::{config_from_args, header};
+use obs::{MetricsRegistry, TraceSink};
 use rules::{dsl, CheckedProject, ProjectContext};
 
 fn main() {
@@ -23,10 +24,15 @@ fn main() {
 
     // 1. Mine the new class with the existing pipeline.
     let mut dc = DiffCode::new();
-    let mined = dc.mine(&corpus, &["Signature"]);
+    let mined = dc.mine(&corpus, &["Signature"], None);
     header("Filtering funnel for the 7th class: Signature");
     let total = mined.changes.len();
-    let (filtered, stats) = apply_filters(mined.changes);
+    let (filtered, stats) = apply_filters(
+        mined.changes,
+        &mut SeenDups::new(),
+        &mut MetricsRegistry::new(),
+        &mut TraceSink::disabled(),
+    );
     let mut table = Table::new([
         "Target API Class",
         "Usage Changes",
@@ -47,7 +53,12 @@ fn main() {
 
     // 2. Cluster and auto-suggest rules (silhouette-chosen cut).
     header("Clusters and auto-suggested rules");
-    let elicitation = elicit_auto(&filtered);
+    let elicitation = elicit_auto(
+        &filtered,
+        None,
+        &mut MetricsRegistry::new(),
+        &mut TraceSink::disabled(),
+    );
     for (i, cluster) in elicitation.clusters.iter().enumerate() {
         println!("cluster {} ({} members):", i + 1, cluster.members.len());
         print!("{}", cluster.representative);

@@ -49,7 +49,12 @@ fn main() {
     }
 
     // Beyond the paper: the silhouette-optimal cut needs no threshold.
-    let auto = diffcode::elicit_auto(&fig8.filtered);
+    let auto = diffcode::elicit_auto(
+        &fig8.filtered,
+        None,
+        &mut obs::MetricsRegistry::new(),
+        &mut obs::TraceSink::disabled(),
+    );
     println!(
         "\nsilhouette-chosen cut (no threshold): {} clusters, largest has {} members",
         auto.clusters.len(),

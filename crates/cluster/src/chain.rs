@@ -53,11 +53,9 @@ use crate::hierarchy::{Dendrogram, Linkage, Merge, TIE_EPS};
 use crate::matrix::{condensed_index, DistanceMatrix};
 
 /// One operand of a discovered merge: the cluster's identity at
-/// discovery time, independent of the slot that hosted it. Also the
-/// raw-merge representation `crate::bucket` feeds back through
-/// [`relabel`] when stitching per-bucket trees into one dendrogram.
+/// discovery time, independent of the slot that hosted it.
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum Op {
+enum Op {
     /// An original item.
     Leaf(usize),
     /// The cluster created by the merge at this discovery index.
@@ -209,7 +207,7 @@ pub(crate) fn nn_chain(matrix: &DistanceMatrix, linkage: Linkage) -> Dendrogram 
 /// with the lexicographically smallest `(left, right)` node-id pair —
 /// that is the first pair the naive scan over its id-sorted active
 /// list would keep.
-pub(crate) fn relabel(n: usize, raw: Vec<(Op, Op, f64)>) -> Dendrogram {
+fn relabel(n: usize, raw: Vec<(Op, Op, f64)>) -> Dendrogram {
     let mut order: Vec<usize> = (0..raw.len()).collect();
     order.sort_by(|&x, &y| raw[x].2.partial_cmp(&raw[y].2).expect("finite distances"));
 

@@ -43,7 +43,6 @@
 
 #![warn(missing_docs)]
 
-mod bucket;
 mod cache;
 mod chain;
 mod dist;
@@ -52,7 +51,6 @@ mod incr;
 mod lev;
 mod matrix;
 
-pub use bucket::{cluster_bucketed, BucketedClustering};
 pub use cache::LabelCache;
 pub use dist::{path_dist, paths_dist, usage_dist, usage_dist_cached};
 pub use hierarchy::{
@@ -88,57 +86,7 @@ pub fn usage_distance_matrix(changes: &[UsageChange]) -> DistanceMatrix {
 /// Clusters usage changes hierarchically under [`usage_dist`] with
 /// complete linkage.
 pub fn cluster_usage_changes(changes: &[UsageChange]) -> Dendrogram {
-    cluster_usage_changes_matrix(changes).0
-}
-
-/// [`cluster_usage_changes`], also returning the shared
-/// [`DistanceMatrix`] so downstream stages (e.g.
-/// [`Dendrogram::best_cut`]) can reuse it instead of re-evaluating
-/// [`usage_dist`].
-pub fn cluster_usage_changes_matrix(changes: &[UsageChange]) -> (Dendrogram, DistanceMatrix) {
-    cluster_usage_changes_matrix_metered(changes, &mut obs::MetricsRegistry::new())
-}
-
-/// [`cluster_usage_changes_matrix`] with stage observability: records
-/// the `cluster.matrix` and `cluster.agglomerate` timing spans and the
-/// `cluster.items` / `cluster.pairs` counters into `registry`, so a
-/// pipeline run can see where clustering wall-clock goes (the matrix
-/// build is O(n²) distance evaluations; the nn-chain is O(n²) updates).
-pub fn cluster_usage_changes_matrix_metered(
-    changes: &[UsageChange],
-    registry: &mut obs::MetricsRegistry,
-) -> (Dendrogram, DistanceMatrix) {
-    registry.inc("cluster.items", changes.len() as u64);
-    registry.inc("cluster.pairs", pair_count(changes.len()));
-    let matrix = registry.time("cluster.matrix", || usage_distance_matrix(changes));
-    let dendrogram = registry.time("cluster.agglomerate", || {
-        agglomerate_matrix(&matrix, Linkage::Complete)
-    });
-    (dendrogram, matrix)
-}
-
-/// [`cluster_usage_changes_matrix_metered`], additionally emitting
-/// `cluster.matrix` and `cluster.agglomerate` spans into `trace` so a
-/// Chrome-trace export shows the same breakdown the timing metrics
-/// report does. No-op tracing when the sink is disabled.
-pub fn cluster_usage_changes_matrix_traced(
-    changes: &[UsageChange],
-    registry: &mut obs::MetricsRegistry,
-    trace: &mut obs::TraceSink,
-) -> (Dendrogram, DistanceMatrix) {
-    registry.inc("cluster.items", changes.len() as u64);
-    registry.inc("cluster.pairs", pair_count(changes.len()));
-    let span = trace.begin_with("cluster.matrix", |a| {
-        a.u64("items", changes.len() as u64);
-    });
-    let matrix = registry.time("cluster.matrix", || usage_distance_matrix(changes));
-    trace.end(span);
-    let span = trace.begin("cluster.agglomerate");
-    let dendrogram = registry.time("cluster.agglomerate", || {
-        agglomerate_matrix(&matrix, Linkage::Complete)
-    });
-    trace.end(span);
-    (dendrogram, matrix)
+    agglomerate_matrix(&usage_distance_matrix(changes), Linkage::Complete)
 }
 
 #[cfg(test)]

@@ -25,7 +25,7 @@ pub enum MatrixError {
         n: usize,
     },
     /// The matrix is addressable but larger than the caller's cell
-    /// budget — the dense path must hand over to the bucketed scheme.
+    /// budget.
     CellBudgetExceeded {
         /// The offending item count.
         n: usize,

@@ -83,60 +83,45 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             Ok(ExitCode::SUCCESS)
         }
         "mine" => {
-            let opts = parse_mine_flags(&args[1..])?;
+            let mut opts = parse_funnel_flags("mine", &args[1..], &MINE_FLAGS)?;
             let source = opts.source()?;
-            let threads = opts.threads.unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(std::num::NonZeroUsize::get)
-                    .unwrap_or(1)
-            });
-            let registry = match &opts.trace_out {
-                Some(trace_path) => {
-                    let (report, registry, trace) = cli::run_mine_traced(
-                        &source,
-                        threads,
-                        opts.cache_dir.as_deref(),
-                        opts.cluster_cache_dir.as_deref(),
-                        opts.trace_sample.unwrap_or(1),
-                    )?;
-                    std::fs::write(trace_path, obs::to_chrome_json(&trace))
-                        .map_err(|e| format!("{}: {e}", trace_path.display()))?;
-                    print!("{report}");
-                    println!(
-                        "trace: {} event(s) written to {}",
-                        trace.len(),
-                        trace_path.display()
-                    );
-                    registry
-                }
-                None => {
-                    // Graceful Ctrl-C: mining stops between changes,
-                    // the cache log is flushed, the partial summary
-                    // prints, and the process exits 130.
-                    diffcode::shutdown::install();
-                    let (report, registry, interrupted) = cli::run_mine_interruptible(
-                        &source,
-                        threads,
-                        opts.cache_dir.as_deref(),
-                        opts.cluster_cache_dir.as_deref(),
-                        diffcode::shutdown::flag(),
-                    )?;
-                    print!("{report}");
-                    if interrupted {
-                        if let Some(path) = opts.metrics_json {
-                            std::fs::write(&path, registry.to_json())
-                                .map_err(|e| format!("{}: {e}", path.display()))?;
-                        }
-                        return Ok(ExitCode::from(130));
-                    }
-                    registry
-                }
+            // Graceful Ctrl-C, traced or not: mining stops between
+            // changes, the cache log is flushed, the partial report,
+            // trace, and metrics are still written, and the process
+            // exits 130.
+            diffcode::shutdown::install();
+            let funnel_opts = cli::FunnelOptions {
+                threads: opts.threads.unwrap_or_else(default_threads),
+                cache_dir: opts.cache_dir.take(),
+                cluster_cache_dir: opts.cluster_cache_dir.take(),
+                trace_sample: opts
+                    .trace_out
+                    .as_ref()
+                    .map(|_| opts.trace_sample.unwrap_or(1)),
+                cancel: Some(diffcode::shutdown::flag()),
             };
-            if let Some(path) = opts.metrics_json {
-                std::fs::write(&path, registry.to_json())
+            let (report, funnel) = cli::run_mine(&source, &funnel_opts)?;
+            if let Some(path) = &opts.trace_out {
+                std::fs::write(path, obs::to_chrome_json(&funnel.trace))
                     .map_err(|e| format!("{}: {e}", path.display()))?;
             }
-            Ok(ExitCode::SUCCESS)
+            print!("{report}");
+            if let Some(path) = &opts.trace_out {
+                println!(
+                    "trace: {} event(s) written to {}",
+                    funnel.trace.len(),
+                    path.display()
+                );
+            }
+            if let Some(path) = &opts.metrics_json {
+                std::fs::write(path, funnel.registry.to_json())
+                    .map_err(|e| format!("{}: {e}", path.display()))?;
+            }
+            Ok(if funnel.interrupted {
+                ExitCode::from(130)
+            } else {
+                ExitCode::SUCCESS
+            })
         }
         "serve" => {
             // Cargo-style external subcommand: the server depends on
@@ -177,14 +162,13 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             }
         }
         "explain" => {
-            let (query, opts) = parse_explain_flags(&args[1..])?;
+            let opts = parse_funnel_flags("explain", &args[1..], &MINE_FLAGS[..6])?;
+            let query = opts.query.clone().ok_or_else(|| {
+                "explain needs a query: a fingerprint prefix or project/path".to_owned()
+            })?;
             let source = opts.source()?;
-            let threads = opts.threads.unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(std::num::NonZeroUsize::get)
-                    .unwrap_or(1)
-            });
-            print!("{}", cli::run_explain_source(&query, &source, threads)?);
+            let threads = opts.threads.unwrap_or_else(default_threads);
+            print!("{}", cli::run_explain(&query, &source, threads)?);
             Ok(ExitCode::SUCCESS)
         }
         "cache" => {
@@ -214,15 +198,13 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             }
         }
         "metrics" => {
-            let (seed, projects, threads, json_path) = parse_metrics_flags(&args[1..])?;
-            let threads = threads.unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(std::num::NonZeroUsize::get)
-                    .unwrap_or(1)
-            });
-            let (report, registry) = cli::run_metrics(seed, projects, threads);
+            let opts = parse_funnel_flags("metrics", &args[1..], &METRICS_FLAGS)?;
+            let threads = opts.threads.unwrap_or_else(default_threads);
+            let seed = opts.seed.unwrap_or(42);
+            let projects = opts.projects.unwrap_or(12);
+            let (report, registry) = cli::run_metrics(seed, projects, threads)?;
             print!("{report}");
-            if let Some(path) = json_path {
+            if let Some(path) = opts.metrics_json {
                 std::fs::write(&path, registry.to_json())
                     .map_err(|e| format!("{}: {e}", path.display()))?;
                 println!("metrics snapshot written to {}", path.display());
@@ -307,8 +289,28 @@ fn parse_chaos_flags(args: &[String]) -> Result<(u64, f64, usize), String> {
     Ok((seed, rate, projects))
 }
 
-/// Parsed `mine` flags.
-struct MineOpts {
+/// The flags `mine` accepts; `explain` accepts the first six (the
+/// corpus source and `--threads`).
+const MINE_FLAGS: [&str; 11] = [
+    "--seed",
+    "--projects",
+    "--repo",
+    "--rev-range",
+    "--max-commits",
+    "--threads",
+    "--cache-dir",
+    "--cluster-cache-dir",
+    "--metrics-json",
+    "--trace-out",
+    "--trace-sample",
+];
+
+/// The flags `metrics` accepts (seeded corpora only).
+const METRICS_FLAGS: [&str; 4] = ["--seed", "--projects", "--threads", "--metrics-json"];
+
+/// Parsed flags of the funnel commands (`mine`, `explain`, `metrics`).
+#[derive(Default)]
+struct FunnelFlags {
     seed: Option<u64>,
     projects: Option<usize>,
     repo: Option<PathBuf>,
@@ -320,9 +322,11 @@ struct MineOpts {
     metrics_json: Option<PathBuf>,
     trace_out: Option<PathBuf>,
     trace_sample: Option<u64>,
+    /// `explain`'s one positional argument.
+    query: Option<String>,
 }
 
-impl MineOpts {
+impl FunnelFlags {
     /// Resolves the seeded-vs-repo source, rejecting mixed flags (a
     /// repo walk has no seed or project count to vary).
     fn source(&self) -> Result<cli::MineSource, String> {
@@ -350,79 +354,56 @@ impl MineOpts {
     }
 }
 
-/// Parses `mine` flags: `--seed <N>` (default 42), `--projects <N>`
-/// (default 12), `--threads <N>` (default: all cores), `--cache-dir
-/// <dir>` (enables the persistent result cache), `--cluster-cache-dir
-/// <dir>` (clusters the mined changes through persisted distance
-/// cells), `--metrics-json <path>` (optional snapshot output),
-/// `--trace-out <path>` (Chrome trace-event JSON export), and
+/// Parses the flags of funnel `command`, accepting only `accepted`:
+/// `--seed <N>` (default 42), `--projects <N>` (default 12), or
+/// `--repo <path>` with optional `--rev-range <A..B>` and
+/// `--max-commits <N>`; `--threads <N>` (default: all cores);
+/// `--cache-dir <dir>` (the persistent result cache);
+/// `--cluster-cache-dir <dir>` (clusters the mined changes through
+/// persisted distance cells); `--metrics-json <path>` (snapshot
+/// output); `--trace-out <path>` (Chrome trace-event JSON export); and
 /// `--trace-sample <N>` (keep every Nth span; needs `--trace-out`).
-fn parse_mine_flags(args: &[String]) -> Result<MineOpts, String> {
-    let mut opts = MineOpts {
-        seed: None,
-        projects: None,
-        repo: None,
-        rev_range: None,
-        max_commits: None,
-        threads: None,
-        cache_dir: None,
-        cluster_cache_dir: None,
-        metrics_json: None,
-        trace_out: None,
-        trace_sample: None,
-    };
+/// `explain` also takes exactly one positional query.
+fn parse_funnel_flags(
+    command: &str,
+    args: &[String],
+    accepted: &[&str],
+) -> Result<FunnelFlags, String> {
+    let mut opts = FunnelFlags::default();
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
-        let mut value_for = |flag: &str| iter.next().ok_or_else(|| format!("{flag} needs a value"));
-        match arg.as_str() {
-            "--seed" => {
-                let value = value_for("--seed")?;
-                opts.seed = Some(value.parse().map_err(|_| format!("bad seed `{value}`"))?);
+        let flag = arg.as_str();
+        if !accepted.contains(&flag) {
+            if command != "explain" {
+                return Err(format!("unknown {command} argument `{flag}`"));
             }
-            "--projects" => {
-                let value = value_for("--projects")?;
-                opts.projects = Some(
-                    value
-                        .parse()
-                        .map_err(|_| format!("bad project count `{value}`"))?,
-                );
+            if flag.starts_with("--") {
+                return Err(format!("unknown explain flag `{flag}`"));
             }
-            "--repo" => {
-                opts.repo = Some(PathBuf::from(value_for("--repo")?));
+            if opts.query.replace(arg.clone()).is_some() {
+                return Err("explain takes exactly one query".to_owned());
             }
-            "--rev-range" => {
-                opts.rev_range = Some(value_for("--rev-range")?.clone());
-            }
-            "--max-commits" => {
-                let value = value_for("--max-commits")?;
-                opts.max_commits = Some(
-                    value
-                        .parse()
-                        .map_err(|_| format!("bad commit count `{value}`"))?,
-                );
-            }
-            "--threads" => {
-                let value = value_for("--threads")?;
-                opts.threads = Some(
-                    value
-                        .parse()
-                        .map_err(|_| format!("bad thread count `{value}`"))?,
-                );
-            }
-            "--cache-dir" => {
-                opts.cache_dir = Some(PathBuf::from(value_for("--cache-dir")?));
-            }
-            "--cluster-cache-dir" => {
-                opts.cluster_cache_dir = Some(PathBuf::from(value_for("--cluster-cache-dir")?));
-            }
-            "--metrics-json" => {
-                opts.metrics_json = Some(PathBuf::from(value_for("--metrics-json")?));
-            }
-            "--trace-out" => {
-                opts.trace_out = Some(PathBuf::from(value_for("--trace-out")?));
-            }
-            "--trace-sample" => {
-                let value = value_for("--trace-sample")?;
+            continue;
+        }
+        let value = iter.next().ok_or_else(|| format!("{flag} needs a value"))?;
+        let count = |what: &str| -> Result<usize, String> {
+            value
+                .parse()
+                .map_err(|_| format!("bad {what} count `{value}`"))
+        };
+        match flag {
+            "--seed" => opts.seed = Some(value.parse().map_err(|_| format!("bad seed `{value}`"))?),
+            "--projects" => opts.projects = Some(count("project")?),
+            "--repo" => opts.repo = Some(PathBuf::from(value)),
+            "--rev-range" => opts.rev_range = Some(value.clone()),
+            "--max-commits" => opts.max_commits = Some(count("commit")?),
+            "--threads" => opts.threads = Some(count("thread")?),
+            "--cache-dir" => opts.cache_dir = Some(PathBuf::from(value)),
+            "--cluster-cache-dir" => opts.cluster_cache_dir = Some(PathBuf::from(value)),
+            "--metrics-json" => opts.metrics_json = Some(PathBuf::from(value)),
+            "--trace-out" => opts.trace_out = Some(PathBuf::from(value)),
+            // The last accepted flag: `--trace-sample`.
+            _ => {
                 let sample: u64 = value
                     .parse()
                     .map_err(|_| format!("bad sample interval `{value}`"))?;
@@ -431,86 +412,12 @@ fn parse_mine_flags(args: &[String]) -> Result<MineOpts, String> {
                 }
                 opts.trace_sample = Some(sample);
             }
-            other => return Err(format!("unknown mine argument `{other}`")),
         }
     }
     if opts.trace_sample.is_some() && opts.trace_out.is_none() {
         return Err("--trace-sample needs --trace-out".to_owned());
     }
     Ok(opts)
-}
-
-/// Parses `explain` arguments: one positional query (a fingerprint
-/// prefix or a `project/path` substring) plus the same corpus-source
-/// flags as `mine` — `--seed <N>` (default 42), `--projects <N>`
-/// (default 12) or `--repo <path>` with optional `--rev-range <A..B>`
-/// and `--max-commits <N>` — and `--threads <N>` (default: all cores).
-fn parse_explain_flags(args: &[String]) -> Result<(String, MineOpts), String> {
-    let mut query = None;
-    let mut opts = MineOpts {
-        seed: None,
-        projects: None,
-        repo: None,
-        rev_range: None,
-        max_commits: None,
-        threads: None,
-        cache_dir: None,
-        cluster_cache_dir: None,
-        metrics_json: None,
-        trace_out: None,
-        trace_sample: None,
-    };
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        let mut value_for = |flag: &str| iter.next().ok_or_else(|| format!("{flag} needs a value"));
-        match arg.as_str() {
-            "--seed" => {
-                let value = value_for("--seed")?;
-                opts.seed = Some(value.parse().map_err(|_| format!("bad seed `{value}`"))?);
-            }
-            "--projects" => {
-                let value = value_for("--projects")?;
-                opts.projects = Some(
-                    value
-                        .parse()
-                        .map_err(|_| format!("bad project count `{value}`"))?,
-                );
-            }
-            "--repo" => {
-                opts.repo = Some(PathBuf::from(value_for("--repo")?));
-            }
-            "--rev-range" => {
-                opts.rev_range = Some(value_for("--rev-range")?.clone());
-            }
-            "--max-commits" => {
-                let value = value_for("--max-commits")?;
-                opts.max_commits = Some(
-                    value
-                        .parse()
-                        .map_err(|_| format!("bad commit count `{value}`"))?,
-                );
-            }
-            "--threads" => {
-                let value = value_for("--threads")?;
-                opts.threads = Some(
-                    value
-                        .parse()
-                        .map_err(|_| format!("bad thread count `{value}`"))?,
-                );
-            }
-            flag if flag.starts_with("--") => {
-                return Err(format!("unknown explain flag `{flag}`"));
-            }
-            word => {
-                if query.replace(word.to_owned()).is_some() {
-                    return Err("explain takes exactly one query".to_owned());
-                }
-            }
-        }
-    }
-    let query = query
-        .ok_or_else(|| "explain needs a query: a fingerprint prefix or project/path".to_owned())?;
-    Ok((query, opts))
 }
 
 /// Parses `cache` arguments: one action (`stats`, `vacuum`, `verify`)
@@ -552,45 +459,11 @@ fn parse_cache_args(args: &[String]) -> Result<(String, PathBuf, Option<String>)
     Ok((action, dir, namespace))
 }
 
-/// Parses `metrics` flags: `--seed <N>` (default 42), `--projects <N>`
-/// (default 12), `--threads <N>` (default: all cores), and
-/// `--metrics-json <path>` (optional snapshot output).
-fn parse_metrics_flags(
-    args: &[String],
-) -> Result<(u64, usize, Option<usize>, Option<PathBuf>), String> {
-    let mut seed = 42u64;
-    let mut projects = 12usize;
-    let mut threads = None;
-    let mut json_path = None;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        let mut value_for = |flag: &str| iter.next().ok_or_else(|| format!("{flag} needs a value"));
-        match arg.as_str() {
-            "--seed" => {
-                let value = value_for("--seed")?;
-                seed = value.parse().map_err(|_| format!("bad seed `{value}`"))?;
-            }
-            "--projects" => {
-                let value = value_for("--projects")?;
-                projects = value
-                    .parse()
-                    .map_err(|_| format!("bad project count `{value}`"))?;
-            }
-            "--threads" => {
-                let value = value_for("--threads")?;
-                threads = Some(
-                    value
-                        .parse()
-                        .map_err(|_| format!("bad thread count `{value}`"))?,
-                );
-            }
-            "--metrics-json" => {
-                json_path = Some(PathBuf::from(value_for("--metrics-json")?));
-            }
-            other => return Err(format!("unknown metrics argument `{other}`")),
-        }
-    }
-    Ok((seed, projects, threads, json_path))
+/// The default worker count: every available core.
+fn default_threads() -> usize {
+    std::thread::available_parallelism()
+        .map(std::num::NonZeroUsize::get)
+        .unwrap_or(1)
 }
 
 fn read(path: &Path) -> Result<String, String> {

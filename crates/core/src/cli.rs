@@ -4,9 +4,11 @@
 //! All rendering lives here (unit-testable, no I/O); the binary in
 //! `src/bin/diffcode.rs` only reads files and forwards sources.
 
-use crate::filter::{apply_filters_traced, apply_filters_with_metrics, SeenDups};
+use crate::ccache::ClusterCache;
+use crate::elicit::{elicit_auto, Elicitation};
+use crate::filter::{apply_filters, FilterStats, SeenDups, FILTER_FUNNEL};
 use crate::mcache::MiningCache;
-use crate::pipeline::{mine_parallel_traced, mine_parallel_with_metrics, DiffCode, MiningResult};
+use crate::pipeline::{mine_parallel, DiffCode, MineOptions, MiningResult};
 use crate::quarantine::{ErrorKind, PipelineLimits};
 use crate::report::Table;
 use analysis::TARGET_CLASSES;
@@ -15,6 +17,7 @@ use obs::{fmt_ns, MetricsRegistry, TraceKind, TraceSink};
 use rules::{CheckedProject, CryptoChecker, ProjectContext};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Renders the abstract usages of one source file: every abstract
 /// object of a target class with its usage DAG.
@@ -238,7 +241,7 @@ pub fn render_chaos(seed: u64, rate: f64, n_projects: usize) -> String {
     // The injected panics are expected; keep them off the console.
     let prev_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
-    let result = DiffCode::new().mine(&corpus, &[]);
+    let result = DiffCode::new().mine(&corpus, &[], None);
     std::panic::set_hook(prev_hook);
     std::env::remove_var("DIFFCODE_CHAOS_PANIC_MARKER");
     let mut out = String::new();
@@ -395,105 +398,64 @@ fn render_ingest_summary(report: &gitsrc::IngestReport) -> String {
     out
 }
 
-/// Runs a (parallel) mining run over a seeded corpus, optionally
-/// through the persistent result cache under `cache_dir`, and renders
-/// the accounting. Backs the `diffcode mine` command.
-///
-/// The rendered report is **fully deterministic** — no timings, no
-/// thread counts, no cache hit/miss numbers — so CI can byte-compare a
-/// cold run's stdout against a warm one's. Everything
-/// run-dependent (latencies, `cache.hit` / `cache.miss` /
-/// `cache.stale_version`, flush counts) lives only in the returned
-/// registry, which the binary serializes via `--metrics-json`.
+/// The knobs the three funnel commands — `mine`, `explain` and
+/// `metrics` — share.
+#[derive(Debug, Default)]
+pub struct FunnelOptions {
+    /// Mining worker threads.
+    pub threads: usize,
+    /// Directory of the persistent mining result cache.
+    pub cache_dir: Option<PathBuf>,
+    /// Directory of the persistent clustering distance-cell cache.
+    pub cluster_cache_dir: Option<PathBuf>,
+    /// Span sampling interval of the run's trace (`1` = every span);
+    /// `None` runs untraced.
+    pub trace_sample: Option<u64>,
+    /// Cooperative cancellation (the binary wires in
+    /// [`crate::shutdown::flag`]): once set, mining stops between
+    /// changes and the rest of the funnel runs over the partial result.
+    pub cancel: Option<&'static AtomicBool>,
+}
+
+/// Everything one funnel run produced.
+#[derive(Debug)]
+pub struct Funnel {
+    /// The mining result.
+    pub result: MiningResult,
+    /// The filter funnel, when the run filtered.
+    pub filtered: Option<FilterStats>,
+    /// The clustering, when at least two changes survived filtering.
+    pub elicitation: Option<Elicitation>,
+    /// Every counter, gauge and span the run recorded.
+    pub registry: MetricsRegistry,
+    /// The run's trace (disabled unless `trace_sample` was set).
+    pub trace: TraceSink,
+    /// Whether the cancel flag stopped mining early.
+    pub interrupted: bool,
+}
+
+/// The one funnel run behind `mine`, `explain` and `metrics`: mines
+/// `corpus` in parallel (through the result cache under
+/// `opts.cache_dir`, flushed before anything else runs, so an
+/// interrupted run still keeps its warm cache), then — when `cluster`
+/// is set — filters the mined changes and clusters the survivors
+/// (through the distance-cell cache under `opts.cluster_cache_dir`).
+/// `registry` arrives holding whatever building the corpus recorded.
 ///
 /// # Errors
 ///
-/// I/O failures opening or flushing the cache.
-pub fn run_mine(
-    seed: u64,
-    n_projects: usize,
-    n_threads: usize,
-    cache_dir: Option<&Path>,
-) -> Result<(String, MetricsRegistry), String> {
-    let source = MineSource::Seeded { seed, n_projects };
-    let (out, registry, _, _) = run_mine_inner(&source, n_threads, cache_dir, None, None, None)?;
-    Ok((out, registry))
-}
-
-/// [`run_mine`] with a cooperative cancellation flag (the binary wires
-/// in [`crate::shutdown::flag`]). When the flag trips mid-run, mining
-/// stops between changes, the cache log is still flushed, and the
-/// report covers the partial run with an explicit `interrupted` line —
-/// Ctrl-C costs the remainder of the run, never the warm cache.
-/// Returns the report, the registry, and whether the run was
-/// interrupted (the binary exits 130 in that case).
-///
-/// # Errors
-///
-/// I/O failures opening or flushing the cache.
-pub fn run_mine_interruptible(
-    source: &MineSource,
-    n_threads: usize,
-    cache_dir: Option<&Path>,
-    cluster_cache_dir: Option<&Path>,
-    cancel: &'static std::sync::atomic::AtomicBool,
-) -> Result<(String, MetricsRegistry, bool), String> {
-    let (out, registry, _, interrupted) = run_mine_inner(
-        source,
-        n_threads,
-        cache_dir,
-        cluster_cache_dir,
-        None,
-        Some(cancel),
-    )?;
-    Ok((out, registry, interrupted))
-}
-
-/// [`run_mine`] with structured tracing at the given sampling interval
-/// (`1` = record every span): the returned [`TraceSink`] covers the
-/// full funnel — mining, filtering, clustering — with one decision
-/// event per change, and serializes to Chrome trace-event JSON via
-/// [`obs::to_chrome_json`]. The rendered report stays byte-identical
-/// to an untraced run's, so tracing never perturbs the warm-vs-cold
-/// stdout gate.
-///
-/// # Errors
-///
-/// I/O failures opening or flushing the cache.
-pub fn run_mine_traced(
-    source: &MineSource,
-    n_threads: usize,
-    cache_dir: Option<&Path>,
-    cluster_cache_dir: Option<&Path>,
-    trace_sample: u64,
-) -> Result<(String, MetricsRegistry, TraceSink), String> {
-    let (out, registry, trace, _) = run_mine_inner(
-        source,
-        n_threads,
-        cache_dir,
-        cluster_cache_dir,
-        Some(trace_sample),
-        None,
-    )?;
-    Ok((out, registry, trace))
-}
-
-fn run_mine_inner(
-    source: &MineSource,
-    n_threads: usize,
-    cache_dir: Option<&Path>,
-    cluster_cache_dir: Option<&Path>,
-    trace_sample: Option<u64>,
-    cancel: Option<&'static std::sync::atomic::AtomicBool>,
-) -> Result<(String, MetricsRegistry, TraceSink, bool), String> {
-    let mut registry = MetricsRegistry::new();
-    let mut trace = match trace_sample {
-        Some(sample) => TraceSink::enabled(sample),
-        None => TraceSink::disabled(),
-    };
-    let (corpus, ingest_summary) = source.corpus(&mut registry)?;
-    corpus::corpus_stats(&corpus).record(&mut registry);
-    let mut cache = match cache_dir {
+/// I/O failures opening or flushing either cache.
+fn run_funnel(
+    corpus: &corpus::Corpus,
+    mut registry: MetricsRegistry,
+    opts: &FunnelOptions,
+    cluster: bool,
+) -> Result<Funnel, String> {
+    let mut trace = opts
+        .trace_sample
+        .map_or_else(TraceSink::disabled, TraceSink::enabled);
+    corpus::corpus_stats(corpus).record(&mut registry);
+    let mut cache = match &opts.cache_dir {
         Some(dir) => Some(
             // DiffCode::new() mines at default limits and depth; the
             // cache must be opened with the same configuration or every
@@ -508,16 +470,13 @@ fn run_mine_inner(
         ),
         None => None,
     };
-    let result = crate::pipeline::mine_parallel_interruptible(
-        &corpus,
-        &[],
-        n_threads,
-        &mut registry,
-        cache.as_mut(),
-        &mut trace,
-        cancel,
-    );
-    let interrupted = cancel.is_some_and(|flag| flag.load(std::sync::atomic::Ordering::SeqCst));
+    let mine_opts = MineOptions {
+        threads: opts.threads,
+        cache: cache.as_mut(),
+        cancel: opts.cancel,
+    };
+    let result = mine_parallel(corpus, &[], mine_opts, &mut registry, &mut trace);
+    let interrupted = opts.cancel.is_some_and(|flag| flag.load(Ordering::SeqCst));
     if let Some(cache) = cache.as_mut() {
         let flushed = cache.flush().map_err(|e| format!("flushing cache: {e}"))?;
         registry.inc("cache.flushed_entries", flushed as u64);
@@ -525,79 +484,108 @@ fn run_mine_inner(
         registry.set_gauge("cache.entries", stats.current_entries as f64);
         registry.set_gauge("cache.file_bytes", stats.file_bytes as f64);
     }
-    // Downstream of mining: a traced run extends the trace through
-    // filtering and clustering so the export and `diffcode explain`
-    // show each change's full funnel journey, and a run with a cluster
-    // cache re-clusters through the persisted distance cells. Neither
-    // changes the mining report; the cluster path appends its own
-    // deterministic lines below.
-    let mut cluster_lines = String::new();
-    if trace.is_enabled() || cluster_cache_dir.is_some() {
-        let (kept, _) = apply_filters_traced(
+    let (mut filtered, mut elicitation) = (None, None);
+    if cluster {
+        let (kept, stats) = apply_filters(
             result.changes.clone(),
             &mut SeenDups::new(),
             &mut registry,
             &mut trace,
-            0,
         );
-        match cluster_cache_dir {
-            Some(dir) => {
-                let mut ccache = crate::ccache::ClusterCache::open_default(dir)
-                    .map_err(|e| format!("opening cluster cache at {}: {e}", dir.display()))?;
-                if kept.len() >= 2 {
-                    let elicitation = crate::elicit::elicit_auto_cached(
-                        &kept,
-                        Some(&mut ccache),
-                        &mut registry,
-                        &mut trace,
-                    );
-                    let _ = writeln!(
-                        cluster_lines,
-                        "clustering: {} change(s) in {} cluster(s)",
-                        kept.len(),
-                        elicitation.clusters.len()
-                    );
-                    let _ = writeln!(
-                        cluster_lines,
-                        "cluster digest: {}",
-                        cluster_digest(&elicitation)
-                    );
-                } else {
-                    let _ = writeln!(
-                        cluster_lines,
-                        "clustering: skipped ({} change(s) after filtering)",
-                        kept.len()
-                    );
-                }
-                let flushed = ccache
-                    .flush()
-                    .map_err(|e| format!("flushing cluster cache: {e}"))?;
-                registry.inc("cluster.cache.flushed_entries", flushed as u64);
-                let stats = ccache.store().stats();
-                registry.set_gauge("cluster.cache.entries", stats.current_entries as f64);
-                registry.set_gauge("cluster.cache.file_bytes", stats.file_bytes as f64);
-            }
-            None => {
-                if kept.len() >= 2 {
-                    let _ = crate::elicit::elicit_auto_traced(&kept, &mut registry, &mut trace);
-                }
-            }
+        filtered = Some(stats);
+        let mut ccache = match &opts.cluster_cache_dir {
+            Some(dir) => Some(
+                ClusterCache::open_default(dir)
+                    .map_err(|e| format!("opening cluster cache at {}: {e}", dir.display()))?,
+            ),
+            None => None,
+        };
+        if kept.len() >= 2 {
+            let clock = obs::Stopwatch::start();
+            elicitation = Some(elicit_auto(
+                &kept,
+                ccache.as_mut(),
+                &mut registry,
+                &mut trace,
+            ));
+            registry.record_span("elicit.total", clock.elapsed());
+        }
+        if let Some(ccache) = ccache.as_mut() {
+            let flushed = ccache
+                .flush()
+                .map_err(|e| format!("flushing cluster cache: {e}"))?;
+            registry.inc("cluster.cache.flushed_entries", flushed as u64);
+            let stats = ccache.store().stats();
+            registry.set_gauge("cluster.cache.entries", stats.current_entries as f64);
+            registry.set_gauge("cluster.cache.file_bytes", stats.file_bytes as f64);
         }
     }
-    let mut out = String::new();
-    out.push_str(&source.header());
+    Ok(Funnel {
+        result,
+        filtered,
+        elicitation,
+        registry,
+        trace,
+        interrupted,
+    })
+}
+
+/// Backs `diffcode mine`: runs the funnel over `source` and renders the
+/// accounting.
+///
+/// The rendered report is **fully deterministic** — no timings, no
+/// thread counts, no cache hit/miss numbers — so CI can byte-compare a
+/// cold run's stdout against a warm one's, and a traced run's against
+/// an untraced one's. Everything run-dependent (latencies, `cache.hit`
+/// / `cache.miss` / `cache.stale_version`, flush counts) lives only in
+/// the funnel's registry, which the binary serializes via
+/// `--metrics-json`. Filtering and clustering run only when they have
+/// an observer: a trace (so the export and `diffcode explain` show each
+/// change's full journey) or a cluster cache, which appends its own
+/// deterministic `clustering:` and `cluster digest:` lines. An
+/// interrupted run reports the partial result under an explicit
+/// `interrupted:` line.
+///
+/// # Errors
+///
+/// Repository ingestion failures; I/O failures opening or flushing
+/// either cache.
+pub fn run_mine(source: &MineSource, opts: &FunnelOptions) -> Result<(String, Funnel), String> {
+    let mut registry = MetricsRegistry::new();
+    let (corpus, ingest_summary) = source.corpus(&mut registry)?;
+    let cluster = opts.trace_sample.is_some() || opts.cluster_cache_dir.is_some();
+    let funnel = run_funnel(&corpus, registry, opts, cluster)?;
+    let mut out = source.header();
     out.push_str(&ingest_summary);
-    if interrupted {
+    if funnel.interrupted {
         let _ = writeln!(
             out,
             "interrupted: partial results below cover {} processed change(s); cache log flushed",
-            result.stats.code_changes
+            funnel.result.stats.code_changes
         );
     }
-    out.push_str(&render_mining_summary(&result, 10));
-    let _ = writeln!(out, "\nresult digest: {}", mined_digest(&result));
-    out.push_str(&cluster_lines);
-    Ok((out, registry, trace, interrupted))
+    out.push_str(&render_mining_summary(&funnel.result, 10));
+    let _ = writeln!(out, "\nresult digest: {}", mined_digest(&funnel.result));
+    if opts.cluster_cache_dir.is_some() {
+        let kept = funnel.filtered.map_or(0, |stats| stats.after_fdup);
+        match &funnel.elicitation {
+            Some(elicitation) => {
+                let _ = writeln!(
+                    out,
+                    "clustering: {kept} change(s) in {} cluster(s)",
+                    elicitation.clusters.len()
+                );
+                let _ = writeln!(out, "cluster digest: {}", cluster_digest(elicitation));
+            }
+            None => {
+                let _ = writeln!(
+                    out,
+                    "clustering: skipped ({kept} change(s) after filtering)"
+                );
+            }
+        }
+    }
+    Ok((out, funnel))
 }
 
 /// A content fingerprint of everything the cached clustering stage
@@ -606,7 +594,7 @@ fn run_mine_inner(
 /// print the same cluster digest built bit-identical dendrograms and
 /// cut them identically — the warm-vs-cold cluster CI gate compares
 /// this (plus the rest of the byte-identical report).
-fn cluster_digest(elicitation: &crate::elicit::Elicitation) -> cache::Fingerprint {
+fn cluster_digest(elicitation: &Elicitation) -> cache::Fingerprint {
     let mut parts: Vec<String> =
         Vec::with_capacity(elicitation.dendrogram.merges.len() + elicitation.clusters.len() + 1);
     parts.push(format!("leaves:{}", elicitation.dendrogram.n_leaves));
@@ -702,56 +690,29 @@ fn figure2_project() -> corpus::Project {
     }
 }
 
-/// Backs `diffcode explain <query>`: re-runs the traced pipeline over
-/// the seeded corpus (with the Figure 2 fixture prepended as project
-/// `fixtures/figure2`) and prints the full funnel journey of every
-/// change matching `query` — a change-fingerprint prefix or a
-/// `project/path` substring.
-///
-/// # Errors
-///
-/// No change matches the query.
-pub fn run_explain(
-    query: &str,
-    seed: u64,
-    n_projects: usize,
-    n_threads: usize,
-) -> Result<String, String> {
-    run_explain_source(query, &MineSource::Seeded { seed, n_projects }, n_threads)
-}
-
-/// [`run_explain`] over any [`MineSource`]. Repo mode walks the
-/// repository and explains real commits — the query matches a real
-/// change fingerprint or a `git/<repo-name>/<path>` substring; the
-/// Figure 2 fixture is only prepended for seeded corpora, where it
-/// anchors the CI trace smoke query.
+/// Backs `diffcode explain <query>`: runs the traced funnel over
+/// `source` and prints the full journey of every change matching
+/// `query` — a change-fingerprint prefix or a `project/path`
+/// substring. Seeded corpora get the Figure 2 fixture prepended as
+/// project `fixtures/figure2`, which anchors the CI trace smoke query;
+/// repo mode explains real commits (`git/<repo-name>/<path>`).
 ///
 /// # Errors
 ///
 /// Repository ingestion failures; no change matches the query.
-pub fn run_explain_source(
-    query: &str,
-    source: &MineSource,
-    n_threads: usize,
-) -> Result<String, String> {
+pub fn run_explain(query: &str, source: &MineSource, threads: usize) -> Result<String, String> {
     let mut registry = MetricsRegistry::new();
-    let mut trace = TraceSink::enabled(1);
     let (mut corpus, _) = source.corpus(&mut registry)?;
     if matches!(source, MineSource::Seeded { .. }) {
         corpus.projects.insert(0, figure2_project());
     }
-    let result = mine_parallel_traced(&corpus, &[], n_threads, &mut registry, None, &mut trace);
-    let (kept, _) = apply_filters_traced(
-        result.changes,
-        &mut SeenDups::new(),
-        &mut registry,
-        &mut trace,
-        0,
-    );
-    if kept.len() >= 2 {
-        let _ = crate::elicit::elicit_auto_traced(&kept, &mut registry, &mut trace);
-    }
-    render_explain(&trace, query)
+    let opts = FunnelOptions {
+        threads,
+        trace_sample: Some(1),
+        ..FunnelOptions::default()
+    };
+    let funnel = run_funnel(&corpus, registry, &opts, true)?;
+    render_explain(&funnel.trace, query)
 }
 
 /// Renders the funnel journey of every change in `trace` matching
@@ -1014,48 +975,45 @@ pub fn render_cache_verify(dir: &Path, namespace: Option<&str>) -> Result<(Strin
     Ok((out, clean))
 }
 
-/// The counter names of the mining → filtering funnel, in pipeline
-/// order. Shared by the report renderer, the invariant check, and the
-/// CI snapshot checker (which re-implements the same chain over the
-/// JSON snapshot).
-pub const FILTER_FUNNEL: [&str; 5] = [
-    "filter.total",
-    "filter.after_fsame",
-    "filter.after_fadd",
-    "filter.after_frem",
-    "filter.after_fdup",
-];
-
-/// Runs the full pipeline (generate → mine in parallel → filter →
-/// cluster/elicit) over a seeded corpus with the observability layer
-/// on, returning the rendered per-stage report and the registry (the
-/// binary serializes it for `--metrics-json`).
+/// Backs `diffcode metrics`: runs the whole funnel over a seeded
+/// corpus, untraced and uncached, returning the rendered per-stage
+/// report and the registry (the binary serializes it for
+/// `--metrics-json`). The report is built entirely from the registry,
+/// so anything it shows is also in the snapshot.
 ///
-/// Backs the `diffcode metrics` command. The report is built entirely
-/// from the registry, so anything it shows is also in the snapshot.
-pub fn run_metrics(seed: u64, n_projects: usize, n_threads: usize) -> (String, MetricsRegistry) {
+/// # Errors
+///
+/// None in practice: a seeded corpus with no caches has nothing to
+/// fail on.
+pub fn run_metrics(
+    seed: u64,
+    n_projects: usize,
+    n_threads: usize,
+) -> Result<(String, MetricsRegistry), String> {
+    let source = MineSource::Seeded { seed, n_projects };
     let mut registry = MetricsRegistry::new();
-    let corpus = registry.time("corpus.generate", || {
-        corpus::generate(&corpus::GeneratorConfig::small(n_projects, seed))
-    });
-    corpus::corpus_stats(&corpus).record(&mut registry);
-    let result = mine_parallel_with_metrics(&corpus, &[], n_threads, &mut registry);
-    let (kept, filter_stats) = apply_filters_with_metrics(result.changes.clone(), &mut registry);
-    if kept.len() >= 2 {
-        let clock = obs::Stopwatch::start();
-        let _ = crate::elicit::elicit_auto_with_metrics(&kept, &mut registry);
-        registry.record_span("elicit.total", clock.elapsed());
-    }
+    let (corpus, _) = source.corpus(&mut registry)?;
+    let opts = FunnelOptions {
+        threads: n_threads,
+        ..FunnelOptions::default()
+    };
+    let funnel = run_funnel(&corpus, registry, &opts, true)?;
     // Reconciliation: the registry must agree exactly with the
     // pipeline's own accounting structs.
-    debug_assert_eq!(registry.counter("mine.mined"), result.stats.mined as u64);
+    let (registry, stats) = (&funnel.registry, &funnel.result.stats);
+    debug_assert_eq!(registry.counter("mine.mined"), stats.mined as u64);
     debug_assert_eq!(
         registry.counter("mine.skipped"),
-        result.stats.skipped.total() as u64
+        stats.skipped.total() as u64
     );
-    debug_assert_eq!(registry.counter("filter.total"), filter_stats.total as u64);
-    let report = render_metrics_report(&registry, seed, n_threads);
-    (report, registry)
+    debug_assert_eq!(
+        Some(registry.counter("filter.total") as usize),
+        funnel.filtered.map(|f| f.total)
+    );
+    Ok((
+        render_metrics_report(registry, seed, n_threads),
+        funnel.registry,
+    ))
 }
 
 /// Renders the per-stage metrics report: the pipeline funnel, the
@@ -1190,8 +1148,8 @@ USAGE:
     diffcode metrics [--seed <N>] [--projects <N>] [--threads <N>]
                      [--metrics-json <path>]
     diffcode serve [--addr <host:port>] [--threads <N>] [--cache-dir <dir>]
-                   [--cluster-cache-dir <dir>] [--repo-root <dir>]
-                   [--deadline-ms <N>] [--queue-depth <N>] [--drain-ms <N>]
+                   [--repo-root <dir>] [--deadline-ms <N>] [--queue-depth <N>]
+                   [--drain-ms <N>]
 
 COMMANDS:
     analyze   print the abstract crypto-API usages (objects, events, DAGs)
@@ -1231,8 +1189,8 @@ COMMANDS:
               the diffcode-serve binary next to this one): POST /mine,
               POST /mine-repo (walk + mine a clone named under
               --repo-root; disabled without it), POST /check,
-              GET /explain/<fingerprint>, GET /metrics,
-              GET /cluster/stats, GET /healthz, GET /readyz; per-request
+              GET /explain/<fingerprint>, GET /metrics, GET /status,
+              GET /trace/capture, GET /healthz, GET /readyz; per-request
               deadlines, bounded admission queue with 429 shedding,
               graceful SIGTERM drain
 ";
@@ -1327,7 +1285,7 @@ mod tests {
                 }],
             }],
         };
-        let result = DiffCode::new().mine(&corpus, &[]);
+        let result = DiffCode::new().mine(&corpus, &[], None);
         let out = render_mining_summary(&result, 10);
         assert!(out.contains("1 skipped"), "{out}");
         assert!(out.contains("lex"), "{out}");
@@ -1356,7 +1314,7 @@ mod tests {
                 }],
             }],
         };
-        let result = DiffCode::new().mine(&corpus, &[]);
+        let result = DiffCode::new().mine(&corpus, &[], None);
         let out = render_mining_summary(&result, 2);
         assert!(out.contains("… and 3 more"), "{out}");
     }
@@ -1369,23 +1327,48 @@ mod tests {
         assert!(out.contains("accounting exact"), "{out}");
     }
 
+    fn seeded(seed: u64, n_projects: usize) -> MineSource {
+        MineSource::Seeded { seed, n_projects }
+    }
+
     #[test]
     fn traced_mine_report_is_byte_identical_to_untraced() {
-        let (plain, _) = run_mine(42, 4, 2, None).unwrap();
-        let source = MineSource::Seeded {
-            seed: 42,
-            n_projects: 4,
+        let plain_opts = FunnelOptions {
+            threads: 2,
+            ..FunnelOptions::default()
         };
-        let (traced, _, trace) = run_mine_traced(&source, 2, None, None, 1).unwrap();
+        let (plain, _) = run_mine(&seeded(42, 4), &plain_opts).unwrap();
+        let traced_opts = FunnelOptions {
+            trace_sample: Some(1),
+            ..plain_opts
+        };
+        let (traced, funnel) = run_mine(&seeded(42, 4), &traced_opts).unwrap();
         assert_eq!(plain, traced, "tracing must not perturb stdout");
-        assert!(!trace.is_empty());
-        let json = obs::to_chrome_json(&trace);
+        assert!(!funnel.trace.is_empty());
+        let json = obs::to_chrome_json(&funnel.trace);
         assert!(json.starts_with("[\n"), "{}", &json[..40]);
     }
 
     #[test]
+    fn traced_mine_honours_the_cancel_flag() {
+        static CANCEL: AtomicBool = AtomicBool::new(true);
+        let opts = FunnelOptions {
+            threads: 2,
+            trace_sample: Some(1),
+            cancel: Some(&CANCEL),
+            ..FunnelOptions::default()
+        };
+        let (report, funnel) = run_mine(&seeded(42, 4), &opts).unwrap();
+        assert!(report.contains("\ninterrupted: "), "{report}");
+        assert!(funnel.interrupted);
+        assert_eq!(funnel.result.stats.code_changes, 0);
+        assert!(funnel.registry.counter("mine.interrupted") > 0);
+        assert!(!funnel.trace.is_empty(), "the partial trace survives");
+    }
+
+    #[test]
     fn explain_walks_the_figure2_change_through_the_funnel() {
-        let out = run_explain("fixtures/figure2", 42, 6, 2).unwrap();
+        let out = run_explain("fixtures/figure2", &seeded(42, 6), 2).unwrap();
         assert!(
             out.contains("fixtures/figure2 @ figure2-fix (AESCipher.java)"),
             "{out}"
@@ -1397,7 +1380,7 @@ mod tests {
 
     #[test]
     fn explain_rejects_unmatched_queries() {
-        let err = run_explain("no-such-change-anywhere", 42, 2, 1).unwrap_err();
+        let err = run_explain("no-such-change-anywhere", &seeded(42, 2), 1).unwrap_err();
         assert!(err.contains("no change matches"), "{err}");
     }
 }

@@ -5,18 +5,14 @@ use crate::ccache::{CellLookup, ClusterCache};
 use crate::decision::{record_decision, DecisionReason};
 use crate::pipeline::MinedUsageChange;
 use cache::Fingerprint;
-use cluster::{
-    cluster_usage_changes_matrix, cluster_usage_changes_matrix_metered,
-    cluster_usage_changes_matrix_traced, Dendrogram,
-};
+use cluster::{Dendrogram, DistanceMatrix, Linkage};
 use obs::{MetricsRegistry, TraceSink};
 use rules::SuggestedRule;
 use usagegraph::UsageChange;
 
-/// Cap on the silhouette search of the cached clustering path. The
-/// search is O(k·n²) — unbounded k (what [`elicit_auto`] uses) turns an
-/// n≥2000 corpus cubic, while real rule corpora cut into far fewer
-/// groups than this.
+/// Cap on the silhouette search of [`elicit_auto`]. The search is
+/// O(k·n²) — an unbounded k turns an n≥2000 corpus cubic, while real
+/// rule corpora cut into far fewer groups than this.
 pub const CLUSTER_MAX_K: usize = 64;
 
 /// One cluster of similar usage changes, with an automatically
@@ -32,8 +28,8 @@ pub struct ClusterReport {
 }
 
 /// The elicitation output: the dendrogram plus per-cluster reports at
-/// the given cut threshold.
-#[derive(Debug, Clone)]
+/// the chosen cut.
+#[derive(Debug, Clone, Default)]
 pub struct Elicitation {
     /// Full merge tree over the filtered changes.
     pub dendrogram: Dendrogram,
@@ -41,120 +37,110 @@ pub struct Elicitation {
     pub clusters: Vec<ClusterReport>,
 }
 
-/// Clusters `changes` and cuts the dendrogram at `threshold`.
+/// Clusters `changes` and cuts the dendrogram at the fixed `threshold`
+/// (Figure 8's 0.45 cut). The distances come from the same matrix
+/// helper as [`elicit_auto`], uncached and unobserved.
 pub fn elicit(changes: &[MinedUsageChange], threshold: f64) -> Elicitation {
     let usage_changes: Vec<UsageChange> = changes.iter().map(|c| c.change.clone()).collect();
-    let (dendrogram, _) = cluster_usage_changes_matrix(&usage_changes);
+    let Some(matrix) = distance_matrix(
+        &usage_changes,
+        None,
+        &mut MetricsRegistry::new(),
+        &mut TraceSink::disabled(),
+    ) else {
+        return Elicitation::default();
+    };
+    let dendrogram = cluster::agglomerate_matrix(&matrix, Linkage::Complete);
     let members = dendrogram.cut(threshold);
     build_elicitation(dendrogram, members, &usage_changes)
 }
 
-/// Like [`elicit`], but chooses the cut automatically by maximising the
-/// mean silhouette coefficient (no threshold to tune).
+/// Clusters `changes` and chooses the cut automatically by maximising
+/// the mean silhouette coefficient over at most [`CLUSTER_MAX_K`]
+/// clusters (no threshold to tune). The silhouette search reuses the
+/// distance matrix the dendrogram was built from, so no pairwise
+/// distance is ever evaluated twice.
 ///
-/// The silhouette search reuses the distance matrix the dendrogram was
-/// built from, so no pairwise distance is ever evaluated twice.
-pub fn elicit_auto(changes: &[MinedUsageChange]) -> Elicitation {
-    let usage_changes: Vec<UsageChange> = changes.iter().map(|c| c.change.clone()).collect();
-    let (dendrogram, matrix) = cluster_usage_changes_matrix(&usage_changes);
-    let (_, members, _) = dendrogram.best_cut(&matrix, usage_changes.len());
-    build_elicitation(dendrogram, members, &usage_changes)
-}
-
-/// [`elicit_auto`] with stage observability: the clustering spans come
-/// from [`cluster_usage_changes_matrix_metered`], the silhouette search
-/// is timed as `elicit.cut`, and the resulting cluster count is
-/// published as `elicit.clusters`.
-pub fn elicit_auto_with_metrics(
+/// With a `cache`, prior distance cells (keyed by content fingerprints,
+/// so corpus position does not matter) are replayed bit-exactly and
+/// only pairs touching changes *new* to the cache are evaluated; the
+/// freshly computed cells and the label memo are recorded into `cache`
+/// and the caller flushes. A cold run and a warm one take the same code
+/// path, which is what makes their output byte-identical. Distance
+/// arguments are orientation-normalized by content fingerprint, so a
+/// cell's bits never depend on which corpus position enumerated the
+/// pair first.
+///
+/// Metrics: `cluster.items`, `cluster.pairs`, the `cluster.matrix`,
+/// `cluster.agglomerate` and `elicit.cut` spans, `elicit.clusters`,
+/// and — only with a cache — `cluster.cache.hit` / `.miss` /
+/// `.stale_version` (one per pair). When `trace` is enabled the stage
+/// is wrapped in an `elicit` span with the same sub-spans, plus one
+/// `cluster(<id>)` decision per change, where `<id>` is the change's
+/// cluster index in the final (largest-first) report order and the
+/// decision's `index` is the change's position in `changes`.
+pub fn elicit_auto(
     changes: &[MinedUsageChange],
-    registry: &mut MetricsRegistry,
-) -> Elicitation {
-    let usage_changes: Vec<UsageChange> = changes.iter().map(|c| c.change.clone()).collect();
-    let (dendrogram, matrix) = cluster_usage_changes_matrix_metered(&usage_changes, registry);
-    let members = registry.time("elicit.cut", || {
-        dendrogram.best_cut(&matrix, usage_changes.len()).1
-    });
-    let elicitation = build_elicitation(dendrogram, members, &usage_changes);
-    registry.inc("elicit.clusters", elicitation.clusters.len() as u64);
-    elicitation
-}
-
-/// [`elicit_auto_with_metrics`] with decision provenance: wraps the
-/// whole stage in an `elicit` span, times the silhouette search as an
-/// `elicit.cut` span, and emits one `cluster(<id>)` decision per
-/// surviving change, where `<id>` is the change's cluster index in the
-/// final (largest-first) report order. The decisions carry the
-/// change's index into `changes` so tests can reconcile membership
-/// lists against the trace exactly.
-pub fn elicit_auto_traced(
-    changes: &[MinedUsageChange],
+    cache: Option<&mut ClusterCache>,
     registry: &mut MetricsRegistry,
     trace: &mut TraceSink,
 ) -> Elicitation {
     let stage_span = trace.begin_with("elicit", |a| {
         a.u64("changes", changes.len() as u64);
+        if cache.is_some() {
+            a.u64("cached", 1);
+        }
     });
     let usage_changes: Vec<UsageChange> = changes.iter().map(|c| c.change.clone()).collect();
-    let (dendrogram, matrix) = cluster_usage_changes_matrix_traced(&usage_changes, registry, trace);
+    registry.inc("cluster.items", usage_changes.len() as u64);
+    registry.inc("cluster.pairs", cluster::pair_count(usage_changes.len()));
+    let Some(matrix) = distance_matrix(&usage_changes, cache, registry, trace) else {
+        trace.end(stage_span);
+        return Elicitation::default();
+    };
+    let agg_span = trace.begin("cluster.agglomerate");
+    let dendrogram = registry.time("cluster.agglomerate", || {
+        cluster::agglomerate_matrix(&matrix, Linkage::Complete)
+    });
+    trace.end(agg_span);
     let cut_span = trace.begin("elicit.cut");
     let members = registry.time("elicit.cut", || {
-        dendrogram.best_cut(&matrix, usage_changes.len()).1
+        dendrogram.best_cut(&matrix, CLUSTER_MAX_K).1
     });
     trace.end(cut_span);
     let elicitation = build_elicitation(dendrogram, members, &usage_changes);
     registry.inc("elicit.clusters", elicitation.clusters.len() as u64);
-    for (cluster_id, cluster) in elicitation.clusters.iter().enumerate() {
-        for &member in &cluster.members {
-            record_decision(
-                trace,
-                &changes[member].meta,
-                &DecisionReason::Cluster(cluster_id),
-                |a| {
-                    a.u64("index", member as u64);
-                    a.u64("cluster_size", cluster.members.len() as u64);
-                },
-            );
+    if trace.is_enabled() {
+        for (cluster_id, cluster) in elicitation.clusters.iter().enumerate() {
+            for &member in &cluster.members {
+                record_decision(
+                    trace,
+                    &changes[member].meta,
+                    &DecisionReason::Cluster(cluster_id),
+                    |a| {
+                        a.u64("index", member as u64);
+                        a.u64("cluster_size", cluster.members.len() as u64);
+                    },
+                );
+            }
         }
     }
     trace.end(stage_span);
     elicitation
 }
 
-/// [`elicit_auto`] through the persistent distance-cell cache: prior
-/// cells (keyed by content fingerprints, so corpus position does not
-/// matter) are replayed bit-exactly and only pairs touching changes
-/// *new* to the cache are evaluated. With `cache` absent (or empty)
-/// this **is** the cold path — one code path for warm and cold is what
-/// makes their output byte-identical, the same discipline
-/// `mine_cached` follows.
-///
-/// Differences from [`elicit_auto`], both deliberate:
-///
-/// - distance arguments are orientation-normalized by content
-///   fingerprint before evaluation, so a cell's bits never depend on
-///   which corpus position enumerated the pair first;
-/// - the silhouette search is capped at [`CLUSTER_MAX_K`] clusters.
-///
-/// Counters: `cluster.cache.hit` / `cluster.cache.miss` /
-/// `cluster.cache.stale_version` (one per pair), plus the usual
-/// `cluster.*` and `elicit.*` metrics. When `trace` is enabled the
-/// stage emits the same spans and per-member cluster decisions as
-/// [`elicit_auto_traced`]. Freshly computed cells and the label memo
-/// are recorded into `cache`; the caller flushes.
-pub fn elicit_auto_cached(
-    changes: &[MinedUsageChange],
+/// The pairwise distance matrix of both elicitation entry points, under
+/// a `cluster.matrix` span: cells found in `cache` are replayed, the
+/// rest computed with orientation-normalized arguments and recorded
+/// back. `None` only if the matrix size checks fail, which the
+/// exactly-sized prior rules out.
+fn distance_matrix(
+    usage_changes: &[UsageChange],
     mut cache: Option<&mut ClusterCache>,
     registry: &mut MetricsRegistry,
     trace: &mut TraceSink,
-) -> Elicitation {
-    let stage_span = trace.begin_with("elicit", |a| {
-        a.u64("changes", changes.len() as u64);
-        a.u64("cached", 1);
-    });
-    let usage_changes: Vec<UsageChange> = changes.iter().map(|c| c.change.clone()).collect();
+) -> Option<DistanceMatrix> {
     let n = usage_changes.len();
-    registry.inc("cluster.items", n as u64);
-    registry.inc("cluster.pairs", cluster::pair_count(n));
     let fps: Vec<Fingerprint> = usage_changes
         .iter()
         .map(ClusterCache::change_fingerprint)
@@ -187,14 +173,14 @@ pub fn elicit_auto_cached(
             });
         }
     }
-    registry.inc("cluster.cache.hit", hits);
-    registry.inc("cluster.cache.miss", misses);
-    registry.inc("cluster.cache.stale_version", stale);
 
     // Seed the label-similarity memo from the cache, so even the new
     // cells skip recomputing known label pairs.
     let label_cache = cluster::LabelCache::default();
     if let Some(c) = cache.as_deref() {
+        registry.inc("cluster.cache.hit", hits);
+        registry.inc("cluster.cache.miss", misses);
+        registry.inc("cluster.cache.stale_version", stale);
         for (a, b, sim) in c.label_memo() {
             label_cache.preload(&a, &b, sim);
         }
@@ -214,16 +200,7 @@ pub fn elicit_auto_cached(
         })
     });
     trace.end(matrix_span);
-    let Ok(warm) = warm else {
-        // Unreachable: `prior` was just materialized at exactly the
-        // condensed length, so the size checks cannot fail. Degrade to
-        // an empty elicitation rather than panicking.
-        trace.end(stage_span);
-        return Elicitation {
-            dendrogram: Dendrogram::default(),
-            clusters: Vec::new(),
-        };
-    };
+    let warm = warm.ok()?;
     if let Some(c) = cache.as_mut() {
         for &(i, j, d) in &warm.computed {
             c.record_cell(fps[i], fps[j], d);
@@ -234,36 +211,7 @@ pub fn elicit_auto_cached(
             c.record_label_memo(&label_cache.memo_entries());
         }
     }
-
-    let agg_span = trace.begin("cluster.agglomerate");
-    let dendrogram = registry.time("cluster.agglomerate", || {
-        cluster::agglomerate_matrix(&warm.matrix, cluster::Linkage::Complete)
-    });
-    trace.end(agg_span);
-    let cut_span = trace.begin("elicit.cut");
-    let members = registry.time("elicit.cut", || {
-        dendrogram.best_cut(&warm.matrix, CLUSTER_MAX_K).1
-    });
-    trace.end(cut_span);
-    let elicitation = build_elicitation(dendrogram, members, &usage_changes);
-    registry.inc("elicit.clusters", elicitation.clusters.len() as u64);
-    if trace.is_enabled() {
-        for (cluster_id, cluster) in elicitation.clusters.iter().enumerate() {
-            for &member in &cluster.members {
-                record_decision(
-                    trace,
-                    &changes[member].meta,
-                    &DecisionReason::Cluster(cluster_id),
-                    |a| {
-                        a.u64("index", member as u64);
-                        a.u64("cluster_size", cluster.members.len() as u64);
-                    },
-                );
-            }
-        }
-    }
-    trace.end(stage_span);
-    elicitation
+    Some(warm.matrix)
 }
 
 fn build_elicitation(
@@ -341,7 +289,12 @@ mod tests {
         changes.extend(mined(&fixtures::ECB_TO_GCM, "Cipher"));
         changes.extend(mined(&fixtures::DEFAULT_AES_TO_CBC, "Cipher"));
         changes.extend(mined(&fixtures::SHA1_TO_SHA256, "MessageDigest"));
-        let auto = elicit_auto(&changes);
+        let auto = elicit_auto(
+            &changes,
+            None,
+            &mut MetricsRegistry::new(),
+            &mut TraceSink::disabled(),
+        );
         // The silhouette-optimal cut separates the ECB family from the
         // digest fix. Memberships are pinned exactly: the silhouette
         // search now runs over the shared distance matrix, and this
@@ -391,5 +344,43 @@ mod tests {
 
         let rendering = render_dendrogram(&changes, &elicitation.dendrogram);
         assert!(rendering.contains("AES/ECB"), "{rendering}");
+    }
+
+    #[test]
+    fn silhouette_cut_is_capped_at_cluster_max_k() {
+        // 66 groups of two identical changes, every pair of groups 0.5
+        // apart: the uncapped optimum is one cluster per group (mean
+        // silhouette 1), but the search stops at CLUSTER_MAX_K.
+        let change = |group: usize| {
+            let path = |label: String| usagegraph::FeaturePath(vec!["Cipher".into(), label.into()]);
+            MinedUsageChange {
+                meta: crate::pipeline::ChangeMeta {
+                    project: format!("u/p{group}"),
+                    commit: "c".into(),
+                    author: String::new(),
+                    message: String::new(),
+                    path: "A.java".into(),
+                    fingerprint: format!("fp{group}"),
+                },
+                class: "Cipher".into(),
+                old_dag: usagegraph::UsageDag::empty("Cipher"),
+                new_dag: usagegraph::UsageDag::empty("Cipher"),
+                change: UsageChange {
+                    class: "Cipher".into(),
+                    removed: vec![path(format!("OLD_{group}"))],
+                    added: vec![path(format!("NEW_{group}"))],
+                },
+            }
+        };
+        let groups = CLUSTER_MAX_K + 2;
+        let changes: Vec<MinedUsageChange> = (0..2 * groups).map(|i| change(i / 2)).collect();
+        let mut registry = MetricsRegistry::new();
+        let elicitation = elicit_auto(&changes, None, &mut registry, &mut TraceSink::disabled());
+        assert_eq!(elicitation.clusters.len(), CLUSTER_MAX_K);
+        assert_eq!(registry.counter("elicit.clusters"), CLUSTER_MAX_K as u64);
+        // No cache, no cache lookups to count.
+        assert!(registry
+            .counters()
+            .all(|(name, _)| !name.starts_with("cluster.cache.")));
     }
 }

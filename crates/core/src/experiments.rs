@@ -4,8 +4,8 @@
 //! bench binaries can print the table.
 
 use crate::elicit::{elicit, render_dendrogram, Elicitation};
-use crate::filter::{apply_filters, stage_changes, FilterStage, FilterStats};
-use crate::pipeline::{DiffCode, MinedUsageChange, MiningResult};
+use crate::filter::{apply_filters, stage_changes, FilterStage, FilterStats, SeenDups};
+use crate::pipeline::{mine_parallel, DiffCode, MineOptions, MinedUsageChange, MiningResult};
 use crate::report::Table;
 use analysis::TARGET_CLASSES;
 use corpus::Corpus;
@@ -34,8 +34,17 @@ impl Experiments {
             .unwrap_or(1);
         let mut metrics = obs::MetricsRegistry::new();
         corpus::corpus_stats(&corpus).record(&mut metrics);
-        let mining =
-            crate::pipeline::mine_parallel_with_metrics(&corpus, &[], threads, &mut metrics);
+        let opts = MineOptions {
+            threads,
+            ..MineOptions::default()
+        };
+        let mining = mine_parallel(
+            &corpus,
+            &[],
+            opts,
+            &mut metrics,
+            &mut obs::TraceSink::disabled(),
+        );
         Experiments {
             corpus,
             mining,
@@ -62,6 +71,24 @@ impl Experiments {
         self.mining.stats.code_changes
     }
 
+    /// The mined usage changes of one target class after the four
+    /// filters, with the class's funnel statistics.
+    fn filtered_class(&self, class: &str) -> (Vec<MinedUsageChange>, FilterStats) {
+        let class_changes: Vec<MinedUsageChange> = self
+            .mining
+            .changes
+            .iter()
+            .filter(|c| c.class == class)
+            .cloned()
+            .collect();
+        apply_filters(
+            class_changes,
+            &mut SeenDups::new(),
+            &mut obs::MetricsRegistry::new(),
+            &mut obs::TraceSink::disabled(),
+        )
+    }
+
     // ------------------------------------------------------------------
     // Figure 6
     // ------------------------------------------------------------------
@@ -71,19 +98,9 @@ impl Experiments {
     pub fn figure6(&self) -> Vec<Figure6Row> {
         TARGET_CLASSES
             .iter()
-            .map(|class| {
-                let class_changes: Vec<MinedUsageChange> = self
-                    .mining
-                    .changes
-                    .iter()
-                    .filter(|c| c.class == *class)
-                    .cloned()
-                    .collect();
-                let (_, stats) = apply_filters(class_changes);
-                Figure6Row {
-                    class: (*class).to_owned(),
-                    stats,
-                }
+            .map(|class| Figure6Row {
+                class: (*class).to_owned(),
+                stats: self.filtered_class(class).1,
             })
             .collect()
     }
@@ -126,7 +143,7 @@ impl Experiments {
     /// (Adding one more insecure usage to a program that already
     /// violates the rule is a non-semantic change with respect to it.)
     pub fn figure7(&self) -> Vec<Figure7Row> {
-        let staged = stage_changes(&self.mining.changes);
+        let staged = stage_changes(&self.mining.changes, &mut SeenDups::new());
         // Group usage changes by (code change, class) to evaluate the
         // program-level trigger state.
         let mut groups: BTreeMap<(String, String, String, String), Vec<usize>> = BTreeMap::new();
@@ -241,14 +258,7 @@ impl Experiments {
     /// Figure 8: hierarchical clustering of the filtered usage changes
     /// for one target class (the paper shows `Cipher`).
     pub fn figure8(&self, class: &str, threshold: f64) -> Figure8Output {
-        let class_changes: Vec<MinedUsageChange> = self
-            .mining
-            .changes
-            .iter()
-            .filter(|c| c.class == class)
-            .cloned()
-            .collect();
-        let (filtered, _) = apply_filters(class_changes);
+        let (filtered, _) = self.filtered_class(class);
         let elicitation = elicit(&filtered, threshold);
         let rendering = render_dendrogram(&filtered, &elicitation.dendrogram);
         Figure8Output {

@@ -90,20 +90,25 @@ fn dup_key(change: &MinedUsageChange) -> DupKey {
     (h1.finish(), h2.finish())
 }
 
-/// Tags every change with the stage that removes it, deduplicating
-/// within this call only. For batched mining where `fdup` must be
-/// consistent *across* batches (the paper dedups corpus-wide), use
-/// [`stage_changes_with_seen`] with one shared `seen` set.
-pub fn stage_changes(changes: &[MinedUsageChange]) -> Vec<(FilterStage, &MinedUsageChange)> {
-    stage_changes_with_seen(changes, &mut SeenDups::new())
-}
+/// The counter names of the filtering funnel, in pipeline order — what
+/// [`FilterStats::record`] publishes. Shared by the metrics report, the
+/// invariant checks, and the CI snapshot checker (which re-implements
+/// the same chain over the JSON snapshot).
+pub const FILTER_FUNNEL: [&str; 5] = [
+    "filter.total",
+    "filter.after_fsame",
+    "filter.after_fadd",
+    "filter.after_frem",
+    "filter.after_fdup",
+];
 
-/// [`stage_changes`] with caller-owned dedup state: `seen` carries the
-/// `fdup` fingerprints forward, so staging several batches with the
-/// same map yields exactly the stages a single concatenated run would
-/// (a change is a duplicate if *any* earlier batch already produced
-/// its key).
-pub fn stage_changes_with_seen<'a>(
+/// Tags every change with the stage that removes it. `seen` is the
+/// caller-owned `fdup` state: staging several batches with one shared
+/// map yields exactly the stages a single concatenated run would (a
+/// change is a duplicate if *any* earlier batch already produced its
+/// key), which is how the paper dedups corpus-wide. Pass a fresh
+/// [`SeenDups`] to dedup within this call only.
+pub fn stage_changes<'a>(
     changes: &'a [MinedUsageChange],
     seen: &mut SeenDups,
 ) -> Vec<(FilterStage, &'a MinedUsageChange)> {
@@ -130,39 +135,54 @@ pub fn stage_changes_with_seen<'a>(
         .collect()
 }
 
-/// Applies the filters, returning the surviving changes and the
+/// Applies the filters with caller-owned `fdup` state (see
+/// [`stage_changes`]), returning the surviving changes and the
 /// per-stage statistics.
-pub fn apply_filters(changes: Vec<MinedUsageChange>) -> (Vec<MinedUsageChange>, FilterStats) {
-    apply_filters_with_seen(changes, &mut SeenDups::new())
-}
-
-/// [`apply_filters`] with caller-owned `fdup` state (see
-/// [`stage_changes_with_seen`]): filtering shard outputs batch-by-batch
-/// with one shared `seen` keeps corpus-wide dedup identical to
-/// filtering the concatenated result in one call.
-pub fn apply_filters_with_seen(
+///
+/// Records the `filter.apply` timing span and the `filter.*` funnel
+/// counters into `registry`. When `trace` is enabled the stage is
+/// wrapped in a `filter.apply` span with one decision event per usage
+/// change — `kept`, `filtered(refactoring|pure_addition|pure_removal)`,
+/// or `dup_of(<fingerprint>)` naming the first occurrence the duplicate
+/// collapsed into — whose `index` attribute is the change's position
+/// in `changes`.
+pub fn apply_filters(
     changes: Vec<MinedUsageChange>,
     seen: &mut SeenDups,
+    registry: &mut MetricsRegistry,
+    trace: &mut TraceSink,
 ) -> (Vec<MinedUsageChange>, FilterStats) {
-    let stages: Vec<FilterStage> = stage_changes_with_seen(&changes, seen)
-        .iter()
-        .map(|(stage, _)| *stage)
+    let clock = Stopwatch::start();
+    let span = trace.begin_with("filter.apply", |a| {
+        a.u64("changes", changes.len() as u64);
+    });
+    let stages: Vec<FilterStage> = stage_changes(&changes, seen)
+        .into_iter()
+        .map(|(stage, _)| stage)
         .collect();
-    split_staged(changes, &stages)
-}
-
-/// Folds staged changes into (survivors, funnel stats) — the single
-/// accounting path shared by the plain and traced filter entry points.
-fn split_staged(
-    changes: Vec<MinedUsageChange>,
-    stages: &[FilterStage],
-) -> (Vec<MinedUsageChange>, FilterStats) {
+    if trace.is_enabled() {
+        for (idx, (stage, change)) in stages.iter().zip(&changes).enumerate() {
+            let reason = match stage {
+                FilterStage::FSame => DecisionReason::FilteredRefactoring,
+                FilterStage::FAdd => DecisionReason::FilteredPureAddition,
+                FilterStage::FRem => DecisionReason::FilteredPureRemoval,
+                FilterStage::FDup => {
+                    DecisionReason::DupOf(seen.get(&dup_key(change)).cloned().unwrap_or_default())
+                }
+                FilterStage::Remaining => DecisionReason::Kept,
+            };
+            record_decision(trace, &change.meta, &reason, |a| {
+                a.u64("index", idx as u64);
+                a.str("class", change.class.as_str());
+            });
+        }
+    }
     let mut stats = FilterStats {
         total: changes.len(),
         ..FilterStats::default()
     };
-    let mut keep_set: Vec<bool> = vec![false; changes.len()];
-    for (idx, stage) in stages.iter().enumerate() {
+    let mut kept = Vec::new();
+    for (change, stage) in changes.into_iter().zip(stages) {
         match stage {
             FilterStage::FSame => {}
             FilterStage::FAdd => stats.after_fsame += 1,
@@ -180,100 +200,20 @@ fn split_staged(
                 stats.after_fadd += 1;
                 stats.after_frem += 1;
                 stats.after_fdup += 1;
-                keep_set[idx] = true;
+                kept.push(change);
             }
         }
     }
-    let kept: Vec<MinedUsageChange> = changes
-        .into_iter()
-        .zip(keep_set)
-        .filter_map(|(c, keep)| keep.then_some(c))
-        .collect();
     debug_assert!(stats.is_monotone(), "filter funnel not monotone: {stats:?}");
     debug_assert_eq!(
         stats.after_fdup,
         kept.len(),
         "survivors must equal after_fdup"
     );
-    (kept, stats)
-}
-
-/// [`apply_filters`] with stage observability: records the
-/// `filter.apply` timing span and the `filter.*` funnel counters into
-/// `registry`.
-pub fn apply_filters_with_metrics(
-    changes: Vec<MinedUsageChange>,
-    registry: &mut MetricsRegistry,
-) -> (Vec<MinedUsageChange>, FilterStats) {
-    let (kept, stats) = registry.time("filter.apply", || apply_filters(changes));
-    stats.record(registry);
-    debug_assert!(obs::check_funnel(
-        registry,
-        &[
-            "filter.total",
-            "filter.after_fsame",
-            "filter.after_fadd",
-            "filter.after_frem",
-            "filter.after_fdup",
-        ],
-    )
-    .is_ok());
-    (kept, stats)
-}
-
-/// [`apply_filters_with_metrics`] with caller-owned `fdup` state and
-/// structured tracing: wraps the stage in a `filter.apply` span and
-/// emits one decision event per usage change — `kept`,
-/// `filtered(refactoring|pure_addition|pure_removal)`, or
-/// `dup_of(<fingerprint>)` naming the first occurrence the duplicate
-/// collapsed into. The `index` attribute is the change's position in
-/// the filter input (offset by `index_base` so batched calls number
-/// changes corpus-wide).
-pub fn apply_filters_traced(
-    changes: Vec<MinedUsageChange>,
-    seen: &mut SeenDups,
-    registry: &mut MetricsRegistry,
-    trace: &mut TraceSink,
-    index_base: usize,
-) -> (Vec<MinedUsageChange>, FilterStats) {
-    let clock = Stopwatch::start();
-    let span = trace.begin_with("filter.apply", |a| {
-        a.u64("changes", changes.len() as u64);
-    });
-    let staged = stage_changes_with_seen(&changes, seen);
-    let mut stages: Vec<FilterStage> = Vec::with_capacity(staged.len());
-    for (idx, (stage, change)) in staged.iter().enumerate() {
-        stages.push(*stage);
-        let reason = match stage {
-            FilterStage::FSame => DecisionReason::FilteredRefactoring,
-            FilterStage::FAdd => DecisionReason::FilteredPureAddition,
-            FilterStage::FRem => DecisionReason::FilteredPureRemoval,
-            FilterStage::FDup => {
-                DecisionReason::DupOf(seen.get(&dup_key(change)).cloned().unwrap_or_default())
-            }
-            FilterStage::Remaining => DecisionReason::Kept,
-        };
-        record_decision(trace, &change.meta, &reason, |a| {
-            a.u64("index", (index_base + idx) as u64);
-            a.str("class", change.class.as_str());
-        });
-    }
-    drop(staged);
-    let (kept, stats) = split_staged(changes, &stages);
     trace.end(span);
     registry.record_span("filter.apply", clock.elapsed());
     stats.record(registry);
-    debug_assert!(obs::check_funnel(
-        registry,
-        &[
-            "filter.total",
-            "filter.after_fsame",
-            "filter.after_fadd",
-            "filter.after_frem",
-            "filter.after_fdup",
-        ],
-    )
-    .is_ok());
+    debug_assert!(obs::check_funnel(registry, &FILTER_FUNNEL).is_ok());
     (kept, stats)
 }
 
@@ -283,6 +223,16 @@ mod tests {
     use crate::pipeline::ChangeMeta;
     use std::collections::BTreeSet;
     use usagegraph::{FeaturePath, UsageChange, UsageDag};
+
+    /// One unobserved filter run with fresh `fdup` state.
+    fn filter(changes: Vec<MinedUsageChange>) -> (Vec<MinedUsageChange>, FilterStats) {
+        apply_filters(
+            changes,
+            &mut SeenDups::new(),
+            &mut MetricsRegistry::new(),
+            &mut TraceSink::disabled(),
+        )
+    }
 
     fn mk(class: &str, removed: &[&str], added: &[&str]) -> MinedUsageChange {
         let path = |s: &&str| FeaturePath(vec![class.into(), (*s).into()]);
@@ -316,7 +266,7 @@ mod tests {
             mk("Cipher", &["a"], &["b"]), // fdup
             mk("Cipher", &["a"], &["c"]), // remaining
         ];
-        let (kept, stats) = apply_filters(changes);
+        let (kept, stats) = filter(changes);
         assert_eq!(stats.total, 6);
         assert_eq!(stats.after_fsame, 5);
         assert_eq!(stats.after_fadd, 4);
@@ -331,7 +281,7 @@ mod tests {
             mk("Cipher", &["a"], &["b"]),
             mk("MessageDigest", &["a"], &["b"]),
         ];
-        let (kept, _) = apply_filters(changes);
+        let (kept, _) = filter(changes);
         assert_eq!(
             kept.len(),
             2,
@@ -341,7 +291,7 @@ mod tests {
 
     #[test]
     fn empty_input() {
-        let (kept, stats) = apply_filters(Vec::new());
+        let (kept, stats) = filter(Vec::new());
         assert!(kept.is_empty());
         assert_eq!(stats, FilterStats::default());
     }
@@ -384,7 +334,7 @@ mod tests {
             );
         }
         // And end-to-end: the staging decisions match the reference.
-        let staged = stage_changes(&changes);
+        let staged = stage_changes(&changes, &mut SeenDups::new());
         let expected = [
             FilterStage::Remaining,
             FilterStage::FDup,
@@ -409,16 +359,15 @@ mod tests {
             mk("Cipher", &["e"], &["f"]),
             mk("Cipher", &["c"], &["d"]), // dup of batch 1's second
         ];
-        let one_shot: Vec<FilterStage> = stage_changes(&all).iter().map(|(s, _)| *s).collect();
+        let one_shot: Vec<FilterStage> = stage_changes(&all, &mut SeenDups::new())
+            .iter()
+            .map(|(s, _)| *s)
+            .collect();
 
         let mut seen = SeenDups::new();
         let mut batched = Vec::new();
         for batch in all.chunks(2) {
-            batched.extend(
-                stage_changes_with_seen(batch, &mut seen)
-                    .iter()
-                    .map(|(s, _)| *s),
-            );
+            batched.extend(stage_changes(batch, &mut seen).iter().map(|(s, _)| *s));
         }
         assert_eq!(batched, one_shot);
 
@@ -426,13 +375,17 @@ mod tests {
         // the cross-batch duplicates would survive.
         let mut per_batch = Vec::new();
         for batch in all.chunks(2) {
-            per_batch.extend(stage_changes(batch).iter().map(|(s, _)| *s));
+            per_batch.extend(
+                stage_changes(batch, &mut SeenDups::new())
+                    .iter()
+                    .map(|(s, _)| *s),
+            );
         }
         assert_ne!(per_batch, one_shot, "test must exercise cross-batch dups");
     }
 
     #[test]
-    fn apply_filters_with_seen_matches_concatenated_run() {
+    fn batched_apply_filters_with_shared_seen_matches_concatenated_run() {
         let all = vec![
             mk("Cipher", &["a"], &["b"]),
             mk("Cipher", &[], &[]),
@@ -440,13 +393,18 @@ mod tests {
             mk("Cipher", &["c"], &["d"]),
             mk("Cipher", &["a"], &["b"]),
         ];
-        let (kept_once, stats_once) = apply_filters(all.clone());
+        let (kept_once, stats_once) = filter(all.clone());
 
         let mut seen = SeenDups::new();
         let mut kept_batched = Vec::new();
         let mut totals = FilterStats::default();
         for batch in all.chunks(2) {
-            let (kept, stats) = apply_filters_with_seen(batch.to_vec(), &mut seen);
+            let (kept, stats) = apply_filters(
+                batch.to_vec(),
+                &mut seen,
+                &mut MetricsRegistry::new(),
+                &mut TraceSink::disabled(),
+            );
             kept_batched.extend(kept);
             totals.total += stats.total;
             totals.after_fsame += stats.after_fsame;
@@ -465,22 +423,17 @@ mod tests {
             mk("Cipher", &["a"], &["b"]),
             mk("Cipher", &["a"], &["b"]),
         ];
-        let mut reg = obs::MetricsRegistry::new();
-        let (kept, stats) = apply_filters_with_metrics(changes, &mut reg);
+        let mut reg = MetricsRegistry::new();
+        let (kept, stats) = apply_filters(
+            changes,
+            &mut SeenDups::new(),
+            &mut reg,
+            &mut TraceSink::disabled(),
+        );
         assert_eq!(kept.len(), 1);
         assert_eq!(reg.counter("filter.total"), stats.total as u64);
         assert_eq!(reg.counter("filter.after_fdup"), stats.after_fdup as u64);
         assert!(reg.span("filter.apply").is_some());
-        obs::check_funnel(
-            &reg,
-            &[
-                "filter.total",
-                "filter.after_fsame",
-                "filter.after_fadd",
-                "filter.after_frem",
-                "filter.after_fdup",
-            ],
-        )
-        .unwrap();
+        obs::check_funnel(&reg, &FILTER_FUNNEL).unwrap();
     }
 }

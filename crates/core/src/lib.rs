@@ -55,19 +55,18 @@ pub mod shutdown;
 
 pub use ccache::{CellLookup, ClusterCache, CLUSTERING_VERSION, CLUSTER_NAMESPACE};
 pub use decision::{DecisionReason, DECISION_EVENT};
-pub use elicit::{elicit, elicit_auto, render_dendrogram, ClusterReport, Elicitation};
-pub use elicit::{elicit_auto_cached, elicit_auto_traced, elicit_auto_with_metrics, CLUSTER_MAX_K};
+pub use elicit::{
+    elicit, elicit_auto, render_dendrogram, ClusterReport, Elicitation, CLUSTER_MAX_K,
+};
 pub use experiments::{
     figure9_table, Experiments, Figure10Output, Figure6Row, Figure7Cell, Figure7Row, Figure8Output,
 };
 pub use filter::{
-    apply_filters, apply_filters_traced, apply_filters_with_metrics, apply_filters_with_seen,
-    stage_changes, stage_changes_with_seen, DupKey, FilterStage, FilterStats, SeenDups,
+    apply_filters, stage_changes, DupKey, FilterStage, FilterStats, SeenDups, FILTER_FUNNEL,
 };
 pub use mcache::{CachedLookup, ChangeOutcome, MiningCache, MiningCacheView, ANALYSIS_VERSION};
 pub use pipeline::{
-    change_fingerprint, mine_parallel, mine_parallel_cached, mine_parallel_interruptible,
-    mine_parallel_traced, mine_parallel_with_metrics, ChangeMeta, DiffCode, MinedUsageChange,
+    change_fingerprint, mine_parallel, ChangeMeta, DiffCode, MineOptions, MinedUsageChange,
     MiningResult, MiningStats,
 };
 pub use quarantine::{ErrorKind, PipelineError, PipelineLimits, QuarantineReport, SkipCounters};

@@ -80,9 +80,6 @@ pub struct MinedUsageChange {
 pub struct MiningStats {
     /// Code changes (program version pairs) processed.
     pub code_changes: usize,
-    /// Files that failed to lex or parse on either side (skipped).
-    /// Kept as the historical aggregate of `skipped.lex + skipped.parse`.
-    pub parse_failures: usize,
     /// Code changes analyzed to completion (with or without usage
     /// changes to show for it).
     pub mined: usize,
@@ -119,7 +116,7 @@ pub struct DiffCode {
     metrics: MetricsRegistry,
     trace: TraceSink,
     /// Cooperative cancellation: checked between code changes by
-    /// [`DiffCode::mine_cached`]. `None` (the default) means mining
+    /// [`DiffCode::mine`]. `None` (the default) means mining
     /// runs to completion; explicit opt-in only — a resident server
     /// drains in-flight requests rather than aborting them, so only
     /// the one-shot CLI wires a signal flag in here.
@@ -142,7 +139,7 @@ impl DiffCode {
     }
 
     /// Installs a cooperative cancellation flag: once it reads `true`,
-    /// [`Self::mine_cached`] stops *between* code changes — the change
+    /// [`Self::mine`] stops *between* code changes — the change
     /// in flight completes normally, the remainder are never counted,
     /// and the partial result still satisfies
     /// `code_changes == mined + skipped`.
@@ -186,7 +183,7 @@ impl DiffCode {
     }
 
     /// Takes the accumulated registry, leaving an empty one — how
-    /// [`mine_parallel_with_metrics`] collects per-shard metrics from
+    /// [`mine_parallel`] collects per-shard metrics from
     /// worker pipelines on join.
     pub fn take_metrics(&mut self) -> MetricsRegistry {
         std::mem::take(&mut self.metrics)
@@ -206,7 +203,7 @@ impl DiffCode {
     }
 
     /// Takes the accumulated trace, leaving a disabled sink — how
-    /// [`mine_parallel_traced`] collects per-shard traces from worker
+    /// [`mine_parallel`] collects per-shard traces from worker
     /// pipelines on join.
     pub fn take_trace(&mut self) -> TraceSink {
         std::mem::replace(&mut self.trace, TraceSink::disabled())
@@ -359,14 +356,10 @@ impl DiffCode {
     /// Mining never aborts: a change that fails any stage — or panics —
     /// is skipped, counted under its [`ErrorKind`], and quarantined
     /// with provenance, while the remaining changes proceed.
-    pub fn mine(&mut self, corpus: &Corpus, classes: &[&str]) -> MiningResult {
-        self.mine_cached(corpus, classes, None)
-    }
-
-    /// [`Self::mine`] with an optional look-aside result cache: each
-    /// change's key is looked up before any analysis work, a hit
-    /// replays the cached [`ChangeOutcome`] (mined tuples *or* the
-    /// quarantined skip — cached skips stay skipped, so
+    ///
+    /// With a `cache` view, each change's key is looked up before any
+    /// analysis work, a hit replays the cached [`ChangeOutcome`] (mined
+    /// tuples *or* the quarantined skip — cached skips stay skipped, so
     /// `processed = mined + skipped` balances identically on warm
     /// runs), and a miss computes the outcome and records it in the
     /// view's write log. Lookup results are counted as `cache.hit` /
@@ -378,7 +371,7 @@ impl DiffCode {
     /// a mismatched handle can only cause misses, never wrong replays
     /// of *its own* entries, but keys from a different configuration
     /// would alias if the handle lies about the configuration.
-    pub fn mine_cached(
+    pub fn mine(
         &mut self,
         corpus: &Corpus,
         classes: &[&str],
@@ -628,9 +621,6 @@ fn apply_outcome(result: &mut MiningResult, meta: ChangeMeta, outcome: ChangeOut
             excerpt,
         } => {
             result.stats.skipped.bump(kind);
-            if matches!(kind, ErrorKind::Lex | ErrorKind::Parse) {
-                result.stats.parse_failures += 1;
-            }
             result.quarantine.push(QuarantineReport {
                 meta,
                 kind,
@@ -674,6 +664,22 @@ fn chaos_shard_panic_project() -> Option<String> {
         .filter(|m| !m.is_empty())
 }
 
+/// How [`mine_parallel`] runs: the worker count, an optional persistent
+/// result cache, and an optional cooperative cancellation flag.
+#[derive(Default)]
+pub struct MineOptions<'a> {
+    /// Worker threads (at least one is used; never more than projects).
+    pub threads: usize,
+    /// The persistent result cache. Every worker gets a read-only view
+    /// of its loaded index plus its own append log, merged back on join
+    /// in shard order; the caller flushes.
+    pub cache: Option<&'a mut MiningCache>,
+    /// Once this reads `true`, every shard stops between code changes
+    /// and the partial results merge normally (the Ctrl-C path of
+    /// one-shot `diffcode mine`).
+    pub cancel: Option<&'static AtomicBool>,
+}
+
 /// Mines `corpus` using one [`DiffCode`] per worker thread, sharding by
 /// project. The result is identical to [`DiffCode::mine`] — shards are
 /// contiguous project runs concatenated in project order — but
@@ -683,89 +689,32 @@ fn chaos_shard_panic_project() -> Option<String> {
 /// real corpora are heavily skewed (a handful of projects contribute
 /// most commits), so equal-project chunks leave most threads idle
 /// behind the one that drew the giant project.
-pub fn mine_parallel(corpus: &Corpus, classes: &[&str], n_threads: usize) -> MiningResult {
-    mine_parallel_with_metrics(corpus, classes, n_threads, &mut MetricsRegistry::new())
-}
-
-/// [`mine_parallel`] with stage observability: each worker pipeline
-/// accumulates its own [`MetricsRegistry`] (no locks on the hot path)
-/// and the per-shard registries are merged into `registry` on join —
-/// counters add, `mine.change` span aggregates fold together. A shard
-/// whose worker died contributes its all-skipped accounting plus a
-/// `mine.shard_failures` increment.
-pub fn mine_parallel_with_metrics(
-    corpus: &Corpus,
-    classes: &[&str],
-    n_threads: usize,
-    registry: &mut MetricsRegistry,
-) -> MiningResult {
-    mine_parallel_cached(corpus, classes, n_threads, registry, None)
-}
-
-/// [`mine_parallel_with_metrics`] with an optional persistent result
-/// cache. Every worker thread gets a read-only view of the cache's
-/// loaded index plus its own append log — no locks on the hot path —
-/// and the logs are merged back into the store on join, in shard
-/// order, so the flushed file is deterministic. A shard whose worker
-/// died never gets its log absorbed: its changes were folded in as
-/// skips, and caching half-finished outcomes from a dead worker would
-/// let a warm run disagree with the cold one.
 ///
-/// Absorbed entries live in memory until the caller invokes
-/// [`MiningCache::flush`]; this function does no I/O.
-pub fn mine_parallel_cached(
+/// Each worker accumulates its own [`MetricsRegistry`] and
+/// [`TraceSink`] (no locks on the hot path); on join they are merged
+/// into `registry` and absorbed into `trace` **in shard order**, each
+/// shard its own trace lane, so a parallel trace is the sequential
+/// trace's events re-grouped by lane. With a cancel flag, shard logs
+/// are still absorbed and the accounting balances over what was
+/// actually processed.
+///
+/// A shard whose worker died contributes its all-skipped accounting, a
+/// `mine.shard_failures` increment, and its quarantine decisions in the
+/// orchestrator's own lane — but never its cache log: caching
+/// half-finished outcomes from a dead worker would let a warm run
+/// disagree with the cold one.
+pub fn mine_parallel(
     corpus: &Corpus,
     classes: &[&str],
-    n_threads: usize,
+    opts: MineOptions<'_>,
     registry: &mut MetricsRegistry,
-    cache: Option<&mut MiningCache>,
+    trace: &mut TraceSink,
 ) -> MiningResult {
-    mine_parallel_traced(
-        corpus,
-        classes,
-        n_threads,
-        registry,
+    let MineOptions {
+        threads: n_threads,
         cache,
-        &mut TraceSink::disabled(),
-    )
-}
-
-/// [`mine_parallel_cached`] with structured tracing: each worker shard
-/// records into its own [`TraceSink`] (same no-locks discipline as the
-/// per-shard registries), and the shard sinks are absorbed into `trace`
-/// on join, **in shard order** — each shard becomes its own lane, so a
-/// parallel trace is the sequential trace's events re-grouped by lane,
-/// with identical decision events per change. A shard whose worker died
-/// contributes no lane; its changes' quarantine decisions are emitted
-/// into the orchestrator's own lane so the one-decision-per-change
-/// completeness invariant survives worker loss.
-pub fn mine_parallel_traced(
-    corpus: &Corpus,
-    classes: &[&str],
-    n_threads: usize,
-    registry: &mut MetricsRegistry,
-    cache: Option<&mut MiningCache>,
-    trace: &mut TraceSink,
-) -> MiningResult {
-    mine_parallel_interruptible(corpus, classes, n_threads, registry, cache, trace, None)
-}
-
-/// [`mine_parallel_traced`] with an optional cooperative cancellation
-/// flag, propagated to every worker pipeline: once the flag reads
-/// `true`, each shard stops between code changes and the partial
-/// results merge normally — shard logs are absorbed, the accounting
-/// balances over what was actually processed, and nothing in flight is
-/// abandoned mid-change. This is the Ctrl-C path for one-shot
-/// `diffcode mine`; a `None` flag is exactly [`mine_parallel_traced`].
-pub fn mine_parallel_interruptible(
-    corpus: &Corpus,
-    classes: &[&str],
-    n_threads: usize,
-    registry: &mut MetricsRegistry,
-    cache: Option<&mut MiningCache>,
-    trace: &mut TraceSink,
-    cancel: Option<&'static AtomicBool>,
-) -> MiningResult {
+        cancel,
+    } = opts;
     let trace_config = trace.config();
     let n_threads = n_threads.max(1).min(corpus.projects.len().max(1));
     if n_threads <= 1 {
@@ -775,7 +724,7 @@ pub fn mine_parallel_interruptible(
         if let Some(flag) = cancel {
             dc.set_cancel_flag(flag);
         }
-        let result = dc.mine_cached(corpus, classes, view.as_mut());
+        let result = dc.mine(corpus, classes, view.as_mut());
         registry.merge(&dc.take_metrics());
         trace.absorb(dc.take_trace());
         let log = view.map(MiningCacheView::into_log);
@@ -807,7 +756,7 @@ pub fn mine_parallel_interruptible(
                         if let Some(flag) = cancel {
                             dc.set_cancel_flag(flag);
                         }
-                        let result = dc.mine_cached(shard, classes, view.as_mut());
+                        let result = dc.mine(shard, classes, view.as_mut());
                         (
                             result,
                             dc.take_metrics(),
@@ -845,7 +794,6 @@ pub fn mine_parallel_interruptible(
     let mut logs = Vec::new();
     for (result, shard_metrics, log, shard_trace) in results {
         merged.stats.code_changes += result.stats.code_changes;
-        merged.stats.parse_failures += result.stats.parse_failures;
         merged.stats.mined += result.stats.mined;
         merged.stats.skipped.absorb(&result.stats.skipped);
         merged.changes.extend(result.changes);
@@ -978,6 +926,20 @@ mod tests {
     use super::*;
     use corpus::fixtures;
 
+    fn mine_threads(corpus: &Corpus, threads: usize) -> MiningResult {
+        let opts = MineOptions {
+            threads,
+            ..MineOptions::default()
+        };
+        mine_parallel(
+            corpus,
+            &[],
+            opts,
+            &mut MetricsRegistry::new(),
+            &mut TraceSink::disabled(),
+        )
+    }
+
     #[test]
     fn figure2_pair_produces_two_changes() {
         let mut dc = DiffCode::new();
@@ -1002,8 +964,8 @@ mod tests {
     #[test]
     fn parallel_mining_equals_sequential() {
         let corpus = corpus::generate(&corpus::GeneratorConfig::small(8, 77));
-        let sequential = DiffCode::new().mine(&corpus, &[]);
-        let parallel = super::mine_parallel(&corpus, &[], 4);
+        let sequential = DiffCode::new().mine(&corpus, &[], None);
+        let parallel = mine_threads(&corpus, 4);
         assert_eq!(sequential.stats, parallel.stats);
         assert_eq!(sequential.changes.len(), parallel.changes.len());
         for (a, b) in sequential.changes.iter().zip(&parallel.changes) {
@@ -1079,8 +1041,8 @@ mod tests {
             let extra = corpus.projects[0].commits.clone();
             corpus.projects[0].commits.extend(extra);
         }
-        let sequential = DiffCode::new().mine(&corpus, &[]);
-        let parallel = super::mine_parallel(&corpus, &[], 3);
+        let sequential = DiffCode::new().mine(&corpus, &[], None);
+        let parallel = mine_threads(&corpus, 3);
         assert_eq!(sequential.stats, parallel.stats);
         assert_eq!(sequential.changes.len(), parallel.changes.len());
         for (a, b) in sequential.changes.iter().zip(&parallel.changes) {
@@ -1123,11 +1085,11 @@ mod tests {
                 ("class B {}", "class B { String s = \"unterminated; }"),
             ],
         );
-        let result = DiffCode::new().mine(&corpus, &[]);
+        let result = DiffCode::new().mine(&corpus, &[], None);
         assert_eq!(result.stats.code_changes, 2);
         assert_eq!(result.stats.mined, 1);
         assert_eq!(result.stats.skipped.lex, 1);
-        assert_eq!(result.stats.parse_failures, 1);
+        assert_eq!(result.stats.skipped.parse, 0);
         assert!(result.stats.is_balanced());
         assert_eq!(result.quarantine.len(), 1);
         let report = &result.quarantine[0];
@@ -1156,11 +1118,11 @@ mod tests {
                 ("class C {}", "class C { int y; }"),
             ],
         );
-        let result = DiffCode::new().mine(&corpus, &[]);
+        let result = DiffCode::new().mine(&corpus, &[], None);
         assert_eq!(result.stats.code_changes, 3);
         assert_eq!(result.stats.mined, 2);
         assert_eq!(result.stats.skipped.panic, 1);
-        assert_eq!(result.stats.parse_failures, 0);
+        assert_eq!(result.stats.skipped.lex + result.stats.skipped.parse, 0);
         assert!(result.stats.is_balanced());
         assert_eq!(result.quarantine.len(), 1);
         assert_eq!(
@@ -1182,7 +1144,7 @@ mod tests {
         corpus.projects.extend(
             corpus_of_pairs("__chaos_shard__", &[("class B {}", "class B { int y; }")]).projects,
         );
-        let result = super::mine_parallel(&corpus, &[], 2);
+        let result = mine_threads(&corpus, 2);
         assert_eq!(result.stats.code_changes, 2);
         assert_eq!(result.stats.mined, 1, "healthy shard survives");
         assert_eq!(result.stats.skipped.panic, 1, "dead shard folded as skips");
@@ -1212,10 +1174,11 @@ mod tests {
                 "class A { void m() { int x = 2; } }",
             )],
         );
-        let result = DiffCode::with_limits(limits).mine(&corpus, &[]);
+        let result = DiffCode::with_limits(limits).mine(&corpus, &[], None);
         assert_eq!(result.stats.skipped.analysis_budget, 1);
         assert_eq!(
-            result.stats.parse_failures, 0,
+            result.stats.skipped.lex + result.stats.skipped.parse,
+            0,
             "budget skip is not a parse failure"
         );
         assert!(result.stats.is_balanced());
@@ -1227,7 +1190,7 @@ mod tests {
         let corpus = corpus::generate(&corpus::GeneratorConfig::small(4, 11));
         let mut dc = DiffCode::new();
         dc.set_cancel_flag(&FLAG);
-        let result = dc.mine(&corpus, &[]);
+        let result = dc.mine(&corpus, &[], None);
         assert_eq!(
             result.stats.code_changes, 0,
             "pre-set flag processes nothing"
@@ -1235,14 +1198,17 @@ mod tests {
         assert!(result.stats.is_balanced());
 
         let mut registry = MetricsRegistry::new();
-        let partial = mine_parallel_interruptible(
+        let opts = MineOptions {
+            threads: 2,
+            cancel: Some(&FLAG),
+            ..MineOptions::default()
+        };
+        let partial = mine_parallel(
             &corpus,
             &[],
-            2,
+            opts,
             &mut registry,
-            None,
             &mut TraceSink::disabled(),
-            Some(&FLAG),
         );
         assert_eq!(partial.stats.code_changes, 0);
         assert!(partial.stats.is_balanced());
@@ -1259,7 +1225,7 @@ mod tests {
             panic!("figure 2 pair must mine");
         };
         let corpus = corpus_of_pairs("p", &[(old, new)]);
-        let mined = DiffCode::new().mine(&corpus, &[]);
+        let mined = DiffCode::new().mine(&corpus, &[], None);
         assert_eq!(tuples.len(), mined.changes.len());
         for (tuple, mined_change) in tuples.iter().zip(&mined.changes) {
             assert_eq!(tuple.0, mined_change.class);
@@ -1271,9 +1237,13 @@ mod tests {
     fn mining_small_corpus_produces_changes() {
         let corpus = corpus::generate(&corpus::GeneratorConfig::small(4, 11));
         let mut dc = DiffCode::new();
-        let result = dc.mine(&corpus, &[]);
+        let result = dc.mine(&corpus, &[], None);
         assert!(result.stats.code_changes > 50);
-        assert_eq!(result.stats.parse_failures, 0, "templates must parse");
+        assert_eq!(
+            result.stats.skipped.lex + result.stats.skipped.parse,
+            0,
+            "templates must parse"
+        );
         assert!(!result.changes.is_empty());
         // The vast majority of mined usage changes are non-semantic.
         let same = result.changes.iter().filter(|c| c.change.is_same()).count();

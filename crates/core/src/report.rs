@@ -98,35 +98,6 @@ impl Table {
         self.rows.is_empty()
     }
 
-    /// Renders the table as GitHub-flavoured Markdown.
-    pub fn render_markdown(&self) -> String {
-        let escape = |cell: &str| cell.replace('|', "\\|");
-        let mut out = String::new();
-        out.push_str("| ");
-        out.push_str(
-            &self
-                .headers
-                .iter()
-                .map(|h| escape(h))
-                .collect::<Vec<_>>()
-                .join(" | "),
-        );
-        out.push_str(" |\n|");
-        for _ in &self.headers {
-            out.push_str("---|");
-        }
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str("| ");
-            let cells: Vec<String> = (0..self.headers.len())
-                .map(|i| escape(row.get(i).map(String::as_str).unwrap_or("")))
-                .collect();
-            out.push_str(&cells.join(" | "));
-            out.push_str(" |\n");
-        }
-        out
-    }
-
     /// Renders the table with aligned columns.
     pub fn render(&self) -> String {
         let n_cols = self
@@ -254,16 +225,5 @@ mod tests {
         );
         assert_eq!(display_width("한글"), 4, "hangul syllables are wide");
         assert_eq!(display_width("Ｒ１"), 4, "fullwidth forms are wide");
-    }
-
-    #[test]
-    fn markdown_rendering() {
-        let mut t = Table::new(["Rule", "Matching"]);
-        t.row(["R1", "89 (34.6%)"]);
-        t.row(["R2|x", "15"]);
-        let md = t.render_markdown();
-        assert!(md.starts_with("| Rule | Matching |\n|---|---|\n"), "{md}");
-        assert!(md.contains("| R1 | 89 (34.6%) |"), "{md}");
-        assert!(md.contains("R2\\|x"), "pipes escaped: {md}");
     }
 }

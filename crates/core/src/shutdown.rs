@@ -28,7 +28,7 @@ pub fn requested() -> bool {
 }
 
 /// The raw flag, for wiring into
-/// [`crate::pipeline::mine_parallel_interruptible`] or polling loops.
+/// [`crate::pipeline::MineOptions::cancel`] or polling loops.
 /// `'static` by construction, so no lifetime threads through the
 /// pipeline types.
 pub fn flag() -> &'static AtomicBool {

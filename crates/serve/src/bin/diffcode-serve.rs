@@ -17,8 +17,8 @@ use std::process::ExitCode;
 
 const USAGE: &str = "\
 usage: diffcode-serve [--addr <host:port>] [--threads <N>] [--cache-dir <dir>]
-                      [--cluster-cache-dir <dir>] [--repo-root <dir>]
-                      [--deadline-ms <N>] [--queue-depth <N>] [--drain-ms <N>]
+                      [--repo-root <dir>] [--deadline-ms <N>] [--queue-depth <N>]
+                      [--drain-ms <N>]
                       [--log-format json|text|off] [--log-file <path>]
                       [--log-max-bytes <N>] [--log-level debug|info|warn|error]
 
@@ -30,7 +30,6 @@ Resident mining/checking service. Endpoints:
   GET  /metrics               Prometheus text exposition
   GET  /status                uptime, accounting, cache hit rates, latency percentiles
   GET  /trace/capture?events=N Chrome-trace snapshot of recent requests
-  GET  /cluster/stats         persisted clustering distance-cell log stats
   GET  /healthz, /readyz      liveness; readiness goes 503 while draining
 
 One structured access-log record per request (and lifecycle events) is
@@ -39,7 +38,7 @@ written as JSON lines on stderr, or to --log-file with size rotation at
 records human-readably; off disables logging entirely.
 
 Shuts down gracefully on SIGINT/SIGTERM: stops accepting, drains the
-queue under the drain deadline, flushes the mining and cluster caches.
+queue under the drain deadline, flushes the mining cache.
 Set DIFFCODE_SERVE_CHAOS=1 to honor the X-Chaos-* test headers.";
 
 /// Log settings parsed from flags; folded into a [`Logger`] once.
@@ -91,9 +90,6 @@ fn parse_args(args: &[String]) -> Result<ServeConfig, String> {
                     .map_err(|_| "--threads needs a positive integer".to_owned())?;
             }
             "--cache-dir" => config.cache_dir = Some(value("--cache-dir")?.into()),
-            "--cluster-cache-dir" => {
-                config.cluster_cache_dir = Some(value("--cluster-cache-dir")?.into());
-            }
             "--repo-root" => config.repo_root = Some(value("--repo-root")?.into()),
             "--deadline-ms" => {
                 config.deadline_ms = value("--deadline-ms")?

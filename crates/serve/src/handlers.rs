@@ -1,4 +1,4 @@
-//! The five endpoints of the resident service.
+//! The endpoints of the resident service, all listed in one route table.
 //!
 //! | route | answers |
 //! |---|---|
@@ -9,7 +9,6 @@
 //! | `GET /metrics` | the registry in Prometheus text format |
 //! | `GET /status` | uptime, accounting, cache hit rates, percentiles |
 //! | `GET /trace/capture?events=N` | Chrome-trace snapshot of recent requests |
-//! | `GET /cluster/stats` | the persisted clustering distance-cell log |
 //! | `GET /healthz`, `GET /readyz` | liveness / drain-aware readiness |
 //!
 //! `/mine` goes through [`diffcode::DiffCode::process_pair_cached`] —
@@ -51,6 +50,45 @@ impl Default for WorkerCtx {
     }
 }
 
+/// How a route's path matches a request target.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum PathMatch {
+    /// The whole target.
+    Exact(&'static str),
+    /// The target up to an optional `?query`.
+    Query(&'static str),
+    /// Any target under this prefix.
+    Prefix(&'static str),
+}
+
+/// The single route table — `(method, path, endpoint label)` — that
+/// dispatch, the `405` answers, and the per-endpoint latency spans
+/// (`serve.request.<label>`) all derive from.
+pub(crate) const ROUTES: [(&str, PathMatch, &str); 9] = [
+    ("POST", PathMatch::Exact("/mine"), "mine"),
+    ("POST", PathMatch::Exact("/mine-repo"), "mine_repo"),
+    ("POST", PathMatch::Exact("/check"), "check"),
+    ("GET", PathMatch::Exact("/metrics"), "metrics"),
+    ("GET", PathMatch::Exact("/status"), "status"),
+    ("GET", PathMatch::Exact("/healthz"), "healthz"),
+    ("GET", PathMatch::Exact("/readyz"), "readyz"),
+    ("GET", PathMatch::Prefix("/explain/"), "explain"),
+    ("GET", PathMatch::Query("/trace/capture"), "trace_capture"),
+];
+
+/// The `(method, label)` of the route serving `path`, whatever the
+/// request method.
+pub(crate) fn route(path: &str) -> Option<(&'static str, &'static str)> {
+    ROUTES
+        .iter()
+        .find(|(_, pattern, _)| match *pattern {
+            PathMatch::Exact(p) => path == p,
+            PathMatch::Query(p) => path.split('?').next() == Some(p),
+            PathMatch::Prefix(p) => path.starts_with(p),
+        })
+        .map(|&(method, _, label)| (method, label))
+}
+
 /// Routes one request. Always returns a response; panics escape to the
 /// per-request `catch_unwind` in the server loop. `request_id` is the
 /// admission-assigned id the access log records — handlers thread it
@@ -68,38 +106,30 @@ pub fn handle(req: &Request, shared: &Shared, ctx: &mut WorkerCtx, request_id: u
         }
     }
 
-    match (req.method.as_str(), req.path.as_str()) {
-        ("POST", "/mine") => mine(req, shared, ctx, request_id),
-        ("POST", "/mine-repo") => mine_repo(req, shared, ctx, request_id),
-        ("POST", "/check") => check(req),
-        ("GET", "/metrics") => metrics(shared),
-        ("GET", "/status") => status(shared),
-        ("GET", "/cluster/stats") => cluster_stats(shared),
-        ("GET", "/healthz") => Response::text(200, "ok"),
-        ("GET", "/readyz") => {
+    let Some((method, label)) = route(&req.path) else {
+        return err_json(404, "unknown path");
+    };
+    if req.method != method {
+        return err_json(405, "method not allowed for this path");
+    }
+    match label {
+        "mine" => mine(req, shared, ctx, request_id),
+        "mine_repo" => mine_repo(req, shared, ctx, request_id),
+        "check" => check(req),
+        "metrics" => metrics(shared),
+        "status" => status(shared),
+        "healthz" => Response::text(200, "ok"),
+        "readyz" => {
             if shared.draining() {
                 Response::text(503, "draining")
             } else {
                 Response::text(200, "ready")
             }
         }
-        ("GET", path) if path.starts_with("/explain/") => explain(path, shared),
-        ("GET", path) if trace_capture_path(path) => trace_capture(path, shared),
-        (
-            _,
-            "/mine" | "/mine-repo" | "/check" | "/metrics" | "/status" | "/cluster/stats"
-            | "/healthz" | "/readyz",
-        ) => err_json(405, "method not allowed for this path"),
-        (_, path) if path.starts_with("/explain/") => err_json(405, "explain is GET-only"),
-        (_, path) if trace_capture_path(path) => err_json(405, "trace capture is GET-only"),
+        "explain" => explain(&req.path, shared),
+        "trace_capture" => trace_capture(&req.path, shared),
         _ => err_json(404, "unknown path"),
     }
-}
-
-/// `true` for `/trace/capture` with or without a query string (the
-/// request target arrives unsplit in `req.path`).
-fn trace_capture_path(path: &str) -> bool {
-    path.split('?').next() == Some("/trace/capture")
 }
 
 fn err_json(status: u16, message: &str) -> Response {
@@ -475,50 +505,6 @@ fn explain(path: &str, shared: &Shared) -> Response {
     Response::json(200, body.render())
 }
 
-/// `GET /cluster/stats`: the state of the persisted clustering
-/// distance-cell log — how warm the next `mine --cluster-cache-dir`
-/// run on this directory starts.
-fn cluster_stats(shared: &Shared) -> Response {
-    let Some(lock) = shared.cluster_cache.as_ref() else {
-        return err_json(
-            404,
-            "no cluster cache configured (start with --cluster-cache-dir)",
-        );
-    };
-    let stats = {
-        let cache = lock.read().unwrap_or_else(PoisonError::into_inner);
-        cache.store().stats()
-    };
-    let body = Json::Obj(vec![
-        (
-            "namespace".to_owned(),
-            Json::Str(diffcode::CLUSTER_NAMESPACE.to_owned()),
-        ),
-        (
-            "clustering_version".to_owned(),
-            Json::Num(f64::from(diffcode::CLUSTERING_VERSION)),
-        ),
-        (
-            "entries".to_owned(),
-            Json::Num(stats.current_entries as f64),
-        ),
-        (
-            "stale_entries".to_owned(),
-            Json::Num(stats.stale_entries as f64),
-        ),
-        (
-            "records_loaded".to_owned(),
-            Json::Num(stats.records_loaded as f64),
-        ),
-        ("file_bytes".to_owned(), Json::Num(stats.file_bytes as f64)),
-        (
-            "corrupt_tail_bytes".to_owned(),
-            Json::Num(stats.corrupt_tail_bytes as f64),
-        ),
-    ]);
-    Response::json(200, body.render())
-}
-
 /// `GET /metrics`: deterministic Prometheus text. Logger throughput is
 /// snapshotted into gauges just before rendering, so scrape output
 /// carries the current emitted/dropped counts.
@@ -643,14 +629,6 @@ fn status(shared: &Shared) -> Response {
                 },
             ),
             (
-                "cluster_cache".to_owned(),
-                if shared.cluster_cache.is_some() {
-                    cache_rate_json(r, "cluster.cache")
-                } else {
-                    Json::Null
-                },
-            ),
-            (
                 "log".to_owned(),
                 Json::Obj(vec![
                     ("emitted".to_owned(), Json::Num(shared.log.emitted() as f64)),
@@ -700,9 +678,50 @@ fn trace_capture(path: &str, shared: &Shared) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::server::{endpoint_label, ServeConfig};
 
     fn body(text: &str) -> Json {
         json::parse(text).unwrap()
+    }
+
+    #[test]
+    fn every_route_answers_its_method_and_405s_the_others() {
+        let config = ServeConfig {
+            repo_root: Some(std::env::temp_dir()),
+            ..ServeConfig::default()
+        };
+        let shared = Shared::new(config, None);
+        let mut ctx = WorkerCtx::new();
+        let mut send = |method: &str, path: &str, body: &str| {
+            let req = Request {
+                method: method.to_owned(),
+                path: path.to_owned(),
+                headers: Vec::new(),
+                body: body.as_bytes().to_vec(),
+            };
+            handle(&req, &shared, &mut ctx, 1).status
+        };
+        // One body for every route: `/mine` (first in the table) mines
+        // it, so `/explain/<its fingerprint>` finds a verdict; the
+        // other POST routes answer 400 for the missing fields.
+        let (old, new) = ("class A {}", "class A { int x; }");
+        let mine_body = format!(r#"{{"old": "{old}", "new": "{new}"}}"#);
+        for (method, pattern, label) in ROUTES {
+            let path = match pattern {
+                PathMatch::Exact(p) | PathMatch::Query(p) => p.to_owned(),
+                PathMatch::Prefix(p) => format!("{p}{}", change_fingerprint(old, new)),
+            };
+            assert_ne!(send(method, &path, &mine_body), 404, "{method} {path}");
+            for other in ["GET", "POST", "PUT", "DELETE"] {
+                if other != method {
+                    assert_eq!(send(other, &path, ""), 405, "{other} {path}");
+                }
+            }
+            assert_eq!(endpoint_label(&path), label);
+            assert_ne!(label, "other");
+        }
+        assert_eq!(send("GET", "/nowhere", ""), 404);
+        assert_eq!(endpoint_label("/nowhere"), "other");
     }
 
     #[test]

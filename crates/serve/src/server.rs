@@ -17,9 +17,8 @@
 //! 3. On shutdown (SIGINT/SIGTERM via [`diffcode::shutdown`], or a
 //!    programmatic stop flag) the listener closes, queued connections
 //!    drain under the drain deadline (whatever the deadline catches
-//!    still queued is shed with `503`), the mining and cluster caches
-//!    flush their append logs, and the counters are returned as a
-//!    [`ServeSummary`].
+//!    still queued is shed with `503`), the mining cache flushes its
+//!    append log, and the counters are returned as a [`ServeSummary`].
 //!
 //! The accounting partition `accepted = completed + shed + failed`
 //! holds exactly whenever the server is idle or stopped — it is checked
@@ -49,10 +48,6 @@ pub struct ServeConfig {
     pub threads: usize,
     /// Mining-cache directory; `None` serves without a cache.
     pub cache_dir: Option<PathBuf>,
-    /// Cluster-cache directory (distance cells persisted by
-    /// `diffcode mine --cluster-cache-dir`); `None` disables
-    /// `GET /cluster/stats`.
-    pub cluster_cache_dir: Option<PathBuf>,
     /// Directory of cloned repositories `POST /mine-repo` may walk;
     /// `None` (the default) disables the endpoint entirely. Requests
     /// name a repository relative to this root and can never escape it.
@@ -89,7 +84,6 @@ impl Default for ServeConfig {
             addr: "127.0.0.1:8091".to_owned(),
             threads: 4,
             cache_dir: None,
-            cluster_cache_dir: None,
             repo_root: None,
             deadline_ms: 2_000,
             queue_depth: 64,
@@ -142,8 +136,6 @@ pub struct Shared {
     pub registry: Mutex<MetricsRegistry>,
     /// The hot mining cache, when configured.
     pub cache: Option<RwLock<MiningCache>>,
-    /// The persisted clustering distance cells, when configured.
-    pub cluster_cache: Option<RwLock<diffcode::ClusterCache>>,
     /// The `/explain` verdict journal.
     pub ring: Mutex<ExplainRing>,
     /// The structured logger (clone of `config.logger`).
@@ -171,6 +163,25 @@ struct Conn {
 }
 
 impl Shared {
+    /// Fresh shared state: empty registry, ring, queue, and capture
+    /// sink, serving `cache`.
+    pub(crate) fn new(config: ServeConfig, cache: Option<RwLock<MiningCache>>) -> Shared {
+        Shared {
+            ring: Mutex::new(ExplainRing::new(config.ring_capacity)),
+            registry: Mutex::new(MetricsRegistry::new()),
+            cache,
+            log: config.logger.clone(),
+            trace: Mutex::new(TraceSink::enabled(1)),
+            started: Instant::now(),
+            next_request_id: AtomicU64::new(0),
+            queue: Mutex::new(VecDeque::new()),
+            queue_cv: Condvar::new(),
+            draining: AtomicBool::new(false),
+            drain_deadline: Mutex::new(None),
+            config,
+        }
+    }
+
     /// `true` once shutdown has begun (readiness goes 503).
     pub fn draining(&self) -> bool {
         self.draining.load(Ordering::SeqCst)
@@ -256,32 +267,7 @@ impl Server {
             None => None,
         };
 
-        let cluster_cache = match &config.cluster_cache_dir {
-            Some(dir) => Some(RwLock::new(
-                // Same configuration as `diffcode mine
-                // --cluster-cache-dir`, so the served stats describe
-                // exactly the cells mining runs read and write.
-                diffcode::ClusterCache::open_default(dir)
-                    .map_err(|e| format!("opening cluster cache at {}: {e}", dir.display()))?,
-            )),
-            None => None,
-        };
-
-        let shared = Arc::new(Shared {
-            ring: Mutex::new(ExplainRing::new(config.ring_capacity)),
-            registry: Mutex::new(MetricsRegistry::new()),
-            cache,
-            cluster_cache,
-            log: config.logger.clone(),
-            trace: Mutex::new(TraceSink::enabled(1)),
-            started: Instant::now(),
-            next_request_id: AtomicU64::new(0),
-            queue: Mutex::new(VecDeque::new()),
-            queue_cv: Condvar::new(),
-            draining: AtomicBool::new(false),
-            drain_deadline: Mutex::new(None),
-            config,
-        });
+        let shared = Arc::new(Shared::new(config, cache));
 
         shared
             .log
@@ -289,7 +275,6 @@ impl Server {
             .str("addr", &addr.to_string())
             .u64("threads", shared.config.threads.max(1) as u64)
             .bool("cache", shared.cache.is_some())
-            .bool("cluster_cache", shared.cluster_cache.is_some())
             .str("version", env!("CARGO_PKG_VERSION"))
             .emit();
         trace_instant(&shared, "serve.boot", |a| {
@@ -358,7 +343,7 @@ fn run(listener: TcpListener, shared: Arc<Shared>, stop: &AtomicBool) -> ServeSu
         let _ = handle.join();
     }
 
-    // Flush the cache append logs so a restart starts warm.
+    // Flush the cache append log so a restart starts warm.
     let mut flushed = 0u64;
     if let Some(lock) = &shared.cache {
         let mut cache = lock.write().unwrap_or_else(PoisonError::into_inner);
@@ -371,25 +356,6 @@ fn run(listener: TcpListener, shared: Arc<Shared>, stop: &AtomicBool) -> ServeSu
             .event(LogLevel::Info, "serve.cache_flush")
             .str("cache", "mining")
             .u64("entries", flushed)
-            .emit();
-    }
-    if let Some(lock) = &shared.cluster_cache {
-        let mut cache = lock.write().unwrap_or_else(PoisonError::into_inner);
-        let entries = match cache.flush() {
-            Ok(n) => {
-                shared.with_registry(|r| r.inc("cluster.cache.flushed_entries", n as u64));
-                n as u64
-            }
-            Err(_) => {
-                shared.with_registry(|r| r.inc("serve.cluster_cache_flush_errors", 1));
-                0
-            }
-        };
-        shared
-            .log
-            .event(LogLevel::Info, "serve.cache_flush")
-            .str("cache", "cluster")
-            .u64("entries", entries)
             .emit();
     }
 
@@ -428,24 +394,12 @@ fn trace_instant(shared: &Shared, name: &str, fill: impl FnOnce(&mut obs::AttrSe
     trace.truncate_oldest(keep);
 }
 
-/// The per-endpoint span label for a request path: `serve.request.<label>`.
-/// Unknown paths collapse into `other` so a URL-guessing client cannot
-/// grow the registry without bound.
+/// The per-endpoint span label for a request path: `serve.request.<label>`,
+/// from the route table dispatch uses. Unknown paths collapse into
+/// `other` so a URL-guessing client cannot grow the registry without
+/// bound.
 pub(crate) fn endpoint_label(path: &str) -> &'static str {
-    let path = path.split('?').next().unwrap_or(path);
-    match path {
-        "/mine" => "mine",
-        "/mine-repo" => "mine_repo",
-        "/check" => "check",
-        "/metrics" => "metrics",
-        "/cluster/stats" => "cluster_stats",
-        "/healthz" => "healthz",
-        "/readyz" => "readyz",
-        "/status" => "status",
-        "/trace/capture" => "trace_capture",
-        _ if path.starts_with("/explain/") => "explain",
-        _ => "other",
-    }
+    handlers::route(path).map_or("other", |(_, label)| label)
 }
 
 /// Emits the full per-request observability record: the latency into

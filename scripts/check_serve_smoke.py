@@ -13,7 +13,8 @@ the process:
      cache), i.e. a served verdict never depends on cache state;
   4. malformed input gets a clean 4xx, not a dropped connection;
   5. /status reports live accounting and a per-endpoint latency table
-     with non-zero percentiles once traffic has flowed;
+     with non-zero percentiles once traffic has flowed, and no longer
+     carries a cluster_cache field (GET /cluster/stats is gone: 404);
   6. /trace/capture returns a well-formed Chrome-trace array covering
      the recent requests, and rejects malformed queries with a 400;
   7. SIGTERM drains: exit code 0 and a final accounting line whose
@@ -236,6 +237,8 @@ def main():
             else:
                 if page.get("draining") is not False:
                     errors.append(f"/status: draining should be false, got {page.get('draining')}")
+                if "cluster_cache" in page:
+                    errors.append("/status: the removed cluster_cache field is back")
                 accepted_live = page.get("requests", {}).get("accepted", 0)
                 if accepted_live < 8:
                     errors.append(
@@ -254,6 +257,11 @@ def main():
                                 f"/status: endpoints.{endpoint}.{key} must be "
                                 f"non-zero, got {row.get(key)}"
                             )
+
+            # The server keeps no cluster cache: its stats route is gone.
+            status, gone = request_json(port, "GET", "/cluster/stats")
+            if status != 404 or gone.get("error") != "unknown path":
+                errors.append(f"/cluster/stats: expected the unknown-path 404, got {status} {gone}")
 
             # 9. /trace/capture: a Chrome-trace array of recent events.
             status, raw = request(port, "GET", "/trace/capture?events=64")

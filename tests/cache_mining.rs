@@ -3,8 +3,10 @@
 //! the new work, and the `processed = mined + skipped` accounting holds
 //! under every combination.
 
-use diffcode::{mine_parallel_cached, CachedLookup, MiningCache, MiningResult, ANALYSIS_VERSION};
-use obs::MetricsRegistry;
+use diffcode::{
+    mine_parallel, CachedLookup, MineOptions, MiningCache, MiningResult, ANALYSIS_VERSION,
+};
+use obs::{MetricsRegistry, TraceSink};
 use std::path::PathBuf;
 
 /// A unique, cleaned-up-on-drop temp dir per test.
@@ -76,7 +78,12 @@ fn mine_with(
     cache: Option<&mut MiningCache>,
 ) -> (MiningResult, MetricsRegistry) {
     let mut registry = MetricsRegistry::new();
-    let result = mine_parallel_cached(corpus, &[], n_threads, &mut registry, cache);
+    let opts = MineOptions {
+        threads: n_threads,
+        cache,
+        cancel: None,
+    };
+    let result = mine_parallel(corpus, &[], opts, &mut registry, &mut TraceSink::disabled());
     (result, registry)
 }
 

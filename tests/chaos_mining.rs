@@ -13,10 +13,26 @@
 //!    touch produces byte-identical mined results to a fault-free run.
 
 use corpus::{generate, FaultKind, GeneratorConfig, Mutator};
-use diffcode::{mine_parallel, DiffCode, ErrorKind, MinedUsageChange};
+use diffcode::{mine_parallel, DiffCode, ErrorKind, MineOptions, MinedUsageChange, MiningResult};
+use obs::{MetricsRegistry, TraceSink};
 
 const SEED: u64 = 2024;
 const FAULT_RATE: f64 = 0.4;
+
+/// Parallel mining with no cache, cancel flag, or observers.
+fn mine_threads(corpus: &corpus::Corpus, threads: usize) -> MiningResult {
+    let opts = MineOptions {
+        threads,
+        ..MineOptions::default()
+    };
+    mine_parallel(
+        corpus,
+        &[],
+        opts,
+        &mut MetricsRegistry::new(),
+        &mut TraceSink::disabled(),
+    )
+}
 
 #[test]
 fn chaos_fault_injection_is_total() {
@@ -24,7 +40,7 @@ fn chaos_fault_injection_is_total() {
 
     // Fault-free baseline: the generator emits only valid Java, so
     // nothing is skipped and the accounting is trivially balanced.
-    let baseline = DiffCode::new().mine(&pristine, &[]);
+    let baseline = DiffCode::new().mine(&pristine, &[], None);
     assert!(baseline.stats.is_balanced());
     assert_eq!(
         baseline.stats.skipped.total(),
@@ -46,7 +62,7 @@ fn chaos_fault_injection_is_total() {
     // Guarantee 1: this call returning at all is the no-abort claim —
     // truncated sources, control-character soup, 10k-deep nesting and
     // megabyte tokens all flow through the release pipeline.
-    let result = DiffCode::new().mine(&faulted, &[]);
+    let result = DiffCode::new().mine(&faulted, &[], None);
 
     // Guarantee 2: exact accounting.
     assert!(result.stats.is_balanced());
@@ -57,9 +73,13 @@ fn chaos_fault_injection_is_total() {
         "fuzzed corpus must trip frontend errors"
     );
     assert_eq!(
-        result.stats.parse_failures,
+        result
+            .quarantine
+            .iter()
+            .filter(|r| matches!(r.kind, ErrorKind::Lex | ErrorKind::Parse))
+            .count(),
         result.stats.skipped.lex + result.stats.skipped.parse,
-        "legacy aggregate must track the per-kind counters"
+        "front-end quarantine reports must track the per-kind counters"
     );
     // Every quarantined change is one the mutator touched (the
     // baseline proved untouched changes cannot fail), and carries
@@ -83,7 +103,7 @@ fn chaos_fault_injection_is_total() {
     assert_eq!(base_kept, fault_kept, "fault blast radius leaked");
 
     // And the parallel path degrades identically to the sequential one.
-    let parallel = mine_parallel(&faulted, &[], 4);
+    let parallel = mine_threads(&faulted, 4);
     assert_eq!(parallel, result);
 }
 
@@ -110,8 +130,8 @@ fn chaos_panic_faults_are_isolated_per_change() {
     // backtrace-less message through the default hook otherwise.
     let prev_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
-    let sequential = DiffCode::new().mine(&corpus, &[]);
-    let parallel = mine_parallel(&corpus, &[], 3);
+    let sequential = DiffCode::new().mine(&corpus, &[], None);
+    let parallel = mine_threads(&corpus, 3);
     std::panic::set_hook(prev_hook);
 
     for result in [&sequential, &parallel] {

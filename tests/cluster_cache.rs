@@ -1,14 +1,13 @@
 //! Integration tests for the persistent cluster cache: warm re-clusters
 //! replay prior distance cells bit-exactly and produce output identical
-//! to a cold run, config flips and version bumps invalidate, the
+//! to a cold run, config flips and version bumps invalidate, and the
 //! incremental path scales to thousands of changes computing only the
-//! new rows, and the bucketed two-level scheme matches the dense path
-//! on well-separated corpora.
+//! new rows.
 
 use cluster::Linkage;
 use diffcode::{
-    apply_filters, elicit_auto_cached, mine_parallel, CellLookup, ClusterCache, Elicitation,
-    MinedUsageChange, CLUSTERING_VERSION,
+    apply_filters, elicit_auto, mine_parallel, CellLookup, ClusterCache, Elicitation, MineOptions,
+    MinedUsageChange, SeenDups, CLUSTERING_VERSION,
 };
 use obs::{MetricsRegistry, TraceSink};
 use proptest::prelude::*;
@@ -41,19 +40,31 @@ fn generated(n_projects: usize, seed: u64) -> corpus::Corpus {
 
 /// Mines and filters a corpus — the changes the clustering stage sees.
 fn kept(corpus: &corpus::Corpus) -> Vec<MinedUsageChange> {
-    let result = mine_parallel(corpus, &[], 2);
-    apply_filters(result.changes).0
+    let mut registry = MetricsRegistry::new();
+    let mut trace = TraceSink::disabled();
+    let opts = MineOptions {
+        threads: 2,
+        ..MineOptions::default()
+    };
+    let result = mine_parallel(corpus, &[], opts, &mut registry, &mut trace);
+    apply_filters(
+        result.changes,
+        &mut SeenDups::new(),
+        &mut registry,
+        &mut trace,
+    )
+    .0
 }
 
-/// Runs the cached clustering path and returns the elicitation plus
-/// the run's counters.
+/// Runs the clustering stage and returns the elicitation plus the
+/// run's counters.
 fn cluster_with(
     changes: &[MinedUsageChange],
     cache: Option<&mut ClusterCache>,
 ) -> (Elicitation, MetricsRegistry) {
     let mut registry = MetricsRegistry::new();
     let mut trace = TraceSink::disabled();
-    let elicitation = elicit_auto_cached(changes, cache, &mut registry, &mut trace);
+    let elicitation = elicit_auto(changes, cache, &mut registry, &mut trace);
     (elicitation, registry)
 }
 
@@ -331,65 +342,4 @@ fn warm_matrix_on_a_two_thousand_change_corpus_computes_only_new_rows() {
     let warm_dendrogram = cluster::agglomerate_matrix(&warm.matrix, Linkage::Complete);
     let cold_dendrogram = cluster::agglomerate_matrix(&cold_grown, Linkage::Complete);
     assert_eq!(warm_dendrogram, cold_dendrogram);
-}
-
-// ---------------------------------------------------------------------
-// Bucketed-vs-dense equivalence on a well-separated corpus.
-// ---------------------------------------------------------------------
-
-/// Sorts a clustering into a canonical form for set comparison.
-fn canonical(mut clusters: Vec<Vec<usize>>) -> Vec<Vec<usize>> {
-    for c in &mut clusters {
-        c.sort_unstable();
-    }
-    clusters.sort();
-    clusters
-}
-
-/// On a corpus whose classes are far apart (inter-class distance is
-/// maximal) and whose per-class groups are tight, the two-level
-/// bucketed scheme recovers the same clusters as the dense path — the
-/// documented equivalence bound of `cluster_bucketed`.
-#[test]
-fn bucketed_matches_dense_on_a_well_separated_corpus() {
-    let mut changes = Vec::new();
-    // Two tight groups per class, three changes each: enough structure
-    // that both paths cut each class into the same two groups.
-    for class in ["Cipher", "MessageDigest", "SecureRandom"] {
-        for i in 0..3 {
-            changes.push(UsageChange {
-                class: class.into(),
-                removed: vec![feature(&[class, "getInstance", &format!("arg1:WEAK-A{i}")])],
-                added: vec![feature(&[
-                    class,
-                    "getInstance",
-                    &format!("arg1:STRONG-A{i}"),
-                ])],
-            });
-        }
-        for i in 0..3 {
-            changes.push(UsageChange {
-                class: class.into(),
-                removed: vec![feature(&[class, "init", &format!("arg1:OLDKEY-B{i}")])],
-                added: vec![feature(&[class, "init", &format!("arg1:FRESHKEY-B{i}")])],
-            });
-        }
-    }
-
-    let bucketed = cluster::cluster_bucketed(&changes, 1 << 20, 64).unwrap();
-    assert_eq!(bucketed.buckets.len(), 3, "one bucket per class");
-
-    let (dense, matrix) = cluster::cluster_usage_changes_matrix(&changes);
-    let (_, dense_clusters, _) = dense.best_cut(&matrix, 64);
-
-    assert_eq!(
-        canonical(bucketed.clusters.clone()),
-        canonical(dense_clusters),
-        "bucketed and dense clusters must agree on a well-separated corpus"
-    );
-
-    // The bucketed path never materialized more than one bucket's
-    // matrix at a time.
-    let largest_bucket = bucketed.buckets.iter().map(Vec::len).max().unwrap();
-    assert!(bucketed.peak_cells <= pairs(largest_bucket).max(pairs(3)) as usize);
 }

@@ -76,7 +76,7 @@ fn classification_is_consistent_with_commit_messages() {
     // from a commit the generator labelled as a security fix (the
     // reverse need not hold: some fixes are outside CL1–CL5's scope).
     let exp = experiments();
-    let staged = diffcode::stage_changes(exp.mined_changes());
+    let staged = diffcode::stage_changes(exp.mined_changes(), &mut diffcode::SeenDups::new());
     let _ = staged;
     for row in exp.figure7() {
         let _ = row;

@@ -2,7 +2,7 @@
 //! golden corpus (no generator involved).
 
 use corpus::golden_corpus;
-use diffcode::{elicit, stage_changes, Experiments, FilterStage};
+use diffcode::{elicit, stage_changes, Experiments, FilterStage, SeenDups};
 use rules::CryptoChecker;
 
 #[test]
@@ -15,7 +15,7 @@ fn mining_counts_match_hand_counted_truth() {
 #[test]
 fn refactoring_and_doc_commits_are_fully_filtered() {
     let exp = Experiments::new(golden_corpus());
-    for (stage, change) in stage_changes(exp.mined_changes()) {
+    for (stage, change) in stage_changes(exp.mined_changes(), &mut SeenDups::new()) {
         let msg = &change.meta.message;
         if msg.starts_with("Rename") || msg.starts_with("Document") {
             assert_eq!(
@@ -33,7 +33,7 @@ fn every_modification_fix_survives() {
     let exp = Experiments::new(golden_corpus());
     let mut surviving_fix_commits = std::collections::BTreeSet::new();
     let mut added_usage_fix = false;
-    for (stage, change) in stage_changes(exp.mined_changes()) {
+    for (stage, change) in stage_changes(exp.mined_changes(), &mut SeenDups::new()) {
         if !change.meta.message.starts_with("Security:") {
             continue;
         }

@@ -15,7 +15,7 @@
 //! UPDATE_GOLDEN=1 cargo test --test golden_frontend
 //! ```
 
-use diffcode::cli::{run_mine, run_mine_traced, MineSource};
+use diffcode::cli::{run_mine, FunnelOptions, MineSource};
 use diffcode::DECISION_EVENT;
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -24,6 +24,11 @@ const SEED: u64 = 42;
 const PROJECTS: usize = 12;
 /// Single-threaded: shard merge order can never be a variable here.
 const THREADS: usize = 1;
+
+const SOURCE: MineSource = MineSource::Seeded {
+    seed: SEED,
+    n_projects: PROJECTS,
+};
 
 fn golden_path(name: &str) -> PathBuf {
     // CARGO_MANIFEST_DIR is crates/core; the goldens live in the
@@ -52,17 +57,23 @@ fn check_golden(name: &str, actual: &str) {
 
 #[test]
 fn mine_stdout_matches_prerefactor_golden() {
-    let (report, _metrics) = run_mine(SEED, PROJECTS, THREADS, None).expect("mine runs");
+    let opts = FunnelOptions {
+        threads: THREADS,
+        ..FunnelOptions::default()
+    };
+    let (report, _) = run_mine(&SOURCE, &opts).expect("mine runs");
     check_golden("mine_seed42_p12.stdout", &report);
 }
 
 #[test]
 fn decision_trace_matches_prerefactor_golden() {
-    let source = MineSource::Seeded {
-        seed: SEED,
-        n_projects: PROJECTS,
+    let opts = FunnelOptions {
+        threads: THREADS,
+        trace_sample: Some(1),
+        ..FunnelOptions::default()
     };
-    let (_, _, trace) = run_mine_traced(&source, THREADS, None, None, 1).expect("traced mine runs");
+    let (_, funnel) = run_mine(&SOURCE, &opts).expect("traced mine runs");
+    let trace = funnel.trace;
     let mut lines = String::new();
     for event in trace.events() {
         if trace.name(event.name) != DECISION_EVENT {

@@ -5,12 +5,38 @@
 
 use corpus::{generate, GeneratorConfig};
 use diffcode::{
-    apply_filters, apply_filters_with_metrics, apply_filters_with_seen, mine_parallel_with_metrics,
-    DiffCode, ErrorKind,
+    apply_filters, mine_parallel, DiffCode, ErrorKind, FilterStats, MineOptions, MinedUsageChange,
+    MiningResult, SeenDups, FILTER_FUNNEL,
 };
-use obs::MetricsRegistry;
+use obs::{MetricsRegistry, TraceSink};
 
 const SEED: u64 = 7;
+
+/// Parallel mining, recording into `registry`.
+fn mine_metered(
+    corpus: &corpus::Corpus,
+    threads: usize,
+    registry: &mut MetricsRegistry,
+) -> MiningResult {
+    let opts = MineOptions {
+        threads,
+        ..MineOptions::default()
+    };
+    mine_parallel(corpus, &[], opts, registry, &mut TraceSink::disabled())
+}
+
+/// Filtering with fresh `fdup` state, recording into `registry`.
+fn filter_metered(
+    changes: Vec<MinedUsageChange>,
+    registry: &mut MetricsRegistry,
+) -> (Vec<MinedUsageChange>, FilterStats) {
+    apply_filters(
+        changes,
+        &mut SeenDups::new(),
+        registry,
+        &mut TraceSink::disabled(),
+    )
+}
 
 fn corpus_under_test() -> corpus::Corpus {
     generate(&GeneratorConfig {
@@ -22,30 +48,36 @@ fn corpus_under_test() -> corpus::Corpus {
 
 /// Sharded mining + per-shard filtering with a shared dedup set keeps
 /// exactly the same changes as mining and filtering in one sequential
-/// pass. This is the bug the `stage_changes_with_seen` split fixes:
+/// pass. This is what the caller-owned `seen` state of `apply_filters` is for:
 /// without shared `seen` state, fdup only dedups within a shard.
 #[test]
 fn sharded_filtering_with_shared_seen_matches_sequential() {
     let corpus = corpus_under_test();
 
     // Ground truth: one sequential mine + one-shot filtering.
-    let sequential = DiffCode::new().mine(&corpus, &[]);
-    let (kept_seq, stats_seq) = apply_filters(sequential.changes.clone());
+    let sequential = DiffCode::new().mine(&corpus, &[], None);
+    let (kept_seq, stats_seq) =
+        filter_metered(sequential.changes.clone(), &mut MetricsRegistry::new());
 
     // Sharded: parallel mine, then filter the merged stream in batches
     // (as a shard-streaming consumer would) with one shared seen-set.
     let mut registry = MetricsRegistry::new();
-    let parallel = mine_parallel_with_metrics(&corpus, &[], 4, &mut registry);
+    let parallel = mine_metered(&corpus, 4, &mut registry);
     assert_eq!(
         parallel.changes, sequential.changes,
         "mining must be shard-invariant"
     );
 
-    let mut seen = diffcode::SeenDups::new();
+    let mut seen = SeenDups::new();
     let mut kept_batched = Vec::new();
     let mut total_after_fdup = 0;
     for batch in parallel.changes.chunks(3) {
-        let (kept, stats) = apply_filters_with_seen(batch.to_vec(), &mut seen);
+        let (kept, stats) = apply_filters(
+            batch.to_vec(),
+            &mut seen,
+            &mut MetricsRegistry::new(),
+            &mut TraceSink::disabled(),
+        );
         total_after_fdup += stats.after_fdup;
         kept_batched.extend(kept);
     }
@@ -63,7 +95,7 @@ fn sharded_filtering_with_shared_seen_matches_sequential() {
 fn metrics_counters_reconcile_with_pipeline_stats() {
     let corpus = corpus_under_test();
     let mut registry = MetricsRegistry::new();
-    let result = mine_parallel_with_metrics(&corpus, &[], 4, &mut registry);
+    let result = mine_metered(&corpus, 4, &mut registry);
 
     assert_eq!(
         registry.counter("mine.code_changes"),
@@ -93,7 +125,7 @@ fn metrics_counters_reconcile_with_pipeline_stats() {
     )
     .is_ok());
 
-    let (kept, stats) = apply_filters_with_metrics(result.changes, &mut registry);
+    let (kept, stats) = filter_metered(result.changes, &mut registry);
     assert_eq!(registry.counter("filter.total"), stats.total as u64);
     assert_eq!(
         registry.counter("filter.after_fsame"),
@@ -108,17 +140,7 @@ fn metrics_counters_reconcile_with_pipeline_stats() {
         stats.after_frem as u64
     );
     assert_eq!(registry.counter("filter.after_fdup"), kept.len() as u64);
-    assert!(obs::check_funnel(
-        &registry,
-        &[
-            "filter.total",
-            "filter.after_fsame",
-            "filter.after_fadd",
-            "filter.after_frem",
-            "filter.after_fdup"
-        ],
-    )
-    .is_ok());
+    assert!(obs::check_funnel(&registry, &FILTER_FUNNEL).is_ok());
 }
 
 /// Parallel mining merges per-shard registries; the merged counters
@@ -129,11 +151,11 @@ fn parallel_and_sequential_registries_agree_on_counts() {
     let corpus = corpus_under_test();
 
     let mut dc = DiffCode::new();
-    let _ = dc.mine(&corpus, &[]);
+    let _ = dc.mine(&corpus, &[], None);
     let sequential = dc.take_metrics();
 
     let mut parallel = MetricsRegistry::new();
-    let _ = mine_parallel_with_metrics(&corpus, &[], 4, &mut parallel);
+    let _ = mine_metered(&corpus, 4, &mut parallel);
 
     let seq_counters: Vec<_> = sequential.counters().collect();
     let par_counters: Vec<_> = parallel.counters().collect();
@@ -151,18 +173,12 @@ fn parallel_and_sequential_registries_agree_on_counts() {
 fn json_snapshot_carries_the_funnel() {
     let corpus = corpus_under_test();
     let mut registry = MetricsRegistry::new();
-    let result = mine_parallel_with_metrics(&corpus, &[], 2, &mut registry);
-    let (_, _) = apply_filters_with_metrics(result.changes, &mut registry);
+    let result = mine_metered(&corpus, 2, &mut registry);
+    let (_, _) = filter_metered(result.changes, &mut registry);
 
     let json = registry.to_json();
     assert!(json.contains("\"version\": 2"), "{json}");
-    for stage in [
-        "filter.total",
-        "filter.after_fsame",
-        "filter.after_fadd",
-        "filter.after_frem",
-        "filter.after_fdup",
-    ] {
+    for stage in FILTER_FUNNEL {
         assert!(
             json.contains(&format!("\"{stage}\":")),
             "snapshot missing {stage}"
@@ -189,7 +205,7 @@ fn json_snapshot_carries_the_funnel() {
 /// exactly the histogram of recording them all in one registry. (The
 /// wall-clock spans of a parallel mining run differ run to run, so the
 /// equality is checked over fixed synthetic durations — the same
-/// absorb path `mine_parallel_with_metrics` uses on shard join.)
+/// absorb path `mine_parallel` uses on shard join.)
 #[test]
 fn sharded_histogram_merge_matches_sequential_recording() {
     use std::time::Duration;
@@ -235,11 +251,11 @@ fn parallel_histogram_count_matches_sequential() {
     let corpus = corpus_under_test();
 
     let mut dc = DiffCode::new();
-    let _ = dc.mine(&corpus, &[]);
+    let _ = dc.mine(&corpus, &[], None);
     let sequential = dc.take_metrics();
 
     let mut parallel = MetricsRegistry::new();
-    let _ = mine_parallel_with_metrics(&corpus, &[], 4, &mut parallel);
+    let _ = mine_metered(&corpus, 4, &mut parallel);
 
     let seq = sequential.hist("mine.change").expect("sequential hist");
     let par = parallel.hist("mine.change").expect("parallel hist");

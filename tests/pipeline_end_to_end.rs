@@ -54,7 +54,7 @@ fn filter_funnel_shape_matches_paper() {
 #[test]
 fn security_fix_commits_survive_filtering() {
     let exp = experiments();
-    let staged = diffcode::stage_changes(exp.mined_changes());
+    let staged = diffcode::stage_changes(exp.mined_changes(), &mut diffcode::SeenDups::new());
     // Every commit whose message marks it as a security fix must have
     // at least one usage change that is NOT filtered as non-semantic.
     use std::collections::{BTreeMap, BTreeSet};
@@ -82,7 +82,7 @@ fn security_fix_commits_survive_filtering() {
 #[test]
 fn refactoring_commits_are_fully_non_semantic() {
     let exp = experiments();
-    let staged = diffcode::stage_changes(exp.mined_changes());
+    let staged = diffcode::stage_changes(exp.mined_changes(), &mut diffcode::SeenDups::new());
     let mut refactor_total = 0usize;
     let mut refactor_semantic = 0usize;
     for (stage, change) in &staged {

@@ -275,8 +275,14 @@ proptest! {
         // subset of its input, and the final count is what callers get.
         let corpus = corpus::generate(&corpus::GeneratorConfig::small(n_projects, seed));
         let mut dc = diffcode::DiffCode::new();
-        let mined = dc.mine(&corpus, &["Cipher", "SecureRandom", "MessageDigest"]);
-        let (kept, stats) = diffcode::apply_filters(mined.changes);
+        let mined = dc.mine(&corpus, &["Cipher", "SecureRandom", "MessageDigest"], None);
+        let mut registry = obs::MetricsRegistry::new();
+        let (kept, stats) = diffcode::apply_filters(
+            mined.changes,
+            &mut diffcode::SeenDups::new(),
+            &mut registry,
+            &mut obs::TraceSink::disabled(),
+        );
         prop_assert!(stats.total >= stats.after_fsame);
         prop_assert!(stats.after_fsame >= stats.after_fadd);
         prop_assert!(stats.after_fadd >= stats.after_frem);
@@ -284,31 +290,28 @@ proptest! {
         prop_assert_eq!(stats.after_fdup, kept.len());
         prop_assert!(stats.is_monotone());
 
-        // And the metrics-publishing variant reports the same funnel.
-        let mined = diffcode::DiffCode::new()
-            .mine(&corpus, &["Cipher", "SecureRandom", "MessageDigest"]);
-        let mut registry = obs::MetricsRegistry::new();
-        let (kept2, stats2) =
-            diffcode::apply_filters_with_metrics(mined.changes, &mut registry);
-        prop_assert_eq!(kept2.len(), kept.len());
-        prop_assert_eq!(stats2.total, stats.total);
+        // And the published counters report the same funnel.
         prop_assert_eq!(registry.counter("filter.total"), stats.total as u64);
         prop_assert_eq!(registry.counter("filter.after_fdup"), stats.after_fdup as u64);
-        prop_assert!(obs::check_funnel(
-            &registry,
-            &["filter.total", "filter.after_fsame", "filter.after_fadd",
-              "filter.after_frem", "filter.after_fdup"],
-        ).is_ok());
+        prop_assert!(obs::check_funnel(&registry, &diffcode::FILTER_FUNNEL).is_ok());
     }
 
     #[test]
     fn filters_are_idempotent(seed in 0u64..2000) {
         let corpus = corpus::generate(&corpus::GeneratorConfig::small(2, seed));
         let mut dc = diffcode::DiffCode::new();
-        let mined = dc.mine(&corpus, &["Cipher", "SecureRandom"]);
-        let (once, stats1) = diffcode::apply_filters(mined.changes);
+        let mined = dc.mine(&corpus, &["Cipher", "SecureRandom"], None);
+        let filter = |changes| {
+            diffcode::apply_filters(
+                changes,
+                &mut diffcode::SeenDups::new(),
+                &mut obs::MetricsRegistry::new(),
+                &mut obs::TraceSink::disabled(),
+            )
+        };
+        let (once, stats1) = filter(mined.changes);
         let n_once = once.len();
-        let (twice, stats2) = diffcode::apply_filters(once);
+        let (twice, stats2) = filter(once);
         prop_assert_eq!(n_once, twice.len());
         prop_assert_eq!(stats1.after_fdup, stats2.total);
         prop_assert_eq!(stats2.total, stats2.after_fdup, "already filtered");
@@ -431,7 +434,7 @@ proptest! {
                 }],
             }],
         };
-        let result = diffcode::DiffCode::new().mine(&corpus, &[]);
+        let result = diffcode::DiffCode::new().mine(&corpus, &[], None);
         prop_assert!(result.stats.is_balanced());
         prop_assert_eq!(result.quarantine.len(), result.stats.skipped.total());
     }

@@ -6,8 +6,7 @@
 //! produce identical decision sets.
 
 use diffcode::{
-    apply_filters_traced, elicit_auto_traced, mine_parallel_traced, ErrorKind, MiningCache,
-    SeenDups,
+    apply_filters, elicit_auto, mine_parallel, ErrorKind, MineOptions, MiningCache, SeenDups,
 };
 use obs::{MetricsRegistry, TraceKind, TraceSink};
 use std::path::PathBuf;
@@ -34,6 +33,20 @@ impl Drop for TempDir {
 
 fn generated(n_projects: usize, seed: u64) -> corpus::Corpus {
     corpus::generate(&corpus::GeneratorConfig::small(n_projects, seed))
+}
+
+/// Parallel mining without a cache, recording into `registry` and `trace`.
+fn mine_traced(
+    corpus: &corpus::Corpus,
+    threads: usize,
+    registry: &mut MetricsRegistry,
+    trace: &mut TraceSink,
+) -> diffcode::MiningResult {
+    let opts = MineOptions {
+        threads,
+        ..MineOptions::default()
+    };
+    mine_parallel(corpus, &[], opts, registry, trace)
 }
 
 /// All decision events as `(fingerprint, stage, reason)` triples, in
@@ -63,16 +76,15 @@ fn run_traced(
 ) -> (TraceSink, diffcode::MiningResult, MetricsRegistry) {
     let mut registry = MetricsRegistry::new();
     let mut trace = TraceSink::enabled(sample);
-    let result = mine_parallel_traced(corpus, &[], n_threads, &mut registry, None, &mut trace);
-    let (kept, _) = apply_filters_traced(
+    let result = mine_traced(corpus, n_threads, &mut registry, &mut trace);
+    let (kept, _) = apply_filters(
         result.changes.clone(),
         &mut SeenDups::new(),
         &mut registry,
         &mut trace,
-        0,
     );
     if kept.len() >= 2 {
-        let _ = elicit_auto_traced(&kept, &mut registry, &mut trace);
+        let _ = elicit_auto(&kept, None, &mut registry, &mut trace);
     }
     (trace, result, registry)
 }
@@ -86,7 +98,7 @@ fn one_mine_decision_per_code_change_reasons_match_stats() {
     for threads in [1, 4] {
         let mut registry = MetricsRegistry::new();
         let mut trace = TraceSink::enabled(1);
-        let result = mine_parallel_traced(&corpus, &[], threads, &mut registry, None, &mut trace);
+        let result = mine_traced(&corpus, threads, &mut registry, &mut trace);
         let mine: Vec<_> = decisions(&trace)
             .into_iter()
             .filter(|(_, stage, _)| stage == "mine")
@@ -115,13 +127,12 @@ fn filter_decisions_reconcile_with_filter_stats() {
     let corpus = generated(10, 42);
     let mut registry = MetricsRegistry::new();
     let mut trace = TraceSink::enabled(1);
-    let result = mine_parallel_traced(&corpus, &[], 1, &mut registry, None, &mut trace);
-    let (kept, stats) = apply_filters_traced(
+    let result = mine_traced(&corpus, 1, &mut registry, &mut trace);
+    let (kept, stats) = apply_filters(
         result.changes,
         &mut SeenDups::new(),
         &mut registry,
         &mut trace,
-        0,
     );
     let filter: Vec<_> = decisions(&trace)
         .into_iter()
@@ -246,27 +257,23 @@ fn warm_run_decisions_carry_cache_hit_status() {
     .expect("open cache");
     let mut registry = MetricsRegistry::new();
     let mut cold_trace = TraceSink::enabled(1);
-    let cold = mine_parallel_traced(
-        &corpus,
-        &[],
-        2,
-        &mut registry,
-        Some(&mut cache),
-        &mut cold_trace,
-    );
+    let opts = MineOptions {
+        threads: 2,
+        cache: Some(&mut cache),
+        cancel: None,
+    };
+    let cold = mine_parallel(&corpus, &[], opts, &mut registry, &mut cold_trace);
     cache.flush().expect("flush");
     assert_eq!(registry_hits(&cold_trace), 0, "cold run cannot hit");
 
     let mut registry = MetricsRegistry::new();
     let mut warm_trace = TraceSink::enabled(1);
-    let warm = mine_parallel_traced(
-        &corpus,
-        &[],
-        2,
-        &mut registry,
-        Some(&mut cache),
-        &mut warm_trace,
-    );
+    let opts = MineOptions {
+        threads: 2,
+        cache: Some(&mut cache),
+        cancel: None,
+    };
+    let warm = mine_parallel(&corpus, &[], opts, &mut registry, &mut warm_trace);
     assert_eq!(warm.stats.code_changes, cold.stats.code_changes);
     assert_eq!(
         registry_hits(&warm_trace) as u64,
