@@ -18,6 +18,13 @@
 //! The pipeline's own fuel budgets do the heavy robustness lifting: a
 //! 10 MB "Java file" or pathologically nested source quarantines the
 //! *request* (a clean JSON verdict with provenance), never the worker.
+//!
+//! Each `/mine` and `/mine-repo` request builds its own
+//! [`diffcode::DiffCode`] (a few words, no allocation), so the
+//! pipeline's content-keyed analysis memo lives exactly as long as the
+//! request: a `/mine-repo` walk shares one memo across its pairs, and a
+//! long-lived server does not grow with every distinct source it is
+//! sent. Repeats across requests are the mining cache's job.
 
 use crate::http::{Request, Response};
 use crate::json::{self, Json};
@@ -27,28 +34,6 @@ use diffcode::mcache::ChangeOutcome;
 use diffcode::pipeline::change_fingerprint;
 use diffcode::DiffCode;
 use std::sync::PoisonError;
-
-/// Per-worker handler state: the pipeline instance (carries its own
-/// metrics registry, merged into the shared one after each request).
-pub struct WorkerCtx {
-    dc: DiffCode,
-}
-
-impl WorkerCtx {
-    /// A fresh pipeline at default limits and depth — the same
-    /// configuration as a one-shot mining run.
-    pub fn new() -> Self {
-        WorkerCtx {
-            dc: DiffCode::new(),
-        }
-    }
-}
-
-impl Default for WorkerCtx {
-    fn default() -> Self {
-        WorkerCtx::new()
-    }
-}
 
 /// How a route's path matches a request target.
 #[derive(Debug, Clone, Copy)]
@@ -93,7 +78,7 @@ pub(crate) fn route(path: &str) -> Option<(&'static str, &'static str)> {
 /// per-request `catch_unwind` in the server loop. `request_id` is the
 /// admission-assigned id the access log records — handlers thread it
 /// into explain-ring records so verdicts join to request records.
-pub fn handle(req: &Request, shared: &Shared, ctx: &mut WorkerCtx, request_id: u64) -> Response {
+pub fn handle(req: &Request, shared: &Shared, request_id: u64) -> Response {
     if shared.config.chaos_hooks {
         if let Some(ms) = req
             .header("x-chaos-sleep-ms")
@@ -113,8 +98,8 @@ pub fn handle(req: &Request, shared: &Shared, ctx: &mut WorkerCtx, request_id: u
         return err_json(405, "method not allowed for this path");
     }
     match label {
-        "mine" => mine(req, shared, ctx, request_id),
-        "mine_repo" => mine_repo(req, shared, ctx, request_id),
+        "mine" => mine(req, shared, request_id),
+        "mine_repo" => mine_repo(req, shared, request_id),
         "check" => check(req),
         "metrics" => metrics(shared),
         "status" => status(shared),
@@ -145,7 +130,7 @@ fn body_json(req: &Request) -> Result<Json, Response> {
 }
 
 /// `POST /mine`: `{"old": "...", "new": "...", "classes": ["..."]?}`.
-fn mine(req: &Request, shared: &Shared, ctx: &mut WorkerCtx, request_id: u64) -> Response {
+fn mine(req: &Request, shared: &Shared, request_id: u64) -> Response {
     let body = match body_json(req) {
         Ok(v) => v,
         Err(resp) => return resp,
@@ -162,6 +147,9 @@ fn mine(req: &Request, shared: &Shared, ctx: &mut WorkerCtx, request_id: u64) ->
         .map(|items| items.iter().filter_map(Json::as_str).collect())
         .unwrap_or_default();
 
+    // Default limits and depth: the same configuration as a one-shot
+    // mining run.
+    let mut dc = DiffCode::new();
     let (outcome, cache_status) = match shared.cache.as_ref() {
         Some(lock) => {
             // Mining holds only a read lock: concurrent /mine requests
@@ -171,9 +159,7 @@ fn mine(req: &Request, shared: &Shared, ctx: &mut WorkerCtx, request_id: u64) ->
             let (result, log) = {
                 let cache = lock.read().unwrap_or_else(PoisonError::into_inner);
                 let mut view = cache.view();
-                let result = ctx
-                    .dc
-                    .process_pair_cached(old, new, &classes, Some(&mut view));
+                let result = dc.process_pair_cached(old, new, &classes, Some(&mut view));
                 (result, view.into_log())
             };
             let mut cache = lock.write().unwrap_or_else(PoisonError::into_inner);
@@ -184,12 +170,12 @@ fn mine(req: &Request, shared: &Shared, ctx: &mut WorkerCtx, request_id: u64) ->
             }
             result
         }
-        None => ctx.dc.process_pair_cached(old, new, &classes, None),
+        None => dc.process_pair_cached(old, new, &classes, None),
     };
 
     // Fold the pipeline's own counters (cache.hit/miss, mine spans,
     // quarantine breakdown) into the served registry.
-    let request_metrics = ctx.dc.take_metrics();
+    let request_metrics = dc.take_metrics();
     shared.with_registry(|r| {
         r.merge(&request_metrics);
         r.inc("serve.mine_requests", 1);
@@ -286,7 +272,7 @@ fn parse_max_commits(body: &Json) -> Result<Option<usize>, &'static str> {
 /// that root (plain path components only — no absolute paths, no
 /// `..`). Each mined pair lands in the `/explain` ring like a `/mine`
 /// verdict would.
-fn mine_repo(req: &Request, shared: &Shared, ctx: &mut WorkerCtx, request_id: u64) -> Response {
+fn mine_repo(req: &Request, shared: &Shared, request_id: u64) -> Response {
     let Some(root) = shared.config.repo_root.as_ref() else {
         return err_json(
             404,
@@ -334,16 +320,15 @@ fn mine_repo(req: &Request, shared: &Shared, ctx: &mut WorkerCtx, request_id: u6
     };
 
     // Mine every extracted pair through the same read-view / absorb
-    // pattern as `/mine`, batching all writes into one shard log.
+    // pattern as `/mine`, batching all writes into one shard log. One
+    // pipeline for the whole walk, so its pairs share one memo.
+    let mut dc = DiffCode::new();
     let mut verdicts: Vec<(String, &'static str, &'static str)> = Vec::new();
-    let process = |ctx: &mut WorkerCtx,
-                   view: Option<&mut diffcode::mcache::MiningCacheView>,
-                   verdicts: &mut Vec<(String, &'static str, &'static str)>| {
+    let mut process = |view: Option<&mut diffcode::mcache::MiningCacheView>| {
         let mut view = view;
         for change in report.corpus.code_changes() {
             let (outcome, cache_status) =
-                ctx.dc
-                    .process_pair_cached(change.old, change.new, &[], view.as_deref_mut());
+                dc.process_pair_cached(change.old, change.new, &[], view.as_deref_mut());
             let fingerprint = change_fingerprint(change.old, change.new);
             let verdict = match &outcome {
                 ChangeOutcome::Mined(_) => "mined",
@@ -375,7 +360,7 @@ fn mine_repo(req: &Request, shared: &Shared, ctx: &mut WorkerCtx, request_id: u6
             let log = {
                 let cache = lock.read().unwrap_or_else(PoisonError::into_inner);
                 let mut view = cache.view();
-                process(ctx, Some(&mut view), &mut verdicts);
+                process(Some(&mut view));
                 view.into_log()
             };
             let mut cache = lock.write().unwrap_or_else(PoisonError::into_inner);
@@ -385,10 +370,10 @@ fn mine_repo(req: &Request, shared: &Shared, ctx: &mut WorkerCtx, request_id: u6
                 Err(_) => shared.with_registry(|r| r.inc("serve.cache_flush_errors", 1)),
             }
         }
-        None => process(ctx, None, &mut verdicts),
+        None => process(None),
     }
 
-    let request_metrics = ctx.dc.take_metrics();
+    let request_metrics = dc.take_metrics();
     shared.with_registry(|r| {
         r.merge(&ingest_metrics);
         r.merge(&request_metrics);
@@ -554,6 +539,9 @@ fn status(shared: &Shared) -> Response {
         let trace = shared.trace.lock().unwrap_or_else(PoisonError::into_inner);
         trace.len()
     };
+    // Read before the registry lock: `queue_len` takes the queue lock
+    // (lock order on `Shared`).
+    let queue_depth = shared.queue_len();
     let body = shared.with_registry(|r| {
         let mut endpoints: Vec<(String, Json)> = Vec::new();
         for (name, span) in r.spans() {
@@ -613,7 +601,7 @@ fn status(shared: &Shared) -> Response {
             (
                 "queue".to_owned(),
                 Json::Obj(vec![
-                    ("depth".to_owned(), Json::Num(shared.queue_len() as f64)),
+                    ("depth".to_owned(), Json::Num(queue_depth as f64)),
                     (
                         "capacity".to_owned(),
                         Json::Num(shared.config.queue_depth as f64),
@@ -684,6 +672,38 @@ mod tests {
         json::parse(text).unwrap()
     }
 
+    fn request(method: &str, path: &str, body: &str) -> Request {
+        Request {
+            method: method.to_owned(),
+            path: path.to_owned(),
+            headers: Vec::new(),
+            body: body.as_bytes().to_vec(),
+        }
+    }
+
+    #[test]
+    fn each_mine_request_analyzes_with_its_own_memo() {
+        // No mining cache: nothing may carry analysis results from one
+        // request to the next, so a repeat re-analyzes both sides.
+        let shared = Shared::new(ServeConfig::default(), None);
+        let req = request(
+            "POST",
+            "/mine",
+            r#"{"old": "class A {}", "new": "class A { int x; }"}"#,
+        );
+        for _ in 0..2 {
+            assert_eq!(handle(&req, &shared, 1).status, 200);
+        }
+        let (hits, misses) = shared.with_registry(|r| {
+            (
+                r.counter("analyze.cache_hit"),
+                r.counter("analyze.cache_miss"),
+            )
+        });
+        assert_eq!(hits, 0, "no analysis memo outlives its request");
+        assert_eq!(misses, 4, "each request analyzes its old and new source");
+    }
+
     #[test]
     fn every_route_answers_its_method_and_405s_the_others() {
         let config = ServeConfig {
@@ -691,15 +711,8 @@ mod tests {
             ..ServeConfig::default()
         };
         let shared = Shared::new(config, None);
-        let mut ctx = WorkerCtx::new();
-        let mut send = |method: &str, path: &str, body: &str| {
-            let req = Request {
-                method: method.to_owned(),
-                path: path.to_owned(),
-                headers: Vec::new(),
-                body: body.as_bytes().to_vec(),
-            };
-            handle(&req, &shared, &mut ctx, 1).status
+        let send = |method: &str, path: &str, body: &str| {
+            handle(&request(method, path, body), &shared, 1).status
         };
         // One body for every route: `/mine` (first in the table) mines
         // it, so `/explain/<its fingerprint>` finds a verdict; the

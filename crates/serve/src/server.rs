@@ -3,10 +3,14 @@
 //!
 //! Life of a connection:
 //!
-//! 1. The accept loop (nonblocking, polled so shutdown is observed
-//!    within one tick) counts it `serve.accepted`, then either enqueues
+//! 1. The accept loop counts it `serve.accepted`, then either enqueues
 //!    it or — past the queue watermark — sheds it on the spot with
-//!    `429` + `Retry-After` (`serve.shed`).
+//!    `429` + `Retry-After` (`serve.shed`). The listener is nonblocking
+//!    and the loop is readiness-driven: between bursts the accept
+//!    thread blocks in `poll(2)` until a connection is pending or one
+//!    5 ms tick passes, so a new connection is taken at once and
+//!    shutdown is still observed within one tick. (Non-Unix targets
+//!    sleep the tick instead.)
 //! 2. A worker pops it, reads the request under the per-request
 //!    deadline ([`crate::http`]), and dispatches
 //!    ([`crate::handlers`]) inside `catch_unwind`: a handler panic
@@ -24,7 +28,7 @@
 //! holds exactly whenever the server is idle or stopped — it is checked
 //! by the soak harness and rendered by `GET /metrics`.
 
-use crate::handlers::{self, WorkerCtx};
+use crate::handlers;
 use crate::http::{self, HttpCaps, Response};
 use crate::ring::ExplainRing;
 use diffcode::quarantine::PipelineLimits;
@@ -129,6 +133,17 @@ impl Default for ServeSummary {
 }
 
 /// State shared by the accept loop, the workers, and the handlers.
+///
+/// **Lock order.** `queue`, `registry`, `ring`, `trace` and
+/// `drain_deadline` are leaf locks: no path takes any other lock while
+/// holding one of them. Read what you need under one lock, drop it,
+/// then take the next — e.g. `GET /status` reads [`Shared::queue_len`]
+/// *before* entering [`Shared::with_registry`], and admission sets the
+/// `serve.queue_depth` gauge only after the queue guard is dropped.
+/// Two paths that take `queue` and `registry` in opposite orders
+/// deadlock under load, and the wedged registry then stalls every
+/// worker and the drain. Only the `cache` lock is held across other
+/// locks, and it is always taken first.
 pub struct Shared {
     /// The server configuration.
     pub config: ServeConfig,
@@ -187,7 +202,8 @@ impl Shared {
         self.draining.load(Ordering::SeqCst)
     }
 
-    /// Current admission-queue depth (for `GET /status`).
+    /// Current admission-queue depth (for `GET /status`). Takes the
+    /// queue lock, so never call it inside [`Shared::with_registry`].
     pub fn queue_len(&self) -> usize {
         self.queue
             .lock()
@@ -197,7 +213,8 @@ impl Shared {
 
     /// Runs `f` on the locked registry, recovering a poisoned lock
     /// (metrics are monotone counters; a panicked writer cannot leave
-    /// them torn in a way that matters more than losing them).
+    /// them torn in a way that matters more than losing them). `f`
+    /// must not take another lock of `Shared` (see the lock order).
     pub fn with_registry<T>(&self, f: impl FnOnce(&mut MetricsRegistry) -> T) -> T {
         let mut guard = self.registry.lock().unwrap_or_else(PoisonError::into_inner);
         f(&mut guard)
@@ -294,6 +311,72 @@ impl Server {
     }
 }
 
+/// The longest the accept thread waits before re-checking the stop
+/// flag and SIGTERM, and its backoff after a failed accept.
+const ACCEPT_TICK: Duration = Duration::from_millis(5);
+
+/// Waits for a pending connection, bounded by a timeout. On Unix this
+/// is `poll(2)` on the listener fd, declared std-only the way
+/// `diffcode::shutdown` declares `signal(2)`.
+#[cfg(unix)]
+mod readiness {
+    use std::ffi::c_int;
+    use std::net::TcpListener;
+    use std::os::unix::io::AsRawFd;
+    use std::time::Duration;
+
+    /// `struct pollfd`, the same layout on every Unix.
+    #[repr(C)]
+    struct PollFd {
+        fd: c_int,
+        events: i16,
+        revents: i16,
+    }
+
+    const POLLIN: i16 = 0x1;
+
+    // `nfds_t` is `unsigned long` on Linux (glibc and musl) and
+    // illumos/Solaris, `unsigned int` on Android, Apple and the BSDs.
+    #[cfg(any(target_os = "linux", target_os = "illumos", target_os = "solaris"))]
+    type Nfds = std::ffi::c_ulong;
+    #[cfg(not(any(target_os = "linux", target_os = "illumos", target_os = "solaris")))]
+    type Nfds = std::ffi::c_uint;
+
+    extern "C" {
+        fn poll(fds: *mut PollFd, nfds: Nfds, timeout: c_int) -> c_int;
+    }
+
+    /// Returns once `listener` is readable or `timeout` has passed.
+    /// Readiness, timeout and `EINTR` all mean the same to the caller:
+    /// re-check the stop flag, then accept until `WouldBlock`. Any
+    /// other `poll` failure sleeps the timeout, so the loop cannot spin.
+    pub(super) fn wait_for_connection(listener: &TcpListener, timeout: Duration) {
+        let mut fds = PollFd {
+            fd: listener.as_raw_fd(),
+            events: POLLIN,
+            revents: 0,
+        };
+        let ms = c_int::try_from(timeout.as_millis()).unwrap_or(c_int::MAX);
+        // SAFETY: `fds` is one valid, exclusively borrowed `pollfd` and
+        // `nfds` is 1; the fd stays open for the call's duration.
+        let ready = unsafe { poll(&mut fds, 1, ms) };
+        if ready < 0 && std::io::Error::last_os_error().kind() != std::io::ErrorKind::Interrupted {
+            std::thread::sleep(timeout);
+        }
+    }
+}
+
+/// Without `poll(2)` the accept thread sleeps one tick between bursts.
+#[cfg(not(unix))]
+mod readiness {
+    use std::net::TcpListener;
+    use std::time::Duration;
+
+    pub(super) fn wait_for_connection(_listener: &TcpListener, timeout: Duration) {
+        std::thread::sleep(timeout);
+    }
+}
+
 /// The accept loop + drain sequence (runs on the server thread).
 fn run(listener: TcpListener, shared: Arc<Shared>, stop: &AtomicBool) -> ServeSummary {
     let workers: Vec<_> = (0..shared.config.threads.max(1))
@@ -309,9 +392,11 @@ fn run(listener: TcpListener, shared: Arc<Shared>, stop: &AtomicBool) -> ServeSu
         match listener.accept() {
             Ok((stream, _peer)) => admit(&shared, stream),
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(5));
+                readiness::wait_for_connection(&listener, ACCEPT_TICK);
             }
-            Err(_) => thread::sleep(Duration::from_millis(5)),
+            // Other accept errors (e.g. EMFILE) leave the listener
+            // readable, so they back off a full tick instead of spinning.
+            Err(_) => thread::sleep(ACCEPT_TICK),
         }
     }
     drop(listener);
@@ -464,24 +549,27 @@ fn admit(shared: &Shared, stream: TcpStream) {
     let id = shared.next_request_id.fetch_add(1, Ordering::Relaxed) + 1;
     let accepted = Instant::now();
     shared.with_registry(|r| r.inc("serve.accepted", 1));
-    let rejected = {
+    // The queue guard drops before the registry is touched (lock order
+    // on `Shared`).
+    let admitted = {
         let mut queue = shared.queue.lock().unwrap_or_else(PoisonError::into_inner);
         if queue.len() >= shared.config.queue_depth {
-            Some(stream)
+            Err(stream)
         } else {
             queue.push_back(Conn {
                 stream,
                 id,
                 accepted,
             });
-            let len = queue.len();
-            shared.with_registry(|r| r.set_gauge("serve.queue_depth", len as f64));
-            None
+            Ok(queue.len())
         }
     };
-    match rejected {
-        None => shared.queue_cv.notify_one(),
-        Some(mut stream) => {
+    match admitted {
+        Ok(len) => {
+            shared.queue_cv.notify_one();
+            shared.with_registry(|r| r.set_gauge("serve.queue_depth", len as f64));
+        }
+        Err(mut stream) => {
             // Past the watermark: shed on the accept thread. The write
             // is bounded by the socket write timeout, so a client that
             // refuses to read its 429 cannot stall accepts for long.
@@ -504,7 +592,6 @@ fn admit(shared: &Shared, stream: TcpStream) {
 /// One worker: pop, handle under `catch_unwind`, count, repeat — until
 /// the queue runs dry during drain.
 fn worker_loop(shared: &Shared) {
-    let mut ctx = WorkerCtx::new();
     loop {
         let conn = {
             let mut queue = shared.queue.lock().unwrap_or_else(PoisonError::into_inner);
@@ -523,7 +610,7 @@ fn worker_loop(shared: &Shared) {
             }
         };
         let Some(conn) = conn else { break };
-        handle_connection(shared, &mut ctx, conn);
+        handle_connection(shared, conn);
     }
 }
 
@@ -535,7 +622,7 @@ enum Disposition {
     Failed,
 }
 
-fn handle_connection(shared: &Shared, ctx: &mut WorkerCtx, conn: Conn) {
+fn handle_connection(shared: &Shared, conn: Conn) {
     let Conn {
         mut stream,
         id,
@@ -568,7 +655,7 @@ fn handle_connection(shared: &Shared, ctx: &mut WorkerCtx, conn: Conn) {
         match http::read_request(&mut stream, deadline, &shared.config.caps) {
             Ok(req) => {
                 req_line = Some((req.method.clone(), req.path.clone()));
-                let resp = handlers::handle(&req, shared, ctx, id);
+                let resp = handlers::handle(&req, shared, id);
                 Some(resp)
             }
             Err(err) => {

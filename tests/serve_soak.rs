@@ -12,13 +12,18 @@
 //! - load shedding: past the admission watermark, clients get `429` +
 //!   `Retry-After`;
 //! - graceful drain: shutdown answers what is queued and flushes the
-//!   mining cache's append log.
+//!   mining cache's append log;
+//! - prompt accepts: a fresh connection is taken when it arrives, not
+//!   at the accept loop's next shutdown tick;
+//! - no lock-order deadlock: `/status` scrapes racing admissions drain
+//!   exactly.
 
 use corpus::chaos::{HttpMutator, HttpPlan, HttpStep};
 use proptest::prelude::*;
 use serve::{Json, ServeConfig, ServeSummary, Server, ServerHandle};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------
@@ -661,4 +666,100 @@ proptest! {
         let again = obs::to_prometheus_text(&summary.registry);
         prop_assert_eq!(once, again);
     }
+}
+
+// ---------------------------------------------------------------------
+// Accept latency: connections are taken on readiness, not on a tick
+// ---------------------------------------------------------------------
+
+/// Sequential requests on fresh connections, each sent after the
+/// previous answer — the shape of a client that does not keep
+/// connections alive. An accept loop that sleeps its 5 ms shutdown
+/// tick whenever the backlog is empty makes every one of them wait
+/// for the next tick (≥ 200 ms for 40); one that blocks on listener
+/// readiness answers them in well under a millisecond each.
+#[test]
+fn fresh_connections_are_accepted_without_waiting_for_a_tick() {
+    const REQUESTS: u32 = 40;
+    const BUDGET: Duration = Duration::from_millis(100);
+    let handle = spawn(test_config(1_000));
+    let addr = handle.addr();
+
+    // Best of three rounds, so a test running alongside on a busy
+    // machine cannot fail this one; a tick-polled accept loop misses
+    // the budget every round.
+    let mut rounds = Vec::new();
+    for _ in 0..3 {
+        std::thread::sleep(Duration::from_millis(20));
+        let started = Instant::now();
+        for _ in 0..REQUESTS {
+            let (status, _, _) = request(addr, "GET", "/healthz", &[], b"");
+            assert_eq!(status, 200);
+        }
+        rounds.push(started.elapsed());
+        if rounds.last().is_some_and(|round| *round < BUDGET) {
+            break;
+        }
+    }
+    assert!(
+        rounds.iter().any(|round| *round < BUDGET),
+        "{REQUESTS} sequential requests on fresh connections took {rounds:?}, \
+         not under {BUDGET:?} in any round"
+    );
+
+    // Shutting an idle server down is observed within one tick and
+    // drains an empty queue: well inside a second.
+    std::thread::sleep(Duration::from_millis(20));
+    let started = Instant::now();
+    let summary = settle_and_shutdown(handle);
+    assert!(
+        started.elapsed() < Duration::from_secs(1),
+        "idle shutdown took {:?}",
+        started.elapsed()
+    );
+    assert_eq!(summary.accepted, u64::from(REQUESTS) * rounds.len() as u64);
+}
+
+// ---------------------------------------------------------------------
+// Lock order: /status scrapes racing admissions never deadlock
+// ---------------------------------------------------------------------
+
+/// `/status` reads the queue depth and the registry while the accept
+/// thread admits connections and sets the queue-depth gauge. If either
+/// path took one of those locks while holding the other, the two would
+/// deadlock under this load: clients would hit their read timeout, and
+/// shutdown could never drain the wedged worker.
+#[test]
+fn status_scrapes_racing_admissions_drain_exactly() {
+    const PER_CLIENT: usize = 3_334;
+    let handle = spawn(test_config(2_000));
+    let addr = handle.addr();
+
+    std::thread::scope(|scope| {
+        for path in ["/status", "/healthz"] {
+            for _ in 0..3 {
+                scope.spawn(move || {
+                    for _ in 0..PER_CLIENT {
+                        // `request` reads under a 10 s timeout and
+                        // fails the test when no answer comes.
+                        let (status, _, _) = request(addr, "GET", path, &[], b"");
+                        assert_eq!(status, 200, "GET {path}");
+                    }
+                });
+            }
+        }
+    });
+
+    // Shutdown on a helper thread, so a wedged drain fails the test
+    // instead of hanging it.
+    let (done, summary) = mpsc::channel();
+    let waiter = std::thread::spawn(move || {
+        let _ = done.send(settle_and_shutdown(handle));
+    });
+    let summary = summary
+        .recv_timeout(Duration::from_secs(30))
+        .expect("shutdown must drain: a worker is wedged");
+    waiter.join().expect("the shutdown thread sent its summary");
+    assert_eq!(summary.accepted, 6 * PER_CLIENT as u64);
+    assert_eq!(summary.completed, summary.accepted, "{summary:?}");
 }
