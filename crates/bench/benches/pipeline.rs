@@ -32,7 +32,7 @@ fn bench_filter(c: &mut Criterion) {
     c.bench_function("pipeline/filter", |b| {
         b.iter(|| {
             apply_filters(
-                black_box(mined.changes.clone()),
+                black_box(&mined.changes),
                 &mut SeenDups::new(),
                 &mut MetricsRegistry::new(),
                 &mut TraceSink::disabled(),

@@ -52,7 +52,7 @@ fn ablate_depth(corpus: &corpus::Corpus) {
         let mined = dc.mine(corpus, &[], None);
         let fix_surviving = fixes_surviving(&mined.changes);
         let total = mined.changes.len();
-        let (kept, stats) = filter(mined.changes);
+        let (kept, stats) = filter(&mined.changes);
         let _ = kept;
         table.row([
             depth.to_string(),
@@ -70,7 +70,7 @@ fn ablate_depth(corpus: &corpus::Corpus) {
 }
 
 /// The four filters with fresh `fdup` state, unobserved.
-fn filter(changes: Vec<MinedUsageChange>) -> (Vec<MinedUsageChange>, FilterStats) {
+fn filter(changes: &[MinedUsageChange]) -> (Vec<MinedUsageChange>, FilterStats) {
     apply_filters(
         changes,
         &mut SeenDups::new(),
@@ -105,7 +105,7 @@ fn ablate_linkage(corpus: &corpus::Corpus) {
         .into_iter()
         .filter(|c| c.class == "Cipher")
         .collect();
-    let (filtered, _) = filter(cipher);
+    let (filtered, _) = filter(&cipher);
     let changes: Vec<UsageChange> = filtered.iter().map(|c| c.change.clone()).collect();
     println!("{} filtered Cipher changes\n", changes.len());
 
@@ -216,8 +216,8 @@ fn ablate_abstraction(corpus: &corpus::Corpus) {
     let coarse: Vec<MinedUsageChange> = mined.changes.iter().map(coarsen).collect();
     let coarse_fixes = fixes_surviving(&coarse);
 
-    let (_, precise_stats) = filter(mined.changes);
-    let (_, coarse_stats) = filter(coarse);
+    let (_, precise_stats) = filter(&mined.changes);
+    let (_, coarse_stats) = filter(&coarse);
 
     let mut table = Table::new([
         "abstraction",

@@ -28,7 +28,7 @@ fn main() {
     header("Filtering funnel for the 7th class: Signature");
     let total = mined.changes.len();
     let (filtered, stats) = apply_filters(
-        mined.changes,
+        &mined.changes,
         &mut SeenDups::new(),
         &mut MetricsRegistry::new(),
         &mut TraceSink::disabled(),

@@ -33,13 +33,24 @@ impl fmt::Display for Fingerprint {
     }
 }
 
-/// Running FNV-1a 128 state, fed length-delimited parts.
+/// A streaming [`fingerprint`]: a running FNV-1a 128 state fed one
+/// length-delimited part at a time, so a caller can hash parts it
+/// renders into a reused buffer instead of collecting them all first.
+/// Feeding parts `p₁ … pₙ` and calling [`Fingerprinter::finish`] gives
+/// exactly `fingerprint(&[p₁, …, pₙ])`.
 #[derive(Debug, Clone)]
-struct Fnv128(u128);
+pub struct Fingerprinter(u128);
 
-impl Fnv128 {
-    fn new() -> Self {
-        Fnv128(FNV_OFFSET)
+impl Default for Fingerprinter {
+    fn default() -> Self {
+        Fingerprinter::new()
+    }
+}
+
+impl Fingerprinter {
+    /// The state of an empty part sequence (the FNV offset basis).
+    pub fn new() -> Self {
+        Fingerprinter(FNV_OFFSET)
     }
 
     fn update(&mut self, bytes: &[u8]) {
@@ -51,9 +62,30 @@ impl Fnv128 {
 
     /// Feeds one part, length-prefixed so `["ab","c"]` and `["a","bc"]`
     /// hash differently.
-    fn update_part(&mut self, part: &[u8]) {
+    pub fn part(&mut self, part: &[u8]) {
         self.update(&(part.len() as u64).to_le_bytes());
         self.update(part);
+    }
+
+    /// Feeds the same part to `self` and `other` in one pass over its
+    /// bytes. Each lane ends exactly as if [`Fingerprinter::part`] had
+    /// been called on it alone; the two multiply chains are
+    /// independent, so the CPU overlaps them and one lockstep pass
+    /// costs well under two single-lane passes.
+    pub fn part_with(&mut self, other: &mut Fingerprinter, part: &[u8]) {
+        let (mut a, mut b) = (self.0, other.0);
+        for bytes in [&(part.len() as u64).to_le_bytes()[..], part] {
+            for &byte in bytes {
+                a = (a ^ u128::from(byte)).wrapping_mul(FNV_PRIME);
+                b = (b ^ u128::from(byte)).wrapping_mul(FNV_PRIME);
+            }
+        }
+        (self.0, other.0) = (a, b);
+    }
+
+    /// The fingerprint of the parts fed so far.
+    pub fn finish(&self) -> Fingerprint {
+        Fingerprint(self.0)
     }
 }
 
@@ -61,20 +93,20 @@ impl Fnv128 {
 /// before hashing, so the fingerprint depends on the part boundaries,
 /// not just the concatenation.
 pub fn fingerprint(parts: &[&[u8]]) -> Fingerprint {
-    let mut fnv = Fnv128::new();
+    let mut fnv = Fingerprinter::new();
     for part in parts {
-        fnv.update_part(part);
+        fnv.part(part);
     }
-    Fingerprint(fnv.0)
+    fnv.finish()
 }
 
 /// [`fingerprint`] over string parts.
 pub fn fingerprint_str(parts: &[&str]) -> Fingerprint {
-    let mut fnv = Fnv128::new();
+    let mut fnv = Fingerprinter::new();
     for part in parts {
-        fnv.update_part(part.as_bytes());
+        fnv.part(part.as_bytes());
     }
-    Fingerprint(fnv.0)
+    fnv.finish()
 }
 
 #[cfg(test)]
@@ -112,6 +144,26 @@ mod tests {
         assert_eq!(Fingerprint::parse(&hex), Some(fp));
         assert_eq!(Fingerprint::parse("xyz"), None);
         assert_eq!(Fingerprint::parse(&hex[..31]), None);
+    }
+
+    #[test]
+    fn streaming_matches_one_shot_and_lanes_stay_independent() {
+        let parts: [&[u8]; 3] = [b"config", b"", b"old\nsource"];
+        let mut streamed = Fingerprinter::new();
+        for part in parts {
+            streamed.part(part);
+        }
+        assert_eq!(streamed.finish(), fingerprint(&parts));
+
+        // Two lanes in lockstep: one primed with an extra leading part.
+        let mut keyed = Fingerprinter::new();
+        keyed.part(b"config");
+        let mut plain = Fingerprinter::new();
+        for part in [b"old".as_slice(), b"new"] {
+            keyed.part_with(&mut plain, part);
+        }
+        assert_eq!(keyed.finish(), fingerprint(&[b"config", b"old", b"new"]));
+        assert_eq!(plain.finish(), fingerprint(&[b"old", b"new"]));
     }
 
     #[test]

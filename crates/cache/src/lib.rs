@@ -12,7 +12,8 @@
 //! 1. [`Fingerprint`] — a 128-bit FNV-1a content hash over
 //!    length-delimited parts ([`fingerprint`]). Collisions at 128 bits
 //!    are negligible for corpus-scale key counts, and the hash is
-//!    stable across platforms and runs (unlike `DefaultHasher`).
+//!    stable across platforms and runs (unlike `DefaultHasher`);
+//!    [`Fingerprinter`] computes the same hash one part at a time.
 //! 2. [`wire`] — a tiny length-prefixed binary codec
 //!    ([`wire::Writer`]/[`wire::Reader`]) used both for the store's
 //!    on-disk records and by callers to serialize payloads. Typed
@@ -58,7 +59,7 @@ mod fingerprint;
 mod store;
 pub mod wire;
 
-pub use fingerprint::{fingerprint, fingerprint_str, Fingerprint};
+pub use fingerprint::{fingerprint, fingerprint_str, Fingerprint, Fingerprinter};
 pub use store::{
     verify, verify_ns, CacheStats, CacheStore, Lookup, ShardLog, StoreError, VacuumReport,
     VerifyReport,

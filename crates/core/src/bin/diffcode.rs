@@ -117,11 +117,17 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                 std::fs::write(path, funnel.registry.to_json())
                     .map_err(|e| format!("{}: {e}", path.display()))?;
             }
-            Ok(if funnel.interrupted {
+            let code = if funnel.interrupted {
                 ExitCode::from(130)
             } else {
                 ExitCode::SUCCESS
-            })
+            };
+            // Every output is written and the process is about to exit.
+            // Nothing in a `Funnel` has a `Drop` with side effects, so
+            // freeing the mined result tuple by tuple would only delay
+            // the exit that hands the whole heap back at once.
+            std::mem::forget(funnel);
+            Ok(code)
         }
         "serve" => {
             // Cargo-style external subcommand: the server depends on

@@ -18,6 +18,7 @@ use rules::{CheckedProject, CryptoChecker, ProjectContext};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
+use usagegraph::{FeaturePath, UsageChange, UsageDag};
 
 /// Renders the abstract usages of one source file: every abstract
 /// object of a target class with its usage DAG.
@@ -487,7 +488,7 @@ fn run_funnel(
     let (mut filtered, mut elicitation) = (None, None);
     if cluster {
         let (kept, stats) = apply_filters(
-            result.changes.clone(),
+            &result.changes,
             &mut SeenDups::new(),
             &mut registry,
             &mut trace,
@@ -621,19 +622,58 @@ fn cluster_digest(elicitation: &Elicitation) -> cache::Fingerprint {
 /// one-shot run's.
 pub fn tuple_digest(
     class: &str,
-    old_dag: &usagegraph::UsageDag,
-    new_dag: &usagegraph::UsageDag,
-    change: &usagegraph::UsageChange,
+    old_dag: &UsageDag,
+    new_dag: &UsageDag,
+    change: &UsageChange,
 ) -> String {
-    fn dag_text(dag: &usagegraph::UsageDag) -> String {
-        let paths: Vec<String> = dag.paths.iter().map(ToString::to_string).collect();
-        format!("{}:{}", dag.root_type, paths.join(";"))
+    let mut out = String::new();
+    write_tuple_digest(&mut out, class, old_dag, new_dag, change);
+    out
+}
+
+/// Appends [`tuple_digest`]'s text to `out`. A DAG reads
+/// `root:path;path;…` in set order and the change reads as its
+/// `Display` (`- path` / `+ path` lines), where a path is its labels
+/// joined by spaces — the `Display` of [`FeaturePath`], written label
+/// by label so no intermediate string is built.
+fn write_tuple_digest(
+    out: &mut String,
+    class: &str,
+    old_dag: &UsageDag,
+    new_dag: &UsageDag,
+    change: &UsageChange,
+) {
+    fn write_path(out: &mut String, path: &FeaturePath) {
+        for (i, label) in path.0.iter().enumerate() {
+            if i > 0 {
+                out.push(' ');
+            }
+            out.push_str(label);
+        }
     }
-    format!(
-        "{class}|{}|{}|{change}",
-        dag_text(old_dag),
-        dag_text(new_dag)
-    )
+    fn write_dag(out: &mut String, dag: &UsageDag) {
+        out.push_str(&dag.root_type);
+        out.push(':');
+        for (i, path) in dag.paths.iter().enumerate() {
+            if i > 0 {
+                out.push(';');
+            }
+            write_path(out, path);
+        }
+    }
+    out.push_str(class);
+    out.push('|');
+    write_dag(out, old_dag);
+    out.push('|');
+    write_dag(out, new_dag);
+    out.push('|');
+    for (sign, paths) in [("- ", &change.removed), ("+ ", &change.added)] {
+        for path in paths {
+            out.push_str(sign);
+            write_path(out, path);
+            out.push('\n');
+        }
+    }
 }
 
 /// The digest texts of one [`crate::mcache::ChangeOutcome`] — one
@@ -653,19 +693,30 @@ pub fn outcome_digest_parts(outcome: &crate::mcache::ChangeOutcome) -> Vec<Strin
 /// mined change. Two runs that print the same digest produced the same
 /// changes — the warm-vs-cold CI gate compares this (plus the rest of
 /// the byte-identical report).
+///
+/// Each change's part, `project|commit|path|` plus its
+/// [`tuple_digest`] text, is written into one reused buffer and fed to
+/// a streaming fingerprint, so the digest costs no allocation per
+/// change or path.
 fn mined_digest(result: &MiningResult) -> cache::Fingerprint {
-    let mut parts: Vec<String> = Vec::with_capacity(result.changes.len());
+    let mut digest = cache::Fingerprinter::new();
+    let mut part = String::new();
     for mined in &result.changes {
-        parts.push(format!(
-            "{}|{}|{}|{}",
-            mined.meta.project,
-            mined.meta.commit,
-            mined.meta.path,
-            tuple_digest(&mined.class, &mined.old_dag, &mined.new_dag, &mined.change),
-        ));
+        part.clear();
+        for field in [&mined.meta.project, &mined.meta.commit, &mined.meta.path] {
+            part.push_str(field);
+            part.push('|');
+        }
+        write_tuple_digest(
+            &mut part,
+            &mined.class,
+            &mined.old_dag,
+            &mined.new_dag,
+            &mined.change,
+        );
+        digest.part(part.as_bytes());
     }
-    let parts: Vec<&str> = parts.iter().map(String::as_str).collect();
-    cache::fingerprint_str(&parts)
+    digest.finish()
 }
 
 /// The paper's Figure 2 fix as a one-commit corpus project, prepended
@@ -1375,6 +1426,100 @@ mod tests {
         );
         for marker in ["parse", "analysis", "dags.diff", "mined", "kept", "dup_of("] {
             assert!(out.contains(marker), "missing {marker} in:\n{out}");
+        }
+    }
+
+    /// The `format!`/`join` rendering the digests had before they were
+    /// streamed: the reference [`tuple_digest`] must equal byte for byte.
+    fn reference_tuple_digest(
+        class: &str,
+        old_dag: &UsageDag,
+        new_dag: &UsageDag,
+        change: &UsageChange,
+    ) -> String {
+        fn dag_text(dag: &UsageDag) -> String {
+            let paths: Vec<String> = dag.paths.iter().map(ToString::to_string).collect();
+            format!("{}:{}", dag.root_type, paths.join(";"))
+        }
+        format!(
+            "{class}|{}|{}|{change}",
+            dag_text(old_dag),
+            dag_text(new_dag)
+        )
+    }
+
+    /// The collect-then-fingerprint [`mined_digest`] reference.
+    fn reference_mined_digest(result: &MiningResult) -> cache::Fingerprint {
+        let parts: Vec<String> = result
+            .changes
+            .iter()
+            .map(|mined| {
+                format!(
+                    "{}|{}|{}|{}",
+                    mined.meta.project,
+                    mined.meta.commit,
+                    mined.meta.path,
+                    reference_tuple_digest(
+                        &mined.class,
+                        &mined.old_dag,
+                        &mined.new_dag,
+                        &mined.change
+                    ),
+                )
+            })
+            .collect();
+        let parts: Vec<&str> = parts.iter().map(String::as_str).collect();
+        cache::fingerprint_str(&parts)
+    }
+
+    #[test]
+    fn streamed_digests_equal_the_format_join_reference() {
+        // Fault-injected code changes quarantine as skips; the Figure 2
+        // fix contributes changes that both remove and add features.
+        let mut corpus = corpus::generate(&corpus::GeneratorConfig::small(6, 7));
+        corpus::Mutator::new(7, 0.2).inject(&mut corpus);
+        corpus.projects.insert(0, figure2_project());
+        let result = DiffCode::new().mine(&corpus, &[], None);
+        let changes = &result.changes;
+        assert!(!result.quarantine.is_empty(), "no quarantined skips");
+        let empty_side = |c: &&crate::pipeline::MinedUsageChange| {
+            let empty = UsageDag::empty(c.class.as_str());
+            c.old_dag == empty || c.new_dag == empty
+        };
+        assert!(changes.iter().any(|c| empty_side(&c)), "no empty DAG side");
+        assert!(
+            changes
+                .iter()
+                .any(|c| c.old_dag.paths.iter().any(|p| p.len() > 2)),
+            "no multi-label path"
+        );
+        assert!(
+            changes
+                .iter()
+                .any(|c| !c.change.removed.is_empty() && !c.change.added.is_empty()),
+            "no change with both removed and added features"
+        );
+
+        assert_eq!(mined_digest(&result), reference_mined_digest(&result));
+        for c in changes {
+            assert_eq!(
+                tuple_digest(&c.class, &c.old_dag, &c.new_dag, &c.change),
+                reference_tuple_digest(&c.class, &c.old_dag, &c.new_dag, &c.change)
+            );
+        }
+        // Served verdicts render through the same writer; a skip has
+        // no tuples.
+        let mut dc = DiffCode::new();
+        for change in corpus.code_changes().take(40) {
+            let (outcome, _) = dc.process_pair_cached(change.old, change.new, &[], None);
+            let expected: Vec<String> = match &outcome {
+                crate::mcache::ChangeOutcome::Mined(tuples) => tuples
+                    .iter()
+                    .map(|(class, old, new, diff)| reference_tuple_digest(class, old, new, diff))
+                    .collect(),
+                crate::mcache::ChangeOutcome::Skipped { .. } => Vec::new(),
+            };
+            assert_eq!(outcome_digest_parts(&outcome), expected);
         }
     }
 

@@ -82,7 +82,7 @@ impl Experiments {
             .cloned()
             .collect();
         apply_filters(
-            class_changes,
+            &class_changes,
             &mut SeenDups::new(),
             &mut obs::MetricsRegistry::new(),
             &mut obs::TraceSink::disabled(),

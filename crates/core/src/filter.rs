@@ -137,7 +137,9 @@ pub fn stage_changes<'a>(
 
 /// Applies the filters with caller-owned `fdup` state (see
 /// [`stage_changes`]), returning the surviving changes and the
-/// per-stage statistics.
+/// per-stage statistics. `changes` is only borrowed: the filters drop
+/// most usage changes (`fsame` alone removes the vast majority), so
+/// only the survivors are cloned.
 ///
 /// Records the `filter.apply` timing span and the `filter.*` funnel
 /// counters into `registry`. When `trace` is enabled the stage is
@@ -147,7 +149,7 @@ pub fn stage_changes<'a>(
 /// collapsed into — whose `index` attribute is the change's position
 /// in `changes`.
 pub fn apply_filters(
-    changes: Vec<MinedUsageChange>,
+    changes: &[MinedUsageChange],
     seen: &mut SeenDups,
     registry: &mut MetricsRegistry,
     trace: &mut TraceSink,
@@ -156,12 +158,9 @@ pub fn apply_filters(
     let span = trace.begin_with("filter.apply", |a| {
         a.u64("changes", changes.len() as u64);
     });
-    let stages: Vec<FilterStage> = stage_changes(&changes, seen)
-        .into_iter()
-        .map(|(stage, _)| stage)
-        .collect();
+    let staged = stage_changes(changes, seen);
     if trace.is_enabled() {
-        for (idx, (stage, change)) in stages.iter().zip(&changes).enumerate() {
+        for (idx, (stage, change)) in staged.iter().enumerate() {
             let reason = match stage {
                 FilterStage::FSame => DecisionReason::FilteredRefactoring,
                 FilterStage::FAdd => DecisionReason::FilteredPureAddition,
@@ -182,7 +181,7 @@ pub fn apply_filters(
         ..FilterStats::default()
     };
     let mut kept = Vec::new();
-    for (change, stage) in changes.into_iter().zip(stages) {
+    for (stage, change) in staged {
         match stage {
             FilterStage::FSame => {}
             FilterStage::FAdd => stats.after_fsame += 1,
@@ -200,7 +199,7 @@ pub fn apply_filters(
                 stats.after_fadd += 1;
                 stats.after_frem += 1;
                 stats.after_fdup += 1;
-                kept.push(change);
+                kept.push(change.clone());
             }
         }
     }
@@ -225,7 +224,7 @@ mod tests {
     use usagegraph::{FeaturePath, UsageChange, UsageDag};
 
     /// One unobserved filter run with fresh `fdup` state.
-    fn filter(changes: Vec<MinedUsageChange>) -> (Vec<MinedUsageChange>, FilterStats) {
+    fn filter(changes: &[MinedUsageChange]) -> (Vec<MinedUsageChange>, FilterStats) {
         apply_filters(
             changes,
             &mut SeenDups::new(),
@@ -266,7 +265,7 @@ mod tests {
             mk("Cipher", &["a"], &["b"]), // fdup
             mk("Cipher", &["a"], &["c"]), // remaining
         ];
-        let (kept, stats) = filter(changes);
+        let (kept, stats) = filter(&changes);
         assert_eq!(stats.total, 6);
         assert_eq!(stats.after_fsame, 5);
         assert_eq!(stats.after_fadd, 4);
@@ -281,7 +280,7 @@ mod tests {
             mk("Cipher", &["a"], &["b"]),
             mk("MessageDigest", &["a"], &["b"]),
         ];
-        let (kept, _) = filter(changes);
+        let (kept, _) = filter(&changes);
         assert_eq!(
             kept.len(),
             2,
@@ -291,7 +290,7 @@ mod tests {
 
     #[test]
     fn empty_input() {
-        let (kept, stats) = filter(Vec::new());
+        let (kept, stats) = filter(&[]);
         assert!(kept.is_empty());
         assert_eq!(stats, FilterStats::default());
     }
@@ -393,14 +392,14 @@ mod tests {
             mk("Cipher", &["c"], &["d"]),
             mk("Cipher", &["a"], &["b"]),
         ];
-        let (kept_once, stats_once) = filter(all.clone());
+        let (kept_once, stats_once) = filter(&all);
 
         let mut seen = SeenDups::new();
         let mut kept_batched = Vec::new();
         let mut totals = FilterStats::default();
         for batch in all.chunks(2) {
             let (kept, stats) = apply_filters(
-                batch.to_vec(),
+                batch,
                 &mut seen,
                 &mut MetricsRegistry::new(),
                 &mut TraceSink::disabled(),
@@ -416,6 +415,129 @@ mod tests {
         assert_eq!(totals, stats_once);
     }
 
+    /// `apply_filters` as it was when it took its input by value and
+    /// moved the survivors out, minus the metrics it records: the
+    /// reference the borrowing version must match in survivors, stats
+    /// and trace.
+    fn owned_reference(
+        changes: Vec<MinedUsageChange>,
+        seen: &mut SeenDups,
+        trace: &mut TraceSink,
+    ) -> (Vec<MinedUsageChange>, FilterStats) {
+        let span = trace.begin_with("filter.apply", |a| {
+            a.u64("changes", changes.len() as u64);
+        });
+        let stages: Vec<FilterStage> = stage_changes(&changes, seen)
+            .into_iter()
+            .map(|(stage, _)| stage)
+            .collect();
+        for (idx, (stage, change)) in stages.iter().zip(&changes).enumerate() {
+            let reason = match stage {
+                FilterStage::FSame => DecisionReason::FilteredRefactoring,
+                FilterStage::FAdd => DecisionReason::FilteredPureAddition,
+                FilterStage::FRem => DecisionReason::FilteredPureRemoval,
+                FilterStage::FDup => {
+                    DecisionReason::DupOf(seen.get(&dup_key(change)).cloned().unwrap_or_default())
+                }
+                FilterStage::Remaining => DecisionReason::Kept,
+            };
+            record_decision(trace, &change.meta, &reason, |a| {
+                a.u64("index", idx as u64);
+                a.str("class", change.class.as_str());
+            });
+        }
+        let mut stats = FilterStats {
+            total: changes.len(),
+            ..FilterStats::default()
+        };
+        let mut kept = Vec::new();
+        for (change, stage) in changes.into_iter().zip(stages) {
+            let passed = match stage {
+                FilterStage::FSame => 0,
+                FilterStage::FAdd => 1,
+                FilterStage::FRem => 2,
+                FilterStage::FDup => 3,
+                FilterStage::Remaining => 4,
+            };
+            let counters = [
+                &mut stats.after_fsame,
+                &mut stats.after_fadd,
+                &mut stats.after_frem,
+                &mut stats.after_fdup,
+            ];
+            for counter in counters.into_iter().take(passed) {
+                *counter += 1;
+            }
+            if stage == FilterStage::Remaining {
+                kept.push(change);
+            }
+        }
+        trace.end(span);
+        (kept, stats)
+    }
+
+    /// Trace events without their timestamps.
+    fn untimed(trace: &TraceSink) -> Vec<String> {
+        trace
+            .events()
+            .iter()
+            .map(|e| {
+                let attrs: Vec<String> = e
+                    .attrs
+                    .iter()
+                    .map(|(k, v)| format!("{}={v:?}", trace.name(*k)))
+                    .collect();
+                format!(
+                    "{} {:?} {} {:?} {:?} {}",
+                    e.seq,
+                    e.kind,
+                    trace.name(e.name),
+                    e.span,
+                    e.parent,
+                    attrs.join(",")
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn borrowed_filters_match_the_owned_reference() {
+        let corpus = corpus::generate(&corpus::GeneratorConfig::small(8, 42));
+        let mut mined = crate::DiffCode::new().mine(&corpus, &[], None).changes;
+        // A corpus this small neither removes a usage outright nor
+        // repeats a fix: append a pure removal and a second copy of
+        // every survivor, so each stage rules on some change.
+        let survivors = filter(&mined).0;
+        mined.push(mk("Cipher", &["y"], &[]));
+        mined.extend(survivors);
+        // Two batches sharing `fdup` state, so the copies in the second
+        // batch are duplicates of changes in the first.
+        let (first, second) = mined.split_at(mined.len() / 2);
+        let (mut seen, mut seen_ref) = (SeenDups::new(), SeenDups::new());
+        let (mut trace, mut trace_ref) = (TraceSink::enabled(1), TraceSink::enabled(1));
+        let mut stages_seen = std::collections::HashSet::new();
+        for batch in [first, second] {
+            let (kept, stats) =
+                apply_filters(batch, &mut seen, &mut MetricsRegistry::new(), &mut trace);
+            let (kept_ref, stats_ref) =
+                owned_reference(batch.to_vec(), &mut seen_ref, &mut trace_ref);
+            assert_eq!(kept, kept_ref);
+            assert_eq!(stats, stats_ref);
+        }
+        stages_seen.extend(
+            stage_changes(&mined, &mut SeenDups::new())
+                .into_iter()
+                .map(|(s, _)| s),
+        );
+        assert_eq!(seen, seen_ref);
+        assert_eq!(untimed(&trace), untimed(&trace_ref));
+        assert_eq!(
+            stages_seen.len(),
+            5,
+            "every stage rules at least once: {stages_seen:?}"
+        );
+    }
+
     #[test]
     fn metrics_variant_publishes_the_funnel() {
         let changes = vec![
@@ -425,7 +547,7 @@ mod tests {
         ];
         let mut reg = MetricsRegistry::new();
         let (kept, stats) = apply_filters(
-            changes,
+            &changes,
             &mut SeenDups::new(),
             &mut reg,
             &mut TraceSink::disabled(),

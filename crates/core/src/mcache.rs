@@ -24,7 +24,7 @@
 
 use crate::quarantine::ErrorKind;
 use cache::wire::{Reader, WireError, Writer};
-use cache::{fingerprint, CacheStore, Fingerprint, Lookup, ShardLog, StoreError};
+use cache::{fingerprint, CacheStore, Fingerprint, Fingerprinter, Lookup, ShardLog, StoreError};
 use std::path::Path;
 use usagegraph::{FeaturePath, Label, UsageChange, UsageDag};
 
@@ -279,6 +279,20 @@ impl MiningCache {
         fingerprint(&[&fp_bytes, old.as_bytes(), new.as_bytes()])
     }
 
+    /// [`MiningCache::change_key`] and the change's content fingerprint
+    /// ([`crate::pipeline::change_fingerprint`]) from one pass over the
+    /// file pair. The two hashes differ only in the key's leading
+    /// configuration part, so after it both lanes consume the pair's
+    /// bytes in lockstep.
+    pub fn change_ids(&self, old: &str, new: &str) -> (Fingerprint, Fingerprint) {
+        let mut key = Fingerprinter::new();
+        key.part(&self.config_fp.0.to_le_bytes());
+        let mut content = Fingerprinter::new();
+        key.part_with(&mut content, old.as_bytes());
+        key.part_with(&mut content, new.as_bytes());
+        (key.finish(), content.finish())
+    }
+
     /// A read-through view for one mining run or shard.
     pub fn view(&self) -> MiningCacheView<'_> {
         MiningCacheView {
@@ -340,6 +354,12 @@ impl MiningCacheView<'_> {
     /// The cache key for one code change (delegates to the cache).
     pub fn change_key(&self, old: &str, new: &str) -> Fingerprint {
         self.cache.change_key(old, new)
+    }
+
+    /// The cache key and the content fingerprint of one code change
+    /// (delegates to [`MiningCache::change_ids`]).
+    pub fn change_ids(&self, old: &str, new: &str) -> (Fingerprint, Fingerprint) {
+        self.cache.change_ids(old, new)
     }
 
     /// Looks up and decodes the outcome for `key`. An undecodable

@@ -18,7 +18,6 @@ use corpus::Corpus;
 use javalang::ParseError;
 use obs::{MetricsRegistry, Stopwatch, TraceSink};
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -111,7 +110,10 @@ pub struct MiningResult {
 pub struct DiffCode {
     api: ApiModel,
     max_depth: usize,
-    cache: HashMap<u64, Rc<Usages>>,
+    /// The analysis memo, keyed by the full source text: a hit needs
+    /// equal bytes, so no hash collision can return another file's
+    /// usages.
+    cache: HashMap<Box<str>, Rc<Usages>>,
     limits: PipelineLimits,
     metrics: MetricsRegistry,
     trace: TraceSink,
@@ -220,8 +222,7 @@ impl DiffCode {
     /// Propagates lexer-level failures; member-level parse problems are
     /// tolerated by the parser itself.
     pub fn analyze_source(&mut self, source: &str) -> Result<Rc<Usages>, ParseError> {
-        let key = content_key(source);
-        if let Some(hit) = self.cache.get(&key) {
+        if let Some(hit) = self.cache.get(source) {
             let hit = Rc::clone(hit);
             self.metrics.inc("analyze.cache_hit", 1);
             return Ok(hit);
@@ -232,7 +233,7 @@ impl DiffCode {
         // mines (paper §5.1).
         let unit = javalang::parse_snippet_with_limits(source, self.limits.parse)?;
         let usages = Rc::new(analyze(&unit, &self.api));
-        self.cache.insert(key, Rc::clone(&usages));
+        self.cache.insert(source.into(), Rc::clone(&usages));
         Ok(usages)
     }
 
@@ -257,8 +258,7 @@ impl DiffCode {
                 panic!("chaos fault injection: panic marker present in source");
             }
         }
-        let key = content_key(source);
-        if let Some(hit) = self.cache.get(&key) {
+        if let Some(hit) = self.cache.get(source) {
             let hit = Rc::clone(hit);
             self.metrics.inc("analyze.cache_hit", 1);
             self.trace.instant("analyze.cache_hit");
@@ -277,7 +277,7 @@ impl DiffCode {
         let (usages, steps) = analyzed?;
         self.metrics.inc("analysis.steps", steps);
         let usages = Rc::new(usages);
-        self.cache.insert(key, Rc::clone(&usages));
+        self.cache.insert(source.into(), Rc::clone(&usages));
         Ok(usages)
     }
 
@@ -400,13 +400,22 @@ impl DiffCode {
             }
             let change_clock = Stopwatch::start();
             result.stats.code_changes += 1;
+            // With a cache, the lookup key and the change fingerprint
+            // come from one pass over the file pair.
+            let (key, fingerprint) = match cache.as_deref() {
+                Some(view) => {
+                    let (key, fingerprint) = view.change_ids(code_change.old, code_change.new);
+                    (Some(key), fingerprint.to_string())
+                }
+                None => (None, change_fingerprint(code_change.old, code_change.new)),
+            };
             let meta = ChangeMeta {
                 project: code_change.project.full_name(),
                 commit: code_change.commit.id.clone(),
                 author: code_change.commit.author.clone(),
                 message: code_change.commit.message.clone(),
                 path: code_change.path.to_owned(),
-                fingerprint: change_fingerprint(code_change.old, code_change.new),
+                fingerprint,
             };
             let change_span = self.trace.begin_with("mine.change", |a| {
                 a.str("project", meta.project.as_str());
@@ -422,7 +431,7 @@ impl DiffCode {
                 code_change.old,
                 code_change.new,
                 &classes,
-                cache.as_deref_mut(),
+                cache.as_deref_mut().zip(key),
             );
             // The per-change decision: emitted inside the change span,
             // always retained regardless of sampling.
@@ -485,43 +494,45 @@ impl DiffCode {
         } else {
             classes.to_vec()
         };
+        let cache = cache.map(|view| {
+            let key = view.change_key(old, new);
+            (view, key)
+        });
         self.outcome_for_pair(old, new, &classes, cache)
     }
 
-    /// The shared look-aside path: cache lookup (hit replays, miss
-    /// computes and records), with `cache.*` counters and trace
-    /// markers. Both the mining loop and [`Self::process_pair_cached`]
-    /// go through here, so a served verdict and a mined one are the
-    /// same computation by construction.
+    /// The shared look-aside path: cache lookup under the pair's `key`
+    /// (hit replays, miss computes and records), with `cache.*`
+    /// counters and trace markers. Both the mining loop and
+    /// [`Self::process_pair_cached`] go through here, so a served
+    /// verdict and a mined one are the same computation by
+    /// construction.
     fn outcome_for_pair(
         &mut self,
         old: &str,
         new: &str,
         classes: &[&str],
-        cache: Option<&mut MiningCacheView<'_>>,
+        cache: Option<(&mut MiningCacheView<'_>, cache::Fingerprint)>,
     ) -> (ChangeOutcome, &'static str) {
         match cache {
-            Some(view) => {
-                let key = view.change_key(old, new);
-                match view.get(key) {
-                    CachedLookup::Hit(outcome) => {
-                        self.metrics.inc("cache.hit", 1);
-                        self.trace.instant("cache.hit");
-                        (outcome, "hit")
-                    }
-                    lookup => {
-                        let (counter, status) = match lookup {
-                            CachedLookup::StaleVersion => ("cache.stale_version", "stale_version"),
-                            _ => ("cache.miss", "miss"),
-                        };
-                        self.metrics.inc(counter, 1);
-                        self.trace.instant(counter);
-                        let outcome = self.compute_outcome(old, new, classes);
-                        view.record(key, &outcome);
-                        (outcome, status)
-                    }
+            Some((view, key)) => match view.get(key) {
+                CachedLookup::Hit(outcome) => {
+                    self.metrics.inc("cache.hit", 1);
+                    self.trace.instant("cache.hit");
+                    (outcome, "hit")
                 }
-            }
+                lookup => {
+                    let (counter, status) = match lookup {
+                        CachedLookup::StaleVersion => ("cache.stale_version", "stale_version"),
+                        _ => ("cache.miss", "miss"),
+                    };
+                    self.metrics.inc(counter, 1);
+                    self.trace.instant(counter);
+                    let outcome = self.compute_outcome(old, new, classes);
+                    view.record(key, &outcome);
+                    (outcome, status)
+                }
+            },
             None => (self.compute_outcome(old, new, classes), "off"),
         }
     }
@@ -913,12 +924,6 @@ fn shard_by_code_changes(corpus: &Corpus, n_shards: usize) -> Vec<Corpus> {
     // The last pass always takes the remainder (ideal == total − consumed).
     debug_assert_eq!(start, corpus.projects.len());
     shards
-}
-
-fn content_key(source: &str) -> u64 {
-    let mut hasher = std::collections::hash_map::DefaultHasher::new();
-    source.hash(&mut hasher);
-    hasher.finish()
 }
 
 #[cfg(test)]

@@ -48,7 +48,7 @@ fn kept(corpus: &corpus::Corpus) -> Vec<MinedUsageChange> {
     };
     let result = mine_parallel(corpus, &[], opts, &mut registry, &mut trace);
     apply_filters(
-        result.changes,
+        &result.changes,
         &mut SeenDups::new(),
         &mut registry,
         &mut trace,

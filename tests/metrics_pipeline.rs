@@ -27,7 +27,7 @@ fn mine_metered(
 
 /// Filtering with fresh `fdup` state, recording into `registry`.
 fn filter_metered(
-    changes: Vec<MinedUsageChange>,
+    changes: &[MinedUsageChange],
     registry: &mut MetricsRegistry,
 ) -> (Vec<MinedUsageChange>, FilterStats) {
     apply_filters(
@@ -56,8 +56,7 @@ fn sharded_filtering_with_shared_seen_matches_sequential() {
 
     // Ground truth: one sequential mine + one-shot filtering.
     let sequential = DiffCode::new().mine(&corpus, &[], None);
-    let (kept_seq, stats_seq) =
-        filter_metered(sequential.changes.clone(), &mut MetricsRegistry::new());
+    let (kept_seq, stats_seq) = filter_metered(&sequential.changes, &mut MetricsRegistry::new());
 
     // Sharded: parallel mine, then filter the merged stream in batches
     // (as a shard-streaming consumer would) with one shared seen-set.
@@ -73,7 +72,7 @@ fn sharded_filtering_with_shared_seen_matches_sequential() {
     let mut total_after_fdup = 0;
     for batch in parallel.changes.chunks(3) {
         let (kept, stats) = apply_filters(
-            batch.to_vec(),
+            batch,
             &mut seen,
             &mut MetricsRegistry::new(),
             &mut TraceSink::disabled(),
@@ -125,7 +124,7 @@ fn metrics_counters_reconcile_with_pipeline_stats() {
     )
     .is_ok());
 
-    let (kept, stats) = filter_metered(result.changes, &mut registry);
+    let (kept, stats) = filter_metered(&result.changes, &mut registry);
     assert_eq!(registry.counter("filter.total"), stats.total as u64);
     assert_eq!(
         registry.counter("filter.after_fsame"),
@@ -174,7 +173,7 @@ fn json_snapshot_carries_the_funnel() {
     let corpus = corpus_under_test();
     let mut registry = MetricsRegistry::new();
     let result = mine_metered(&corpus, 2, &mut registry);
-    let (_, _) = filter_metered(result.changes, &mut registry);
+    let (_, _) = filter_metered(&result.changes, &mut registry);
 
     let json = registry.to_json();
     assert!(json.contains("\"version\": 2"), "{json}");

@@ -278,7 +278,7 @@ proptest! {
         let mined = dc.mine(&corpus, &["Cipher", "SecureRandom", "MessageDigest"], None);
         let mut registry = obs::MetricsRegistry::new();
         let (kept, stats) = diffcode::apply_filters(
-            mined.changes,
+            &mined.changes,
             &mut diffcode::SeenDups::new(),
             &mut registry,
             &mut obs::TraceSink::disabled(),
@@ -301,7 +301,7 @@ proptest! {
         let corpus = corpus::generate(&corpus::GeneratorConfig::small(2, seed));
         let mut dc = diffcode::DiffCode::new();
         let mined = dc.mine(&corpus, &["Cipher", "SecureRandom"], None);
-        let filter = |changes| {
+        let filter = |changes: &[diffcode::MinedUsageChange]| {
             diffcode::apply_filters(
                 changes,
                 &mut diffcode::SeenDups::new(),
@@ -309,9 +309,9 @@ proptest! {
                 &mut obs::TraceSink::disabled(),
             )
         };
-        let (once, stats1) = filter(mined.changes);
+        let (once, stats1) = filter(&mined.changes);
         let n_once = once.len();
-        let (twice, stats2) = filter(once);
+        let (twice, stats2) = filter(&once);
         prop_assert_eq!(n_once, twice.len());
         prop_assert_eq!(stats1.after_fdup, stats2.total);
         prop_assert_eq!(stats2.total, stats2.after_fdup, "already filtered");
@@ -659,5 +659,39 @@ proptest! {
         let mut trailing = bytes;
         trailing.push(0);
         prop_assert!(diffcode::mcache::decode_outcome(&trailing).is_err());
+    }
+}
+
+/// A source side for the change-id property: empty, random printable
+/// text, or a real Java file with multi-byte characters.
+fn source_side() -> impl Strategy<Value = String> {
+    prop_oneof![
+        Just(String::new()),
+        "[ -~\n]{1,300}",
+        Just(corpus::fixtures::FIGURE2_OLD.to_owned()),
+        Just("class A { String s = \"\u{22a4}\u{1f512}\"; }".to_owned()),
+    ]
+}
+
+proptest! {
+    /// The mining loop hashes a file pair once for both of its ids: the
+    /// cache key and the change fingerprint it computes in lockstep must
+    /// equal `MiningCache::change_key` and `change_fingerprint` exactly,
+    /// for any sources (empty ones included) and any configuration.
+    #[test]
+    fn one_pass_change_ids_equal_key_and_fingerprint(
+        old in source_side(),
+        new in source_side(),
+        depth in 1usize..8,
+    ) {
+        let dir = std::env::temp_dir().join(format!("diffcode-prop-ids-{}", std::process::id()));
+        let cache = diffcode::MiningCache::open(&dir, &[], &diffcode::PipelineLimits::DEFAULT, depth)
+            .expect("cache opens");
+        let (key, fingerprint) = cache.change_ids(&old, &new);
+        prop_assert_eq!(key, cache.change_key(&old, &new));
+        prop_assert_eq!(fingerprint.to_string(), diffcode::change_fingerprint(&old, &new));
+        let view = cache.view();
+        prop_assert_eq!(view.change_ids(&old, &new), (key, fingerprint));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -78,7 +78,7 @@ fn run_traced(
     let mut trace = TraceSink::enabled(sample);
     let result = mine_traced(corpus, n_threads, &mut registry, &mut trace);
     let (kept, _) = apply_filters(
-        result.changes.clone(),
+        &result.changes,
         &mut SeenDups::new(),
         &mut registry,
         &mut trace,
@@ -129,7 +129,7 @@ fn filter_decisions_reconcile_with_filter_stats() {
     let mut trace = TraceSink::enabled(1);
     let result = mine_traced(&corpus, 1, &mut registry, &mut trace);
     let (kept, stats) = apply_filters(
-        result.changes,
+        &result.changes,
         &mut SeenDups::new(),
         &mut registry,
         &mut trace,
