@@ -19,7 +19,7 @@ use diffcode::{
     Table,
 };
 use diffcode_bench::{config_from_args, header};
-use usagegraph::{FeaturePath, UsageChange};
+use usagegraph::{FeaturePath, UsageChange, UsageDag};
 
 fn main() {
     let config = config_from_args(120);
@@ -196,15 +196,23 @@ fn is_string_value(value: &str) -> bool {
 }
 
 fn coarsen(change: &MinedUsageChange) -> MinedUsageChange {
-    let mut out = change.clone();
-    out.old_dag.paths = change.old_dag.paths.iter().map(coarsen_path).collect();
-    out.new_dag.paths = change.new_dag.paths.iter().map(coarsen_path).collect();
-    out.change = UsageChange {
-        class: change.class.clone(),
-        removed: usagegraph::removed(&out.old_dag, &out.new_dag),
-        added: usagegraph::removed(&out.new_dag, &out.old_dag),
+    let coarse = |dag: &UsageDag| UsageDag {
+        root_type: dag.root_type.clone(),
+        paths: dag.paths.iter().map(coarsen_path).collect(),
     };
-    out
+    let (old_dag, new_dag) = (coarse(&change.old_dag()), coarse(&change.new_dag()));
+    let diff = UsageChange {
+        class: change.class.clone(),
+        removed: usagegraph::removed(&old_dag, &new_dag),
+        added: usagegraph::removed(&new_dag, &old_dag),
+    };
+    MinedUsageChange::new(
+        change.meta.clone(),
+        change.class.clone(),
+        old_dag,
+        new_dag,
+        diff,
+    )
 }
 
 fn ablate_abstraction(corpus: &corpus::Corpus) {

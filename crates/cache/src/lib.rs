@@ -20,7 +20,8 @@
 //!    [`wire::WireError`]s, never panics on malformed input.
 //! 3. [`CacheStore`] — an append-only log of
 //!    `(key, version, payload, checksum)` records under a cache
-//!    directory, loaded into an in-memory index on open. Writes
+//!    directory, read into one buffer and indexed by payload range on
+//!    open ([`SharedBytes`] hands a hit out without copying). Writes
 //!    accumulate in memory ([`CacheStore::insert`] or a per-shard
 //!    [`ShardLog`] absorbed on join) and hit disk only on
 //!    [`CacheStore::flush`] — nothing on the hot path takes a lock or
@@ -61,6 +62,6 @@ pub mod wire;
 
 pub use fingerprint::{fingerprint, fingerprint_str, Fingerprint, Fingerprinter};
 pub use store::{
-    verify, verify_ns, CacheStats, CacheStore, Lookup, ShardLog, StoreError, VacuumReport,
-    VerifyReport,
+    verify, verify_ns, CacheStats, CacheStore, Lookup, ShardLog, SharedBytes, StoreError,
+    VacuumReport, VerifyReport,
 };

@@ -21,13 +21,21 @@
 //! written — a duplicate key appended later supersedes the earlier
 //! record at load time (last write wins), which vacuum then compacts
 //! away.
+//!
+//! Open reads the log into one buffer and indexes each record's payload
+//! by its `(offset, len)` in it, after checking every record's
+//! checksum. A lookup hands out a slice of that buffer, or a
+//! [`SharedBytes`] handle that keeps it alive, so no payload is copied
+//! at open or on a hit.
 
 use crate::fingerprint::Fingerprint;
 use crate::wire::{Reader, WireError, Writer};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::io::{self, Write as _};
+use std::ops::{Deref, Range};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// Magic bytes opening every cache log (format, not analysis, version;
 /// bump only on layout change).
@@ -122,12 +130,71 @@ impl From<io::Error> for StoreError {
     }
 }
 
+/// An immutable byte range shared by reference count: one payload
+/// inside a loaded log buffer, or a payload recorded since open.
+/// Cloning and [`SharedBytes::slice`] bump a count; the bytes are never
+/// copied.
+#[derive(Clone)]
+pub struct SharedBytes {
+    buf: Arc<Vec<u8>>,
+    start: usize,
+    end: usize,
+}
+
+impl SharedBytes {
+    /// The sub-range `range` of these bytes (offsets relative to their
+    /// start), sharing the same buffer.
+    ///
+    /// # Panics
+    ///
+    /// If `range` is out of bounds or decreasing, like slice indexing.
+    pub fn slice(&self, range: Range<usize>) -> SharedBytes {
+        assert!(
+            range.start <= range.end && range.end <= self.len(),
+            "range {range:?} out of bounds for {} shared bytes",
+            self.len()
+        );
+        SharedBytes {
+            buf: Arc::clone(&self.buf),
+            start: self.start + range.start,
+            end: self.start + range.end,
+        }
+    }
+}
+
+impl From<Vec<u8>> for SharedBytes {
+    fn from(bytes: Vec<u8>) -> Self {
+        SharedBytes {
+            start: 0,
+            end: bytes.len(),
+            buf: Arc::new(bytes),
+        }
+    }
+}
+
+impl Deref for SharedBytes {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.buf[self.start..self.end]
+    }
+}
+
+// The length only: the buffer behind a slice can be a whole log.
+impl fmt::Debug for SharedBytes {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SharedBytes")
+            .field("len", &self.len())
+            .finish()
+    }
+}
+
 /// One indexed entry: the analysis version it was written under and
 /// its serialized payload.
 #[derive(Debug, Clone)]
 struct Entry {
     version: u32,
-    payload: Vec<u8>,
+    payload: SharedBytes,
 }
 
 /// The result of a cache lookup.
@@ -154,7 +221,7 @@ pub enum Lookup<'a> {
 #[derive(Debug, Default)]
 pub struct ShardLog {
     order: Vec<Fingerprint>,
-    entries: HashMap<u128, Vec<u8>>,
+    entries: HashMap<u128, SharedBytes>,
 }
 
 impl ShardLog {
@@ -168,13 +235,18 @@ impl ShardLog {
     pub fn record(&mut self, key: Fingerprint, payload: Vec<u8>) {
         if !self.entries.contains_key(&key.0) {
             self.order.push(key);
-            self.entries.insert(key.0, payload);
+            self.entries.insert(key.0, payload.into());
         }
     }
 
     /// This shard's own payload for `key`, if it wrote one.
     pub fn get(&self, key: Fingerprint) -> Option<&[u8]> {
-        self.entries.get(&key.0).map(Vec::as_slice)
+        self.get_shared(key).map(|payload| &**payload)
+    }
+
+    /// [`ShardLog::get`] as a shared handle that can outlive the log.
+    pub fn get_shared(&self, key: Fingerprint) -> Option<&SharedBytes> {
+        self.entries.get(&key.0)
     }
 
     /// Number of recorded entries.
@@ -353,7 +425,7 @@ impl CacheStore {
         };
         let log = store.log_path();
         if log.exists() {
-            let bytes = std::fs::read(&log)?;
+            let bytes = Arc::new(std::fs::read(&log)?);
             store.load(&bytes, tolerant)?;
         }
         Ok(store)
@@ -369,7 +441,9 @@ impl CacheStore {
         self.version
     }
 
-    fn load(&mut self, bytes: &[u8], tolerant: bool) -> Result<(), StoreError> {
+    /// Indexes every valid record of the log `bytes`, each entry a
+    /// range of that one buffer.
+    fn load(&mut self, bytes: &Arc<Vec<u8>>, tolerant: bool) -> Result<(), StoreError> {
         if bytes.len() < MAGIC.len() || &bytes[..MAGIC.len()] != MAGIC {
             // Foreign or empty file: treat everything as corrupt tail
             // so flush rewrites from scratch.
@@ -389,22 +463,27 @@ impl CacheStore {
         let mut pending_corrupt = 0usize;
         let mut skipped_corrupt = 0usize;
         while !reader.is_exhausted() {
-            let record_start = (bytes.len() - reader.remaining()) as u64;
+            let record_start = (MAGIC.len() + reader.position()) as u64;
             match read_record(&mut reader) {
-                Ok(RawRecord::Valid {
-                    key,
-                    version,
-                    payload,
-                }) => {
-                    consumed = (bytes.len() - reader.remaining()) as u64;
+                Ok(record) if record.checksum_ok => {
+                    consumed = (MAGIC.len() + reader.position()) as u64;
                     self.records_loaded += 1;
                     valid_seen += 1;
                     skipped_corrupt += pending_corrupt;
                     pending_corrupt = 0;
+                    let payload = SharedBytes {
+                        buf: Arc::clone(bytes),
+                        start: MAGIC.len() + record.payload.start,
+                        end: MAGIC.len() + record.payload.end,
+                    };
+                    let entry = Entry {
+                        version: record.version,
+                        payload,
+                    };
                     // Last write wins: a re-recorded key supersedes.
-                    self.index.insert(key.0, Entry { version, payload });
+                    self.index.insert(record.key.0, entry);
                 }
-                Ok(RawRecord::BadChecksum) => {
+                Ok(_) => {
                     // Framing intact, payload untrustworthy. Keep
                     // scanning: whether this is tail damage or mid-log
                     // corruption depends on what comes after.
@@ -441,13 +520,27 @@ impl CacheStore {
         }
     }
 
+    /// A [`Lookup::Hit`] of [`CacheStore::get`] as a shared handle into
+    /// the loaded log, which a replayed result can keep after the store
+    /// is gone; `None` for a stale or absent key.
+    pub fn get_shared(&self, key: Fingerprint) -> Option<&SharedBytes> {
+        self.index
+            .get(&key.0)
+            .filter(|entry| entry.version == self.version)
+            .map(|entry| &entry.payload)
+    }
+
     /// Records `payload` for `key` at the store's version. Visible to
     /// [`CacheStore::get`] immediately; durable after
     /// [`CacheStore::flush`].
     pub fn insert(&mut self, key: Fingerprint, payload: Vec<u8>) {
+        self.insert_shared(key, payload.into());
+    }
+
+    fn insert_shared(&mut self, key: Fingerprint, payload: SharedBytes) {
         // Callers only insert on a miss (the mining loop checks first;
-        // `absorb` skips keys that already hit), so a key is pending at
-        // most once per flush.
+        // `absorb` skips keys that already hold the same payload), so a
+        // key is pending at most once per flush.
         self.index.insert(
             key.0,
             Entry {
@@ -465,14 +558,16 @@ impl CacheStore {
         let ShardLog { order, mut entries } = log;
         for key in order {
             if let Some(payload) = entries.remove(&key.0) {
-                // Skip keys a previously-absorbed shard already wrote:
-                // identical content produces identical payloads, so
-                // first-wins and last-wins agree; not re-appending just
-                // keeps the log smaller.
-                if matches!(self.get(key), Lookup::Hit(_)) {
+                // Skip keys that already hold this payload: identical
+                // content produces identical payloads, so a key another
+                // shard wrote first is not appended twice. A different
+                // payload replaces the stored one: a shard records a key
+                // only after a miss, so stored bytes it disagrees with
+                // failed to decode.
+                if matches!(self.get(key), Lookup::Hit(stored) if stored == &*payload) {
                     continue;
                 }
-                self.insert(key, payload);
+                self.insert_shared(key, payload);
             }
         }
     }
@@ -637,21 +732,22 @@ pub fn verify_ns(dir: &Path, namespace: &str) -> io::Result<VerifyReport> {
         report.corrupt_tail_bytes = bytes.len() as u64;
         return Ok(report);
     }
-    let mut reader = Reader::new(&bytes[MAGIC.len()..]);
+    let body = &bytes[MAGIC.len()..];
+    let mut reader = Reader::new(body);
     let mut keys = std::collections::HashSet::new();
     while !reader.is_exhausted() {
-        match read_record_checked(&mut reader) {
-            Ok((key, version, checksum_ok)) => {
-                if checksum_ok {
-                    report.valid_records += 1;
-                    keys.insert(key.0);
-                    *report.versions.entry(version).or_insert(0) += 1;
-                } else {
-                    report.checksum_failures += 1;
-                }
+        let record_start = reader.position();
+        match read_record(&mut reader) {
+            Ok(record) if record.checksum_ok => {
+                report.valid_records += 1;
+                keys.insert(record.key.0);
+                *report.versions.entry(record.version).or_insert(0) += 1;
             }
+            Ok(_) => report.checksum_failures += 1,
             Err(_) => {
-                report.corrupt_tail_bytes = reader.remaining() as u64;
+                // Like `CacheStore::load`, the tail starts where the
+                // unreadable record does, not where the read stopped.
+                report.corrupt_tail_bytes = (body.len() - record_start) as u64;
                 break;
             }
         }
@@ -670,46 +766,33 @@ fn encode_record(key: Fingerprint, version: u32, payload: &[u8]) -> Vec<u8> {
     w.finish()
 }
 
-/// One record as read off the log: either fully valid, or structurally
-/// intact (length framing parsed, so the scan can continue past it)
-/// but failing its payload checksum.
-enum RawRecord {
-    Valid {
-        key: Fingerprint,
-        version: u32,
-        payload: Vec<u8>,
-    },
-    BadChecksum,
+/// One record's framing as read off the log: its key and version,
+/// where its payload sits in the reader's input, and whether that
+/// payload passed its checksum.
+struct RawRecord {
+    key: Fingerprint,
+    version: u32,
+    payload: Range<usize>,
+    checksum_ok: bool,
 }
 
 /// Reads one record. Structural damage (truncated framing) is a wire
-/// error; a checksum mismatch with intact framing is reported as
-/// [`RawRecord::BadChecksum`] so the caller can decide whether it is
-/// tail damage or mid-log corruption.
+/// error; a checksum mismatch with intact framing is reported through
+/// [`RawRecord::checksum_ok`], so the scan can continue past it and
+/// the caller can decide whether it is tail damage or mid-log
+/// corruption.
 fn read_record(reader: &mut Reader<'_>) -> Result<RawRecord, WireError> {
     let key = Fingerprint(reader.u128()?);
     let version = reader.u32()?;
-    let payload = reader.bytes()?.to_vec();
+    let payload = reader.bytes()?;
+    let end = reader.position();
     let stored = reader.u64()?;
-    if stored != checksum(&payload) {
-        return Ok(RawRecord::BadChecksum);
-    }
-    Ok(RawRecord::Valid {
+    Ok(RawRecord {
         key,
         version,
-        payload,
+        payload: end - payload.len()..end,
+        checksum_ok: stored == checksum(payload),
     })
-}
-
-/// Reads one record structurally, reporting (rather than failing on) a
-/// checksum mismatch — [`verify`] wants to keep scanning past a bad
-/// payload whose framing is intact.
-fn read_record_checked(reader: &mut Reader<'_>) -> Result<(Fingerprint, u32, bool), WireError> {
-    let key = Fingerprint(reader.u128()?);
-    let version = reader.u32()?;
-    let payload = reader.bytes()?;
-    let stored = reader.u64()?;
-    Ok((key, version, stored == checksum(payload)))
 }
 
 #[cfg(test)]
@@ -893,6 +976,77 @@ mod tests {
         assert!(!report.is_clean());
         assert_eq!(report.checksum_failures, 1);
         assert_eq!(report.valid_records, 1);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn verify_and_open_agree_on_a_cut_final_record() {
+        let dir = temp_dir("cut-tail");
+        let mut store = CacheStore::open(&dir, 1).unwrap();
+        store.insert(fingerprint(&[b"first"]), b"one".to_vec());
+        store.insert(fingerprint(&[b"last"]), b"the final payload".to_vec());
+        store.flush().unwrap();
+        let log = store.log_path();
+        let full = std::fs::read(&log).unwrap();
+        let last_len = encode_record(fingerprint(&[b"last"]), 1, b"the final payload").len();
+        let last_start = full.len() - last_len;
+        for cut in last_start..full.len() {
+            std::fs::write(&log, &full[..cut]).unwrap();
+            let stats = CacheStore::open(&dir, 1).unwrap().stats();
+            let report = verify(&dir).unwrap();
+            assert_eq!(
+                report.corrupt_tail_bytes, stats.corrupt_tail_bytes,
+                "cut at byte {cut}"
+            );
+            assert_eq!(report.corrupt_tail_bytes, (cut - last_start) as u64);
+            assert_eq!(report.valid_records, 1, "cut at byte {cut}");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn absorb_replaces_a_payload_only_when_it_differs() {
+        let dir = temp_dir("absorb-replace");
+        let key = fingerprint(&[b"k"]);
+        let mut store = CacheStore::open(&dir, 1).unwrap();
+        store.insert(key, b"undecodable".to_vec());
+        store.flush().unwrap();
+
+        let mut store = CacheStore::open(&dir, 1).unwrap();
+        let mut same = ShardLog::new();
+        same.record(key, b"undecodable".to_vec());
+        store.absorb(same);
+        assert_eq!(store.stats().pending_entries, 0, "equal payload skipped");
+        let mut fixed = ShardLog::new();
+        fixed.record(key, b"recomputed".to_vec());
+        store.absorb(fixed);
+        assert_eq!(store.get(key), Lookup::Hit(b"recomputed".as_slice()));
+        assert_eq!(store.flush().unwrap(), 1);
+
+        let store = CacheStore::open(&dir, 1).unwrap();
+        assert_eq!(store.get(key), Lookup::Hit(b"recomputed".as_slice()));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn shared_hits_are_ranges_of_the_loaded_log() {
+        let dir = temp_dir("shared");
+        let (ka, kb) = (fingerprint(&[b"a"]), fingerprint(&[b"b"]));
+        let mut store = CacheStore::open(&dir, 1).unwrap();
+        store.insert(ka, b"alpha".to_vec());
+        store.insert(kb, b"beta".to_vec());
+        store.flush().unwrap();
+
+        let store = CacheStore::open(&dir, 1).unwrap();
+        let (a, b) = (store.get_shared(ka).unwrap(), store.get_shared(kb).unwrap());
+        assert!(Arc::ptr_eq(&a.buf, &b.buf), "one buffer for the whole log");
+        assert_eq!(&**a, b"alpha");
+        assert_eq!(&*a.slice(1..4), b"lph");
+        assert_eq!(&*a.slice(1..4).slice(1..2), b"p");
+        let kept = b.clone();
+        drop(store);
+        assert_eq!(&*kept, b"beta", "a handle outlives the store");
+        assert!(CacheStore::open(&dir, 2).unwrap().get_shared(ka).is_none());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

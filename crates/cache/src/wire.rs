@@ -103,9 +103,20 @@ impl<'a> Reader<'a> {
         Reader { buf, pos: 0 }
     }
 
+    /// Bytes consumed so far: the offset of the next read within the
+    /// input.
+    pub fn position(&self) -> usize {
+        self.pos
+    }
+
     /// Bytes not yet consumed.
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
+    }
+
+    /// The input not yet consumed.
+    pub fn rest(&self) -> &'a [u8] {
+        &self.buf[self.pos..]
     }
 
     /// `true` when every byte has been consumed — decoders check this

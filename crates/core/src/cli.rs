@@ -7,8 +7,8 @@
 use crate::ccache::ClusterCache;
 use crate::elicit::{elicit_auto, Elicitation};
 use crate::filter::{apply_filters, FilterStats, SeenDups, FILTER_FUNNEL};
-use crate::mcache::MiningCache;
-use crate::pipeline::{mine_parallel, DiffCode, MineOptions, MiningResult};
+use crate::mcache::{DagView, MiningCache};
+use crate::pipeline::{mine_parallel, DagPair, DiffCode, MineOptions, MiningResult};
 use crate::quarantine::{ErrorKind, PipelineLimits};
 use crate::report::Table;
 use analysis::TARGET_CLASSES;
@@ -18,7 +18,7 @@ use rules::{CheckedProject, CryptoChecker, ProjectContext};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use usagegraph::{FeaturePath, UsageChange, UsageDag};
+use usagegraph::{UsageChange, UsageDag};
 
 /// Renders the abstract usages of one source file: every abstract
 /// object of a target class with its usage DAG.
@@ -631,46 +631,77 @@ pub fn tuple_digest(
     out
 }
 
+/// A DAG whose digest text can be written: a decoded [`UsageDag`], or
+/// one read in place from a replayed cache payload, whose paths come in
+/// the same set order (the payload view checks it).
+trait DagText {
+    fn write_text(&self, out: &mut String);
+}
+
+impl DagText for &UsageDag {
+    fn write_text(&self, out: &mut String) {
+        let paths = self.paths.iter().map(|path| path.0.iter().map(|l| &**l));
+        write_dag_text(out, &self.root_type, paths);
+    }
+}
+
+impl DagText for DagView<'_> {
+    fn write_text(&self, out: &mut String) {
+        write_dag_text(
+            out,
+            self.root_type(),
+            self.paths().map(|path| path.labels()),
+        );
+    }
+}
+
+/// Writes `root:path;path;…`, each path its labels joined by spaces.
+fn write_dag_text<'l, L: Iterator<Item = &'l str>>(
+    out: &mut String,
+    root: &str,
+    paths: impl Iterator<Item = L>,
+) {
+    out.push_str(root);
+    out.push(':');
+    for (i, labels) in paths.enumerate() {
+        if i > 0 {
+            out.push(';');
+        }
+        write_labels(out, labels);
+    }
+}
+
+fn write_labels<'l>(out: &mut String, labels: impl Iterator<Item = &'l str>) {
+    for (i, label) in labels.enumerate() {
+        if i > 0 {
+            out.push(' ');
+        }
+        out.push_str(label);
+    }
+}
+
 /// Appends [`tuple_digest`]'s text to `out`. A DAG reads
 /// `root:path;path;…` in set order and the change reads as its
 /// `Display` (`- path` / `+ path` lines), where a path is its labels
-/// joined by spaces — the `Display` of [`FeaturePath`], written label
-/// by label so no intermediate string is built.
+/// joined by spaces — the `Display` of [`usagegraph::FeaturePath`],
+/// written label by label so no intermediate string is built.
 fn write_tuple_digest(
     out: &mut String,
     class: &str,
-    old_dag: &UsageDag,
-    new_dag: &UsageDag,
+    old_dag: impl DagText,
+    new_dag: impl DagText,
     change: &UsageChange,
 ) {
-    fn write_path(out: &mut String, path: &FeaturePath) {
-        for (i, label) in path.0.iter().enumerate() {
-            if i > 0 {
-                out.push(' ');
-            }
-            out.push_str(label);
-        }
-    }
-    fn write_dag(out: &mut String, dag: &UsageDag) {
-        out.push_str(&dag.root_type);
-        out.push(':');
-        for (i, path) in dag.paths.iter().enumerate() {
-            if i > 0 {
-                out.push(';');
-            }
-            write_path(out, path);
-        }
-    }
     out.push_str(class);
     out.push('|');
-    write_dag(out, old_dag);
+    old_dag.write_text(out);
     out.push('|');
-    write_dag(out, new_dag);
+    new_dag.write_text(out);
     out.push('|');
     for (sign, paths) in [("- ", &change.removed), ("+ ", &change.added)] {
         for path in paths {
             out.push_str(sign);
-            write_path(out, path);
+            write_labels(out, path.0.iter().map(|l| &**l));
             out.push('\n');
         }
     }
@@ -697,7 +728,8 @@ pub fn outcome_digest_parts(outcome: &crate::mcache::ChangeOutcome) -> Vec<Strin
 /// Each change's part, `project|commit|path|` plus its
 /// [`tuple_digest`] text, is written into one reused buffer and fed to
 /// a streaming fingerprint, so the digest costs no allocation per
-/// change or path.
+/// change or path. A replayed DAG pair's text is read straight from
+/// its cache payload, without decoding the DAGs.
 fn mined_digest(result: &MiningResult) -> cache::Fingerprint {
     let mut digest = cache::Fingerprinter::new();
     let mut part = String::new();
@@ -707,13 +739,14 @@ fn mined_digest(result: &MiningResult) -> cache::Fingerprint {
             part.push_str(field);
             part.push('|');
         }
-        write_tuple_digest(
-            &mut part,
-            &mined.class,
-            &mined.old_dag,
-            &mined.new_dag,
-            &mined.change,
-        );
+        let (class, change) = (&mined.class, &mined.change);
+        match mined.dag_pair() {
+            DagPair::Owned(old, new) => write_tuple_digest(&mut part, class, old, new, change),
+            DagPair::Replayed(pair) => {
+                let (old, new) = pair.view().old_new();
+                write_tuple_digest(&mut part, class, old, new, change);
+            }
+        }
         digest.part(part.as_bytes());
     }
     digest.finish()
@@ -1461,8 +1494,8 @@ mod tests {
                     mined.meta.path,
                     reference_tuple_digest(
                         &mined.class,
-                        &mined.old_dag,
-                        &mined.new_dag,
+                        &mined.old_dag(),
+                        &mined.new_dag(),
                         &mined.change
                     ),
                 )
@@ -1479,33 +1512,67 @@ mod tests {
         let mut corpus = corpus::generate(&corpus::GeneratorConfig::small(6, 7));
         corpus::Mutator::new(7, 0.2).inject(&mut corpus);
         corpus.projects.insert(0, figure2_project());
-        let result = DiffCode::new().mine(&corpus, &[], None);
-        let changes = &result.changes;
-        assert!(!result.quarantine.is_empty(), "no quarantined skips");
-        let empty_side = |c: &&crate::pipeline::MinedUsageChange| {
-            let empty = UsageDag::empty(c.class.as_str());
-            c.old_dag == empty || c.new_dag == empty
+        let cold = DiffCode::new().mine(&corpus, &[], None);
+        // The same corpus mined again through a primed result cache:
+        // every DAG pair is replayed, still encoded in its payload.
+        let dir = std::env::temp_dir().join(format!("diffcode-cli-digest-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let open = || {
+            MiningCache::open(
+                &dir,
+                &[],
+                &PipelineLimits::DEFAULT,
+                usagegraph::DEFAULT_MAX_DEPTH,
+            )
+            .unwrap()
         };
-        assert!(changes.iter().any(|c| empty_side(&c)), "no empty DAG side");
-        assert!(
-            changes
+        let mut cache = open();
+        let mut view = cache.view();
+        DiffCode::new().mine(&corpus, &[], Some(&mut view));
+        let log = view.into_log();
+        cache.absorb(log);
+        cache.flush().unwrap();
+        let warm = DiffCode::new().mine(&corpus, &[], Some(&mut open().view()));
+        std::fs::remove_dir_all(&dir).unwrap();
+        let form = |result: &MiningResult, replayed: bool| {
+            result
+                .changes
                 .iter()
-                .any(|c| c.old_dag.paths.iter().any(|p| p.len() > 2)),
-            "no multi-label path"
-        );
-        assert!(
-            changes
-                .iter()
-                .any(|c| !c.change.removed.is_empty() && !c.change.added.is_empty()),
-            "no change with both removed and added features"
-        );
+                .all(|c| matches!(c.dag_pair(), DagPair::Replayed(_)) == replayed)
+        };
+        assert!(form(&cold, false), "cold pairs are owned");
+        assert!(form(&warm, true), "warm pairs are replayed");
+        assert_eq!(warm, cold, "equality sees content, not form");
+        assert_eq!(mined_digest(&warm), mined_digest(&cold));
 
-        assert_eq!(mined_digest(&result), reference_mined_digest(&result));
-        for c in changes {
-            assert_eq!(
-                tuple_digest(&c.class, &c.old_dag, &c.new_dag, &c.change),
-                reference_tuple_digest(&c.class, &c.old_dag, &c.new_dag, &c.change)
+        for result in [&cold, &warm] {
+            let changes = &result.changes;
+            assert!(!result.quarantine.is_empty(), "no quarantined skips");
+            let empty_side = |c: &&crate::pipeline::MinedUsageChange| {
+                let empty = UsageDag::empty(c.class.as_str());
+                *c.old_dag() == empty || *c.new_dag() == empty
+            };
+            assert!(changes.iter().any(|c| empty_side(&c)), "no empty DAG side");
+            assert!(
+                changes
+                    .iter()
+                    .any(|c| c.old_dag().paths.iter().any(|p| p.len() > 2)),
+                "no multi-label path"
             );
+            assert!(
+                changes
+                    .iter()
+                    .any(|c| !c.change.removed.is_empty() && !c.change.added.is_empty()),
+                "no change with both removed and added features"
+            );
+
+            assert_eq!(mined_digest(result), reference_mined_digest(result));
+            for c in changes {
+                assert_eq!(
+                    tuple_digest(&c.class, &c.old_dag(), &c.new_dag(), &c.change),
+                    reference_tuple_digest(&c.class, &c.old_dag(), &c.new_dag(), &c.change)
+                );
+            }
         }
         // Served verdicts render through the same writer; a skip has
         // no tuples.

@@ -265,19 +265,21 @@ mod tests {
         dc.usage_changes_from_pair(pair.old, pair.new, class)
             .unwrap()
             .into_iter()
-            .map(|(old_dag, new_dag, change)| MinedUsageChange {
-                meta: crate::pipeline::ChangeMeta {
-                    project: format!("fixtures/{}", pair.name),
-                    commit: pair.name.to_owned(),
-                    author: String::new(),
-                    message: pair.description.to_owned(),
-                    path: "A.java".into(),
-                    fingerprint: crate::pipeline::change_fingerprint(pair.old, pair.new),
-                },
-                class: class.to_owned(),
-                old_dag,
-                new_dag,
-                change,
+            .map(|(old_dag, new_dag, change)| {
+                MinedUsageChange::new(
+                    crate::pipeline::ChangeMeta {
+                        project: format!("fixtures/{}", pair.name),
+                        commit: pair.name.to_owned(),
+                        author: String::new(),
+                        message: pair.description.to_owned(),
+                        path: "A.java".into(),
+                        fingerprint: crate::pipeline::change_fingerprint(pair.old, pair.new),
+                    },
+                    class.to_owned(),
+                    old_dag,
+                    new_dag,
+                    change,
+                )
             })
             .collect()
     }
@@ -353,8 +355,8 @@ mod tests {
         // silhouette 1), but the search stops at CLUSTER_MAX_K.
         let change = |group: usize| {
             let path = |label: String| usagegraph::FeaturePath(vec!["Cipher".into(), label.into()]);
-            MinedUsageChange {
-                meta: crate::pipeline::ChangeMeta {
+            MinedUsageChange::new(
+                crate::pipeline::ChangeMeta {
                     project: format!("u/p{group}"),
                     commit: "c".into(),
                     author: String::new(),
@@ -362,15 +364,15 @@ mod tests {
                     path: "A.java".into(),
                     fingerprint: format!("fp{group}"),
                 },
-                class: "Cipher".into(),
-                old_dag: usagegraph::UsageDag::empty("Cipher"),
-                new_dag: usagegraph::UsageDag::empty("Cipher"),
-                change: UsageChange {
+                "Cipher".into(),
+                usagegraph::UsageDag::empty("Cipher"),
+                usagegraph::UsageDag::empty("Cipher"),
+                UsageChange {
                     class: "Cipher".into(),
                     removed: vec![path(format!("OLD_{group}"))],
                     added: vec![path(format!("NEW_{group}"))],
                 },
-            }
+            )
         };
         let groups = CLUSTER_MAX_K + 2;
         let changes: Vec<MinedUsageChange> = (0..2 * groups).map(|i| change(i / 2)).collect();

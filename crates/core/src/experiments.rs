@@ -170,12 +170,12 @@ impl Experiments {
                     if self.mining.changes[members[0]].class != rule.subject_class() {
                         continue;
                     }
-                    let old_triggers = members
-                        .iter()
-                        .any(|&i| rules::clause_triggers(clause, &self.mining.changes[i].old_dag));
-                    let new_triggers = members
-                        .iter()
-                        .any(|&i| rules::clause_triggers(clause, &self.mining.changes[i].new_dag));
+                    let old_triggers = members.iter().any(|&i| {
+                        rules::clause_triggers(clause, &self.mining.changes[i].old_dag())
+                    });
+                    let new_triggers = members.iter().any(|&i| {
+                        rules::clause_triggers(clause, &self.mining.changes[i].new_dag())
+                    });
                     let program = match (old_triggers, new_triggers) {
                         (true, false) => ChangeClass::Fix,
                         (false, true) => ChangeClass::Bug,
@@ -195,7 +195,7 @@ impl Experiments {
                     if change.class != rule.subject_class() {
                         continue;
                     }
-                    let object = classify_dag_pair(&rule, &change.old_dag, &change.new_dag);
+                    let object = classify_dag_pair(&rule, &change.old_dag(), &change.new_dag());
                     let class = if object == program_class[idx] {
                         object
                     } else {

@@ -235,8 +235,8 @@ mod tests {
 
     fn mk(class: &str, removed: &[&str], added: &[&str]) -> MinedUsageChange {
         let path = |s: &&str| FeaturePath(vec![class.into(), (*s).into()]);
-        MinedUsageChange {
-            meta: ChangeMeta {
+        MinedUsageChange::new(
+            ChangeMeta {
                 project: "u/p".into(),
                 commit: "c".into(),
                 author: String::new(),
@@ -244,15 +244,15 @@ mod tests {
                 path: "A.java".into(),
                 fingerprint: format!("fp:{class}:{removed:?}->{added:?}"),
             },
-            class: class.to_owned(),
-            old_dag: UsageDag::empty(class),
-            new_dag: UsageDag::empty(class),
-            change: UsageChange {
+            class.to_owned(),
+            UsageDag::empty(class),
+            UsageDag::empty(class),
+            UsageChange {
                 class: class.to_owned(),
                 removed: removed.iter().map(path).collect(),
                 added: added.iter().map(path).collect(),
             },
-        }
+        )
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //! [`QuarantineReport`] carrying provenance.
 
 use crate::decision::{record_decision, DecisionReason};
-use crate::mcache::{CachedLookup, ChangeOutcome, MiningCache, MiningCacheView};
+use crate::mcache::{
+    CachedLookup, ChangeOutcome, EncodedDags, MiningCache, MiningCacheView, Resolved,
+};
 use crate::quarantine::{
     excerpt, ErrorKind, PipelineError, PipelineLimits, QuarantineReport, SkipCounters,
 };
@@ -17,10 +19,13 @@ use analysis::{analyze, try_analyze_counted, ApiModel, Usages, TARGET_CLASSES};
 use corpus::Corpus;
 use javalang::ParseError;
 use obs::{MetricsRegistry, Stopwatch, TraceSink};
+use std::borrow::Cow;
 use std::collections::HashMap;
+use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use usagegraph::{
     dags_for_class, diff_dags, pair_dags, try_dags_for_class, DagLimits, UsageChange, UsageDag,
     DEFAULT_MAX_DEPTH,
@@ -56,18 +61,94 @@ pub fn change_fingerprint(old: &str, new: &str) -> String {
 }
 
 /// One usage change with provenance and the DAG pair it came from.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// A computed usage change owns its DAG pair. One replayed from the
+/// result cache keeps the pair encoded in the shared cache payload,
+/// because the funnel's filters and elicitation read only `meta`,
+/// `class` and `change`. [`Self::old_dag`] and
+/// [`Self::new_dag`] read either form, decoding an encoded pair on
+/// demand. Equality and `Debug` see the DAGs' content, never the form
+/// that holds them.
+#[derive(Clone)]
 pub struct MinedUsageChange {
-    /// Where the change was mined.
-    pub meta: ChangeMeta,
+    /// Where the change was mined, shared by every usage change of one
+    /// code change.
+    pub meta: Arc<ChangeMeta>,
     /// The target API class.
     pub class: String,
-    /// The paired old-version DAG.
-    pub old_dag: UsageDag,
-    /// The paired new-version DAG.
-    pub new_dag: UsageDag,
     /// The `(F⁻, F⁺)` feature diff.
     pub change: UsageChange,
+    dags: DagPair,
+}
+
+/// Where a mined usage change's DAG pair lives.
+#[derive(Debug, Clone)]
+pub(crate) enum DagPair {
+    /// Computed by this run.
+    Owned(UsageDag, UsageDag),
+    /// Replayed from the result cache, still encoded.
+    Replayed(EncodedDags),
+}
+
+impl MinedUsageChange {
+    /// A usage change over an owned DAG pair.
+    pub fn new(
+        meta: impl Into<Arc<ChangeMeta>>,
+        class: String,
+        old_dag: UsageDag,
+        new_dag: UsageDag,
+        change: UsageChange,
+    ) -> Self {
+        MinedUsageChange {
+            meta: meta.into(),
+            class,
+            change,
+            dags: DagPair::Owned(old_dag, new_dag),
+        }
+    }
+
+    /// The paired old-version DAG (decoded if the pair was replayed).
+    pub fn old_dag(&self) -> Cow<'_, UsageDag> {
+        match &self.dags {
+            DagPair::Owned(old, _) => Cow::Borrowed(old),
+            DagPair::Replayed(pair) => Cow::Owned(pair.view().old_new().0.to_dag()),
+        }
+    }
+
+    /// The paired new-version DAG (decoded if the pair was replayed).
+    pub fn new_dag(&self) -> Cow<'_, UsageDag> {
+        match &self.dags {
+            DagPair::Owned(_, new) => Cow::Borrowed(new),
+            DagPair::Replayed(pair) => Cow::Owned(pair.view().old_new().1.to_dag()),
+        }
+    }
+
+    /// The DAG pair in whichever form holds it.
+    pub(crate) fn dag_pair(&self) -> &DagPair {
+        &self.dags
+    }
+}
+
+impl PartialEq for MinedUsageChange {
+    fn eq(&self, other: &Self) -> bool {
+        self.meta == other.meta
+            && self.class == other.class
+            && self.change == other.change
+            && self.old_dag() == other.old_dag()
+            && self.new_dag() == other.new_dag()
+    }
+}
+
+impl fmt::Debug for MinedUsageChange {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("MinedUsageChange")
+            .field("meta", &self.meta)
+            .field("class", &self.class)
+            .field("old_dag", &self.old_dag())
+            .field("new_dag", &self.new_dag())
+            .field("change", &self.change)
+            .finish()
+    }
 }
 
 /// Aggregate counters from a mining run.
@@ -435,17 +516,18 @@ impl DiffCode {
             );
             // The per-change decision: emitted inside the change span,
             // always retained regardless of sampling.
-            let reason = match &outcome {
-                ChangeOutcome::Mined(_) => DecisionReason::Mined,
-                ChangeOutcome::Skipped { kind, .. } => DecisionReason::Quarantined(*kind),
-            };
-            let usage_changes = match &outcome {
-                ChangeOutcome::Mined(tuples) => tuples.len() as u64,
-                ChangeOutcome::Skipped { .. } => 0,
+            let (reason, usage_changes) = match &outcome {
+                Resolved::Decoded(ChangeOutcome::Mined(tuples)) => {
+                    (DecisionReason::Mined, tuples.len())
+                }
+                Resolved::Replayed(tuples) => (DecisionReason::Mined, tuples.len()),
+                Resolved::Decoded(ChangeOutcome::Skipped { kind, .. }) => {
+                    (DecisionReason::Quarantined(*kind), 0)
+                }
             };
             record_decision(&mut self.trace, &meta, &reason, |a| {
                 a.str("cache", cache_status);
-                a.u64("usage_changes", usage_changes);
+                a.u64("usage_changes", usage_changes as u64);
             });
             apply_outcome(&mut result, meta, outcome);
             self.trace.end(change_span);
@@ -498,7 +580,8 @@ impl DiffCode {
             let key = view.change_key(old, new);
             (view, key)
         });
-        self.outcome_for_pair(old, new, &classes, cache)
+        let (outcome, status) = self.outcome_for_pair(old, new, &classes, cache);
+        (outcome.into_outcome(), status)
     }
 
     /// The shared look-aside path: cache lookup under the pair's `key`
@@ -513,9 +596,9 @@ impl DiffCode {
         new: &str,
         classes: &[&str],
         cache: Option<(&mut MiningCacheView<'_>, cache::Fingerprint)>,
-    ) -> (ChangeOutcome, &'static str) {
+    ) -> (Resolved, &'static str) {
         match cache {
-            Some((view, key)) => match view.get(key) {
+            Some((view, key)) => match view.replay(key) {
                 CachedLookup::Hit(outcome) => {
                     self.metrics.inc("cache.hit", 1);
                     self.trace.instant("cache.hit");
@@ -530,10 +613,13 @@ impl DiffCode {
                     self.trace.instant(counter);
                     let outcome = self.compute_outcome(old, new, classes);
                     view.record(key, &outcome);
-                    (outcome, status)
+                    (Resolved::Decoded(outcome), status)
                 }
             },
-            None => (self.compute_outcome(old, new, classes), "off"),
+            None => (
+                Resolved::Decoded(self.compute_outcome(old, new, classes)),
+                "off",
+            ),
         }
     }
 
@@ -611,26 +697,36 @@ type MinedTuples = Vec<(String, UsageDag, UsageDag, UsageChange)>;
 
 /// Folds one per-change outcome — replayed from cache or freshly
 /// computed — into the running result. The single accounting path for
-/// both, which is what makes warm runs byte-identical to cold ones.
-fn apply_outcome(result: &mut MiningResult, meta: ChangeMeta, outcome: ChangeOutcome) {
+/// both, which is what makes warm runs byte-identical to cold ones. The
+/// usage changes of one code change share its `meta`.
+fn apply_outcome(result: &mut MiningResult, meta: ChangeMeta, outcome: Resolved) {
     match outcome {
-        ChangeOutcome::Mined(mined) => {
+        Resolved::Decoded(ChangeOutcome::Mined(mined)) => {
             result.stats.mined += 1;
+            let meta = Arc::new(meta);
             for (class, old_dag, new_dag, change) in mined {
+                let usage =
+                    MinedUsageChange::new(Arc::clone(&meta), class, old_dag, new_dag, change);
+                result.changes.push(usage);
+            }
+        }
+        Resolved::Replayed(tuples) => {
+            result.stats.mined += 1;
+            let meta = Arc::new(meta);
+            for (tuple, dags) in tuples.iter() {
                 result.changes.push(MinedUsageChange {
-                    meta: meta.clone(),
-                    class,
-                    old_dag,
-                    new_dag,
-                    change,
+                    meta: Arc::clone(&meta),
+                    class: tuple.class().to_owned(),
+                    change: tuple.change(),
+                    dags: DagPair::Replayed(dags),
                 });
             }
         }
-        ChangeOutcome::Skipped {
+        Resolved::Decoded(ChangeOutcome::Skipped {
             kind,
             error,
             excerpt,
-        } => {
+        }) => {
             result.stats.skipped.bump(kind);
             result.quarantine.push(QuarantineReport {
                 meta,
@@ -976,7 +1072,7 @@ mod tests {
         for (a, b) in sequential.changes.iter().zip(&parallel.changes) {
             assert_eq!(a.change, b.change);
             assert_eq!(a.meta, b.meta);
-            assert_eq!(a.old_dag, b.old_dag);
+            assert_eq!(a.old_dag(), b.old_dag());
         }
     }
 

@@ -13,7 +13,7 @@
 //! 1. one `git log --reverse --no-merges -M --name-status` enumerates
 //!    commits oldest-first with rename detection ([`log`]), and
 //! 2. one long-lived `git cat-file --batch` serves blob content in
-//!    bounded pipelined batches ([`catfile`]).
+//!    bounded pipelined batches ([`CatFile`]).
 //!
 //! Ingestion is **total** below the repository level: a corrupt,
 //! oversized, binary, or missing blob quarantines that one file (typed

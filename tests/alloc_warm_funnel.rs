@@ -2,13 +2,15 @@
 //!
 //! A warm re-run replays every mined tuple from the result cache and
 //! every distance cell from the cluster cache, so what is left is
-//! decoding the cached outcomes and walking the mined result: filter,
+//! validating the cached outcomes and walking the mined result: filter,
 //! digest and report. Each of those walks should touch a tuple without
-//! copying it — the filters clone only their few survivors and the
-//! result digest streams through one reused buffer. A counting global
-//! allocator makes that a hard invariant: a walk that clones every
-//! tuple again, or renders each path into its own `String`, adds tens
-//! of allocations per tuple and fails the budget below.
+//! copying it — a replayed tuple keeps its DAG pair encoded in the
+//! shared cache payload and shares its code change's provenance, the
+//! filters clone only their few survivors, and the result digest reads
+//! replayed DAG text from the payload through one reused buffer. A
+//! counting global allocator makes that a hard invariant: a replay that
+//! decodes every DAG again, or a walk that clones every tuple, adds
+//! tens of allocations per tuple and fails the budget below.
 
 use diffcode::cli::{run_mine, FunnelOptions, MineSource};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -39,10 +41,12 @@ static COUNTING: Counting = Counting;
 /// (`mine.usage_changes`), everything included: corpus generation,
 /// cache replay and decode, filtering, clustering, digest and report.
 ///
-/// Measured at 90 for seed 1000 / 40 projects. Copying every tuple
-/// before filtering and rendering every DAG path into its own string
-/// for the digest cost 161; the budget sits between the two.
-const WARM_ALLOCS_PER_USAGE_CHANGE: f64 = 120.0;
+/// Measured at 25 for seed 1000 / 40 projects. Decoding every replayed
+/// DAG pair and giving each tuple its own copy of the provenance
+/// strings made it 90; also copying every tuple before filtering and
+/// rendering every DAG path into its own string for the digest made it
+/// 161. The budget sits well below 90.
+const WARM_ALLOCS_PER_USAGE_CHANGE: f64 = 35.0;
 
 /// A per-process temp dir, removed on drop.
 struct TempDir(PathBuf);

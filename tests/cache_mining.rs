@@ -101,8 +101,8 @@ fn run_signature(result: &MiningResult) -> String {
             mined.meta.commit,
             mined.meta.path,
             mined.class,
-            mined.old_dag,
-            mined.new_dag,
+            mined.old_dag(),
+            mined.new_dag(),
             mined.change,
         );
     }
@@ -329,6 +329,44 @@ fn sequential_and_parallel_agree_through_the_cache() {
     let (cross, reg) = mine_with(&corpus, 1, Some(&mut open_cache(&tmp_par.0)));
     assert_eq!(reg.counter("cache.hit"), cross.stats.code_changes as u64);
     assert_eq!(run_signature(&seq), run_signature(&cross));
+}
+
+#[test]
+fn undecodable_entry_is_recomputed_and_replaced_once() {
+    let tmp = TempDir::new("undecodable");
+    let corpus = generated(3, 1);
+    let mut primed = open_cache(&tmp.0);
+    let (cold, _) = mine_with(&corpus, 1, Some(&mut primed));
+    primed.flush().unwrap();
+
+    // Append one byte to one entry's payload and re-record it with a
+    // fresh checksum: the log stays valid, the payload no longer
+    // decodes.
+    let first = corpus.code_changes().next().expect("a code change");
+    let key = primed.change_key(first.old, first.new);
+    let mut store = cache::CacheStore::open(&tmp.0, ANALYSIS_VERSION).unwrap();
+    let mut payload = match store.get(key) {
+        cache::Lookup::Hit(bytes) => bytes.to_vec(),
+        other => panic!("expected a cached payload, got {other:?}"),
+    };
+    payload.push(0);
+    store.insert(key, payload);
+    store.flush().unwrap();
+
+    // The first warm run misses that entry and writes the recomputed
+    // payload back; the second hits everything.
+    for (run, misses, flushed) in [(1, 1, 1), (2, 0, 0)] {
+        let mut cache = open_cache(&tmp.0);
+        let (warm, reg) = mine_with(&corpus, 1, Some(&mut cache));
+        assert_eq!(reg.counter("cache.miss"), misses, "warm run {run}");
+        assert_eq!(
+            reg.counter("cache.hit"),
+            warm.stats.code_changes as u64 - misses,
+            "warm run {run}"
+        );
+        assert_eq!(cache.flush().unwrap(), flushed, "warm run {run}");
+        assert_eq!(run_signature(&warm), run_signature(&cold), "warm run {run}");
+    }
 }
 
 #[test]

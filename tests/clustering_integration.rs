@@ -10,19 +10,21 @@ fn mined(pair: &fixtures::FixPair, class: &str) -> Vec<MinedUsageChange> {
         .unwrap()
         .into_iter()
         .filter(|(_, _, c)| !c.is_same())
-        .map(|(old_dag, new_dag, change)| MinedUsageChange {
-            meta: diffcode::ChangeMeta {
-                project: format!("fixtures/{}", pair.name),
-                commit: pair.name.to_owned(),
-                author: String::new(),
-                message: pair.description.to_owned(),
-                path: "A.java".into(),
-                fingerprint: diffcode::change_fingerprint(pair.old, pair.new),
-            },
-            class: class.to_owned(),
-            old_dag,
-            new_dag,
-            change,
+        .map(|(old_dag, new_dag, change)| {
+            MinedUsageChange::new(
+                diffcode::ChangeMeta {
+                    project: format!("fixtures/{}", pair.name),
+                    commit: pair.name.to_owned(),
+                    author: String::new(),
+                    message: pair.description.to_owned(),
+                    path: "A.java".into(),
+                    fingerprint: diffcode::change_fingerprint(pair.old, pair.new),
+                },
+                class.to_owned(),
+                old_dag,
+                new_dag,
+                change,
+            )
         })
         .collect()
 }

@@ -95,7 +95,7 @@ fn classification_is_consistent_with_commit_messages() {
             if change.change.is_pure_addition() || change.change.is_pure_removal() {
                 continue;
             }
-            let class = classify_dag_pair(&rule, &change.old_dag, &change.new_dag);
+            let class = classify_dag_pair(&rule, &change.old_dag(), &change.new_dag());
             if class == ChangeClass::Fix {
                 assert!(
                     change.meta.message.starts_with("Security:")
