@@ -1,18 +1,23 @@
-//! Batched blob extraction over one long-lived `git cat-file --batch`
-//! child.
+//! Blob extraction by object id over one long-lived
+//! `git cat-file --batch` child.
 //!
-//! cat-file's batch protocol answers each request line
-//! (`<rev>:<path>\n`) with either
-//! `<oid> <type> <size>\n<size bytes>\n` or `<spec> missing\n`.
-//! Requests are pipelined in bounded batches: the client writes at most
-//! [`crate::IngestLimits::catfile_batch`] request lines **and** at most
-//! [`MAX_BATCH_REQUEST_BYTES`] of request text before reading the
-//! matching responses back. The count bound alone is not enough — a
-//! batch of long path specs can exceed the ~64 KiB stdin pipe buffer
-//! while the child is itself blocked writing a response nobody has
-//! drained yet (the classic cat-file deadlock) — so [`CatFile::fetch`]
-//! additionally splits on total request bytes, keeping every write
-//! comfortably inside one pipe buffer.
+//! cat-file's batch protocol answers each request line (`<oid>\n`)
+//! with either `<oid> <type> <size>\n<size bytes>\n` or
+//! `<oid> missing\n`. [`CatFile::fetch`] pipelines every id of a walk
+//! in windows of at most [`MAX_BATCH_REQUEST_BYTES`] of request text:
+//! it writes one whole window, then reads that window's responses
+//! back, then writes the next.
+//!
+//! That byte bound alone rules out the classic cat-file deadlock, in
+//! which the client blocks writing requests into a full stdin pipe
+//! while the child blocks writing a response into a full stdout pipe
+//! nobody drains. The client writes a window only after reading every
+//! earlier response, so by then the child has consumed every earlier
+//! request and the stdin pipe is empty. A window is at most half a
+//! pipe buffer, so all of it fits: the write returns without waiting
+//! on the child, and the client is draining before the child can fill
+//! the stdout pipe. No bound on the request count is needed, whatever
+//! the responses' sizes.
 //!
 //! Every response is fully consumed even when the blob is rejected —
 //! an oversized blob is read and discarded byte-for-byte — so the
@@ -20,18 +25,20 @@
 //! path a blob takes.
 
 use crate::GitError;
+use obs::{MetricsRegistry, Stopwatch};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::path::Path;
 use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
 
-/// Outcome of fetching one blob spec. Only [`BlobFetch::Content`]
-/// yields text for mining; every other variant quarantines the file it
-/// belongs to (never the commit, never the run).
+/// Outcome of fetching one blob. Only [`BlobFetch::Content`] yields
+/// text for mining; every other variant quarantines the files that use
+/// the blob (never the commit, never the run).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum BlobFetch {
+pub(crate) enum BlobFetch {
     /// UTF-8 blob content within the size budget.
     Content(String),
-    /// Object does not exist (garbled path, shallow clone boundary…).
+    /// Object does not exist (shallow or partial clone, corruption) or
+    /// is not a blob (a submodule's commit).
     Missing,
     /// Blob exceeds the per-blob byte budget; content discarded.
     Oversized { size: u64 },
@@ -40,20 +47,20 @@ pub enum BlobFetch {
 }
 
 /// Most request bytes written before draining responses: half of the
-/// smallest common pipe buffer (64 KiB on Linux), so a full batch plus
-/// the child's own buffering can never wedge both pipes at once.
+/// smallest common pipe buffer (64 KiB on Linux), so a whole window
+/// always fits in the child's stdin pipe. About 800 SHA-1 ids.
 pub const MAX_BATCH_REQUEST_BYTES: usize = 32 << 10;
 
-/// End index of the sub-batch starting at `start` whose request lines
-/// (`spec` + newline each) fit in `max_bytes`. Always advances by at
-/// least one spec: a single over-long spec is its own sub-batch, which
-/// is safe because the child has no undrained response backlog while
-/// its first request is still being written.
-fn batch_end(specs: &[String], start: usize, max_bytes: usize) -> usize {
+/// End index of the window starting at `start` whose request lines
+/// (id + newline each) fit in `max_bytes`. Always advances by at least
+/// one id: a single over-long id is its own window, which is safe
+/// because the child has no undrained response backlog while its first
+/// request is still being written.
+fn batch_end(ids: &[&str], start: usize, max_bytes: usize) -> usize {
     let mut end = start;
     let mut bytes = 0usize;
-    while end < specs.len() {
-        let line = specs[end].len() + 1;
+    while end < ids.len() {
+        let line = ids[end].len() + 1;
         if end > start && bytes + line > max_bytes {
             break;
         }
@@ -64,15 +71,17 @@ fn batch_end(specs: &[String], start: usize, max_bytes: usize) -> usize {
 }
 
 /// A running `git cat-file --batch` child scoped to one repository.
-pub struct CatFile {
+pub(crate) struct CatFile {
     child: Child,
     stdin: ChildStdin,
     stdout: BufReader<ChildStdout>,
 }
 
 impl CatFile {
-    /// Spawns the batch child for `repo`.
-    pub fn spawn(repo: &Path) -> Result<Self, GitError> {
+    /// Spawns the batch child for `repo`. It reads no request until
+    /// [`CatFile::fetch`] writes one, so spawning it early lets its
+    /// start-up overlap other work.
+    pub(crate) fn spawn(repo: &Path) -> Result<Self, GitError> {
         let mut child = Command::new("git")
             .arg("-C")
             .arg(repo)
@@ -91,34 +100,36 @@ impl CatFile {
         })
     }
 
-    /// Fetches one batch of specs (`<rev>:<path>` each), returning one
-    /// [`BlobFetch`] per spec in request order. The caller bounds the
-    /// batch *count*; this method additionally bounds the request
-    /// *bytes*, splitting into write-flush-drain sub-batches of at most
-    /// [`MAX_BATCH_REQUEST_BYTES`] so the stdin pipe can never fill
-    /// while the child is blocked writing an undrained response.
-    pub fn fetch(
+    /// Fetches every blob id, returning one [`BlobFetch`] per id in
+    /// request order. Ids go out in write-flush-drain windows of at
+    /// most [`MAX_BATCH_REQUEST_BYTES`] (see the module doc), each
+    /// timed as one `gitsrc.catfile.batch` span.
+    pub(crate) fn fetch(
         &mut self,
-        specs: &[String],
+        ids: &[&str],
         max_blob_bytes: u64,
+        registry: &mut MetricsRegistry,
     ) -> Result<Vec<BlobFetch>, GitError> {
-        let mut results = Vec::with_capacity(specs.len());
+        let mut results = Vec::with_capacity(ids.len());
+        let mut request = String::new();
         let mut start = 0;
-        while start < specs.len() {
-            let end = batch_end(specs, start, MAX_BATCH_REQUEST_BYTES);
-            let window = &specs[start..end];
-            let mut request = String::new();
-            for spec in window {
-                request.push_str(spec);
+        while start < ids.len() {
+            let sw = Stopwatch::start();
+            let end = batch_end(ids, start, MAX_BATCH_REQUEST_BYTES);
+            let window = &ids[start..end];
+            request.clear();
+            for id in window {
+                request.push_str(id);
                 request.push('\n');
             }
             self.stdin
                 .write_all(request.as_bytes())
                 .and_then(|()| self.stdin.flush())
                 .map_err(|e| GitError::Io(format!("cat-file request write: {e}")))?;
-            for spec in window {
-                results.push(self.read_response(spec, max_blob_bytes)?);
+            for id in window {
+                results.push(self.read_response(id, max_blob_bytes)?);
             }
+            registry.record_span("gitsrc.catfile.batch", sw.elapsed());
             start = end;
         }
         Ok(results)
@@ -126,7 +137,7 @@ impl CatFile {
 
     /// Reads exactly one response, keeping the stream aligned on every
     /// path (including discarding oversized payloads).
-    fn read_response(&mut self, spec: &str, max_blob_bytes: u64) -> Result<BlobFetch, GitError> {
+    fn read_response(&mut self, id: &str, max_blob_bytes: u64) -> Result<BlobFetch, GitError> {
         let mut header = String::new();
         let n = self
             .stdout
@@ -134,11 +145,11 @@ impl CatFile {
             .map_err(|e| GitError::Io(format!("cat-file response read: {e}")))?;
         if n == 0 {
             return Err(GitError::Protocol(format!(
-                "cat-file stream closed before response for {spec:?}"
+                "cat-file stream closed before response for {id:?}"
             )));
         }
         let header = header.trim_end_matches('\n');
-        if header.ends_with(" missing") || header.ends_with(" ambiguous") {
+        if header.ends_with(" missing") {
             return Ok(BlobFetch::Missing);
         }
         // `<oid> <type> <size>`
@@ -147,7 +158,7 @@ impl CatFile {
             (fields.next(), fields.next(), fields.next(), fields.next())
         else {
             return Err(GitError::Protocol(format!(
-                "unrecognized cat-file header {header:?} for {spec:?}"
+                "unrecognized cat-file header {header:?} for {id:?}"
             )));
         };
         let size: u64 = size
@@ -159,7 +170,6 @@ impl CatFile {
             return Ok(if kind == "blob" {
                 BlobFetch::Oversized { size }
             } else {
-                // Tree/commit at a path spec: treat like missing text.
                 BlobFetch::Missing
             });
         }
@@ -200,8 +210,8 @@ impl Drop for CatFile {
 mod tests {
     use super::*;
 
-    fn specs(lens: &[usize]) -> Vec<String> {
-        lens.iter().map(|&n| "x".repeat(n)).collect()
+    fn specs(lens: &[usize]) -> Vec<&'static str> {
+        lens.iter().map(|&n| &*"x".repeat(n).leak()).collect()
     }
 
     #[test]

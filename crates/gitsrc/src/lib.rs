@@ -8,12 +8,19 @@
 //! content-addressed cache keys make warm re-mines of a repository
 //! nearly free.
 //!
-//! Two child processes do all the git work:
+//! Two child processes do all the git work, planned then fetched:
 //!
-//! 1. one `git log --reverse --no-merges -M --name-status` enumerates
-//!    commits oldest-first with rename detection ([`log`]), and
-//! 2. one long-lived `git cat-file --batch` serves blob content in
-//!    bounded pipelined batches ([`CatFile`]).
+//! 1. one `git log --reverse --no-merges -M --raw --no-abbrev`
+//!    enumerates commits oldest-first with rename detection ([`log`]),
+//!    and names the full pre- and post-image blob ids of every entry;
+//!    every walked commit's files are planned from it (`.java` filter,
+//!    file budget, unknown statuses) before any content is read, and
+//! 2. one `git cat-file --batch` child, spawned before the log walk so
+//!    its start-up overlaps it, then fetches each distinct blob id the
+//!    plan needs exactly once, in first-use order, in pipelined windows
+//!    bounded only by [`MAX_BATCH_REQUEST_BYTES`] of request text. A
+//!    file version that is one commit's post-image and the next
+//!    commit's pre-image is read once, and git resolves no paths.
 //!
 //! Ingestion is **total** below the repository level: a corrupt,
 //! oversized, binary, or missing blob quarantines that one file (typed
@@ -24,9 +31,11 @@
 mod catfile;
 pub mod log;
 
-pub use catfile::{BlobFetch, CatFile, MAX_BATCH_REQUEST_BYTES};
+pub use catfile::MAX_BATCH_REQUEST_BYTES;
 
+use catfile::{BlobFetch, CatFile};
 use obs::{MetricsRegistry, Stopwatch};
+use std::collections::HashMap;
 use std::fmt;
 use std::path::Path;
 use std::process::Command;
@@ -41,11 +50,6 @@ pub struct IngestLimits {
     /// quarantined as [`SkipKind::CommitFileBudget`] (bulk renames /
     /// vendored-source imports would otherwise dominate a mine).
     pub max_files_per_commit: usize,
-    /// Most cat-file requests in flight before responses are drained.
-    /// Together with the request-byte cap
-    /// ([`MAX_BATCH_REQUEST_BYTES`]) this bounds both pipe buffers so
-    /// the batch child can never deadlock.
-    pub catfile_batch: usize,
 }
 
 impl IngestLimits {
@@ -53,7 +57,6 @@ impl IngestLimits {
     pub const DEFAULT: IngestLimits = IngestLimits {
         max_blob_bytes: 1 << 20, // 1 MiB of source is already pathological
         max_files_per_commit: 64,
-        catfile_batch: 64,
     };
 }
 
@@ -123,7 +126,7 @@ pub enum SkipKind {
     /// The commit had more `.java` entries than
     /// [`IngestLimits::max_files_per_commit`].
     CommitFileBudget,
-    /// A name-status code ingestion does not understand (`U`, `X`, …).
+    /// A `--raw` entry ingestion does not understand (`U`, `X`, …).
     UnknownStatus,
 }
 
@@ -172,7 +175,7 @@ pub struct IngestStats {
     pub commits_walked: usize,
     /// Commits that contributed at least one ingested file.
     pub commits_ingested: usize,
-    /// Name-status entries examined across all walked commits.
+    /// `--raw` entries examined across all walked commits.
     pub files_seen: usize,
     /// Entries dropped by the `.java` filter.
     pub non_java: usize,
@@ -187,6 +190,9 @@ pub struct IngestStats {
     pub deletions: usize,
     /// Blob bytes ingested across both sides.
     pub blob_bytes: u64,
+    /// Distinct blobs fetched: every blob id some planned file needs,
+    /// each read once however many files use it.
+    pub blobs_fetched: usize,
 }
 
 /// The result of walking one repository.
@@ -210,19 +216,6 @@ impl IngestReport {
     }
 }
 
-/// The blob work planned for one name-status entry before any content
-/// is fetched.
-struct PlannedFile {
-    /// Post-image path where one exists, else the pre-image path.
-    path: String,
-    /// `<rev>:<path>` spec for the pre-image, if any.
-    pre: Option<String>,
-    /// `<rev>:<path>` spec for the post-image, if any.
-    post: Option<String>,
-    /// Whether this entry followed a rename.
-    renamed: bool,
-}
-
 /// Walks `repo` and returns the ingested corpus plus accounting.
 ///
 /// The project identity is path-independent — user `"git"`, name from
@@ -234,9 +227,14 @@ pub fn ingest_repo(
     opts: &IngestOptions,
     registry: &mut MetricsRegistry,
 ) -> Result<IngestReport, GitError> {
+    let mut log_cmd = log_command(repo, opts)?;
     let sw = Stopwatch::start();
-    let log_output = run_log(repo, opts)?;
+    // Spawned first so its start-up overlaps the log walk; a failed
+    // walk still reports the log's error, as if it had run alone.
+    let catfile = CatFile::spawn(repo);
+    let log_output = run_log(&mut log_cmd)?;
     registry.record_span("gitsrc.log", sw.elapsed());
+    let mut catfile = catfile?;
 
     let mut commits = log::parse_log(&log_output);
     if let Some(max) = opts.max_commits {
@@ -247,147 +245,50 @@ pub fn ingest_repo(
         commits_walked: commits.len(),
         ..IngestStats::default()
     };
+    let mut blobs = Blobs::default();
+    let plans: Vec<CommitPlan> = commits
+        .iter()
+        .map(|commit| plan_commit(commit, &opts.limits, &mut stats, &mut blobs))
+        .collect();
+    let max_blob_bytes = opts.limits.max_blob_bytes;
+    blobs.fetched = catfile.fetch(&blobs.ids, max_blob_bytes, registry)?;
+    drop(catfile);
+    stats.blobs_fetched = blobs.ids.len();
+
     let mut skips: Vec<IngestSkip> = Vec::new();
     let mut ingested_commits: Vec<corpus::Commit> = Vec::new();
-
-    let mut catfile = if commits.is_empty() {
-        None
-    } else {
-        Some(CatFile::spawn(repo)?)
-    };
-
-    for commit in &commits {
-        let mut planned: Vec<PlannedFile> = Vec::new();
-        for entry in &commit.entries {
-            stats.files_seen += 1;
-            let post_path = match entry {
-                log::StatusEntry::Added { path }
-                | log::StatusEntry::Modified { path }
-                | log::StatusEntry::Deleted { path } => path,
-                log::StatusEntry::Renamed { new, .. } | log::StatusEntry::Copied { new } => new,
-                log::StatusEntry::Other { code, raw } => {
-                    if raw.ends_with(".java") {
-                        skips.push(IngestSkip {
-                            commit: commit.id.clone(),
-                            path: raw.clone(),
-                            kind: SkipKind::UnknownStatus,
-                            detail: format!("status {code}"),
-                        });
-                    } else {
-                        stats.non_java += 1;
-                    }
+    for (commit, plan) in commits.iter().zip(plans) {
+        skips.extend(plan.skips);
+        let mut changes: Vec<corpus::FileChange> = Vec::new();
+        for PlannedFile { entry, pre, post } in plan.files {
+            let pre = pre.map(|blob| blobs.take(blob));
+            let post = post.map(|blob| blobs.take(blob));
+            // The pre-image is judged first; a file quarantines on its
+            // first bad side, and the detail names that side's
+            // `<rev>:<path>`.
+            let old_path = entry.old_path.as_ref().unwrap_or(&entry.path);
+            let pre_spec = || format!("{}^:{old_path}", commit.id);
+            let post_spec = || format!("{}:{}", commit.id, entry.path);
+            let sides = side_text(pre, pre_spec, max_blob_bytes)
+                .and_then(|old| Ok((old, side_text(post, post_spec, max_blob_bytes)?)));
+            let (old, new) = match sides {
+                Ok(sides) => sides,
+                Err((kind, detail)) => {
+                    skips.push(IngestSkip {
+                        commit: commit.id.clone(),
+                        path: entry.path.clone(),
+                        kind,
+                        detail,
+                    });
                     continue;
                 }
             };
-            if !post_path.ends_with(".java") {
-                stats.non_java += 1;
-                continue;
-            }
-            if planned.len() >= opts.limits.max_files_per_commit {
-                skips.push(IngestSkip {
-                    commit: commit.id.clone(),
-                    path: post_path.clone(),
-                    kind: SkipKind::CommitFileBudget,
-                    detail: format!("commit budget {}", opts.limits.max_files_per_commit),
-                });
-                continue;
-            }
-            // `--no-merges` guarantees a single parent, and root
-            // commits only emit `A` lines, so `{id}^` is always a
-            // valid pre-image rev wherever we use it.
-            planned.push(match entry {
-                log::StatusEntry::Added { path } => PlannedFile {
-                    path: path.clone(),
-                    pre: None,
-                    post: Some(format!("{}:{path}", commit.id)),
-                    renamed: false,
-                },
-                log::StatusEntry::Modified { path } => PlannedFile {
-                    path: path.clone(),
-                    pre: Some(format!("{}^:{path}", commit.id)),
-                    post: Some(format!("{}:{path}", commit.id)),
-                    renamed: false,
-                },
-                log::StatusEntry::Deleted { path } => PlannedFile {
-                    path: path.clone(),
-                    pre: Some(format!("{}^:{path}", commit.id)),
-                    post: None,
-                    renamed: false,
-                },
-                log::StatusEntry::Renamed { old, new } => PlannedFile {
-                    path: new.clone(),
-                    pre: Some(format!("{}^:{old}", commit.id)),
-                    post: Some(format!("{}:{new}", commit.id)),
-                    renamed: true,
-                },
-                // A copy's source still exists, so the post-image is
-                // effectively a new file.
-                log::StatusEntry::Copied { new } => PlannedFile {
-                    path: new.clone(),
-                    pre: None,
-                    post: Some(format!("{}:{new}", commit.id)),
-                    renamed: false,
-                },
-                log::StatusEntry::Other { .. } => unreachable!("handled above"),
-            });
-        }
-
-        if planned.is_empty() {
-            continue;
-        }
-        let catfile = catfile.as_mut().expect("spawned when commits exist");
-        let blobs = fetch_planned(catfile, &planned, &opts.limits, registry)?;
-
-        let mut changes: Vec<corpus::FileChange> = Vec::new();
-        for (file, (pre, post)) in planned.iter().zip(blobs) {
-            let mut quarantine = |kind: SkipKind, detail: String| {
-                skips.push(IngestSkip {
-                    commit: commit.id.clone(),
-                    path: file.path.clone(),
-                    kind,
-                    detail,
-                });
-            };
-            let sides = [(&file.pre, pre), (&file.post, post)];
-            let mut contents: [Option<String>; 2] = [None, None];
-            let mut failed = false;
-            for (slot, (spec, fetched)) in contents.iter_mut().zip(sides) {
-                match (spec, fetched) {
-                    (None, _) | (Some(_), None) => {}
-                    (Some(_), Some(BlobFetch::Content(text))) => *slot = Some(text),
-                    (Some(spec), Some(BlobFetch::Missing)) => {
-                        quarantine(SkipKind::Missing, format!("object {spec} missing"));
-                        failed = true;
-                    }
-                    (Some(spec), Some(BlobFetch::Oversized { size })) => {
-                        quarantine(
-                            SkipKind::Oversized,
-                            format!(
-                                "{spec}: {size} bytes > budget {}",
-                                opts.limits.max_blob_bytes
-                            ),
-                        );
-                        failed = true;
-                    }
-                    (Some(spec), Some(BlobFetch::NonUtf8)) => {
-                        quarantine(SkipKind::NonUtf8, format!("{spec}: invalid UTF-8"));
-                        failed = true;
-                    }
-                }
-                if failed {
-                    break;
-                }
-            }
-            if failed {
-                continue;
-            }
-            let [old, new] = contents;
             stats.blob_bytes += old.as_deref().map_or(0, str::len) as u64
                 + new.as_deref().map_or(0, str::len) as u64;
             match (&old, &new) {
                 (Some(_), Some(_)) => {
                     stats.pairs += 1;
-                    if file.renamed {
+                    if entry.old_path.is_some() {
                         stats.renames_followed += 1;
                     }
                 }
@@ -396,7 +297,7 @@ pub fn ingest_repo(
                 (None, None) => continue,
             }
             changes.push(corpus::FileChange {
-                path: file.path.clone(),
+                path: entry.path.clone(),
                 old,
                 new,
             });
@@ -430,48 +331,140 @@ pub fn ingest_repo(
     })
 }
 
-/// The (pre, post) blob fetches for one planned file.
-type FetchedPair = (Option<BlobFetch>, Option<BlobFetch>);
-
-/// Fetches every blob a commit's plan needs, in bounded batches, and
-/// reassembles (pre, post) per planned file.
-fn fetch_planned(
-    catfile: &mut CatFile,
-    planned: &[PlannedFile],
-    limits: &IngestLimits,
-    registry: &mut MetricsRegistry,
-) -> Result<Vec<FetchedPair>, GitError> {
-    let specs: Vec<String> = planned
-        .iter()
-        .flat_map(|f| [f.pre.clone(), f.post.clone()])
-        .flatten()
-        .collect();
-    let mut fetched: Vec<BlobFetch> = Vec::with_capacity(specs.len());
-    for batch in specs.chunks(limits.catfile_batch.max(1)) {
-        let sw = Stopwatch::start();
-        fetched.extend(catfile.fetch(batch, limits.max_blob_bytes)?);
-        registry.record_span("gitsrc.catfile.batch", sw.elapsed());
-    }
-    let mut it = fetched.into_iter();
-    Ok(planned
-        .iter()
-        .map(|f| {
-            let pre = f.pre.as_ref().map(|_| it.next().expect("one per spec"));
-            let post = f.post.as_ref().map(|_| it.next().expect("one per spec"));
-            (pre, post)
-        })
-        .collect())
+/// One walked commit's plan: the files to assemble once their blobs
+/// arrive, and the entries quarantined without reading any content.
+struct CommitPlan<'a> {
+    files: Vec<PlannedFile<'a>>,
+    skips: Vec<IngestSkip>,
 }
 
-/// Runs the single enumeration `git log`, treating an empty history as
-/// an empty walk rather than an error.
+/// One `.java` entry to ingest, its sides as indices into the walk's
+/// [`Blobs`].
+struct PlannedFile<'a> {
+    entry: &'a log::FileEntry,
+    pre: Option<usize>,
+    post: Option<usize>,
+}
+
+/// Plans one commit's entries: the `.java` filter, the file budget and
+/// unknown statuses are settled here, and every side a kept file needs
+/// is registered in `blobs`.
+fn plan_commit<'a>(
+    commit: &'a log::LogCommit,
+    limits: &IngestLimits,
+    stats: &mut IngestStats,
+    blobs: &mut Blobs<'a>,
+) -> CommitPlan<'a> {
+    let mut plan = CommitPlan {
+        files: Vec::new(),
+        skips: Vec::new(),
+    };
+    for entry in &commit.entries {
+        stats.files_seen += 1;
+        let entry = match entry {
+            log::StatusEntry::File(entry) => entry,
+            log::StatusEntry::Other { code, raw } => {
+                if raw.ends_with(".java") {
+                    plan.skips.push(IngestSkip {
+                        commit: commit.id.clone(),
+                        path: raw.clone(),
+                        kind: SkipKind::UnknownStatus,
+                        detail: format!("status {code}"),
+                    });
+                } else {
+                    stats.non_java += 1;
+                }
+                continue;
+            }
+        };
+        if !entry.path.ends_with(".java") {
+            stats.non_java += 1;
+            continue;
+        }
+        if plan.files.len() >= limits.max_files_per_commit {
+            plan.skips.push(IngestSkip {
+                commit: commit.id.clone(),
+                path: entry.path.clone(),
+                kind: SkipKind::CommitFileBudget,
+                detail: format!("commit budget {}", limits.max_files_per_commit),
+            });
+            continue;
+        }
+        plan.files.push(PlannedFile {
+            entry,
+            pre: entry.old_blob.as_deref().map(|id| blobs.add(id)),
+            post: entry.new_blob.as_deref().map(|id| blobs.add(id)),
+        });
+    }
+    plan
+}
+
+/// The distinct blob ids a walk's plan needs, in first-use order, and
+/// once fetched, their contents, handed out one planned use at a time.
+#[derive(Default)]
+struct Blobs<'a> {
+    ids: Vec<&'a str>,
+    index: HashMap<&'a str, usize>,
+    /// Planned uses of each blob not yet handed out.
+    uses: Vec<usize>,
+    /// One fetch per id, once [`CatFile::fetch`] has run.
+    fetched: Vec<BlobFetch>,
+}
+
+impl<'a> Blobs<'a> {
+    /// Registers one use of blob `id`; returns its index.
+    fn add(&mut self, id: &'a str) -> usize {
+        let blob = *self.index.entry(id).or_insert(self.ids.len());
+        if blob == self.ids.len() {
+            self.ids.push(id);
+            self.uses.push(0);
+        }
+        self.uses[blob] += 1;
+        blob
+    }
+
+    /// Blob `blob` for one of its planned uses: a copy while other
+    /// uses remain, the fetched value itself for the last one.
+    fn take(&mut self, blob: usize) -> BlobFetch {
+        self.uses[blob] -= 1;
+        if self.uses[blob] == 0 {
+            // No planned use is left to read this slot again.
+            std::mem::replace(&mut self.fetched[blob], BlobFetch::Missing)
+        } else {
+            self.fetched[blob].clone()
+        }
+    }
+}
+
+/// The text of one planned side (`None` when the side does not exist),
+/// or the quarantine its fetch calls for; `spec` names the side in the
+/// skip detail.
+fn side_text(
+    fetch: Option<BlobFetch>,
+    spec: impl FnOnce() -> String,
+    max_blob_bytes: u64,
+) -> Result<Option<String>, (SkipKind, String)> {
+    match fetch {
+        None => Ok(None),
+        Some(BlobFetch::Content(text)) => Ok(Some(text)),
+        Some(BlobFetch::Missing) => Err((SkipKind::Missing, format!("object {} missing", spec()))),
+        Some(BlobFetch::Oversized { size }) => Err((
+            SkipKind::Oversized,
+            format!("{}: {size} bytes > budget {max_blob_bytes}", spec()),
+        )),
+        Some(BlobFetch::NonUtf8) => Err((SkipKind::NonUtf8, format!("{}: invalid UTF-8", spec()))),
+    }
+}
+
+/// The single enumeration `git log`, built but not run.
 ///
 /// The rev-range is the only caller-controlled argument, so it is both
 /// rejected when option-shaped (a leading `-` could smuggle git options
 /// like `--output=<path>` through remote callers such as
 /// `POST /mine-repo`) and fenced behind `--end-of-options` (git ≥
 /// 2.24), which forces git to parse everything after it as a revision.
-fn run_log(repo: &Path, opts: &IngestOptions) -> Result<String, GitError> {
+/// The rejection happens here, before any git child runs.
+fn log_command(repo: &Path, opts: &IngestOptions) -> Result<Command, GitError> {
     let mut cmd = Command::new("git");
     cmd.arg("-C").arg(repo).args([
         "log",
@@ -479,7 +472,8 @@ fn run_log(repo: &Path, opts: &IngestOptions) -> Result<String, GitError> {
         "--no-merges",
         "--date-order",
         "-M",
-        "--name-status",
+        "--raw",
+        "--no-abbrev",
         &format!("--format={}", log::LOG_FORMAT),
     ]);
     if let Some(range) = &opts.rev_range {
@@ -492,6 +486,15 @@ fn run_log(repo: &Path, opts: &IngestOptions) -> Result<String, GitError> {
         cmd.arg(range);
     }
     cmd.arg("--");
+    Ok(cmd)
+}
+
+/// Runs the enumeration `git log`, treating an empty history as an
+/// empty walk rather than an error. The output is decoded lossily: a
+/// subject or author that is not UTF-8 keeps its commit (with U+FFFD
+/// in the field), and the NUL framing and the hex blob ids are ASCII,
+/// so no record can be lost or misread.
+fn run_log(cmd: &mut Command) -> Result<String, GitError> {
     let output = cmd
         .output()
         .map_err(|e| GitError::Spawn(format!("git log: {e}")))?;
@@ -505,8 +508,8 @@ fn run_log(repo: &Path, opts: &IngestOptions) -> Result<String, GitError> {
             stderr,
         });
     }
-    String::from_utf8(output.stdout)
-        .map_err(|_| GitError::Protocol("git log output is not UTF-8".to_owned()))
+    Ok(String::from_utf8(output.stdout)
+        .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned()))
 }
 
 /// Counter/gauge names under the `gitsrc.` prefix, recorded once per
@@ -522,6 +525,7 @@ fn record_metrics(registry: &mut MetricsRegistry, stats: &IngestStats, skips: &[
     registry.inc("gitsrc.additions", stats.additions as u64);
     registry.inc("gitsrc.deletions", stats.deletions as u64);
     registry.inc("gitsrc.blob_bytes", stats.blob_bytes);
+    registry.inc("gitsrc.blobs_fetched", stats.blobs_fetched as u64);
     for skip in skips {
         registry.inc(&format!("gitsrc.skipped.{}", skip.kind.name()), 1);
     }
@@ -560,7 +564,6 @@ mod tests {
         let limits = IngestLimits::default();
         assert!(limits.max_blob_bytes >= 1 << 16);
         assert!(limits.max_files_per_commit >= 1);
-        assert!(limits.catfile_batch >= 1);
     }
 
     #[test]

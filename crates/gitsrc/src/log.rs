@@ -1,11 +1,13 @@
-//! Commit enumeration: parsing `git log --name-status -M` output.
+//! Commit enumeration: parsing `git log --raw --no-abbrev -M` output.
 //!
 //! The enumeration runs as **one** `git log` invocation for the whole
 //! rev-range (streaming, rename-aware via `-M`, merge commits excluded
 //! via `--no-merges` so every ingested commit has a well-defined single
-//! parent for pre-image extraction). The parser here is pure — it takes
-//! the captured stdout text — so every name-status shape git can emit
-//! is unit-testable without a repository.
+//! parent for pre-image extraction). `--raw --no-abbrev` makes every
+//! entry name the full ids of its pre- and post-image blobs, so the
+//! walk can plan every blob it needs before fetching any content. The
+//! parser here is pure — it takes the captured stdout text — so every
+//! entry shape git can emit is unit-testable without a repository.
 //!
 //! Record framing uses NUL (`%x00`) separators. Commit objects are
 //! stored as NUL-terminated C strings, so git can *never* emit a NUL
@@ -19,31 +21,38 @@
 //! standard escapes.
 
 /// The `--format` string matching [`parse_log`]: each record is
-/// `NUL hash NUL author NUL subject`, with the commit's name-status
-/// lines following the subject until the next record's NUL.
+/// `NUL hash NUL author NUL subject`, with the commit's `--raw` lines
+/// following the subject until the next record's NUL.
 pub const LOG_FORMAT: &str = "%x00%H%x00%an <%ae>%x00%s";
 
-/// One file-level entry of a commit's `--name-status` block.
+/// One file-level entry of a commit's `--raw` block.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StatusEntry {
-    /// `A` — file added (no pre-image).
-    Added { path: String },
-    /// `M` (and `T`, a type change) — file modified in place.
-    Modified { path: String },
-    /// `D` — file deleted (no post-image).
-    Deleted { path: String },
-    /// `R<score>` — rename, possibly with an edit. The pre-image lives
-    /// at `old` in the parent, the post-image at `new` in the commit.
-    Renamed { old: String, new: String },
-    /// `C<score>` — copy; the post-image is a new file (the source
-    /// still exists), so ingestion treats it as an addition at `new`.
-    Copied { new: String },
-    /// Anything else (`U`, `X`, …): surfaced for quarantine, never a
-    /// parse failure.
+    /// An added (`A`), modified (`M`, or `T` for a type change),
+    /// deleted (`D`), renamed (`R<score>`) or copied (`C<score>`) file.
+    File(FileEntry),
+    /// Anything else (`U`, `X`, or a line missing a blob id its status
+    /// needs): surfaced for quarantine, never a parse failure. `raw`
+    /// is the line from its status code on (`U\tconflict.java`).
     Other { code: String, raw: String },
 }
 
-/// One enumerated commit: provenance plus its name-status entries.
+/// A file entry as the blobs ingestion reads: full hex object ids, and
+/// `None` for a side that does not exist.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FileEntry {
+    /// Post-image path where one exists, else the pre-image path.
+    pub path: String,
+    /// Where a rename's pre-image lived in the parent.
+    pub old_path: Option<String>,
+    /// Pre-image blob; `None` for an addition, and for a copy, whose
+    /// source still exists, so its post-image is effectively new.
+    pub old_blob: Option<String>,
+    /// Post-image blob; `None` for a deletion.
+    pub new_blob: Option<String>,
+}
+
+/// One enumerated commit: provenance plus its `--raw` entries.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LogCommit {
     /// Full commit hash.
@@ -52,12 +61,12 @@ pub struct LogCommit {
     pub author: String,
     /// Subject line.
     pub message: String,
-    /// Name-status entries, in git's output order.
+    /// `--raw` entries, in git's output order.
     pub entries: Vec<StatusEntry>,
 }
 
 /// Parses the stdout of
-/// `git log --reverse --no-merges -M --name-status --format=<LOG_FORMAT>`
+/// `git log --reverse --no-merges -M --raw --no-abbrev --format=<LOG_FORMAT>`
 /// into commits (oldest first, matching `--reverse`).
 ///
 /// Total: lines that fit no known shape become [`StatusEntry::Other`]
@@ -73,8 +82,8 @@ pub fn parse_log(stdout: &str) -> Vec<LogCommit> {
     // well-formed output).
     let _ = chunks.next();
     while let (Some(id), Some(author), Some(rest)) = (chunks.next(), chunks.next(), chunks.next()) {
-        // `rest` is the subject line followed by this commit's
-        // name-status block, up to the next record's NUL.
+        // `rest` is the subject line followed by this commit's `--raw`
+        // block, up to the next record's NUL.
         let mut lines = rest.lines();
         let message = lines.next().unwrap_or("").to_owned();
         let mut entries = Vec::new();
@@ -82,7 +91,7 @@ pub fn parse_log(stdout: &str) -> Vec<LogCommit> {
             if line.is_empty() {
                 continue;
             }
-            if let Some(entry) = parse_status_line(line) {
+            if let Some(entry) = parse_raw_line(line) {
                 entries.push(entry);
             }
         }
@@ -96,47 +105,69 @@ pub fn parse_log(stdout: &str) -> Vec<LogCommit> {
     commits
 }
 
-/// Parses one `--name-status` line (`M\tpath`, `R087\told\tnew`, …).
-fn parse_status_line(line: &str) -> Option<StatusEntry> {
-    let mut parts = line.split('\t');
+/// Parses one `--raw` line:
+/// `:<old mode> <new mode> <old id> <new id> <status>` followed by one
+/// TAB-separated path, or two for a rename or copy.
+fn parse_raw_line(line: &str) -> Option<StatusEntry> {
+    let tab = line.find('\t').unwrap_or(line.len());
+    // The status code is the last space-separated field before the
+    // first TAB; the two blob ids come right before it.
+    let (meta, status) = match line[..tab].rsplit_once(' ') {
+        Some((meta, code)) => (meta, &line[tab - code.len()..]),
+        None => ("", line),
+    };
+    let mut ids = meta.split(' ').skip(2).map(blob_id);
+    let (old_blob, new_blob) = (ids.next().flatten(), ids.next().flatten());
+    let mut parts = status.split('\t');
     let code = parts.next()?;
     if code.is_empty() {
         return None;
     }
-    let first = parts.next();
-    let second = parts.next();
-    let entry = match (code.as_bytes()[0], first, second) {
-        (b'A', Some(path), None) => StatusEntry::Added {
-            path: unquote_path(path),
-        },
+    let (path, old_path, old_blob, new_blob) = match (
+        code.as_bytes()[0],
+        old_blob,
+        new_blob,
+        parts.next(),
+        parts.next(),
+    ) {
+        (b'A', None, Some(new), Some(path), None) => (path, None, None, Some(new)),
         // A type change (file <-> symlink) still has blob content on
         // both sides; treat it as a modify and let blob extraction
         // quarantine anything unreadable.
-        (b'M' | b'T', Some(path), None) => StatusEntry::Modified {
-            path: unquote_path(path),
-        },
-        (b'D', Some(path), None) => StatusEntry::Deleted {
-            path: unquote_path(path),
-        },
-        (b'R', Some(old), Some(new)) => StatusEntry::Renamed {
-            old: unquote_path(old),
-            new: unquote_path(new),
-        },
-        (b'C', Some(_old), Some(new)) => StatusEntry::Copied {
-            new: unquote_path(new),
-        },
-        _ => StatusEntry::Other {
-            code: code.to_owned(),
-            raw: line.to_owned(),
-        },
+        (b'M' | b'T', Some(old), Some(new), Some(path), None) => (path, None, Some(old), Some(new)),
+        (b'D', Some(old), None, Some(path), None) => (path, None, Some(old), None),
+        (b'R', Some(old), Some(new), Some(from), Some(to)) => {
+            (to, Some(from), Some(old), Some(new))
+        }
+        (b'C', _, Some(new), Some(_), Some(to)) => (to, None, None, Some(new)),
+        _ => {
+            return Some(StatusEntry::Other {
+                code: code.to_owned(),
+                raw: status.to_owned(),
+            })
+        }
     };
-    Some(entry)
+    Some(StatusEntry::File(FileEntry {
+        path: unquote_path(path),
+        old_path: old_path.map(unquote_path),
+        old_blob,
+        new_blob,
+    }))
+}
+
+/// A `--raw` object id field as a blob id: `None` for the all-zero id
+/// of a side that does not exist, and for anything that is not hex, so
+/// only plain object ids ever reach a cat-file request line.
+fn blob_id(field: &str) -> Option<String> {
+    let hex = !field.is_empty() && field.bytes().all(|b| b.is_ascii_hexdigit());
+    (hex && field.bytes().any(|b| b != b'0')).then(|| field.to_owned())
 }
 
 /// Undoes git's C-style path quoting (`"a\tb\303\244.java"`); paths
 /// without the surrounding quotes pass through untouched. Unknown
-/// escapes keep the backslash verbatim — a garbled path yields a
-/// cat-file miss (quarantined), never a crash.
+/// escapes keep the backslash verbatim, and bytes that are not UTF-8
+/// decode lossily. Content is fetched by blob id, never by path, so a
+/// garbled path only changes the name a file is reported under.
 pub fn unquote_path(path: &str) -> String {
     let Some(inner) = path
         .strip_prefix('"')
@@ -185,16 +216,42 @@ pub fn unquote_path(path: &str) -> String {
 mod tests {
     use super::*;
 
+    const ZERO: &str = "0000000000000000000000000000000000000000";
+    const B1: &str = "1111111111111111111111111111111111111111";
+    const B2: &str = "2222222222222222222222222222222222222222";
+
+    /// One `--raw` line (modes are not parsed, so any pair will do).
+    fn raw(old: &str, new: &str, status: &str) -> String {
+        format!(":100644 100644 {old} {new} {status}\n")
+    }
+
+    fn file(
+        path: &str,
+        old_path: Option<&str>,
+        old: Option<&str>,
+        new: Option<&str>,
+    ) -> StatusEntry {
+        StatusEntry::File(FileEntry {
+            path: path.into(),
+            old_path: old_path.map(Into::into),
+            old_blob: old.map(Into::into),
+            new_blob: new.map(Into::into),
+        })
+    }
+
     #[test]
     fn parses_header_and_status_shapes() {
-        let stdout = "\0abc123\0Ada L <ada@example.com>\0Fix IV\n\n\
-                      M\tsrc/A.java\n\
-                      A\tsrc/B.java\n\
-                      D\told/C.java\n\
-                      R087\tsrc/Old.java\tsrc/New.java\n\
-                      C055\tsrc/A.java\tsrc/Copy.java\n\
-                      U\tconflict.java\n";
-        let commits = parse_log(stdout);
+        let stdout = [
+            "\0abc123\0Ada L <ada@example.com>\0Fix IV\n\n".to_owned(),
+            raw(B1, B2, "M\tsrc/A.java"),
+            raw(ZERO, B2, "A\tsrc/B.java"),
+            raw(B1, ZERO, "D\told/C.java"),
+            raw(B1, B2, "R087\tsrc/Old.java\tsrc/New.java"),
+            raw(B1, B1, "C055\tsrc/A.java\tsrc/Copy.java"),
+            raw(B1, B2, "U\tconflict.java"),
+        ]
+        .concat();
+        let commits = parse_log(&stdout);
         assert_eq!(commits.len(), 1);
         let c = &commits[0];
         assert_eq!(c.id, "abc123");
@@ -203,22 +260,12 @@ mod tests {
         assert_eq!(
             c.entries,
             vec![
-                StatusEntry::Modified {
-                    path: "src/A.java".into()
-                },
-                StatusEntry::Added {
-                    path: "src/B.java".into()
-                },
-                StatusEntry::Deleted {
-                    path: "old/C.java".into()
-                },
-                StatusEntry::Renamed {
-                    old: "src/Old.java".into(),
-                    new: "src/New.java".into()
-                },
-                StatusEntry::Copied {
-                    new: "src/Copy.java".into()
-                },
+                file("src/A.java", None, Some(B1), Some(B2)),
+                file("src/B.java", None, None, Some(B2)),
+                file("old/C.java", None, Some(B1), None),
+                file("src/New.java", Some("src/Old.java"), Some(B1), Some(B2)),
+                // A copy reads as an addition of its new path.
+                file("src/Copy.java", None, None, Some(B1)),
                 StatusEntry::Other {
                     code: "U".into(),
                     raw: "U\tconflict.java".into()
@@ -228,10 +275,56 @@ mod tests {
     }
 
     #[test]
+    fn a_missing_or_malformed_blob_id_is_an_unknown_entry() {
+        let stdout = [
+            "\0c1\0a <a@x>\0odd\n\n".to_owned(),
+            // A modify needs both ids; an add must not have a pre-image.
+            raw(ZERO, B2, "M\tA.java"),
+            raw(B1, B2, "A\tB.java"),
+            // Non-hex ids never reach a cat-file request.
+            raw(B1, "HEAD:C.java", "M\tC.java"),
+            // A bare name-status line has no ids at all.
+            "D\tD.java\n".to_owned(),
+        ]
+        .concat();
+        let codes: Vec<(String, String)> = parse_log(&stdout)[0]
+            .entries
+            .iter()
+            .map(|e| match e {
+                StatusEntry::Other { code, raw } => (code.clone(), raw.clone()),
+                other => panic!("expected an unknown entry, got {other:?}"),
+            })
+            .collect();
+        assert_eq!(
+            codes,
+            [
+                ("M", "M\tA.java"),
+                ("A", "A\tB.java"),
+                ("M", "M\tC.java"),
+                ("D", "D\tD.java"),
+            ]
+            .map(|(c, r)| (c.to_owned(), r.to_owned()))
+        );
+    }
+
+    #[test]
+    fn blob_ids_keep_their_full_width() {
+        let sha256 = "ab".repeat(32);
+        assert_eq!(blob_id(&sha256), Some(sha256.clone()));
+        assert_eq!(blob_id(&"0".repeat(64)), None);
+        assert_eq!(blob_id(""), None);
+    }
+
+    #[test]
     fn parses_multiple_commits_in_reverse_order() {
-        let stdout = "\0c1\0a <a@x>\0first\n\nA\tA.java\n\
-                      \0c2\0b <b@x>\0second\n\nM\tA.java\n";
-        let commits = parse_log(stdout);
+        let stdout = [
+            "\0c1\0a <a@x>\0first\n\n".to_owned(),
+            raw(ZERO, B1, "A\tA.java"),
+            "\0c2\0b <b@x>\0second\n\n".to_owned(),
+            raw(B1, B2, "M\tA.java"),
+        ]
+        .concat();
+        let commits = parse_log(&stdout);
         assert_eq!(commits.len(), 2);
         assert_eq!(commits[0].id, "c1");
         assert_eq!(commits[1].id, "c2");
@@ -246,8 +339,13 @@ mod tests {
 
     #[test]
     fn truncated_trailing_record_is_dropped() {
-        let stdout = "\0c1\0a <a@x>\0ok\n\nM\tA.java\n\0c2\0b <b@x>";
-        let commits = parse_log(stdout);
+        let stdout = [
+            "\0c1\0a <a@x>\0ok\n\n".to_owned(),
+            raw(B1, B2, "M\tA.java"),
+            "\0c2\0b <b@x>".to_owned(),
+        ]
+        .concat();
+        let commits = parse_log(&stdout);
         assert_eq!(commits.len(), 1);
         assert_eq!(commits[0].id, "c1");
     }
@@ -257,10 +355,14 @@ mod tests {
         // 0x1e/0x1f are legal in commit subjects and author names; a
         // crafted header trying to fake a record boundary must parse
         // as field *content*, never as framing.
-        let stdout = "\0c1\0Ev\u{1f}il <e@x>\0fake\u{1e}deadbeef\u{1f}x <x@x>\u{1f}msg\n\n\
-                      M\tA.java\n\
-                      \0c2\0b <b@x>\0real\n\nM\tB.java\n";
-        let commits = parse_log(stdout);
+        let stdout = [
+            "\0c1\0Ev\u{1f}il <e@x>\0fake\u{1e}deadbeef\u{1f}x <x@x>\u{1f}msg\n\n".to_owned(),
+            raw(B1, B2, "M\tA.java"),
+            "\0c2\0b <b@x>\0real\n\n".to_owned(),
+            raw(B1, B2, "M\tB.java"),
+        ]
+        .concat();
+        let commits = parse_log(&stdout);
         assert_eq!(commits.len(), 2);
         assert_eq!(commits[0].id, "c1");
         assert_eq!(commits[0].author, "Ev\u{1f}il <e@x>");
@@ -285,8 +387,8 @@ mod tests {
 
     #[test]
     fn subjects_with_tabs_and_unicode_survive() {
-        let stdout = "\0c1\0Åsa <å@x>\0fix\tcrypto ünit\n\nM\tA.java\n";
-        let commits = parse_log(stdout);
+        let stdout = "\0c1\0Åsa <å@x>\0fix\tcrypto ünit\n\n".to_owned() + &raw(B1, B2, "M\tA.java");
+        let commits = parse_log(&stdout);
         assert_eq!(commits[0].message, "fix\tcrypto ünit");
         assert_eq!(commits[0].author, "Åsa <å@x>");
     }

@@ -88,6 +88,14 @@ struct SpanEntry {
     hist: Histogram,
 }
 
+impl SpanEntry {
+    fn record(&mut self, duration: Duration) {
+        self.stats.record(duration);
+        self.hist
+            .record(duration.as_nanos().min(u64::MAX as u128) as u64);
+    }
+}
+
 impl MetricsRegistry {
     /// An empty registry.
     pub fn new() -> Self {
@@ -141,10 +149,16 @@ impl MetricsRegistry {
     /// aggregate *and* the latency histogram, so every span answers
     /// quantile queries with no extra instrumentation at call sites.
     pub fn record_span(&mut self, name: &str, duration: Duration) {
-        let ns = duration.as_nanos().min(u64::MAX as u128) as u64;
-        let entry = self.spans.entry(name.to_owned()).or_default();
-        entry.stats.record(duration);
-        entry.hist.record(ns);
+        // A borrowed lookup first: only a name this registry has never
+        // seen pays for an owned key.
+        match self.spans.get_mut(name) {
+            Some(entry) => entry.record(duration),
+            None => self
+                .spans
+                .entry(name.to_owned())
+                .or_default()
+                .record(duration),
+        }
     }
 
     /// Times `f` and records the wall-clock duration under `name`.

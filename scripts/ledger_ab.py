@@ -16,23 +16,33 @@ against the parent's interquartile range, whether the claim rule holds
 better by more than the parent's IQR), and how far the change's median
 moved against the metric's regression bound.
 
+With `--json <path>` it also writes that comparison as a performance
+record: per metric, both sides' median and quartiles and their per-pair
+values, the change's wins, the claim verdict and the change's move
+against the bound, plus the host (CPU count, CPU model, kernel). The
+record holds one entry per workload: a run adds or replaces its
+workload's entry in an existing file from the same host, and refuses a
+file from another host.
+
 Exit code 0 when every run was correct with no failed operation; 1 when
 any run reported `correct: false` or a failed operation, exited non-zero,
 or printed no JSON result; 2 on bad arguments. The script only reads
-BENCHMARK.json and perfbench/.
+BENCHMARK.json and perfbench/, and writes only the `--json` file.
 
 Usage:
   ledger_ab.py --parent <dir> --change <dir> --workload <name>
-               --pairs <n> --seconds <s> --seeds <n>[,<n>...]
+               --pairs <n> --seconds <s> --seeds <n>[,<n>...] [--json <path>]
   ledger_ab.py --self-test
 """
 
 import argparse
 import json
 import os
+import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -106,6 +116,9 @@ def compare(metric, parent, change):
     return {
         "name": metric["name"],
         "unit": metric["unit"],
+        "better": metric["better"],
+        "parent_runs": list(parent),
+        "change_runs": list(change),
         "parent": (p_q1, p_med, p_q3),
         "change": (c_q1, c_med, c_q3),
         "wins": wins,
@@ -146,6 +159,65 @@ def summarize(metrics, pairs):
         change = [c["metrics"][name]["value"] for _, c in pairs]
         verdicts.append(compare(metric, parent, change))
     return verdicts
+
+
+def host():
+    """The machine the pairs ran on."""
+    model = platform.processor() or platform.machine()
+    try:
+        with open("/proc/cpuinfo") as f:
+            model = next(
+                (line.split(":", 1)[1].strip() for line in f if line.startswith("model name")), model
+            )
+    except OSError:
+        pass
+    nproc = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return {"nproc": nproc, "cpu_model": model, "kernel": platform.release()}
+
+
+def workload_record(seeds, seconds, verdicts):
+    """One workload's entry in the `--json` performance record."""
+
+    def side(q, runs):
+        return {"q1": q[0], "median": q[1], "q3": q[2], "runs": runs}
+
+    metrics = {}
+    for v in verdicts:
+        metrics[v["name"]] = {
+            "unit": v["unit"],
+            "better": v["better"],
+            "parent": side(v["parent"], v["parent_runs"]),
+            "change": side(v["change"], v["change_runs"]),
+            "wins": v["wins"],
+            "pairs": v["pairs"],
+            "gap": v["gap"],
+            "parent_iqr": v["iqr"],
+            "claim": v["claim"],
+            "worse_by": v["worse"],
+            "bound": v["bound"],
+            "within_bound": v["within_bound"],
+        }
+    pairs = verdicts[0]["pairs"] if verdicts else 0
+    return {"pairs": pairs, "seeds": seeds, "seconds": seconds, "metrics": metrics}
+
+
+def load_record(path, machine):
+    """The record at `path` to add a workload to, or a new one. Raises
+    ValueError when `path` holds a record from another host: one record
+    describes one machine."""
+    if not os.path.exists(path):
+        return {"host": machine, "workloads": {}}
+    with open(path) as f:
+        rec = json.load(f)
+    if rec.get("host") != machine:
+        raise ValueError(f"{path} was recorded on another host: {rec.get('host')!r}")
+    return rec
+
+
+def write_record(path, rec):
+    with open(path, "w") as f:
+        json.dump(rec, f, indent=2)
+        f.write("\n")
 
 
 def self_test():
@@ -194,6 +266,39 @@ def self_test():
             checks.append((False, f"rejects {text!r}"))
         except ValueError:
             pass
+    # The --json record round-trips through a file, carries the
+    # verdicts, gathers workloads and refuses to mix hosts.
+    machine = host()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "bench.json")
+        for workload in ("repo_remine", "recluster"):
+            rec = load_record(path, machine)
+            rec["workloads"][workload] = workload_record([3, 4], 20.0, summarize(metrics, pairs))
+            write_record(path, rec)
+        with open(path) as f:
+            rec = json.load(f)
+        try:
+            load_record(path, dict(machine, nproc=machine["nproc"] + 1))
+            checks.append((False, "refuses a record from another host"))
+        except ValueError:
+            pass
+    entry = rec["workloads"]["repo_remine"]
+    p50 = entry["metrics"]["op_p50_ms"]
+    checks += [
+        (sorted(rec["workloads"]) == ["recluster", "repo_remine"], "record gathers workloads"),
+        (entry["pairs"] == 10 and entry["seeds"] == [3, 4] and entry["seconds"] == 20.0, "record header"),
+        (list(entry["metrics"]) == names, "record has every metric"),
+        (p50["parent"]["median"] == 229.5 and p50["change"]["median"] == 124.5, "record medians"),
+        (p50["parent"]["q1"] < p50["parent"]["median"] < p50["parent"]["q3"], "record quartiles"),
+        (p50["parent"]["runs"] == [225 + i for i in range(10)], "record per-pair values"),
+        (p50["wins"] == 10 and p50["claim"] is True, "record claim"),
+        (entry["metrics"]["op_p90_ms"]["claim"] is False, "record no claim"),
+        (entry["metrics"]["setup_s"]["within_bound"] is False, "record bound exceeded"),
+        (abs(entry["metrics"]["setup_s"]["worse_by"] - 0.4) < 1e-9, "record move against the bound"),
+        (p50["better"] == "lower" and p50["bound"] == 0.25, "record declaration"),
+        (rec["host"] == machine and machine["nproc"] >= 1, "record host"),
+        (all(machine[k] for k in ("cpu_model", "kernel")), "host description"),
+    ]
     failures = [name for ok, name in checks if not ok]
     for name in failures:
         print(f"SELF-TEST FAILED: {name}", file=sys.stderr)
@@ -211,6 +316,7 @@ def main():
     parser.add_argument("--pairs", type=int)
     parser.add_argument("--seconds", type=float)
     parser.add_argument("--seeds")
+    parser.add_argument("--json", metavar="PATH", help="also write the comparison as a JSON record")
     args = parser.parse_args()
     if args.self_test:
         return self_test()
@@ -222,6 +328,12 @@ def main():
         return 2
     seeds = [int(s) for s in args.seeds.split(",")]
     metrics, command = end_to_end(args.change)
+    if args.json:
+        try:
+            rec = load_record(args.json, host())
+        except (OSError, ValueError) as e:
+            print(f"--json: {e}", file=sys.stderr)
+            return 2
     pairs, errors = [], []
     for i in range(args.pairs):
         seed = seeds[i % len(seeds)]
@@ -242,8 +354,12 @@ def main():
             )
     print(f"{args.workload}: {len(pairs)} pair(s), seeds {args.seeds}, {args.seconds:g} s per run")
     if pairs:
-        for verdict in summarize(metrics, pairs):
+        verdicts = summarize(metrics, pairs)
+        for verdict in verdicts:
             print(render(verdict))
+        if args.json:
+            rec["workloads"][args.workload] = workload_record(seeds, args.seconds, verdicts)
+            write_record(args.json, rec)
     for e in errors:
         print(f"RUN ERROR: {e}", file=sys.stderr)
     return 1 if errors or not pairs else 0
