@@ -15,7 +15,7 @@ impl fmt::Display for AllocSite {
 
 /// An abstract value: an abstract object or an abstract base-type value
 /// (paper Figure 3).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum AValue {
     /// An object allocated at a known site, with its (erased) type name.
     Obj {

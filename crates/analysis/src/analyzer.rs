@@ -16,11 +16,13 @@ use crate::limits::{AnalysisError, AnalysisLimits};
 use absdomain::{AValue, AllocSite, Env, MethodSig};
 use intern::{intern, intern_owned, Sym};
 use javalang::ast::*;
+use std::collections::hash_map::{Entry, RandomState};
 use std::collections::{BTreeMap, HashMap};
+use std::hash::BuildHasher;
 
 /// One observed API interaction: a method together with the abstract
 /// state of its arguments at the call.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct UsageEvent {
     /// The invoked method.
     pub method: MethodSig,
@@ -98,17 +100,11 @@ impl Usages {
     }
 }
 
-/// Analyzes a parsed compilation unit, returning its abstract usages.
-///
-/// This is the trusted-input entry point: no step budget, no depth
-/// pre-check. Parser-produced trees are depth-bounded by
-/// [`javalang::Limits::max_nesting`], so the recursive walk is safe;
-/// for untrusted or hand-built inputs use [`try_analyze`].
-pub fn analyze(unit: &CompilationUnit, api: &ApiModel) -> Usages {
-    run(unit, api, u64::MAX).0
-}
-
-/// Analyzes `unit` under explicit resource budgets.
+/// Analyzes a parsed compilation unit under `limits`, returning its
+/// abstract usages and the number of interpreter steps the analysis
+/// consumed. The pipeline's observability layer aggregates the step
+/// counts into its `analysis.steps` counter, turning the fuel budget
+/// into a measurable per-corpus cost.
 ///
 /// # Errors
 ///
@@ -116,35 +112,17 @@ pub fn analyze(unit: &CompilationUnit, api: &ApiModel) -> Usages {
 /// `limits.max_ast_depth` (measured iteratively, before any recursion),
 /// and [`AnalysisError::StepBudgetExceeded`] if the interpreter burns
 /// through `limits.max_steps` before finishing.
-pub fn try_analyze(
-    unit: &CompilationUnit,
-    api: &ApiModel,
-    limits: &AnalysisLimits,
-) -> Result<Usages, AnalysisError> {
-    try_analyze_counted(unit, api, limits).map(|(usages, _)| usages)
-}
-
-/// [`try_analyze`], additionally reporting how many interpreter steps
-/// the analysis consumed — the pipeline's observability layer
-/// aggregates these into its `analysis.steps` counter, turning the
-/// fuel budget into a measurable per-corpus cost.
-///
-/// # Errors
-///
-/// Same as [`try_analyze`].
-pub fn try_analyze_counted(
+pub fn analyze(
     unit: &CompilationUnit,
     api: &ApiModel,
     limits: &AnalysisLimits,
 ) -> Result<(Usages, u64), AnalysisError> {
-    if limits.max_ast_depth != usize::MAX {
-        let depth = javalang::visit::ast_depth(unit);
-        if depth > limits.max_ast_depth {
-            return Err(AnalysisError::AstTooDeep {
-                depth,
-                max_depth: limits.max_ast_depth,
-            });
-        }
+    let depth = javalang::visit::ast_depth(unit);
+    if depth > limits.max_ast_depth {
+        return Err(AnalysisError::AstTooDeep {
+            depth,
+            max_depth: limits.max_ast_depth,
+        });
     }
     let mut analyzer = Analyzer::new(api, &unit.ast, limits.max_steps);
     analyzer.run_unit(unit);
@@ -155,21 +133,6 @@ pub fn try_analyze_counted(
     }
     let steps = limits.max_steps - analyzer.fuel;
     Ok((analyzer.usages, steps))
-}
-
-/// Counts the interpreter steps a fault-free analysis of `unit` takes.
-/// Exists so budget-boundary tests can pin "exactly enough fuel
-/// succeeds, one step less fails" without hard-coding step counts.
-pub fn analysis_steps(unit: &CompilationUnit, api: &ApiModel) -> u64 {
-    let mut analyzer = Analyzer::new(api, &unit.ast, u64::MAX);
-    analyzer.run_unit(unit);
-    u64::MAX - analyzer.fuel
-}
-
-fn run(unit: &CompilationUnit, api: &ApiModel, fuel: u64) -> (Usages, bool) {
-    let mut analyzer = Analyzer::new(api, &unit.ast, fuel);
-    analyzer.run_unit(unit);
-    (analyzer.usages, analyzer.exhausted)
 }
 
 const MAX_INLINE_DEPTH: usize = 3;
@@ -196,8 +159,44 @@ struct Analyzer<'a> {
     /// Set once the budget runs out; every interpreter entry point
     /// then returns immediately, unwinding the analysis without
     /// recursion or panics. The partial result is discarded by
-    /// [`try_analyze`].
+    /// [`analyze`].
     exhausted: bool,
+    /// De-duplicates each site's recorded events.
+    event_index: EventIndex,
+}
+
+/// Finds a recorded event equal to a new one without scanning its
+/// site's event list. Every event is indexed by a keyed hash of its
+/// site and content (std `RandomState`, so no input can be crafted to
+/// collide on every run); a hash hit is confirmed by an exact
+/// comparison, and only a real collision falls back to the linear
+/// scan. The step budget charges a few steps per event, so a scan of
+/// every earlier event would let a file with n distinct calls on one
+/// object cost O(n²) inside budget.
+#[derive(Default)]
+struct EventIndex<S = RandomState> {
+    /// Hash of (site, event) → position of the first event with that
+    /// hash in the site's event list.
+    first: HashMap<u64, usize, S>,
+}
+
+impl<S: BuildHasher> EventIndex<S> {
+    /// Appends `event` to `events` (the event list of `site`) unless an
+    /// equal event is already there.
+    fn push_unique(&mut self, site: AllocSite, events: &mut Vec<UsageEvent>, event: UsageEvent) {
+        let hash = self.first.hasher().hash_one((site, &event));
+        match self.first.entry(hash) {
+            Entry::Vacant(slot) => {
+                slot.insert(events.len());
+                events.push(event);
+            }
+            Entry::Occupied(slot) => {
+                if events.get(*slot.get()) != Some(&event) && !events.contains(&event) {
+                    events.push(event);
+                }
+            }
+        }
+    }
 }
 
 /// Per-entry execution context.
@@ -221,6 +220,7 @@ impl<'a> Analyzer<'a> {
             key_buf: String::new(),
             fuel,
             exhausted: false,
+            event_index: EventIndex::default(),
         }
     }
 
@@ -374,10 +374,8 @@ impl<'a> Analyzer<'a> {
             .events
             .entry(site)
             .or_insert_with(|| Vec::with_capacity(4));
-        let event = UsageEvent { method, args };
-        if !events.contains(&event) {
-            events.push(event);
-        }
+        self.event_index
+            .push_unique(site, events, UsageEvent { method, args });
     }
 
     /// Records `event` also on every argument that is a site-bound
@@ -1258,5 +1256,77 @@ fn fold_int_assign(a: i64, b: i64, op: AssignOp) -> AValue {
         AssignOp::Shr => AValue::Int(a.wrapping_shr(b as u32)),
         AssignOp::UShr => AValue::Int(((a as u64) >> (b as u64 % 64)) as i64),
         _ => AValue::TopInt,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn event(method: &str, arg: i64) -> UsageEvent {
+        UsageEvent {
+            method: MethodSig::new("Cipher", method, 1),
+            args: vec![AValue::Int(arg)],
+        }
+    }
+
+    /// The reference de-duplication: one linear scan per event.
+    fn linear(stream: &[(AllocSite, UsageEvent)]) -> BTreeMap<AllocSite, Vec<UsageEvent>> {
+        let mut out: BTreeMap<AllocSite, Vec<UsageEvent>> = BTreeMap::new();
+        for (site, e) in stream {
+            let events = out.entry(*site).or_default();
+            if !events.contains(e) {
+                events.push(e.clone());
+            }
+        }
+        out
+    }
+
+    fn indexed<S: BuildHasher + Default>(
+        stream: &[(AllocSite, UsageEvent)],
+    ) -> BTreeMap<AllocSite, Vec<UsageEvent>> {
+        let mut index = EventIndex::<S>::default();
+        let mut out: BTreeMap<AllocSite, Vec<UsageEvent>> = BTreeMap::new();
+        for (site, e) in stream {
+            index.push_unique(*site, out.entry(*site).or_default(), e.clone());
+        }
+        out
+    }
+
+    /// A hasher that maps every event into one of `N` buckets, so most
+    /// hash hits are real collisions.
+    #[derive(Default)]
+    struct Buckets<const N: u64>(u64);
+
+    impl<const N: u64> std::hash::Hasher for Buckets<N> {
+        fn finish(&self) -> u64 {
+            self.0 % N
+        }
+        fn write(&mut self, bytes: &[u8]) {
+            for b in bytes {
+                self.0 = self.0.wrapping_mul(31).wrapping_add(u64::from(*b));
+            }
+        }
+    }
+
+    #[test]
+    fn indexed_dedup_equals_linear_scan() {
+        // Three sites, two methods, 23 argument values: 100 events per
+        // site of which 46 are distinct, interleaved across sites.
+        let stream: Vec<(AllocSite, UsageEvent)> = (0..300u32)
+            .map(|i| {
+                let method = if i % 2 == 0 { "init" } else { "update" };
+                (AllocSite(i % 3), event(method, i64::from(i * 7 % 23)))
+            })
+            .collect();
+        let reference = linear(&stream);
+        assert!(reference.values().all(|events| events.len() == 46));
+        assert_eq!(indexed::<RandomState>(&stream), reference);
+        // Every hash colliding drives each lookup through the fallback.
+        type Collide = std::hash::BuildHasherDefault<Buckets<1>>;
+        assert_eq!(indexed::<Collide>(&stream), reference);
+        // Partial collisions: hits that are and are not duplicates.
+        type Three = std::hash::BuildHasherDefault<Buckets<3>>;
+        assert_eq!(indexed::<Three>(&stream), reference);
     }
 }

@@ -8,8 +8,11 @@
 //!
 //! # Example
 //!
+//! Every analysis runs under an [`AnalysisLimits`] budget: the same
+//! fuel bounds mining, checking, and the command-line tools.
+//!
 //! ```
-//! use analysis::{analyze, ApiModel};
+//! use analysis::{analyze, AnalysisLimits, ApiModel};
 //!
 //! let unit = javalang::parse_compilation_unit(
 //!     r#"
@@ -21,11 +24,12 @@
 //!     }
 //!     "#,
 //! )?;
-//! let usages = analyze(&unit, &ApiModel::standard());
+//! let (usages, steps) = analyze(&unit, &ApiModel::standard(), &AnalysisLimits::DEFAULT)?;
 //! let ciphers: Vec<_> = usages.objects_of_type("Cipher").collect();
 //! assert_eq!(ciphers.len(), 1);
 //! assert_eq!(usages.events_of(ciphers[0]).len(), 1);
-//! # Ok::<(), javalang::ParseError>(())
+//! assert!(steps < AnalysisLimits::DEFAULT.max_steps);
+//! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
 #![warn(missing_docs)]
@@ -34,7 +38,7 @@ mod analyzer;
 mod api;
 mod limits;
 
-pub use analyzer::{analysis_steps, analyze, try_analyze, try_analyze_counted, UsageEvent, Usages};
+pub use analyzer::{analyze, UsageEvent, Usages};
 pub use api::{
     looks_like_class_name, looks_like_const_name, ApiModel, TARGET_CLASSES, TRACKED_CLASSES,
 };
@@ -45,9 +49,18 @@ mod tests {
     use super::*;
     use absdomain::AValue;
 
+    /// No step budget and no depth check: the reference the
+    /// budget-boundary tests compare against.
+    const UNLIMITED: AnalysisLimits = AnalysisLimits {
+        max_steps: u64::MAX,
+        max_ast_depth: usize::MAX,
+    };
+
     fn usages_of(src: &str) -> Usages {
         let unit = javalang::parse_compilation_unit(src).expect("parse");
-        analyze(&unit, &ApiModel::standard())
+        analyze(&unit, &ApiModel::standard(), &AnalysisLimits::DEFAULT)
+            .expect("within budget")
+            .0
     }
 
     /// The paper's Figure 2 example, new version.
@@ -410,18 +423,17 @@ mod tests {
     fn step_budget_boundary_is_exact() {
         let unit = javalang::parse_compilation_unit(FIXTURE).expect("parse");
         let api = ApiModel::standard();
-        let steps = analysis_steps(&unit, &api);
+        let (full, steps) = analyze(&unit, &api, &UNLIMITED).expect("unlimited");
         assert!(steps > 0);
 
         let exact = AnalysisLimits {
             max_steps: steps,
             ..AnalysisLimits::DEFAULT
         };
-        let ok = try_analyze(&unit, &api, &exact).expect("exact budget suffices");
         assert_eq!(
-            ok,
-            analyze(&unit, &api),
-            "budgeted result matches unbudgeted"
+            analyze(&unit, &api, &exact),
+            Ok((full, steps)),
+            "exact budget suffices and matches the unlimited run"
         );
 
         let short = AnalysisLimits {
@@ -429,7 +441,7 @@ mod tests {
             ..AnalysisLimits::DEFAULT
         };
         assert_eq!(
-            try_analyze(&unit, &api, &short),
+            analyze(&unit, &api, &short),
             Err(AnalysisError::StepBudgetExceeded {
                 max_steps: steps - 1
             })
@@ -456,7 +468,7 @@ mod tests {
             ..AnalysisLimits::DEFAULT
         };
         assert_eq!(
-            try_analyze(&unit, &api, &tight),
+            analyze(&unit, &api, &tight),
             Err(AnalysisError::AstTooDeep {
                 depth,
                 max_depth: depth - 1
@@ -466,15 +478,15 @@ mod tests {
             max_ast_depth: depth,
             ..AnalysisLimits::DEFAULT
         };
-        assert!(try_analyze(&unit, &api, &loose).is_ok());
+        assert!(analyze(&unit, &api, &loose).is_ok());
     }
 
     #[test]
     fn default_budget_handles_real_sources() {
         let unit = javalang::parse_compilation_unit(FIGURE2_NEW).expect("parse");
         let api = ApiModel::standard();
-        let usages = try_analyze(&unit, &api, &AnalysisLimits::DEFAULT).expect("figure 2 is tiny");
-        assert_eq!(usages, analyze(&unit, &api));
+        let usages = analyze(&unit, &api, &AnalysisLimits::DEFAULT).expect("figure 2 is tiny");
+        assert_eq!(usages, analyze(&unit, &api, &UNLIMITED).expect("unlimited"));
     }
 
     #[test]

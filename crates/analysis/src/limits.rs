@@ -10,7 +10,7 @@
 
 use std::fmt;
 
-/// Budgets applied by [`crate::try_analyze`] to one compilation unit.
+/// Budgets applied by [`crate::analyze`] to one compilation unit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AnalysisLimits {
     /// Maximum number of interpreter steps. One step is charged per
@@ -34,13 +34,6 @@ impl AnalysisLimits {
         max_steps: 2_000_000,
         max_ast_depth: 512,
     };
-
-    /// No step budget and no depth pre-check — the legacy behaviour of
-    /// [`crate::analyze`], for trusted fixture inputs.
-    pub const UNBOUNDED: AnalysisLimits = AnalysisLimits {
-        max_steps: u64::MAX,
-        max_ast_depth: usize::MAX,
-    };
 }
 
 impl Default for AnalysisLimits {
@@ -49,7 +42,7 @@ impl Default for AnalysisLimits {
     }
 }
 
-/// Why [`crate::try_analyze`] refused to produce usages.
+/// Why [`crate::analyze`] refused to produce usages.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum AnalysisError {

@@ -2,12 +2,14 @@
 //! the analyzer on a realistic crypto snippet.
 
 use absdomain::AValue;
-use analysis::{analyze, ApiModel, Usages};
+use analysis::{analyze, AnalysisLimits, ApiModel, Usages};
 
 fn usages(src: &str) -> Usages {
     let unit = javalang::parse_compilation_unit(src).expect("parse");
     assert!(unit.diagnostics.is_empty(), "{:?}", unit.diagnostics);
-    analyze(&unit, &ApiModel::standard())
+    analyze(&unit, &ApiModel::standard(), &AnalysisLimits::DEFAULT)
+        .expect("within budget")
+        .0
 }
 
 fn first_arg_of(usages: &Usages, class: &str, method: &str) -> AValue {

@@ -1,16 +1,23 @@
-//! Abstract-interpretation and DAG-construction throughput.
+//! Abstract-interpretation and DAG-construction throughput, under the
+//! default budgets mining runs.
 
-use analysis::{analyze, ApiModel};
+use analysis::{analyze, AnalysisLimits, ApiModel};
 use corpus::fixtures;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
-use usagegraph::{dags_for_class, DEFAULT_MAX_DEPTH};
+use usagegraph::{dags_for_class, DagLimits};
 
 fn bench_analysis(c: &mut Criterion) {
     let api = ApiModel::standard();
     let unit = javalang::parse_compilation_unit(fixtures::FIGURE2_NEW).unwrap();
     c.bench_function("analysis/figure2_new", |b| {
-        b.iter(|| analyze(black_box(&unit), &api).objects.len());
+        b.iter(|| {
+            analyze(black_box(&unit), &api, &AnalysisLimits::DEFAULT)
+                .unwrap()
+                .0
+                .objects
+                .len()
+        });
     });
 
     // A corpus-generated cipher module is larger and inter-procedural.
@@ -22,31 +29,33 @@ fn bench_analysis(c: &mut Criterion) {
         .expect("at least one cipher module in 12 projects");
     let unit = javalang::parse_compilation_unit(&src).unwrap();
     c.bench_function("analysis/generated_cipher_module", |b| {
-        b.iter(|| analyze(black_box(&unit), &api).objects.len());
+        b.iter(|| {
+            analyze(black_box(&unit), &api, &AnalysisLimits::DEFAULT)
+                .unwrap()
+                .0
+                .objects
+                .len()
+        });
     });
 }
 
 fn bench_dag_construction(c: &mut Criterion) {
-    let api = ApiModel::standard();
-    let unit = javalang::parse_compilation_unit(fixtures::FIGURE2_NEW).unwrap();
-    let usages = analyze(&unit, &api);
+    let usages = diffcode_bench::analyze(fixtures::FIGURE2_NEW, &ApiModel::standard());
     c.bench_function("dag/build_all_cipher_dags", |b| {
-        b.iter(|| dags_for_class(black_box(&usages), "Cipher", DEFAULT_MAX_DEPTH).len());
+        b.iter(|| {
+            dags_for_class(black_box(&usages), "Cipher", &DagLimits::DEFAULT)
+                .unwrap()
+                .len()
+        });
     });
 }
 
 fn bench_dag_distance(c: &mut Criterion) {
     let api = ApiModel::standard();
-    let old = analyze(
-        &javalang::parse_compilation_unit(fixtures::FIGURE2_OLD).unwrap(),
-        &api,
-    );
-    let new = analyze(
-        &javalang::parse_compilation_unit(fixtures::FIGURE2_NEW).unwrap(),
-        &api,
-    );
-    let old_dags = dags_for_class(&old, "Cipher", DEFAULT_MAX_DEPTH);
-    let new_dags = dags_for_class(&new, "Cipher", DEFAULT_MAX_DEPTH);
+    let old = diffcode_bench::analyze(fixtures::FIGURE2_OLD, &api);
+    let new = diffcode_bench::analyze(fixtures::FIGURE2_NEW, &api);
+    let old_dags = dags_for_class(&old, "Cipher", &DagLimits::DEFAULT).unwrap();
+    let new_dags = dags_for_class(&new, "Cipher", &DagLimits::DEFAULT).unwrap();
     c.bench_function("dag/iou_distance", |b| {
         b.iter(|| black_box(&old_dags[0]).distance(black_box(&new_dags[0])));
     });

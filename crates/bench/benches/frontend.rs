@@ -6,7 +6,7 @@
 //! `all_experiments` records the same stages as `frontend.*` metric
 //! spans so CI's bench-regression gate can machine-check them.
 
-use analysis::{analyze, ApiModel};
+use analysis::{analyze, AnalysisLimits, ApiModel};
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use diffcode_bench::cold_change;
 use std::hint::black_box;
@@ -66,7 +66,13 @@ fn bench_frontend(c: &mut Criterion) {
         b.iter(|| {
             units
                 .iter()
-                .map(|unit| analyze(black_box(unit), &api).events.len())
+                .map(|unit| {
+                    analyze(black_box(unit), &api, &AnalysisLimits::DEFAULT)
+                        .unwrap()
+                        .0
+                        .events
+                        .len()
+                })
                 .sum::<usize>()
         })
     });

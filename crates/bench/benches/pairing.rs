@@ -29,16 +29,11 @@ fn bench_hungarian(c: &mut Criterion) {
 fn bench_pair_dags(c: &mut Criterion) {
     // Realistic DAG pairing: several objects per version.
     let api = analysis::ApiModel::standard();
-    let old = analysis::analyze(
-        &javalang::parse_compilation_unit(corpus::fixtures::FIGURE2_OLD).unwrap(),
-        &api,
-    );
-    let new = analysis::analyze(
-        &javalang::parse_compilation_unit(corpus::fixtures::FIGURE2_NEW).unwrap(),
-        &api,
-    );
-    let old_dags = usagegraph::dags_for_class(&old, "Cipher", 5);
-    let new_dags = usagegraph::dags_for_class(&new, "Cipher", 5);
+    let limits = usagegraph::DagLimits::DEFAULT;
+    let old = diffcode_bench::analyze(corpus::fixtures::FIGURE2_OLD, &api);
+    let new = diffcode_bench::analyze(corpus::fixtures::FIGURE2_NEW, &api);
+    let old_dags = usagegraph::dags_for_class(&old, "Cipher", &limits).unwrap();
+    let new_dags = usagegraph::dags_for_class(&new, "Cipher", &limits).unwrap();
     c.bench_function("pairing/figure2_cipher", |b| {
         b.iter(|| {
             usagegraph::pair_dags(

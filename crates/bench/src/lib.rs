@@ -89,28 +89,34 @@ pub fn render_span_table(registry: &MetricsRegistry) -> String {
 }
 
 /// One cold code change, end to end: parse and analyze both versions,
-/// then derive the usage-change diff for every target class — exactly
-/// what the mining loop pays per change on a cache miss. Returns the
-/// number of non-trivial usage changes derived (a value to keep the
-/// optimizer honest). Shared by the `frontend` criterion group and the
-/// `frontend.*` metric spans `all_experiments` records for CI's
-/// bench-regression gate.
+/// then derive the usage-change diff for every target class, all under
+/// [`diffcode::PipelineLimits::DEFAULT`] — exactly what the mining loop
+/// pays per change on a cache miss. Returns the number of non-trivial
+/// usage changes derived (a value to keep the optimizer honest). Shared
+/// by the `frontend` criterion group and the `frontend.*` metric spans
+/// `all_experiments` records for CI's bench-regression gate.
 pub fn cold_change(old: &str, new: &str, api: &analysis::ApiModel) -> usize {
-    use usagegraph::{dags_for_class, diff_dags, pair_dags, DEFAULT_MAX_DEPTH};
-    let old_usages = analysis::analyze(&javalang::parse_snippet(old).unwrap(), api);
-    let new_usages = analysis::analyze(&javalang::parse_snippet(new).unwrap(), api);
-    let mut derived = 0;
-    for class in analysis::TARGET_CLASSES {
-        let old_dags = dags_for_class(&old_usages, class, DEFAULT_MAX_DEPTH);
-        let new_dags = dags_for_class(&new_usages, class, DEFAULT_MAX_DEPTH);
-        if old_dags.is_empty() && new_dags.is_empty() {
-            continue;
-        }
-        for (a, b) in pair_dags(old_dags, new_dags, class) {
-            derived += usize::from(!diff_dags(&a, &b).is_same());
-        }
-    }
-    derived
+    let limits = diffcode::PipelineLimits::DEFAULT;
+    let old_usages = analyze(old, api);
+    let new_usages = analyze(new, api);
+    analysis::TARGET_CLASSES
+        .iter()
+        .map(|class| {
+            usagegraph::usage_changes(&old_usages, &new_usages, class, &limits.dag)
+                .unwrap()
+                .iter()
+                .filter(|(_, _, change)| !change.is_same())
+                .count()
+        })
+        .sum()
+}
+
+/// Parses and analyzes one source under the default budgets, as mining
+/// does.
+pub fn analyze(source: &str, api: &analysis::ApiModel) -> analysis::Usages {
+    let limits = diffcode::PipelineLimits::DEFAULT;
+    let unit = javalang::parse_snippet_with_limits(source, limits.parse).unwrap();
+    analysis::analyze(&unit, api, &limits.analysis).unwrap().0
 }
 
 /// Times each front-end stage over a fixed slice of `corpus`'s code
@@ -169,7 +175,14 @@ pub fn frontend_microbench(
         sink += metrics.time("frontend.analyze", || {
             units
                 .iter()
-                .map(|unit| analysis::analyze(unit, &api).events.len())
+                .map(|unit| {
+                    let limits = analysis::AnalysisLimits::DEFAULT;
+                    analysis::analyze(unit, &api, &limits)
+                        .unwrap()
+                        .0
+                        .events
+                        .len()
+                })
                 .sum::<usize>()
         });
         sink += metrics.time("frontend.change", || {

@@ -65,12 +65,16 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                 Some(min_sdk) => ProjectContext::android(min_sdk),
                 None => ProjectContext::plain(),
             };
-            let (report, violations) = cli::render_check(&files, context);
-            print!("{report}");
-            Ok(if violations == 0 {
-                ExitCode::SUCCESS
-            } else {
+            let Some(report) = cli::render_check(&files, context, None) else {
+                return Err("check without a deadline always finishes".to_owned());
+            };
+            print!("{}", report.text);
+            Ok(if report.violated > 0 {
                 ExitCode::FAILURE
+            } else if report.unanalyzed > 0 {
+                ExitCode::from(2)
+            } else {
+                ExitCode::SUCCESS
             })
         }
         "rules" => {

@@ -9,15 +9,15 @@ use crate::elicit::{elicit_auto, Elicitation};
 use crate::filter::{apply_filters, FilterStats, SeenDups, FILTER_FUNNEL};
 use crate::mcache::{DagView, MiningCache};
 use crate::pipeline::{mine_parallel, DagPair, DiffCode, MineOptions, MiningResult};
-use crate::quarantine::{ErrorKind, PipelineLimits};
+use crate::quarantine::{ErrorKind, PipelineError, PipelineLimits};
 use crate::report::Table;
 use analysis::TARGET_CLASSES;
-use javalang::ParseError;
 use obs::{fmt_ns, MetricsRegistry, TraceKind, TraceSink};
 use rules::{CheckedProject, CryptoChecker, ProjectContext};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::Instant;
 use usagegraph::{UsageChange, UsageDag};
 
 /// Renders the abstract usages of one source file: every abstract
@@ -25,8 +25,9 @@ use usagegraph::{UsageChange, UsageDag};
 ///
 /// # Errors
 ///
-/// Fails if the source cannot be lexed.
-pub fn render_analysis(source: &str, classes: &[&str]) -> Result<String, ParseError> {
+/// Fails if the source cannot be lexed or parsed, or if its analysis
+/// or a usage DAG exceeds the default budgets.
+pub fn render_analysis(source: &str, classes: &[&str]) -> Result<String, PipelineError> {
     let mut dc = DiffCode::new();
     let usages = dc.analyze_source(source)?;
     let classes = effective_classes(classes);
@@ -35,7 +36,7 @@ pub fn render_analysis(source: &str, classes: &[&str]) -> Result<String, ParseEr
     for class in &classes {
         for site in usages.objects_of_type(class) {
             found += 1;
-            let dag = usagegraph::build_dag(&usages, site, usagegraph::DEFAULT_MAX_DEPTH);
+            let dag = usagegraph::build_dag(&usages, site, &dc.limits().dag)?;
             let _ = writeln!(out, "abstract object {site} : {class}");
             for event in usages.events_of(site) {
                 let args: Vec<String> = event.args.iter().map(|a| a.label()).collect();
@@ -62,12 +63,13 @@ pub fn render_analysis(source: &str, classes: &[&str]) -> Result<String, ParseEr
 ///
 /// # Errors
 ///
-/// Fails if either source cannot be lexed.
+/// Fails if either source cannot be lexed or parsed, or if an analysis
+/// or a usage DAG exceeds the default budgets.
 pub fn render_diff(
     old_source: &str,
     new_source: &str,
     classes: &[&str],
-) -> Result<String, ParseError> {
+) -> Result<String, PipelineError> {
     let mut dc = DiffCode::new();
     let classes = effective_classes(classes);
     let mut out = String::new();
@@ -107,16 +109,43 @@ pub fn render_diff(
     Ok(out)
 }
 
-/// Checks a set of named sources as one project against the 13 rules.
-/// Returns the report and the number of violated rules.
-pub fn render_check(files: &[(String, String)], context: ProjectContext) -> (String, usize) {
+/// What [`render_check`] found in one project.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CheckReport {
+    /// The rendered report.
+    pub text: String,
+    /// Number of violated rules.
+    pub violated: usize,
+    /// Files that could not be lexed, parsed, or analyzed within the
+    /// default budgets. Their usages are missing from the check, so a
+    /// report with unanalyzed files cannot vouch for the project.
+    pub unanalyzed: usize,
+}
+
+/// Checks a set of named sources as one project against the 13 rules,
+/// analyzing each file under the default budgets.
+///
+/// With a `deadline`, the check stops before the next file once the
+/// deadline has passed and returns `None`; one file's analysis is never
+/// cut short, so the result of every analysis stays a pure function of
+/// its input.
+pub fn render_check(
+    files: &[(String, String)],
+    context: ProjectContext,
+    deadline: Option<Instant>,
+) -> Option<CheckReport> {
     let mut dc = DiffCode::new();
     let mut usages = Vec::new();
     let mut out = String::new();
+    let mut unanalyzed = 0;
     for (name, source) in files {
+        if deadline.is_some_and(|deadline| Instant::now() >= deadline) {
+            return None;
+        }
         match dc.analyze_source(source) {
             Ok(u) => usages.push((*u).clone()),
             Err(err) => {
+                unanalyzed += 1;
                 let _ = writeln!(out, "warning: {name}: {err}");
             }
         }
@@ -128,16 +157,21 @@ pub fn render_check(files: &[(String, String)], context: ProjectContext) -> (Str
     };
     let checker = CryptoChecker::standard();
     let violations = checker.violations(&project);
+    let not_analyzed = if unanalyzed == 0 {
+        String::new()
+    } else {
+        format!(" ({unanalyzed} not analyzed)")
+    };
+    let files = files.len();
     if violations.is_empty() {
-        let _ = writeln!(out, "no rule violations in {} file(s)", files.len());
-        return (out, 0);
+        let _ = writeln!(out, "no rule violations in {files} file(s){not_analyzed}");
+    } else {
+        let _ = writeln!(
+            out,
+            "{} rule violation(s) in {files} file(s){not_analyzed}:",
+            violations.len(),
+        );
     }
-    let _ = writeln!(
-        out,
-        "{} rule violation(s) in {} file(s):",
-        violations.len(),
-        files.len()
-    );
     for id in &violations {
         let rule = checker
             .rules()
@@ -163,8 +197,11 @@ pub fn render_check(files: &[(String, String)], context: ProjectContext) -> (Str
             break;
         }
     }
-    let count = violations.len();
-    (out, count)
+    Some(CheckReport {
+        text: out,
+        violated: violations.len(),
+        unanalyzed,
+    })
 }
 
 /// The Figure 9 rule table.
@@ -461,13 +498,8 @@ fn run_funnel(
             // DiffCode::new() mines at default limits and depth; the
             // cache must be opened with the same configuration or every
             // lookup would miss.
-            MiningCache::open(
-                dir,
-                &[],
-                &PipelineLimits::DEFAULT,
-                usagegraph::DEFAULT_MAX_DEPTH,
-            )
-            .map_err(|e| format!("opening cache at {}: {e}", dir.display()))?,
+            MiningCache::open(dir, &[], &PipelineLimits::DEFAULT)
+                .map_err(|e| format!("opening cache at {}: {e}", dir.display()))?,
         ),
         None => None,
     };
@@ -1238,7 +1270,9 @@ USAGE:
 COMMANDS:
     analyze   print the abstract crypto-API usages (objects, events, DAGs)
     diff      print the semantic usage changes between two versions
-    check     run CryptoChecker (the 13 elicited rules) on files/directories
+    check     run CryptoChecker (the 13 elicited rules) on files/directories;
+              exits 1 when a rule is violated, else 2 when a file could not
+              be analyzed within the default budgets, else 0
     rules     print the rule table (paper Figure 9)
     chaos     fault-inject a generated corpus and report the quarantine accounting
     mine      mine a seeded corpus — or, with --repo <path>, a real cloned
@@ -1322,12 +1356,74 @@ mod tests {
         assert!(out.contains("no semantic usage changes"), "{out}");
     }
 
+    fn check(files: &[(String, String)]) -> CheckReport {
+        render_check(files, ProjectContext::plain(), None).expect("no deadline")
+    }
+
     #[test]
     fn check_reports_violations() {
         let files = vec![("AESCipher.java".to_owned(), FIGURE2_OLD.to_owned())];
-        let (out, count) = render_check(&files, ProjectContext::plain());
-        assert!(count >= 1, "{out}");
-        assert!(out.contains("R7"), "default AES is ECB: {out}");
+        let report = check(&files);
+        assert!(report.violated >= 1, "{}", report.text);
+        assert!(
+            report.text.contains("R7"),
+            "default AES is ECB: {}",
+            report.text
+        );
+        assert_eq!(report.unanalyzed, 0);
+    }
+
+    #[test]
+    fn check_counts_files_it_could_not_analyze() {
+        let bomb = corpus::chaos::call_chain_bomb(80, 0);
+        let files = vec![
+            ("Bomb.java".to_owned(), bomb),
+            (
+                "Broken.java".to_owned(),
+                "class B { String s = \"open; }".to_owned(),
+            ),
+        ];
+        let report = check(&files);
+        assert_eq!(report.unanalyzed, 2, "{}", report.text);
+        assert_eq!(report.violated, 0, "{}", report.text);
+        assert!(
+            report
+                .text
+                .contains("warning: Bomb.java: analysis exceeded its budget"),
+            "{}",
+            report.text
+        );
+        assert!(
+            report
+                .text
+                .contains("no rule violations in 2 file(s) (2 not analyzed)"),
+            "{}",
+            report.text
+        );
+    }
+
+    #[test]
+    fn check_stops_before_the_next_file_past_its_deadline() {
+        let files = vec![("AESCipher.java".to_owned(), FIGURE2_OLD.to_owned())];
+        let past = Instant::now();
+        assert_eq!(
+            render_check(&files, ProjectContext::plain(), Some(past)),
+            None
+        );
+        let later = Instant::now() + std::time::Duration::from_secs(60);
+        assert_eq!(
+            render_check(&files, ProjectContext::plain(), Some(later)),
+            Some(check(&files))
+        );
+    }
+
+    #[test]
+    fn analyze_and_diff_fail_with_the_budget_error() {
+        let bomb = corpus::chaos::call_chain_bomb(80, 0);
+        let err = render_analysis(&bomb, &[]).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::AnalysisBudget, "{err}");
+        let err = render_diff(FIGURE2_OLD, &bomb, &[]).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::AnalysisBudget, "{err}");
     }
 
     #[test]
@@ -1340,8 +1436,9 @@ mod tests {
             } }"#
                 .to_owned(),
         )];
-        let (out, count) = render_check(&files, ProjectContext::plain());
-        assert_eq!(count, 0, "{out}");
+        let report = check(&files);
+        assert_eq!(report.violated, 0, "{}", report.text);
+        assert_eq!(report.text, "no rule violations in 1 file(s)\n");
     }
 
     #[test]
@@ -1517,15 +1614,7 @@ mod tests {
         // every DAG pair is replayed, still encoded in its payload.
         let dir = std::env::temp_dir().join(format!("diffcode-cli-digest-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let open = || {
-            MiningCache::open(
-                &dir,
-                &[],
-                &PipelineLimits::DEFAULT,
-                usagegraph::DEFAULT_MAX_DEPTH,
-            )
-            .unwrap()
-        };
+        let open = || MiningCache::open(&dir, &[], &PipelineLimits::DEFAULT).unwrap();
         let mut cache = open();
         let mut view = cache.view();
         DiffCode::new().mine(&corpus, &[], Some(&mut view));

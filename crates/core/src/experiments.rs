@@ -272,7 +272,9 @@ impl Experiments {
     // Figure 10
     // ------------------------------------------------------------------
 
-    /// Builds the checker's view of each project (HEAD files analyzed).
+    /// Builds the checker's view of each project: its HEAD files,
+    /// analyzed under the default budgets (a file over budget is left
+    /// out).
     pub fn checked_projects(&mut self) -> Vec<CheckedProject> {
         let corpus = self.corpus.clone();
         corpus

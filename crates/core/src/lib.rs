@@ -36,7 +36,7 @@
 //!     change.removed[0].to_string(),
 //!     "Cipher getInstance arg1:AES"
 //! );
-//! # Ok::<(), javalang::ParseError>(())
+//! # Ok::<(), diffcode::PipelineError>(())
 //! ```
 
 #![warn(missing_docs)]

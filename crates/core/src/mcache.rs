@@ -564,8 +564,8 @@ pub struct MiningCache {
 impl MiningCache {
     /// Opens (creating if needed) the cache under `dir` at
     /// [`ANALYSIS_VERSION`], with a configuration fingerprint derived
-    /// from the target classes and pipeline limits of the runs that
-    /// will use it.
+    /// from the target classes and pipeline limits (the DAG depth
+    /// included) of the runs that will use it.
     ///
     /// # Errors
     ///
@@ -576,9 +576,8 @@ impl MiningCache {
         dir: &Path,
         classes: &[&str],
         limits: &crate::quarantine::PipelineLimits,
-        max_depth: usize,
     ) -> Result<MiningCache, StoreError> {
-        MiningCache::open_at_version(dir, classes, limits, max_depth, ANALYSIS_VERSION)
+        MiningCache::open_at_version(dir, classes, limits, ANALYSIS_VERSION)
     }
 
     /// [`MiningCache::open`], but tolerating (and skipping) corrupt
@@ -592,12 +591,11 @@ impl MiningCache {
         dir: &Path,
         classes: &[&str],
         limits: &crate::quarantine::PipelineLimits,
-        max_depth: usize,
     ) -> Result<MiningCache, StoreError> {
         let store = CacheStore::open_tolerant(dir, ANALYSIS_VERSION)?;
         Ok(MiningCache {
             store,
-            config_fp: config_fingerprint(classes, limits, max_depth),
+            config_fp: config_fingerprint(classes, limits),
         })
     }
 
@@ -607,13 +605,12 @@ impl MiningCache {
         dir: &Path,
         classes: &[&str],
         limits: &crate::quarantine::PipelineLimits,
-        max_depth: usize,
         version: u32,
     ) -> Result<MiningCache, StoreError> {
         let store = CacheStore::open(dir, version)?;
         Ok(MiningCache {
             store,
-            config_fp: config_fingerprint(classes, limits, max_depth),
+            config_fp: config_fingerprint(classes, limits),
         })
     }
 
@@ -773,11 +770,7 @@ impl MiningCacheView<'_> {
 /// first — the same resolution `DiffCode::mine` applies — so
 /// `open(dir, &[], ..)` and `open(dir, TARGET_CLASSES, ..)` address
 /// the same entries.
-fn config_fingerprint(
-    classes: &[&str],
-    limits: &crate::quarantine::PipelineLimits,
-    max_depth: usize,
-) -> Fingerprint {
+fn config_fingerprint(classes: &[&str], limits: &crate::quarantine::PipelineLimits) -> Fingerprint {
     let classes: &[&str] = if classes.is_empty() {
         &analysis::TARGET_CLASSES
     } else {
@@ -786,7 +779,7 @@ fn config_fingerprint(
     let mut parts: Vec<String> = vec![
         CODEC_VERSION.to_owned(),
         "api:standard".to_owned(),
-        format!("depth:{max_depth}"),
+        format!("depth:{}", limits.dag.max_depth),
         format!("limits:{limits:?}"),
     ];
     parts.push(format!("classes:{}", classes.join("\u{1f}")));
@@ -799,7 +792,6 @@ mod tests {
     use super::*;
     use crate::quarantine::PipelineLimits;
     use std::collections::BTreeSet;
-    use usagegraph::DEFAULT_MAX_DEPTH;
 
     fn path(labels: &[&str]) -> FeaturePath {
         FeaturePath(labels.iter().copied().map(Label::from).collect())
@@ -1053,15 +1045,14 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("diffcode-mcache-key-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let limits = PipelineLimits::DEFAULT;
-        let cache = MiningCache::open(&dir, &["Cipher"], &limits, DEFAULT_MAX_DEPTH).unwrap();
+        let cache = MiningCache::open(&dir, &["Cipher"], &limits).unwrap();
         let base = cache.change_key("old", "new");
         assert_eq!(cache.change_key("old", "new"), base, "deterministic");
         assert_ne!(cache.change_key("old", "newer"), base);
         assert_ne!(cache.change_key("older", "new"), base);
         assert_ne!(cache.change_key("new", "old"), base, "sides are ordered");
 
-        let other_classes =
-            MiningCache::open(&dir, &["Cipher", "Mac"], &limits, DEFAULT_MAX_DEPTH).unwrap();
+        let other_classes = MiningCache::open(&dir, &["Cipher", "Mac"], &limits).unwrap();
         assert_ne!(other_classes.change_key("old", "new"), base);
 
         let tight = PipelineLimits {
@@ -1071,7 +1062,7 @@ mod tests {
             },
             ..PipelineLimits::DEFAULT
         };
-        let other_limits = MiningCache::open(&dir, &["Cipher"], &tight, DEFAULT_MAX_DEPTH).unwrap();
+        let other_limits = MiningCache::open(&dir, &["Cipher"], &tight).unwrap();
         assert_ne!(other_limits.change_key("old", "new"), base);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -1081,7 +1072,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("diffcode-mcache-view-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let limits = PipelineLimits::DEFAULT;
-        let mut cache = MiningCache::open(&dir, &[], &limits, DEFAULT_MAX_DEPTH).unwrap();
+        let mut cache = MiningCache::open(&dir, &[], &limits).unwrap();
         let key = cache.change_key("a", "b");
         let outcome = ChangeOutcome::Skipped {
             kind: ErrorKind::Lex,

@@ -15,9 +15,8 @@ use crate::mcache::{
 use crate::quarantine::{
     excerpt, ErrorKind, PipelineError, PipelineLimits, QuarantineReport, SkipCounters,
 };
-use analysis::{analyze, try_analyze_counted, ApiModel, Usages, TARGET_CLASSES};
+use analysis::{analyze, ApiModel, Usages, TARGET_CLASSES};
 use corpus::Corpus;
-use javalang::ParseError;
 use obs::{MetricsRegistry, Stopwatch, TraceSink};
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -26,10 +25,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use usagegraph::{
-    dags_for_class, diff_dags, pair_dags, try_dags_for_class, DagLimits, UsageChange, UsageDag,
-    DEFAULT_MAX_DEPTH,
-};
+use usagegraph::{usage_changes, UsageChange, UsageDag};
 
 /// Provenance of a mined usage change.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -190,7 +186,6 @@ pub struct MiningResult {
 #[derive(Debug, Default)]
 pub struct DiffCode {
     api: ApiModel,
-    max_depth: usize,
     /// The analysis memo, keyed by the full source text: a hit needs
     /// equal bytes, so no hash collision can return another file's
     /// usages.
@@ -210,15 +205,7 @@ impl DiffCode {
     /// A pipeline with the paper's defaults (DAG depth 5) and the
     /// default resource budgets.
     pub fn new() -> Self {
-        DiffCode {
-            api: ApiModel::standard(),
-            max_depth: DEFAULT_MAX_DEPTH,
-            cache: HashMap::new(),
-            limits: PipelineLimits::DEFAULT,
-            metrics: MetricsRegistry::new(),
-            trace: TraceSink::disabled(),
-            cancel: None,
-        }
+        DiffCode::default()
     }
 
     /// Installs a cooperative cancellation flag: once it reads `true`,
@@ -238,10 +225,9 @@ impl DiffCode {
 
     /// Overrides the DAG construction depth.
     pub fn with_depth(max_depth: usize) -> Self {
-        DiffCode {
-            max_depth,
-            ..DiffCode::new()
-        }
+        let mut dc = DiffCode::new();
+        dc.limits.dag.max_depth = max_depth;
+        dc
     }
 
     /// Overrides the per-stage resource budgets.
@@ -252,7 +238,7 @@ impl DiffCode {
         }
     }
 
-    /// The budgets this pipeline applies while mining.
+    /// The budgets this pipeline applies to every analysis.
     pub fn limits(&self) -> &PipelineLimits {
         &self.limits
     }
@@ -292,34 +278,9 @@ impl DiffCode {
         std::mem::replace(&mut self.trace, TraceSink::disabled())
     }
 
-    /// Parses and analyzes one source file, caching by content. Parsing
-    /// runs under the configured front-end budgets; analysis is
-    /// unbudgeted — this is the trusted-input entry point used by the
-    /// CLI on local files. The mining loop uses
-    /// [`Self::try_analyze_source`] instead.
-    ///
-    /// # Errors
-    ///
-    /// Propagates lexer-level failures; member-level parse problems are
-    /// tolerated by the parser itself.
-    pub fn analyze_source(&mut self, source: &str) -> Result<Rc<Usages>, ParseError> {
-        if let Some(hit) = self.cache.get(source) {
-            let hit = Rc::clone(hit);
-            self.metrics.inc("analyze.cache_hit", 1);
-            return Ok(hit);
-        }
-        self.metrics.inc("analyze.cache_miss", 1);
-        // `parse_snippet` accepts full units, bare class bodies, and
-        // bare statement sequences — the partial programs DiffCode
-        // mines (paper §5.1).
-        let unit = javalang::parse_snippet_with_limits(source, self.limits.parse)?;
-        let usages = Rc::new(analyze(&unit, &self.api));
-        self.cache.insert(source.into(), Rc::clone(&usages));
-        Ok(usages)
-    }
-
-    /// Parses and analyzes one untrusted source file under the full
-    /// budget stack, caching by content.
+    /// Parses and analyzes one source file under the full budget stack,
+    /// caching by content. Mining, checking, and the command-line tools
+    /// all analyze through here.
     ///
     /// The cache is only written *after* parse and analysis both
     /// succeeded, so a panic anywhere in this function leaves the
@@ -333,7 +294,7 @@ impl DiffCode {
     ///
     /// Typed [`PipelineError`]s for lexer/parser failures and
     /// analysis-budget overruns.
-    pub fn try_analyze_source(&mut self, source: &str) -> Result<Rc<Usages>, PipelineError> {
+    pub fn analyze_source(&mut self, source: &str) -> Result<Rc<Usages>, PipelineError> {
         if let Some(marker) = chaos_panic_marker() {
             if source.contains(&marker) {
                 panic!("chaos fault injection: panic marker present in source");
@@ -348,12 +309,15 @@ impl DiffCode {
         self.metrics.inc("analyze.cache_miss", 1);
         // Each fallible stage's span is closed *before* the error
         // propagates, so failed changes still leave balanced traces.
+        // `parse_snippet` accepts full units, bare class bodies, and
+        // bare statement sequences — the partial programs DiffCode
+        // mines (paper §5.1).
         let parse_span = self.trace.begin("parse");
         let unit = javalang::parse_snippet_with_limits(source, self.limits.parse);
         self.trace.end(parse_span);
         let unit = unit?;
         let analysis_span = self.trace.begin("analysis");
-        let analyzed = try_analyze_counted(&unit, &self.api, &self.limits.analysis);
+        let analyzed = analyze(&unit, &self.api, &self.limits.analysis);
         self.trace.end(analysis_span);
         let (usages, steps) = analyzed?;
         self.metrics.inc("analysis.steps", steps);
@@ -363,72 +327,22 @@ impl DiffCode {
     }
 
     /// Derives the usage changes of `class` between two source
-    /// versions, returning the paired DAGs alongside each diff.
+    /// versions under the configured budgets, returning the paired
+    /// DAGs alongside each diff.
     ///
     /// # Errors
     ///
-    /// Fails if either source cannot be lexed.
+    /// The first [`PipelineError`] of either side's analysis, or a DAG
+    /// budget overrun.
     pub fn usage_changes_from_pair(
         &mut self,
         old_source: &str,
         new_source: &str,
         class: &str,
-    ) -> Result<Vec<(UsageDag, UsageDag, UsageChange)>, ParseError> {
+    ) -> Result<Vec<(UsageDag, UsageDag, UsageChange)>, PipelineError> {
         let old = self.analyze_source(old_source)?;
         let new = self.analyze_source(new_source)?;
-        Ok(self.usage_changes_from_usages(&old, &new, class))
-    }
-
-    /// Same as [`Self::usage_changes_from_pair`] but over pre-analyzed
-    /// usages.
-    pub fn usage_changes_from_usages(
-        &self,
-        old: &Usages,
-        new: &Usages,
-        class: &str,
-    ) -> Vec<(UsageDag, UsageDag, UsageChange)> {
-        let old_dags = dags_for_class(old, class, self.max_depth);
-        let new_dags = dags_for_class(new, class, self.max_depth);
-        if old_dags.is_empty() && new_dags.is_empty() {
-            return Vec::new();
-        }
-        pair_dags(old_dags, new_dags, class)
-            .into_iter()
-            .map(|(a, b)| {
-                let change = diff_dags(&a, &b);
-                (a, b, change)
-            })
-            .collect()
-    }
-
-    /// [`Self::usage_changes_from_usages`] under the configured DAG
-    /// budgets — the variant the mining loop uses.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`usagegraph::DagError`] budget failures.
-    pub fn try_usage_changes_from_usages(
-        &self,
-        old: &Usages,
-        new: &Usages,
-        class: &str,
-    ) -> Result<Vec<(UsageDag, UsageDag, UsageChange)>, PipelineError> {
-        let limits = DagLimits {
-            max_depth: self.max_depth,
-            ..self.limits.dag
-        };
-        let old_dags = try_dags_for_class(old, class, &limits)?;
-        let new_dags = try_dags_for_class(new, class, &limits)?;
-        if old_dags.is_empty() && new_dags.is_empty() {
-            return Ok(Vec::new());
-        }
-        Ok(pair_dags(old_dags, new_dags, class)
-            .into_iter()
-            .map(|(a, b)| {
-                let change = diff_dags(&a, &b);
-                (a, b, change)
-            })
-            .collect())
+        Ok(usage_changes(&old, &new, class, &self.limits.dag)?)
     }
 
     /// Mines every code change of `corpus` for usage changes of the
@@ -645,7 +559,7 @@ impl DiffCode {
     ///
     /// `AssertUnwindSafe` audit: the only state the closure can leave
     /// inconsistent on unwind is `self` — and every `&mut self` path
-    /// ([`Self::try_analyze_source`]) mutates only the content-keyed
+    /// ([`Self::analyze_source`]) mutates only the content-keyed
     /// analysis cache, *after* the fallible work for that entry has
     /// fully succeeded. An unwind therefore observes either no cache
     /// entry or a complete, valid one; no partially-initialized state
@@ -658,22 +572,21 @@ impl DiffCode {
     ) -> Result<MinedTuples, (PipelineError, String)> {
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             let span = self.trace.begin("analyze.old");
-            let old = self.try_analyze_source(old_source);
+            let old = self.analyze_source(old_source);
             self.trace.end(span);
             let old = old.map_err(|e| (e, excerpt(old_source)))?;
             let span = self.trace.begin("analyze.new");
-            let new = self.try_analyze_source(new_source);
+            let new = self.analyze_source(new_source);
             self.trace.end(span);
             let new = new.map_err(|e| (e, excerpt(new_source)))?;
             let dags_span = self.trace.begin("dags.diff");
             let mut mined = MinedTuples::new();
             for class in classes {
-                let tuples = self.try_usage_changes_from_usages(&old, &new, class);
-                let tuples = match tuples {
+                let tuples = match usage_changes(&old, &new, class, &self.limits.dag) {
                     Ok(tuples) => tuples,
                     Err(e) => {
                         self.trace.end(dags_span);
-                        return Err((e, excerpt(new_source)));
+                        return Err((e.into(), excerpt(new_source)));
                     }
                 };
                 for (old_dag, new_dag, change) in tuples {
@@ -751,7 +664,7 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 
 /// Fault-injection hook: when the `DIFFCODE_CHAOS_PANIC_MARKER`
 /// environment variable is set (non-empty), any source containing the
-/// marker panics inside [`DiffCode::try_analyze_source`]. This lets the
+/// marker panics inside [`DiffCode::analyze_source`]. This lets the
 /// chaos harness drive a real panic through the release pipeline and
 /// assert that per-change isolation contains it; with the variable
 /// unset (production) the check is a single `env::var` miss.

@@ -243,21 +243,21 @@ fn truncate_at_char_boundary(s: &str, max_chars: usize) -> (&str, bool) {
     }
 }
 
-/// The per-stage resource budgets one [`crate::DiffCode`] applies while
-/// mining.
+/// The per-stage resource budgets one [`crate::DiffCode`] applies to
+/// every analysis: mining, checking, and the command-line tools.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PipelineLimits {
     /// Lexer/parser budgets.
     pub parse: Limits,
     /// Abstract-interpreter budgets.
     pub analysis: AnalysisLimits,
-    /// DAG-construction budgets (`max_depth` here is overridden by the
-    /// pipeline's configured DAG depth).
+    /// DAG-construction budgets, including the DAG depth.
     pub dag: DagLimits,
 }
 
 impl PipelineLimits {
-    /// The default stack of budgets, suitable for crawl-scale corpora.
+    /// The default stack of budgets, suitable for crawl-scale corpora
+    /// and for checking untrusted sources.
     pub const DEFAULT: PipelineLimits = PipelineLimits {
         parse: Limits::DEFAULT,
         analysis: AnalysisLimits::DEFAULT,

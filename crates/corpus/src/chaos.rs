@@ -14,9 +14,16 @@
 //! emits deterministic *wire-level* fault plans ([`HttpPlan`]) — a
 //! sequence of send/pause/close steps that a soak test replays over a
 //! real socket to model truncated requests, oversized headers, lying
-//! `Content-Length`s, slowloris drips, and raw garbage.
+//! `Content-Length`s, slowloris drips, and raw garbage. Its compute
+//! plans, which only [`HttpMutator::plan_for`] produces, are
+//! well-formed requests whose sources are cheap to send and expensive
+//! to analyze: the call-chain bomb ([`call_chain_bomb`]), one object
+//! with thousands of distinct events ([`distinct_events`]), a
+//! multi-file `/check` of distinct bombs, and a flood of distinct
+//! honest sources that no memo can answer.
 
 use crate::model::Corpus;
+use obs::json::escape;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Duration;
@@ -263,6 +270,20 @@ pub enum HttpFaultKind {
     Garbage,
     /// An honest `Content-Length` that exceeds any sane body cap.
     HugeBody,
+    /// `POST /check` of one 160-call [`call_chain_bomb`]: a 2 KB source
+    /// whose unbudgeted analysis grows with the cube of the call count.
+    CallChainBomb,
+    /// `POST /mine` adding a [`distinct_events`] file with 20 000 calls
+    /// on one object: cheap per event, quadratic if de-duplication
+    /// scans.
+    DistinctEvents,
+    /// `POST /check` of 20 distinct 80-call bombs in one body: each
+    /// file fits its own budget, the request must still meet its
+    /// deadline.
+    MultiFileCheck,
+    /// `POST /mine` of a small honest change with a seeded, distinct
+    /// constant, so no analysis memo or cache entry answers it.
+    HonestFlood,
 }
 
 impl HttpFaultKind {
@@ -276,8 +297,54 @@ impl HttpFaultKind {
             HttpFaultKind::Slowloris => "slowloris",
             HttpFaultKind::Garbage => "garbage",
             HttpFaultKind::HugeBody => "huge-body",
+            HttpFaultKind::CallChainBomb => "call-chain-bomb",
+            HttpFaultKind::DistinctEvents => "distinct-events",
+            HttpFaultKind::MultiFileCheck => "multi-file-check",
+            HttpFaultKind::HonestFlood => "honest-flood",
         }
     }
+}
+
+/// One class whose methods `a` → `b` → `d` → `e` each call the next one
+/// `calls` times. The analyzer inlines every one of those calls, so an
+/// unbudgeted analysis of method `a` executes `e` `calls³` times; `e`
+/// uses `Cipher` in a way that violates rules R5 and R7. `tag` names the
+/// class, so distinct tags give distinct sources.
+pub fn call_chain_bomb(calls: usize, tag: u64) -> String {
+    let body = |callee: &str| format!("{callee}();").repeat(calls);
+    format!(
+        "class Bomb{tag} {{\n    void a() {{ {} }}\n    void b() {{ {} }}\n    void d() {{ {} }}\n    \
+         void e() throws Exception {{ javax.crypto.Cipher c = \
+         javax.crypto.Cipher.getInstance(\"AES\", \"SunJCE\"); }}\n}}\n",
+        body("b"),
+        body("d"),
+        body("e"),
+    )
+}
+
+/// One method that calls `c.init(i)` on one `Cipher` for every `i` in
+/// `0..calls`: `calls` distinct usage events on a single object.
+pub fn distinct_events(calls: usize) -> String {
+    let mut out = String::from(
+        "class Events {\n    void m() throws Exception {\n        \
+         javax.crypto.Cipher c = javax.crypto.Cipher.getInstance(\"AES\");\n",
+    );
+    for i in 0..calls {
+        out.push_str(&format!("c.init({i});\n"));
+    }
+    out.push_str("    }\n}\n");
+    out
+}
+
+/// A complete `POST` request with a JSON body, followed by a close.
+fn post(path: &str, body: &str) -> Vec<HttpStep> {
+    let mut req = format!(
+        "POST {path} HTTP/1.1\r\ncontent-length: {}\r\n\r\n",
+        body.len()
+    )
+    .into_bytes();
+    req.extend_from_slice(body.as_bytes());
+    vec![HttpStep::Send(req), HttpStep::Close]
 }
 
 /// One step of a wire-level fault plan.
@@ -326,9 +393,9 @@ impl HttpMutator {
         self
     }
 
-    /// Produces the next fault plan. Successive calls cycle through
-    /// all kinds in a seed-determined order with seed-determined
-    /// parameters (lengths, cut points).
+    /// Produces the next wire-level fault plan. Successive calls cycle
+    /// through the seven wire-level kinds in a seed-determined order
+    /// with seed-determined parameters (lengths, cut points).
     pub fn plan(&mut self) -> HttpPlan {
         let kind = match self.rng.random_range(0..7u32) {
             0 => HttpFaultKind::TruncatedRequestLine,
@@ -397,6 +464,50 @@ impl HttpMutator {
                 // (if doomed) client, then give up.
                 let chunk = vec![b'x'; 1_024];
                 vec![HttpStep::Send(req), HttpStep::Send(chunk), HttpStep::Close]
+            }
+            HttpFaultKind::CallChainBomb => {
+                let source = call_chain_bomb(160, self.rng.random());
+                post("/check", &format!("{{\"source\":\"{}\"}}", escape(&source)))
+            }
+            HttpFaultKind::DistinctEvents => {
+                let new = distinct_events(20_000);
+                post(
+                    "/mine",
+                    &format!(
+                        "{{\"old\":\"class Events {{}}\",\"new\":\"{}\"}}",
+                        escape(&new)
+                    ),
+                )
+            }
+            HttpFaultKind::MultiFileCheck => {
+                let first: u64 = self.rng.random();
+                let files: Vec<String> = (0..20u64)
+                    .map(|i| {
+                        let tag = first.wrapping_add(i);
+                        format!(
+                            "{{\"name\":\"Bomb{tag}.java\",\"source\":\"{}\"}}",
+                            escape(&call_chain_bomb(80, tag))
+                        )
+                    })
+                    .collect();
+                post("/check", &format!("{{\"files\":[{}]}}", files.join(",")))
+            }
+            HttpFaultKind::HonestFlood => {
+                let salt: u64 = self.rng.random();
+                let version = |algorithm: &str| {
+                    format!(
+                        "class Honest {{ long salt = {salt}L; void m() throws Exception {{ \
+                         javax.crypto.Cipher c = javax.crypto.Cipher.getInstance(\"{algorithm}\"); }} }}"
+                    )
+                };
+                post(
+                    "/mine",
+                    &format!(
+                        "{{\"old\":\"{}\",\"new\":\"{}\"}}",
+                        escape(&version("AES")),
+                        escape(&version("AES/GCM/NoPadding"))
+                    ),
+                )
             }
         };
         HttpPlan { kind, steps }
@@ -507,6 +618,43 @@ mod tests {
         };
         let head = String::from_utf8_lossy(head);
         assert!(head.contains(&format!("content-length: {}", 1 << 26)));
+    }
+
+    #[test]
+    fn compute_plans_are_well_formed_posts() {
+        let mut m = HttpMutator::new(8);
+        for kind in [
+            HttpFaultKind::CallChainBomb,
+            HttpFaultKind::DistinctEvents,
+            HttpFaultKind::MultiFileCheck,
+            HttpFaultKind::HonestFlood,
+        ] {
+            let plan = m.plan_for(kind);
+            let HttpStep::Send(req) = &plan.steps[0] else {
+                panic!("{kind:?} starts with a send");
+            };
+            let req = std::str::from_utf8(req).expect("UTF-8 request");
+            let (head, body) = req.split_once("\r\n\r\n").expect("head and body");
+            assert!(head.starts_with("POST /"), "{head}");
+            assert!(head.ends_with(&format!("content-length: {}", body.len())));
+            assert!(body.starts_with('{') && body.ends_with('}'), "{kind:?}");
+            assert_eq!(plan.steps.last(), Some(&HttpStep::Close));
+        }
+        let honest_a = m.plan_for(HttpFaultKind::HonestFlood);
+        let honest_b = m.plan_for(HttpFaultKind::HonestFlood);
+        assert_ne!(honest_a, honest_b, "every honest request is distinct");
+    }
+
+    #[test]
+    fn bomb_sources_have_their_documented_shape() {
+        let bomb = call_chain_bomb(160, 3);
+        assert!(bomb.starts_with("class Bomb3 {"));
+        assert_eq!(bomb.matches("e();").count(), 160);
+        assert!(bomb.len() < 2_200, "{} bytes", bomb.len());
+        let events = distinct_events(37_000);
+        assert_eq!(events.matches("c.init(").count(), 37_000);
+        assert!(events.len() < 1 << 20, "inside the parser's source cap");
+        assert_eq!(escape("a\"b\\c\n\u{1}"), "a\\\"b\\\\c\\n\\u0001");
     }
 
     #[test]

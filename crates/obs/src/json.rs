@@ -34,10 +34,11 @@ use std::fmt::Write as _;
 /// Current snapshot schema version.
 pub const SNAPSHOT_VERSION: u32 = 2;
 
-/// Escapes a string for a JSON literal (metric names are ASCII
-/// identifiers in practice, but correctness is cheap). Shared with the
-/// Chrome trace exporter, which does write arbitrary paths/messages.
-pub(crate) fn escape(s: &str) -> String {
+/// Escapes a string for the inside of a JSON string literal (metric
+/// names are ASCII identifiers in practice, but correctness is cheap).
+/// Shared with the Chrome trace exporter and the log writer, which do
+/// write arbitrary paths/messages.
+pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

@@ -48,7 +48,7 @@
 
 pub mod chrome;
 pub mod hist;
-mod json;
+pub mod json;
 pub mod log;
 pub mod prometheus;
 mod span;

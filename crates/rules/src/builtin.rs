@@ -275,11 +275,13 @@ pub fn all_rules() -> Vec<Rule> {
 mod tests {
     use super::*;
     use crate::rule::ProjectContext;
-    use analysis::{analyze, ApiModel, Usages};
+    use analysis::{analyze, AnalysisLimits, ApiModel, Usages};
 
     fn usages(src: &str) -> Usages {
         let unit = javalang::parse_compilation_unit(src).unwrap();
-        analyze(&unit, &ApiModel::standard())
+        analyze(&unit, &ApiModel::standard(), &AnalysisLimits::DEFAULT)
+            .unwrap()
+            .0
     }
 
     fn plain() -> ProjectContext {

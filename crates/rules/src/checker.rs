@@ -162,7 +162,7 @@ impl CryptoChecker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use analysis::{analyze, ApiModel};
+    use analysis::{analyze, AnalysisLimits, ApiModel};
 
     fn project(name: &str, sources: &[&str]) -> CheckedProject {
         let api = ApiModel::standard();
@@ -170,7 +170,10 @@ mod tests {
             name: name.to_owned(),
             usages: sources
                 .iter()
-                .map(|s| analyze(&javalang::parse_compilation_unit(s).unwrap(), &api))
+                .map(|s| {
+                    let unit = javalang::parse_compilation_unit(s).unwrap();
+                    analyze(&unit, &api, &AnalysisLimits::DEFAULT).unwrap().0
+                })
                 .collect(),
             context: ProjectContext::plain(),
         }
@@ -281,14 +284,20 @@ mod tests {
             )
             .unwrap(),
             &api,
-        );
+            &AnalysisLimits::DEFAULT,
+        )
+        .unwrap()
+        .0;
         let b = analyze(
             &javalang::parse_compilation_unit(
                 r#"class B { void m() throws Exception { Cipher c = Cipher.getInstance("DES"); } }"#,
             )
             .unwrap(),
             &api,
-        );
+            &AnalysisLimits::DEFAULT,
+        )
+        .unwrap()
+        .0;
         let merged = analysis::Usages::merged([&a, &b]);
         assert_eq!(merged.objects_of_type("Cipher").count(), 2);
         let algos: Vec<String> = merged

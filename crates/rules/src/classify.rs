@@ -68,11 +68,13 @@ pub fn classify_dag_pair(
 mod tests {
     use super::*;
     use crate::builtin::r7;
-    use analysis::{analyze, ApiModel};
+    use analysis::{analyze, AnalysisLimits, ApiModel};
 
     fn usages(src: &str) -> Usages {
         let unit = javalang::parse_compilation_unit(src).unwrap();
-        analyze(&unit, &ApiModel::standard())
+        analyze(&unit, &ApiModel::standard(), &AnalysisLimits::DEFAULT)
+            .unwrap()
+            .0
     }
 
     #[test]

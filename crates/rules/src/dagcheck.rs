@@ -113,13 +113,16 @@ pub fn clause_triggers(clause: &ClassClause, dag: &UsageDag) -> bool {
 mod tests {
     use super::*;
     use crate::cryptolint::{cl1, cl5};
-    use analysis::{analyze, ApiModel};
-    use usagegraph::{dags_for_class, DEFAULT_MAX_DEPTH};
+    use analysis::{analyze, AnalysisLimits, ApiModel};
+    use usagegraph::{dags_for_class, DagLimits};
 
     fn dag(src: &str, class: &str) -> UsageDag {
         let unit = javalang::parse_compilation_unit(src).unwrap();
-        let usages = analyze(&unit, &ApiModel::standard());
-        dags_for_class(&usages, class, DEFAULT_MAX_DEPTH)
+        let usages = analyze(&unit, &ApiModel::standard(), &AnalysisLimits::DEFAULT)
+            .unwrap()
+            .0;
+        dags_for_class(&usages, class, &DagLimits::DEFAULT)
+            .unwrap()
             .into_iter()
             .next()
             .expect("one dag")

@@ -552,11 +552,13 @@ fn parse_var(text: &str) -> Result<char, ParseRuleError> {
 mod tests {
     use super::*;
     use crate::rule::ProjectContext;
-    use analysis::{analyze, ApiModel, Usages};
+    use analysis::{analyze, AnalysisLimits, ApiModel, Usages};
 
     fn usages(src: &str) -> Usages {
         let unit = javalang::parse_compilation_unit(src).unwrap();
-        analyze(&unit, &ApiModel::standard())
+        analyze(&unit, &ApiModel::standard(), &AnalysisLimits::DEFAULT)
+            .unwrap()
+            .0
     }
 
     fn plain() -> ProjectContext {

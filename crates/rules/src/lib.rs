@@ -6,7 +6,7 @@
 //! # Example
 //!
 //! ```
-//! use analysis::{analyze, ApiModel};
+//! use analysis::{analyze, AnalysisLimits, ApiModel};
 //! use rules::{CryptoChecker, CheckedProject, ProjectContext};
 //!
 //! let unit = javalang::parse_compilation_unit(
@@ -14,13 +14,13 @@
 //! )?;
 //! let project = CheckedProject {
 //!     name: "demo".to_owned(),
-//!     usages: vec![analyze(&unit, &ApiModel::standard())],
+//!     usages: vec![analyze(&unit, &ApiModel::standard(), &AnalysisLimits::DEFAULT)?.0],
 //!     context: ProjectContext::plain(),
 //! };
 //! let checker = CryptoChecker::standard();
 //! let violations = checker.violations(&project);
 //! assert!(violations.contains(&"R7".to_owned()), "default AES is ECB");
-//! # Ok::<(), javalang::ParseError>(())
+//! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
 #![warn(missing_docs)]

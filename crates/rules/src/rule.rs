@@ -220,11 +220,13 @@ fn collect_witnesses(formula: &Formula, events: &[analysis::UsageEvent], out: &m
 mod tests {
     use super::*;
     use crate::formula::{ArgConstraint, CallPred};
-    use analysis::{analyze, ApiModel};
+    use analysis::{analyze, AnalysisLimits, ApiModel};
 
     fn usages(src: &str) -> Usages {
         let unit = javalang::parse_compilation_unit(src).unwrap();
-        analyze(&unit, &ApiModel::standard())
+        analyze(&unit, &ApiModel::standard(), &AnalysisLimits::DEFAULT)
+            .unwrap()
+            .0
     }
 
     fn sha1_rule() -> Rule {

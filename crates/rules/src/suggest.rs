@@ -8,7 +8,7 @@
 
 use analysis::Usages;
 use std::fmt;
-use usagegraph::{build_dag, FeaturePath, UsageChange, DEFAULT_MAX_DEPTH};
+use usagegraph::{build_dag, DagLimits, FeaturePath, UsageChange};
 
 /// A rule generated from a usage change.
 #[derive(Debug, Clone, PartialEq)]
@@ -49,11 +49,12 @@ impl SuggestedRule {
     }
 
     /// `true` if any abstract object of the subject class in `usages`
-    /// matches the rule.
+    /// matches the rule. Each object's DAG is built under the default
+    /// budgets; an object whose DAG is over budget matches no rule.
     pub fn matches(&self, usages: &Usages) -> bool {
         usages.objects_of_type(&self.class).any(|site| {
-            let dag = build_dag(usages, site, DEFAULT_MAX_DEPTH);
-            self.matches_paths(dag.paths.iter())
+            build_dag(usages, site, &DagLimits::DEFAULT)
+                .is_ok_and(|dag| self.matches_paths(dag.paths.iter()))
         })
     }
 }
@@ -131,12 +132,14 @@ fn render_atom(path: &FeaturePath, var: char, relation: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use analysis::{analyze, ApiModel};
+    use analysis::{analyze, AnalysisLimits, ApiModel};
     use usagegraph::usage_changes;
 
     fn usages(src: &str) -> Usages {
         let unit = javalang::parse_compilation_unit(src).unwrap();
-        analyze(&unit, &ApiModel::standard())
+        analyze(&unit, &ApiModel::standard(), &AnalysisLimits::DEFAULT)
+            .unwrap()
+            .0
     }
 
     #[test]
@@ -164,9 +167,9 @@ mod tests {
             }
             "#,
         );
-        let changes = usage_changes(&old, &new, "Cipher");
+        let changes = usage_changes(&old, &new, "Cipher", &DagLimits::DEFAULT).unwrap();
         assert_eq!(changes.len(), 1);
-        let rule = SuggestedRule::from_change(&changes[0]);
+        let rule = SuggestedRule::from_change(&changes[0].2);
 
         // The unfixed (old) code still matches the suggested rule…
         assert!(rule.matches(&old));

@@ -32,6 +32,9 @@ Resident mining/checking service. Endpoints:
   GET  /trace/capture?events=N Chrome-trace snapshot of recent requests
   GET  /healthz, /readyz      liveness; readiness goes 503 while draining
 
+--deadline-ms (default 2000) bounds each request: reading it and, for
+/check, its compute, checked between files; an overrun answers 408.
+
 One structured access-log record per request (and lifecycle events) is
 written as JSON lines on stderr, or to --log-file with size rotation at
 --log-max-bytes (default 64 MiB). --log-format text renders the same

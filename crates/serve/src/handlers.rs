@@ -34,6 +34,7 @@ use diffcode::mcache::ChangeOutcome;
 use diffcode::pipeline::change_fingerprint;
 use diffcode::DiffCode;
 use std::sync::PoisonError;
+use std::time::Instant;
 
 /// How a route's path matches a request target.
 #[derive(Debug, Clone, Copy)]
@@ -78,7 +79,9 @@ pub(crate) fn route(path: &str) -> Option<(&'static str, &'static str)> {
 /// per-request `catch_unwind` in the server loop. `request_id` is the
 /// admission-assigned id the access log records — handlers thread it
 /// into explain-ring records so verdicts join to request records.
-pub fn handle(req: &Request, shared: &Shared, request_id: u64) -> Response {
+/// `deadline` is the request's deadline, which `/check` also applies to
+/// its compute.
+pub fn handle(req: &Request, shared: &Shared, request_id: u64, deadline: Instant) -> Response {
     if shared.config.chaos_hooks {
         if let Some(ms) = req
             .header("x-chaos-sleep-ms")
@@ -100,7 +103,7 @@ pub fn handle(req: &Request, shared: &Shared, request_id: u64) -> Response {
     match label {
         "mine" => mine(req, shared, request_id),
         "mine_repo" => mine_repo(req, shared, request_id),
-        "check" => check(req),
+        "check" => check(req, deadline),
         "metrics" => metrics(shared),
         "status" => status(shared),
         "healthz" => Response::text(200, "ok"),
@@ -428,8 +431,11 @@ fn mine_repo(req: &Request, shared: &Shared, request_id: u64) -> Response {
 }
 
 /// `POST /check`: `{"source": "..."}` or
-/// `{"files": [{"name": "...", "source": "..."}]}`.
-fn check(req: &Request) -> Response {
+/// `{"files": [{"name": "...", "source": "..."}]}`. Each file is
+/// analyzed under the pipeline's default budgets; the request deadline
+/// is checked between files, and an overrun answers 408 like a read
+/// overrun. `unanalyzed` counts the files the check could not analyze.
+fn check(req: &Request, deadline: Instant) -> Response {
     let body = match body_json(req) {
         Ok(v) => v,
         Err(resp) => return resp,
@@ -457,11 +463,19 @@ fn check(req: &Request) -> Response {
         return err_json(400, "no files to check");
     }
 
-    let (report, violated) = diffcode::cli::render_check(&files, rules::ProjectContext::plain());
+    let Some(report) =
+        diffcode::cli::render_check(&files, rules::ProjectContext::plain(), Some(deadline))
+    else {
+        return Response::text(408, "request deadline exceeded");
+    };
     let body = Json::Obj(vec![
-        ("violated_rules".to_owned(), Json::Num(violated as f64)),
+        (
+            "violated_rules".to_owned(),
+            Json::Num(report.violated as f64),
+        ),
         ("files".to_owned(), Json::Num(files.len() as f64)),
-        ("report".to_owned(), Json::Str(report)),
+        ("unanalyzed".to_owned(), Json::Num(report.unanalyzed as f64)),
+        ("report".to_owned(), Json::Str(report.text)),
     ]);
     Response::json(200, body.render())
 }
@@ -681,6 +695,39 @@ mod tests {
         }
     }
 
+    /// A deadline no test request reaches.
+    fn later() -> Instant {
+        Instant::now() + std::time::Duration::from_secs(600)
+    }
+
+    #[test]
+    fn check_counts_unanalyzed_files_and_answers_408_past_its_deadline() {
+        let shared = Shared::new(ServeConfig::default(), None);
+        let bomb = Json::Str(corpus::chaos::call_chain_bomb(80, 1)).render();
+        let files = format!(
+            r#"{{"files": [{{"name": "Bomb.java", "source": {bomb}}}, {{"name": "Ok.java", "source": "class Ok {{}}"}}]}}"#
+        );
+        let resp = handle(&request("POST", "/check", &files), &shared, 1, later());
+        assert_eq!(resp.status, 200);
+        let reply = body(std::str::from_utf8(&resp.body).unwrap());
+        assert_eq!(reply.get("unanalyzed").and_then(Json::as_num), Some(1.0));
+        assert_eq!(
+            reply.get("violated_rules").and_then(Json::as_num),
+            Some(0.0)
+        );
+        let report = reply.get("report").and_then(Json::as_str).unwrap();
+        assert!(
+            report.contains("warning: Bomb.java: analysis exceeded"),
+            "{report}"
+        );
+        assert!(report.contains("(1 not analyzed)"), "{report}");
+
+        let past = Instant::now();
+        let resp = handle(&request("POST", "/check", &files), &shared, 2, past);
+        assert_eq!(resp.status, 408);
+        assert_eq!(resp.body, b"request deadline exceeded\n");
+    }
+
     #[test]
     fn each_mine_request_analyzes_with_its_own_memo() {
         // No mining cache: nothing may carry analysis results from one
@@ -692,7 +739,7 @@ mod tests {
             r#"{"old": "class A {}", "new": "class A { int x; }"}"#,
         );
         for _ in 0..2 {
-            assert_eq!(handle(&req, &shared, 1).status, 200);
+            assert_eq!(handle(&req, &shared, 1, later()).status, 200);
         }
         let (hits, misses) = shared.with_registry(|r| {
             (
@@ -712,7 +759,7 @@ mod tests {
         };
         let shared = Shared::new(config, None);
         let send = |method: &str, path: &str, body: &str| {
-            handle(&request(method, path, body), &shared, 1).status
+            handle(&request(method, path, body), &shared, 1, later()).status
         };
         // One body for every route: `/mine` (first in the table) mines
         // it, so `/explain/<its fingerprint>` finds a verdict; the

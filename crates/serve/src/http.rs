@@ -11,6 +11,10 @@
 //! mid-request is a clean [`RecvError::Closed`] — in every case the
 //! worker survives and the failure is counted, which is the robustness
 //! envelope the soak harness pins.
+//!
+//! The same deadline then covers the request's compute: `/check` stops
+//! before its next file once the deadline has passed and answers the
+//! same 408 a read overrun gets (see `crate::handlers`).
 
 use std::io::{Read, Write};
 use std::net::TcpStream;

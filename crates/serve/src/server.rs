@@ -13,7 +13,8 @@
 //!    sleep the tick instead.)
 //! 2. A worker pops it, reads the request under the per-request
 //!    deadline ([`crate::http`]), and dispatches
-//!    ([`crate::handlers`]) inside `catch_unwind`: a handler panic
+//!    ([`crate::handlers`]) under the same deadline inside
+//!    `catch_unwind`: a handler panic
 //!    becomes a `500` with quarantine-style provenance and counts
 //!    `serve.failed`; the worker survives. Everything else — including
 //!    clean `4xx` rejections of malformed input — counts
@@ -56,7 +57,9 @@ pub struct ServeConfig {
     /// `None` (the default) disables the endpoint entirely. Requests
     /// name a repository relative to this root and can never escape it.
     pub repo_root: Option<PathBuf>,
-    /// Per-request read deadline, milliseconds.
+    /// Per-request deadline, milliseconds. It bounds reading the
+    /// request and, for `/check`, the compute: the check stops before
+    /// its next file once the deadline has passed and answers 408.
     pub deadline_ms: u64,
     /// Admission-queue watermark: connections beyond this are shed.
     pub queue_depth: usize,
@@ -273,13 +276,8 @@ impl Server {
             Some(dir) => Some(RwLock::new(
                 // Same configuration as a one-shot `diffcode mine`
                 // run, so served verdicts and mined ones share keys.
-                MiningCache::open(
-                    dir,
-                    &[],
-                    &PipelineLimits::DEFAULT,
-                    usagegraph::DEFAULT_MAX_DEPTH,
-                )
-                .map_err(|e| format!("opening cache at {}: {e}", dir.display()))?,
+                MiningCache::open(dir, &[], &PipelineLimits::DEFAULT)
+                    .map_err(|e| format!("opening cache at {}: {e}", dir.display()))?,
             )),
             None => None,
         };
@@ -655,7 +653,10 @@ fn handle_connection(shared: &Shared, conn: Conn) {
         match http::read_request(&mut stream, deadline, &shared.config.caps) {
             Ok(req) => {
                 req_line = Some((req.method.clone(), req.path.clone()));
-                let resp = handlers::handle(&req, shared, id);
+                let resp = handlers::handle(&req, shared, id, deadline);
+                // A handler answers 408 only when its compute overran
+                // the request deadline.
+                deadline_hit = resp.status == 408;
                 Some(resp)
             }
             Err(err) => {

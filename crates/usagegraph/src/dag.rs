@@ -184,39 +184,23 @@ impl UsageDag {
 }
 
 /// Builds the usage DAG for the abstract object at `root`, expanding
-/// nested abstract objects breadth-first up to `max_depth` labels per
-/// path. No path cap — for analysis results of trusted provenance; the
-/// mining pipeline uses [`try_build_dag`].
-pub fn build_dag(usages: &Usages, root: AllocSite, max_depth: usize) -> UsageDag {
-    let limits = DagLimits {
-        max_depth,
-        ..DagLimits::UNBOUNDED
-    };
-    match try_build_dag(usages, root, &limits) {
-        Ok(dag) => dag,
-        // Unreachable with max_paths == usize::MAX; an empty DAG is the
-        // graceful degradation if that ever changes.
-        Err(_) => UsageDag::empty(intern(usages.type_of(root).unwrap_or("<unknown>"))),
-    }
-}
-
-/// Builds the usage DAG for the abstract object at `root` under
-/// explicit budgets.
+/// nested abstract objects breadth-first up to `limits.max_depth`
+/// labels per path.
 ///
 /// # Errors
 ///
 /// [`DagError::PathBudgetExceeded`] when the path set outgrows
 /// `limits.max_paths`.
-pub fn try_build_dag(
+pub fn build_dag(
     usages: &Usages,
     root: AllocSite,
     limits: &DagLimits,
 ) -> Result<UsageDag, DagError> {
-    try_build_dag_with(usages, root, limits, &mut DagScratch::default())
+    build_dag_with(usages, root, limits, &mut DagScratch::default())
 }
 
 /// Reusable working memory for DAG construction. One instance serves
-/// any number of [`try_build_dag_with`] calls over the same `Usages`,
+/// any number of [`build_dag_with`] calls over the same `Usages`,
 /// so per-site builds don't re-allocate the path prefix, label buffer,
 /// and cycle stack.
 #[derive(Default)]
@@ -225,89 +209,34 @@ struct DagScratch<'u> {
 }
 
 /// Lifetime-free working buffers for one DAG build: the root-to-here
-/// label prefix, the label composition buffer, and the flat path list
-/// of unbounded builds. Kept in a thread-local pool so consecutive
-/// builds — including across *different* `Usages`, which the
-/// lifetime-carrying [`DagScratch`] cannot outlive — reuse the same
-/// three allocations. `take()` leaves `None` behind, so a re-entrant
-/// build (impossible today, cheap to stay safe against) falls back to
-/// fresh buffers instead of aliasing.
+/// label prefix and the label composition buffer. Kept in a
+/// thread-local pool so consecutive builds — including across
+/// *different* `Usages`, which the lifetime-carrying [`DagScratch`]
+/// cannot outlive — reuse the same allocations. `take()` leaves `None`
+/// behind, so a re-entrant build (impossible today, cheap to stay safe
+/// against) falls back to fresh buffers instead of aliasing.
+#[derive(Default)]
 struct BuildBufs {
     prefix: Vec<Label>,
     label_buf: String,
-    flat: Vec<FeaturePath>,
 }
 
 thread_local! {
     static BUILD_BUFS: std::cell::Cell<Option<BuildBufs>> = const { std::cell::Cell::new(None) };
 }
 
-/// Where [`expand`] deposits paths. Unbounded builds collect into a
-/// `Vec` and bulk-build the `BTreeSet` once at the end — DFS emits
-/// paths nearly sorted, so the set's sort-and-build `FromIterator` is
-/// close to linear, where per-path `insert` pays tree rebalancing.
-/// Budgeted builds keep the incremental set: the path budget counts
-/// *distinct* paths, which only the set itself can tell.
-enum PathSink<'a> {
-    Counted(&'a mut BTreeSet<FeaturePath>),
-    Flat(&'a mut Vec<FeaturePath>),
-}
-
-impl PathSink<'_> {
-    fn push(&mut self, path: FeaturePath, limits: &DagLimits) -> Result<(), DagError> {
-        match self {
-            PathSink::Counted(paths) => {
-                paths.insert(path);
-                if paths.len() > limits.max_paths {
-                    return Err(DagError::PathBudgetExceeded {
-                        max_paths: limits.max_paths,
-                    });
-                }
-                Ok(())
-            }
-            PathSink::Flat(paths) => {
-                paths.push(path);
-                Ok(())
-            }
-        }
-    }
-}
-
-fn try_build_dag_with<'u>(
+fn build_dag_with<'u>(
     usages: &'u Usages,
     root: AllocSite,
     limits: &DagLimits,
     scratch: &mut DagScratch<'u>,
 ) -> Result<UsageDag, DagError> {
     let root_type = intern(usages.type_of(root).unwrap_or("<unknown>"));
-    let mut bufs = BUILD_BUFS
-        .with(|cell| cell.take())
-        .unwrap_or_else(|| BuildBufs {
-            prefix: Vec::new(),
-            label_buf: String::new(),
-            flat: Vec::new(),
-        });
+    let mut bufs = BUILD_BUFS.with(|cell| cell.take()).unwrap_or_default();
     bufs.prefix.clear();
     bufs.prefix.push(root_type.clone());
     scratch.on_path.clear();
-    let unbounded = limits.max_paths == usize::MAX;
-    let mut dag = if unbounded {
-        // The path set is bulk-built below; starting from the empty set
-        // avoids a root-path insert that the rebuild would discard.
-        UsageDag {
-            root_type: root_type.clone(),
-            paths: BTreeSet::new(),
-        }
-    } else {
-        UsageDag::empty(root_type.clone())
-    };
-    let mut sink = if unbounded {
-        bufs.flat.clear();
-        bufs.flat.push(FeaturePath(bufs.prefix.clone()));
-        PathSink::Flat(&mut bufs.flat)
-    } else {
-        PathSink::Counted(&mut dag.paths)
-    };
+    let mut dag = UsageDag::empty(root_type.clone());
     let expanded = expand(
         usages,
         root,
@@ -315,21 +244,30 @@ fn try_build_dag_with<'u>(
         &mut bufs.prefix,
         &mut bufs.label_buf,
         limits,
-        &mut sink,
+        &mut dag.paths,
         &mut scratch.on_path,
         /*is_root=*/ true,
     );
-    if unbounded && expanded.is_ok() {
-        // `FromIterator` sorts (near-linear on the almost-sorted DFS
-        // emission) and bulk-builds the tree; equal-content duplicates
-        // (repeated identical events) collapse exactly as per-path
-        // `insert` would. `drain` keeps the flat buffer's allocation
-        // for the next build.
-        dag.paths = bufs.flat.drain(..).collect();
-    }
     BUILD_BUFS.with(|cell| cell.set(Some(bufs)));
     expanded?;
     Ok(dag)
+}
+
+/// Inserts `path` into `paths`, failing once the set holds more than
+/// `limits.max_paths` *distinct* paths (repeated identical events
+/// re-emit equal paths, which the set collapses).
+fn push_path(
+    paths: &mut BTreeSet<FeaturePath>,
+    path: FeaturePath,
+    limits: &DagLimits,
+) -> Result<(), DagError> {
+    paths.insert(path);
+    if paths.len() > limits.max_paths {
+        return Err(DagError::PathBudgetExceeded {
+            max_paths: limits.max_paths,
+        });
+    }
+    Ok(())
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -340,7 +278,7 @@ fn expand<'u>(
     scratch: &mut Vec<Label>,
     label_buf: &mut String,
     limits: &DagLimits,
-    sink: &mut PathSink<'_>,
+    paths: &mut BTreeSet<FeaturePath>,
     on_path: &mut Vec<(&'u absdomain::MethodSig, &'u [AValue])>,
     is_root: bool,
 ) -> Result<(), DagError> {
@@ -381,7 +319,7 @@ fn expand<'u>(
             label_buf.push_str(&event.method.name);
             intern(label_buf)
         });
-        sink.push(FeaturePath(scratch.clone()), limits)?;
+        push_path(paths, FeaturePath(scratch.clone()), limits)?;
 
         if scratch.len() < limits.max_depth {
             for (index, arg) in event.args.iter().enumerate() {
@@ -398,13 +336,13 @@ fn expand<'u>(
                 label_buf.push(':');
                 arg.write_label(label_buf);
                 scratch.push(intern(label_buf));
-                sink.push(FeaturePath(scratch.clone()), limits)?;
+                push_path(paths, FeaturePath(scratch.clone()), limits)?;
 
                 if let AValue::Obj { site: arg_site, ty } = arg {
                     if *arg_site != site {
                         on_path.push((&event.method, &event.args));
                         let result = expand(
-                            usages, *arg_site, ty, scratch, label_buf, limits, sink, on_path,
+                            usages, *arg_site, ty, scratch, label_buf, limits, paths, on_path,
                             /*is_root=*/ false,
                         );
                         on_path.pop();
@@ -420,34 +358,15 @@ fn expand<'u>(
 }
 
 /// Builds one DAG per abstract object of type `class` in `usages`,
-/// ordered by allocation site.
-pub fn dags_for_class(usages: &Usages, class: &str, max_depth: usize) -> Vec<UsageDag> {
-    let limits = DagLimits {
-        max_depth,
-        ..DagLimits::UNBOUNDED
-    };
-    let mut scratch = DagScratch::default();
-    usages
-        .objects_of_type(class)
-        .map(|site| {
-            try_build_dag_with(usages, site, &limits, &mut scratch).unwrap_or_else(|_| {
-                // Unreachable with max_paths == usize::MAX; an empty DAG
-                // is the graceful degradation if that ever changes.
-                UsageDag::empty(intern(usages.type_of(site).unwrap_or("<unknown>")))
-            })
-        })
-        .collect()
-}
-
-/// [`dags_for_class`] under explicit budgets: the object count and
-/// every DAG's path set must stay within `limits`.
+/// ordered by allocation site. The object count and every DAG's path
+/// set must stay within `limits`.
 ///
 /// # Errors
 ///
 /// [`DagError::TooManyObjects`] when the class has more than
 /// `limits.max_objects` allocation sites, and any error of
-/// [`try_build_dag`] for the individual DAGs.
-pub fn try_dags_for_class(
+/// [`build_dag`] for the individual DAGs.
+pub fn dags_for_class(
     usages: &Usages,
     class: &str,
     limits: &DagLimits,
@@ -462,7 +381,7 @@ pub fn try_dags_for_class(
     let mut scratch = DagScratch::default();
     usages
         .objects_of_type(class)
-        .map(|site| try_build_dag_with(usages, site, limits, &mut scratch))
+        .map(|site| build_dag_with(usages, site, limits, &mut scratch))
         .collect()
 }
 
@@ -522,12 +441,25 @@ pub fn pair_dags(old: Vec<UsageDag>, new: Vec<UsageDag>, class: &str) -> Vec<(Us
 #[cfg(test)]
 mod tests {
     use super::*;
-    use analysis::{analyze, ApiModel};
+    use analysis::{analyze, AnalysisLimits, ApiModel};
+
+    /// No path or object cap: the reference the budget-boundary tests
+    /// compare against.
+    const UNLIMITED: DagLimits = DagLimits {
+        max_paths: usize::MAX,
+        max_objects: usize::MAX,
+        ..DagLimits::DEFAULT
+    };
+
+    fn usages_of(src: &str) -> Usages {
+        let unit = javalang::parse_compilation_unit(src).unwrap();
+        analyze(&unit, &ApiModel::standard(), &AnalysisLimits::DEFAULT)
+            .unwrap()
+            .0
+    }
 
     fn dag_of(src: &str, class: &str) -> Vec<UsageDag> {
-        let unit = javalang::parse_compilation_unit(src).unwrap();
-        let usages = analyze(&unit, &ApiModel::standard());
-        dags_for_class(&usages, class, DEFAULT_MAX_DEPTH)
+        dags_for_class(&usages_of(src), class, &DagLimits::DEFAULT).unwrap()
     }
 
     const FIGURE2_OLD: &str = r#"
@@ -669,38 +601,36 @@ mod tests {
 
     #[test]
     fn path_budget_boundary_is_exact() {
-        let unit = javalang::parse_compilation_unit(FIGURE2_NEW).unwrap();
-        let usages = analyze(&unit, &ApiModel::standard());
+        let usages = usages_of(FIGURE2_NEW);
         let site = usages.objects_of_type("Cipher").next().unwrap();
-        let full = build_dag(&usages, site, DEFAULT_MAX_DEPTH);
+        let full = build_dag(&usages, site, &UNLIMITED).unwrap();
         let n = full.paths.len();
 
         let exact = DagLimits {
             max_paths: n,
             ..DagLimits::DEFAULT
         };
-        assert_eq!(try_build_dag(&usages, site, &exact), Ok(full));
+        assert_eq!(build_dag(&usages, site, &exact), Ok(full));
 
         let short = DagLimits {
             max_paths: n - 1,
             ..DagLimits::DEFAULT
         };
         assert_eq!(
-            try_build_dag(&usages, site, &short),
+            build_dag(&usages, site, &short),
             Err(DagError::PathBudgetExceeded { max_paths: n - 1 })
         );
     }
 
     #[test]
     fn object_cap_rejects_crowded_classes() {
-        let unit = javalang::parse_compilation_unit(FIGURE2_NEW).unwrap();
-        let usages = analyze(&unit, &ApiModel::standard());
+        let usages = usages_of(FIGURE2_NEW);
         let tight = DagLimits {
             max_objects: 1,
             ..DagLimits::DEFAULT
         };
         assert_eq!(
-            try_dags_for_class(&usages, "Cipher", &tight),
+            dags_for_class(&usages, "Cipher", &tight),
             Err(DagError::TooManyObjects {
                 objects: 2,
                 max_objects: 1
@@ -710,8 +640,8 @@ mod tests {
             max_objects: 2,
             ..DagLimits::DEFAULT
         };
-        let dags = try_dags_for_class(&usages, "Cipher", &loose).unwrap();
-        assert_eq!(dags, dags_for_class(&usages, "Cipher", DEFAULT_MAX_DEPTH));
+        let dags = dags_for_class(&usages, "Cipher", &loose).unwrap();
+        assert_eq!(dags, dags_for_class(&usages, "Cipher", &UNLIMITED).unwrap());
     }
 
     #[test]

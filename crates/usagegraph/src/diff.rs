@@ -82,13 +82,14 @@ pub fn diff_dags(old: &UsageDag, new: &UsageDag) -> UsageChange {
 mod tests {
     use super::*;
     use crate::dag::Label;
-    use crate::dag::{dags_for_class, pair_dags, DEFAULT_MAX_DEPTH};
-    use analysis::{analyze, ApiModel};
+    use crate::dag::{dags_for_class, pair_dags};
+    use crate::DagLimits;
+    use analysis::{analyze, AnalysisLimits, ApiModel};
 
     fn dags(src: &str, class: &str) -> Vec<UsageDag> {
         let unit = javalang::parse_compilation_unit(src).unwrap();
-        let usages = analyze(&unit, &ApiModel::standard());
-        dags_for_class(&usages, class, DEFAULT_MAX_DEPTH)
+        let (usages, _) = analyze(&unit, &ApiModel::standard(), &AnalysisLimits::DEFAULT).unwrap();
+        dags_for_class(&usages, class, &DagLimits::DEFAULT).unwrap()
     }
 
     fn path(labels: &[&str]) -> FeaturePath {

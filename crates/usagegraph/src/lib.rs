@@ -7,29 +7,31 @@
 //! [`UsageChange`] — the `(F⁻, F⁺)` feature sets that all later stages
 //! (filtering, clustering, rule elicitation) operate on.
 //!
+//! Every stage runs under a [`DagLimits`] budget, the same one mining
+//! applies.
+//!
 //! # Example
 //!
 //! ```
-//! use analysis::{analyze, ApiModel};
-//! use usagegraph::usage_changes;
+//! use analysis::{analyze, AnalysisLimits, ApiModel};
+//! use usagegraph::{usage_changes, DagLimits};
 //!
 //! let api = ApiModel::standard();
-//! let old = analyze(
-//!     &javalang::parse_compilation_unit(
-//!         r#"class C { void m() throws Exception { Cipher c = Cipher.getInstance("AES"); } }"#,
-//!     )?,
-//!     &api,
-//! );
-//! let new = analyze(
-//!     &javalang::parse_compilation_unit(
-//!         r#"class C { void m() throws Exception { Cipher c = Cipher.getInstance("AES/GCM/NoPadding"); } }"#,
-//!     )?,
-//!     &api,
-//! );
-//! let changes = usage_changes(&old, &new, "Cipher");
+//! let usages_of = |src: &str| -> Result<_, Box<dyn std::error::Error>> {
+//!     let unit = javalang::parse_compilation_unit(src)?;
+//!     Ok(analyze(&unit, &api, &AnalysisLimits::DEFAULT)?.0)
+//! };
+//! let old = usages_of(
+//!     r#"class C { void m() throws Exception { Cipher c = Cipher.getInstance("AES"); } }"#,
+//! )?;
+//! let new = usages_of(
+//!     r#"class C { void m() throws Exception { Cipher c = Cipher.getInstance("AES/GCM/NoPadding"); } }"#,
+//! )?;
+//! let changes = usage_changes(&old, &new, "Cipher", &DagLimits::DEFAULT)?;
 //! assert_eq!(changes.len(), 1);
-//! assert_eq!(changes[0].removed[0].to_string(), "Cipher getInstance arg1:AES");
-//! # Ok::<(), javalang::ParseError>(())
+//! let (_old_dag, _new_dag, change) = &changes[0];
+//! assert_eq!(change.removed[0].to_string(), "Cipher getInstance arg1:AES");
+//! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
 #![warn(missing_docs)]
@@ -40,52 +42,35 @@ mod limits;
 pub mod matching;
 
 pub use dag::{
-    build_dag, dags_for_class, pair_dags, try_build_dag, try_dags_for_class, FeaturePath, Label,
-    UsageDag, DEFAULT_MAX_DEPTH,
+    build_dag, dags_for_class, pair_dags, FeaturePath, Label, UsageDag, DEFAULT_MAX_DEPTH,
 };
 pub use diff::{diff_dags, removed, shortest, UsageChange};
 pub use limits::{DagError, DagLimits};
 
 use analysis::Usages;
 
-/// Derives all usage changes of `class` between two program versions:
-/// build DAGs → pair → diff (Figure 4 of the paper).
-pub fn usage_changes(old: &Usages, new: &Usages, class: &str) -> Vec<UsageChange> {
-    usage_changes_with_depth(old, new, class, DEFAULT_MAX_DEPTH)
-}
-
-/// [`usage_changes`] with an explicit DAG construction depth.
-pub fn usage_changes_with_depth(
-    old: &Usages,
-    new: &Usages,
-    class: &str,
-    max_depth: usize,
-) -> Vec<UsageChange> {
-    let old_dags = dags_for_class(old, class, max_depth);
-    let new_dags = dags_for_class(new, class, max_depth);
-    pair_dags(old_dags, new_dags, class)
-        .iter()
-        .map(|(a, b)| diff_dags(a, b))
-        .collect()
-}
-
-/// [`usage_changes`] under explicit resource budgets — the variant the
-/// mining pipeline uses on untrusted analysis results.
+/// Derives all usage changes of `class` between two program versions —
+/// build DAGs → pair → diff (Figure 4 of the paper) — under `limits`.
+/// Each change comes with the paired (old, new) DAGs it was diffed
+/// from.
 ///
 /// # Errors
 ///
 /// Any [`DagError`] raised while building or counting the DAGs of
 /// either version side.
-pub fn try_usage_changes(
+pub fn usage_changes(
     old: &Usages,
     new: &Usages,
     class: &str,
     limits: &DagLimits,
-) -> Result<Vec<UsageChange>, DagError> {
-    let old_dags = try_dags_for_class(old, class, limits)?;
-    let new_dags = try_dags_for_class(new, class, limits)?;
+) -> Result<Vec<(UsageDag, UsageDag, UsageChange)>, DagError> {
+    let old_dags = dags_for_class(old, class, limits)?;
+    let new_dags = dags_for_class(new, class, limits)?;
     Ok(pair_dags(old_dags, new_dags, class)
-        .iter()
-        .map(|(a, b)| diff_dags(a, b))
+        .into_iter()
+        .map(|(a, b)| {
+            let change = diff_dags(&a, &b);
+            (a, b, change)
+        })
         .collect())
 }

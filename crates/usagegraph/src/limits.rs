@@ -11,7 +11,8 @@
 
 use std::fmt;
 
-/// Budgets applied by the `try_*` DAG constructors.
+/// Budgets applied by [`crate::build_dag`], [`crate::dags_for_class`] and
+/// [`crate::usage_changes`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DagLimits {
     /// Maximum number of root-to-node paths in one DAG
@@ -33,14 +34,6 @@ impl DagLimits {
         max_paths: 1 << 14,
         max_depth: crate::DEFAULT_MAX_DEPTH,
         max_objects: 512,
-    };
-
-    /// No caps (depth stays at the paper's default): the legacy
-    /// behaviour of [`crate::build_dag`] and [`crate::usage_changes`].
-    pub const UNBOUNDED: DagLimits = DagLimits {
-        max_paths: usize::MAX,
-        max_depth: crate::DEFAULT_MAX_DEPTH,
-        max_objects: usize::MAX,
     };
 }
 

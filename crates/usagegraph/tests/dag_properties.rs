@@ -1,18 +1,28 @@
 //! Structural properties of usage-DAG construction: depth bounds,
 //! cycle prevention, nested expansion, and pairing stability.
 
-use analysis::{analyze, ApiModel, Usages};
-use usagegraph::{build_dag, dags_for_class, pair_dags, usage_changes_with_depth, UsageDag};
+use analysis::{analyze, AnalysisLimits, ApiModel, Usages};
+use usagegraph::{build_dag, dags_for_class, pair_dags, usage_changes, DagLimits, UsageDag};
 
 fn usages(src: &str) -> Usages {
     let unit = javalang::parse_compilation_unit(src).unwrap();
-    analyze(&unit, &ApiModel::standard())
+    analyze(&unit, &ApiModel::standard(), &AnalysisLimits::DEFAULT)
+        .unwrap()
+        .0
+}
+
+/// The default budgets at DAG depth `max_depth`.
+fn at_depth(max_depth: usize) -> DagLimits {
+    DagLimits {
+        max_depth,
+        ..DagLimits::DEFAULT
+    }
 }
 
 fn dag(src: &str, class: &str, depth: usize) -> UsageDag {
     let u = usages(src);
     let site = u.objects_of_type(class).next().expect("object");
-    build_dag(&u, site, depth)
+    build_dag(&u, site, &at_depth(depth)).unwrap()
 }
 
 const NESTED: &str = r#"
@@ -85,12 +95,12 @@ fn mutual_usage_does_not_loop() {
     "#;
     let u = usages(src);
     for site in u.objects_of_type("Cipher") {
-        let d = build_dag(&u, site, 8);
+        let d = build_dag(&u, site, &at_depth(8)).unwrap();
         assert!(d.paths.len() < 60, "expansion exploded: {}", d.paths.len());
     }
     // The IvParameterSpec root DAG carries the foreign Cipher.init usage.
     let iv_site = u.objects_of_type("IvParameterSpec").next().unwrap();
-    let iv_dag = build_dag(&u, iv_site, 5);
+    let iv_dag = build_dag(&u, iv_site, &DagLimits::DEFAULT).unwrap();
     assert!(
         iv_dag
             .paths
@@ -104,7 +114,7 @@ fn mutual_usage_does_not_loop() {
 #[test]
 fn pairing_is_stable_under_reordering() {
     let old_u = usages(NESTED);
-    let old = dags_for_class(&old_u, "Cipher", 5);
+    let old = dags_for_class(&old_u, "Cipher", &DagLimits::DEFAULT).unwrap();
     let new = old.clone();
     let pairs = pair_dags(old.clone(), new, "Cipher");
     for (a, b) in &pairs {
@@ -121,10 +131,10 @@ fn usage_changes_with_smaller_depth_lose_nested_features() {
         } }"#,
     );
     let new = usages(NESTED);
-    let at5 = usage_changes_with_depth(&old, &new, "Cipher", 5);
-    let at2 = usage_changes_with_depth(&old, &new, "Cipher", 2);
-    let f5: Vec<String> = at5[0].added.iter().map(|p| p.to_string()).collect();
-    let f2: Vec<String> = at2[0].added.iter().map(|p| p.to_string()).collect();
+    let at5 = usage_changes(&old, &new, "Cipher", &at_depth(5)).unwrap();
+    let at2 = usage_changes(&old, &new, "Cipher", &at_depth(2)).unwrap();
+    let f5: Vec<String> = at5[0].2.added.iter().map(|p| p.to_string()).collect();
+    let f2: Vec<String> = at2[0].2.added.iter().map(|p| p.to_string()).collect();
     assert!(
         f5.iter().any(|p| p.contains("arg3:IvParameterSpec")),
         "{f5:?}"

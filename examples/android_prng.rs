@@ -5,7 +5,7 @@
 //!
 //! Run with: `cargo run --example android_prng`
 
-use analysis::{analyze, ApiModel};
+use analysis::{analyze, AnalysisLimits, ApiModel};
 use rules::{CheckedProject, CryptoChecker, ProjectContext};
 
 const TOKEN_SOURCE: &str = r#"
@@ -23,7 +23,11 @@ fn check(name: &str, context: ProjectContext) {
     let unit = javalang::parse_compilation_unit(TOKEN_SOURCE).expect("parse");
     let project = CheckedProject {
         name: name.to_owned(),
-        usages: vec![analyze(&unit, &ApiModel::standard())],
+        usages: vec![
+            analyze(&unit, &ApiModel::standard(), &AnalysisLimits::DEFAULT)
+                .expect("a tiny source stays within the default budget")
+                .0,
+        ],
         context,
     };
     let checker = CryptoChecker::standard();

@@ -63,13 +63,7 @@ fn corpus_with_skips() -> corpus::Corpus {
 }
 
 fn open_cache(dir: &std::path::Path) -> MiningCache {
-    MiningCache::open(
-        dir,
-        &[],
-        &diffcode::PipelineLimits::DEFAULT,
-        usagegraph::DEFAULT_MAX_DEPTH,
-    )
-    .expect("open cache")
+    MiningCache::open(dir, &[], &diffcode::PipelineLimits::DEFAULT).expect("open cache")
 }
 
 fn mine_with(
@@ -168,7 +162,6 @@ fn version_bump_invalidates_every_entry() {
         &tmp.0,
         &[],
         &diffcode::PipelineLimits::DEFAULT,
-        usagegraph::DEFAULT_MAX_DEPTH,
         ANALYSIS_VERSION + 1,
     )
     .unwrap();

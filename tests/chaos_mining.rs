@@ -110,7 +110,7 @@ fn chaos_fault_injection_is_total() {
 #[test]
 fn chaos_panic_faults_are_isolated_per_change() {
     const MARKER: &str = "@@DIFFCODE_CHAOS_MINING_PANIC@@";
-    // Routes panics through `DiffCode::try_analyze_source` for sources
+    // Routes panics through `DiffCode::analyze_source` for sources
     // containing MARKER. The sibling test is unaffected: its corpus
     // never contains the marker, so the hook never fires there.
     std::env::set_var("DIFFCODE_CHAOS_PANIC_MARKER", MARKER);

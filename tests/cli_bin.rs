@@ -115,6 +115,52 @@ fn check_exit_codes_reflect_findings() {
     assert_eq!(out.status.code(), Some(0), "clean -> exit 0");
 }
 
+/// A file padded past the analysis budget can never pass a check
+/// clean, and `analyze`/`diff` refuse it with the typed error.
+#[test]
+fn files_over_the_budget_are_not_analyzed_and_exit_2() {
+    let bomb = write_temp("Bomb.java", &corpus::chaos::call_chain_bomb(80, 0));
+    let secure = write_temp("Secure.java", SECURE);
+    let insecure = write_temp("Insecure.java", INSECURE);
+
+    let out = diffcode(&["check", bomb.to_str().unwrap(), secure.to_str().unwrap()]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "unanalyzed file, no violation: {stdout}"
+    );
+    assert!(
+        stdout.contains("Bomb.java: analysis exceeded its budget"),
+        "{stdout}"
+    );
+    assert!(
+        stdout.contains("no rule violations in 2 file(s) (1 not analyzed)"),
+        "{stdout}"
+    );
+
+    let out = diffcode(&["check", bomb.to_str().unwrap(), insecure.to_str().unwrap()]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(1), "a violation wins: {stdout}");
+    assert!(
+        stdout.contains("in 2 file(s) (1 not analyzed):"),
+        "{stdout}"
+    );
+
+    for args in [
+        vec!["analyze", bomb.to_str().unwrap()],
+        vec!["diff", secure.to_str().unwrap(), bomb.to_str().unwrap()],
+    ] {
+        let out = diffcode(&args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("error: analysis exceeded its budget of 2000000 steps"),
+            "{args:?}: {stderr}"
+        );
+    }
+}
+
 #[test]
 fn check_android_context_enables_r6() {
     let src = r#"

@@ -2,13 +2,15 @@
 //! by the rule it exercises (rule triggers before, not after), tying
 //! the fixture corpus to the Figure 9 rule set.
 
-use analysis::{analyze, ApiModel, Usages};
+use analysis::{analyze, AnalysisLimits, ApiModel, Usages};
 use corpus::fixtures;
 use rules::{all_rules, classify_change, ChangeClass, ProjectContext};
 
 fn usages(src: &str) -> Usages {
     let unit = javalang::parse_compilation_unit(src).unwrap();
-    analyze(&unit, &ApiModel::standard())
+    analyze(&unit, &ApiModel::standard(), &AnalysisLimits::DEFAULT)
+        .unwrap()
+        .0
 }
 
 /// (fixture name, rule id it fixes)

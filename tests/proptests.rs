@@ -350,18 +350,26 @@ proptest! {
 
         // Must not panic; errors and diagnostics are fine.
         if let Ok(unit) = javalang::parse_snippet(&source) {
-            let _ = analysis::analyze(&unit, &analysis::ApiModel::standard());
+            let limits = analysis::AnalysisLimits::DEFAULT;
+            let _ = analysis::analyze(&unit, &analysis::ApiModel::standard(), &limits);
         }
     }
 
     #[test]
     fn analyzer_never_panics_on_random_ascii(source in "[ -~\n]{0,300}") {
         if let Ok(unit) = javalang::parse_snippet(&source) {
-            let usages = analysis::analyze(&unit, &analysis::ApiModel::standard());
-            // And the downstream DAG construction holds up too.
-            for class in analysis::TARGET_CLASSES {
-                for site in usages.objects_of_type(class) {
-                    let _ = usagegraph::build_dag(&usages, site, 5);
+            let limits = analysis::AnalysisLimits::DEFAULT;
+            // Under the default budget an input may be refused with a
+            // typed error; it must never panic.
+            if let Ok((usages, _)) =
+                analysis::analyze(&unit, &analysis::ApiModel::standard(), &limits)
+            {
+                // And the downstream DAG construction holds up too.
+                for class in analysis::TARGET_CLASSES {
+                    for site in usages.objects_of_type(class) {
+                        let _ =
+                            usagegraph::build_dag(&usages, site, &usagegraph::DagLimits::DEFAULT);
+                    }
                 }
             }
         }
@@ -395,8 +403,8 @@ proptest! {
         let _ = javalang::lex(&source);
         let limits = analysis::AnalysisLimits { max_steps: 10_000, max_ast_depth: 64 };
         if let Ok(unit) = javalang::parse_snippet_with_limits(&source, soup_limits()) {
-            if let Ok(usages) =
-                analysis::try_analyze(&unit, &analysis::ApiModel::standard(), &limits)
+            if let Ok((usages, _)) =
+                analysis::analyze(&unit, &analysis::ApiModel::standard(), &limits)
             {
                 let dag_limits = usagegraph::DagLimits {
                     max_paths: 256,
@@ -404,7 +412,7 @@ proptest! {
                     ..usagegraph::DagLimits::DEFAULT
                 };
                 for class in analysis::TARGET_CLASSES {
-                    let _ = usagegraph::try_dags_for_class(&usages, class, &dag_limits);
+                    let _ = usagegraph::dags_for_class(&usages, class, &dag_limits);
                 }
             }
         }
@@ -685,8 +693,11 @@ proptest! {
         depth in 1usize..8,
     ) {
         let dir = std::env::temp_dir().join(format!("diffcode-prop-ids-{}", std::process::id()));
-        let cache = diffcode::MiningCache::open(&dir, &[], &diffcode::PipelineLimits::DEFAULT, depth)
-            .expect("cache opens");
+        let limits = diffcode::PipelineLimits {
+            dag: usagegraph::DagLimits { max_depth: depth, ..usagegraph::DagLimits::DEFAULT },
+            ..diffcode::PipelineLimits::DEFAULT
+        };
+        let cache = diffcode::MiningCache::open(&dir, &[], &limits).expect("cache opens");
         let (key, fingerprint) = cache.change_ids(&old, &new);
         prop_assert_eq!(key, cache.change_key(&old, &new));
         prop_assert_eq!(fingerprint.to_string(), diffcode::change_fingerprint(&old, &new));

@@ -16,9 +16,13 @@
 //! - prompt accepts: a fresh connection is taken when it arrives, not
 //!   at the accept loop's next shutdown tick;
 //! - no lock-order deadlock: `/status` scrapes racing admissions drain
-//!   exactly.
+//!   exactly;
+//! - compute bombs: every bomb request ends within its deadline plus one
+//!   file's budget while honest traffic keeps answering.
 
-use corpus::chaos::{HttpMutator, HttpPlan, HttpStep};
+use corpus::chaos::{
+    call_chain_bomb, distinct_events, HttpFaultKind, HttpMutator, HttpPlan, HttpStep,
+};
 use proptest::prelude::*;
 use serve::{Json, ServeConfig, ServeSummary, Server, ServerHandle};
 use std::io::{Read, Write};
@@ -431,13 +435,8 @@ fn shutdown_drains_and_flushes_the_cache_log() {
     assert!(TcpStream::connect(addr).is_err(), "listener closed");
 
     // The flushed log replays: a fresh cache open sees the entry.
-    let cache = diffcode::MiningCache::open(
-        &dir,
-        &[],
-        &diffcode::PipelineLimits::DEFAULT,
-        usagegraph::DEFAULT_MAX_DEPTH,
-    )
-    .expect("the drained log must reopen cleanly");
+    let cache = diffcode::MiningCache::open(&dir, &[], &diffcode::PipelineLimits::DEFAULT)
+        .expect("the drained log must reopen cleanly");
     assert!(
         cache.store().stats().current_entries >= 1,
         "the /mine verdict was flushed to the append log"
@@ -762,4 +761,160 @@ fn status_scrapes_racing_admissions_drain_exactly() {
     waiter.join().expect("the shutdown thread sent its summary");
     assert_eq!(summary.accepted, 6 * PER_CLIENT as u64);
     assert_eq!(summary.completed, summary.accepted, "{summary:?}");
+}
+
+// ---------------------------------------------------------------------
+// Compute bombs: the deadline plus one file's budget bounds a request
+// ---------------------------------------------------------------------
+
+/// The longest one file of any compute-bomb shape takes the budgeted
+/// pipeline, measured in this process — so the bound below holds in a
+/// debug build as in a release one.
+fn one_file_time() -> Duration {
+    let timed = |run: &dyn Fn()| {
+        let started = Instant::now();
+        run();
+        started.elapsed()
+    };
+    let chain = |calls| {
+        move || {
+            let err = diffcode::DiffCode::new()
+                .analyze_source(&call_chain_bomb(calls, 0))
+                .unwrap_err();
+            assert_eq!(err.kind(), diffcode::ErrorKind::AnalysisBudget);
+        }
+    };
+    let events = || {
+        let (outcome, _) = diffcode::DiffCode::new().process_pair_cached(
+            "class Events {}",
+            &distinct_events(20_000),
+            &[],
+            None,
+        );
+        assert!(
+            matches!(
+                outcome,
+                diffcode::ChangeOutcome::Skipped {
+                    kind: diffcode::ErrorKind::DagBudget,
+                    ..
+                }
+            ),
+            "{outcome:?}"
+        );
+    };
+    timed(&chain(160))
+        .max(timed(&chain(80)))
+        .max(timed(&events))
+}
+
+/// Compute bombs arrive one at a time on one client while another
+/// client sends honest `/mine` changes (each with a distinct source)
+/// and honest `/check`s. Every bomb must end within the request
+/// deadline plus one file's budget (plus a fixed allowance for the
+/// transfer and scheduling), honest traffic must keep answering within
+/// the deadline, and the access log must partition like the drain
+/// summary — a compute overrun is a `deadline` outcome.
+#[test]
+fn compute_bombs_end_within_deadline_plus_one_file_budget() {
+    const DEADLINE: Duration = Duration::from_millis(500);
+    const ALLOWANCE: Duration = Duration::from_millis(500);
+    let one_file = one_file_time();
+    let bound = DEADLINE + one_file + ALLOWANCE;
+
+    let log_path =
+        std::env::temp_dir().join(format!("serve_bomb_log_{}.jsonl", std::process::id()));
+    let _ = std::fs::remove_file(&log_path);
+    let handle = spawn(ServeConfig {
+        logger: obs::Logger::file(
+            &log_path,
+            16 * 1024 * 1024,
+            obs::LogFormat::Json,
+            obs::LogLevel::Info,
+        ),
+        ..test_config(DEADLINE.as_millis() as u64)
+    });
+    let addr = handle.addr();
+
+    let (bomb_statuses, honest) = std::thread::scope(|scope| {
+        let bombs = scope.spawn(move || {
+            let mut m = HttpMutator::new(0xB0B);
+            let mut statuses = Vec::new();
+            for kind in [
+                HttpFaultKind::CallChainBomb,
+                HttpFaultKind::DistinctEvents,
+                HttpFaultKind::MultiFileCheck,
+            ] {
+                let plan = m.plan_for(kind);
+                let started = Instant::now();
+                let status = replay(addr, &plan);
+                let took = started.elapsed();
+                assert!(
+                    took <= bound,
+                    "{kind:?} took {took:?}: over the deadline {DEADLINE:?} plus one \
+                     file's {one_file:?} (and {ALLOWANCE:?})"
+                );
+                statuses.push((kind, status));
+            }
+            statuses
+        });
+        let mut m = HttpMutator::new(0x0E57);
+        let check_body = Json::Obj(vec![(
+            "source".to_owned(),
+            Json::Str(figure2_pair().0.to_owned()),
+        )])
+        .render();
+        let mut honest = 0u64;
+        while !bombs.is_finished() || honest < 4 {
+            let started = Instant::now();
+            let plan = m.plan_for(HttpFaultKind::HonestFlood);
+            assert_eq!(replay(addr, &plan), Some(200), "honest /mine");
+            let (status, _, body) = request(addr, "POST", "/check", &[], check_body.as_bytes());
+            assert_eq!(status, 200, "honest /check");
+            assert_eq!(
+                json_body(&body).get("unanalyzed").and_then(Json::as_num),
+                Some(0.0)
+            );
+            let took = started.elapsed();
+            assert!(
+                took < DEADLINE,
+                "honest traffic answers while bombs arrive: {took:?}"
+            );
+            honest += 2;
+        }
+        (bombs.join().expect("bomb client"), honest)
+    });
+    assert_eq!(
+        bomb_statuses,
+        vec![
+            (HttpFaultKind::CallChainBomb, Some(200)),
+            (HttpFaultKind::DistinctEvents, Some(200)),
+            (HttpFaultKind::MultiFileCheck, Some(408)),
+        ],
+        "one bomb file is answered; twenty overrun the request deadline"
+    );
+
+    let summary = settle_and_shutdown(handle);
+    assert_eq!(summary.accepted, 3 + honest);
+    assert_eq!(summary.failed, 0);
+    assert_eq!(
+        summary.registry.counter("analyze.cache_hit"),
+        0,
+        "distinct honest sources never hit the analysis memo"
+    );
+    let text = std::fs::read_to_string(&log_path).expect("log file written");
+    let mut outcomes = std::collections::BTreeMap::new();
+    for line in text.lines() {
+        let rec = serve::json::parse(line).expect("one JSON record per line");
+        if rec.get("event").and_then(Json::as_str) == Some("serve.access") {
+            let outcome = rec.get("outcome").and_then(Json::as_str).expect("outcome");
+            *outcomes.entry(outcome.to_owned()).or_insert(0u64) += 1;
+        }
+    }
+    let count = |outcome: &str| outcomes.get(outcome).copied().unwrap_or(0);
+    assert_eq!(count("deadline"), 1, "the overrun is a deadline outcome");
+    assert_eq!(count("ok") + count("deadline"), summary.completed);
+    assert_eq!(count("shed"), summary.shed);
+    assert_eq!(count("panic"), summary.failed);
+    assert_eq!(outcomes.values().sum::<u64>(), summary.accepted);
+    let _ = std::fs::remove_file(&log_path);
 }

@@ -248,13 +248,8 @@ fn warm_run_decisions_carry_cache_hit_status() {
             .filter(|e| e.kind == TraceKind::Decision && trace.attr_str(e, "cache") == Some("hit"))
             .count()
     };
-    let mut cache = MiningCache::open(
-        &tmp.0,
-        &[],
-        &diffcode::PipelineLimits::DEFAULT,
-        usagegraph::DEFAULT_MAX_DEPTH,
-    )
-    .expect("open cache");
+    let mut cache =
+        MiningCache::open(&tmp.0, &[], &diffcode::PipelineLimits::DEFAULT).expect("open cache");
     let mut registry = MetricsRegistry::new();
     let mut cold_trace = TraceSink::enabled(1);
     let opts = MineOptions {
