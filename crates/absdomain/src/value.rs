@@ -228,14 +228,6 @@ impl AValue {
             AValue::Unknown => out.push('\u{22a4}'),
         }
     }
-
-    /// The allocation site if this is a site-bound object.
-    pub fn alloc_site(&self) -> Option<AllocSite> {
-        match self {
-            AValue::Obj { site, .. } => Some(*site),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for AValue {

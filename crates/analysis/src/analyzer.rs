@@ -58,46 +58,6 @@ impl Usages {
     pub fn type_of(&self, site: AllocSite) -> Option<&str> {
         self.objects.get(&site).map(|t| &**t)
     }
-
-    /// Merges the usages of several separately analyzed files into one
-    /// view (allocation sites are renumbered to stay disjoint). Used
-    /// for project-level rule checking, where e.g. R13's clauses may be
-    /// satisfied by different files of the same project.
-    pub fn merged<'a>(parts: impl IntoIterator<Item = &'a Usages>) -> Usages {
-        let mut out = Usages::default();
-        let mut next: u32 = 0;
-        for part in parts {
-            // Renumber this part's sites to stay disjoint.
-            let mut mapping: BTreeMap<AllocSite, AllocSite> = BTreeMap::new();
-            for (site, ty) in &part.objects {
-                let new_site = AllocSite(next);
-                next += 1;
-                mapping.insert(*site, new_site);
-                out.objects.insert(new_site, ty.clone());
-            }
-            let remap = |v: &AValue| -> AValue {
-                match v {
-                    AValue::Obj { site, ty } => AValue::Obj {
-                        site: *mapping.get(site).unwrap_or(site),
-                        ty: ty.clone(),
-                    },
-                    other => other.clone(),
-                }
-            };
-            for (site, events) in &part.events {
-                let new_site = *mapping.get(site).unwrap_or(site);
-                let new_events = events
-                    .iter()
-                    .map(|e| UsageEvent {
-                        method: e.method.clone(),
-                        args: e.args.iter().map(&remap).collect(),
-                    })
-                    .collect();
-                out.events.insert(new_site, new_events);
-            }
-        }
-        out
-    }
 }
 
 /// Analyzes a parsed compilation unit under `limits`, returning its

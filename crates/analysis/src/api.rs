@@ -16,7 +16,7 @@ pub const TARGET_CLASSES: [&str; 6] = [
 /// Crypto-API classes the analyzer tracks allocation sites for, beyond
 /// the six targets (they appear as arguments/peers in usages and in
 /// composite rules such as R13).
-pub const TRACKED_CLASSES: [&str; 14] = [
+pub(crate) const TRACKED_CLASSES: [&str; 14] = [
     "Cipher",
     "IvParameterSpec",
     "MessageDigest",
@@ -47,14 +47,14 @@ impl ApiModel {
 
     /// `true` if allocation sites of `class` should become abstract
     /// objects with tracked usage.
-    pub fn is_tracked_class(&self, class: &str) -> bool {
+    pub(crate) fn is_tracked_class(&self, class: &str) -> bool {
         TRACKED_CLASSES.contains(&class)
     }
 
     /// `true` if the *static* call `class.method(..)` is a factory that
     /// returns an instance of `class`. The JCA convention is uniform:
     /// every engine class exposes `getInstance` overloads.
-    pub fn is_factory(&self, class: &str, method: &str) -> bool {
+    pub(crate) fn is_factory(&self, class: &str, method: &str) -> bool {
         looks_like_class_name(class) && (method == "getInstance" || method == "getInstanceStrong")
     }
 
@@ -62,7 +62,7 @@ impl ApiModel {
     /// byte/char-array producers whose constness we propagate
     /// (`"iv".toCharArray()` is a constant array; `password.getBytes()`
     /// on an unknown string is `⊤byte[]`).
-    pub fn eval_known_call(
+    pub(crate) fn eval_known_call(
         &self,
         method: &str,
         receiver: Option<&AValue>,
@@ -96,14 +96,14 @@ impl ApiModel {
     /// `true` if calling `method` havocs the array passed to it (e.g.
     /// `SecureRandom.nextBytes(iv)` turns a zero-initialized constant
     /// array into runtime data).
-    pub fn is_array_havoc(&self, method: &str) -> bool {
+    pub(crate) fn is_array_havoc(&self, method: &str) -> bool {
         matches!(method, "nextBytes" | "engineNextBytes" | "read")
     }
 }
 
 /// Heuristic used when a dotted name does not resolve to a local or
 /// field: a capitalized segment is read as a class name.
-pub fn looks_like_class_name(segment: &str) -> bool {
+pub(crate) fn looks_like_class_name(segment: &str) -> bool {
     segment
         .chars()
         .next()
@@ -113,7 +113,7 @@ pub fn looks_like_class_name(segment: &str) -> bool {
 /// Heuristic for API constants: `Cipher.ENCRYPT_MODE`,
 /// `Build.MIN_SDK_VERSION` — an ALL_CAPS terminal segment on a
 /// class-like qualifier.
-pub fn looks_like_const_name(segment: &str) -> bool {
+pub(crate) fn looks_like_const_name(segment: &str) -> bool {
     !segment.is_empty()
         && segment
             .chars()

@@ -39,9 +39,7 @@ mod api;
 mod limits;
 
 pub use analyzer::{analyze, UsageEvent, Usages};
-pub use api::{
-    looks_like_class_name, looks_like_const_name, ApiModel, TARGET_CLASSES, TRACKED_CLASSES,
-};
+pub use api::{ApiModel, TARGET_CLASSES};
 pub use limits::{AnalysisError, AnalysisLimits};
 
 #[cfg(test)]

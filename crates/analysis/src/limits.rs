@@ -61,17 +61,6 @@ pub enum AnalysisError {
     },
 }
 
-impl AnalysisError {
-    /// Stable machine-readable name of the error kind, used for
-    /// per-kind quarantine accounting.
-    pub fn name(&self) -> &'static str {
-        match self {
-            AnalysisError::StepBudgetExceeded { .. } => "analysis-steps",
-            AnalysisError::AstTooDeep { .. } => "ast-too-deep",
-        }
-    }
-}
-
 impl fmt::Display for AnalysisError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -17,16 +17,6 @@ const FNV_PRIME: u128 = 0x0000000001000000000000000000013b;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Fingerprint(pub u128);
 
-impl Fingerprint {
-    /// Parses the 32-hex-digit form produced by `Display`.
-    pub fn parse(s: &str) -> Option<Fingerprint> {
-        if s.len() != 32 {
-            return None;
-        }
-        u128::from_str_radix(s, 16).ok().map(Fingerprint)
-    }
-}
-
 impl fmt::Display for Fingerprint {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{:032x}", self.0)
@@ -112,6 +102,16 @@ pub fn fingerprint_str(parts: &[&str]) -> Fingerprint {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Fingerprint {
+        /// Parses the 32-hex-digit form produced by `Display`.
+        fn parse(s: &str) -> Option<Fingerprint> {
+            if s.len() != 32 {
+                return None;
+            }
+            u128::from_str_radix(s, 16).ok().map(Fingerprint)
+        }
+    }
 
     #[test]
     fn known_vector() {

@@ -32,7 +32,7 @@
 //! different version reports [`Lookup::StaleVersion`] instead of a hit,
 //! so bumping the version invalidates every existing entry without
 //! touching the file. [`CacheStore::vacuum`] rewrites the log to drop
-//! stale and superseded records; [`verify`] checks record integrity
+//! stale and superseded records; [`verify_ns`] checks record integrity
 //! without loading payloads into an index.
 //!
 //! # Example
@@ -62,6 +62,6 @@ pub mod wire;
 
 pub use fingerprint::{fingerprint, fingerprint_str, Fingerprint, Fingerprinter};
 pub use store::{
-    verify, verify_ns, CacheStats, CacheStore, Lookup, ShardLog, SharedBytes, StoreError,
+    log_name, verify_ns, CacheStats, CacheStore, Lookup, ShardLog, SharedBytes, StoreError,
     VacuumReport, VerifyReport,
 };

@@ -49,7 +49,11 @@ const DEFAULT_NS: &str = "cache";
 /// format, separate file — so two subsystems (mining outcomes and
 /// clustering distances, say) can share a cache dir without sharing a
 /// key space or an analysis version.
-fn log_name(namespace: &str) -> String {
+///
+/// # Panics
+///
+/// On a namespace that is not a non-empty `[A-Za-z0-9_-]+` token.
+pub fn log_name(namespace: &str) -> String {
     assert!(
         !namespace.is_empty()
             && namespace
@@ -239,24 +243,10 @@ impl ShardLog {
         }
     }
 
-    /// This shard's own payload for `key`, if it wrote one.
-    pub fn get(&self, key: Fingerprint) -> Option<&[u8]> {
-        self.get_shared(key).map(|payload| &**payload)
-    }
-
-    /// [`ShardLog::get`] as a shared handle that can outlive the log.
+    /// This shard's own payload for `key`, if it wrote one, as a shared
+    /// handle that can outlive the log.
     pub fn get_shared(&self, key: Fingerprint) -> Option<&SharedBytes> {
         self.entries.get(&key.0)
-    }
-
-    /// Number of recorded entries.
-    pub fn len(&self) -> usize {
-        self.order.len()
-    }
-
-    /// `true` when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.order.is_empty()
     }
 }
 
@@ -296,7 +286,7 @@ pub struct VacuumReport {
     pub bytes_after: u64,
 }
 
-/// What [`verify`] found.
+/// What [`verify_ns`] found.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct VerifyReport {
     /// Well-formed records (checksum passed).
@@ -432,13 +422,8 @@ impl CacheStore {
     }
 
     /// The path of the backing log file.
-    pub fn log_path(&self) -> PathBuf {
+    pub(crate) fn log_path(&self) -> PathBuf {
         self.dir.join(&self.log_name)
-    }
-
-    /// The analysis version lookups are checked against.
-    pub fn version(&self) -> u32 {
-        self.version
     }
 
     /// Indexes every valid record of the log `bytes`, each entry a
@@ -623,16 +608,11 @@ impl CacheStore {
     }
 
     /// Number of indexed entries at the current version.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.index
             .values()
             .filter(|e| e.version == self.version)
             .count()
-    }
-
-    /// `true` when no entry is indexed at the current version.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Aggregate store facts.
@@ -702,17 +682,9 @@ impl CacheStore {
     }
 }
 
-/// Scans the log under `dir` without building an index: record
-/// well-formedness, payload checksums, per-version counts.
-///
-/// # Errors
-///
-/// I/O failures only; an absent log verifies as an empty clean report.
-pub fn verify(dir: &Path) -> io::Result<VerifyReport> {
-    verify_ns(dir, DEFAULT_NS)
-}
-
-/// [`verify`] for one namespace's log — `<dir>/<namespace>.log`.
+/// Scans one namespace's log, `<dir>/<namespace>.log`, without
+/// building an index: record well-formedness, payload checksums,
+/// per-version counts.
 ///
 /// # Errors
 ///
@@ -799,6 +771,13 @@ fn read_record(reader: &mut Reader<'_>) -> Result<RawRecord, WireError> {
 mod tests {
     use super::*;
     use crate::fingerprint::fingerprint;
+
+    impl ShardLog {
+        /// This shard's own payload for `key`, if it wrote one.
+        fn get(&self, key: Fingerprint) -> Option<&[u8]> {
+            self.get_shared(key).map(|payload| &**payload)
+        }
+    }
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("diffcache-test-{}-{tag}", std::process::id()));
@@ -951,7 +930,7 @@ mod tests {
     fn verify_reports_integrity() {
         let dir = temp_dir("verify");
         assert_eq!(
-            verify(&dir).unwrap(),
+            verify_ns(&dir, DEFAULT_NS).unwrap(),
             VerifyReport::default(),
             "absent log is clean"
         );
@@ -960,7 +939,7 @@ mod tests {
         store.insert(fingerprint(&[b"2"]), b"two".to_vec());
         store.flush().unwrap();
 
-        let report = verify(&dir).unwrap();
+        let report = verify_ns(&dir, DEFAULT_NS).unwrap();
         assert!(report.is_clean(), "{report:?}");
         assert_eq!(report.valid_records, 2);
         assert_eq!(report.distinct_keys, 2);
@@ -972,7 +951,7 @@ mod tests {
         let flip = MAGIC.len() + 16 + 4 + 8; // first payload byte
         bytes[flip] ^= 0xFF;
         std::fs::write(&log, &bytes).unwrap();
-        let report = verify(&dir).unwrap();
+        let report = verify_ns(&dir, DEFAULT_NS).unwrap();
         assert!(!report.is_clean());
         assert_eq!(report.checksum_failures, 1);
         assert_eq!(report.valid_records, 1);
@@ -993,7 +972,7 @@ mod tests {
         for cut in last_start..full.len() {
             std::fs::write(&log, &full[..cut]).unwrap();
             let stats = CacheStore::open(&dir, 1).unwrap().stats();
-            let report = verify(&dir).unwrap();
+            let report = verify_ns(&dir, DEFAULT_NS).unwrap();
             assert_eq!(
                 report.corrupt_tail_bytes, stats.corrupt_tail_bytes,
                 "cut at byte {cut}"
@@ -1187,7 +1166,7 @@ mod tests {
         let store = CacheStore::open(&dir, 1).unwrap();
         assert_eq!(store.len(), 0);
         assert!(store.stats().corrupt_tail_bytes > 0);
-        let report = verify(&dir).unwrap();
+        let report = verify_ns(&dir, DEFAULT_NS).unwrap();
         assert!(!report.is_clean());
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -59,7 +59,7 @@ impl Writer {
     }
 
     /// Appends a little-endian u32.
-    pub fn u32(&mut self, v: u32) {
+    pub(crate) fn u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
@@ -69,12 +69,12 @@ impl Writer {
     }
 
     /// Appends a little-endian u128.
-    pub fn u128(&mut self, v: u128) {
+    pub(crate) fn u128(&mut self, v: u128) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Appends a length-prefixed byte string.
-    pub fn bytes(&mut self, v: &[u8]) {
+    pub(crate) fn bytes(&mut self, v: &[u8]) {
         self.u64(v.len() as u64);
         self.buf.extend_from_slice(v);
     }
@@ -110,7 +110,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
+    pub(crate) fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
@@ -143,7 +143,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads a little-endian u32.
-    pub fn u32(&mut self) -> Result<u32, WireError> {
+    pub(crate) fn u32(&mut self) -> Result<u32, WireError> {
         let bytes = self.take(4)?;
         Ok(u32::from_le_bytes(
             bytes.try_into().map_err(|_| WireError::Malformed("u32"))?,
@@ -159,7 +159,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads a little-endian u128.
-    pub fn u128(&mut self) -> Result<u128, WireError> {
+    pub(crate) fn u128(&mut self) -> Result<u128, WireError> {
         let bytes = self.take(16)?;
         Ok(u128::from_le_bytes(
             bytes.try_into().map_err(|_| WireError::Malformed("u128"))?,

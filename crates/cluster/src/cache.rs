@@ -61,7 +61,7 @@ impl LabelCache {
     /// the exhaustion path: production code uses
     /// [`LabelCache::default`], which caps at 2³².
     #[must_use]
-    pub fn with_id_cap(id_cap: u64) -> LabelCache {
+    pub(crate) fn with_id_cap(id_cap: u64) -> LabelCache {
         LabelCache {
             interner: RwLock::new(Interner::default()),
             memo: RwLock::new(HashMap::new()),
@@ -75,7 +75,7 @@ impl LabelCache {
     /// # Panics
     ///
     /// If interning would exceed the `u32` label-id space (2³²
-    /// distinct labels, or the [`LabelCache::with_id_cap`] test cap).
+    /// distinct labels, or the `LabelCache::with_id_cap` test cap).
     /// Wrapped ids would collide memoized pairs and silently return
     /// wrong similarities, so the cache fails closed instead; no real
     /// corpus comes near the cap.
@@ -95,18 +95,6 @@ impl LabelCache {
         };
         self.memo.write().expect("memo lock").insert(key, computed);
         computed
-    }
-
-    /// Number of distinct labels interned so far.
-    #[must_use]
-    pub fn interned_labels(&self) -> usize {
-        self.interner.read().expect("interner lock").units.len()
-    }
-
-    /// Number of distinct label pairs memoized so far.
-    #[must_use]
-    pub fn memoized_pairs(&self) -> usize {
-        self.memo.read().expect("memo lock").len()
     }
 
     fn intern(&self, label: &str) -> u32 {
@@ -189,6 +177,19 @@ fn pack(a: u32, b: u32) -> u64 {
 mod tests {
     use super::*;
     use crate::label_similarity;
+
+    impl LabelCache {
+        /// Number of distinct labels interned so far.
+        fn interned_labels(&self) -> usize {
+            self.interner.read().expect("interner lock").units.len()
+        }
+
+        /// Number of distinct label pairs memoized so far (also read by
+        /// `dist`'s tests).
+        pub(crate) fn memoized_pairs(&self) -> usize {
+            self.memo.read().expect("memo lock").len()
+        }
+    }
 
     #[test]
     fn agrees_with_uncached_similarity() {

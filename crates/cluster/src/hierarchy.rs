@@ -1,7 +1,7 @@
 //! Agglomerative hierarchical clustering with complete linkage
 //! (paper §4.3).
 //!
-//! The public entry points ([`agglomerate`], [`agglomerate_with`],
+//! The entry points ([`agglomerate`], [`agglomerate_with`],
 //! [`agglomerate_matrix`]) run the O(n²) nearest-neighbor-chain
 //! algorithm from [`crate::chain`] over a shared [`DistanceMatrix`].
 //! The original quadratic-scan loop is retained as
@@ -93,7 +93,7 @@ impl Dendrogram {
 
     /// Cuts the tree into exactly `k` clusters (or fewer, if there are
     /// fewer leaves) by undoing the last `k − 1` merges.
-    pub fn cut_into(&self, k: usize) -> Vec<Vec<usize>> {
+    pub(crate) fn cut_into(&self, k: usize) -> Vec<Vec<usize>> {
         if self.n_leaves == 0 {
             return Vec::new();
         }
@@ -260,7 +260,7 @@ pub fn agglomerate(n: usize, dist: impl Fn(usize, usize) -> f64 + Sync) -> Dendr
 }
 
 /// [`agglomerate`] with an explicit linkage criterion.
-pub fn agglomerate_with(
+pub(crate) fn agglomerate_with(
     n: usize,
     dist: impl Fn(usize, usize) -> f64 + Sync,
     linkage: Linkage,
@@ -276,13 +276,17 @@ pub fn agglomerate_matrix(matrix: &DistanceMatrix, linkage: Linkage) -> Dendrogr
 }
 
 /// The original quadratic-scan agglomeration loop, retained as the
-/// executable specification of [`agglomerate_with`]: it recomputes
+/// executable specification of `agglomerate_with`: it recomputes
 /// cluster distances from leaf members every round (O(n³) and worse),
 /// and the nn-chain implementation is property-tested to produce the
 /// identical dendrogram — same merges, node ids, heights, and
 /// tie-breaking — on all inputs with distinct pairwise distances and
 /// exhaustively on small tie-heavy ones (see `crate::chain` for the
 /// boundary under adversarial exact ties).
+///
+/// Hidden from the documented API: it is evidence, public only so the
+/// NN-chain equivalence tests and the clustering bench can call it.
+#[doc(hidden)]
 pub fn agglomerate_naive(
     n: usize,
     dist: impl Fn(usize, usize) -> f64,

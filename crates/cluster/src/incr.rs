@@ -25,7 +25,7 @@ use crate::matrix::{condensed_cells, condensed_index, DistanceMatrix, MatrixErro
 #[derive(Debug)]
 pub struct WarmMatrix {
     /// The complete matrix — bit-identical to a cold
-    /// [`DistanceMatrix::try_from_fn`] build over the same items.
+    /// [`DistanceMatrix::from_fn`] build over the same items.
     pub matrix: DistanceMatrix,
     /// Number of cells taken from the prior (cache hits).
     pub reused: usize,
@@ -39,7 +39,7 @@ pub struct WarmMatrix {
 /// finite cell of `prior` and calling `dist` only for the `NaN` slots.
 /// `prior` must be a condensed upper triangle of length `n·(n−1)/2`
 /// (pass all-`NaN` for a cold build — the result is then identical to
-/// [`DistanceMatrix::try_from_fn`]).
+/// [`DistanceMatrix::from_fn`]).
 ///
 /// # Errors
 ///

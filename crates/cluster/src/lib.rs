@@ -9,7 +9,8 @@
 //! see [`agglomerate_matrix`]) over the matrix, and silhouette-based
 //! cut selection ([`Dendrogram::best_cut`]) reuses the same matrix —
 //! no stage ever re-evaluates a pairwise distance. The quadratic-scan
-//! reference loop survives as [`agglomerate_naive`] and the nn-chain
+//! reference loop survives as `agglomerate_naive` (hidden from these
+//! docs; the tests and the clustering bench call it) and the nn-chain
 //! is property-tested to reproduce its dendrograms exactly whenever
 //! pairwise distances are distinct, and exhaustively on small
 //! tie-heavy inputs (see `crate::chain` docs for the precise boundary
@@ -18,7 +19,7 @@
 //! # Example
 //!
 //! ```
-//! use cluster::{cluster_usage_changes, usage_dist};
+//! use cluster::{agglomerate_matrix, usage_dist, usage_distance_matrix, Linkage};
 //! use usagegraph::{FeaturePath, Label, UsageChange};
 //!
 //! fn path(labels: &[&str]) -> FeaturePath {
@@ -37,7 +38,8 @@
 //! };
 //! assert!(usage_dist(&ecb_to_cbc, &ecb_to_gcm) < 0.2);
 //!
-//! let dendrogram = cluster_usage_changes(&[ecb_to_cbc, ecb_to_gcm]);
+//! let matrix = usage_distance_matrix(&[ecb_to_cbc, ecb_to_gcm]);
+//! let dendrogram = agglomerate_matrix(&matrix, Linkage::Complete);
 //! assert_eq!(dendrogram.merges.len(), 1);
 //! ```
 
@@ -54,12 +56,11 @@ mod matrix;
 pub use cache::LabelCache;
 pub use dist::{path_dist, paths_dist, usage_dist, usage_dist_cached};
 pub use hierarchy::{
-    agglomerate, agglomerate_matrix, agglomerate_naive, agglomerate_with, Dendrogram, Linkage,
-    Merge,
+    agglomerate, agglomerate_matrix, agglomerate_naive, Dendrogram, Linkage, Merge,
 };
 pub use incr::{matrix_from_prior, WarmMatrix};
 pub use lev::{label_similarity, levenshtein};
-pub use matrix::{condensed_cells, DistanceMatrix, MatrixError};
+pub use matrix::{DistanceMatrix, MatrixError};
 
 use usagegraph::UsageChange;
 
@@ -81,12 +82,6 @@ pub fn usage_distance_matrix(changes: &[UsageChange]) -> DistanceMatrix {
     DistanceMatrix::from_fn(changes.len(), |i, j| {
         usage_dist_cached(&changes[i], &changes[j], &cache)
     })
-}
-
-/// Clusters usage changes hierarchically under [`usage_dist`] with
-/// complete linkage.
-pub fn cluster_usage_changes(changes: &[UsageChange]) -> Dendrogram {
-    agglomerate_matrix(&usage_distance_matrix(changes), Linkage::Complete)
 }
 
 #[cfg(test)]

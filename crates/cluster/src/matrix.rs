@@ -70,8 +70,7 @@ impl DistanceMatrix {
     ///
     /// # Panics
     ///
-    /// If `n·(n−1)/2` overflows `usize`. Use [`DistanceMatrix::try_from_fn`]
-    /// to get a typed error (and a configurable cell budget) instead.
+    /// If `n·(n−1)/2` overflows `usize`.
     pub fn from_fn(n: usize, dist: impl Fn(usize, usize) -> f64 + Sync) -> Self {
         DistanceMatrix::try_from_fn(n, None, dist).expect("condensed matrix size overflows usize")
     }
@@ -86,7 +85,7 @@ impl DistanceMatrix {
     /// # Errors
     ///
     /// [`MatrixError::SizeOverflow`] or [`MatrixError::CellBudgetExceeded`].
-    pub fn try_from_fn(
+    pub(crate) fn try_from_fn(
         n: usize,
         max_cells: Option<usize>,
         dist: impl Fn(usize, usize) -> f64 + Sync,
@@ -176,7 +175,7 @@ impl DistanceMatrix {
 
     /// The condensed upper triangle, row major, `i < j`.
     #[must_use]
-    pub fn condensed(&self) -> &[f64] {
+    pub(crate) fn condensed(&self) -> &[f64] {
         &self.data
     }
 }
@@ -185,7 +184,7 @@ impl DistanceMatrix {
 /// `n·(n−1)/2`, computed in `u128` so it can never wrap. (`u128` holds
 /// the product for any `usize` `n`: the factors are < 2⁶⁴ each.)
 #[must_use]
-pub fn condensed_cells(n: usize) -> u128 {
+pub(crate) fn condensed_cells(n: usize) -> u128 {
     let n = n as u128;
     n * n.saturating_sub(1) / 2
 }

@@ -48,7 +48,7 @@ pub const CLUSTERING_VERSION: u32 = 1;
 
 /// The cache-directory namespace of the clustering log (the mining
 /// cache owns the default `"cache"` namespace).
-pub const CLUSTER_NAMESPACE: &str = "cluster";
+pub(crate) const CLUSTER_NAMESPACE: &str = "cluster";
 
 /// Version tag of the cell/memo payload encodings (bumped on codec
 /// change; folded into the configuration fingerprint).
@@ -96,7 +96,7 @@ impl ClusterCache {
     /// # Errors
     ///
     /// As [`ClusterCache::open`].
-    pub fn open_default(dir: &Path) -> Result<ClusterCache, StoreError> {
+    pub(crate) fn open_default(dir: &Path) -> Result<ClusterCache, StoreError> {
         ClusterCache::open(dir, Linkage::Complete)
     }
 
@@ -136,7 +136,7 @@ impl ClusterCache {
     /// The cache key of the cell for an unordered pair of change
     /// fingerprints: configuration fingerprint plus the two content
     /// fingerprints in sorted order.
-    pub fn cell_key(&self, a: Fingerprint, b: Fingerprint) -> Fingerprint {
+    pub(crate) fn cell_key(&self, a: Fingerprint, b: Fingerprint) -> Fingerprint {
         let (lo, hi) = if a.0 <= b.0 { (a, b) } else { (b, a) };
         fingerprint(&[
             &self.config_fp.0.to_le_bytes(),
@@ -159,7 +159,7 @@ impl ClusterCache {
 
     /// Records a freshly computed cell. Visible to [`ClusterCache::cell`]
     /// immediately; durable after [`ClusterCache::flush`].
-    pub fn record_cell(&mut self, a: Fingerprint, b: Fingerprint, distance: f64) {
+    pub(crate) fn record_cell(&mut self, a: Fingerprint, b: Fingerprint, distance: f64) {
         let key = self.cell_key(a, b);
         self.store
             .insert(key, distance.to_bits().to_le_bytes().to_vec());
@@ -168,7 +168,7 @@ impl ClusterCache {
     /// The persisted label-similarity memo, or empty when absent,
     /// stale, or undecodable (the memo is a pure accelerator — losing
     /// it costs time, never correctness).
-    pub fn label_memo(&self) -> Vec<(String, String, f64)> {
+    pub(crate) fn label_memo(&self) -> Vec<(String, String, f64)> {
         let Lookup::Hit(bytes) = self.store.get(self.memo_key()) else {
             return Vec::new();
         };
@@ -177,7 +177,7 @@ impl ClusterCache {
 
     /// Persists the full label-similarity memo (supersedes the prior
     /// record — last write wins, and vacuum compacts the old ones).
-    pub fn record_label_memo(&mut self, entries: &[(String, String, f64)]) {
+    pub(crate) fn record_label_memo(&mut self, entries: &[(String, String, f64)]) {
         let key = self.memo_key();
         self.store.insert(key, encode_memo(entries));
     }
@@ -196,13 +196,8 @@ impl ClusterCache {
     }
 
     /// The underlying store (stats, vacuum).
-    pub fn store(&self) -> &CacheStore {
+    pub(crate) fn store(&self) -> &CacheStore {
         &self.store
-    }
-
-    /// The underlying store, mutably (vacuum).
-    pub fn store_mut(&mut self) -> &mut CacheStore {
-        &mut self.store
     }
 }
 

@@ -212,7 +212,7 @@ pub fn render_rules() -> String {
 /// Renders a mining run's accounting: mined/skipped totals, the
 /// per-kind skip breakdown, and the quarantine (capped at
 /// `max_reports` entries, with a count of the remainder).
-pub fn render_mining_summary(result: &MiningResult, max_reports: usize) -> String {
+pub(crate) fn render_mining_summary(result: &MiningResult, max_reports: usize) -> String {
     let stats = &result.stats;
     let mut out = String::new();
     let _ = writeln!(
@@ -652,7 +652,7 @@ fn cluster_digest(elicitation: &Elicitation) -> cache::Fingerprint {
 /// between the one-shot mining digest below and the `serve` `/mine`
 /// endpoint, which is what makes a served verdict byte-comparable to a
 /// one-shot run's.
-pub fn tuple_digest(
+pub(crate) fn tuple_digest(
     class: &str,
     old_dag: &UsageDag,
     new_dag: &UsageDag,
@@ -740,7 +740,7 @@ fn write_tuple_digest(
 }
 
 /// The digest texts of one [`crate::mcache::ChangeOutcome`] — one
-/// [`tuple_digest`] per mined tuple, empty for a quarantined skip.
+/// `tuple_digest` per mined tuple, empty for a quarantined skip.
 pub fn outcome_digest_parts(outcome: &crate::mcache::ChangeOutcome) -> Vec<String> {
     match outcome {
         crate::mcache::ChangeOutcome::Mined(tuples) => tuples
@@ -840,7 +840,7 @@ pub fn run_explain(query: &str, source: &MineSource, threads: usize) -> Result<S
 /// # Errors
 ///
 /// No change matches the query.
-pub fn render_explain(trace: &TraceSink, query: &str) -> Result<String, String> {
+pub(crate) fn render_explain(trace: &TraceSink, query: &str) -> Result<String, String> {
     let events = trace.events();
     // Matching fingerprints, in first-decision order.
     let mut fingerprints: Vec<String> = Vec::new();
@@ -954,23 +954,33 @@ fn render_span_subtree(
 }
 
 /// Resolves a `cache --namespace` value to the log namespace and the
-/// version currently written under it. One directory can hold several
-/// logs — the mining outcomes (`cache.log`, the default) and the
-/// clustering distance cells (`cluster.log`) — and each namespace has
-/// its own notion of "current version".
+/// version currently written under it, and requires that namespace's
+/// log, `<dir>/<namespace>.log`, to exist. One directory can hold
+/// several logs — the mining outcomes (`cache.log`, the default) and
+/// the clustering distance cells (`cluster.log`) — and each namespace
+/// has its own notion of "current version".
 ///
 /// # Errors
 ///
 /// An unknown namespace (only the two known logs have a defined
-/// current version).
-fn cache_namespace(namespace: Option<&str>) -> Result<(&str, u32), String> {
-    match namespace.unwrap_or("cache") {
-        "cache" => Ok(("cache", crate::mcache::ANALYSIS_VERSION)),
-        "cluster" => Ok(("cluster", crate::ccache::CLUSTERING_VERSION)),
-        other => Err(format!(
-            "unknown cache namespace `{other}` (expected `cache` or `cluster`)"
-        )),
+/// current version), or no log for it under `dir`: the cache commands
+/// inspect and repair an existing cache, so a mistyped directory is an
+/// error rather than a new, empty, clean cache.
+fn cache_log(dir: &Path, namespace: Option<&str>) -> Result<(&'static str, u32), String> {
+    let (ns, version) = match namespace.unwrap_or("cache") {
+        "cache" => ("cache", crate::mcache::ANALYSIS_VERSION),
+        "cluster" => ("cluster", crate::ccache::CLUSTERING_VERSION),
+        other => {
+            return Err(format!(
+                "unknown cache namespace `{other}` (expected `cache` or `cluster`)"
+            ))
+        }
+    };
+    let log = dir.join(cache::log_name(ns));
+    if !log.is_file() {
+        return Err(format!("no {ns} log at {}", log.display()));
     }
+    Ok((ns, version))
 }
 
 /// Renders `diffcode cache stats` for the store under `dir`. Opens
@@ -980,9 +990,10 @@ fn cache_namespace(namespace: Option<&str>) -> Result<(&str, u32), String> {
 ///
 /// # Errors
 ///
-/// I/O failures opening the store, or an unknown namespace.
+/// I/O failures opening the store, an unknown namespace, or no log
+/// for it under `dir`.
 pub fn render_cache_stats(dir: &Path, namespace: Option<&str>) -> Result<String, String> {
-    let (ns, version) = cache_namespace(namespace)?;
+    let (ns, version) = cache_log(dir, namespace)?;
     let store = cache::CacheStore::open_ns_tolerant(dir, version, ns)
         .map_err(|e| format!("opening cache at {}: {e}", dir.display()))?;
     let stats = store.stats();
@@ -1023,10 +1034,10 @@ pub fn render_cache_stats(dir: &Path, namespace: Option<&str>) -> Result<String,
 ///
 /// # Errors
 ///
-/// I/O failures opening or rewriting the store, or an unknown
-/// namespace.
+/// I/O failures opening or rewriting the store, an unknown
+/// namespace, or no log for it under `dir`.
 pub fn render_cache_vacuum(dir: &Path, namespace: Option<&str>) -> Result<String, String> {
-    let (ns, version) = cache_namespace(namespace)?;
+    let (ns, version) = cache_log(dir, namespace)?;
     let mut store = cache::CacheStore::open_ns_tolerant(dir, version, ns)
         .map_err(|e| format!("opening cache at {}: {e}", dir.display()))?;
     let report = store
@@ -1055,9 +1066,10 @@ pub fn render_cache_vacuum(dir: &Path, namespace: Option<&str>) -> Result<String
 ///
 /// # Errors
 ///
-/// I/O failures reading the store, or an unknown namespace.
+/// I/O failures reading the store, an unknown namespace, or no log
+/// for it under `dir`.
 pub fn render_cache_verify(dir: &Path, namespace: Option<&str>) -> Result<(String, bool), String> {
-    let (ns, current_version) = cache_namespace(namespace)?;
+    let (ns, current_version) = cache_log(dir, namespace)?;
     let report = cache::verify_ns(dir, ns)
         .map_err(|e| format!("verifying cache at {}: {e}", dir.display()))?;
     let mut out = String::new();
@@ -1135,7 +1147,11 @@ pub fn run_metrics(
 /// Renders the per-stage metrics report: the pipeline funnel, the
 /// quarantine breakdown by error kind, and the stage latency table —
 /// all sourced from `registry`.
-pub fn render_metrics_report(registry: &MetricsRegistry, seed: u64, n_threads: usize) -> String {
+pub(crate) fn render_metrics_report(
+    registry: &MetricsRegistry,
+    seed: u64,
+    n_threads: usize,
+) -> String {
     let mut out = String::new();
     let gauge = |name: &str| registry.gauge(name).unwrap_or(0.0) as u64;
     let _ = writeln!(
@@ -1299,7 +1315,8 @@ COMMANDS:
               vacuum (compact, dropping stale + superseded records),
               verify (structural integrity scan; non-zero exit when dirty);
               --namespace selects the log in the directory: cache (mining
-              outcomes, the default) or cluster (distance cells)
+              outcomes, the default) or cluster (distance cells); a
+              directory without that log is an error (exit 2)
     metrics   run the pipeline over a seeded corpus and report per-stage
               counters, quarantine breakdown, and stage latencies;
               --metrics-json writes the machine-readable snapshot

@@ -20,7 +20,7 @@ pub const DECISION_EVENT: &str = "decision";
 
 /// Why a pipeline stage ruled the way it did on one change.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DecisionReason {
+pub(crate) enum DecisionReason {
     /// Mining analyzed the change to completion.
     Mined,
     /// Mining skipped the change; the kind names the failing stage.
@@ -44,7 +44,7 @@ pub enum DecisionReason {
 impl DecisionReason {
     /// Which pipeline stage emits this reason (`mine`, `filter`, or
     /// `cluster`) — the `stage` attribute of the decision event.
-    pub fn stage(&self) -> &'static str {
+    pub(crate) fn stage(&self) -> &'static str {
         match self {
             DecisionReason::Mined | DecisionReason::Quarantined(_) => "mine",
             DecisionReason::FilteredRefactoring

@@ -13,7 +13,7 @@ use usagegraph::UsageChange;
 /// Cap on the silhouette search of [`elicit_auto`]. The search is
 /// O(k·n²) — an unbounded k turns an n≥2000 corpus cubic, while real
 /// rule corpora cut into far fewer groups than this.
-pub const CLUSTER_MAX_K: usize = 64;
+pub(crate) const CLUSTER_MAX_K: usize = 64;
 
 /// One cluster of similar usage changes, with an automatically
 /// suggested rule.
@@ -56,7 +56,7 @@ pub fn elicit(changes: &[MinedUsageChange], threshold: f64) -> Elicitation {
 }
 
 /// Clusters `changes` and chooses the cut automatically by maximising
-/// the mean silhouette coefficient over at most [`CLUSTER_MAX_K`]
+/// the mean silhouette coefficient over at most `CLUSTER_MAX_K`
 /// clusters (no threshold to tune). The silhouette search reuses the
 /// distance matrix the dendrogram was built from, so no pairwise
 /// distance is ever evaluated twice.

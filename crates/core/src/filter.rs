@@ -52,7 +52,7 @@ impl FilterStats {
 
     /// Publishes the funnel as `filter.*` counters so metrics snapshots
     /// reconcile exactly with Figure 6.
-    pub fn record(&self, registry: &mut MetricsRegistry) {
+    pub(crate) fn record(&self, registry: &mut MetricsRegistry) {
         registry.inc("filter.total", self.total as u64);
         registry.inc("filter.after_fsame", self.after_fsame as u64);
         registry.inc("filter.after_fadd", self.after_fadd as u64);
@@ -70,12 +70,12 @@ impl FilterStats {
 /// halves are domain-separated, so a collision requires two distinct
 /// changes to collide under both keyed hashes at once (~2⁻¹²⁸ per
 /// pair) — negligible against corpus-scale dedup sets.
-pub type DupKey = (u64, u64);
+pub(crate) type DupKey = (u64, u64);
 
 /// Caller-owned `fdup` state: each key maps to the *change fingerprint*
 /// ([`crate::pipeline::ChangeMeta::fingerprint`]) of its first
 /// occurrence, which is what a later duplicate's
-/// [`DecisionReason::DupOf`] decision names. (A plain set would suffice
+/// `DecisionReason::DupOf` decision names. (A plain set would suffice
 /// for staging alone; the map is what makes `dup_of(<fingerprint>)`
 /// provenance possible.)
 pub type SeenDups = BTreeMap<DupKey, String>;
@@ -91,7 +91,7 @@ fn dup_key(change: &MinedUsageChange) -> DupKey {
 }
 
 /// The counter names of the filtering funnel, in pipeline order — what
-/// [`FilterStats::record`] publishes. Shared by the metrics report, the
+/// `FilterStats::record` publishes. Shared by the metrics report, the
 /// invariant checks, and the CI snapshot checker (which re-implements
 /// the same chain over the JSON snapshot).
 pub const FILTER_FUNNEL: [&str; 5] = [

@@ -41,33 +41,29 @@
 
 #![warn(missing_docs)]
 
-pub mod ccache;
+mod ccache;
 pub mod cli;
-pub mod decision;
-pub mod elicit;
-pub mod experiments;
-pub mod filter;
+mod decision;
+mod elicit;
+mod experiments;
+mod filter;
 pub mod mcache;
 pub mod pipeline;
 pub mod quarantine;
-pub mod report;
+mod report;
 pub mod shutdown;
 
-pub use ccache::{CellLookup, ClusterCache, CLUSTERING_VERSION, CLUSTER_NAMESPACE};
-pub use decision::{DecisionReason, DECISION_EVENT};
-pub use elicit::{
-    elicit, elicit_auto, render_dendrogram, ClusterReport, Elicitation, CLUSTER_MAX_K,
-};
+pub use ccache::{CellLookup, ClusterCache, CLUSTERING_VERSION};
+pub use decision::DECISION_EVENT;
+pub use elicit::{elicit, elicit_auto, render_dendrogram, ClusterReport, Elicitation};
 pub use experiments::{
     figure9_table, Experiments, Figure10Output, Figure6Row, Figure7Cell, Figure7Row, Figure8Output,
 };
-pub use filter::{
-    apply_filters, stage_changes, DupKey, FilterStage, FilterStats, SeenDups, FILTER_FUNNEL,
-};
+pub use filter::{apply_filters, stage_changes, FilterStage, FilterStats, SeenDups, FILTER_FUNNEL};
 pub use mcache::{CachedLookup, ChangeOutcome, MiningCache, MiningCacheView, ANALYSIS_VERSION};
 pub use pipeline::{
     change_fingerprint, mine_parallel, ChangeMeta, DiffCode, MineOptions, MinedUsageChange,
     MiningResult, MiningStats,
 };
 pub use quarantine::{ErrorKind, PipelineError, PipelineLimits, QuarantineReport, SkipCounters};
-pub use report::{display_width, Table};
+pub use report::Table;

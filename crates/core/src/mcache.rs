@@ -69,7 +69,7 @@ pub enum ChangeOutcome {
 }
 
 /// One mined tuple: target class plus the paired DAGs and their diff.
-pub type MinedTuple = (String, UsageDag, UsageDag, UsageChange);
+pub(crate) type MinedTuple = (String, UsageDag, UsageDag, UsageChange);
 
 // ---------------------------------------------------------------------
 // Outcome codec
@@ -580,25 +580,6 @@ impl MiningCache {
         MiningCache::open_at_version(dir, classes, limits, ANALYSIS_VERSION)
     }
 
-    /// [`MiningCache::open`], but tolerating (and skipping) corrupt
-    /// mid-log records — the `cache stats` / `cache vacuum`
-    /// inspection-and-repair path.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Io`] only.
-    pub fn open_tolerant(
-        dir: &Path,
-        classes: &[&str],
-        limits: &crate::quarantine::PipelineLimits,
-    ) -> Result<MiningCache, StoreError> {
-        let store = CacheStore::open_tolerant(dir, ANALYSIS_VERSION)?;
-        Ok(MiningCache {
-            store,
-            config_fp: config_fingerprint(classes, limits),
-        })
-    }
-
     /// [`MiningCache::open`] at an explicit analysis version — the
     /// invalidation tests flip the version without editing this crate.
     pub fn open_at_version(
@@ -749,7 +730,7 @@ impl MiningCacheView<'_> {
     }
 
     /// Records a freshly computed outcome for `key` in this view's log.
-    pub fn record(&mut self, key: Fingerprint, outcome: &ChangeOutcome) {
+    pub(crate) fn record(&mut self, key: Fingerprint, outcome: &ChangeOutcome) {
         self.log.record(key, encode_outcome(outcome));
     }
 

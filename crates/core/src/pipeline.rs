@@ -213,7 +213,7 @@ impl DiffCode {
     /// in flight completes normally, the remainder are never counted,
     /// and the partial result still satisfies
     /// `code_changes == mined + skipped`.
-    pub fn set_cancel_flag(&mut self, flag: &'static AtomicBool) {
+    pub(crate) fn set_cancel_flag(&mut self, flag: &'static AtomicBool) {
         self.cancel = Some(flag);
     }
 
@@ -230,25 +230,9 @@ impl DiffCode {
         dc
     }
 
-    /// Overrides the per-stage resource budgets.
-    pub fn with_limits(limits: PipelineLimits) -> Self {
-        DiffCode {
-            limits,
-            ..DiffCode::new()
-        }
-    }
-
     /// The budgets this pipeline applies to every analysis.
-    pub fn limits(&self) -> &PipelineLimits {
+    pub(crate) fn limits(&self) -> &PipelineLimits {
         &self.limits
-    }
-
-    /// The observability registry this pipeline has accumulated:
-    /// `mine.*` / `analyze.*` / `analysis.*` counters and the
-    /// `mine.run` / `mine.change` timing spans, cumulative across every
-    /// [`Self::mine`] call on this instance.
-    pub fn metrics(&self) -> &MetricsRegistry {
-        &self.metrics
     }
 
     /// Takes the accumulated registry, leaving an empty one — how
@@ -262,19 +246,14 @@ impl DiffCode {
     /// change/stage and one decision event per code change. Pipelines
     /// start with a disabled sink (zero-cost: every trace call is one
     /// branch).
-    pub fn set_trace(&mut self, sink: TraceSink) {
+    pub(crate) fn set_trace(&mut self, sink: TraceSink) {
         self.trace = sink;
-    }
-
-    /// The trace events recorded so far.
-    pub fn trace(&self) -> &TraceSink {
-        &self.trace
     }
 
     /// Takes the accumulated trace, leaving a disabled sink — how
     /// [`mine_parallel`] collects per-shard traces from worker
     /// pipelines on join.
-    pub fn take_trace(&mut self) -> TraceSink {
+    pub(crate) fn take_trace(&mut self) -> TraceSink {
         std::mem::replace(&mut self.trace, TraceSink::disabled())
     }
 
@@ -939,6 +918,16 @@ fn shard_by_code_changes(corpus: &Corpus, n_shards: usize) -> Vec<Corpus> {
 mod tests {
     use super::*;
     use corpus::fixtures;
+
+    impl DiffCode {
+        /// Overrides the per-stage resource budgets.
+        fn with_limits(limits: PipelineLimits) -> Self {
+            DiffCode {
+                limits,
+                ..DiffCode::new()
+            }
+        }
+    }
 
     fn mine_threads(corpus: &Corpus, threads: usize) -> MiningResult {
         let opts = MineOptions {

@@ -152,7 +152,7 @@ impl SkipCounters {
     }
 
     /// Increments the counter for `kind`.
-    pub fn bump(&mut self, kind: ErrorKind) {
+    pub(crate) fn bump(&mut self, kind: ErrorKind) {
         match kind {
             ErrorKind::Lex => self.lex += 1,
             ErrorKind::Parse => self.parse += 1,
@@ -168,7 +168,7 @@ impl SkipCounters {
     }
 
     /// Adds `other`'s counters into `self` (shard merging).
-    pub fn absorb(&mut self, other: &SkipCounters) {
+    pub(crate) fn absorb(&mut self, other: &SkipCounters) {
         self.lex += other.lex;
         self.parse += other.parse;
         self.analysis_budget += other.analysis_budget;
@@ -179,7 +179,7 @@ impl SkipCounters {
     /// Publishes the per-kind breakdown as `mine.skipped.<kind>`
     /// counters (plus the `mine.skipped` total), so metrics snapshots
     /// carry the same quarantine accounting as [`QuarantineReport`]s.
-    pub fn record(&self, registry: &mut obs::MetricsRegistry) {
+    pub(crate) fn record(&self, registry: &mut obs::MetricsRegistry) {
         registry.inc("mine.skipped", self.total() as u64);
         for kind in ErrorKind::ALL {
             registry.inc(

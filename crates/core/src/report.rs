@@ -50,7 +50,7 @@ fn char_width(c: char) -> usize {
 
 /// Terminal display width of a string: the sum of per-character cell
 /// widths (wide CJK/emoji count 2, zero-width marks count 0).
-pub fn display_width(s: &str) -> usize {
+pub(crate) fn display_width(s: &str) -> usize {
     s.chars().map(char_width).sum()
 }
 
@@ -86,16 +86,6 @@ impl Table {
     pub fn row<S: Into<String>>(&mut self, cells: impl IntoIterator<Item = S>) -> &mut Self {
         self.rows.push(cells.into_iter().map(Into::into).collect());
         self
-    }
-
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// `true` if there are no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
     }
 
     /// Renders the table with aligned columns.
@@ -149,6 +139,18 @@ impl Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Table {
+        /// Number of data rows.
+        fn len(&self) -> usize {
+            self.rows.len()
+        }
+
+        /// `true` if there are no data rows.
+        fn is_empty(&self) -> bool {
+            self.rows.is_empty()
+        }
+    }
 
     #[test]
     fn renders_aligned_columns() {

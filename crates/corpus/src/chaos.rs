@@ -48,20 +48,6 @@ pub enum FaultKind {
     PanicMarker,
 }
 
-impl FaultKind {
-    /// Stable machine-readable name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            FaultKind::Truncate => "truncate",
-            FaultKind::ByteFlips => "byte-flips",
-            FaultKind::UnbalancedBraces => "unbalanced-braces",
-            FaultKind::DeepNesting => "deep-nesting",
-            FaultKind::HugeToken => "huge-token",
-            FaultKind::PanicMarker => "panic-marker",
-        }
-    }
-}
-
 /// One injected fault, keyed by the (project, commit, path) identity of
 /// the code change it corrupted.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -286,25 +272,6 @@ pub enum HttpFaultKind {
     HonestFlood,
 }
 
-impl HttpFaultKind {
-    /// Stable machine-readable name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            HttpFaultKind::TruncatedRequestLine => "truncated-request-line",
-            HttpFaultKind::OversizedHeaders => "oversized-headers",
-            HttpFaultKind::BogusContentLength => "bogus-content-length",
-            HttpFaultKind::ShortBody => "short-body",
-            HttpFaultKind::Slowloris => "slowloris",
-            HttpFaultKind::Garbage => "garbage",
-            HttpFaultKind::HugeBody => "huge-body",
-            HttpFaultKind::CallChainBomb => "call-chain-bomb",
-            HttpFaultKind::DistinctEvents => "distinct-events",
-            HttpFaultKind::MultiFileCheck => "multi-file-check",
-            HttpFaultKind::HonestFlood => "honest-flood",
-        }
-    }
-}
-
 /// One class whose methods `a` → `b` → `d` → `e` each call the next one
 /// `calls` times. The analyzer inlines every one of those calls, so an
 /// unbudgeted analysis of method `a` executes `e` `calls³` times; `e`
@@ -518,6 +485,25 @@ impl HttpMutator {
 mod tests {
     use super::*;
     use crate::{generate, GeneratorConfig};
+
+    impl HttpFaultKind {
+        /// Stable machine-readable name.
+        fn name(&self) -> &'static str {
+            match self {
+                HttpFaultKind::TruncatedRequestLine => "truncated-request-line",
+                HttpFaultKind::OversizedHeaders => "oversized-headers",
+                HttpFaultKind::BogusContentLength => "bogus-content-length",
+                HttpFaultKind::ShortBody => "short-body",
+                HttpFaultKind::Slowloris => "slowloris",
+                HttpFaultKind::Garbage => "garbage",
+                HttpFaultKind::HugeBody => "huge-body",
+                HttpFaultKind::CallChainBomb => "call-chain-bomb",
+                HttpFaultKind::DistinctEvents => "distinct-events",
+                HttpFaultKind::MultiFileCheck => "multi-file-check",
+                HttpFaultKind::HonestFlood => "honest-flood",
+            }
+        }
+    }
 
     #[test]
     fn injection_is_deterministic() {

@@ -5,7 +5,7 @@
 
 /// One line of a computed diff.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DiffLine<'a> {
+pub(crate) enum DiffLine<'a> {
     /// Line present in both versions.
     Context(&'a str),
     /// Line only in the old version.
@@ -16,7 +16,7 @@ pub enum DiffLine<'a> {
 
 /// Computes a minimal line diff between `old` and `new` using Myers'
 /// O(ND) algorithm.
-pub fn diff_lines<'a>(old: &'a str, new: &'a str) -> Vec<DiffLine<'a>> {
+pub(crate) fn diff_lines<'a>(old: &'a str, new: &'a str) -> Vec<DiffLine<'a>> {
     let a: Vec<&str> = old.lines().collect();
     let b: Vec<&str> = new.lines().collect();
     let trace = myers_trace(&a, &b);

@@ -201,7 +201,7 @@ class KeyDeriver {
 };
 
 /// DES → AES/CBC (rule R8).
-pub const DES_TO_AES: FixPair = FixPair {
+pub(crate) const DES_TO_AES: FixPair = FixPair {
     name: "des-to-aes",
     description: "replace the broken DES cipher with AES/CBC",
     old: r#"
@@ -227,7 +227,7 @@ class LegacyCrypto {
 };
 
 /// Default provider → BouncyCastle (rule R5).
-pub const ADD_BC_PROVIDER: FixPair = FixPair {
+pub(crate) const ADD_BC_PROVIDER: FixPair = FixPair {
     name: "add-bc-provider",
     description: "request the BouncyCastle provider explicitly",
     old: r#"
@@ -247,7 +247,7 @@ class ProviderCrypto {
 };
 
 /// `getInstanceStrong()` → `getInstance("SHA1PRNG")` (rules R3/R4).
-pub const AVOID_GET_INSTANCE_STRONG: FixPair = FixPair {
+pub(crate) const AVOID_GET_INSTANCE_STRONG: FixPair = FixPair {
     name: "avoid-get-instance-strong",
     description: "avoid the potentially blocking getInstanceStrong on servers",
     old: r#"
@@ -273,7 +273,7 @@ class ServerTokens {
 };
 
 /// Hard-coded key → key parameter (rule R10).
-pub const HARDCODED_KEY_TO_PARAM: FixPair = FixPair {
+pub(crate) const HARDCODED_KEY_TO_PARAM: FixPair = FixPair {
     name: "hardcoded-key-to-param",
     description: "stop hard-coding the AES key",
     old: r#"

@@ -37,19 +37,6 @@ impl Default for GeneratorConfig {
 }
 
 impl GeneratorConfig {
-    /// The paper's training corpus size (461 projects).
-    pub fn training() -> Self {
-        GeneratorConfig::default()
-    }
-
-    /// The paper's checking corpus (519 projects: training + 58 newer).
-    pub fn checking() -> Self {
-        GeneratorConfig {
-            n_projects: 519,
-            ..GeneratorConfig::default()
-        }
-    }
-
     /// A small corpus for tests and quick demos.
     pub fn small(n_projects: usize, seed: u64) -> Self {
         GeneratorConfig {
@@ -159,20 +146,20 @@ fn sample_cipher(rng: &mut StdRng) -> CipherScenario {
         *weighted(
             rng,
             &[
-                (IvKind::StaticIv, 0.08),
-                (IvKind::RandomIv, 0.55),
-                (IvKind::ParamIv, 0.37),
+                (IvKind::Static, 0.08),
+                (IvKind::Random, 0.55),
+                (IvKind::Param, 0.37),
             ],
         )
     } else {
-        IvKind::NoIv
+        IvKind::Absent
     };
     let key = *weighted(
         rng,
         &[
-            (KeyKind::HardcodedKey, 0.06),
-            (KeyKind::ParamKey, 0.70),
-            (KeyKind::GeneratedKey, 0.24),
+            (KeyKind::Hardcoded, 0.06),
+            (KeyKind::Param, 0.70),
+            (KeyKind::Generated, 0.24),
         ],
     );
     let rsa_wrap = rng.random_bool(0.09);
@@ -233,9 +220,9 @@ fn sample_random(rng: &mut StdRng) -> RandomScenario {
         seed: *weighted(
             rng,
             &[
-                (SeedKind::NoSeed, 0.93),
-                (SeedKind::StaticSeed, 0.012),
-                (SeedKind::ParamSeed, 0.058),
+                (SeedKind::Absent, 0.93),
+                (SeedKind::Static, 0.012),
+                (SeedKind::Param, 0.058),
             ],
         ),
         extra_usages: *weighted(rng, &[(0u8, 0.6), (1, 0.3), (2, 0.1)]),
@@ -259,9 +246,9 @@ fn sample_pbe(rng: &mut StdRng) -> PbeScenario {
         salt: *weighted(
             rng,
             &[
-                (SaltKind::StaticSalt, 0.12),
-                (SaltKind::RandomSalt, 0.50),
-                (SaltKind::ParamSalt, 0.38),
+                (SaltKind::Static, 0.12),
+                (SaltKind::Random, 0.50),
+                (SaltKind::Param, 0.38),
             ],
         ),
         style: sample_style(rng),
@@ -399,14 +386,14 @@ fn apply_fix(module: &mut Module, rng: &mut StdRng) -> String {
                 fixes.push(("Switch AES from ECB to CBC with a fresh IV", |s, rng| {
                     s.algo = CipherAlgo::AesCbc;
                     s.iv = if rng.random_bool(0.7) {
-                        IvKind::RandomIv
+                        IvKind::Random
                     } else {
-                        IvKind::ParamIv
+                        IvKind::Param
                     };
                 }));
                 fixes.push(("Use authenticated AES/GCM instead of ECB", |s, _| {
                     s.algo = CipherAlgo::AesGcm;
-                    s.iv = IvKind::RandomIv;
+                    s.iv = IvKind::Random;
                 }));
             }
             if matches!(
@@ -415,8 +402,8 @@ fn apply_fix(module: &mut Module, rng: &mut StdRng) -> String {
             ) {
                 fixes.push(("Replace weak cipher with AES/CBC", |s, _| {
                     s.algo = CipherAlgo::AesCbc;
-                    if s.iv == IvKind::NoIv {
-                        s.iv = IvKind::RandomIv;
+                    if s.iv == IvKind::Absent {
+                        s.iv = IvKind::Random;
                     }
                 }));
             }
@@ -425,14 +412,14 @@ fn apply_fix(module: &mut Module, rng: &mut StdRng) -> String {
                     s.bc_provider = true;
                 }));
             }
-            if s.iv == IvKind::StaticIv {
+            if s.iv == IvKind::Static {
                 fixes.push(("Generate the IV with SecureRandom", |s, _| {
-                    s.iv = IvKind::RandomIv;
+                    s.iv = IvKind::Random;
                 }));
             }
-            if s.key == KeyKind::HardcodedKey {
+            if s.key == KeyKind::Hardcoded {
                 fixes.push(("Stop hard-coding the secret key", |s, _| {
-                    s.key = KeyKind::ParamKey;
+                    s.key = KeyKind::Param;
                 }));
             }
             if s.rsa_wrap && !s.with_mac {
@@ -469,8 +456,8 @@ fn apply_fix(module: &mut Module, rng: &mut StdRng) -> String {
             apply_change(module, ChangeKind::Refactor, rng)
         }
         Module::Random(s) => {
-            if s.seed == SeedKind::StaticSeed {
-                s.seed = SeedKind::NoSeed;
+            if s.seed == SeedKind::Static {
+                s.seed = SeedKind::Absent;
                 return "Security: remove static PRNG seed".to_owned();
             }
             match s.ctor {
@@ -494,8 +481,8 @@ fn apply_fix(module: &mut Module, rng: &mut StdRng) -> String {
                 );
                 return "Security: raise PBKDF2 iteration count".to_owned();
             }
-            if s.salt == SaltKind::StaticSalt {
-                s.salt = SaltKind::RandomSalt;
+            if s.salt == SaltKind::Static {
+                s.salt = SaltKind::Random;
                 return "Security: use a random salt".to_owned();
             }
             apply_change(module, ChangeKind::Refactor, rng)
@@ -522,7 +509,7 @@ fn apply_bug(module: &mut Module, rng: &mut StdRng) -> String {
                 CipherAlgo::AesCbc | CipherAlgo::AesGcm | CipherAlgo::AesCtr
             ) {
                 s.algo = CipherAlgo::AesDefault;
-                s.iv = IvKind::NoIv;
+                s.iv = IvKind::Absent;
                 return "Simplify cipher configuration".to_owned();
             }
             apply_change(module, ChangeKind::Refactor, rng)
@@ -535,8 +522,8 @@ fn apply_bug(module: &mut Module, rng: &mut StdRng) -> String {
             apply_change(module, ChangeKind::Refactor, rng)
         }
         Module::Random(s) => {
-            if s.seed == SeedKind::NoSeed && rng.random_bool(0.5) {
-                s.seed = SeedKind::StaticSeed;
+            if s.seed == SeedKind::Absent && rng.random_bool(0.5) {
+                s.seed = SeedKind::Static;
                 return "Make token generation reproducible".to_owned();
             }
             apply_change(module, ChangeKind::Refactor, rng)

@@ -25,17 +25,17 @@
 #![warn(missing_docs)]
 
 pub mod chaos;
-pub mod diff;
+mod diff;
 pub mod fixtures;
 mod generator;
-pub mod golden;
+mod golden;
 mod model;
-pub mod stats;
-pub mod templates;
+mod stats;
+mod templates;
 
 pub use chaos::{FaultKind, FaultLog, InjectedFault, Mutator};
-pub use diff::{diff_lines, render_patch, DiffLine};
+pub use diff::render_patch;
 pub use generator::{generate, GeneratorConfig};
 pub use golden::golden_corpus;
-pub use model::{CodeChange, Commit, Corpus, FileChange, Project, ProjectFacts, GENERATED_AUTHOR};
+pub use model::{CodeChange, Commit, Corpus, FileChange, Project, ProjectFacts};
 pub use stats::{corpus_stats, CorpusStats};

@@ -5,7 +5,7 @@ use std::collections::BTreeMap;
 /// The deterministic author identity stamped on every synthetic
 /// commit, so generated corpora and real-git ingestion flow through
 /// the same provenance plumbing.
-pub const GENERATED_AUTHOR: &str = "diffcode-generator <generator@diffcode>";
+pub(crate) const GENERATED_AUTHOR: &str = "diffcode-generator <generator@diffcode>";
 
 /// Android-style project facts carried by the corpus (consumed by rule
 /// R6 via the checker's project context).

@@ -111,7 +111,7 @@ pub fn corpus_stats(corpus: &Corpus) -> CorpusStats {
 
 impl CorpusStats {
     /// Commits in the given category.
-    pub fn kind(&self, category: &str) -> usize {
+    pub(crate) fn kind(&self, category: &str) -> usize {
         self.commits_by_kind.get(category).copied().unwrap_or(0)
     }
 

@@ -13,7 +13,7 @@ use std::fmt::Write as _;
 /// Cipher transformations used in the wild.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)]
-pub enum CipherAlgo {
+pub(crate) enum CipherAlgo {
     /// `"AES"` — ECB by default (insecure).
     AesDefault,
     AesEcb,
@@ -29,7 +29,7 @@ pub enum CipherAlgo {
 /// Padding schemes for block-cipher transformations (diversifies the
 /// transformation strings the way real repositories do).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Padding {
+pub(crate) enum Padding {
     /// `PKCS5Padding`.
     #[default]
     Pkcs5,
@@ -41,7 +41,7 @@ pub enum Padding {
 
 impl Padding {
     /// The suffix in the transformation string.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             Padding::Pkcs5 => "PKCS5Padding",
             Padding::None => "NoPadding",
@@ -52,7 +52,7 @@ impl Padding {
 
 impl CipherAlgo {
     /// The transformation string passed to `Cipher.getInstance`.
-    pub fn transformation(self, padding: Padding) -> String {
+    pub(crate) fn transformation(self, padding: Padding) -> String {
         let p = padding.as_str();
         match self {
             CipherAlgo::AesDefault => "AES".to_owned(),
@@ -68,7 +68,7 @@ impl CipherAlgo {
     }
 
     /// Whether the mode requires an IV.
-    pub fn needs_iv(self) -> bool {
+    pub(crate) fn needs_iv(self) -> bool {
         !matches!(
             self,
             CipherAlgo::AesDefault | CipherAlgo::AesEcb | CipherAlgo::Rsa
@@ -76,12 +76,12 @@ impl CipherAlgo {
     }
 
     /// Whether the IV parameter is a `GCMParameterSpec`.
-    pub fn uses_gcm_spec(self) -> bool {
+    pub(crate) fn uses_gcm_spec(self) -> bool {
         matches!(self, CipherAlgo::AesGcm)
     }
 
     /// The key algorithm name for `SecretKeySpec`.
-    pub fn key_algo(self) -> &'static str {
+    pub(crate) fn key_algo(self) -> &'static str {
         match self {
             CipherAlgo::Des => "DES",
             CipherAlgo::DesEde => "DESede",
@@ -93,32 +93,32 @@ impl CipherAlgo {
 
 /// How the IV is obtained.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum IvKind {
+pub(crate) enum IvKind {
     /// No IV is passed (ECB / default mode).
-    NoIv,
+    Absent,
     /// A hard-coded / zero IV (violates R9).
-    StaticIv,
+    Static,
     /// A `SecureRandom`-generated IV.
-    RandomIv,
+    Random,
     /// The IV arrives as a method parameter.
-    ParamIv,
+    Param,
 }
 
 /// Where the secret key comes from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum KeyKind {
+pub(crate) enum KeyKind {
     /// A hard-coded key constant (violates R10).
-    HardcodedKey,
+    Hardcoded,
     /// Key bytes arrive as a parameter.
-    ParamKey,
+    Param,
     /// A `KeyGenerator`-generated key.
-    GeneratedKey,
+    Generated,
 }
 
 /// Style knobs — changing these is a refactoring, never a semantic
 /// change.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub struct StyleKnobs {
+pub(crate) struct StyleKnobs {
     /// Index into the naming tables.
     pub naming: u8,
     /// Extract the transformation string into a `static final` field.
@@ -142,7 +142,7 @@ const DERIVE_NAMES: [&str; 4] = ["deriveKey", "keyFromPassword", "derive", "pbkd
 /// `Cipher`, `SecretKeySpec`, `IvParameterSpec`/`GCMParameterSpec`,
 /// `SecureRandom`, and optionally `Mac` and an RSA key-wrap cipher.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct CipherScenario {
+pub(crate) struct CipherScenario {
     /// The transformation.
     pub algo: CipherAlgo,
     /// Padding scheme for block modes.
@@ -165,7 +165,7 @@ pub struct CipherScenario {
 
 impl CipherScenario {
     /// Renders the Java source for this scenario.
-    pub fn render(&self, class_name: &str, package: &str) -> String {
+    pub(crate) fn render(&self, class_name: &str, package: &str) -> String {
         let s = &self.style;
         let n = s.naming as usize;
         let method = METHOD_NAMES[n % METHOD_NAMES.len()];
@@ -192,22 +192,22 @@ impl CipherScenario {
                 "    private static final String TRANSFORM = \"{transform}\";"
             );
         }
-        if self.key == KeyKind::HardcodedKey {
+        if self.key == KeyKind::Hardcoded {
             out.push_str(
                 "    private static final byte[] KEY_BYTES = { 0x13, 0x37, 0x42, 0x07, 0x13, 0x37, 0x42, 0x07, 0x13, 0x37, 0x42, 0x07, 0x13, 0x37, 0x42, 0x07 };\n",
             );
         }
-        if self.iv == IvKind::StaticIv {
+        if self.iv == IvKind::Static {
             out.push_str("    private static final byte[] IV = new byte[16];\n");
         }
         out.push('\n');
 
         // Parameters of the encrypt method.
         let mut params = vec!["byte[] data".to_owned()];
-        if self.key == KeyKind::ParamKey {
+        if self.key == KeyKind::Param {
             params.push("byte[] keyBytes".to_owned());
         }
-        if self.iv == IvKind::ParamIv {
+        if self.iv == IvKind::Param {
             params.push("byte[] ivBytes".to_owned());
         }
 
@@ -230,19 +230,19 @@ impl CipherScenario {
 
         // Key material.
         match self.key {
-            KeyKind::HardcodedKey => {
+            KeyKind::Hardcoded => {
                 let _ = writeln!(
                     out,
                     "        SecretKeySpec keySpec = new SecretKeySpec(KEY_BYTES, \"{key_algo}\");"
                 );
             }
-            KeyKind::ParamKey => {
+            KeyKind::Param => {
                 let _ = writeln!(
                     out,
                     "        SecretKeySpec keySpec = new SecretKeySpec(keyBytes, \"{key_algo}\");"
                 );
             }
-            KeyKind::GeneratedKey => {
+            KeyKind::Generated => {
                 let _ = writeln!(
                     out,
                     "        javax.crypto.KeyGenerator keyGen = javax.crypto.KeyGenerator.getInstance(\"{key_algo}\");"
@@ -253,15 +253,15 @@ impl CipherScenario {
 
         // IV.
         let iv_var = match self.iv {
-            IvKind::NoIv => None,
-            IvKind::StaticIv => Some("IV".to_owned()),
-            IvKind::RandomIv => {
+            IvKind::Absent => None,
+            IvKind::Static => Some("IV".to_owned()),
+            IvKind::Random => {
                 out.push_str("        byte[] ivBytes = new byte[16];\n");
                 out.push_str("        SecureRandom ivRandom = new SecureRandom();\n");
                 out.push_str("        ivRandom.nextBytes(ivBytes);\n");
                 Some("ivBytes".to_owned())
             }
-            IvKind::ParamIv => Some("ivBytes".to_owned()),
+            IvKind::Param => Some("ivBytes".to_owned()),
         };
         let spec_var = if let Some(iv) = &iv_var {
             if self.algo.uses_gcm_spec() {
@@ -367,7 +367,7 @@ impl CipherScenario {
 
 /// A message-digest module (`MessageDigest`).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct DigestScenario {
+pub(crate) struct DigestScenario {
     /// Digest algorithm of the main usage.
     pub algo: String,
     /// Extra independent digest usages (algorithm per usage).
@@ -378,7 +378,7 @@ pub struct DigestScenario {
 
 impl DigestScenario {
     /// Renders the Java source for this scenario.
-    pub fn render(&self, class_name: &str, package: &str) -> String {
+    pub(crate) fn render(&self, class_name: &str, package: &str) -> String {
         let s = &self.style;
         let n = s.naming as usize;
         let method = HASH_NAMES[n % HASH_NAMES.len()];
@@ -450,7 +450,7 @@ impl DigestScenario {
 
 /// How a `SecureRandom` is constructed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum RngCtor {
+pub(crate) enum RngCtor {
     /// `new SecureRandom()`.
     Default,
     /// `SecureRandom.getInstance("SHA1PRNG")` (R3-compliant).
@@ -461,18 +461,18 @@ pub enum RngCtor {
 
 /// How the RNG is seeded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SeedKind {
+pub(crate) enum SeedKind {
     /// Not explicitly seeded.
-    NoSeed,
+    Absent,
     /// A hard-coded seed (violates R12).
-    StaticSeed,
+    Static,
     /// Seeded from a parameter.
-    ParamSeed,
+    Param,
 }
 
 /// A token/nonce generator module (`SecureRandom`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct RandomScenario {
+pub(crate) struct RandomScenario {
     /// Construction of the RNG.
     pub ctor: RngCtor,
     /// Pass an explicit `"SUN"` provider to `getInstance` (diversifies
@@ -488,7 +488,7 @@ pub struct RandomScenario {
 
 impl RandomScenario {
     /// Renders the Java source for this scenario.
-    pub fn render(&self, class_name: &str, package: &str) -> String {
+    pub(crate) fn render(&self, class_name: &str, package: &str) -> String {
         let s = &self.style;
         let n = s.naming as usize;
         let method = TOKEN_NAMES[n % TOKEN_NAMES.len()];
@@ -508,7 +508,7 @@ impl RandomScenario {
             RngCtor::Strong => "SecureRandom.getInstanceStrong()".to_owned(),
         };
         let mut params = vec!["int size".to_owned()];
-        if self.seed == SeedKind::ParamSeed {
+        if self.seed == SeedKind::Param {
             params.push("byte[] seed".to_owned());
         }
         let _ = writeln!(
@@ -518,14 +518,14 @@ impl RandomScenario {
         );
         let _ = writeln!(out, "        SecureRandom random = {ctor_expr};");
         match self.seed {
-            SeedKind::NoSeed => {}
-            SeedKind::StaticSeed => {
+            SeedKind::Absent => {}
+            SeedKind::Static => {
                 out.push_str(
                     "        byte[] seed = { 0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08 };\n",
                 );
                 out.push_str("        random.setSeed(seed);\n");
             }
-            SeedKind::ParamSeed => {
+            SeedKind::Param => {
                 out.push_str("        random.setSeed(seed);\n");
             }
         }
@@ -553,18 +553,18 @@ impl RandomScenario {
 
 /// Salt discipline for password-based encryption.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SaltKind {
+pub(crate) enum SaltKind {
     /// A hard-coded salt (violates R11 / CL4).
-    StaticSalt,
+    Static,
     /// A `SecureRandom`-generated salt.
-    RandomSalt,
+    Random,
     /// Salt arrives as a parameter.
-    ParamSalt,
+    Param,
 }
 
 /// A password-based key-derivation module (`PBEKeySpec`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct PbeScenario {
+pub(crate) struct PbeScenario {
     /// PBKDF2 iteration count (R2 / CL5 care about < 1000).
     pub iterations: i64,
     /// Salt discipline.
@@ -575,7 +575,7 @@ pub struct PbeScenario {
 
 impl PbeScenario {
     /// Renders the Java source for this scenario.
-    pub fn render(&self, class_name: &str, package: &str) -> String {
+    pub(crate) fn render(&self, class_name: &str, package: &str) -> String {
         let s = &self.style;
         let n = s.naming as usize;
         let method = DERIVE_NAMES[n % DERIVE_NAMES.len()];
@@ -589,7 +589,7 @@ impl PbeScenario {
         let _ = writeln!(out, "// rev {}", s.revision);
         let _ = writeln!(out, "public class {class_name} {{");
         let mut params = vec!["char[] password".to_owned()];
-        if self.salt == SaltKind::ParamSalt {
+        if self.salt == SaltKind::Param {
             params.push("byte[] salt".to_owned());
         }
         let _ = writeln!(
@@ -598,17 +598,17 @@ impl PbeScenario {
             params.join(", ")
         );
         match self.salt {
-            SaltKind::StaticSalt => {
+            SaltKind::Static => {
                 out.push_str(
                     "        byte[] salt = { 0x0a, 0x0b, 0x0c, 0x0d, 0x0e, 0x0f, 0x10, 0x11 };\n",
                 );
             }
-            SaltKind::RandomSalt => {
+            SaltKind::Random => {
                 out.push_str("        byte[] salt = new byte[8];\n");
                 out.push_str("        SecureRandom saltRandom = new SecureRandom();\n");
                 out.push_str("        saltRandom.nextBytes(salt);\n");
             }
-            SaltKind::ParamSalt => {}
+            SaltKind::Param => {}
         }
         let _ = writeln!(
             out,
@@ -631,168 +631,11 @@ impl PbeScenario {
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn assert_parses(src: &str) {
-        let unit = javalang::parse_compilation_unit(src).expect("parse");
-        assert!(
-            unit.diagnostics.is_empty(),
-            "diagnostics for:\n{src}\n{:?}",
-            unit.diagnostics
-        );
-        assert_eq!(unit.types.len(), 1);
-    }
-
-    fn all_styles() -> Vec<StyleKnobs> {
-        let mut out = Vec::new();
-        for naming in 0..4 {
-            for extract_const in [false, true] {
-                for helper in [false, true] {
-                    for log_method in [false, true] {
-                        out.push(StyleKnobs {
-                            naming,
-                            extract_const,
-                            helper,
-                            log_method,
-                            revision: naming as u32,
-                        });
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    #[test]
-    fn cipher_scenarios_all_parse() {
-        let algos = [
-            CipherAlgo::AesDefault,
-            CipherAlgo::AesEcb,
-            CipherAlgo::AesCbc,
-            CipherAlgo::AesCtr,
-            CipherAlgo::AesGcm,
-            CipherAlgo::Des,
-            CipherAlgo::DesEde,
-            CipherAlgo::Blowfish,
-        ];
-        for algo in algos {
-            for iv in [
-                IvKind::NoIv,
-                IvKind::StaticIv,
-                IvKind::RandomIv,
-                IvKind::ParamIv,
-            ] {
-                for key in [
-                    KeyKind::HardcodedKey,
-                    KeyKind::ParamKey,
-                    KeyKind::GeneratedKey,
-                ] {
-                    let scenario = CipherScenario {
-                        algo,
-                        padding: Padding::Pkcs5,
-                        bc_provider: algo == CipherAlgo::AesCbc,
-                        iv,
-                        key,
-                        rsa_wrap: iv == IvKind::ParamIv,
-                        with_mac: key == KeyKind::ParamKey,
-                        extra_usages: 1,
-                        style: StyleKnobs::default(),
-                    };
-                    assert_parses(&scenario.render("CryptoService", "com.example"));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn style_changes_keep_code_parseable() {
-        for style in all_styles() {
-            let scenario = CipherScenario {
-                algo: CipherAlgo::AesCbc,
-                padding: Padding::Pkcs5,
-                bc_provider: false,
-                iv: IvKind::RandomIv,
-                key: KeyKind::ParamKey,
-                rsa_wrap: false,
-                with_mac: false,
-                extra_usages: 0,
-                style,
-            };
-            assert_parses(&scenario.render("CryptoService", "com.example"));
-        }
-    }
-
-    #[test]
-    fn digest_scenarios_parse() {
-        for style in all_styles().into_iter().take(8) {
-            let scenario = DigestScenario {
-                algo: "SHA-1".to_owned(),
-                extra: vec!["MD5".to_owned(), "SHA-256".to_owned()],
-                style,
-            };
-            assert_parses(&scenario.render("Hasher", "com.example"));
-        }
-    }
-
-    #[test]
-    fn random_scenarios_parse() {
-        for ctor in [RngCtor::Default, RngCtor::Sha1Prng, RngCtor::Strong] {
-            for seed in [SeedKind::NoSeed, SeedKind::StaticSeed, SeedKind::ParamSeed] {
-                let scenario = RandomScenario {
-                    ctor,
-                    sun_provider: ctor == RngCtor::Sha1Prng,
-                    seed,
-                    extra_usages: 2,
-                    style: StyleKnobs::default(),
-                };
-                assert_parses(&scenario.render("TokenGenerator", "com.example"));
-            }
-        }
-    }
-
-    #[test]
-    fn pbe_scenarios_parse() {
-        for salt in [
-            SaltKind::StaticSalt,
-            SaltKind::RandomSalt,
-            SaltKind::ParamSalt,
-        ] {
-            for iterations in [100, 1000, 65536] {
-                let scenario = PbeScenario {
-                    iterations,
-                    salt,
-                    style: StyleKnobs::default(),
-                };
-                assert_parses(&scenario.render("PasswordCrypto", "com.example"));
-            }
-        }
-    }
-
-    #[test]
-    fn refactoring_styles_render_differently() {
-        let base = DigestScenario {
-            algo: "SHA-256".to_owned(),
-            extra: vec![],
-            style: StyleKnobs::default(),
-        };
-        let mut refactored = base.clone();
-        refactored.style.naming = 1;
-        refactored.style.extract_const = true;
-        assert_ne!(
-            base.render("Hasher", "p"),
-            refactored.render("Hasher", "p"),
-            "style changes must change the text"
-        );
-    }
-}
-
 /// A digital-signature module (`Signature`) — outside the paper's six
 /// target classes; used by the generalization experiment
 /// (`diffcode-bench --bin extension`).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct SignatureScenario {
+pub(crate) struct SignatureScenario {
     /// Signature algorithm (e.g. `SHA1withRSA`).
     pub algo: String,
     /// Style.
@@ -801,7 +644,7 @@ pub struct SignatureScenario {
 
 impl SignatureScenario {
     /// Renders the Java source for this scenario.
-    pub fn render(&self, class_name: &str, package: &str) -> String {
+    pub(crate) fn render(&self, class_name: &str, package: &str) -> String {
         let s = &self.style;
         let mut out = String::new();
         let _ = writeln!(out, "package {package};");
@@ -858,8 +701,152 @@ impl SignatureScenario {
 }
 
 #[cfg(test)]
-mod signature_tests {
+mod tests {
     use super::*;
+
+    fn assert_parses(src: &str) {
+        let unit = javalang::parse_compilation_unit(src).expect("parse");
+        assert!(
+            unit.diagnostics.is_empty(),
+            "diagnostics for:\n{src}\n{:?}",
+            unit.diagnostics
+        );
+        assert_eq!(unit.types.len(), 1);
+    }
+
+    fn all_styles() -> Vec<StyleKnobs> {
+        let mut out = Vec::new();
+        for naming in 0..4 {
+            for extract_const in [false, true] {
+                for helper in [false, true] {
+                    for log_method in [false, true] {
+                        out.push(StyleKnobs {
+                            naming,
+                            extract_const,
+                            helper,
+                            log_method,
+                            revision: naming as u32,
+                        });
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn cipher_scenarios_all_parse() {
+        let algos = [
+            CipherAlgo::AesDefault,
+            CipherAlgo::AesEcb,
+            CipherAlgo::AesCbc,
+            CipherAlgo::AesCtr,
+            CipherAlgo::AesGcm,
+            CipherAlgo::Des,
+            CipherAlgo::DesEde,
+            CipherAlgo::Blowfish,
+        ];
+        for algo in algos {
+            for iv in [
+                IvKind::Absent,
+                IvKind::Static,
+                IvKind::Random,
+                IvKind::Param,
+            ] {
+                for key in [KeyKind::Hardcoded, KeyKind::Param, KeyKind::Generated] {
+                    let scenario = CipherScenario {
+                        algo,
+                        padding: Padding::Pkcs5,
+                        bc_provider: algo == CipherAlgo::AesCbc,
+                        iv,
+                        key,
+                        rsa_wrap: iv == IvKind::Param,
+                        with_mac: key == KeyKind::Param,
+                        extra_usages: 1,
+                        style: StyleKnobs::default(),
+                    };
+                    assert_parses(&scenario.render("CryptoService", "com.example"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn style_changes_keep_code_parseable() {
+        for style in all_styles() {
+            let scenario = CipherScenario {
+                algo: CipherAlgo::AesCbc,
+                padding: Padding::Pkcs5,
+                bc_provider: false,
+                iv: IvKind::Random,
+                key: KeyKind::Param,
+                rsa_wrap: false,
+                with_mac: false,
+                extra_usages: 0,
+                style,
+            };
+            assert_parses(&scenario.render("CryptoService", "com.example"));
+        }
+    }
+
+    #[test]
+    fn digest_scenarios_parse() {
+        for style in all_styles().into_iter().take(8) {
+            let scenario = DigestScenario {
+                algo: "SHA-1".to_owned(),
+                extra: vec!["MD5".to_owned(), "SHA-256".to_owned()],
+                style,
+            };
+            assert_parses(&scenario.render("Hasher", "com.example"));
+        }
+    }
+
+    #[test]
+    fn random_scenarios_parse() {
+        for ctor in [RngCtor::Default, RngCtor::Sha1Prng, RngCtor::Strong] {
+            for seed in [SeedKind::Absent, SeedKind::Static, SeedKind::Param] {
+                let scenario = RandomScenario {
+                    ctor,
+                    sun_provider: ctor == RngCtor::Sha1Prng,
+                    seed,
+                    extra_usages: 2,
+                    style: StyleKnobs::default(),
+                };
+                assert_parses(&scenario.render("TokenGenerator", "com.example"));
+            }
+        }
+    }
+
+    #[test]
+    fn pbe_scenarios_parse() {
+        for salt in [SaltKind::Static, SaltKind::Random, SaltKind::Param] {
+            for iterations in [100, 1000, 65536] {
+                let scenario = PbeScenario {
+                    iterations,
+                    salt,
+                    style: StyleKnobs::default(),
+                };
+                assert_parses(&scenario.render("PasswordCrypto", "com.example"));
+            }
+        }
+    }
+
+    #[test]
+    fn refactoring_styles_render_differently() {
+        let base = DigestScenario {
+            algo: "SHA-256".to_owned(),
+            extra: vec![],
+            style: StyleKnobs::default(),
+        };
+        let mut refactored = base.clone();
+        refactored.style.naming = 1;
+        refactored.style.extract_const = true;
+        assert_ne!(
+            base.render("Hasher", "p"),
+            refactored.render("Hasher", "p"),
+            "style changes must change the text"
+        );
+    }
 
     #[test]
     fn signature_scenarios_parse() {

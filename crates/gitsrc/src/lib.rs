@@ -11,7 +11,7 @@
 //! Two child processes do all the git work, planned then fetched:
 //!
 //! 1. one `git log --reverse --no-merges -M --raw --no-abbrev`
-//!    enumerates commits oldest-first with rename detection ([`log`]),
+//!    enumerates commits oldest-first with rename detection (`log`),
 //!    and names the full pre- and post-image blob ids of every entry;
 //!    every walked commit's files are planned from it (`.java` filter,
 //!    file budget, unknown statuses) before any content is read, and
@@ -29,7 +29,7 @@
 //! repo, git unavailable, protocol desync) surface as [`GitError`].
 
 mod catfile;
-pub mod log;
+mod log;
 
 pub use catfile::MAX_BATCH_REQUEST_BYTES;
 
@@ -143,7 +143,7 @@ impl SkipKind {
     }
 
     /// All kinds, in report order.
-    pub const ALL: [SkipKind; 5] = [
+    pub(crate) const ALL: [SkipKind; 5] = [
         SkipKind::Oversized,
         SkipKind::NonUtf8,
         SkipKind::Missing,

@@ -23,11 +23,11 @@
 /// The `--format` string matching [`parse_log`]: each record is
 /// `NUL hash NUL author NUL subject`, with the commit's `--raw` lines
 /// following the subject until the next record's NUL.
-pub const LOG_FORMAT: &str = "%x00%H%x00%an <%ae>%x00%s";
+pub(crate) const LOG_FORMAT: &str = "%x00%H%x00%an <%ae>%x00%s";
 
 /// One file-level entry of a commit's `--raw` block.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum StatusEntry {
+pub(crate) enum StatusEntry {
     /// An added (`A`), modified (`M`, or `T` for a type change),
     /// deleted (`D`), renamed (`R<score>`) or copied (`C<score>`) file.
     File(FileEntry),
@@ -40,7 +40,7 @@ pub enum StatusEntry {
 /// A file entry as the blobs ingestion reads: full hex object ids, and
 /// `None` for a side that does not exist.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FileEntry {
+pub(crate) struct FileEntry {
     /// Post-image path where one exists, else the pre-image path.
     pub path: String,
     /// Where a rename's pre-image lived in the parent.
@@ -54,7 +54,7 @@ pub struct FileEntry {
 
 /// One enumerated commit: provenance plus its `--raw` entries.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LogCommit {
+pub(crate) struct LogCommit {
     /// Full commit hash.
     pub id: String,
     /// `Author Name <email>`.
@@ -75,7 +75,7 @@ pub struct LogCommit {
 /// degrades, it never aborts. Because the NUL separators cannot occur
 /// inside any header field, control bytes in subjects or author names
 /// pass through as content instead of desynchronizing the parse.
-pub fn parse_log(stdout: &str) -> Vec<LogCommit> {
+pub(crate) fn parse_log(stdout: &str) -> Vec<LogCommit> {
     let mut commits = Vec::new();
     let mut chunks = stdout.split('\0');
     // Anything before the first separator is not a record (empty for
@@ -168,7 +168,7 @@ fn blob_id(field: &str) -> Option<String> {
 /// escapes keep the backslash verbatim, and bytes that are not UTF-8
 /// decode lossily. Content is fetched by blob id, never by path, so a
 /// garbled path only changes the name a file is reported under.
-pub fn unquote_path(path: &str) -> String {
+pub(crate) fn unquote_path(path: &str) -> String {
     let Some(inner) = path
         .strip_prefix('"')
         .and_then(|rest| rest.strip_suffix('"'))

@@ -120,14 +120,14 @@ pub fn intern_owned(s: String) -> Sym {
     intern(&s)
 }
 
-/// Number of symbols in this thread's pool (diagnostics/tests).
-pub fn pool_len() -> usize {
-    POOL.with(|pool| pool.borrow().len())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Number of symbols in this thread's pool.
+    fn pool_len() -> usize {
+        POOL.with(|pool| pool.borrow().len())
+    }
 
     #[test]
     fn same_content_shares_storage() {

@@ -32,7 +32,7 @@ use std::fmt;
 /// names, string literals) is one of these, so repeated occurrences
 /// share storage and cloning into downstream layers is a refcount
 /// bump.
-pub type Name = intern::Sym;
+pub(crate) type Name = intern::Sym;
 
 /// Index of an expression in a [`CompilationUnit`]'s [`Ast`] arena.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -58,7 +58,7 @@ impl Ast {
     /// tokens and one statement per eight, so these capacities make
     /// arena growth a single allocation each instead of a doubling
     /// series.
-    pub fn with_token_estimate(n_tokens: usize) -> Self {
+    pub(crate) fn with_token_estimate(n_tokens: usize) -> Self {
         Ast {
             exprs: Vec::with_capacity(n_tokens / 3 + 4),
             stmts: Vec::with_capacity(n_tokens / 8 + 4),
@@ -66,14 +66,14 @@ impl Ast {
     }
 
     /// Appends an expression, returning its id.
-    pub fn alloc_expr(&mut self, expr: Expr) -> ExprId {
+    pub(crate) fn alloc_expr(&mut self, expr: Expr) -> ExprId {
         let id = ExprId(self.exprs.len() as u32);
         self.exprs.push(expr);
         id
     }
 
     /// Appends a statement, returning its id.
-    pub fn alloc_stmt(&mut self, stmt: Stmt) -> StmtId {
+    pub(crate) fn alloc_stmt(&mut self, stmt: Stmt) -> StmtId {
         let id = StmtId(self.stmts.len() as u32);
         self.stmts.push(stmt);
         id
@@ -146,13 +146,6 @@ impl CompilationUnit {
             walk(t, &mut out);
         }
         out
-    }
-
-    /// Resolves a simple type name against the imports of this unit,
-    /// returning the last segment of the matching import, or the name
-    /// unchanged.
-    pub fn simple_name<'a>(&self, name: &'a str) -> &'a str {
-        name.rsplit('.').next().unwrap_or(name)
     }
 }
 
@@ -344,7 +337,7 @@ pub enum Type {
 
 impl Type {
     /// Convenience constructor for a non-generic named type.
-    pub fn named(name: impl Into<Name>) -> Type {
+    pub(crate) fn named(name: impl Into<Name>) -> Type {
         Type::Named {
             name: name.into(),
             args: Vec::new(),
@@ -390,7 +383,7 @@ pub enum PrimitiveType {
 
 impl PrimitiveType {
     /// The keyword spelling.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             PrimitiveType::Boolean => "boolean",
             PrimitiveType::Byte => "byte",
@@ -732,26 +725,20 @@ pub enum Expr {
     Unparsed,
 }
 
-impl Expr {
-    /// Convenience constructor for a (possibly dotted) name.
-    pub fn name(dotted: impl Into<Name>) -> Expr {
-        Expr::Name(dotted.into())
-    }
-
-    /// Convenience constructor for a string literal.
-    pub fn str_lit(s: impl Into<Name>) -> Expr {
-        Expr::Literal(Lit::Str(s.into()))
-    }
-
-    /// Convenience constructor for an int literal.
-    pub fn int_lit(v: i64) -> Expr {
-        Expr::Literal(Lit::Int(v))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Literal constructors shared by the crate's unit tests.
+    impl Expr {
+        pub(crate) fn str_lit(s: impl Into<Name>) -> Expr {
+            Expr::Literal(Lit::Str(s.into()))
+        }
+
+        pub(crate) fn int_lit(v: i64) -> Expr {
+            Expr::Literal(Lit::Int(v))
+        }
+    }
 
     #[test]
     fn type_display_names() {

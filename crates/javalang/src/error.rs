@@ -29,7 +29,7 @@ impl Span {
     }
 
     /// The smallest span containing both `self` and `other`.
-    pub fn merge(self, other: Span) -> Span {
+    pub(crate) fn merge(self, other: Span) -> Span {
         Span {
             start: self.start.min(other.start),
             end: self.end.max(other.end),
@@ -46,8 +46,8 @@ impl fmt::Display for Span {
 
 /// What category of failure a [`ParseError`] represents.
 ///
-/// Lexical kinds come out of [`crate::lexer::Lexer`]; syntactic kinds
-/// out of the parser. Budget kinds can come from either, depending on
+/// Lexical kinds come out of the lexer; syntactic kinds out of the
+/// parser. Budget kinds can come from either, depending on
 /// which limit tripped first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
@@ -102,24 +102,6 @@ impl ParseErrorKind {
                 | ParseErrorKind::TokenTooLong
         )
     }
-
-    /// A short stable identifier, usable as a counter key.
-    pub fn name(self) -> &'static str {
-        match self {
-            ParseErrorKind::UnterminatedComment => "unterminated-comment",
-            ParseErrorKind::UnterminatedString => "unterminated-string",
-            ParseErrorKind::UnterminatedChar => "unterminated-char",
-            ParseErrorKind::InvalidEscape => "invalid-escape",
-            ParseErrorKind::InvalidLiteral => "invalid-literal",
-            ParseErrorKind::UnexpectedChar => "unexpected-char",
-            ParseErrorKind::SourceTooLarge => "source-too-large",
-            ParseErrorKind::TokenBudgetExceeded => "token-budget",
-            ParseErrorKind::TokenTooLong => "token-too-long",
-            ParseErrorKind::UnexpectedToken => "unexpected-token",
-            ParseErrorKind::NestingTooDeep => "nesting-too-deep",
-            ParseErrorKind::Internal => "internal",
-        }
-    }
 }
 
 /// A fatal parse error: the file could not be turned into an AST at all.
@@ -143,7 +125,7 @@ struct ParseErrorInner {
 impl ParseError {
     /// Creates a parse error at `span` with the generic
     /// [`ParseErrorKind::UnexpectedToken`] kind.
-    pub fn new(message: impl Into<Cow<'static, str>>, span: Span) -> Self {
+    pub(crate) fn new(message: impl Into<Cow<'static, str>>, span: Span) -> Self {
         ParseError::with_kind(ParseErrorKind::UnexpectedToken, message, span)
     }
 
@@ -168,12 +150,12 @@ impl ParseError {
     }
 
     /// The human-readable description, lowercase, without punctuation.
-    pub fn message(&self) -> &str {
+    pub(crate) fn message(&self) -> &str {
         &self.inner.message
     }
 
     /// Where in the source the error occurred.
-    pub fn span(&self) -> Span {
+    pub(crate) fn span(&self) -> Span {
         self.inner.span
     }
 }

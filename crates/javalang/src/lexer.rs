@@ -40,7 +40,7 @@ const WORD_START: [bool; 256] = {
 
 /// Streaming lexer over a source string.
 #[derive(Debug)]
-pub struct Lexer<'s> {
+pub(crate) struct Lexer<'s> {
     src: &'s str,
     bytes: &'s [u8],
     pos: usize,
@@ -50,12 +50,12 @@ pub struct Lexer<'s> {
 
 impl<'s> Lexer<'s> {
     /// Creates a lexer over `source` with [`Limits::DEFAULT`] budgets.
-    pub fn new(source: &'s str) -> Self {
+    pub(crate) fn new(source: &'s str) -> Self {
         Lexer::with_limits(source, Limits::DEFAULT)
     }
 
     /// Creates a lexer over `source` with explicit resource budgets.
-    pub fn with_limits(source: &'s str, limits: Limits) -> Self {
+    pub(crate) fn with_limits(source: &'s str, limits: Limits) -> Self {
         Lexer {
             src: source,
             bytes: source.as_bytes(),
@@ -72,7 +72,7 @@ impl<'s> Lexer<'s> {
     /// Returns an error for unterminated strings/comments/chars,
     /// malformed numeric literals, and inputs that exceed the
     /// configured [`Limits`].
-    pub fn tokenize(mut self) -> Result<Vec<SpannedToken<'s>>, ParseError> {
+    pub(crate) fn tokenize(mut self) -> Result<Vec<SpannedToken<'s>>, ParseError> {
         if self.src.len() > self.limits.max_source_bytes {
             return Err(ParseError::with_kind(
                 ParseErrorKind::SourceTooLarge,

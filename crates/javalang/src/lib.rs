@@ -32,18 +32,19 @@
 
 pub mod ast;
 pub mod error;
-pub mod lexer;
-pub mod limits;
-pub mod parser;
-pub mod printer;
-pub mod token;
+mod lexer;
+mod limits;
+mod parser;
+mod printer;
+mod token;
 pub mod visit;
 
 pub use ast::CompilationUnit;
 pub use error::{ParseDiagnostic, ParseError, ParseErrorKind};
 pub use limits::Limits;
-pub use parser::{parse_compilation_unit, parse_compilation_unit_with_limits, Parser};
+pub use parser::{parse_compilation_unit, parse_compilation_unit_with_limits};
 pub use printer::pretty_print;
+pub use token::{Keyword, Punct, SpannedToken, Token};
 
 /// Convenience: lex `source` into a token stream, discarding trivia.
 ///
@@ -51,7 +52,7 @@ pub use printer::pretty_print;
 ///
 /// Returns [`ParseError`] on malformed literals (e.g. an unterminated
 /// string).
-pub fn lex(source: &str) -> Result<Vec<token::SpannedToken<'_>>, ParseError> {
+pub fn lex(source: &str) -> Result<Vec<SpannedToken<'_>>, ParseError> {
     lexer::Lexer::new(source).tokenize()
 }
 

@@ -38,17 +38,6 @@ impl Limits {
         max_token_bytes: 1 << 16,
         max_nesting: 64,
     };
-
-    /// Effectively unlimited budgets — for trusted, hand-written
-    /// sources (fixtures, tests) where truncation would be a bug.
-    /// Nesting stays bounded because it guards the call stack, which
-    /// is finite no matter how much the caller trusts the input.
-    pub const UNBOUNDED: Limits = Limits {
-        max_source_bytes: usize::MAX,
-        max_tokens: usize::MAX,
-        max_token_bytes: usize::MAX,
-        max_nesting: 512,
-    };
 }
 
 impl Default for Limits {

@@ -48,7 +48,7 @@ pub fn parse_compilation_unit_with_limits(
 /// The recursive-descent parser. Borrows the source through its
 /// zero-copy token stream.
 #[derive(Debug)]
-pub struct Parser<'s> {
+pub(crate) struct Parser<'s> {
     tokens: Vec<SpannedToken<'s>>,
     pos: usize,
     /// Cache of `tokens[pos].token`, so the very hottest operation —
@@ -74,16 +74,10 @@ pub struct Parser<'s> {
 type PResult<T> = Result<T, ParseError>;
 
 impl<'s> Parser<'s> {
-    /// Creates a parser over a pre-lexed token stream with
-    /// [`Limits::DEFAULT`] budgets. A missing trailing [`Token::Eof`]
-    /// is appended rather than rejected.
-    pub fn new(tokens: Vec<SpannedToken<'s>>) -> Self {
-        Parser::with_limits(tokens, Limits::DEFAULT)
-    }
-
     /// Creates a parser over a pre-lexed token stream with explicit
-    /// resource budgets.
-    pub fn with_limits(mut tokens: Vec<SpannedToken<'s>>, limits: Limits) -> Self {
+    /// resource budgets. A missing trailing [`Token::Eof`] is appended
+    /// rather than rejected.
+    pub(crate) fn with_limits(mut tokens: Vec<SpannedToken<'s>>, limits: Limits) -> Self {
         if !matches!(tokens.last(), Some(t) if t.token == Token::Eof) {
             let span = tokens.last().map(|t| t.span).unwrap_or_default();
             tokens.push(SpannedToken {
@@ -312,7 +306,7 @@ impl<'s> Parser<'s> {
     /// # Errors
     ///
     /// See [`parse_compilation_unit`].
-    pub fn parse_unit(mut self) -> Result<CompilationUnit, ParseError> {
+    pub(crate) fn parse_unit(mut self) -> Result<CompilationUnit, ParseError> {
         let mut unit = CompilationUnit::default();
 
         self.skip_annotations();

@@ -360,7 +360,7 @@ fn declarator_str(ast: &Ast, d: &Declarator) -> String {
 }
 
 /// Renders a type reference.
-pub fn type_str(t: &Type) -> String {
+pub(crate) fn type_str(t: &Type) -> String {
     match t {
         Type::Primitive(p) => p.as_str().to_owned(),
         Type::Named { name, args } => {
@@ -404,7 +404,7 @@ fn escape_char(c: char) -> String {
 }
 
 /// Renders an expression; child nodes are resolved through `ast`.
-pub fn expr_str(ast: &Ast, e: &Expr) -> String {
+pub(crate) fn expr_str(ast: &Ast, e: &Expr) -> String {
     let sub = |id: &ExprId| expr_str(ast, &ast[*id]);
     match e {
         Expr::Literal(l) => match l {

@@ -64,7 +64,7 @@ pub enum Keyword {
 
 impl Keyword {
     /// Looks up the keyword for `word`, if any.
-    pub fn lookup(word: &str) -> Option<Keyword> {
+    pub(crate) fn lookup(word: &str) -> Option<Keyword> {
         use Keyword::*;
         Some(match word {
             "abstract" => Abstract,
@@ -122,7 +122,7 @@ impl Keyword {
     }
 
     /// The source-level spelling of the keyword.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         use Keyword::*;
         match self {
             Abstract => "abstract",
@@ -242,7 +242,7 @@ pub enum Punct {
 
 impl Punct {
     /// The source-level spelling of the punctuation token.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         use Punct::*;
         match self {
             LParen => "(",
@@ -323,7 +323,7 @@ pub enum Token<'s> {
     /// A string literal: the raw source slice between the quotes, plus
     /// whether it contains escape sequences. The lexer *validates*
     /// escapes while scanning (so malformed escapes still fail at lex
-    /// time) but resolves them only on demand via [`Token::cook_str`]
+    /// time) but resolves them only on demand via `Token::cook_str`
     /// — unescaped literals (the overwhelming majority) never allocate.
     StrLit {
         /// The characters between the quotes, escapes unresolved.
@@ -342,7 +342,7 @@ pub enum Token<'s> {
 impl<'s> Token<'s> {
     /// Resolves the escapes of a lexer-validated string-literal body.
     /// Allocates only when the literal actually contains escapes.
-    pub fn cook_str(raw: &str, escaped: bool) -> String {
+    pub(crate) fn cook_str(raw: &str, escaped: bool) -> String {
         if !escaped {
             return raw.to_owned();
         }

@@ -1,240 +1,8 @@
-//! A read-only visitor over the AST.
-//!
-//! Override the hooks you care about; `walk_*` free functions provide
-//! the default traversal so overrides can recurse selectively. Child
-//! expressions and statements live in the unit's [`Ast`] arena, so
-//! every hook receives the arena alongside the node.
+//! Read-only traversal of the AST: [`ast_depth`] measures a unit's
+//! nesting without recursion. Child expressions and statements live in
+//! the unit's [`Ast`] arena.
 
 use crate::ast::*;
-
-/// A read-only AST visitor. All hooks default to plain traversal.
-pub trait Visitor {
-    /// Called for every type declaration (including nested ones).
-    fn visit_type_decl(&mut self, ast: &Ast, decl: &TypeDecl) {
-        walk_type_decl(self, ast, decl);
-    }
-
-    /// Called for every method declaration.
-    fn visit_method(&mut self, ast: &Ast, method: &MethodDecl) {
-        walk_method(self, ast, method);
-    }
-
-    /// Called for every field declaration.
-    fn visit_field(&mut self, ast: &Ast, field: &FieldDecl) {
-        walk_field(self, ast, field);
-    }
-
-    /// Called for every statement.
-    fn visit_stmt(&mut self, ast: &Ast, stmt: &Stmt) {
-        walk_stmt(self, ast, stmt);
-    }
-
-    /// Called for every expression.
-    fn visit_expr(&mut self, ast: &Ast, expr: &Expr) {
-        walk_expr(self, ast, expr);
-    }
-}
-
-/// Visits every type in `unit`.
-pub fn walk_unit<V: Visitor + ?Sized>(v: &mut V, unit: &CompilationUnit) {
-    for t in &unit.types {
-        v.visit_type_decl(&unit.ast, t);
-    }
-}
-
-/// Default traversal for a type declaration.
-pub fn walk_type_decl<V: Visitor + ?Sized>(v: &mut V, ast: &Ast, decl: &TypeDecl) {
-    for m in &decl.members {
-        match m {
-            Member::Field(f) => v.visit_field(ast, f),
-            Member::Method(m) => v.visit_method(ast, m),
-            Member::Initializer { body, .. } => {
-                for s in &body.stmts {
-                    v.visit_stmt(ast, &ast[*s]);
-                }
-            }
-            Member::Type(t) => v.visit_type_decl(ast, t),
-        }
-    }
-}
-
-/// Default traversal for a method.
-pub fn walk_method<V: Visitor + ?Sized>(v: &mut V, ast: &Ast, method: &MethodDecl) {
-    if let Some(body) = &method.body {
-        for s in &body.stmts {
-            v.visit_stmt(ast, &ast[*s]);
-        }
-    }
-}
-
-/// Default traversal for a field.
-pub fn walk_field<V: Visitor + ?Sized>(v: &mut V, ast: &Ast, field: &FieldDecl) {
-    for d in &field.declarators {
-        if let Some(init) = d.init {
-            v.visit_expr(ast, &ast[init]);
-        }
-    }
-}
-
-/// Default traversal for a statement.
-pub fn walk_stmt<V: Visitor + ?Sized>(v: &mut V, ast: &Ast, stmt: &Stmt) {
-    match stmt {
-        Stmt::Block(b) => {
-            for s in &b.stmts {
-                v.visit_stmt(ast, &ast[*s]);
-            }
-        }
-        Stmt::LocalVar { declarators, .. } => {
-            for d in declarators {
-                if let Some(init) = d.init {
-                    v.visit_expr(ast, &ast[init]);
-                }
-            }
-        }
-        Stmt::Expr(e) | Stmt::Throw(e) | Stmt::Assert(e) => v.visit_expr(ast, &ast[*e]),
-        Stmt::If { cond, then, alt } => {
-            v.visit_expr(ast, &ast[*cond]);
-            v.visit_stmt(ast, &ast[*then]);
-            if let Some(alt) = alt {
-                v.visit_stmt(ast, &ast[*alt]);
-            }
-        }
-        Stmt::While { cond, body } | Stmt::DoWhile { body, cond } => {
-            v.visit_expr(ast, &ast[*cond]);
-            v.visit_stmt(ast, &ast[*body]);
-        }
-        Stmt::For {
-            init,
-            cond,
-            update,
-            body,
-        } => {
-            for s in init {
-                v.visit_stmt(ast, &ast[*s]);
-            }
-            if let Some(c) = cond {
-                v.visit_expr(ast, &ast[*c]);
-            }
-            for u in update {
-                v.visit_expr(ast, &ast[*u]);
-            }
-            v.visit_stmt(ast, &ast[*body]);
-        }
-        Stmt::ForEach { iterable, body, .. } => {
-            v.visit_expr(ast, &ast[*iterable]);
-            v.visit_stmt(ast, &ast[*body]);
-        }
-        Stmt::Return(value) => {
-            if let Some(value) = value {
-                v.visit_expr(ast, &ast[*value]);
-            }
-        }
-        Stmt::Try {
-            resources,
-            block,
-            catches,
-            finally,
-        } => {
-            for r in resources {
-                v.visit_stmt(ast, &ast[*r]);
-            }
-            for s in &block.stmts {
-                v.visit_stmt(ast, &ast[*s]);
-            }
-            for c in catches {
-                for s in &c.body.stmts {
-                    v.visit_stmt(ast, &ast[*s]);
-                }
-            }
-            if let Some(f) = finally {
-                for s in &f.stmts {
-                    v.visit_stmt(ast, &ast[*s]);
-                }
-            }
-        }
-        Stmt::Switch { scrutinee, cases } => {
-            v.visit_expr(ast, &ast[*scrutinee]);
-            for c in cases {
-                for l in &c.labels {
-                    v.visit_expr(ast, &ast[*l]);
-                }
-                for s in &c.body {
-                    v.visit_stmt(ast, &ast[*s]);
-                }
-            }
-        }
-        Stmt::Synchronized { monitor, body } => {
-            v.visit_expr(ast, &ast[*monitor]);
-            for s in &body.stmts {
-                v.visit_stmt(ast, &ast[*s]);
-            }
-        }
-        Stmt::LocalType(t) => v.visit_type_decl(ast, t),
-        Stmt::Break | Stmt::Continue | Stmt::Empty | Stmt::Unparsed => {}
-    }
-}
-
-/// Default traversal for an expression.
-pub fn walk_expr<V: Visitor + ?Sized>(v: &mut V, ast: &Ast, expr: &Expr) {
-    match expr {
-        Expr::FieldAccess { target, .. } => v.visit_expr(ast, &ast[*target]),
-        Expr::MethodCall { target, args, .. } => {
-            if let Some(t) = target {
-                v.visit_expr(ast, &ast[*t]);
-            }
-            for a in args {
-                v.visit_expr(ast, &ast[*a]);
-            }
-        }
-        Expr::New { args, .. } => {
-            for a in args {
-                v.visit_expr(ast, &ast[*a]);
-            }
-        }
-        Expr::NewArray { dims, init, .. } => {
-            for d in dims {
-                v.visit_expr(ast, &ast[*d]);
-            }
-            if let Some(init) = init {
-                for e in init {
-                    v.visit_expr(ast, &ast[*e]);
-                }
-            }
-        }
-        Expr::ArrayInit(elems) => {
-            for e in elems {
-                v.visit_expr(ast, &ast[*e]);
-            }
-        }
-        Expr::Assign { lhs, rhs, .. } => {
-            v.visit_expr(ast, &ast[*lhs]);
-            v.visit_expr(ast, &ast[*rhs]);
-        }
-        Expr::Binary { lhs, rhs, .. } => {
-            v.visit_expr(ast, &ast[*lhs]);
-            v.visit_expr(ast, &ast[*rhs]);
-        }
-        Expr::Unary { expr, .. } | Expr::Cast { expr, .. } => v.visit_expr(ast, &ast[*expr]),
-        Expr::ArrayAccess { array, index } => {
-            v.visit_expr(ast, &ast[*array]);
-            v.visit_expr(ast, &ast[*index]);
-        }
-        Expr::Conditional { cond, then, alt } => {
-            v.visit_expr(ast, &ast[*cond]);
-            v.visit_expr(ast, &ast[*then]);
-            v.visit_expr(ast, &ast[*alt]);
-        }
-        Expr::InstanceOf { expr, .. } => v.visit_expr(ast, &ast[*expr]),
-        Expr::Literal(_)
-        | Expr::Name(_)
-        | Expr::This
-        | Expr::Super
-        | Expr::ClassLiteral(_)
-        | Expr::Lambda
-        | Expr::MethodRef
-        | Expr::Unparsed => {}
-    }
-}
 
 /// A node reference on the [`ast_depth`] worklist.
 enum Node<'a> {
@@ -248,9 +16,9 @@ enum Node<'a> {
 /// worklist, no recursion) so it is safe to call on arbitrarily deep
 /// trees.
 ///
-/// Parser-produced units are bounded by [`crate::limits::Limits::max_nesting`],
-/// but `analyze` and the visitors accept any [`CompilationUnit`]; this
-/// lets them reject pathological trees *before* recursing into them.
+/// Parser-produced units are bounded by [`crate::Limits::max_nesting`],
+/// but `analyze` accepts any [`CompilationUnit`]; this lets it reject
+/// pathological trees *before* recursing into them.
 pub fn ast_depth(unit: &CompilationUnit) -> usize {
     let ast = &unit.ast;
     let mut max = 0usize;
@@ -437,40 +205,6 @@ pub fn ast_depth(unit: &CompilationUnit) -> usize {
 mod tests {
     use super::*;
     use crate::parser::parse_compilation_unit;
-
-    #[derive(Default)]
-    struct CallCounter {
-        calls: Vec<String>,
-    }
-
-    impl Visitor for CallCounter {
-        fn visit_expr(&mut self, ast: &Ast, expr: &Expr) {
-            if let Expr::MethodCall { name, .. } = expr {
-                self.calls.push(name.to_string());
-            }
-            walk_expr(self, ast, expr);
-        }
-    }
-
-    #[test]
-    fn visitor_finds_nested_calls() {
-        let unit = parse_compilation_unit(
-            r#"
-            class A {
-                void m() {
-                    a(b(), c(d()));
-                    if (cond()) { e(); }
-                }
-            }
-            "#,
-        )
-        .unwrap();
-        let mut counter = CallCounter::default();
-        walk_unit(&mut counter, &unit);
-        let mut calls = counter.calls;
-        calls.sort();
-        assert_eq!(calls, vec!["a", "b", "c", "cond", "d", "e"]);
-    }
 
     #[test]
     fn ast_depth_grows_with_nesting() {

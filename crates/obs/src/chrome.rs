@@ -107,7 +107,7 @@ mod tests {
             a.str("reason", "kept").bool("flag", true).f64("score", 0.5);
         });
         sink.end(span);
-        let json = sink.to_chrome_json();
+        let json = to_chrome_json(&sink);
         assert!(json.starts_with("[\n"), "{json}");
         assert!(json.trim_end().ends_with(']'), "{json}");
         assert!(
@@ -147,13 +147,13 @@ mod tests {
         sink.decision_with("decision", |a| {
             a.str("path", "dir\\A\"B\".java");
         });
-        let json = sink.to_chrome_json();
+        let json = to_chrome_json(&sink);
         assert!(json.contains("dir\\\\A\\\"B\\\".java"), "{json}");
     }
 
     #[test]
     fn empty_sink_exports_an_empty_array() {
-        let json = TraceSink::disabled().to_chrome_json();
+        let json = to_chrome_json(&TraceSink::disabled());
         assert_eq!(json, "[\n\n]\n");
     }
 
@@ -183,7 +183,7 @@ mod tests {
         }
         sink.truncate_oldest(2);
         assert_eq!(sink.len(), 2);
-        let json = sink.to_chrome_json();
+        let json = to_chrome_json(&sink);
         assert!(!json.contains("\"name\":\"a\""), "{json}");
         assert!(json.contains("\"name\":\"c\""), "{json}");
         assert!(json.contains("\"name\":\"d\""), "{json}");

@@ -23,10 +23,10 @@
 //!   index `16 + (e-4)*16 + sub`. Each octave spans `[2^e, 2^(e+1))` in
 //!   16 equal slices of width `2^(e-4)`.
 //!
-//! The full `u64` range needs at most [`NUM_BUCKETS`] = 976 buckets;
-//! storage grows lazily to the highest bucket actually hit, so a span
-//! whose samples sit in the microsecond range costs a few hundred
-//! bytes, not 8 KiB.
+//! The full `u64` range needs at most 976 buckets (16 unit buckets +
+//! 60 octaves × 16 sub-buckets); storage grows lazily to the highest
+//! bucket actually hit, so a span whose samples sit in the microsecond
+//! range costs a few hundred bytes, not 8 KiB.
 //!
 //! # Error bound
 //!
@@ -40,20 +40,16 @@
 //!
 //! Octave ends are exact: every edge of the form `2^k - 1` is an
 //! inclusive bucket upper edge, so cumulative counts at those edges
-//! (the Prometheus [`EXPOSITION_EDGES`]) are exact sample counts.
+//! (the Prometheus `EXPOSITION_EDGES`) are exact sample counts.
 
 /// Linear sub-buckets per power-of-two octave (16 → ≤6.25% error).
 pub const SUB_BUCKETS: u64 = 16;
-
-/// Upper bound on the number of buckets for the full `u64` range:
-/// 16 unit buckets + 60 octaves × 16 sub-buckets.
-pub const NUM_BUCKETS: usize = 976;
 
 /// Canonical `le` edges for Prometheus histogram exposition:
 /// `2^k - 1` for `k` in `8..=36` (255 ns up to ~68.7 s), each an exact
 /// inclusive bucket upper edge of the log-linear layout. `+Inf` is
 /// appended by the exporter.
-pub const EXPOSITION_EDGES: [u64; 29] = {
+pub(crate) const EXPOSITION_EDGES: [u64; 29] = {
     let mut edges = [0u64; 29];
     let mut i = 0;
     while i < 29 {
@@ -135,13 +131,8 @@ impl Histogram {
 
     /// Sum of all recorded samples, ns (saturating like
     /// [`crate::SpanStats`]).
-    pub fn sum_ns(&self) -> u64 {
+    pub(crate) fn sum_ns(&self) -> u64 {
         self.sum_ns
-    }
-
-    /// `true` when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
     }
 
     /// Merges another histogram into this one (shard join).
@@ -186,7 +177,7 @@ impl Histogram {
     /// Number of samples `<= v`, exact when `v` is an inclusive bucket
     /// upper edge (in particular every [`EXPOSITION_EDGES`] entry),
     /// otherwise rounded down to the nearest edge at or below `v`.
-    pub fn count_le(&self, v: u64) -> u64 {
+    pub(crate) fn count_le(&self, v: u64) -> u64 {
         let mut cum = 0u64;
         for (idx, &c) in self.counts.iter().enumerate() {
             if bucket_bounds(idx).1 > v {
@@ -213,6 +204,17 @@ impl Histogram {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Upper bound on the number of buckets for the full `u64` range:
+    /// 16 unit buckets + 60 octaves × 16 sub-buckets.
+    const NUM_BUCKETS: usize = 976;
+
+    impl Histogram {
+        /// `true` when nothing has been recorded.
+        fn is_empty(&self) -> bool {
+            self.count == 0
+        }
+    }
 
     #[test]
     fn layout_is_self_inverse_at_boundaries() {

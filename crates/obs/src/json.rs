@@ -32,7 +32,7 @@ use crate::MetricsRegistry;
 use std::fmt::Write as _;
 
 /// Current snapshot schema version.
-pub const SNAPSHOT_VERSION: u32 = 2;
+pub(crate) const SNAPSHOT_VERSION: u32 = 2;
 
 /// Escapes a string for the inside of a JSON string literal (metric
 /// names are ASCII identifiers in practice, but correctness is cheap).
@@ -71,7 +71,7 @@ pub(crate) fn json_f64(v: f64) -> String {
 }
 
 /// Serializes `registry` to the versioned snapshot format.
-pub fn to_json(registry: &MetricsRegistry) -> String {
+pub(crate) fn to_json(registry: &MetricsRegistry) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     let _ = writeln!(out, "  \"version\": {SNAPSHOT_VERSION},");

@@ -46,7 +46,7 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
-use crate::json::{escape, json_f64};
+use crate::json::escape;
 
 /// Event severity, lowest to highest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -63,7 +63,7 @@ pub enum LogLevel {
 
 impl LogLevel {
     /// Lowercase name used in the JSON `level` field.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             LogLevel::Debug => "debug",
             LogLevel::Info => "info",
@@ -94,7 +94,7 @@ pub enum LogFormat {
 
 /// Where rendered records go.
 #[derive(Debug, Clone)]
-pub enum LogSink {
+pub(crate) enum LogSink {
     /// Line-buffered standard error (no rotation).
     Stderr,
     /// An append-opened file, rotated to `<path>.1` past `max_bytes`.
@@ -108,7 +108,7 @@ pub enum LogSink {
 
 /// Bound on the writer channel: records queued but not yet written.
 /// Past this, emits drop (counted) instead of blocking.
-pub const QUEUE_CAPACITY: usize = 4096;
+pub(crate) const QUEUE_CAPACITY: usize = 4096;
 
 enum Msg {
     Line(String),
@@ -169,7 +169,7 @@ impl Logger {
     }
 
     /// Starts the writer thread for `sink`.
-    pub fn start(sink: LogSink, format: LogFormat, min_level: LogLevel) -> Logger {
+    pub(crate) fn start(sink: LogSink, format: LogFormat, min_level: LogLevel) -> Logger {
         let (tx, rx) = mpsc::sync_channel(QUEUE_CAPACITY);
         thread::Builder::new()
             .name("obs-log-writer".into())
@@ -186,11 +186,6 @@ impl Logger {
         }
     }
 
-    /// `true` when records are actually going somewhere.
-    pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
-    }
-
     /// Records accepted onto the writer queue so far.
     pub fn emitted(&self) -> u64 {
         self.inner
@@ -205,7 +200,7 @@ impl Logger {
             .map_or(0, |i| i.dropped.load(Ordering::Relaxed))
     }
 
-    /// Starts building one record; finish with [`EventBuilder::emit`].
+    /// Starts building one record; finish with `EventBuilder::emit`.
     /// Below `min_level` (or on a disabled logger) the builder is
     /// inert: field calls are no-ops and `emit` does nothing.
     pub fn event(&self, level: LogLevel, name: &str) -> EventBuilder<'_> {
@@ -329,15 +324,6 @@ impl EventBuilder<'_> {
         self
     }
 
-    /// Appends a float field (finite rendering per the JSON snapshot).
-    pub fn f64(mut self, key: &str, value: f64) -> Self {
-        if self.live {
-            self.key(key);
-            self.line.push_str(&json_f64(value));
-        }
-        self
-    }
-
     /// Appends a boolean field.
     pub fn bool(mut self, key: &str, value: bool) -> Self {
         if self.live {
@@ -421,6 +407,25 @@ fn open_append(path: &PathBuf) -> Option<fs::File> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::json_f64;
+
+    impl Logger {
+        /// `true` when records are actually going somewhere.
+        fn is_enabled(&self) -> bool {
+            self.inner.is_some()
+        }
+    }
+
+    impl EventBuilder<'_> {
+        /// Appends a float field (finite rendering per the JSON snapshot).
+        fn f64(mut self, key: &str, value: f64) -> Self {
+            if self.live {
+                self.key(key);
+                self.line.push_str(&json_f64(value));
+            }
+            self
+        }
+    }
 
     fn temp_path(tag: &str) -> PathBuf {
         let mut p = std::env::temp_dir();

@@ -36,7 +36,7 @@ impl SpanStats {
     }
 
     /// Merges another aggregate into this one (shard join).
-    pub fn absorb(&mut self, other: &SpanStats) {
+    pub(crate) fn absorb(&mut self, other: &SpanStats) {
         if other.count == 0 {
             return;
         }
@@ -53,19 +53,6 @@ impl SpanStats {
     /// Mean duration in nanoseconds (0 when nothing was recorded).
     pub fn mean_ns(&self) -> u64 {
         self.sum_ns.checked_div(self.count).unwrap_or(0)
-    }
-
-    /// `true` when the internal ordering invariants hold:
-    /// `min ≤ mean ≤ max ≤ sum` for non-empty spans.
-    pub fn is_consistent(&self) -> bool {
-        if self.count == 0 {
-            self.sum_ns == 0 && self.min_ns == 0 && self.max_ns == 0
-        } else {
-            self.min_ns <= self.max_ns
-                && self.max_ns <= self.sum_ns
-                && self.min_ns <= self.mean_ns()
-                && self.mean_ns() <= self.max_ns
-        }
     }
 }
 
@@ -115,6 +102,21 @@ pub fn fmt_ns(ns: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl SpanStats {
+        /// `true` when the internal ordering invariants hold:
+        /// `min ≤ mean ≤ max ≤ sum` for non-empty spans.
+        pub(crate) fn is_consistent(&self) -> bool {
+            if self.count == 0 {
+                self.sum_ns == 0 && self.min_ns == 0 && self.max_ns == 0
+            } else {
+                self.min_ns <= self.max_ns
+                    && self.max_ns <= self.sum_ns
+                    && self.min_ns <= self.mean_ns()
+                    && self.mean_ns() <= self.max_ns
+            }
+        }
+    }
 
     #[test]
     fn record_tracks_min_max_sum() {

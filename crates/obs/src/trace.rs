@@ -20,7 +20,7 @@
 //!    modular arithmetic on a per-sink counter — a rerun over the same
 //!    input selects exactly the same events. Only the `ts_ns` wall
 //!    clock values differ between runs.
-//! 4. **Exportable.** [`TraceSink::to_chrome_json`] writes the Chrome
+//! 4. **Exportable.** [`crate::to_chrome_json`] writes the Chrome
 //!    trace-event format (loadable in Perfetto / `chrome://tracing`)
 //!    with zero dependencies.
 
@@ -40,7 +40,7 @@ pub struct SpanId(pub u64);
 
 impl SpanId {
     /// The "no span" sentinel.
-    pub const ROOT: SpanId = SpanId(0);
+    pub(crate) const ROOT: SpanId = SpanId(0);
 }
 
 /// A typed attribute value.
@@ -60,7 +60,7 @@ pub enum TraceValue {
 
 impl TraceValue {
     /// The string payload, when this value is a string.
-    pub fn as_str(&self) -> Option<&str> {
+    pub(crate) fn as_str(&self) -> Option<&str> {
         match self {
             TraceValue::Str(s) => Some(s),
             _ => None,
@@ -119,10 +119,10 @@ pub struct TraceEvent {
     pub kind: TraceKind,
     /// Interned event name (resolve via [`TraceSink::name`]).
     pub name: NameId,
-    /// The span this event opens/closes, or [`SpanId::ROOT`] for
+    /// The span this event opens/closes, or `SpanId::ROOT` for
     /// instants and decisions.
     pub span: SpanId,
-    /// The enclosing span at emit time ([`SpanId::ROOT`] at top level).
+    /// The enclosing span at emit time (`SpanId::ROOT` at top level).
     pub parent: SpanId,
     /// Typed attributes, in insertion order.
     pub attrs: Vec<(NameId, TraceValue)>,
@@ -146,24 +146,6 @@ impl AttrSet {
     /// Adds an unsigned integer attribute.
     pub fn u64(&mut self, key: &str, value: u64) -> &mut Self {
         self.items.push((key.to_owned(), TraceValue::U64(value)));
-        self
-    }
-
-    /// Adds a signed integer attribute.
-    pub fn i64(&mut self, key: &str, value: i64) -> &mut Self {
-        self.items.push((key.to_owned(), TraceValue::I64(value)));
-        self
-    }
-
-    /// Adds a floating-point attribute.
-    pub fn f64(&mut self, key: &str, value: f64) -> &mut Self {
-        self.items.push((key.to_owned(), TraceValue::F64(value)));
-        self
-    }
-
-    /// Adds a boolean attribute.
-    pub fn bool(&mut self, key: &str, value: bool) -> &mut Self {
-        self.items.push((key.to_owned(), TraceValue::Bool(value)));
         self
     }
 }
@@ -295,7 +277,7 @@ impl TraceSink {
     }
 
     /// Looks up the id of an interned name, if any event used it.
-    pub fn lookup(&self, name: &str) -> Option<NameId> {
+    pub(crate) fn lookup(&self, name: &str) -> Option<NameId> {
         self.index.get(name).copied()
     }
 
@@ -365,7 +347,7 @@ impl TraceSink {
         self.events.push(event);
     }
 
-    /// Opens a span. Returns [`SpanId::ROOT`] when disabled; otherwise
+    /// Opens a span. Returns `SpanId::ROOT` when disabled; otherwise
     /// a fresh id that must be closed with [`TraceSink::end`].
     pub fn begin(&mut self, name: &str) -> SpanId {
         self.begin_with(name, |_| {})
@@ -491,16 +473,25 @@ impl TraceSink {
             self.next_seq += 1;
         }
     }
-
-    /// Exports the Chrome trace-event JSON array (see [`crate::chrome`]).
-    pub fn to_chrome_json(&self) -> String {
-        crate::chrome::to_chrome_json(self)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Attribute kinds only the crate's unit tests record (also used by
+    /// `chrome`'s tests).
+    impl AttrSet {
+        pub(crate) fn f64(&mut self, key: &str, value: f64) -> &mut Self {
+            self.items.push((key.to_owned(), TraceValue::F64(value)));
+            self
+        }
+
+        pub(crate) fn bool(&mut self, key: &str, value: bool) -> &mut Self {
+            self.items.push((key.to_owned(), TraceValue::Bool(value)));
+            self
+        }
+    }
 
     #[test]
     fn disabled_sink_records_nothing_and_skips_closures() {

@@ -47,7 +47,7 @@ fn simple(
 }
 
 /// R1: Use SHA-256 instead of SHA-1.
-pub fn r1() -> Rule {
+pub(crate) fn r1() -> Rule {
     simple(
         "R1",
         "Use SHA-256 instead of SHA-1",
@@ -62,7 +62,7 @@ pub fn r1() -> Rule {
 
 /// R2: Do not use password-based encryption with an iteration count
 /// below 1000.
-pub fn r2() -> Rule {
+pub(crate) fn r2() -> Rule {
     simple(
         "R2",
         "Do not use password-based encryption with iterations count less than 1000",
@@ -74,7 +74,7 @@ pub fn r2() -> Rule {
 }
 
 /// R3: SecureRandom should be used with SHA-1PRNG.
-pub fn r3() -> Rule {
+pub(crate) fn r3() -> Rule {
     let prng = vec!["SHA1PRNG".to_owned(), "SHA-1PRNG".to_owned()];
     simple(
         "R3",
@@ -91,7 +91,7 @@ pub fn r3() -> Rule {
 
 /// R4: `SecureRandom.getInstanceStrong()` should be avoided on
 /// server-side code where availability matters (it may block).
-pub fn r4() -> Rule {
+pub(crate) fn r4() -> Rule {
     simple(
         "R4",
         "SecureRandom with getInstanceStrong should be avoided",
@@ -104,7 +104,7 @@ pub fn r4() -> Rule {
 
 /// R5: Use the BouncyCastle provider for `Cipher` (the default provider
 /// historically enforced the 128-bit key restriction).
-pub fn r5() -> Rule {
+pub(crate) fn r5() -> Rule {
     simple(
         "R5",
         "Use the BouncyCastle provider for Cipher",
@@ -117,7 +117,7 @@ pub fn r5() -> Rule {
 
 /// R6: The underlying PRNG is vulnerable on Android API 16–18 unless
 /// the Linux-PRNG fix is applied.
-pub fn r6() -> Rule {
+pub(crate) fn r6() -> Rule {
     rule(
         "R6",
         "The underlying PRNG is vulnerable on Android v16-18",
@@ -138,7 +138,7 @@ pub fn r6() -> Rule {
 
 /// R7: Do not use `Cipher` in AES/ECB mode (a bare `"AES"` defaults to
 /// ECB).
-pub fn r7() -> Rule {
+pub(crate) fn r7() -> Rule {
     simple(
         "R7",
         "Do not use Cipher in AES/ECB mode",
@@ -156,7 +156,7 @@ pub fn r7() -> Rule {
 }
 
 /// R8: Do not use `Cipher` with DES.
-pub fn r8() -> Rule {
+pub(crate) fn r8() -> Rule {
     simple(
         "R8",
         "Do not use Cipher with DES mode",
@@ -172,7 +172,7 @@ pub fn r8() -> Rule {
 
 /// R9: `IvParameterSpec` must not be initialized with a static byte
 /// array.
-pub fn r9() -> Rule {
+pub(crate) fn r9() -> Rule {
     simple(
         "R9",
         "IvParameterSpec should not be initialized with a static byte array",
@@ -184,7 +184,7 @@ pub fn r9() -> Rule {
 }
 
 /// R10: `SecretKeySpec` must not be built from a static key.
-pub fn r10() -> Rule {
+pub(crate) fn r10() -> Rule {
     simple(
         "R10",
         "SecretKeySpec should not be static",
@@ -196,7 +196,7 @@ pub fn r10() -> Rule {
 }
 
 /// R11: Password-based encryption must not use a static salt.
-pub fn r11() -> Rule {
+pub(crate) fn r11() -> Rule {
     simple(
         "R11",
         "Do not use password-based encryption with static salt",
@@ -208,7 +208,7 @@ pub fn r11() -> Rule {
 }
 
 /// R12: `SecureRandom` must not be seeded with a static seed.
-pub fn r12() -> Rule {
+pub(crate) fn r12() -> Rule {
     simple(
         "R12",
         "Do not use SecureRandom static seed",
@@ -222,7 +222,7 @@ pub fn r12() -> Rule {
 /// R13: Missing integrity (no HMAC) after an RSA-protected symmetric
 /// key exchange — a composite rule over two `Cipher` objects and the
 /// absence of a `Mac`.
-pub fn r13() -> Rule {
+pub(crate) fn r13() -> Rule {
     rule(
         "R13",
         "Missing integrity check after symmetric key exchange",

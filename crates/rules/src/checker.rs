@@ -4,13 +4,13 @@
 use crate::rule::{ProjectContext, Rule};
 use analysis::Usages;
 
-/// One project as the checker sees it: the merged abstract usages of
-/// all its files plus the project context.
+/// One project as the checker sees it: the abstract usages of each of
+/// its files plus the project context.
 #[derive(Debug, Clone)]
 pub struct CheckedProject {
     /// Project name (for reports).
     pub name: String,
-    /// Abstract usages of every file, analyzed and merged.
+    /// Abstract usages of every file, one entry per file.
     pub usages: Vec<Usages>,
     /// Project-level facts.
     pub context: ProjectContext,
@@ -49,34 +49,19 @@ fn percentage(part: usize, whole: usize) -> f64 {
     }
 }
 
-/// How a project's files are presented to the rules.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CheckScope {
-    /// Each file is checked on its own. A rule with a negative clause
-    /// (R13) then requires the missing evidence to be missing in the
-    /// file that holds the positive evidence.
-    #[default]
-    PerFile,
-    /// All files are merged into one usage view first — the paper's
-    /// project-level reading ("the rule matches any projects that have
-    /// the two Cipher objects but lack the required Mac object").
-    Project,
-}
-
-/// The security checker built from the elicited rules.
+/// The security checker built from the elicited rules. Each file's
+/// usages are checked on their own, so a rule with a negative clause
+/// (R13) requires the missing evidence to be missing in the file that
+/// holds the positive evidence.
 #[derive(Debug, Clone)]
 pub struct CryptoChecker {
     rules: Vec<Rule>,
-    scope: CheckScope,
 }
 
 impl CryptoChecker {
-    /// A checker over the given rules (per-file scope).
-    pub fn new(rules: Vec<Rule>) -> Self {
-        CryptoChecker {
-            rules,
-            scope: CheckScope::PerFile,
-        }
+    /// A checker over the given rules.
+    pub(crate) fn new(rules: Vec<Rule>) -> Self {
+        CryptoChecker { rules }
     }
 
     /// A checker with all 13 rules of Figure 9.
@@ -84,39 +69,30 @@ impl CryptoChecker {
         CryptoChecker::new(crate::builtin::all_rules())
     }
 
-    /// Switches to project-level checking (see [`CheckScope::Project`]).
-    pub fn with_scope(mut self, scope: CheckScope) -> Self {
-        self.scope = scope;
-        self
-    }
-
     /// The rules the checker enforces.
     pub fn rules(&self) -> &[Rule] {
         &self.rules
     }
 
-    /// The usage views a project is checked under.
-    fn views(&self, project: &CheckedProject) -> Vec<Usages> {
-        match self.scope {
-            CheckScope::PerFile => project.usages.clone(),
-            CheckScope::Project => vec![Usages::merged(project.usages.iter())],
-        }
+    fn applicable_in(rule: &Rule, project: &CheckedProject) -> bool {
+        project
+            .usages
+            .iter()
+            .any(|u| rule.applicable(u, &project.context))
     }
 
-    fn applicable_in(rule: &Rule, views: &[Usages], project: &CheckedProject) -> bool {
-        views.iter().any(|u| rule.applicable(u, &project.context))
-    }
-
-    fn matches_in(rule: &Rule, views: &[Usages], project: &CheckedProject) -> bool {
-        views.iter().any(|u| rule.matches(u, &project.context))
+    fn matches_in(rule: &Rule, project: &CheckedProject) -> bool {
+        project
+            .usages
+            .iter()
+            .any(|u| rule.matches(u, &project.context))
     }
 
     /// The rule ids violated by `project`.
     pub fn violations(&self, project: &CheckedProject) -> Vec<String> {
-        let views = self.views(project);
         self.rules
             .iter()
-            .filter(|r| Self::matches_in(r, &views, project))
+            .filter(|r| Self::matches_in(r, project))
             .map(|r| r.id.clone())
             .collect()
     }
@@ -124,7 +100,6 @@ impl CryptoChecker {
     /// Aggregates applicable/matching counts over `projects` — the
     /// Figure 10 table.
     pub fn check_all(&self, projects: &[CheckedProject]) -> Vec<RuleStats> {
-        let views: Vec<Vec<Usages>> = projects.iter().map(|p| self.views(p)).collect();
         self.rules
             .iter()
             .map(|rule| RuleStats {
@@ -132,15 +107,11 @@ impl CryptoChecker {
                 description: rule.description.clone(),
                 applicable: projects
                     .iter()
-                    .zip(&views)
-                    .filter(|(p, v)| Self::applicable_in(rule, v, p))
+                    .filter(|p| Self::applicable_in(rule, p))
                     .count(),
                 matching: projects
                     .iter()
-                    .zip(&views)
-                    .filter(|(p, v)| {
-                        Self::applicable_in(rule, v, p) && Self::matches_in(rule, v, p)
-                    })
+                    .filter(|p| Self::applicable_in(rule, p) && Self::matches_in(rule, p))
                     .count(),
             })
             .collect()
@@ -151,10 +122,7 @@ impl CryptoChecker {
     pub fn projects_with_any_violation(&self, projects: &[CheckedProject]) -> usize {
         projects
             .iter()
-            .filter(|p| {
-                let views = self.views(p);
-                self.rules.iter().any(|r| Self::matches_in(r, &views, p))
-            })
+            .filter(|p| self.rules.iter().any(|r| Self::matches_in(r, p)))
             .count()
     }
 }
@@ -244,67 +212,5 @@ mod tests {
         );
         let checker = CryptoChecker::standard();
         assert!(!checker.violations(&split).contains(&"R13".to_owned()));
-    }
-
-    #[test]
-    fn project_scope_merges_files_for_composites() {
-        let sources = [
-            r#"class A { void m() throws Exception { Cipher c = Cipher.getInstance("RSA"); } }"#,
-            r#"class B { void m() throws Exception { Cipher c = Cipher.getInstance("AES/CBC/PKCS5Padding"); } }"#,
-        ];
-        let split = project("split", &sources);
-        let project_checker = CryptoChecker::standard().with_scope(CheckScope::Project);
-        assert!(
-            project_checker
-                .violations(&split)
-                .contains(&"R13".to_owned()),
-            "the paper's project-level reading sees both ciphers"
-        );
-
-        // With a Mac in a third file, project scope clears R13.
-        let with_mac = project(
-            "with-mac",
-            &[
-                sources[0],
-                sources[1],
-                r#"class M { void m() throws Exception { Mac mac = Mac.getInstance("HmacSHA256"); } }"#,
-            ],
-        );
-        assert!(!project_checker
-            .violations(&with_mac)
-            .contains(&"R13".to_owned()));
-    }
-
-    #[test]
-    fn merged_usages_preserve_object_counts() {
-        let api = ApiModel::standard();
-        let a = analyze(
-            &javalang::parse_compilation_unit(
-                r#"class A { void m() throws Exception { Cipher c = Cipher.getInstance("AES"); } }"#,
-            )
-            .unwrap(),
-            &api,
-            &AnalysisLimits::DEFAULT,
-        )
-        .unwrap()
-        .0;
-        let b = analyze(
-            &javalang::parse_compilation_unit(
-                r#"class B { void m() throws Exception { Cipher c = Cipher.getInstance("DES"); } }"#,
-            )
-            .unwrap(),
-            &api,
-            &AnalysisLimits::DEFAULT,
-        )
-        .unwrap()
-        .0;
-        let merged = analysis::Usages::merged([&a, &b]);
-        assert_eq!(merged.objects_of_type("Cipher").count(), 2);
-        let algos: Vec<String> = merged
-            .objects_of_type("Cipher")
-            .map(|s| merged.events_of(s)[0].args[0].label())
-            .collect();
-        assert!(algos.contains(&"AES".to_owned()));
-        assert!(algos.contains(&"DES".to_owned()));
     }
 }

@@ -17,17 +17,6 @@ pub enum ChangeClass {
     NonSemantic,
 }
 
-impl ChangeClass {
-    /// Short label used in the Figure 7 table.
-    pub fn label(self) -> &'static str {
-        match self {
-            ChangeClass::Fix => "fix",
-            ChangeClass::Bug => "bug",
-            ChangeClass::NonSemantic => "none",
-        }
-    }
-}
-
 /// Classifies a (old, new) version pair against `rule`.
 pub fn classify_change(
     rule: &Rule,

@@ -19,7 +19,7 @@ fn cl(id: &str, description: &str, class: &str, formula: F) -> Rule {
 }
 
 /// CL1: Do not use ECB mode for encryption.
-pub fn cl1() -> Rule {
+pub(crate) fn cl1() -> Rule {
     cl(
         "CL1",
         "Do not use ECB mode for encryption",
@@ -33,7 +33,7 @@ pub fn cl1() -> Rule {
 }
 
 /// CL2: Do not use a non-random (constant) IV for CBC encryption.
-pub fn cl2() -> Rule {
+pub(crate) fn cl2() -> Rule {
     cl(
         "CL2",
         "Do not use a constant initialization vector",
@@ -43,7 +43,7 @@ pub fn cl2() -> Rule {
 }
 
 /// CL3: Do not use constant encryption keys.
-pub fn cl3() -> Rule {
+pub(crate) fn cl3() -> Rule {
     cl(
         "CL3",
         "Do not use constant encryption keys",
@@ -53,7 +53,7 @@ pub fn cl3() -> Rule {
 }
 
 /// CL4: Do not use constant salts for password-based encryption.
-pub fn cl4() -> Rule {
+pub(crate) fn cl4() -> Rule {
     cl(
         "CL4",
         "Do not use constant salts for PBE",
@@ -64,7 +64,7 @@ pub fn cl4() -> Rule {
 
 /// CL5: Do not use fewer than 1 000 iterations for password-based
 /// encryption.
-pub fn cl5() -> Rule {
+pub(crate) fn cl5() -> Rule {
     cl(
         "CL5",
         "Do not use fewer than 1,000 iterations for PBE",

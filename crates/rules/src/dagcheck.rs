@@ -13,7 +13,7 @@ use usagegraph::UsageDag;
 
 /// Reconstructs an abstract value from a DAG argument label (the
 /// inverse of [`AValue::label`], up to the information the label keeps).
-pub fn label_to_avalue(label: &str) -> AValue {
+pub(crate) fn label_to_avalue(label: &str) -> AValue {
     match label {
         "\u{22a4}byte[]" => return AValue::TopByteArray,
         "constbyte[]" => return AValue::ConstByteArray,

@@ -35,7 +35,7 @@ pub enum ArgConstraint {
 impl ArgConstraint {
     /// Evaluates the constraint against an argument value; `None` means
     /// the call has no argument at that position.
-    pub fn matches(&self, value: Option<&AValue>) -> bool {
+    pub(crate) fn matches(&self, value: Option<&AValue>) -> bool {
         match self {
             ArgConstraint::Any => true,
             ArgConstraint::EqStr(s) => {
@@ -94,7 +94,7 @@ pub struct CallPred {
 
 impl CallPred {
     /// A predicate on one method name with no argument constraints.
-    pub fn method(name: impl Into<String>) -> Self {
+    pub(crate) fn method(name: impl Into<String>) -> Self {
         CallPred {
             methods: vec![name.into()],
             args: Vec::new(),
@@ -102,14 +102,14 @@ impl CallPred {
     }
 
     /// Adds an argument constraint (1-based index).
-    pub fn arg(mut self, index: usize, constraint: ArgConstraint) -> Self {
+    pub(crate) fn arg(mut self, index: usize, constraint: ArgConstraint) -> Self {
         self.args.push((index, constraint));
         self
     }
 
     /// A predicate matching object creation: constructor or any
     /// `getInstance` factory.
-    pub fn creation() -> Self {
+    pub(crate) fn creation() -> Self {
         CallPred {
             methods: vec![
                 "<init>".to_owned(),
@@ -121,7 +121,7 @@ impl CallPred {
     }
 
     /// Evaluates the predicate on one event.
-    pub fn matches(&self, event: &UsageEvent) -> bool {
+    pub(crate) fn matches(&self, event: &UsageEvent) -> bool {
         if !self.methods.is_empty()
             && !self
                 .methods
@@ -151,7 +151,7 @@ pub enum Formula {
 
 impl Formula {
     /// Evaluates against the events of one abstract object.
-    pub fn eval(&self, events: &[UsageEvent]) -> bool {
+    pub(crate) fn eval(&self, events: &[UsageEvent]) -> bool {
         match self {
             Formula::Exists(pred) => events.iter().any(|e| pred.matches(e)),
             Formula::NotExists(pred) => !events.iter().any(|e| pred.matches(e)),

@@ -25,18 +25,18 @@
 
 #![warn(missing_docs)]
 
-pub mod builtin;
-pub mod checker;
-pub mod classify;
-pub mod cryptolint;
-pub mod dagcheck;
+mod builtin;
+mod checker;
+mod classify;
+mod cryptolint;
+mod dagcheck;
 pub mod dsl;
-pub mod formula;
-pub mod rule;
-pub mod suggest;
+mod formula;
+mod rule;
+mod suggest;
 
 pub use builtin::all_rules;
-pub use checker::{CheckScope, CheckedProject, CryptoChecker, RuleStats};
+pub use checker::{CheckedProject, CryptoChecker, RuleStats};
 pub use classify::{classify_change, classify_dag_pair, ChangeClass};
 pub use cryptolint::cryptolint_rules;
 pub use dagcheck::clause_triggers;

@@ -41,7 +41,7 @@ pub struct ClassClause {
 
 impl ClassClause {
     /// Creates a clause.
-    pub fn new(class: impl Into<String>, formula: Formula) -> Self {
+    pub(crate) fn new(class: impl Into<String>, formula: Formula) -> Self {
         ClassClause {
             class: class.into(),
             formula,
@@ -50,7 +50,7 @@ impl ClassClause {
 
     /// `true` if some abstract object of `self.class` satisfies the
     /// formula.
-    pub fn matches(&self, usages: &Usages) -> bool {
+    pub(crate) fn matches(&self, usages: &Usages) -> bool {
         usages
             .objects_of_type(&self.class)
             .any(|site| self.formula.eval(usages.events_of(site)))

@@ -35,7 +35,7 @@ impl SuggestedRule {
 
     /// `true` if the abstract object whose DAG paths are given matches
     /// the rule (has all `must_have`, none of `must_not_have`).
-    pub fn matches_paths<'a>(
+    pub(crate) fn matches_paths<'a>(
         &self,
         paths: impl IntoIterator<Item = &'a FeaturePath> + Clone,
     ) -> bool {

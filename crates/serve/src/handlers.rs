@@ -81,7 +81,12 @@ pub(crate) fn route(path: &str) -> Option<(&'static str, &'static str)> {
 /// into explain-ring records so verdicts join to request records.
 /// `deadline` is the request's deadline, which `/check` also applies to
 /// its compute.
-pub fn handle(req: &Request, shared: &Shared, request_id: u64, deadline: Instant) -> Response {
+pub(crate) fn handle(
+    req: &Request,
+    shared: &Shared,
+    request_id: u64,
+    deadline: Instant,
+) -> Response {
     if shared.config.chaos_hooks {
         if let Some(ms) = req
             .header("x-chaos-sleep-ms")

@@ -35,7 +35,7 @@ impl HttpCaps {
     /// Production defaults: 64 KiB of head, 32 MiB of body — a 10 MB
     /// "Java file" fits (and then quarantines in the pipeline on its
     /// own source budget); a 64 MiB bomb is shed at the HTTP layer.
-    pub const DEFAULT: HttpCaps = HttpCaps {
+    pub(crate) const DEFAULT: HttpCaps = HttpCaps {
         max_head_bytes: 64 * 1024,
         max_body_bytes: 32 * 1024 * 1024,
         max_headers: 128,
@@ -50,7 +50,7 @@ impl Default for HttpCaps {
 
 /// One parsed request.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Request {
+pub(crate) struct Request {
     /// Uppercase method token as sent (`GET`, `POST`).
     pub method: String,
     /// The request target (path, no normalization).
@@ -63,7 +63,7 @@ pub struct Request {
 
 impl Request {
     /// First header value for `name` (lowercase).
-    pub fn header(&self, name: &str) -> Option<&str> {
+    pub(crate) fn header(&self, name: &str) -> Option<&str> {
         self.headers
             .iter()
             .find(|(k, _)| k == name)
@@ -73,7 +73,7 @@ impl Request {
 
 /// Why a request could not be read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RecvError {
+pub(crate) enum RecvError {
     /// The per-request deadline elapsed mid-read (slowloris, stalls).
     Deadline,
     /// Head bytes or header count exceeded [`HttpCaps`].
@@ -92,7 +92,7 @@ pub enum RecvError {
 impl RecvError {
     /// The HTTP status this error maps to, or `None` when the peer is
     /// gone and no response can be delivered.
-    pub fn status(&self) -> Option<(u16, &'static str)> {
+    pub(crate) fn status(&self) -> Option<(u16, &'static str)> {
         match self {
             RecvError::Deadline => Some((408, "request deadline exceeded")),
             RecvError::HeadTooLarge => Some((431, "request head exceeds the configured cap")),
@@ -103,7 +103,7 @@ impl RecvError {
     }
 
     /// Stable counter suffix (`serve.recv_<name>`).
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             RecvError::Deadline => "deadline",
             RecvError::HeadTooLarge => "head_too_large",
@@ -154,7 +154,7 @@ fn read_some(
 ///
 /// See [`RecvError`]; every failure mode of a hostile or broken client
 /// maps to exactly one variant.
-pub fn read_request(
+pub(crate) fn read_request(
     stream: &mut TcpStream,
     deadline: Instant,
     caps: &HttpCaps,
@@ -252,7 +252,7 @@ fn find_head_end(buf: &[u8]) -> Option<usize> {
 
 /// One response to deliver.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Response {
+pub(crate) struct Response {
     /// HTTP status code.
     pub status: u16,
     /// `Content-Type` value.
@@ -265,7 +265,7 @@ pub struct Response {
 
 impl Response {
     /// A JSON response.
-    pub fn json(status: u16, body: String) -> Response {
+    pub(crate) fn json(status: u16, body: String) -> Response {
         Response {
             status,
             content_type: "application/json",
@@ -275,7 +275,7 @@ impl Response {
     }
 
     /// A plain-text response (a newline is appended).
-    pub fn text(status: u16, body: &str) -> Response {
+    pub(crate) fn text(status: u16, body: &str) -> Response {
         Response {
             status,
             content_type: "text/plain; charset=utf-8",
@@ -285,7 +285,7 @@ impl Response {
     }
 
     /// The standard reason phrase for the statuses this server emits.
-    pub fn reason(status: u16) -> &'static str {
+    pub(crate) fn reason(status: u16) -> &'static str {
         match status {
             200 => "OK",
             400 => "Bad Request",
@@ -309,7 +309,7 @@ impl Response {
 /// # Errors
 ///
 /// Transport errors (including the socket write timeout).
-pub fn write_response(stream: &mut TcpStream, resp: &Response) -> std::io::Result<()> {
+pub(crate) fn write_response(stream: &mut TcpStream, resp: &Response) -> std::io::Result<()> {
     let mut head = format!(
         "HTTP/1.1 {} {}\r\ncontent-type: {}\r\ncontent-length: {}\r\nconnection: close\r\n",
         resp.status,

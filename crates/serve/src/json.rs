@@ -11,7 +11,7 @@
 use std::fmt;
 
 /// Maximum nesting depth the parser accepts.
-pub const MAX_DEPTH: usize = 64;
+pub(crate) const MAX_DEPTH: usize = 64;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -116,17 +116,7 @@ fn write_num(n: f64, out: &mut String) {
 
 fn write_str(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
+    out.push_str(&obs::json::escape(s));
     out.push('"');
 }
 
@@ -151,8 +141,8 @@ impl std::error::Error for JsonError {}
 ///
 /// # Errors
 ///
-/// Any syntax violation, nesting beyond [`MAX_DEPTH`], or trailing
-/// garbage.
+/// Any syntax violation, nesting beyond `MAX_DEPTH` (64) levels, or
+/// trailing garbage.
 pub fn parse(text: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
         bytes: text.as_bytes(),

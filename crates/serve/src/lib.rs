@@ -7,7 +7,7 @@
 //! wraps it in a full robustness envelope:
 //!
 //! - **Deadlines**: every request read races a per-request deadline
-//!   ([`http`]); compute is bounded by the pipeline's own fuel budgets,
+//!   (`http`); compute is bounded by the pipeline's own fuel budgets,
 //!   so a 10 MB "Java file" or pathological nesting quarantines the
 //!   request, never the worker.
 //! - **Bounded admission**: a fixed queue with load shedding — past the
@@ -21,18 +21,17 @@
 //!   invariant checked by the soak harness and visible in
 //!   `GET /metrics`.
 //!
-//! The endpoints and their semantics live in [`handlers`]; the
-//! connection lifecycle in [`server`].
+//! The endpoints and their semantics live in the `handlers` module;
+//! the connection lifecycle in `server`, behind [`Server`].
 
 #![warn(missing_docs)]
 
-pub mod handlers;
-pub mod http;
+mod handlers;
+mod http;
 pub mod json;
-pub mod ring;
-pub mod server;
+mod ring;
+mod server;
 
-pub use http::{HttpCaps, Request, Response};
+pub use http::HttpCaps;
 pub use json::Json;
-pub use ring::{ExplainRecord, ExplainRing};
 pub use server::{ServeConfig, ServeSummary, Server, ServerHandle};

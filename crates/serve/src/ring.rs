@@ -12,7 +12,7 @@ use std::collections::VecDeque;
 
 /// One served `/mine` verdict, kept for `/explain`.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ExplainRecord {
+pub(crate) struct ExplainRecord {
     /// Monotone per-server sequence number (1-based).
     pub seq: u64,
     /// The admission-assigned id of the request that produced this
@@ -34,7 +34,7 @@ pub struct ExplainRecord {
 
 impl ExplainRecord {
     /// The JSON rendering served by `/explain`.
-    pub fn to_json(&self) -> Json {
+    pub(crate) fn to_json(&self) -> Json {
         let skip = match &self.skip {
             Some((kind, error, excerpt)) => Json::Obj(vec![
                 ("kind".to_owned(), Json::Str(kind.clone())),
@@ -63,7 +63,7 @@ impl ExplainRecord {
 
 /// The bounded verdict journal.
 #[derive(Debug)]
-pub struct ExplainRing {
+pub(crate) struct ExplainRing {
     capacity: usize,
     next_seq: u64,
     records: VecDeque<ExplainRecord>,
@@ -71,7 +71,7 @@ pub struct ExplainRing {
 
 impl ExplainRing {
     /// A ring holding at most `capacity` records (minimum 1).
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         ExplainRing {
             capacity: capacity.max(1),
             next_seq: 1,
@@ -81,7 +81,7 @@ impl ExplainRing {
 
     /// Appends a record (evicting the oldest at capacity) and returns
     /// its sequence number.
-    pub fn push(&mut self, mut record: ExplainRecord) -> u64 {
+    pub(crate) fn push(&mut self, mut record: ExplainRecord) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
         record.seq = seq;
@@ -94,28 +94,25 @@ impl ExplainRing {
 
     /// All records whose fingerprint starts with `prefix`, newest
     /// first.
-    pub fn find(&self, prefix: &str) -> Vec<&ExplainRecord> {
+    pub(crate) fn find(&self, prefix: &str) -> Vec<&ExplainRecord> {
         self.records
             .iter()
             .rev()
             .filter(|r| r.fingerprint.starts_with(prefix))
             .collect()
     }
-
-    /// Records currently retained.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// `true` when nothing has been served yet (or everything evicted).
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl ExplainRing {
+        /// Records currently retained.
+        fn len(&self) -> usize {
+            self.records.len()
+        }
+    }
 
     fn record(fp: &str) -> ExplainRecord {
         ExplainRecord {

@@ -147,7 +147,7 @@ impl Default for ServeSummary {
 /// deadlock under load, and the wedged registry then stalls every
 /// worker and the drain. Only the `cache` lock is held across other
 /// locks, and it is always taken first.
-pub struct Shared {
+pub(crate) struct Shared {
     /// The server configuration.
     pub config: ServeConfig,
     /// The single metrics registry behind `GET /metrics`.
@@ -201,13 +201,13 @@ impl Shared {
     }
 
     /// `true` once shutdown has begun (readiness goes 503).
-    pub fn draining(&self) -> bool {
+    pub(crate) fn draining(&self) -> bool {
         self.draining.load(Ordering::SeqCst)
     }
 
     /// Current admission-queue depth (for `GET /status`). Takes the
     /// queue lock, so never call it inside [`Shared::with_registry`].
-    pub fn queue_len(&self) -> usize {
+    pub(crate) fn queue_len(&self) -> usize {
         self.queue
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
@@ -218,7 +218,7 @@ impl Shared {
     /// (metrics are monotone counters; a panicked writer cannot leave
     /// them torn in a way that matters more than losing them). `f`
     /// must not take another lock of `Shared` (see the lock order).
-    pub fn with_registry<T>(&self, f: impl FnOnce(&mut MetricsRegistry) -> T) -> T {
+    pub(crate) fn with_registry<T>(&self, f: impl FnOnce(&mut MetricsRegistry) -> T) -> T {
         let mut guard = self.registry.lock().unwrap_or_else(PoisonError::into_inner);
         f(&mut guard)
     }

@@ -18,7 +18,7 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 
 /// Default maximum path length (the paper's construction depth n = 5).
-pub const DEFAULT_MAX_DEPTH: usize = 5;
+pub(crate) const DEFAULT_MAX_DEPTH: usize = 5;
 
 /// One node label of a feature path.
 ///
@@ -101,7 +101,7 @@ impl FeaturePath {
     }
 
     /// `true` if `self` is a strict prefix of `other`.
-    pub fn is_strict_prefix_of(&self, other: &FeaturePath) -> bool {
+    pub(crate) fn is_strict_prefix_of(&self, other: &FeaturePath) -> bool {
         self.0.len() < other.0.len()
             && self
                 .0
@@ -135,11 +135,6 @@ impl UsageDag {
         let mut paths = BTreeSet::new();
         paths.insert(FeaturePath(vec![root_type.clone()]));
         UsageDag { root_type, paths }
-    }
-
-    /// `true` if this DAG is just a root node.
-    pub fn is_trivial(&self) -> bool {
-        self.paths.len() <= 1
     }
 
     /// The intersection-over-union node distance of §3.5:
@@ -441,6 +436,13 @@ pub fn pair_dags(old: Vec<UsageDag>, new: Vec<UsageDag>, class: &str) -> Vec<(Us
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl UsageDag {
+        /// `true` if this DAG is just a root node.
+        fn is_trivial(&self) -> bool {
+            self.paths.len() <= 1
+        }
+    }
     use analysis::{analyze, AnalysisLimits, ApiModel};
 
     /// No path or object cap: the reference the budget-boundary tests

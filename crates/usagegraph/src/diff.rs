@@ -1,7 +1,6 @@
 //! From DAG pairs to usage changes (paper §3.5).
 
 use crate::dag::{FeaturePath, UsageDag};
-use std::collections::BTreeSet;
 use std::fmt;
 
 /// The semantic diff of one paired (old, new) DAG:
@@ -48,16 +47,6 @@ impl fmt::Display for UsageChange {
     }
 }
 
-/// `Shortest(P)`: keeps a path iff no other path in `P` is a strict
-/// prefix of it.
-pub fn shortest(paths: &BTreeSet<FeaturePath>) -> Vec<FeaturePath> {
-    paths
-        .iter()
-        .filter(|p| !paths.iter().any(|q| q.is_strict_prefix_of(p)))
-        .cloned()
-        .collect()
-}
-
 /// `Removed(G₁,G₂) = Shortest(Paths(G₁) \ Paths(G₂))`.
 pub fn removed(g1: &UsageDag, g2: &UsageDag) -> Vec<FeaturePath> {
     // Work on borrowed difference entries (already in sorted set
@@ -70,7 +59,7 @@ pub fn removed(g1: &UsageDag, g2: &UsageDag) -> Vec<FeaturePath> {
 }
 
 /// Computes the usage change for a paired (old, new) DAG.
-pub fn diff_dags(old: &UsageDag, new: &UsageDag) -> UsageChange {
+pub(crate) fn diff_dags(old: &UsageDag, new: &UsageDag) -> UsageChange {
     UsageChange {
         class: old.root_type.to_string(),
         removed: removed(old, new),
@@ -85,11 +74,22 @@ mod tests {
     use crate::dag::{dags_for_class, pair_dags};
     use crate::DagLimits;
     use analysis::{analyze, AnalysisLimits, ApiModel};
+    use std::collections::BTreeSet;
 
     fn dags(src: &str, class: &str) -> Vec<UsageDag> {
         let unit = javalang::parse_compilation_unit(src).unwrap();
         let (usages, _) = analyze(&unit, &ApiModel::standard(), &AnalysisLimits::DEFAULT).unwrap();
         dags_for_class(&usages, class, &DagLimits::DEFAULT).unwrap()
+    }
+
+    /// `Shortest(P)`: keeps a path iff no other path in `P` is a strict
+    /// prefix of it.
+    fn shortest(paths: &BTreeSet<FeaturePath>) -> Vec<FeaturePath> {
+        paths
+            .iter()
+            .filter(|p| !paths.iter().any(|q| q.is_strict_prefix_of(p)))
+            .cloned()
+            .collect()
     }
 
     fn path(labels: &[&str]) -> FeaturePath {

@@ -41,13 +41,12 @@ mod diff;
 mod limits;
 pub mod matching;
 
-pub use dag::{
-    build_dag, dags_for_class, pair_dags, FeaturePath, Label, UsageDag, DEFAULT_MAX_DEPTH,
-};
-pub use diff::{diff_dags, removed, shortest, UsageChange};
+pub use dag::{build_dag, dags_for_class, pair_dags, FeaturePath, Label, UsageDag};
+pub use diff::{removed, UsageChange};
 pub use limits::{DagError, DagLimits};
 
 use analysis::Usages;
+use diff::diff_dags;
 
 /// Derives all usage changes of `class` between two program versions —
 /// build DAGs → pair → diff (Figure 4 of the paper) — under `limits`.

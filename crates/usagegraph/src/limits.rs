@@ -32,7 +32,7 @@ impl DagLimits {
     /// class — orders of magnitude above anything the corpus produces.
     pub const DEFAULT: DagLimits = DagLimits {
         max_paths: 1 << 14,
-        max_depth: crate::DEFAULT_MAX_DEPTH,
+        max_depth: crate::dag::DEFAULT_MAX_DEPTH,
         max_objects: 512,
     };
 }
@@ -60,17 +60,6 @@ pub enum DagError {
         /// The configured ceiling.
         max_objects: usize,
     },
-}
-
-impl DagError {
-    /// Stable machine-readable name of the error kind, used for
-    /// per-kind quarantine accounting.
-    pub fn name(&self) -> &'static str {
-        match self {
-            DagError::PathBudgetExceeded { .. } => "dag-paths",
-            DagError::TooManyObjects { .. } => "dag-objects",
-        }
-    }
 }
 
 impl fmt::Display for DagError {

@@ -1,6 +1,6 @@
 //! End-to-end tests of the compiled `diffcode` binary.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 fn diffcode(args: &[&str]) -> Output {
@@ -226,4 +226,60 @@ fn check_materialized_generated_project() {
         stdout.contains(&format!("{} file(s)", written.len())),
         "{stdout}"
     );
+}
+
+/// Every entry under `root` with its bytes (`None` for a directory),
+/// sorted by path; empty when `root` does not exist.
+fn snapshot(root: &Path) -> Vec<(PathBuf, Option<Vec<u8>>)> {
+    let mut out = Vec::new();
+    let Ok(entries) = std::fs::read_dir(root) else {
+        return out;
+    };
+    for entry in entries {
+        let path = entry.unwrap().path();
+        if path.is_dir() {
+            out.push((path.clone(), None));
+            out.extend(snapshot(&path));
+        } else {
+            out.push((path.clone(), Some(std::fs::read(&path).unwrap())));
+        }
+    }
+    out.sort();
+    out
+}
+
+#[test]
+fn cache_commands_need_an_existing_log_and_create_nothing() {
+    let base = std::env::temp_dir().join(format!("diffcode-cache-cmd-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&base);
+    let missing = base.join("missing");
+    // A cache directory that holds only the other namespace's log.
+    let cluster_only = base.join("cluster-only");
+    std::fs::create_dir_all(&cluster_only).unwrap();
+    std::fs::write(cluster_only.join("cluster.log"), b"not the mining log").unwrap();
+
+    for action in ["stats", "vacuum", "verify"] {
+        // (directory, --namespace flag, namespace it resolves to)
+        for (dir, flag, namespace) in [
+            (&missing, None, "cache"),
+            (&missing, Some("cluster"), "cluster"),
+            (&cluster_only, None, "cache"),
+        ] {
+            let mut args = vec!["cache", action, "--cache-dir", dir.to_str().unwrap()];
+            if let Some(ns) = flag {
+                args.extend(["--namespace", ns]);
+            }
+            let before = snapshot(&base);
+            let out = diffcode(&args);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{action} {namespace}: {stderr}");
+            let log = dir.join(format!("{namespace}.log"));
+            let expected = format!("error: no {namespace} log at {}", log.display());
+            assert!(stderr.contains(&expected), "{action}: {stderr}");
+            assert!(out.stdout.is_empty(), "{action} printed a report");
+            assert_eq!(snapshot(&base), before, "{action} touched the file system");
+            assert!(!missing.exists(), "{action} created {}", missing.display());
+        }
+    }
+    let _ = std::fs::remove_dir_all(&base);
 }

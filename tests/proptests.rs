@@ -496,6 +496,15 @@ proptest! {
 // Budget boundaries are exact: a budget of N passes, N-1 rejects
 // ---------------------------------------------------------------------
 
+/// Front-end budgets with no size limit, the base each boundary test
+/// lowers one budget of. Nesting stays bounded: it guards the stack.
+const UNLIMITED: javalang::Limits = javalang::Limits {
+    max_source_bytes: usize::MAX,
+    max_tokens: usize::MAX,
+    max_token_bytes: usize::MAX,
+    max_nesting: 512,
+};
+
 #[test]
 fn nesting_budget_boundary_is_exact() {
     // Find the minimal nesting budget under which the source parses
@@ -516,7 +525,7 @@ fn nesting_budget_boundary_is_exact() {
             source,
             javalang::Limits {
                 max_nesting: n,
-                ..javalang::Limits::UNBOUNDED
+                ..UNLIMITED
             },
         )
     };
@@ -554,12 +563,12 @@ fn token_budget_boundary_is_exact() {
     let tokens = javalang::lex(source).unwrap().len();
     let at = javalang::Limits {
         max_tokens: tokens,
-        ..javalang::Limits::UNBOUNDED
+        ..UNLIMITED
     };
     assert!(javalang::parse_compilation_unit_with_limits(source, at).is_ok());
     let under = javalang::Limits {
         max_tokens: tokens - 1,
-        ..javalang::Limits::UNBOUNDED
+        ..UNLIMITED
     };
     let reject = javalang::parse_compilation_unit_with_limits(source, under).unwrap_err();
     assert_eq!(reject.kind(), javalang::ParseErrorKind::TokenBudgetExceeded);
@@ -570,12 +579,12 @@ fn source_size_boundary_is_exact() {
     let source = "class A { int x = 1; }";
     let at = javalang::Limits {
         max_source_bytes: source.len(),
-        ..javalang::Limits::UNBOUNDED
+        ..UNLIMITED
     };
     assert!(javalang::parse_compilation_unit_with_limits(source, at).is_ok());
     let under = javalang::Limits {
         max_source_bytes: source.len() - 1,
-        ..javalang::Limits::UNBOUNDED
+        ..UNLIMITED
     };
     let reject = javalang::parse_compilation_unit_with_limits(source, under).unwrap_err();
     assert_eq!(reject.kind(), javalang::ParseErrorKind::SourceTooLarge);
@@ -587,12 +596,12 @@ fn token_length_boundary_is_exact() {
     let source = format!("class A {{ int {ident} = 1; }}");
     let at = javalang::Limits {
         max_token_bytes: ident.len(),
-        ..javalang::Limits::UNBOUNDED
+        ..UNLIMITED
     };
     assert!(javalang::parse_compilation_unit_with_limits(&source, at).is_ok());
     let under = javalang::Limits {
         max_token_bytes: ident.len() - 1,
-        ..javalang::Limits::UNBOUNDED
+        ..UNLIMITED
     };
     let reject = javalang::parse_compilation_unit_with_limits(&source, under).unwrap_err();
     assert_eq!(reject.kind(), javalang::ParseErrorKind::TokenTooLong);
