@@ -1,15 +1,16 @@
-//! Histogram record-path overhead: what every `record_span` call now
-//! pays on top of the plain min/max/sum span statistics, plus the
+//! Histogram record-path overhead: what every `record_span` call pays
+//! against the plain min/max/sum span statistics it replaced, plus the
 //! quantile/merge costs the serve `/status` endpoint exercises and the
 //! disabled-logger event cost (inert builder, no rendering).
 //!
 //! The paired `span_stats_only`/`record_span` measurement is what the
 //! EXPERIMENTS.md overhead table and the CI `--max-ratio` gate pin:
-//! the full registry record path (span stats + histogram) must stay
+//! the recorder's record path (one histogram per span) must stay
 //! within 2x of the bare span-stats upsert.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use obs::{Histogram, LogLevel, Logger, MetricsRegistry, SpanStats};
+use diffcode_bench::SpanStats;
+use obs::{Histogram, LogLevel, Logger, Recorder};
 use std::collections::BTreeMap;
 use std::hint::black_box;
 use std::time::Duration;
@@ -46,14 +47,14 @@ fn bench_obs_hist(c: &mut Criterion) {
         });
     });
 
-    // The full registry path: span stats + histogram bucket increment.
+    // The recorder path: the span's histogram.
     group.bench_function("record_span", |b| {
         b.iter(|| {
-            let mut registry = MetricsRegistry::new();
+            let mut registry = Recorder::new();
             for d in &durations {
                 registry.record_span("serve.request", *d);
             }
-            black_box(registry.hist("serve.request").map(Histogram::count))
+            black_box(registry.span("serve.request").map(Histogram::count))
         });
     });
 

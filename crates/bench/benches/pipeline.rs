@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use diffcode::{apply_filters, DiffCode, SeenDups};
-use obs::{MetricsRegistry, TraceSink};
+use obs::Recorder;
 use std::hint::black_box;
 
 fn bench_mine(c: &mut Criterion) {
@@ -34,8 +34,7 @@ fn bench_filter(c: &mut Criterion) {
             apply_filters(
                 black_box(&mined.changes),
                 &mut SeenDups::new(),
-                &mut MetricsRegistry::new(),
-                &mut TraceSink::disabled(),
+                &mut Recorder::new(),
             )
             .1
         });

@@ -71,12 +71,7 @@ fn ablate_depth(corpus: &corpus::Corpus) {
 
 /// The four filters with fresh `fdup` state, unobserved.
 fn filter(changes: &[MinedUsageChange]) -> (Vec<MinedUsageChange>, FilterStats) {
-    apply_filters(
-        changes,
-        &mut SeenDups::new(),
-        &mut obs::MetricsRegistry::new(),
-        &mut obs::TraceSink::disabled(),
-    )
+    apply_filters(changes, &mut SeenDups::new(), &mut obs::Recorder::new())
 }
 
 /// Number of generator-labelled fix commits with at least one semantic

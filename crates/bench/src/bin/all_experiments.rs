@@ -2,7 +2,7 @@
 //! order. Mines the corpus once and reuses it across figures.
 //!
 //! All timings come from the observability layer: stages run under
-//! [`obs::MetricsRegistry`] spans (the mining spans are the ones the
+//! [`obs::Recorder`] spans (the mining spans are the ones the
 //! pipeline itself records, merged across worker shards) and the run
 //! ends with the aggregated stage-latency table — no ad-hoc clock
 //! arithmetic in the binary.
@@ -18,11 +18,11 @@ use diffcode_bench::{
     bench_json_path, config_from_args, frontend_microbench, header, obs_overhead_microbench,
     render_span_table,
 };
-use obs::MetricsRegistry;
+use obs::Recorder;
 
 fn main() {
     let config = config_from_args(461);
-    let mut metrics = MetricsRegistry::new();
+    let mut metrics = Recorder::new();
     println!(
         "generating corpus: {} projects, seed {:#x}",
         config.n_projects, config.seed
@@ -58,12 +58,12 @@ fn main() {
         }
     }
     let mut exp = metrics.time("experiments.mine", || Experiments::new(corpus));
-    metrics.merge(exp.metrics());
+    metrics.merge(exp.metrics().clone());
     println!(
         "  mined {} code changes -> {} usage changes in {}",
         exp.code_changes(),
         exp.mined_changes().len(),
-        obs::fmt_ns(metrics.span("experiments.mine").map_or(0, |s| s.sum_ns)),
+        obs::fmt_ns(metrics.span("experiments.mine").map_or(0, |s| s.sum_ns())),
     );
 
     header("Figure 6 — usage changes per target API class after filtering");
@@ -99,7 +99,7 @@ fn main() {
         100.0 * out.any_violation as f64 / out.total_projects as f64
     );
 
-    header("Stage latencies (MetricsRegistry spans)");
+    header("Stage latencies (recorder spans)");
     print!("{}", render_span_table(&metrics));
     let total: u64 = [
         "corpus.generate",
@@ -110,7 +110,7 @@ fn main() {
         "figures.fig10",
     ]
     .iter()
-    .filter_map(|name| metrics.span(name).map(|s| s.sum_ns))
+    .filter_map(|name| metrics.span(name).map(|s| s.sum_ns()))
     .sum();
     println!("\ntotal stage time: {}", obs::fmt_ns(total));
 

@@ -11,7 +11,7 @@
 
 use diffcode::{apply_filters, elicit_auto, DiffCode, SeenDups, Table};
 use diffcode_bench::{config_from_args, header};
-use obs::{MetricsRegistry, TraceSink};
+use obs::Recorder;
 use rules::{dsl, CheckedProject, ProjectContext};
 
 fn main() {
@@ -27,12 +27,8 @@ fn main() {
     let mined = dc.mine(&corpus, &["Signature"], None);
     header("Filtering funnel for the 7th class: Signature");
     let total = mined.changes.len();
-    let (filtered, stats) = apply_filters(
-        &mined.changes,
-        &mut SeenDups::new(),
-        &mut MetricsRegistry::new(),
-        &mut TraceSink::disabled(),
-    );
+    let (filtered, stats) =
+        apply_filters(&mined.changes, &mut SeenDups::new(), &mut Recorder::new());
     let mut table = Table::new([
         "Target API Class",
         "Usage Changes",
@@ -53,12 +49,7 @@ fn main() {
 
     // 2. Cluster and auto-suggest rules (silhouette-chosen cut).
     header("Clusters and auto-suggested rules");
-    let elicitation = elicit_auto(
-        &filtered,
-        None,
-        &mut MetricsRegistry::new(),
-        &mut TraceSink::disabled(),
-    );
+    let elicitation = elicit_auto(&filtered, None, &mut Recorder::new());
     for (i, cluster) in elicitation.clusters.iter().enumerate() {
         println!("cluster {} ({} members):", i + 1, cluster.members.len());
         print!("{}", cluster.representative);

@@ -49,12 +49,7 @@ fn main() {
     }
 
     // Beyond the paper: the silhouette-optimal cut needs no threshold.
-    let auto = diffcode::elicit_auto(
-        &fig8.filtered,
-        None,
-        &mut obs::MetricsRegistry::new(),
-        &mut obs::TraceSink::disabled(),
-    );
+    let auto = diffcode::elicit_auto(&fig8.filtered, None, &mut obs::Recorder::new());
     println!(
         "\nsilhouette-chosen cut (no threshold): {} clusters, largest has {} members",
         auto.clusters.len(),

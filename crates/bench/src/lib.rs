@@ -5,7 +5,7 @@
 //! for paper-vs-measured numbers.
 
 use corpus::GeneratorConfig;
-use obs::{fmt_ns, MetricsRegistry};
+use obs::{fmt_ns, Recorder};
 use std::path::PathBuf;
 
 /// Parses `[n_projects] [seed]` from the command line, with
@@ -59,30 +59,25 @@ pub fn header(title: &str) {
 }
 
 /// Renders every span in `registry` as a latency table, sorted by the
-/// registry's deterministic (lexicographic) span order. This is the
+/// recorder's deterministic (lexicographic) span order. This is the
 /// experiment binaries' single timing sink: stages record spans and
 /// this table is printed at the end, instead of each binary doing its
 /// own `Instant` arithmetic.
-pub fn render_span_table(registry: &MetricsRegistry) -> String {
+pub fn render_span_table(registry: &Recorder) -> String {
     let mut table = diffcode::Table::new(vec![
         "span", "count", "total", "mean", "p50", "p90", "p99", "min", "max",
     ]);
-    for (name, span) in registry.spans() {
-        let quantile = |q: f64| {
-            registry
-                .hist(name)
-                .map_or_else(|| "-".to_owned(), |h| fmt_ns(h.quantile(q)))
-        };
+    for (name, hist) in registry.spans() {
         table.row(vec![
             name.to_owned(),
-            span.count.to_string(),
-            fmt_ns(span.sum_ns),
-            fmt_ns(span.mean_ns()),
-            quantile(0.50),
-            quantile(0.90),
-            quantile(0.99),
-            fmt_ns(span.min_ns),
-            fmt_ns(span.max_ns),
+            hist.count().to_string(),
+            fmt_ns(hist.sum_ns()),
+            fmt_ns(hist.mean_ns()),
+            fmt_ns(hist.quantile(0.50)),
+            fmt_ns(hist.quantile(0.90)),
+            fmt_ns(hist.quantile(0.99)),
+            fmt_ns(hist.min_ns()),
+            fmt_ns(hist.max_ns()),
         ]);
     }
     table.render()
@@ -125,10 +120,7 @@ pub fn analyze(source: &str, api: &analysis::ApiModel) -> analysis::Usages {
 /// over the whole slice, so span means sit well above the regression
 /// gate's noise floor while still scaling linearly with per-change
 /// cost. Returns `(changes timed, passes per stage)`.
-pub fn frontend_microbench(
-    corpus: &corpus::Corpus,
-    metrics: &mut MetricsRegistry,
-) -> (usize, usize) {
+pub fn frontend_microbench(corpus: &corpus::Corpus, metrics: &mut Recorder) -> (usize, usize) {
     const SAMPLES: usize = 32;
     const REPS: usize = 120;
     let changes: Vec<(&str, &str)> = corpus
@@ -196,14 +188,46 @@ pub fn frontend_microbench(
     (changes.len(), REPS)
 }
 
-/// Measures what the histogram plane added to `record_span`: one span
+/// The min/max/sum/count span aggregate the recorder kept before each
+/// span's histogram took its place: the fixed baseline of the
+/// record-overhead ratio gate, so the gate keeps measuring against the
+/// same cost model.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct SpanStats {
+    /// Number of recorded runs.
+    pub count: u64,
+    /// Total duration, ns.
+    pub sum_ns: u64,
+    /// Shortest run, ns.
+    pub min_ns: u64,
+    /// Longest run, ns.
+    pub max_ns: u64,
+}
+
+impl SpanStats {
+    /// Folds one duration into the aggregate.
+    pub fn record(&mut self, duration: std::time::Duration) {
+        let ns = u64::try_from(duration.as_nanos()).unwrap_or(u64::MAX);
+        if self.count == 0 {
+            self.min_ns = ns;
+            self.max_ns = ns;
+        } else {
+            self.min_ns = self.min_ns.min(ns);
+            self.max_ns = self.max_ns.max(ns);
+        }
+        self.count += 1;
+        self.sum_ns = self.sum_ns.saturating_add(ns);
+    }
+}
+
+/// Measures what the histogram plane costs in `record_span`: one span
 /// times a pass of bare `BTreeMap<String, SpanStats>` upserts (the
-/// pre-histogram registry cost model), the other the full
-/// [`MetricsRegistry::record_span`] path (span stats + log-linear
-/// bucket increment). Both land in the bench JSON, where CI pins
+/// pre-histogram cost model, [`SpanStats`]), the other the full
+/// [`Recorder::record_span`] path (one log-linear histogram per span).
+/// Both land in the bench JSON, where CI pins
 /// `obs.record_span / obs.span_stats_only <= 2` (the EXPERIMENTS.md
 /// record-overhead budget). Returns `(records per pass, passes)`.
-pub fn obs_overhead_microbench(metrics: &mut MetricsRegistry) -> (usize, usize) {
+pub fn obs_overhead_microbench(metrics: &mut Recorder) -> (usize, usize) {
     use std::collections::BTreeMap;
     use std::time::Duration;
     const SAMPLES: usize = 4_096;
@@ -221,18 +245,18 @@ pub fn obs_overhead_microbench(metrics: &mut MetricsRegistry) -> (usize, usize) 
     let mut sink = 0u64;
     for _ in 0..REPS {
         sink += metrics.time("obs.span_stats_only", || {
-            let mut spans: BTreeMap<String, obs::SpanStats> = BTreeMap::new();
+            let mut spans: BTreeMap<String, SpanStats> = BTreeMap::new();
             for d in &durations {
                 spans.entry("bench.span".to_owned()).or_default().record(*d);
             }
             spans.values().map(|s| s.count).sum::<u64>()
         });
         sink += metrics.time("obs.record_span", || {
-            let mut registry = MetricsRegistry::new();
+            let mut registry = Recorder::new();
             for d in &durations {
                 registry.record_span("bench.span", *d);
             }
-            registry.hist("bench.span").map_or(0, obs::Histogram::count)
+            registry.span("bench.span").map_or(0, obs::Histogram::count)
         });
     }
     std::hint::black_box(sink);
@@ -251,7 +275,7 @@ mod tests {
 
     #[test]
     fn span_table_renders_percentile_columns() {
-        let mut registry = MetricsRegistry::new();
+        let mut registry = Recorder::new();
         for ns in [100u64, 200, 300, 400] {
             registry.record_span("stage", std::time::Duration::from_nanos(ns));
         }

@@ -105,20 +105,21 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                 cancel: Some(diffcode::shutdown::flag()),
             };
             let (report, funnel) = cli::run_mine(&source, &funnel_opts)?;
-            if let Some(path) = &opts.trace_out {
-                std::fs::write(path, obs::to_chrome_json(&funnel.trace))
+            let trace = funnel.recorder.trace();
+            if let (Some(path), Some(trace)) = (&opts.trace_out, trace) {
+                std::fs::write(path, obs::to_chrome_json(trace))
                     .map_err(|e| format!("{}: {e}", path.display()))?;
             }
             print!("{report}");
-            if let Some(path) = &opts.trace_out {
+            if let (Some(path), Some(trace)) = (&opts.trace_out, trace) {
                 println!(
                     "trace: {} event(s) written to {}",
-                    funnel.trace.len(),
+                    trace.len(),
                     path.display()
                 );
             }
             if let Some(path) = &opts.metrics_json {
-                std::fs::write(path, funnel.registry.to_json())
+                std::fs::write(path, funnel.recorder.to_json())
                     .map_err(|e| format!("{}: {e}", path.display()))?;
             }
             let code = if funnel.interrupted {

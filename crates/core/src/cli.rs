@@ -12,7 +12,7 @@ use crate::pipeline::{mine_parallel, DagPair, DiffCode, MineOptions, MiningResul
 use crate::quarantine::{ErrorKind, PipelineError, PipelineLimits};
 use crate::report::Table;
 use analysis::TARGET_CLASSES;
-use obs::{fmt_ns, MetricsRegistry, TraceKind, TraceSink};
+use obs::{fmt_ns, Recorder, TraceKind, TraceSink};
 use rules::{CheckedProject, CryptoChecker, ProjectContext};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -374,10 +374,10 @@ impl MineSource {
     /// Builds the corpus: generate (seeded) or ingest (repo). Repo
     /// mode also returns the deterministic ingestion summary lines
     /// that follow the header in the report.
-    fn corpus(&self, registry: &mut MetricsRegistry) -> Result<(corpus::Corpus, String), String> {
+    fn corpus(&self, rec: &mut Recorder) -> Result<(corpus::Corpus, String), String> {
         match self {
             MineSource::Seeded { seed, n_projects } => {
-                let corpus = registry.time("corpus.generate", || {
+                let corpus = rec.time("corpus.generate", || {
                     corpus::generate(&corpus::GeneratorConfig::small(*n_projects, *seed))
                 });
                 Ok((corpus, String::new()))
@@ -392,7 +392,7 @@ impl MineSource {
                     max_commits: *max_commits,
                     limits: gitsrc::IngestLimits::DEFAULT,
                 };
-                let report = gitsrc::ingest_repo(repo, &opts, registry)
+                let report = gitsrc::ingest_repo(repo, &opts, rec)
                     .map_err(|e| format!("ingesting {}: {e}", repo.display()))?;
                 let summary = render_ingest_summary(&report);
                 Ok((report.corpus, summary))
@@ -404,7 +404,7 @@ impl MineSource {
 /// Renders the deterministic ingestion accounting lines of a repo-mode
 /// mine report: walk totals, pair/rename/addition/deletion counts, and
 /// the quarantine breakdown (omitted when clean). Timings and batch
-/// latencies stay in the metrics registry only.
+/// latencies stay in the recorder only.
 fn render_ingest_summary(report: &gitsrc::IngestReport) -> String {
     let stats = &report.stats;
     let mut out = String::new();
@@ -446,7 +446,7 @@ pub struct FunnelOptions {
     pub cache_dir: Option<PathBuf>,
     /// Directory of the persistent clustering distance-cell cache.
     pub cluster_cache_dir: Option<PathBuf>,
-    /// Span sampling interval of the run's trace (`1` = every span);
+    /// Span sampling interval of `mine`'s trace (`1` = every span);
     /// `None` runs untraced.
     pub trace_sample: Option<u64>,
     /// Cooperative cancellation (the binary wires in
@@ -464,10 +464,9 @@ pub struct Funnel {
     pub filtered: Option<FilterStats>,
     /// The clustering, when at least two changes survived filtering.
     pub elicitation: Option<Elicitation>,
-    /// Every counter, gauge and span the run recorded.
-    pub registry: MetricsRegistry,
-    /// The run's trace (disabled unless `trace_sample` was set).
-    pub trace: TraceSink,
+    /// Every counter, gauge and span the run recorded, plus its trace
+    /// when the run was traced.
+    pub recorder: Recorder,
     /// Whether the cancel flag stopped mining early.
     pub interrupted: bool,
 }
@@ -478,21 +477,19 @@ pub struct Funnel {
 /// interrupted run still keeps its warm cache), then — when `cluster`
 /// is set — filters the mined changes and clusters the survivors
 /// (through the distance-cell cache under `opts.cluster_cache_dir`).
-/// `registry` arrives holding whatever building the corpus recorded.
+/// `rec` arrives holding whatever building the corpus recorded, and
+/// traces the run if it traced that.
 ///
 /// # Errors
 ///
 /// I/O failures opening or flushing either cache.
 fn run_funnel(
     corpus: &corpus::Corpus,
-    mut registry: MetricsRegistry,
+    mut rec: Recorder,
     opts: &FunnelOptions,
     cluster: bool,
 ) -> Result<Funnel, String> {
-    let mut trace = opts
-        .trace_sample
-        .map_or_else(TraceSink::disabled, TraceSink::enabled);
-    corpus::corpus_stats(corpus).record(&mut registry);
+    corpus::corpus_stats(corpus).record(&mut rec);
     let mut cache = match &opts.cache_dir {
         Some(dir) => Some(
             // DiffCode::new() mines at default limits and depth; the
@@ -508,23 +505,18 @@ fn run_funnel(
         cache: cache.as_mut(),
         cancel: opts.cancel,
     };
-    let result = mine_parallel(corpus, &[], mine_opts, &mut registry, &mut trace);
+    let result = mine_parallel(corpus, &[], mine_opts, &mut rec);
     let interrupted = opts.cancel.is_some_and(|flag| flag.load(Ordering::SeqCst));
     if let Some(cache) = cache.as_mut() {
         let flushed = cache.flush().map_err(|e| format!("flushing cache: {e}"))?;
-        registry.inc("cache.flushed_entries", flushed as u64);
+        rec.inc("cache.flushed_entries", flushed as u64);
         let stats = cache.store().stats();
-        registry.set_gauge("cache.entries", stats.current_entries as f64);
-        registry.set_gauge("cache.file_bytes", stats.file_bytes as f64);
+        rec.set_gauge("cache.entries", stats.current_entries as f64);
+        rec.set_gauge("cache.file_bytes", stats.file_bytes as f64);
     }
     let (mut filtered, mut elicitation) = (None, None);
     if cluster {
-        let (kept, stats) = apply_filters(
-            &result.changes,
-            &mut SeenDups::new(),
-            &mut registry,
-            &mut trace,
-        );
+        let (kept, stats) = apply_filters(&result.changes, &mut SeenDups::new(), &mut rec);
         filtered = Some(stats);
         let mut ccache = match &opts.cluster_cache_dir {
             Some(dir) => Some(
@@ -534,31 +526,25 @@ fn run_funnel(
             None => None,
         };
         if kept.len() >= 2 {
-            let clock = obs::Stopwatch::start();
-            elicitation = Some(elicit_auto(
-                &kept,
-                ccache.as_mut(),
-                &mut registry,
-                &mut trace,
-            ));
-            registry.record_span("elicit.total", clock.elapsed());
+            let span = rec.begin("elicit.total");
+            elicitation = Some(elicit_auto(&kept, ccache.as_mut(), &mut rec));
+            rec.end(span);
         }
         if let Some(ccache) = ccache.as_mut() {
             let flushed = ccache
                 .flush()
                 .map_err(|e| format!("flushing cluster cache: {e}"))?;
-            registry.inc("cluster.cache.flushed_entries", flushed as u64);
+            rec.inc("cluster.cache.flushed_entries", flushed as u64);
             let stats = ccache.store().stats();
-            registry.set_gauge("cluster.cache.entries", stats.current_entries as f64);
-            registry.set_gauge("cluster.cache.file_bytes", stats.file_bytes as f64);
+            rec.set_gauge("cluster.cache.entries", stats.current_entries as f64);
+            rec.set_gauge("cluster.cache.file_bytes", stats.file_bytes as f64);
         }
     }
     Ok(Funnel {
         result,
         filtered,
         elicitation,
-        registry,
-        trace,
+        recorder: rec,
         interrupted,
     })
 }
@@ -571,7 +557,7 @@ fn run_funnel(
 /// cold run's stdout against a warm one's, and a traced run's against
 /// an untraced one's. Everything run-dependent (latencies, `cache.hit`
 /// / `cache.miss` / `cache.stale_version`, flush counts) lives only in
-/// the funnel's registry, which the binary serializes via
+/// the funnel's recorder, which the binary serializes via
 /// `--metrics-json`. Filtering and clustering run only when they have
 /// an observer: a trace (so the export and `diffcode explain` show each
 /// change's full journey) or a cluster cache, which appends its own
@@ -584,10 +570,12 @@ fn run_funnel(
 /// Repository ingestion failures; I/O failures opening or flushing
 /// either cache.
 pub fn run_mine(source: &MineSource, opts: &FunnelOptions) -> Result<(String, Funnel), String> {
-    let mut registry = MetricsRegistry::new();
-    let (corpus, ingest_summary) = source.corpus(&mut registry)?;
-    let cluster = opts.trace_sample.is_some() || opts.cluster_cache_dir.is_some();
-    let funnel = run_funnel(&corpus, registry, opts, cluster)?;
+    let mut rec = opts
+        .trace_sample
+        .map_or_else(Recorder::new, Recorder::traced);
+    let (corpus, ingest_summary) = source.corpus(&mut rec)?;
+    let cluster = rec.is_traced() || opts.cluster_cache_dir.is_some();
+    let funnel = run_funnel(&corpus, rec, opts, cluster)?;
     let mut out = source.header();
     out.push_str(&ingest_summary);
     if funnel.interrupted {
@@ -817,18 +805,20 @@ fn figure2_project() -> corpus::Project {
 ///
 /// Repository ingestion failures; no change matches the query.
 pub fn run_explain(query: &str, source: &MineSource, threads: usize) -> Result<String, String> {
-    let mut registry = MetricsRegistry::new();
-    let (mut corpus, _) = source.corpus(&mut registry)?;
+    let mut rec = Recorder::traced(1);
+    let (mut corpus, _) = source.corpus(&mut rec)?;
     if matches!(source, MineSource::Seeded { .. }) {
         corpus.projects.insert(0, figure2_project());
     }
     let opts = FunnelOptions {
         threads,
-        trace_sample: Some(1),
         ..FunnelOptions::default()
     };
-    let funnel = run_funnel(&corpus, registry, &opts, true)?;
-    render_explain(&funnel.trace, query)
+    let funnel = run_funnel(&corpus, rec, &opts, true)?;
+    let Some(trace) = funnel.recorder.trace() else {
+        return Err("explain needs a traced run".to_owned());
+    };
+    render_explain(trace, query)
 }
 
 /// Renders the funnel journey of every change in `trace` matching
@@ -1105,8 +1095,8 @@ pub fn render_cache_verify(dir: &Path, namespace: Option<&str>) -> Result<(Strin
 
 /// Backs `diffcode metrics`: runs the whole funnel over a seeded
 /// corpus, untraced and uncached, returning the rendered per-stage
-/// report and the registry (the binary serializes it for
-/// `--metrics-json`). The report is built entirely from the registry,
+/// report and the recorder (the binary serializes it for
+/// `--metrics-json`). The report is built entirely from the recorder,
 /// so anything it shows is also in the snapshot.
 ///
 /// # Errors
@@ -1117,18 +1107,18 @@ pub fn run_metrics(
     seed: u64,
     n_projects: usize,
     n_threads: usize,
-) -> Result<(String, MetricsRegistry), String> {
+) -> Result<(String, Recorder), String> {
     let source = MineSource::Seeded { seed, n_projects };
-    let mut registry = MetricsRegistry::new();
-    let (corpus, _) = source.corpus(&mut registry)?;
+    let mut rec = Recorder::new();
+    let (corpus, _) = source.corpus(&mut rec)?;
     let opts = FunnelOptions {
         threads: n_threads,
         ..FunnelOptions::default()
     };
-    let funnel = run_funnel(&corpus, registry, &opts, true)?;
-    // Reconciliation: the registry must agree exactly with the
+    let funnel = run_funnel(&corpus, rec, &opts, true)?;
+    // Reconciliation: the recorder must agree exactly with the
     // pipeline's own accounting structs.
-    let (registry, stats) = (&funnel.registry, &funnel.result.stats);
+    let (registry, stats) = (&funnel.recorder, &funnel.result.stats);
     debug_assert_eq!(registry.counter("mine.mined"), stats.mined as u64);
     debug_assert_eq!(
         registry.counter("mine.skipped"),
@@ -1140,18 +1130,14 @@ pub fn run_metrics(
     );
     Ok((
         render_metrics_report(registry, seed, n_threads),
-        funnel.registry,
+        funnel.recorder,
     ))
 }
 
 /// Renders the per-stage metrics report: the pipeline funnel, the
 /// quarantine breakdown by error kind, and the stage latency table —
 /// all sourced from `registry`.
-pub(crate) fn render_metrics_report(
-    registry: &MetricsRegistry,
-    seed: u64,
-    n_threads: usize,
-) -> String {
+pub(crate) fn render_metrics_report(registry: &Recorder, seed: u64, n_threads: usize) -> String {
     let mut out = String::new();
     let gauge = |name: &str| registry.gauge(name).unwrap_or(0.0) as u64;
     let _ = writeln!(
@@ -1214,24 +1200,17 @@ pub(crate) fn render_metrics_report(
     let mut spans = Table::new([
         "Span", "Count", "Total", "Mean", "P50", "P90", "P99", "Min", "Max",
     ]);
-    for (name, span) in registry.spans() {
-        // Every span records into a log-linear histogram alongside the
-        // min/mean/max aggregate; quantiles come from there.
-        let quantile = |q: f64| {
-            registry
-                .hist(name)
-                .map_or_else(|| "-".to_owned(), |h| fmt_ns(h.quantile(q)))
-        };
+    for (name, hist) in registry.spans() {
         spans.row([
             name.to_owned(),
-            span.count.to_string(),
-            fmt_ns(span.sum_ns),
-            fmt_ns(span.mean_ns()),
-            quantile(0.50),
-            quantile(0.90),
-            quantile(0.99),
-            fmt_ns(span.min_ns),
-            fmt_ns(span.max_ns),
+            hist.count().to_string(),
+            fmt_ns(hist.sum_ns()),
+            fmt_ns(hist.mean_ns()),
+            fmt_ns(hist.quantile(0.50)),
+            fmt_ns(hist.quantile(0.90)),
+            fmt_ns(hist.quantile(0.99)),
+            fmt_ns(hist.min_ns()),
+            fmt_ns(hist.max_ns()),
         ]);
     }
     out.push_str(&spans.render());
@@ -1542,8 +1521,9 @@ mod tests {
         };
         let (traced, funnel) = run_mine(&seeded(42, 4), &traced_opts).unwrap();
         assert_eq!(plain, traced, "tracing must not perturb stdout");
-        assert!(!funnel.trace.is_empty());
-        let json = obs::to_chrome_json(&funnel.trace);
+        let trace = funnel.recorder.trace().unwrap();
+        assert!(!trace.is_empty());
+        let json = obs::to_chrome_json(trace);
         assert!(json.starts_with("[\n"), "{}", &json[..40]);
     }
 
@@ -1560,8 +1540,11 @@ mod tests {
         assert!(report.contains("\ninterrupted: "), "{report}");
         assert!(funnel.interrupted);
         assert_eq!(funnel.result.stats.code_changes, 0);
-        assert!(funnel.registry.counter("mine.interrupted") > 0);
-        assert!(!funnel.trace.is_empty(), "the partial trace survives");
+        assert!(funnel.recorder.counter("mine.interrupted") > 0);
+        assert!(
+            !funnel.recorder.trace().unwrap().is_empty(),
+            "the partial trace survives"
+        );
     }
 
     #[test]
@@ -1684,7 +1667,7 @@ mod tests {
         // no tuples.
         let mut dc = DiffCode::new();
         for change in corpus.code_changes().take(40) {
-            let (outcome, _) = dc.process_pair_cached(change.old, change.new, &[], None);
+            let (outcome, _, _) = dc.process_pair_cached(change.old, change.new, &[], None);
             let expected: Vec<String> = match &outcome {
                 crate::mcache::ChangeOutcome::Mined(tuples) => tuples
                     .iter()

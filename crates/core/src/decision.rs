@@ -6,13 +6,13 @@
 //! (mined vs. quarantined), one from filtering (kept vs. which filter
 //! dropped it), and one from clustering (its cluster at the cut) when
 //! it survived that far. Decision events are never sampled out
-//! ([`obs::TraceSink::decision_with`]), so per-reason counts reconcile
-//! exactly with the `MetricsRegistry` funnel counters at any sampling
-//! rate — the trace ≡ metrics invariant the tests pin.
+//! ([`obs::Recorder::decision_with`]), so per-reason counts reconcile
+//! exactly with the recorder's funnel counters at any sampling rate —
+//! the trace ≡ metrics invariant the tests pin.
 
 use crate::pipeline::ChangeMeta;
 use crate::quarantine::ErrorKind;
-use obs::{AttrSet, TraceSink};
+use obs::{AttrSet, Recorder};
 use std::fmt;
 
 /// The event name every decision record is emitted under.
@@ -74,14 +74,14 @@ impl fmt::Display for DecisionReason {
 
 /// Emits one decision event: stage + reason + full provenance
 /// (project, commit, path, change fingerprint), plus any stage-specific
-/// extras from `extra`. No-op on a disabled sink.
+/// extras from `extra`. No-op on an untraced recorder.
 pub(crate) fn record_decision(
-    sink: &mut TraceSink,
+    rec: &mut Recorder,
     meta: &ChangeMeta,
     reason: &DecisionReason,
     extra: impl FnOnce(&mut AttrSet),
 ) {
-    sink.decision_with(DECISION_EVENT, |a| {
+    rec.decision_with(DECISION_EVENT, |a| {
         a.str("stage", reason.stage());
         a.str("reason", reason.to_string());
         a.str("project", &meta.project);
@@ -150,10 +150,11 @@ mod tests {
             path: "A.java".into(),
             fingerprint: "deadbeef".into(),
         };
-        let mut sink = TraceSink::enabled(1);
-        record_decision(&mut sink, &meta, &DecisionReason::Kept, |a| {
+        let mut rec = Recorder::traced(1);
+        record_decision(&mut rec, &meta, &DecisionReason::Kept, |a| {
             a.u64("index", 4);
         });
+        let sink = rec.trace().expect("traced");
         let [event] = sink.events() else {
             panic!("one event expected")
         };

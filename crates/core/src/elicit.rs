@@ -6,7 +6,7 @@ use crate::decision::{record_decision, DecisionReason};
 use crate::pipeline::MinedUsageChange;
 use cache::Fingerprint;
 use cluster::{Dendrogram, DistanceMatrix, Linkage};
-use obs::{MetricsRegistry, TraceSink};
+use obs::Recorder;
 use rules::SuggestedRule;
 use usagegraph::UsageChange;
 
@@ -42,12 +42,7 @@ pub struct Elicitation {
 /// helper as [`elicit_auto`], uncached and unobserved.
 pub fn elicit(changes: &[MinedUsageChange], threshold: f64) -> Elicitation {
     let usage_changes: Vec<UsageChange> = changes.iter().map(|c| c.change.clone()).collect();
-    let Some(matrix) = distance_matrix(
-        &usage_changes,
-        None,
-        &mut MetricsRegistry::new(),
-        &mut TraceSink::disabled(),
-    ) else {
+    let Some(matrix) = distance_matrix(&usage_changes, None, &mut Recorder::new()) else {
         return Elicitation::default();
     };
     let dendrogram = cluster::agglomerate_matrix(&matrix, Linkage::Complete);
@@ -74,47 +69,42 @@ pub fn elicit(changes: &[MinedUsageChange], threshold: f64) -> Elicitation {
 /// Metrics: `cluster.items`, `cluster.pairs`, the `cluster.matrix`,
 /// `cluster.agglomerate` and `elicit.cut` spans, `elicit.clusters`,
 /// and — only with a cache — `cluster.cache.hit` / `.miss` /
-/// `.stale_version` (one per pair). When `trace` is enabled the stage
-/// is wrapped in an `elicit` span with the same sub-spans, plus one
-/// `cluster(<id>)` decision per change, where `<id>` is the change's
+/// `.stale_version` (one per pair), all inside an `elicit` span. When
+/// `rec` traces, the stage also records one `cluster(<id>)` decision
+/// per change, where `<id>` is the change's
 /// cluster index in the final (largest-first) report order and the
 /// decision's `index` is the change's position in `changes`.
 pub fn elicit_auto(
     changes: &[MinedUsageChange],
     cache: Option<&mut ClusterCache>,
-    registry: &mut MetricsRegistry,
-    trace: &mut TraceSink,
+    rec: &mut Recorder,
 ) -> Elicitation {
-    let stage_span = trace.begin_with("elicit", |a| {
+    let stage_span = rec.begin_with("elicit", |a| {
         a.u64("changes", changes.len() as u64);
         if cache.is_some() {
             a.u64("cached", 1);
         }
     });
     let usage_changes: Vec<UsageChange> = changes.iter().map(|c| c.change.clone()).collect();
-    registry.inc("cluster.items", usage_changes.len() as u64);
-    registry.inc("cluster.pairs", cluster::pair_count(usage_changes.len()));
-    let Some(matrix) = distance_matrix(&usage_changes, cache, registry, trace) else {
-        trace.end(stage_span);
+    rec.inc("cluster.items", usage_changes.len() as u64);
+    rec.inc("cluster.pairs", cluster::pair_count(usage_changes.len()));
+    let Some(matrix) = distance_matrix(&usage_changes, cache, rec) else {
+        rec.end(stage_span);
         return Elicitation::default();
     };
-    let agg_span = trace.begin("cluster.agglomerate");
-    let dendrogram = registry.time("cluster.agglomerate", || {
+    let dendrogram = rec.time("cluster.agglomerate", || {
         cluster::agglomerate_matrix(&matrix, Linkage::Complete)
     });
-    trace.end(agg_span);
-    let cut_span = trace.begin("elicit.cut");
-    let members = registry.time("elicit.cut", || {
+    let members = rec.time("elicit.cut", || {
         dendrogram.best_cut(&matrix, CLUSTER_MAX_K).1
     });
-    trace.end(cut_span);
     let elicitation = build_elicitation(dendrogram, members, &usage_changes);
-    registry.inc("elicit.clusters", elicitation.clusters.len() as u64);
-    if trace.is_enabled() {
+    rec.inc("elicit.clusters", elicitation.clusters.len() as u64);
+    if rec.is_traced() {
         for (cluster_id, cluster) in elicitation.clusters.iter().enumerate() {
             for &member in &cluster.members {
                 record_decision(
-                    trace,
+                    rec,
                     &changes[member].meta,
                     &DecisionReason::Cluster(cluster_id),
                     |a| {
@@ -125,7 +115,7 @@ pub fn elicit_auto(
             }
         }
     }
-    trace.end(stage_span);
+    rec.end(stage_span);
     elicitation
 }
 
@@ -137,8 +127,7 @@ pub fn elicit_auto(
 fn distance_matrix(
     usage_changes: &[UsageChange],
     mut cache: Option<&mut ClusterCache>,
-    registry: &mut MetricsRegistry,
-    trace: &mut TraceSink,
+    rec: &mut Recorder,
 ) -> Option<DistanceMatrix> {
     let n = usage_changes.len();
     let fps: Vec<Fingerprint> = usage_changes
@@ -178,28 +167,26 @@ fn distance_matrix(
     // cells skip recomputing known label pairs.
     let label_cache = cluster::LabelCache::default();
     if let Some(c) = cache.as_deref() {
-        registry.inc("cluster.cache.hit", hits);
-        registry.inc("cluster.cache.miss", misses);
-        registry.inc("cluster.cache.stale_version", stale);
+        rec.inc("cluster.cache.hit", hits);
+        rec.inc("cluster.cache.miss", misses);
+        rec.inc("cluster.cache.stale_version", stale);
         for (a, b, sim) in c.label_memo() {
             label_cache.preload(&a, &b, sim);
         }
     }
 
-    let matrix_span = trace.begin_with("cluster.matrix", |a| {
+    let matrix_span = rec.begin_with("cluster.matrix", |a| {
         a.u64("items", n as u64);
     });
-    let warm = registry.time("cluster.matrix", || {
-        cluster::matrix_from_prior(n, &prior, None, |i, j| {
-            // Orientation-normalize by fingerprint: the Hungarian
-            // assignment inside usage_dist sums floats in an
-            // argument-order-dependent order, and a persisted cell must
-            // replay identically no matter which side enumerated it.
-            let (x, y) = if fps[i].0 <= fps[j].0 { (i, j) } else { (j, i) };
-            cluster::usage_dist_cached(&usage_changes[x], &usage_changes[y], &label_cache)
-        })
+    let warm = cluster::matrix_from_prior(n, &prior, None, |i, j| {
+        // Orientation-normalize by fingerprint: the Hungarian
+        // assignment inside usage_dist sums floats in an
+        // argument-order-dependent order, and a persisted cell must
+        // replay identically no matter which side enumerated it.
+        let (x, y) = if fps[i].0 <= fps[j].0 { (i, j) } else { (j, i) };
+        cluster::usage_dist_cached(&usage_changes[x], &usage_changes[y], &label_cache)
     });
-    trace.end(matrix_span);
+    rec.end(matrix_span);
     let warm = warm.ok()?;
     if let Some(c) = cache.as_mut() {
         for &(i, j, d) in &warm.computed {
@@ -291,12 +278,7 @@ mod tests {
         changes.extend(mined(&fixtures::ECB_TO_GCM, "Cipher"));
         changes.extend(mined(&fixtures::DEFAULT_AES_TO_CBC, "Cipher"));
         changes.extend(mined(&fixtures::SHA1_TO_SHA256, "MessageDigest"));
-        let auto = elicit_auto(
-            &changes,
-            None,
-            &mut MetricsRegistry::new(),
-            &mut TraceSink::disabled(),
-        );
+        let auto = elicit_auto(&changes, None, &mut Recorder::new());
         // The silhouette-optimal cut separates the ECB family from the
         // digest fix. Memberships are pinned exactly: the silhouette
         // search now runs over the shared distance matrix, and this
@@ -376,8 +358,8 @@ mod tests {
         };
         let groups = CLUSTER_MAX_K + 2;
         let changes: Vec<MinedUsageChange> = (0..2 * groups).map(|i| change(i / 2)).collect();
-        let mut registry = MetricsRegistry::new();
-        let elicitation = elicit_auto(&changes, None, &mut registry, &mut TraceSink::disabled());
+        let mut registry = Recorder::new();
+        let elicitation = elicit_auto(&changes, None, &mut registry);
         assert_eq!(elicitation.clusters.len(), CLUSTER_MAX_K);
         assert_eq!(registry.counter("elicit.clusters"), CLUSTER_MAX_K as u64);
         // No cache, no cache lookups to count.

@@ -22,7 +22,7 @@ pub struct Experiments {
     pub corpus: Corpus,
     mining: MiningResult,
     pipeline: DiffCode,
-    metrics: obs::MetricsRegistry,
+    metrics: obs::Recorder,
 }
 
 impl Experiments {
@@ -32,19 +32,13 @@ impl Experiments {
         let threads = std::thread::available_parallelism()
             .map(std::num::NonZeroUsize::get)
             .unwrap_or(1);
-        let mut metrics = obs::MetricsRegistry::new();
+        let mut metrics = obs::Recorder::new();
         corpus::corpus_stats(&corpus).record(&mut metrics);
         let opts = MineOptions {
             threads,
             ..MineOptions::default()
         };
-        let mining = mine_parallel(
-            &corpus,
-            &[],
-            opts,
-            &mut metrics,
-            &mut obs::TraceSink::disabled(),
-        );
+        let mining = mine_parallel(&corpus, &[], opts, &mut metrics);
         Experiments {
             corpus,
             mining,
@@ -53,11 +47,11 @@ impl Experiments {
         }
     }
 
-    /// The observability registry from mining (merged across worker
-    /// shards): `mine.*` counters, the `mine.run`/`mine.change` spans,
-    /// and the `corpus.*` gauges. The bench binaries report timings
-    /// from these spans instead of their own ad-hoc clocks.
-    pub fn metrics(&self) -> &obs::MetricsRegistry {
+    /// The recorder from mining (merged across worker shards):
+    /// `mine.*` counters, the mining stage spans, and the `corpus.*`
+    /// gauges. The bench binaries report timings from these spans
+    /// instead of their own ad-hoc clocks.
+    pub fn metrics(&self) -> &obs::Recorder {
         &self.metrics
     }
 
@@ -84,8 +78,7 @@ impl Experiments {
         apply_filters(
             &class_changes,
             &mut SeenDups::new(),
-            &mut obs::MetricsRegistry::new(),
-            &mut obs::TraceSink::disabled(),
+            &mut obs::Recorder::new(),
         )
     }
 

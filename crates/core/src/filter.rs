@@ -3,7 +3,7 @@
 
 use crate::decision::{record_decision, DecisionReason};
 use crate::pipeline::MinedUsageChange;
-use obs::{MetricsRegistry, Stopwatch, TraceSink};
+use obs::Recorder;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
@@ -52,7 +52,7 @@ impl FilterStats {
 
     /// Publishes the funnel as `filter.*` counters so metrics snapshots
     /// reconcile exactly with Figure 6.
-    pub(crate) fn record(&self, registry: &mut MetricsRegistry) {
+    pub(crate) fn record(&self, registry: &mut Recorder) {
         registry.inc("filter.total", self.total as u64);
         registry.inc("filter.after_fsame", self.after_fsame as u64);
         registry.inc("filter.after_fadd", self.after_fadd as u64);
@@ -141,25 +141,22 @@ pub fn stage_changes<'a>(
 /// most usage changes (`fsame` alone removes the vast majority), so
 /// only the survivors are cloned.
 ///
-/// Records the `filter.apply` timing span and the `filter.*` funnel
-/// counters into `registry`. When `trace` is enabled the stage is
-/// wrapped in a `filter.apply` span with one decision event per usage
-/// change — `kept`, `filtered(refactoring|pure_addition|pure_removal)`,
+/// Records the `filter.apply` span and the `filter.*` funnel counters
+/// into `rec`. When `rec` traces, the span carries one decision event
+/// per usage change — `kept`, `filtered(refactoring|pure_addition|pure_removal)`,
 /// or `dup_of(<fingerprint>)` naming the first occurrence the duplicate
 /// collapsed into — whose `index` attribute is the change's position
 /// in `changes`.
 pub fn apply_filters(
     changes: &[MinedUsageChange],
     seen: &mut SeenDups,
-    registry: &mut MetricsRegistry,
-    trace: &mut TraceSink,
+    rec: &mut Recorder,
 ) -> (Vec<MinedUsageChange>, FilterStats) {
-    let clock = Stopwatch::start();
-    let span = trace.begin_with("filter.apply", |a| {
+    let span = rec.begin_with("filter.apply", |a| {
         a.u64("changes", changes.len() as u64);
     });
     let staged = stage_changes(changes, seen);
-    if trace.is_enabled() {
+    if rec.is_traced() {
         for (idx, (stage, change)) in staged.iter().enumerate() {
             let reason = match stage {
                 FilterStage::FSame => DecisionReason::FilteredRefactoring,
@@ -170,7 +167,7 @@ pub fn apply_filters(
                 }
                 FilterStage::Remaining => DecisionReason::Kept,
             };
-            record_decision(trace, &change.meta, &reason, |a| {
+            record_decision(rec, &change.meta, &reason, |a| {
                 a.u64("index", idx as u64);
                 a.str("class", change.class.as_str());
             });
@@ -209,10 +206,9 @@ pub fn apply_filters(
         kept.len(),
         "survivors must equal after_fdup"
     );
-    trace.end(span);
-    registry.record_span("filter.apply", clock.elapsed());
-    stats.record(registry);
-    debug_assert!(obs::check_funnel(registry, &FILTER_FUNNEL).is_ok());
+    rec.end(span);
+    stats.record(rec);
+    debug_assert!(obs::check_funnel(rec, &FILTER_FUNNEL).is_ok());
     (kept, stats)
 }
 
@@ -225,12 +221,7 @@ mod tests {
 
     /// One unobserved filter run with fresh `fdup` state.
     fn filter(changes: &[MinedUsageChange]) -> (Vec<MinedUsageChange>, FilterStats) {
-        apply_filters(
-            changes,
-            &mut SeenDups::new(),
-            &mut MetricsRegistry::new(),
-            &mut TraceSink::disabled(),
-        )
+        apply_filters(changes, &mut SeenDups::new(), &mut Recorder::new())
     }
 
     fn mk(class: &str, removed: &[&str], added: &[&str]) -> MinedUsageChange {
@@ -398,12 +389,7 @@ mod tests {
         let mut kept_batched = Vec::new();
         let mut totals = FilterStats::default();
         for batch in all.chunks(2) {
-            let (kept, stats) = apply_filters(
-                batch,
-                &mut seen,
-                &mut MetricsRegistry::new(),
-                &mut TraceSink::disabled(),
-            );
+            let (kept, stats) = apply_filters(batch, &mut seen, &mut Recorder::new());
             kept_batched.extend(kept);
             totals.total += stats.total;
             totals.after_fsame += stats.after_fsame;
@@ -422,7 +408,7 @@ mod tests {
     fn owned_reference(
         changes: Vec<MinedUsageChange>,
         seen: &mut SeenDups,
-        trace: &mut TraceSink,
+        trace: &mut Recorder,
     ) -> (Vec<MinedUsageChange>, FilterStats) {
         let span = trace.begin_with("filter.apply", |a| {
             a.u64("changes", changes.len() as u64);
@@ -477,7 +463,8 @@ mod tests {
     }
 
     /// Trace events without their timestamps.
-    fn untimed(trace: &TraceSink) -> Vec<String> {
+    fn untimed(rec: &Recorder) -> Vec<String> {
+        let trace = rec.trace().expect("traced");
         trace
             .events()
             .iter()
@@ -514,11 +501,10 @@ mod tests {
         // batch are duplicates of changes in the first.
         let (first, second) = mined.split_at(mined.len() / 2);
         let (mut seen, mut seen_ref) = (SeenDups::new(), SeenDups::new());
-        let (mut trace, mut trace_ref) = (TraceSink::enabled(1), TraceSink::enabled(1));
+        let (mut trace, mut trace_ref) = (Recorder::traced(1), Recorder::traced(1));
         let mut stages_seen = std::collections::HashSet::new();
         for batch in [first, second] {
-            let (kept, stats) =
-                apply_filters(batch, &mut seen, &mut MetricsRegistry::new(), &mut trace);
+            let (kept, stats) = apply_filters(batch, &mut seen, &mut trace);
             let (kept_ref, stats_ref) =
                 owned_reference(batch.to_vec(), &mut seen_ref, &mut trace_ref);
             assert_eq!(kept, kept_ref);
@@ -545,13 +531,8 @@ mod tests {
             mk("Cipher", &["a"], &["b"]),
             mk("Cipher", &["a"], &["b"]),
         ];
-        let mut reg = MetricsRegistry::new();
-        let (kept, stats) = apply_filters(
-            &changes,
-            &mut SeenDups::new(),
-            &mut reg,
-            &mut TraceSink::disabled(),
-        );
+        let mut reg = Recorder::new();
+        let (kept, stats) = apply_filters(&changes, &mut SeenDups::new(), &mut reg);
         assert_eq!(kept.len(), 1);
         assert_eq!(reg.counter("filter.total"), stats.total as u64);
         assert_eq!(reg.counter("filter.after_fdup"), stats.after_fdup as u64);

@@ -17,7 +17,7 @@ use crate::quarantine::{
 };
 use analysis::{analyze, ApiModel, Usages, TARGET_CLASSES};
 use corpus::Corpus;
-use obs::{MetricsRegistry, Stopwatch, TraceSink};
+use obs::Recorder;
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
@@ -191,8 +191,7 @@ pub struct DiffCode {
     /// usages.
     cache: HashMap<Box<str>, Rc<Usages>>,
     limits: PipelineLimits,
-    metrics: MetricsRegistry,
-    trace: TraceSink,
+    obs: Recorder,
     /// Cooperative cancellation: checked between code changes by
     /// [`DiffCode::mine`]. `None` (the default) means mining
     /// runs to completion; explicit opt-in only — a resident server
@@ -235,26 +234,19 @@ impl DiffCode {
         &self.limits
     }
 
-    /// Takes the accumulated registry, leaving an empty one — how
-    /// [`mine_parallel`] collects per-shard metrics from
-    /// worker pipelines on join.
-    pub fn take_metrics(&mut self) -> MetricsRegistry {
-        std::mem::take(&mut self.metrics)
+    /// Takes the accumulated recorder, leaving an empty untraced one —
+    /// how [`mine_parallel`] and the server collect a pipeline's
+    /// metrics (and trace) on join.
+    pub fn take_recorder(&mut self) -> Recorder {
+        std::mem::take(&mut self.obs)
     }
 
-    /// Installs a trace sink; subsequent mining records spans per
-    /// change/stage and one decision event per code change. Pipelines
-    /// start with a disabled sink (zero-cost: every trace call is one
-    /// branch).
-    pub(crate) fn set_trace(&mut self, sink: TraceSink) {
-        self.trace = sink;
-    }
-
-    /// Takes the accumulated trace, leaving a disabled sink — how
-    /// [`mine_parallel`] collects per-shard traces from worker
-    /// pipelines on join.
-    pub(crate) fn take_trace(&mut self) -> TraceSink {
-        std::mem::replace(&mut self.trace, TraceSink::disabled())
+    /// Installs the recorder subsequent work records into: counters,
+    /// one histogram per stage span and, when `rec` traces, the spans
+    /// per change/stage plus one decision event per code change.
+    /// Pipelines start with an empty untraced recorder.
+    pub(crate) fn set_recorder(&mut self, rec: Recorder) {
+        self.obs = rec;
     }
 
     /// Parses and analyzes one source file under the full budget stack,
@@ -281,25 +273,25 @@ impl DiffCode {
         }
         if let Some(hit) = self.cache.get(source) {
             let hit = Rc::clone(hit);
-            self.metrics.inc("analyze.cache_hit", 1);
-            self.trace.instant("analyze.cache_hit");
+            self.obs.inc("analyze.cache_hit", 1);
+            self.obs.instant("analyze.cache_hit");
             return Ok(hit);
         }
-        self.metrics.inc("analyze.cache_miss", 1);
+        self.obs.inc("analyze.cache_miss", 1);
         // Each fallible stage's span is closed *before* the error
         // propagates, so failed changes still leave balanced traces.
         // `parse_snippet` accepts full units, bare class bodies, and
         // bare statement sequences — the partial programs DiffCode
         // mines (paper §5.1).
-        let parse_span = self.trace.begin("parse");
+        let parse_span = self.obs.begin("parse");
         let unit = javalang::parse_snippet_with_limits(source, self.limits.parse);
-        self.trace.end(parse_span);
+        self.obs.end(parse_span);
         let unit = unit?;
-        let analysis_span = self.trace.begin("analysis");
+        let analysis_span = self.obs.begin("analysis");
         let analyzed = analyze(&unit, &self.api, &self.limits.analysis);
-        self.trace.end(analysis_span);
+        self.obs.end(analysis_span);
         let (usages, steps) = analyzed?;
-        self.metrics.inc("analysis.steps", steps);
+        self.obs.inc("analysis.steps", steps);
         let usages = Rc::new(usages);
         self.cache.insert(source.into(), Rc::clone(&usages));
         Ok(usages)
@@ -361,28 +353,18 @@ impl DiffCode {
                 panic!("chaos fault injection: shard-panic project `{project}` present");
             }
         }
-        let run_clock = Stopwatch::start();
-        let run_span = self.trace.begin("mine.run");
+        let run_span = self.obs.begin("mine.run");
         let mut result = MiningResult::default();
         for code_change in corpus.code_changes() {
             if self.cancelled() {
                 // Between-change interruption: nothing in flight, the
                 // untouched remainder is simply never counted, so the
                 // partial accounting still balances.
-                self.metrics.inc("mine.interrupted", 1);
+                self.obs.inc("mine.interrupted", 1);
                 break;
             }
-            let change_clock = Stopwatch::start();
             result.stats.code_changes += 1;
-            // With a cache, the lookup key and the change fingerprint
-            // come from one pass over the file pair.
-            let (key, fingerprint) = match cache.as_deref() {
-                Some(view) => {
-                    let (key, fingerprint) = view.change_ids(code_change.old, code_change.new);
-                    (Some(key), fingerprint.to_string())
-                }
-                None => (None, change_fingerprint(code_change.old, code_change.new)),
-            };
+            let (key, fingerprint) = change_ids(cache.as_deref(), code_change.old, code_change.new);
             let meta = ChangeMeta {
                 project: code_change.project.full_name(),
                 commit: code_change.commit.id.clone(),
@@ -391,7 +373,7 @@ impl DiffCode {
                 path: code_change.path.to_owned(),
                 fingerprint,
             };
-            let change_span = self.trace.begin_with("mine.change", |a| {
+            let change_span = self.obs.begin_with("mine.change", |a| {
                 a.str("project", meta.project.as_str());
                 a.str("commit", meta.commit.as_str());
                 a.str("path", meta.path.as_str());
@@ -418,28 +400,25 @@ impl DiffCode {
                     (DecisionReason::Quarantined(*kind), 0)
                 }
             };
-            record_decision(&mut self.trace, &meta, &reason, |a| {
+            record_decision(&mut self.obs, &meta, &reason, |a| {
                 a.str("cache", cache_status);
                 a.u64("usage_changes", usage_changes as u64);
             });
             apply_outcome(&mut result, meta, outcome);
-            self.trace.end(change_span);
-            self.metrics
-                .record_span("mine.change", change_clock.elapsed());
+            self.obs.end(change_span);
         }
-        self.trace.end(run_span);
-        self.metrics.record_span("mine.run", run_clock.elapsed());
-        self.metrics
+        self.obs.end(run_span);
+        self.obs
             .inc("mine.code_changes", result.stats.code_changes as u64);
-        self.metrics.inc("mine.mined", result.stats.mined as u64);
-        self.metrics
+        self.obs.inc("mine.mined", result.stats.mined as u64);
+        self.obs
             .inc("mine.usage_changes", result.changes.len() as u64);
-        result.stats.skipped.record(&mut self.metrics);
+        result.stats.skipped.record(&mut self.obs);
         debug_assert!(result.stats.is_balanced());
         // Stage boundary: the cumulative counters must partition the
         // same way the per-run stats do.
         debug_assert!(obs::check_partition(
-            &self.metrics,
+            &self.obs,
             "mine.code_changes",
             &["mine.mined", "mine.skipped"],
         )
@@ -454,27 +433,25 @@ impl DiffCode {
     /// exactly like [`Self::mine`], so a served verdict is computed
     /// under the same configuration as a one-shot mining run's.
     ///
-    /// Returns the outcome plus the cache status this lookup recorded
+    /// Returns the outcome, the cache status this lookup recorded
     /// (`"hit"`, `"miss"`, `"stale_version"`, or `"off"` without a
-    /// cache).
+    /// cache), and the pair's [`change_fingerprint`] — with a cache,
+    /// hashed in the same pass over the pair as the cache key.
     pub fn process_pair_cached(
         &mut self,
         old: &str,
         new: &str,
         classes: &[&str],
         cache: Option<&mut MiningCacheView<'_>>,
-    ) -> (ChangeOutcome, &'static str) {
+    ) -> (ChangeOutcome, &'static str, String) {
         let classes: Vec<&str> = if classes.is_empty() {
             TARGET_CLASSES.to_vec()
         } else {
             classes.to_vec()
         };
-        let cache = cache.map(|view| {
-            let key = view.change_key(old, new);
-            (view, key)
-        });
-        let (outcome, status) = self.outcome_for_pair(old, new, &classes, cache);
-        (outcome.into_outcome(), status)
+        let (key, fingerprint) = change_ids(cache.as_deref(), old, new);
+        let (outcome, status) = self.outcome_for_pair(old, new, &classes, cache.zip(key));
+        (outcome.into_outcome(), status, fingerprint)
     }
 
     /// The shared look-aside path: cache lookup under the pair's `key`
@@ -493,8 +470,8 @@ impl DiffCode {
         match cache {
             Some((view, key)) => match view.replay(key) {
                 CachedLookup::Hit(outcome) => {
-                    self.metrics.inc("cache.hit", 1);
-                    self.trace.instant("cache.hit");
+                    self.obs.inc("cache.hit", 1);
+                    self.obs.instant("cache.hit");
                     (outcome, "hit")
                 }
                 lookup => {
@@ -502,8 +479,8 @@ impl DiffCode {
                         CachedLookup::StaleVersion => ("cache.stale_version", "stale_version"),
                         _ => ("cache.miss", "miss"),
                     };
-                    self.metrics.inc(counter, 1);
-                    self.trace.instant(counter);
+                    self.obs.inc(counter, 1);
+                    self.obs.instant(counter);
                     let outcome = self.compute_outcome(old, new, classes);
                     view.record(key, &outcome);
                     (Resolved::Decoded(outcome), status)
@@ -550,21 +527,21 @@ impl DiffCode {
         classes: &[&str],
     ) -> Result<MinedTuples, (PipelineError, String)> {
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            let span = self.trace.begin("analyze.old");
+            let span = self.obs.begin("analyze.old");
             let old = self.analyze_source(old_source);
-            self.trace.end(span);
+            self.obs.end(span);
             let old = old.map_err(|e| (e, excerpt(old_source)))?;
-            let span = self.trace.begin("analyze.new");
+            let span = self.obs.begin("analyze.new");
             let new = self.analyze_source(new_source);
-            self.trace.end(span);
+            self.obs.end(span);
             let new = new.map_err(|e| (e, excerpt(new_source)))?;
-            let dags_span = self.trace.begin("dags.diff");
+            let dags_span = self.obs.begin("dags.diff");
             let mut mined = MinedTuples::new();
             for class in classes {
                 let tuples = match usage_changes(&old, &new, class, &self.limits.dag) {
                     Ok(tuples) => tuples,
                     Err(e) => {
-                        self.trace.end(dags_span);
+                        self.obs.end(dags_span);
                         return Err((e.into(), excerpt(new_source)));
                     }
                 };
@@ -572,7 +549,7 @@ impl DiffCode {
                     mined.push(((*class).to_owned(), old_dag, new_dag, change));
                 }
             }
-            self.trace.end(dags_span);
+            self.obs.end(dags_span);
             Ok(mined)
         }));
         match outcome {
@@ -586,6 +563,23 @@ impl DiffCode {
 }
 
 type MinedTuples = Vec<(String, UsageDag, UsageDag, UsageChange)>;
+
+/// The cache key (when there is a cache) and the [`change_fingerprint`]
+/// of one code change. With a cache both come from one pass over the
+/// file pair.
+fn change_ids(
+    cache: Option<&MiningCacheView<'_>>,
+    old: &str,
+    new: &str,
+) -> (Option<cache::Fingerprint>, String) {
+    match cache {
+        Some(view) => {
+            let (key, fingerprint) = view.change_ids(old, new);
+            (Some(key), fingerprint.to_string())
+        }
+        None => (None, change_fingerprint(old, new)),
+    }
+}
 
 /// Folds one per-change outcome — replayed from cache or freshly
 /// computed — into the running result. The single accounting path for
@@ -689,13 +683,12 @@ pub struct MineOptions<'a> {
 /// most commits), so equal-project chunks leave most threads idle
 /// behind the one that drew the giant project.
 ///
-/// Each worker accumulates its own [`MetricsRegistry`] and
-/// [`TraceSink`] (no locks on the hot path); on join they are merged
-/// into `registry` and absorbed into `trace` **in shard order**, each
-/// shard its own trace lane, so a parallel trace is the sequential
-/// trace's events re-grouped by lane. With a cancel flag, shard logs
-/// are still absorbed and the accounting balances over what was
-/// actually processed.
+/// Each worker records into its own fork of `rec` (no locks on the hot
+/// path); on join the forks are merged into `rec` **in shard order**,
+/// each traced shard its own trace lane, so a parallel trace is the
+/// sequential trace's events re-grouped by lane. With a cancel flag,
+/// shard logs are still absorbed and the accounting balances over what
+/// was actually processed.
 ///
 /// A shard whose worker died contributes its all-skipped accounting, a
 /// `mine.shard_failures` increment, and its quarantine decisions in the
@@ -706,26 +699,23 @@ pub fn mine_parallel(
     corpus: &Corpus,
     classes: &[&str],
     opts: MineOptions<'_>,
-    registry: &mut MetricsRegistry,
-    trace: &mut TraceSink,
+    rec: &mut Recorder,
 ) -> MiningResult {
     let MineOptions {
         threads: n_threads,
         cache,
         cancel,
     } = opts;
-    let trace_config = trace.config();
     let n_threads = n_threads.max(1).min(corpus.projects.len().max(1));
     if n_threads <= 1 {
         let mut view = cache.as_ref().map(|c| c.view());
         let mut dc = DiffCode::new();
-        dc.set_trace(TraceSink::from_config(trace_config));
+        dc.set_recorder(rec.fork());
         if let Some(flag) = cancel {
             dc.set_cancel_flag(flag);
         }
         let result = dc.mine(corpus, classes, view.as_mut());
-        registry.merge(&dc.take_metrics());
-        trace.absorb(dc.take_trace());
+        rec.merge(dc.take_recorder());
         let log = view.map(MiningCacheView::into_log);
         if let (Some(cache), Some(log)) = (cache, log) {
             cache.absorb(log);
@@ -736,31 +726,26 @@ pub fn mine_parallel(
     // Immutable reborrow for the workers; the mutable handle is used
     // again only after the scope ends and every view is consumed.
     let shared: Option<&MiningCache> = cache.as_deref();
-    type ShardOutcome = (
-        MiningResult,
-        MetricsRegistry,
-        Option<cache::ShardLog>,
-        Option<TraceSink>,
-    );
+    type ShardOutcome = (MiningResult, Option<Recorder>, Option<cache::ShardLog>);
     let results: Vec<ShardOutcome> = std::thread::scope(|scope| {
         let handles: Vec<_> = shards
             .iter()
             .map(|shard| {
                 let mut view = shared.map(|c| c.view());
+                let shard_rec = rec.fork();
                 (
                     shard,
                     scope.spawn(move || {
                         let mut dc = DiffCode::new();
-                        dc.set_trace(TraceSink::from_config(trace_config));
+                        dc.set_recorder(shard_rec);
                         if let Some(flag) = cancel {
                             dc.set_cancel_flag(flag);
                         }
                         let result = dc.mine(shard, classes, view.as_mut());
                         (
                             result,
-                            dc.take_metrics(),
+                            Some(dc.take_recorder()),
                             view.map(MiningCacheView::into_log),
-                            Some(dc.take_trace()),
                         )
                     }),
                 )
@@ -773,35 +758,29 @@ pub fn mine_parallel(
                 // A worker died outside the per-change isolation (mine
                 // itself never panics on input). Fold the shard in as
                 // all-skipped so sibling shards' results survive and
-                // the merged accounting still balances; its in-flight
-                // metrics died with the thread, so rebuild the counters
-                // the accounting requires from the skip totals. The
-                // shard's cache log died with it too — deliberately.
-                Err(payload) => {
-                    let result = shard_failure_result(shard, &panic_message(payload), trace);
-                    let mut shard_metrics = MetricsRegistry::new();
-                    shard_metrics.inc("mine.shard_failures", 1);
-                    shard_metrics.inc("mine.code_changes", result.stats.code_changes as u64);
-                    shard_metrics.inc("mine.mined", 0);
-                    result.stats.skipped.record(&mut shard_metrics);
-                    (result, shard_metrics, None, None)
-                }
+                // the merged accounting still balances. Its in-flight
+                // metrics and cache log died with the thread — the log
+                // deliberately.
+                Err(payload) => (
+                    shard_failure_result(shard, &panic_message(payload), rec),
+                    None,
+                    None,
+                ),
             })
             .collect()
     });
     let mut merged = MiningResult::default();
     let mut logs = Vec::new();
-    for (result, shard_metrics, log, shard_trace) in results {
+    for (result, shard_rec, log) in results {
         merged.stats.code_changes += result.stats.code_changes;
         merged.stats.mined += result.stats.mined;
         merged.stats.skipped.absorb(&result.stats.skipped);
         merged.changes.extend(result.changes);
         merged.quarantine.extend(result.quarantine);
-        registry.merge(&shard_metrics);
-        logs.extend(log);
-        if let Some(shard_trace) = shard_trace {
-            trace.absorb(shard_trace);
+        if let Some(shard_rec) = shard_rec {
+            rec.merge(shard_rec);
         }
+        logs.extend(log);
     }
     if let Some(cache) = cache {
         for log in logs {
@@ -809,12 +788,9 @@ pub fn mine_parallel(
         }
     }
     debug_assert!(merged.stats.is_balanced());
-    debug_assert!(obs::check_partition(
-        registry,
-        "mine.code_changes",
-        &["mine.mined", "mine.skipped"]
-    )
-    .is_ok());
+    debug_assert!(
+        obs::check_partition(rec, "mine.code_changes", &["mine.mined", "mine.skipped"]).is_ok()
+    );
     merged
 }
 
@@ -822,12 +798,13 @@ pub fn mine_parallel(
 /// returning: every code change of the shard is recorded as a
 /// [`ErrorKind::Panic`] skip with a quarantine report, so
 /// `code_changes == mined + skipped.total()` holds for the merged run.
-/// The per-change decision events die with the worker's sink, so they
-/// are re-emitted here into the orchestrator's `trace` (after a
-/// `mine.shard_failure` marker), keeping the trace's decision set
-/// complete even when a whole shard is lost.
-fn shard_failure_result(shard: &Corpus, message: &str, trace: &mut TraceSink) -> MiningResult {
-    trace.instant_with("mine.shard_failure", |a| {
+/// The worker's counters and per-change decision events died with it,
+/// so this records into the orchestrator's `rec` the counters the
+/// accounting requires and, after a `mine.shard_failure` marker, the
+/// decisions — keeping the trace's decision set complete even when a
+/// whole shard is lost.
+fn shard_failure_result(shard: &Corpus, message: &str, rec: &mut Recorder) -> MiningResult {
+    rec.instant_with("mine.shard_failure", |a| {
         a.str("message", message);
     });
     let mut result = MiningResult::default();
@@ -843,7 +820,7 @@ fn shard_failure_result(shard: &Corpus, message: &str, trace: &mut TraceSink) ->
             fingerprint: change_fingerprint(code_change.old, code_change.new),
         };
         record_decision(
-            trace,
+            rec,
             &meta,
             &DecisionReason::Quarantined(ErrorKind::Panic),
             |a| {
@@ -858,6 +835,10 @@ fn shard_failure_result(shard: &Corpus, message: &str, trace: &mut TraceSink) ->
             excerpt: excerpt(code_change.new),
         });
     }
+    rec.inc("mine.shard_failures", 1);
+    rec.inc("mine.code_changes", result.stats.code_changes as u64);
+    rec.inc("mine.mined", 0);
+    result.stats.skipped.record(rec);
     result
 }
 
@@ -934,13 +915,7 @@ mod tests {
             threads,
             ..MineOptions::default()
         };
-        mine_parallel(
-            corpus,
-            &[],
-            opts,
-            &mut MetricsRegistry::new(),
-            &mut TraceSink::disabled(),
-        )
+        mine_parallel(corpus, &[], opts, &mut Recorder::new())
     }
 
     #[test]
@@ -1200,19 +1175,13 @@ mod tests {
         );
         assert!(result.stats.is_balanced());
 
-        let mut registry = MetricsRegistry::new();
+        let mut registry = Recorder::new();
         let opts = MineOptions {
             threads: 2,
             cancel: Some(&FLAG),
             ..MineOptions::default()
         };
-        let partial = mine_parallel(
-            &corpus,
-            &[],
-            opts,
-            &mut registry,
-            &mut TraceSink::disabled(),
-        );
+        let partial = mine_parallel(&corpus, &[], opts, &mut registry);
         assert_eq!(partial.stats.code_changes, 0);
         assert!(partial.stats.is_balanced());
         assert!(registry.counter("mine.interrupted") > 0);
@@ -1222,8 +1191,9 @@ mod tests {
     fn process_pair_matches_mining_outcome() {
         let (old, new) = (fixtures::FIGURE2_OLD, fixtures::FIGURE2_NEW);
         let mut dc = DiffCode::new();
-        let (outcome, status) = dc.process_pair_cached(old, new, &[], None);
+        let (outcome, status, fingerprint) = dc.process_pair_cached(old, new, &[], None);
         assert_eq!(status, "off");
+        assert_eq!(fingerprint, change_fingerprint(old, new));
         let ChangeOutcome::Mined(tuples) = outcome else {
             panic!("figure 2 pair must mine");
         };

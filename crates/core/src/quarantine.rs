@@ -179,7 +179,7 @@ impl SkipCounters {
     /// Publishes the per-kind breakdown as `mine.skipped.<kind>`
     /// counters (plus the `mine.skipped` total), so metrics snapshots
     /// carry the same quarantine accounting as [`QuarantineReport`]s.
-    pub(crate) fn record(&self, registry: &mut obs::MetricsRegistry) {
+    pub(crate) fn record(&self, registry: &mut obs::Recorder) {
         registry.inc("mine.skipped", self.total() as u64);
         for kind in ErrorKind::ALL {
             registry.inc(

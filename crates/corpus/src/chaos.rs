@@ -23,9 +23,10 @@
 //! honest sources that no memo can answer.
 
 use crate::model::Corpus;
-use obs::json::escape;
+use obs::json::write_str;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::fmt::Write as _;
 use std::time::Duration;
 
 /// The kinds of corruption the mutator injects.
@@ -433,31 +434,31 @@ impl HttpMutator {
                 vec![HttpStep::Send(req), HttpStep::Send(chunk), HttpStep::Close]
             }
             HttpFaultKind::CallChainBomb => {
-                let source = call_chain_bomb(160, self.rng.random());
-                post("/check", &format!("{{\"source\":\"{}\"}}", escape(&source)))
+                let mut body = "{\"source\":".to_owned();
+                write_str(&mut body, &call_chain_bomb(160, self.rng.random()));
+                body.push('}');
+                post("/check", &body)
             }
             HttpFaultKind::DistinctEvents => {
-                let new = distinct_events(20_000);
-                post(
-                    "/mine",
-                    &format!(
-                        "{{\"old\":\"class Events {{}}\",\"new\":\"{}\"}}",
-                        escape(&new)
-                    ),
-                )
+                let mut body = "{\"old\":\"class Events {}\",\"new\":".to_owned();
+                write_str(&mut body, &distinct_events(20_000));
+                body.push('}');
+                post("/mine", &body)
             }
             HttpFaultKind::MultiFileCheck => {
                 let first: u64 = self.rng.random();
-                let files: Vec<String> = (0..20u64)
-                    .map(|i| {
-                        let tag = first.wrapping_add(i);
-                        format!(
-                            "{{\"name\":\"Bomb{tag}.java\",\"source\":\"{}\"}}",
-                            escape(&call_chain_bomb(80, tag))
-                        )
-                    })
-                    .collect();
-                post("/check", &format!("{{\"files\":[{}]}}", files.join(",")))
+                let mut body = "{\"files\":[".to_owned();
+                for i in 0..20u64 {
+                    let tag = first.wrapping_add(i);
+                    if i > 0 {
+                        body.push(',');
+                    }
+                    let _ = write!(body, "{{\"name\":\"Bomb{tag}.java\",\"source\":");
+                    write_str(&mut body, &call_chain_bomb(80, tag));
+                    body.push('}');
+                }
+                body.push_str("]}");
+                post("/check", &body)
             }
             HttpFaultKind::HonestFlood => {
                 let salt: u64 = self.rng.random();
@@ -467,14 +468,12 @@ impl HttpMutator {
                          javax.crypto.Cipher c = javax.crypto.Cipher.getInstance(\"{algorithm}\"); }} }}"
                     )
                 };
-                post(
-                    "/mine",
-                    &format!(
-                        "{{\"old\":\"{}\",\"new\":\"{}\"}}",
-                        escape(&version("AES")),
-                        escape(&version("AES/GCM/NoPadding"))
-                    ),
-                )
+                let mut body = "{\"old\":".to_owned();
+                write_str(&mut body, &version("AES"));
+                body.push_str(",\"new\":");
+                write_str(&mut body, &version("AES/GCM/NoPadding"));
+                body.push('}');
+                post("/mine", &body)
             }
         };
         HttpPlan { kind, steps }
@@ -640,7 +639,9 @@ mod tests {
         let events = distinct_events(37_000);
         assert_eq!(events.matches("c.init(").count(), 37_000);
         assert!(events.len() < 1 << 20, "inside the parser's source cap");
-        assert_eq!(escape("a\"b\\c\n\u{1}"), "a\\\"b\\\\c\\n\\u0001");
+        let mut quoted = String::new();
+        write_str(&mut quoted, "a\"b\\c\n\u{1}");
+        assert_eq!(quoted, "\"a\\\"b\\\\c\\n\\u0001\"");
     }
 
     #[test]

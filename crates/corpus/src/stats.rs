@@ -51,7 +51,7 @@ impl CorpusStats {
     /// Publishes the corpus shape as `corpus.*` gauges — the
     /// denominators every downstream pipeline rate (quarantine %,
     /// funnel survival %) is computed against.
-    pub fn record(&self, registry: &mut obs::MetricsRegistry) {
+    pub fn record(&self, registry: &mut obs::Recorder) {
         registry.set_gauge("corpus.projects", self.projects as f64);
         registry.set_gauge("corpus.distinct_users", self.distinct_users as f64);
         registry.set_gauge("corpus.total_commits", self.total_commits as f64);

@@ -25,7 +25,7 @@
 //! path a blob takes.
 
 use crate::GitError;
-use obs::{MetricsRegistry, Stopwatch};
+use obs::Recorder;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::path::Path;
 use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
@@ -108,13 +108,13 @@ impl CatFile {
         &mut self,
         ids: &[&str],
         max_blob_bytes: u64,
-        registry: &mut MetricsRegistry,
+        rec: &mut Recorder,
     ) -> Result<Vec<BlobFetch>, GitError> {
         let mut results = Vec::with_capacity(ids.len());
         let mut request = String::new();
         let mut start = 0;
         while start < ids.len() {
-            let sw = Stopwatch::start();
+            let span = rec.begin("gitsrc.catfile.batch");
             let end = batch_end(ids, start, MAX_BATCH_REQUEST_BYTES);
             let window = &ids[start..end];
             request.clear();
@@ -122,14 +122,19 @@ impl CatFile {
                 request.push_str(id);
                 request.push('\n');
             }
-            self.stdin
+            let fetched = self
+                .stdin
                 .write_all(request.as_bytes())
                 .and_then(|()| self.stdin.flush())
-                .map_err(|e| GitError::Io(format!("cat-file request write: {e}")))?;
-            for id in window {
-                results.push(self.read_response(id, max_blob_bytes)?);
-            }
-            registry.record_span("gitsrc.catfile.batch", sw.elapsed());
+                .map_err(|e| GitError::Io(format!("cat-file request write: {e}")))
+                .and_then(|()| {
+                    for id in window {
+                        results.push(self.read_response(id, max_blob_bytes)?);
+                    }
+                    Ok(())
+                });
+            rec.end(span);
+            fetched?;
             start = end;
         }
         Ok(results)

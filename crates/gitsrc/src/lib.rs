@@ -34,7 +34,7 @@ mod log;
 pub use catfile::MAX_BATCH_REQUEST_BYTES;
 
 use catfile::{BlobFetch, CatFile};
-use obs::{MetricsRegistry, Stopwatch};
+use obs::Recorder;
 use std::collections::HashMap;
 use std::fmt;
 use std::path::Path;
@@ -225,15 +225,16 @@ impl IngestReport {
 pub fn ingest_repo(
     repo: &Path,
     opts: &IngestOptions,
-    registry: &mut MetricsRegistry,
+    rec: &mut Recorder,
 ) -> Result<IngestReport, GitError> {
     let mut log_cmd = log_command(repo, opts)?;
-    let sw = Stopwatch::start();
+    let span = rec.begin("gitsrc.log");
     // Spawned first so its start-up overlaps the log walk; a failed
     // walk still reports the log's error, as if it had run alone.
     let catfile = CatFile::spawn(repo);
-    let log_output = run_log(&mut log_cmd)?;
-    registry.record_span("gitsrc.log", sw.elapsed());
+    let log_output = run_log(&mut log_cmd);
+    rec.end(span);
+    let log_output = log_output?;
     let mut catfile = catfile?;
 
     let mut commits = log::parse_log(&log_output);
@@ -251,7 +252,7 @@ pub fn ingest_repo(
         .map(|commit| plan_commit(commit, &opts.limits, &mut stats, &mut blobs))
         .collect();
     let max_blob_bytes = opts.limits.max_blob_bytes;
-    blobs.fetched = catfile.fetch(&blobs.ids, max_blob_bytes, registry)?;
+    blobs.fetched = catfile.fetch(&blobs.ids, max_blob_bytes, rec)?;
     drop(catfile);
     stats.blobs_fetched = blobs.ids.len();
 
@@ -315,7 +316,7 @@ pub fn ingest_repo(
         });
     }
 
-    record_metrics(registry, &stats, &skips);
+    record_metrics(rec, &stats, &skips);
     let project = corpus::Project {
         user: "git".to_owned(),
         name: project_name(repo),
@@ -515,7 +516,7 @@ fn run_log(cmd: &mut Command) -> Result<String, GitError> {
 /// Counter/gauge names under the `gitsrc.` prefix, recorded once per
 /// walk so repo mines carry the same observability discipline as
 /// synthetic ones.
-fn record_metrics(registry: &mut MetricsRegistry, stats: &IngestStats, skips: &[IngestSkip]) {
+fn record_metrics(registry: &mut Recorder, stats: &IngestStats, skips: &[IngestSkip]) {
     registry.inc("gitsrc.commits_walked", stats.commits_walked as u64);
     registry.inc("gitsrc.commits_ingested", stats.commits_ingested as u64);
     registry.inc("gitsrc.files_seen", stats.files_seen as u64);

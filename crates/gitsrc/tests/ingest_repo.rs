@@ -4,7 +4,7 @@
 //! the ingested corpus shape, provenance, and quarantine accounting.
 
 use gitsrc::{ingest_repo, IngestLimits, IngestOptions, IngestReport, SkipKind};
-use obs::MetricsRegistry;
+use obs::Recorder;
 use proptest::prelude::*;
 use std::collections::{BTreeSet, HashMap};
 use std::io::Write;
@@ -166,7 +166,7 @@ fn java_class(name: &str, transform: &str) -> String {
 }
 
 fn ingest(repo: &TestRepo, opts: &IngestOptions) -> IngestReport {
-    let mut registry = MetricsRegistry::default();
+    let mut registry = Recorder::default();
     ingest_repo(repo.path(), opts, &mut registry).expect("ingest")
 }
 
@@ -397,7 +397,7 @@ fn each_blob_is_fetched_once_in_one_window() {
     repo.write("C.java", &java_class("C", "AES/GCM/NoPadding"));
     repo.commit("rename a to c with an edit");
 
-    let mut registry = MetricsRegistry::default();
+    let mut registry = Recorder::default();
     let report = ingest_repo(repo.path(), &IngestOptions::default(), &mut registry).unwrap();
     assert_eq!((report.stats.pairs, report.stats.additions), (2, 2));
     assert_eq!(report.stats.renames_followed, 1);
@@ -424,7 +424,7 @@ fn each_blob_is_fetched_once_in_one_window() {
     assert_eq!(report.stats.blobs_fetched, 3);
     assert_eq!(registry.counter("gitsrc.blobs_fetched"), 3);
     // Three 41-byte request lines fit one window: one round trip.
-    let spans = |name| registry.span(name).map(|s| s.count);
+    let spans = |name| registry.span(name).map(|s| s.count());
     assert_eq!(spans("gitsrc.catfile.batch"), Some(1));
     assert_eq!(spans("gitsrc.log"), Some(1));
 }
@@ -456,7 +456,7 @@ fn a_plan_larger_than_one_request_window_is_fetched_window_by_window() {
         },
         ..IngestOptions::default()
     };
-    let mut registry = MetricsRegistry::default();
+    let mut registry = Recorder::default();
     let report = ingest_repo(repo.path(), &opts, &mut registry).unwrap();
     assert_eq!(report.stats.additions, FILES);
     assert_eq!(report.stats.blobs_fetched, FILES);
@@ -469,7 +469,7 @@ fn a_plan_larger_than_one_request_window_is_fetched_window_by_window() {
     }
     let id_len = blob_id(&repo, "HEAD", "src/F0.java").len();
     let per_window = gitsrc::MAX_BATCH_REQUEST_BYTES / (id_len + 1);
-    let windows = registry.span("gitsrc.catfile.batch").unwrap().count as usize;
+    let windows = registry.span("gitsrc.catfile.batch").unwrap().count() as usize;
     assert_eq!(windows, FILES.div_ceil(per_window));
     assert!(windows >= 2);
 }

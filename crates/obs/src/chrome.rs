@@ -18,7 +18,8 @@
 //! configuration (see [`TraceSink`] determinism notes); only the `ts`
 //! values vary between runs.
 
-use crate::trace::{TraceEvent, TraceKind, TraceSink};
+use crate::json::write_str;
+use crate::trace::{TraceEvent, TraceKind, TraceSink, TraceValue};
 use std::fmt::Write as _;
 
 /// Serializes `sink` to the Chrome trace-event JSON array format.
@@ -35,44 +36,46 @@ pub fn to_chrome_json_tail(sink: &TraceSink, max_events: usize) -> String {
     let skip = events.len().saturating_sub(max_events);
     let mut out = String::new();
     out.push_str("[\n");
-    let mut first = true;
-    for event in &events[skip..] {
-        let sep = if first { "" } else { ",\n" };
-        first = false;
-        let _ = write!(out, "{sep}{}", render_event(sink, event));
+    for (i, event) in events[skip..].iter().enumerate() {
+        if i > 0 {
+            out.push_str(",\n");
+        }
+        render_event(&mut out, sink, event);
     }
     out.push_str("\n]\n");
     out
 }
 
-fn render_event(sink: &TraceSink, event: &TraceEvent) -> String {
+fn render_event(out: &mut String, sink: &TraceSink, event: &TraceEvent) {
     let ph = match event.kind {
         TraceKind::Begin => "B",
         TraceKind::End => "E",
         TraceKind::Instant | TraceKind::Decision => "i",
     };
-    let mut entry = String::new();
+    out.push_str("{\"name\":");
+    write_str(out, sink.name(event.name));
     let _ = write!(
-        entry,
-        "{{\"name\":\"{}\",\"ph\":\"{ph}\",\"pid\":1,\"tid\":{},\"ts\":{}",
-        crate::json::escape(sink.name(event.name)),
+        out,
+        ",\"ph\":\"{ph}\",\"pid\":1,\"tid\":{},\"ts\":{}",
         event.lane,
         ts_us(event.ts_ns),
     );
     if ph == "i" {
-        entry.push_str(",\"s\":\"t\"");
+        out.push_str(",\"s\":\"t\"");
     }
-    let _ = write!(entry, ",\"args\":{{\"seq\":{}", event.seq);
+    let _ = write!(out, ",\"args\":{{\"seq\":{}", event.seq);
     for (key, value) in &event.attrs {
-        let _ = write!(
-            entry,
-            ",\"{}\":{}",
-            crate::json::escape(sink.name(*key)),
-            render_value(value)
-        );
+        out.push(',');
+        write_str(out, sink.name(*key));
+        out.push(':');
+        match value {
+            TraceValue::Str(s) => write_str(out, s),
+            TraceValue::U64(v) => {
+                let _ = write!(out, "{v}");
+            }
+        }
     }
-    entry.push_str("}}");
-    entry
+    out.push_str("}}");
 }
 
 /// Nanoseconds → microseconds with the sub-µs precision kept as an
@@ -81,33 +84,22 @@ fn ts_us(ns: u64) -> String {
     format!("{}.{:03}", ns / 1_000, ns % 1_000)
 }
 
-fn render_value(value: &crate::trace::TraceValue) -> String {
-    use crate::trace::TraceValue;
-    match value {
-        TraceValue::Str(s) => format!("\"{}\"", crate::json::escape(s)),
-        TraceValue::U64(v) => v.to_string(),
-        TraceValue::I64(v) => v.to_string(),
-        TraceValue::F64(v) => crate::json::json_f64(*v),
-        TraceValue::Bool(v) => v.to_string(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn exports_begin_end_instant_and_decision() {
-        let mut sink = TraceSink::enabled(1);
-        let span = sink.begin_with("mine.change", |a| {
+        let mut rec = crate::Recorder::traced(1);
+        let span = rec.begin_with("mine.change", |a| {
             a.str("project", "u/p").u64("index", 3);
         });
-        sink.instant("cache.lookup");
-        sink.decision_with("decision", |a| {
-            a.str("reason", "kept").bool("flag", true).f64("score", 0.5);
+        rec.instant("cache.lookup");
+        rec.decision_with("decision", |a| {
+            a.str("reason", "kept");
         });
-        sink.end(span);
-        let json = to_chrome_json(&sink);
+        rec.end(span);
+        let json = to_chrome_json(rec.trace().unwrap());
         assert!(json.starts_with("[\n"), "{json}");
         assert!(json.trim_end().ends_with(']'), "{json}");
         assert!(
@@ -126,8 +118,6 @@ mod tests {
         assert!(json.contains("\"project\":\"u/p\""), "{json}");
         assert!(json.contains("\"index\":3"), "{json}");
         assert!(json.contains("\"reason\":\"kept\""), "{json}");
-        assert!(json.contains("\"flag\":true"), "{json}");
-        assert!(json.contains("\"score\":0.5"), "{json}");
         // Every event carries pid/tid and its sequence number.
         assert_eq!(json.matches("\"pid\":1").count(), 4, "{json}");
         assert!(json.contains("\"args\":{\"seq\":0"), "{json}");
@@ -143,7 +133,7 @@ mod tests {
 
     #[test]
     fn strings_are_escaped() {
-        let mut sink = TraceSink::enabled(1);
+        let mut sink = TraceSink::new(1);
         sink.decision_with("decision", |a| {
             a.str("path", "dir\\A\"B\".java");
         });
@@ -153,13 +143,13 @@ mod tests {
 
     #[test]
     fn empty_sink_exports_an_empty_array() {
-        let json = to_chrome_json(&TraceSink::disabled());
+        let json = to_chrome_json(&TraceSink::new(1));
         assert_eq!(json, "[\n\n]\n");
     }
 
     #[test]
     fn tail_renders_only_the_most_recent_events() {
-        let mut sink = TraceSink::enabled(1);
+        let mut sink = TraceSink::new(1);
         for name in ["e0", "e1", "e2", "e3", "e4"] {
             sink.instant(name);
         }
@@ -177,7 +167,7 @@ mod tests {
 
     #[test]
     fn truncated_sink_still_exports_cleanly() {
-        let mut sink = TraceSink::enabled(1);
+        let mut sink = TraceSink::new(1);
         for name in ["a", "b", "c", "d"] {
             sink.instant(name);
         }

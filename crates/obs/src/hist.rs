@@ -1,11 +1,10 @@
 //! Log-linear latency histograms with bounded relative error.
 //!
-//! An HDR-style histogram over `u64` nanosecond values, built for the
-//! same regime as [`crate::SpanStats`]: zero dependencies, plain owned
-//! data, per-shard recording merged on join. Where `SpanStats` keeps
-//! only min/max/sum/count, a [`Histogram`] additionally answers
+//! An HDR-style histogram over `u64` nanosecond values: zero
+//! dependencies, plain owned data, per-shard recording merged on join.
+//! It is each span's one aggregate: exact count, sum, min and max, plus
 //! quantile queries (p50/p90/p99/p999) with a *documented* error bound
-//! and exports cumulative bucket counts for Prometheus.
+//! and cumulative bucket counts for Prometheus.
 //!
 //! # Bucket layout
 //!
@@ -62,10 +61,11 @@ pub(crate) const EXPOSITION_EDGES: [u64; 29] = {
 /// A mergeable log-linear histogram of `u64` nanosecond samples.
 ///
 /// Equality is structural: two histograms are equal iff they saw the
-/// same sample multiset (up to bucketing), independent of recording or
-/// merge order — the backing vector grows to exactly the highest hit
-/// bucket and counts are never decremented, so no trailing-zero or
-/// capacity artifacts leak into `PartialEq`.
+/// same sample multiset (up to bucketing, with the same exact sum, min
+/// and max), independent of recording or merge order — the backing
+/// vector grows to exactly the highest hit bucket and counts are never
+/// decremented, so no trailing-zero or capacity artifacts leak into
+/// `PartialEq`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Histogram {
     /// Per-bucket sample counts, lazily grown; the last element is
@@ -73,6 +73,9 @@ pub struct Histogram {
     counts: Vec<u64>,
     count: u64,
     sum_ns: u64,
+    /// Exact extremes (0 while empty).
+    min_ns: u64,
+    max_ns: u64,
 }
 
 /// Bucket index for value `v` under the fixed layout.
@@ -120,6 +123,12 @@ impl Histogram {
             self.counts.resize(idx + 1, 0);
         }
         self.counts[idx] += 1;
+        if self.count == 0 {
+            (self.min_ns, self.max_ns) = (value_ns, value_ns);
+        } else {
+            self.min_ns = self.min_ns.min(value_ns);
+            self.max_ns = self.max_ns.max(value_ns);
+        }
         self.count += 1;
         self.sum_ns = self.sum_ns.saturating_add(value_ns);
     }
@@ -129,24 +138,47 @@ impl Histogram {
         self.count
     }
 
-    /// Sum of all recorded samples, ns (saturating like
-    /// [`crate::SpanStats`]).
-    pub(crate) fn sum_ns(&self) -> u64 {
+    /// Sum of all recorded samples, ns (saturating).
+    pub fn sum_ns(&self) -> u64 {
         self.sum_ns
+    }
+
+    /// Shortest recorded sample, ns (0 when empty).
+    pub fn min_ns(&self) -> u64 {
+        self.min_ns
+    }
+
+    /// Longest recorded sample, ns (0 when empty).
+    pub fn max_ns(&self) -> u64 {
+        self.max_ns
+    }
+
+    /// Mean sample in nanoseconds (0 when empty).
+    pub fn mean_ns(&self) -> u64 {
+        self.sum_ns.checked_div(self.count).unwrap_or(0)
     }
 
     /// Merges another histogram into this one (shard join).
     ///
     /// Element-wise addition over the fixed layout, so `merge` is
-    /// associative and commutative — the property the registry's
+    /// associative and commutative — the property the recorder's
     /// shard-merge discipline relies on (pinned by the proptests in
     /// `tests/hist_properties.rs`).
     pub fn merge(&mut self, other: &Histogram) {
+        if other.count == 0 {
+            return;
+        }
         if other.counts.len() > self.counts.len() {
             self.counts.resize(other.counts.len(), 0);
         }
         for (mine, theirs) in self.counts.iter_mut().zip(&other.counts) {
             *mine += theirs;
+        }
+        if self.count == 0 {
+            (self.min_ns, self.max_ns) = (other.min_ns, other.max_ns);
+        } else {
+            self.min_ns = self.min_ns.min(other.min_ns);
+            self.max_ns = self.max_ns.max(other.max_ns);
         }
         self.count += other.count;
         self.sum_ns = self.sum_ns.saturating_add(other.sum_ns);
@@ -213,6 +245,20 @@ mod tests {
         /// `true` when nothing has been recorded.
         fn is_empty(&self) -> bool {
             self.count == 0
+        }
+
+        /// `true` when the exact aggregates agree with each other:
+        /// `min ≤ mean ≤ max ≤ sum` for a non-empty histogram, all
+        /// zero for an empty one.
+        pub(crate) fn is_consistent(&self) -> bool {
+            if self.count == 0 {
+                self.sum_ns == 0 && self.min_ns == 0 && self.max_ns == 0
+            } else {
+                self.min_ns <= self.max_ns
+                    && self.max_ns <= self.sum_ns
+                    && self.min_ns <= self.mean_ns()
+                    && self.mean_ns() <= self.max_ns
+            }
         }
     }
 
@@ -338,5 +384,6 @@ mod tests {
         let mut other = Histogram::new();
         other.merge(&h);
         assert!(other.is_empty());
+        assert!(other.is_consistent());
     }
 }

@@ -1,7 +1,8 @@
-//! A stable, machine-readable JSON snapshot of a registry.
+//! A stable, machine-readable JSON snapshot of a recorder's metrics, and
+//! the JSON string writer every exporter shares.
 //!
 //! Hand-rolled writer (the workspace builds offline, so no serde): the
-//! registry's `BTreeMap` storage gives deterministic key order, making
+//! recorder's `BTreeMap` storage gives deterministic key order, making
 //! snapshots diffable and safe to pin in golden tests. Schema
 //! (`version` bumps on breaking change):
 //!
@@ -28,32 +29,43 @@
 //! unchanged, so consumers that read only `count`/`sum_ns` (the bench
 //! regression gate) keep working.
 
-use crate::MetricsRegistry;
+use crate::Recorder;
 use std::fmt::Write as _;
 
 /// Current snapshot schema version.
 pub(crate) const SNAPSHOT_VERSION: u32 = 2;
 
-/// Escapes a string for the inside of a JSON string literal (metric
-/// names are ASCII identifiers in practice, but correctness is cheap).
-/// Shared with the Chrome trace exporter and the log writer, which do
-/// write arbitrary paths/messages.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+/// Appends `s` to `out` as a quoted JSON string literal: `"` and `\`
+/// are backslash-escaped, `\n`/`\r`/`\t` use their short forms and
+/// every other control character its `\u00XX` form. The one escaper
+/// of the metrics snapshot, the Chrome trace exporter, the log writer
+/// and the server's JSON responses, all of which write into a buffer
+/// they own, so escaping allocates nothing.
+pub fn write_str(out: &mut String, s: &str) {
+    out.reserve(s.len() + 2);
+    out.push('"');
+    let mut clean = 0;
+    for (i, byte) in s.bytes().enumerate() {
+        let short = match byte {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        // Every escaped byte is ASCII, so `i` is a char boundary.
+        out.push_str(&s[clean..i]);
+        if short.is_empty() {
+            let _ = write!(out, "\\u{byte:04x}");
+        } else {
+            out.push_str(short);
         }
+        clean = i + 1;
     }
-    out
+    out.push_str(&s[clean..]);
+    out.push('"');
 }
 
 /// Renders a finite `f64` so the snapshot stays valid JSON (NaN and
@@ -70,44 +82,46 @@ pub(crate) fn json_f64(v: f64) -> String {
     }
 }
 
-/// Serializes `registry` to the versioned snapshot format.
-pub(crate) fn to_json(registry: &MetricsRegistry) -> String {
+/// Writes the `{sep}    "name": ` prefix of one snapshot entry.
+fn key(out: &mut String, first: &mut bool, name: &str) {
+    out.push_str(if *first { "\n    " } else { ",\n    " });
+    *first = false;
+    write_str(out, name);
+    out.push_str(": ");
+}
+
+/// Serializes `recorder`'s metrics to the versioned snapshot format.
+pub(crate) fn to_json(recorder: &Recorder) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     let _ = writeln!(out, "  \"version\": {SNAPSHOT_VERSION},");
     out.push_str("  \"counters\": {");
     let mut first = true;
-    for (name, value) in registry.counters() {
-        let sep = if first { "\n" } else { ",\n" };
-        first = false;
-        let _ = write!(out, "{sep}    \"{}\": {value}", escape(name));
+    for (name, value) in recorder.counters() {
+        key(&mut out, &mut first, name);
+        let _ = write!(out, "{value}");
     }
     out.push_str(if first { "},\n" } else { "\n  },\n" });
     out.push_str("  \"gauges\": {");
     first = true;
-    for (name, value) in registry.gauges() {
-        let sep = if first { "\n" } else { ",\n" };
-        first = false;
-        let _ = write!(out, "{sep}    \"{}\": {}", escape(name), json_f64(value));
+    for (name, value) in recorder.gauges() {
+        key(&mut out, &mut first, name);
+        out.push_str(&json_f64(value));
     }
     out.push_str(if first { "},\n" } else { "\n  },\n" });
     out.push_str("  \"spans\": {");
     first = true;
-    let empty_hist = crate::Histogram::new();
-    for (name, span) in registry.spans() {
-        let sep = if first { "\n" } else { ",\n" };
-        first = false;
-        let hist = registry.hist(name).unwrap_or(&empty_hist);
+    for (name, hist) in recorder.spans() {
+        key(&mut out, &mut first, name);
         let _ = write!(
             out,
-            "{sep}    \"{}\": {{ \"count\": {}, \"sum_ns\": {}, \"min_ns\": {}, \"max_ns\": {}, \
+            "{{ \"count\": {}, \"sum_ns\": {}, \"min_ns\": {}, \"max_ns\": {}, \
              \"p50_ns\": {}, \"p90_ns\": {}, \"p95_ns\": {}, \"p99_ns\": {}, \"p999_ns\": {}, \
              \"buckets\": [",
-            escape(name),
-            span.count,
-            span.sum_ns,
-            span.min_ns,
-            span.max_ns,
+            hist.count(),
+            hist.sum_ns(),
+            hist.min_ns(),
+            hist.max_ns(),
             hist.quantile(0.5),
             hist.quantile(0.9),
             hist.quantile(0.95),
@@ -133,7 +147,7 @@ mod tests {
 
     #[test]
     fn snapshot_is_stable_and_wellformed() {
-        let mut reg = MetricsRegistry::new();
+        let mut reg = Recorder::new();
         reg.inc("b.second", 2);
         reg.inc("a.first", 1);
         reg.set_gauge("g", 6.0);
@@ -161,7 +175,7 @@ mod tests {
 
     #[test]
     fn empty_registry_serializes_to_empty_sections() {
-        let json = to_json(&MetricsRegistry::new());
+        let json = to_json(&Recorder::new());
         assert!(json.contains("\"counters\": {}"), "{json}");
         assert!(json.contains("\"gauges\": {}"), "{json}");
         assert!(json.contains("\"spans\": {}"), "{json}");
@@ -169,7 +183,7 @@ mod tests {
 
     #[test]
     fn names_are_escaped() {
-        let mut reg = MetricsRegistry::new();
+        let mut reg = Recorder::new();
         reg.inc("weird\"name\\with\nescapes", 1);
         let json = to_json(&reg);
         assert!(json.contains("weird\\\"name\\\\with\\nescapes"), "{json}");

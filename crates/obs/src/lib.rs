@@ -1,47 +1,50 @@
 //! # obs — lightweight pipeline observability
 //!
-//! A zero-dependency metrics layer for the DiffCode pipeline:
-//! monotonic **counters**, wall-clock **timing spans** aggregated as
-//! min/max/sum/count ([`SpanStats`]) *and* as log-linear latency
-//! **histograms** with p50/p90/p99/p999 quantiles ([`Histogram`]),
-//! and labeled **gauges**, all collected into a [`MetricsRegistry`].
-//! For per-item audit trails — ordered events, hierarchical spans, one
-//! decision record per mined change — see the structured tracing layer
-//! ([`TraceSink`]) and its Chrome trace-event exporter (`chrome`).
+//! A zero-dependency instrumentation layer for the DiffCode pipeline,
+//! with one handle: a [`Recorder`] holds monotonic **counters**,
+//! labeled **gauges**, one log-linear latency **histogram** per span
+//! name (exact count/sum/min/max plus p50/p90/p99/p999 quantiles,
+//! [`Histogram`]) and, when tracing is on, the structured **trace**
+//! ([`TraceSink`]): ordered events, hierarchical spans, one decision
+//! record per mined change, exported by `chrome`. A stage opens one
+//! [`Span`] and closes it once; closing records the duration in the
+//! span's histogram and, when traced, the trace's begin/end pair.
 //! For operational event streams (access logs, lifecycle events) see
 //! the JSON-lines structured logger (`log`).
 //!
 //! Design constraints, in priority order:
 //!
-//! 1. **Always-on and cheap.** Recording is a `BTreeMap` upsert on an
-//!    interned-by-name entry; spans aggregate instead of sampling, so
-//!    memory is bounded by the number of distinct names.
-//! 2. **Mergeable.** Parallel mining gives each shard its own registry
-//!    and [`MetricsRegistry::merge`]s them on join — no locks, no
-//!    atomics, no shared state on the hot path.
+//! 1. **Always-on and cheap.** Recording is a `BTreeMap` update found
+//!    by a borrowed-name lookup, so a name already seen allocates
+//!    nothing; spans aggregate instead of sampling, so memory is
+//!    bounded by the number of distinct names. Trace sampling thins
+//!    trace events only, never histogram samples.
+//! 2. **Mergeable.** Parallel mining gives each shard its own recorder
+//!    ([`Recorder::fork`]) and [`Recorder::merge`]s them on join — no
+//!    locks, no atomics, no shared state on the hot path.
 //! 3. **Reconcilable.** Counters mirror the pipeline's own accounting
 //!    ([`check_funnel`]/[`check_partition`] verify the Figure 6 funnel
 //!    and the `processed = mined + skipped` partition), so a snapshot
 //!    that disagrees with `MiningStats`/`FilterStats` is a bug, not a
 //!    rendering choice.
-//! 4. **Machine-readable.** [`MetricsRegistry::to_json`] emits a
-//!    stable, versioned snapshot (deterministic key order) that CI and
-//!    the bench crate consume.
+//! 4. **Machine-readable.** [`Recorder::to_json`] emits a stable,
+//!    versioned snapshot (deterministic key order) that CI and the
+//!    bench crate consume.
 //!
 //! # Example
 //!
 //! ```
-//! use obs::MetricsRegistry;
+//! use obs::Recorder;
 //!
-//! let mut reg = MetricsRegistry::new();
-//! reg.inc("mine.mined", 3);
-//! reg.inc("mine.skipped", 1);
-//! reg.inc("mine.code_changes", 4);
-//! let total = reg.time("mine.run", || 40 + 2);
+//! let mut rec = Recorder::new();
+//! rec.inc("mine.mined", 3);
+//! rec.inc("mine.skipped", 1);
+//! rec.inc("mine.code_changes", 4);
+//! let total = rec.time("mine.run", || 40 + 2);
 //! assert_eq!(total, 42);
-//! assert_eq!(reg.counter("mine.mined"), 3);
-//! assert!(reg.span("mine.run").is_some());
-//! obs::check_partition(&reg, "mine.code_changes", &["mine.mined", "mine.skipped"]).unwrap();
+//! assert_eq!(rec.counter("mine.mined"), 3);
+//! assert_eq!(rec.span("mine.run").map(|h| h.count()), Some(1));
+//! obs::check_partition(&rec, "mine.code_changes", &["mine.mined", "mine.skipped"]).unwrap();
 //! ```
 
 #![warn(missing_docs)]
@@ -58,61 +61,81 @@ pub use chrome::{to_chrome_json, to_chrome_json_tail};
 pub use hist::Histogram;
 pub use log::{EventBuilder, LogFormat, LogLevel, Logger};
 pub use prometheus::to_prometheus_text;
-pub use span::{fmt_ns, SpanStats, Stopwatch};
-pub use trace::{
-    AttrSet, NameId, SpanId, TraceConfig, TraceEvent, TraceKind, TraceSink, TraceValue,
-};
+pub use span::{fmt_ns, Span};
+pub use trace::{AttrSet, NameId, SpanId, TraceEvent, TraceKind, TraceSink, TraceValue};
 
 use std::collections::BTreeMap;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-/// The collection point for one pipeline run (or one shard of it).
+/// The one instrumentation handle of a pipeline run (or one shard of
+/// it): counters, gauges, one histogram per span name and, when traced,
+/// the event trace.
 ///
 /// Plain owned data: `Send`, cheap to create per worker, merged on
 /// join. Deliberately *not* behind a lock — concurrency is handled by
-/// giving each thread its own registry.
+/// giving each thread its own recorder.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct MetricsRegistry {
+pub struct Recorder {
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, f64>,
-    spans: BTreeMap<String, SpanEntry>,
+    spans: BTreeMap<String, Histogram>,
+    trace: Option<TraceSink>,
 }
 
-/// One span's aggregate and its latency histogram, stored side by side
-/// so the record hot path pays a single map lookup (and a single key
-/// allocation on first sight) for both.
-#[derive(Debug, Clone, Default, PartialEq)]
-struct SpanEntry {
-    stats: SpanStats,
-    hist: Histogram,
-}
-
-impl SpanEntry {
-    fn record(&mut self, duration: Duration) {
-        self.stats.record(duration);
-        self.hist
-            .record(duration.as_nanos().min(u64::MAX as u128) as u64);
-    }
-}
-
-impl MetricsRegistry {
-    /// An empty registry.
+impl Recorder {
+    /// An untraced recorder: metrics only.
     pub fn new() -> Self {
-        MetricsRegistry::default()
+        Recorder::default()
+    }
+
+    /// A recorder that also traces, keeping every `sample`-th span and
+    /// instant (clamped to ≥ 1); decisions are always kept.
+    pub fn traced(sample: u64) -> Self {
+        Recorder {
+            trace: Some(TraceSink::new(sample)),
+            ..Recorder::default()
+        }
+    }
+
+    /// An empty recorder that traces exactly when this one does, with
+    /// the same sampling — what each worker shard records into before
+    /// [`Recorder::merge`] joins it back.
+    pub fn fork(&self) -> Self {
+        Recorder {
+            trace: self.trace.as_ref().map(TraceSink::fork),
+            ..Recorder::default()
+        }
+    }
+
+    /// `true` when this recorder keeps a trace.
+    pub fn is_traced(&self) -> bool {
+        self.trace.is_some()
+    }
+
+    /// The event trace, when tracing is on.
+    pub fn trace(&self) -> Option<&TraceSink> {
+        self.trace.as_ref()
+    }
+
+    /// The event trace, mutably (e.g. to bound a long-lived capture
+    /// with [`TraceSink::truncate_oldest`]).
+    pub fn trace_mut(&mut self) -> Option<&mut TraceSink> {
+        self.trace.as_mut()
     }
 
     // -- counters ------------------------------------------------------
 
-    /// Adds `delta` to the monotonic counter `name`.
+    /// Adds `delta` to the monotonic counter `name`. A zero `delta`
+    /// still materializes the counter, so a funnel stage that filtered
+    /// everything appears in snapshots as a 0, not as an absence.
     pub fn inc(&mut self, name: &str, delta: u64) {
-        if delta == 0 && !self.counters.contains_key(name) {
-            // Materialize the entry so zero-valued stages still appear
-            // in snapshots (a funnel stage that filtered everything is
-            // a data point, not an absence).
-            self.counters.insert(name.to_owned(), 0);
-            return;
+        // A borrowed lookup first: only a new name pays for its key.
+        match self.counters.get_mut(name) {
+            Some(value) => *value += delta,
+            None => {
+                self.counters.insert(name.to_owned(), delta);
+            }
         }
-        *self.counters.entry(name.to_owned()).or_insert(0) += delta;
     }
 
     /// Current value of counter `name` (0 when never incremented).
@@ -129,7 +152,12 @@ impl MetricsRegistry {
 
     /// Sets gauge `name` to `value` (last write wins).
     pub fn set_gauge(&mut self, name: &str, value: f64) {
-        self.gauges.insert(name.to_owned(), value);
+        match self.gauges.get_mut(name) {
+            Some(slot) => *slot = value,
+            None => {
+                self.gauges.insert(name.to_owned(), value);
+            }
+        }
     }
 
     /// Current value of gauge `name`.
@@ -144,77 +172,122 @@ impl MetricsRegistry {
 
     // -- spans ---------------------------------------------------------
 
-    /// Folds one measured duration into span `name`: the min/max/sum
-    /// aggregate *and* the latency histogram, so every span answers
-    /// quantile queries with no extra instrumentation at call sites.
-    pub fn record_span(&mut self, name: &str, duration: Duration) {
-        // A borrowed lookup first: only a name this registry has never
-        // seen pays for an owned key.
-        match self.spans.get_mut(name) {
-            Some(entry) => entry.record(duration),
-            None => self
-                .spans
-                .entry(name.to_owned())
-                .or_default()
-                .record(duration),
+    /// Opens span `name`; pass the token to [`Recorder::end`].
+    pub fn begin(&mut self, name: &'static str) -> Span {
+        self.begin_with(name, |_| {})
+    }
+
+    /// [`Recorder::begin`] with trace attributes; the closure only runs
+    /// when the recorder traces *and* the span survives sampling.
+    pub fn begin_with(&mut self, name: &'static str, fill: impl FnOnce(&mut AttrSet)) -> Span {
+        let start = Instant::now();
+        let id = match &mut self.trace {
+            Some(trace) => trace.begin_at(name, start, fill),
+            None => SpanId::ROOT,
+        };
+        Span { name, start, id }
+    }
+
+    /// Closes `span`: its duration goes into the span's histogram
+    /// (always — sampling never thins histograms) and, when traced, the
+    /// trace closes the span (and any descendant a panic abandoned).
+    pub fn end(&mut self, span: Span) {
+        let now = Instant::now();
+        self.record_span(span.name, now.saturating_duration_since(span.start));
+        if let Some(trace) = &mut self.trace {
+            trace.end_at(span.id, now);
         }
     }
 
-    /// Times `f` and records the wall-clock duration under `name`.
-    pub fn time<T>(&mut self, name: &str, f: impl FnOnce() -> T) -> T {
-        let sw = Stopwatch::start();
+    /// Runs `f` inside span `name` and returns its value.
+    pub fn time<T>(&mut self, name: &'static str, f: impl FnOnce() -> T) -> T {
+        let span = self.begin(name);
         let result = f();
-        self.record_span(name, sw.elapsed());
+        self.end(span);
         result
     }
 
-    /// Aggregate for span `name`, if it ever ran.
-    pub fn span(&self, name: &str) -> Option<&SpanStats> {
-        self.spans.get(name).map(|e| &e.stats)
+    /// Folds one duration measured elsewhere (e.g. a request's latency
+    /// since its accept) into span `name`'s histogram. Adds no trace
+    /// event.
+    pub fn record_span(&mut self, name: &str, duration: Duration) {
+        let ns = u64::try_from(duration.as_nanos()).unwrap_or(u64::MAX);
+        // A borrowed lookup first: only a new name pays for its key.
+        match self.spans.get_mut(name) {
+            Some(hist) => hist.record(ns),
+            None => {
+                let mut hist = Histogram::new();
+                hist.record(ns);
+                self.spans.insert(name.to_owned(), hist);
+            }
+        }
     }
 
-    /// All spans in stable (sorted) order.
-    pub fn spans(&self) -> impl Iterator<Item = (&str, &SpanStats)> {
-        self.spans.iter().map(|(k, v)| (k.as_str(), &v.stats))
+    /// The histogram of span `name`, if it ever ran.
+    pub fn span(&self, name: &str) -> Option<&Histogram> {
+        self.spans.get(name)
     }
 
-    /// Latency histogram for span `name`, if it ever ran.
-    pub fn hist(&self, name: &str) -> Option<&Histogram> {
-        self.spans.get(name).map(|e| &e.hist)
+    /// Every span's histogram in stable (sorted) order.
+    pub fn spans(&self) -> impl Iterator<Item = (&str, &Histogram)> {
+        self.spans.iter().map(|(k, v)| (k.as_str(), v))
+    }
+
+    // -- trace events --------------------------------------------------
+
+    /// Records a point-in-time trace marker (subject to sampling).
+    pub fn instant(&mut self, name: &str) {
+        self.instant_with(name, |_| {});
+    }
+
+    /// [`Recorder::instant`] with attributes; the closure only runs
+    /// when traced and kept by sampling.
+    pub fn instant_with(&mut self, name: &str, fill: impl FnOnce(&mut AttrSet)) {
+        if let Some(trace) = &mut self.trace {
+            trace.instant_with(name, fill);
+        }
+    }
+
+    /// Records a decision trace event. Decisions carry per-item
+    /// provenance and are never sampled out, so per-reason counts
+    /// reconcile with the counters at any sampling rate.
+    pub fn decision_with(&mut self, name: &str, fill: impl FnOnce(&mut AttrSet)) {
+        if let Some(trace) = &mut self.trace {
+            trace.decision_with(name, fill);
+        }
     }
 
     // -- aggregation ---------------------------------------------------
 
-    /// Merges `other` into `self`: counters add, spans absorb, gauges
-    /// take `other`'s value (last write wins, matching [`Self::set_gauge`]).
+    /// Joins a shard's recorder: counters add, histograms merge, gauges
+    /// take `other`'s value (last write wins, matching
+    /// [`Self::set_gauge`]), and `other`'s trace becomes this trace's
+    /// next lane. A shard that traced nothing takes no lane; an
+    /// untraced receiver drops the shard's events.
     ///
-    /// **Gauge determinism.** Counters and spans are commutative and
-    /// associative, but gauges make `merge` order-sensitive: the value
-    /// that survives is the one from the *last* `merge` call whose
-    /// registry carries that gauge. This is a contract, not an
-    /// accident — callers that merge shard registries must do so in
-    /// shard order (as `mine_parallel`-style orchestrators do, and as
-    /// [`TraceSink::absorb`] requires for traces), which makes the
-    /// surviving gauge deterministically the highest-numbered shard's.
-    /// Merging in any other fixed order is also deterministic, just a
-    /// different convention; only a *varying* order (e.g. completion
-    /// order) would make snapshots flap.
-    pub fn merge(&mut self, other: &MetricsRegistry) {
-        for (name, value) in &other.counters {
-            *self.counters.entry(name.clone()).or_insert(0) += value;
+    /// **Order.** Counters and histograms are commutative and
+    /// associative, but gauges and trace lanes make `merge`
+    /// order-sensitive: the surviving gauge is the one from the *last*
+    /// merge that carries it, and lanes are numbered in merge order.
+    /// Callers that merge shards must do so in shard order (as
+    /// `mine_parallel`-style orchestrators do), which makes both
+    /// deterministic. Only a *varying* order (e.g. completion order)
+    /// would make snapshots and traces flap.
+    pub fn merge(&mut self, other: Recorder) {
+        for (name, value) in other.counters {
+            *self.counters.entry(name).or_insert(0) += value;
         }
-        for (name, value) in &other.gauges {
-            self.gauges.insert(name.clone(), *value);
+        self.gauges.extend(other.gauges);
+        for (name, hist) in other.spans {
+            self.spans.entry(name).or_default().merge(&hist);
         }
-        for (name, span) in &other.spans {
-            let entry = self.spans.entry(name.clone()).or_default();
-            entry.stats.absorb(&span.stats);
-            entry.hist.merge(&span.hist);
+        if let (Some(mine), Some(theirs)) = (&mut self.trace, other.trace) {
+            mine.absorb(theirs);
         }
     }
 
-    /// Serializes to the stable, versioned JSON snapshot (the [`json`]
-    /// schema; deterministic key order).
+    /// Serializes the metrics to the stable, versioned JSON snapshot
+    /// (the [`json`] schema; deterministic key order).
     pub fn to_json(&self) -> String {
         json::to_json(self)
     }
@@ -226,7 +299,7 @@ impl MetricsRegistry {
 /// # Errors
 ///
 /// Names the first adjacent pair that violates the ordering.
-pub fn check_funnel(registry: &MetricsRegistry, stages: &[&str]) -> Result<(), String> {
+pub fn check_funnel(registry: &Recorder, stages: &[&str]) -> Result<(), String> {
     for pair in stages.windows(2) {
         let (a, b) = (registry.counter(pair[0]), registry.counter(pair[1]));
         if a < b {
@@ -245,11 +318,7 @@ pub fn check_funnel(registry: &MetricsRegistry, stages: &[&str]) -> Result<(), S
 /// # Errors
 ///
 /// Reports both sides of the failed equality.
-pub fn check_partition(
-    registry: &MetricsRegistry,
-    total: &str,
-    parts: &[&str],
-) -> Result<(), String> {
+pub fn check_partition(registry: &Recorder, total: &str, parts: &[&str]) -> Result<(), String> {
     let expected = registry.counter(total);
     let sum: u64 = parts.iter().map(|p| registry.counter(p)).sum();
     if expected != sum {
@@ -267,7 +336,7 @@ mod tests {
 
     #[test]
     fn counters_accumulate_and_default_to_zero() {
-        let mut reg = MetricsRegistry::new();
+        let mut reg = Recorder::new();
         assert_eq!(reg.counter("x"), 0);
         reg.inc("x", 2);
         reg.inc("x", 3);
@@ -278,49 +347,52 @@ mod tests {
 
     #[test]
     fn time_records_a_span_and_returns_the_value() {
-        let mut reg = MetricsRegistry::new();
+        let mut reg = Recorder::new();
         let v = reg.time("work", || 7);
         assert_eq!(v, 7);
         let span = reg.span("work").unwrap();
-        assert_eq!(span.count, 1);
+        assert_eq!(span.count(), 1);
         assert!(span.is_consistent());
     }
 
     #[test]
     fn merge_adds_counters_and_absorbs_spans() {
-        let mut a = MetricsRegistry::new();
+        let mut a = Recorder::new();
         a.inc("n", 1);
         a.record_span("s", Duration::from_nanos(10));
         a.set_gauge("g", 1.0);
-        let mut b = MetricsRegistry::new();
+        let mut b = Recorder::new();
         b.inc("n", 2);
         b.inc("only_b", 4);
         b.record_span("s", Duration::from_nanos(30));
         b.set_gauge("g", 2.0);
-        a.merge(&b);
+        a.merge(b);
         assert_eq!(a.counter("n"), 3);
         assert_eq!(a.counter("only_b"), 4);
         assert_eq!(a.gauge("g"), Some(2.0), "gauges: last write wins");
         let s = a.span("s").unwrap();
-        assert_eq!((s.count, s.min_ns, s.max_ns, s.sum_ns), (2, 10, 30, 40));
+        assert_eq!(
+            (s.count(), s.min_ns(), s.max_ns(), s.sum_ns()),
+            (2, 10, 30, 40)
+        );
     }
 
     #[test]
     fn merge_is_associative_on_counters_and_spans() {
         let mk = |n: u64, ns: u64| {
-            let mut r = MetricsRegistry::new();
+            let mut r = Recorder::new();
             r.inc("c", n);
             r.record_span("s", Duration::from_nanos(ns));
             r
         };
         let (a, b, c) = (mk(1, 5), mk(2, 50), mk(3, 500));
         let mut left = a.clone();
-        left.merge(&b);
-        left.merge(&c);
-        let mut bc = b.clone();
-        bc.merge(&c);
-        let mut right = a.clone();
-        right.merge(&bc);
+        left.merge(b.clone());
+        left.merge(c.clone());
+        let mut bc = b;
+        bc.merge(c);
+        let mut right = a;
+        right.merge(bc);
         assert_eq!(left, right);
     }
 
@@ -330,50 +402,121 @@ mod tests {
         // shard is merged last supplies the surviving value, in either
         // direction — so a caller that fixes the merge order (shard
         // order) gets a deterministic snapshot.
-        let mut shard_a = MetricsRegistry::new();
+        let mut shard_a = Recorder::new();
         shard_a.set_gauge("g", 1.0);
         shard_a.inc("n", 1);
-        let mut shard_b = MetricsRegistry::new();
+        let mut shard_b = Recorder::new();
         shard_b.set_gauge("g", 2.0);
         shard_b.inc("n", 2);
 
-        let mut ab = MetricsRegistry::new();
-        ab.merge(&shard_a);
-        ab.merge(&shard_b);
-        let mut ba = MetricsRegistry::new();
-        ba.merge(&shard_b);
-        ba.merge(&shard_a);
+        let mut ab = Recorder::new();
+        ab.merge(shard_a.clone());
+        ab.merge(shard_b.clone());
+        let mut ba = Recorder::new();
+        ba.merge(shard_b);
+        ba.merge(shard_a);
 
         assert_eq!(ab.gauge("g"), Some(2.0), "last merge (b) wins");
         assert_eq!(ba.gauge("g"), Some(1.0), "last merge (a) wins");
         // Counters stay order-independent; only gauges are sensitive.
         assert_eq!(ab.counter("n"), ba.counter("n"));
         // A merge whose registry lacks the gauge leaves it untouched.
-        ab.merge(&MetricsRegistry::new());
+        ab.merge(Recorder::new());
         assert_eq!(ab.gauge("g"), Some(2.0));
     }
 
     #[test]
     fn record_span_populates_the_histogram() {
-        let mut reg = MetricsRegistry::new();
+        let mut reg = Recorder::new();
         for ns in [100u64, 200, 300, 400] {
             reg.record_span("s", Duration::from_nanos(ns));
         }
-        let hist = reg.hist("s").expect("histogram recorded alongside span");
-        assert_eq!(hist.count(), reg.span("s").unwrap().count);
-        assert_eq!(hist.sum_ns(), reg.span("s").unwrap().sum_ns);
+        let hist = reg.span("s").expect("histogram recorded for the span");
+        assert_eq!((hist.count(), hist.sum_ns()), (4, 1_000));
+        assert_eq!((hist.min_ns(), hist.max_ns()), (100, 400));
         let p50 = hist.quantile(0.5);
         assert!((200..=213).contains(&p50), "p50 = {p50}");
 
-        let mut other = MetricsRegistry::new();
+        let mut other = Recorder::new();
         other.record_span("s", Duration::from_nanos(10_000));
-        reg.merge(&other);
-        assert_eq!(reg.hist("s").unwrap().count(), 5, "merge merges histograms");
+        reg.merge(other);
+        let hist = reg.span("s").unwrap();
+        assert_eq!(hist.count(), 5, "merge merges histograms");
+        assert_eq!(hist.max_ns(), 10_000, "merge keeps the exact max");
+    }
+
+    #[test]
+    fn one_span_feeds_its_histogram_and_the_trace() {
+        let mut rec = Recorder::traced(1);
+        let outer = rec.begin_with("outer", |a| {
+            a.u64("n", 1);
+        });
+        let inner = rec.begin("inner");
+        rec.end(inner);
+        rec.end(outer);
+        rec.time("outer", || ());
+        assert_eq!(rec.span("outer").map(Histogram::count), Some(2));
+        assert_eq!(rec.span("inner").map(Histogram::count), Some(1));
+        let trace = rec.trace().expect("traced");
+        let begins: Vec<&str> = trace
+            .events()
+            .iter()
+            .filter(|e| e.kind == TraceKind::Begin)
+            .map(|e| trace.name(e.name))
+            .collect();
+        assert_eq!(begins, ["outer", "inner", "outer"]);
+        // The E-minus-B interval is the histogram's sample: both come
+        // from the same two clock reads.
+        let events = trace.events();
+        let inner_ns = events[2].ts_ns - events[1].ts_ns;
+        assert_eq!(rec.span("inner").unwrap().sum_ns(), inner_ns);
+    }
+
+    #[test]
+    fn sampling_thins_the_trace_but_never_the_histogram() {
+        let mut rec = Recorder::traced(4);
+        for _ in 0..8 {
+            let span = rec.begin("work");
+            rec.end(span);
+        }
+        assert_eq!(rec.span("work").map(Histogram::count), Some(8));
+        let begins = rec
+            .trace()
+            .unwrap()
+            .events()
+            .iter()
+            .filter(|e| e.kind == TraceKind::Begin)
+            .count();
+        assert_eq!(begins, 2);
+    }
+
+    #[test]
+    fn merge_gives_each_traced_shard_a_lane_in_merge_order() {
+        let mut main = Recorder::traced(1);
+        main.instant("start");
+        let mut untraced = Recorder::new();
+        untraced.inc("n", 1);
+        let mut shard = main.fork();
+        assert!(shard.is_traced() && shard.trace().unwrap().is_empty());
+        shard.time("work", || ());
+        main.merge(untraced);
+        main.merge(shard);
+        let lanes: Vec<u32> = main
+            .trace()
+            .unwrap()
+            .events()
+            .iter()
+            .map(|e| e.lane)
+            .collect();
+        assert_eq!(lanes, [0, 1, 1], "the untraced shard took no lane");
+        assert_eq!(main.counter("n"), 1);
+        assert_eq!(main.span("work").map(Histogram::count), Some(1));
+        assert!(!Recorder::new().fork().is_traced());
     }
 
     #[test]
     fn funnel_check_accepts_monotone_and_names_violations() {
-        let mut reg = MetricsRegistry::new();
+        let mut reg = Recorder::new();
         reg.inc("f.total", 10);
         reg.inc("f.a", 6);
         reg.inc("f.b", 6);
@@ -386,7 +529,7 @@ mod tests {
 
     #[test]
     fn partition_check() {
-        let mut reg = MetricsRegistry::new();
+        let mut reg = Recorder::new();
         reg.inc("total", 5);
         reg.inc("p1", 3);
         reg.inc("p2", 2);

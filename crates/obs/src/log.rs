@@ -1,7 +1,7 @@
 //! Structured JSON-lines logging with a bounded, non-blocking writer.
 //!
 //! The service-facing complement to the metrics registry: where
-//! [`crate::MetricsRegistry`] aggregates, the logger journals — one
+//! [`crate::Recorder`] aggregates, the logger journals — one
 //! self-describing record per operational event (request served,
 //! server booted, cache flushed), machine-parseable line by line.
 //!
@@ -46,7 +46,8 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
-use crate::json::escape;
+use crate::json::write_str;
+use std::fmt::Write as _;
 
 /// Event severity, lowest to highest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -271,11 +272,12 @@ impl EventBuilder<'_> {
             .unwrap_or(0);
         match self.format {
             LogFormat::Json => {
-                self.line.push_str(&format!(
-                    "{{\"ts_ms\":{ts_ms},\"level\":\"{}\",\"event\":\"{}\"",
-                    level.as_str(),
-                    escape(name)
-                ));
+                let _ = write!(
+                    self.line,
+                    "{{\"ts_ms\":{ts_ms},\"level\":\"{}\",\"event\":",
+                    level.as_str()
+                );
+                write_str(&mut self.line, name);
             }
             LogFormat::Text => {
                 self.line
@@ -287,7 +289,9 @@ impl EventBuilder<'_> {
     fn key(&mut self, key: &str) {
         match self.format {
             LogFormat::Json => {
-                self.line.push_str(&format!(",\"{}\":", escape(key)));
+                self.line.push(',');
+                write_str(&mut self.line, key);
+                self.line.push(':');
             }
             LogFormat::Text => {
                 self.line.push(' ');
@@ -302,7 +306,7 @@ impl EventBuilder<'_> {
         if self.live {
             self.key(key);
             match self.format {
-                LogFormat::Json => self.line.push_str(&format!("\"{}\"", escape(value))),
+                LogFormat::Json => write_str(&mut self.line, value),
                 LogFormat::Text => {
                     if value.contains([' ', '=', '"']) || value.is_empty() {
                         self.line.push_str(&format!("{:?}", value));

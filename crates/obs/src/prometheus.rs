@@ -1,4 +1,4 @@
-//! Prometheus text-format exposition for a [`MetricsRegistry`].
+//! Prometheus text-format exposition for a [`Recorder`]'s metrics.
 //!
 //! The resident server's `GET /metrics` endpoint renders a registry
 //! snapshot in the Prometheus exposition format (version 0.0.4): a
@@ -20,8 +20,8 @@
 //! edge is an inclusive bucket boundary of the log-linear layout),
 //! `_sum` and `_count`.
 
-use crate::hist::{Histogram, EXPOSITION_EDGES};
-use crate::MetricsRegistry;
+use crate::hist::EXPOSITION_EDGES;
+use crate::Recorder;
 use std::fmt::Write as _;
 
 /// Rewrites a registry name (`serve.http_requests`, `mine.change`) into
@@ -79,7 +79,7 @@ fn header(out: &mut String, metric: &str, help: &str, kind: &str) {
 
 /// Renders the registry in the Prometheus text exposition format.
 /// Deterministic: same registry state, same bytes.
-pub fn to_prometheus_text(registry: &MetricsRegistry) -> String {
+pub fn to_prometheus_text(registry: &Recorder) -> String {
     let mut out = String::new();
     for (name, value) in registry.counters() {
         let metric = metric_name(name);
@@ -101,8 +101,7 @@ pub fn to_prometheus_text(registry: &MetricsRegistry) -> String {
         );
         let _ = writeln!(out, "{metric} {}", gauge_value(value));
     }
-    let empty_hist = Histogram::new();
-    for (name, span) in registry.spans() {
+    for (name, hist) in registry.spans() {
         let base = metric_name(name);
         header(
             &mut out,
@@ -110,35 +109,34 @@ pub fn to_prometheus_text(registry: &MetricsRegistry) -> String {
             &format!("Number of recorded runs of span {name}."),
             "counter",
         );
-        let _ = writeln!(out, "{base}_count {}", span.count);
+        let _ = writeln!(out, "{base}_count {}", hist.count());
         header(
             &mut out,
             &format!("{base}_sum_ns"),
             &format!("Total duration of span {name} in nanoseconds."),
             "counter",
         );
-        let _ = writeln!(out, "{base}_sum_ns {}", span.sum_ns);
+        let _ = writeln!(out, "{base}_sum_ns {}", hist.sum_ns());
         header(
             &mut out,
             &format!("{base}_min_ns"),
             &format!("Shortest run of span {name} in nanoseconds."),
             "gauge",
         );
-        let _ = writeln!(out, "{base}_min_ns {}", span.min_ns);
+        let _ = writeln!(out, "{base}_min_ns {}", hist.min_ns());
         header(
             &mut out,
             &format!("{base}_max_ns"),
             &format!("Longest run of span {name} in nanoseconds."),
             "gauge",
         );
-        let _ = writeln!(out, "{base}_max_ns {}", span.max_ns);
+        let _ = writeln!(out, "{base}_max_ns {}", hist.max_ns());
 
         // Native histogram family over the fixed log-linear layout:
         // cumulative counts at the canonical 2^k - 1 edges are exact
         // (each edge is an inclusive bucket upper bound), so the
         // series carries no estimation error — only the inter-edge
         // resolution is quantized.
-        let hist = registry.hist(name).unwrap_or(&empty_hist);
         let family = format!("{base}_latency_ns");
         header(
             &mut out,
@@ -170,7 +168,7 @@ mod tests {
 
     #[test]
     fn renders_counters_gauges_and_spans_deterministically() {
-        let mut reg = MetricsRegistry::new();
+        let mut reg = Recorder::new();
         reg.inc("serve.accepted", 7);
         reg.inc("mine.code_changes", 3);
         reg.set_gauge("serve.queue_depth", 2.0);
@@ -200,7 +198,7 @@ mod tests {
 
     #[test]
     fn every_sample_family_has_help_and_type() {
-        let mut reg = MetricsRegistry::new();
+        let mut reg = Recorder::new();
         reg.inc("c", 1);
         reg.set_gauge("g", 1.0);
         reg.record_span("s", Duration::from_nanos(100));
@@ -230,7 +228,7 @@ mod tests {
 
     #[test]
     fn spans_expose_a_cumulative_histogram_family() {
-        let mut reg = MetricsRegistry::new();
+        let mut reg = Recorder::new();
         reg.record_span("serve.request", Duration::from_nanos(300));
         reg.record_span("serve.request", Duration::from_nanos(70_000));
         let text = to_prometheus_text(&reg);
@@ -271,7 +269,7 @@ mod tests {
 
     #[test]
     fn sanitizes_names_and_non_finite_gauges() {
-        let mut reg = MetricsRegistry::new();
+        let mut reg = Recorder::new();
         reg.inc("weird name:with/chars", 1);
         reg.set_gauge("g.nan", f64::NAN);
         reg.set_gauge("g.inf", f64::INFINITY);
@@ -284,7 +282,7 @@ mod tests {
     #[test]
     fn help_text_escapes_backslash_and_newline() {
         assert_eq!(escape_text("a\\b\nc\"d"), "a\\\\b\\nc\\\"d");
-        let mut reg = MetricsRegistry::new();
+        let mut reg = Recorder::new();
         reg.inc("odd\nname", 1);
         let text = to_prometheus_text(&reg);
         assert!(

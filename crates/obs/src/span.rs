@@ -1,77 +1,19 @@
-//! Wall-clock timing spans with min/max/sum/count aggregation.
+//! The open-span token of [`crate::Recorder`], and duration rendering.
 
-use std::time::{Duration, Instant};
+use crate::trace::SpanId;
+use std::time::Instant;
 
-/// Aggregated statistics for one named span: how many times it ran and
-/// the minimum / maximum / total duration, in nanoseconds.
-///
-/// Spans never store individual samples, so recording is O(1) and a
-/// registry stays small no matter how many times a stage runs (one
-/// entry per span *name*, not per call).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SpanStats {
-    /// Number of recorded runs.
-    pub count: u64,
-    /// Total duration across all runs, ns.
-    pub sum_ns: u64,
-    /// Shortest run, ns (0 when `count == 0`).
-    pub min_ns: u64,
-    /// Longest run, ns.
-    pub max_ns: u64,
-}
-
-impl SpanStats {
-    /// Folds one duration into the aggregate.
-    pub fn record(&mut self, duration: Duration) {
-        let ns = duration.as_nanos().min(u64::MAX as u128) as u64;
-        if self.count == 0 {
-            self.min_ns = ns;
-            self.max_ns = ns;
-        } else {
-            self.min_ns = self.min_ns.min(ns);
-            self.max_ns = self.max_ns.max(ns);
-        }
-        self.count += 1;
-        self.sum_ns = self.sum_ns.saturating_add(ns);
-    }
-
-    /// Merges another aggregate into this one (shard join).
-    pub(crate) fn absorb(&mut self, other: &SpanStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        self.count += other.count;
-        self.sum_ns = self.sum_ns.saturating_add(other.sum_ns);
-        self.min_ns = self.min_ns.min(other.min_ns);
-        self.max_ns = self.max_ns.max(other.max_ns);
-    }
-
-    /// Mean duration in nanoseconds (0 when nothing was recorded).
-    pub fn mean_ns(&self) -> u64 {
-        self.sum_ns.checked_div(self.count).unwrap_or(0)
-    }
-}
-
-/// A started wall clock; pairs with [`crate::MetricsRegistry::record_span`]
-/// when the closure-based [`crate::MetricsRegistry::time`] does not fit
-/// (e.g. the timed region spans several borrows).
-#[derive(Debug, Clone, Copy)]
-pub struct Stopwatch(Instant);
-
-impl Stopwatch {
-    /// Starts the clock.
-    pub fn start() -> Self {
-        Stopwatch(Instant::now())
-    }
-
-    /// Time since [`Stopwatch::start`].
-    pub fn elapsed(&self) -> Duration {
-        self.0.elapsed()
-    }
+/// An open span: what [`crate::Recorder::begin`] returns and
+/// [`crate::Recorder::end`] takes. Ending it records its duration in the
+/// span name's histogram and, on a traced recorder, closes its trace
+/// span. A token dropped without `end` (a panic unwound past it)
+/// records nothing.
+#[must_use = "a span records nothing until it is passed to `Recorder::end`"]
+#[derive(Debug)]
+pub struct Span {
+    pub(crate) name: &'static str,
+    pub(crate) start: Instant,
+    pub(crate) id: SpanId,
 }
 
 /// Renders a nanosecond duration as a compact human unit
@@ -102,54 +44,43 @@ pub fn fmt_ns(ns: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Histogram;
 
-    impl SpanStats {
-        /// `true` when the internal ordering invariants hold:
-        /// `min ≤ mean ≤ max ≤ sum` for non-empty spans.
-        pub(crate) fn is_consistent(&self) -> bool {
-            if self.count == 0 {
-                self.sum_ns == 0 && self.min_ns == 0 && self.max_ns == 0
-            } else {
-                self.min_ns <= self.max_ns
-                    && self.max_ns <= self.sum_ns
-                    && self.min_ns <= self.mean_ns()
-                    && self.mean_ns() <= self.max_ns
-            }
-        }
-    }
-
+    // A span's one aggregate is its histogram: exact count, sum, min
+    // and max beside the buckets.
     #[test]
     fn record_tracks_min_max_sum() {
-        let mut s = SpanStats::default();
-        s.record(Duration::from_nanos(30));
-        s.record(Duration::from_nanos(10));
-        s.record(Duration::from_nanos(20));
-        assert_eq!(s.count, 3);
-        assert_eq!(s.min_ns, 10);
-        assert_eq!(s.max_ns, 30);
-        assert_eq!(s.sum_ns, 60);
+        let mut s = Histogram::new();
+        s.record(30);
+        s.record(10);
+        s.record(20);
+        assert_eq!(s.count(), 3);
+        assert_eq!(s.min_ns(), 10);
+        assert_eq!(s.max_ns(), 30);
+        assert_eq!(s.sum_ns(), 60);
         assert_eq!(s.mean_ns(), 20);
         assert!(s.is_consistent());
     }
 
     #[test]
     fn absorb_merges_and_handles_empty_sides() {
-        let mut a = SpanStats::default();
-        let mut b = SpanStats::default();
-        b.record(Duration::from_nanos(5));
-        b.record(Duration::from_nanos(15));
-        a.absorb(&b);
+        let mut a = Histogram::new();
+        let mut b = Histogram::new();
+        b.record(5);
+        b.record(15);
+        a.merge(&b);
         assert_eq!(a, b, "absorbing into empty copies");
-        let mut c = SpanStats::default();
-        c.record(Duration::from_nanos(100));
-        a.absorb(&c);
-        assert_eq!(a.count, 3);
-        assert_eq!(a.min_ns, 5);
-        assert_eq!(a.max_ns, 100);
-        assert_eq!(a.sum_ns, 120);
-        let before = a;
-        a.absorb(&SpanStats::default());
+        let mut c = Histogram::new();
+        c.record(100);
+        a.merge(&c);
+        assert_eq!(a.count(), 3);
+        assert_eq!(a.min_ns(), 5);
+        assert_eq!(a.max_ns(), 100);
+        assert_eq!(a.sum_ns(), 120);
+        let before = a.clone();
+        a.merge(&Histogram::new());
         assert_eq!(a, before, "absorbing empty is a no-op");
+        assert!(a.is_consistent());
     }
 
     #[test]

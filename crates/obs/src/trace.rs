@@ -1,20 +1,21 @@
 //! Structured event tracing: ordered [`TraceEvent`]s with hierarchical
 //! spans, per-change decision records, and deterministic sampling.
 //!
-//! Where [`crate::MetricsRegistry`] answers *how many* ("12 changes
-//! were filtered"), a [`TraceSink`] answers *which one and why* ("this
-//! change, from this commit, was dropped by `fdup` as a duplicate of
-//! that fingerprint"). Same design constraints as the registry, in the
-//! same priority order:
+//! Where a [`crate::Recorder`]'s counters and histograms answer *how
+//! many* ("12 changes were filtered"), its [`TraceSink`] answers *which
+//! one and why* ("this change, from this commit, was dropped by `fdup`
+//! as a duplicate of that fingerprint"). A traced recorder holds one;
+//! every event enters through the recorder. Design constraints, in
+//! priority order:
 //!
-//! 1. **Cheap when off.** A disabled sink reduces every call to one
-//!    branch on a bool; attribute construction runs inside closures
-//!    that are never invoked.
+//! 1. **Cheap when off.** An untraced recorder holds no sink, so every
+//!    trace call is one branch; attribute construction runs inside
+//!    closures that are never invoked.
 //! 2. **Mergeable.** One plain owned sink per worker shard, absorbed
-//!    on join *in shard order* ([`TraceSink::absorb`]) — no locks, no
-//!    atomics. Each absorbed shard becomes its own lane (Chrome `tid`),
-//!    so per-lane event order and span nesting survive the merge, and a
-//!    shard whose worker died simply contributes no lane.
+//!    on join *in shard order* ([`crate::Recorder::merge`]) — no locks,
+//!    no atomics. Each absorbed shard becomes its own lane (Chrome
+//!    `tid`), so per-lane event order and span nesting survive the
+//!    merge, and a shard whose worker died simply contributes no lane.
 //! 3. **Deterministic.** Sequence numbers are per-sink monotonic,
 //!    span IDs are allocated in call order, and sampling is seed-free
 //!    modular arithmetic on a per-sink counter — a rerun over the same
@@ -34,7 +35,7 @@ pub struct NameId(pub u32);
 
 /// A span identity within one sink. `SpanId(0)` is the root ("no
 /// span"): events outside any open span have it as parent, and it is
-/// what [`TraceSink::begin`] returns from a disabled sink.
+/// the id of a span opened on an untraced recorder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SpanId(pub u64);
 
@@ -50,12 +51,6 @@ pub enum TraceValue {
     Str(String),
     /// Unsigned integer.
     U64(u64),
-    /// Signed integer.
-    I64(i64),
-    /// Floating point.
-    F64(f64),
-    /// Boolean.
-    Bool(bool),
 }
 
 impl TraceValue {
@@ -81,9 +76,6 @@ impl fmt::Display for TraceValue {
         match self {
             TraceValue::Str(s) => write!(f, "{s}"),
             TraceValue::U64(v) => write!(f, "{v}"),
-            TraceValue::I64(v) => write!(f, "{v}"),
-            TraceValue::F64(v) => write!(f, "{v}"),
-            TraceValue::Bool(v) => write!(f, "{v}"),
         }
     }
 }
@@ -91,13 +83,13 @@ impl fmt::Display for TraceValue {
 /// What kind of event a [`TraceEvent`] is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceKind {
-    /// A span opened ([`TraceSink::begin`]).
+    /// A span opened ([`crate::Recorder::begin`]).
     Begin,
-    /// A span closed ([`TraceSink::end`]).
+    /// A span closed ([`crate::Recorder::end`]).
     End,
-    /// A point-in-time marker ([`TraceSink::instant`]).
+    /// A point-in-time marker ([`crate::Recorder::instant`]).
     Instant,
-    /// A per-item decision record ([`TraceSink::decision_with`]).
+    /// A per-item decision record ([`crate::Recorder::decision_with`]).
     /// Never sampled out.
     Decision,
 }
@@ -129,7 +121,7 @@ pub struct TraceEvent {
 }
 
 /// Builder for an event's attributes. Only ever constructed inside the
-/// `*_with` closures, so a disabled sink never allocates one.
+/// `*_with` closures, so an untraced recorder never allocates one.
 #[derive(Debug, Default)]
 pub struct AttrSet {
     items: Vec<(String, TraceValue)>,
@@ -150,25 +142,14 @@ impl AttrSet {
     }
 }
 
-/// The shareable part of a sink's configuration: what
-/// [`mine_parallel`-style](crate::MetricsRegistry) orchestrators hand
-/// to each worker so per-shard sinks sample identically.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceConfig {
-    /// Whether events are recorded at all.
-    pub enabled: bool,
-    /// Keep every `sample`-th span/instant (≥ 1; decisions always kept).
-    pub sample: u64,
-}
-
-/// An ordered, mergeable collection of trace events.
+/// An ordered, mergeable collection of trace events: the trace of one
+/// traced [`crate::Recorder`].
 ///
 /// Plain owned data, `Send`, no locks: concurrency is handled by giving
-/// each worker its own sink and [`TraceSink::absorb`]ing them on join
-/// in shard order — the same discipline as [`crate::MetricsRegistry`].
-#[derive(Debug)]
+/// each worker its own recorder and merging them on join in shard
+/// order.
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceSink {
-    enabled: bool,
     sample: u64,
     names: Vec<String>,
     index: HashMap<String, NameId>,
@@ -183,19 +164,12 @@ pub struct TraceSink {
     epoch: Instant,
 }
 
-impl Default for TraceSink {
-    fn default() -> Self {
-        TraceSink::disabled()
-    }
-}
-
 impl TraceSink {
-    /// A sink that records nothing; every call short-circuits on one
-    /// branch. The default state of a pipeline.
-    pub fn disabled() -> Self {
+    /// A recording sink keeping every `sample`-th span/instant
+    /// (clamped to ≥ 1). Decisions are always retained.
+    pub(crate) fn new(sample: u64) -> Self {
         TraceSink {
-            enabled: false,
-            sample: 1,
+            sample: sample.max(1),
             names: Vec::new(),
             index: HashMap::new(),
             events: Vec::new(),
@@ -208,37 +182,9 @@ impl TraceSink {
         }
     }
 
-    /// A recording sink keeping every `sample`-th span/instant
-    /// (clamped to ≥ 1). Decisions are always retained.
-    pub fn enabled(sample: u64) -> Self {
-        TraceSink {
-            enabled: true,
-            sample: sample.max(1),
-            ..TraceSink::disabled()
-        }
-    }
-
-    /// A fresh sink with the same configuration — how parallel mining
-    /// builds one sink per worker shard.
-    pub fn from_config(config: TraceConfig) -> Self {
-        if config.enabled {
-            TraceSink::enabled(config.sample)
-        } else {
-            TraceSink::disabled()
-        }
-    }
-
-    /// This sink's shareable configuration.
-    pub fn config(&self) -> TraceConfig {
-        TraceConfig {
-            enabled: self.enabled,
-            sample: self.sample,
-        }
-    }
-
-    /// `true` when events are being recorded.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
+    /// A fresh, empty sink sampling like this one — a worker shard's.
+    pub(crate) fn fork(&self) -> Self {
+        TraceSink::new(self.sample)
     }
 
     /// All recorded events, in sequence order.
@@ -302,8 +248,9 @@ impl TraceSink {
         id
     }
 
-    fn now_ns(&self) -> u64 {
-        self.epoch.elapsed().as_nanos().min(u64::MAX as u128) as u64
+    fn ts_ns(&self, at: Instant) -> u64 {
+        let ns = at.saturating_duration_since(self.epoch).as_nanos();
+        u64::try_from(ns).unwrap_or(u64::MAX)
     }
 
     fn current_parent(&self) -> SpanId {
@@ -323,19 +270,19 @@ impl TraceSink {
     fn push(
         &mut self,
         kind: TraceKind,
-        name: &str,
+        name: NameId,
         span: SpanId,
         parent: SpanId,
         attrs: Vec<(String, TraceValue)>,
+        ts_ns: u64,
     ) {
-        let name = self.intern(name);
         let attrs = attrs
             .into_iter()
             .map(|(k, v)| (self.intern(&k), v))
             .collect();
         let event = TraceEvent {
             seq: self.next_seq,
-            ts_ns: self.now_ns(),
+            ts_ns,
             lane: 0,
             kind,
             name,
@@ -347,85 +294,93 @@ impl TraceSink {
         self.events.push(event);
     }
 
-    /// Opens a span. Returns `SpanId::ROOT` when disabled; otherwise
-    /// a fresh id that must be closed with [`TraceSink::end`].
-    pub fn begin(&mut self, name: &str) -> SpanId {
-        self.begin_with(name, |_| {})
-    }
-
-    /// [`TraceSink::begin`] with attributes; the closure only runs when
-    /// the sink is enabled *and* the span survives sampling.
-    pub fn begin_with(&mut self, name: &str, fill: impl FnOnce(&mut AttrSet)) -> SpanId {
-        if !self.enabled {
-            return SpanId::ROOT;
-        }
+    /// Opens a span at `at`, returning the fresh id that
+    /// [`TraceSink::end_at`] closes. The attribute closure only runs
+    /// when the span survives sampling.
+    pub(crate) fn begin_at(
+        &mut self,
+        name: &str,
+        at: Instant,
+        fill: impl FnOnce(&mut AttrSet),
+    ) -> SpanId {
         let kept = self.sampled();
         let span = SpanId(self.next_span);
         self.next_span += 1;
+        let name = self.intern(name);
         if kept {
             let parent = self.current_parent();
             let mut attrs = AttrSet::default();
             fill(&mut attrs);
-            self.push(TraceKind::Begin, name, span, parent, attrs.items);
+            self.push(
+                TraceKind::Begin,
+                name,
+                span,
+                parent,
+                attrs.items,
+                self.ts_ns(at),
+            );
         }
-        let name = self.intern(name);
         self.stack.push((span, kept, name));
         span
     }
 
-    /// Closes a span opened by [`TraceSink::begin`]. Descendants still
-    /// open at that point — abandoned by a panic unwind caught above
-    /// this span, or by an early-return error path — are closed first,
-    /// innermost out, so every recorded `Begin` always gets a matching
-    /// `End`. Ending a span that is not on the stack is a no-op.
-    pub fn end(&mut self, span: SpanId) {
-        if !self.enabled || span == SpanId::ROOT {
-            return;
-        }
+    /// Closes a span opened by [`TraceSink::begin_at`] at `at`.
+    /// Descendants still open at that point — abandoned by a panic
+    /// unwind caught above this span — are closed first, innermost out,
+    /// so every recorded `Begin` always gets a matching `End`. Ending a
+    /// span that is not on the stack is a no-op.
+    pub(crate) fn end_at(&mut self, span: SpanId, at: Instant) {
         let Some(pos) = self.stack.iter().rposition(|(id, _, _)| *id == span) else {
             return;
         };
+        let ts_ns = self.ts_ns(at);
         while self.stack.len() > pos {
             let (id, kept, name) = self.stack.pop().expect("len > pos >= 0");
             if kept {
                 let parent = self.current_parent();
-                let name = self.names[name.0 as usize].clone();
-                self.push(TraceKind::End, &name, id, parent, Vec::new());
+                self.push(TraceKind::End, name, id, parent, Vec::new(), ts_ns);
             }
         }
     }
 
     /// Records a point-in-time marker (subject to sampling).
-    pub fn instant(&mut self, name: &str) {
-        self.instant_with(name, |_| {});
-    }
-
-    /// [`TraceSink::instant`] with attributes.
-    pub fn instant_with(&mut self, name: &str, fill: impl FnOnce(&mut AttrSet)) {
-        if !self.enabled {
-            return;
-        }
+    pub(crate) fn instant_with(&mut self, name: &str, fill: impl FnOnce(&mut AttrSet)) {
         if !self.sampled() {
             return;
         }
         let parent = self.current_parent();
         let mut attrs = AttrSet::default();
         fill(&mut attrs);
-        self.push(TraceKind::Instant, name, SpanId::ROOT, parent, attrs.items);
+        let name = self.intern(name);
+        let ts_ns = self.ts_ns(Instant::now());
+        self.push(
+            TraceKind::Instant,
+            name,
+            SpanId::ROOT,
+            parent,
+            attrs.items,
+            ts_ns,
+        );
     }
 
     /// Records a decision event. Decisions carry per-item provenance
     /// and are **always retained** — sampling never drops them, so the
     /// one-decision-per-change completeness invariant holds at any
     /// `--trace-sample` value.
-    pub fn decision_with(&mut self, name: &str, fill: impl FnOnce(&mut AttrSet)) {
-        if !self.enabled {
-            return;
-        }
+    pub(crate) fn decision_with(&mut self, name: &str, fill: impl FnOnce(&mut AttrSet)) {
         let parent = self.current_parent();
         let mut attrs = AttrSet::default();
         fill(&mut attrs);
-        self.push(TraceKind::Decision, name, SpanId::ROOT, parent, attrs.items);
+        let name = self.intern(name);
+        let ts_ns = self.ts_ns(Instant::now());
+        self.push(
+            TraceKind::Decision,
+            name,
+            SpanId::ROOT,
+            parent,
+            attrs.items,
+            ts_ns,
+        );
     }
 
     /// Merges another sink's events into this one, assigning them the
@@ -434,14 +389,7 @@ impl TraceSink {
     /// monotonic counter, and span ids are offset into this sink's id
     /// space — so the merged trace of a parallel run is the shards'
     /// traces concatenated, exactly like the mining result itself.
-    ///
-    /// A disabled receiving sink drops everything (symmetry with
-    /// recording); a dead shard simply never gets absorbed and its lane
-    /// number is never allocated.
-    pub fn absorb(&mut self, other: TraceSink) {
-        if !self.enabled {
-            return;
-        }
+    pub(crate) fn absorb(&mut self, other: TraceSink) {
         let lane = self.next_lane;
         self.next_lane += 1;
         let span_offset = self.next_span - 1;
@@ -478,36 +426,41 @@ impl TraceSink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Recorder;
 
-    /// Attribute kinds only the crate's unit tests record (also used by
-    /// `chrome`'s tests).
-    impl AttrSet {
-        pub(crate) fn f64(&mut self, key: &str, value: f64) -> &mut Self {
-            self.items.push((key.to_owned(), TraceValue::F64(value)));
-            self
+    /// Clock-reading shorthands for driving a sink directly (the
+    /// recorder passes the instants its histograms measure).
+    impl TraceSink {
+        pub(crate) fn begin(&mut self, name: &str) -> SpanId {
+            self.begin_at(name, Instant::now(), |_| {})
         }
 
-        pub(crate) fn bool(&mut self, key: &str, value: bool) -> &mut Self {
-            self.items.push((key.to_owned(), TraceValue::Bool(value)));
-            self
+        pub(crate) fn end(&mut self, span: SpanId) {
+            self.end_at(span, Instant::now());
+        }
+
+        pub(crate) fn instant(&mut self, name: &str) {
+            self.instant_with(name, |_| {});
         }
     }
 
     #[test]
     fn disabled_sink_records_nothing_and_skips_closures() {
-        let mut sink = TraceSink::disabled();
-        let span = sink.begin_with("work", |_| panic!("attr closure must not run"));
-        assert_eq!(span, SpanId::ROOT);
-        sink.instant_with("marker", |_| panic!("attr closure must not run"));
-        sink.decision_with("decision", |_| panic!("attr closure must not run"));
-        sink.end(span);
-        assert!(sink.is_empty());
-        assert!(!sink.is_enabled());
+        // An untraced recorder holds no sink: attribute closures never
+        // run, and only the span's histogram records.
+        let mut rec = Recorder::new();
+        let span = rec.begin_with("work", |_| panic!("attr closure must not run"));
+        assert_eq!(span.id, SpanId::ROOT);
+        rec.instant_with("marker", |_| panic!("attr closure must not run"));
+        rec.decision_with("decision", |_| panic!("attr closure must not run"));
+        rec.end(span);
+        assert!(rec.trace().is_none());
+        assert_eq!(rec.span("work").map(|h| h.count()), Some(1));
     }
 
     #[test]
     fn spans_nest_and_events_are_ordered() {
-        let mut sink = TraceSink::enabled(1);
+        let mut sink = TraceSink::new(1);
         let outer = sink.begin("outer");
         sink.instant_with("mark", |a| {
             a.str("key", "value").u64("n", 7);
@@ -547,7 +500,7 @@ mod tests {
 
     #[test]
     fn names_are_interned_once() {
-        let mut sink = TraceSink::enabled(1);
+        let mut sink = TraceSink::new(1);
         for _ in 0..5 {
             sink.instant("repeat");
         }
@@ -559,7 +512,7 @@ mod tests {
 
     #[test]
     fn sampling_keeps_every_nth_span_but_all_decisions() {
-        let mut sink = TraceSink::enabled(3);
+        let mut sink = TraceSink::new(3);
         for i in 0..9 {
             let span = sink.begin("work");
             sink.decision_with("decision", |a| {
@@ -590,7 +543,7 @@ mod tests {
     #[test]
     fn sampling_is_deterministic_across_reruns() {
         let run = || {
-            let mut sink = TraceSink::enabled(4);
+            let mut sink = TraceSink::new(4);
             for i in 0..13 {
                 let span = sink.begin(&format!("s{i}"));
                 sink.end(span);
@@ -606,7 +559,7 @@ mod tests {
     #[test]
     fn absorb_assigns_lanes_in_order_and_renumbers() {
         let shard = |label: &str| {
-            let mut sink = TraceSink::enabled(1);
+            let mut sink = TraceSink::new(1);
             let span = sink.begin(label);
             sink.decision_with("decision", |a| {
                 a.str("shard", label);
@@ -614,7 +567,7 @@ mod tests {
             sink.end(span);
             sink
         };
-        let mut main = TraceSink::enabled(1);
+        let mut main = TraceSink::new(1);
         main.instant("start");
         let a = shard("a");
         let b = shard("b");
@@ -649,18 +602,22 @@ mod tests {
 
     #[test]
     fn absorb_into_disabled_sink_is_a_noop() {
-        let mut main = TraceSink::disabled();
-        let mut shard = TraceSink::enabled(1);
+        // Merging a traced shard into an untraced recorder keeps its
+        // metrics and drops its events.
+        let mut main = Recorder::new();
+        let mut shard = Recorder::traced(1);
         shard.instant("x");
-        main.absorb(shard);
-        assert!(main.is_empty());
+        shard.inc("n", 1);
+        main.merge(shard);
+        assert!(main.trace().is_none());
+        assert_eq!(main.counter("n"), 1);
     }
 
     #[test]
     fn ending_an_ancestor_closes_abandoned_descendants() {
         // The unwind pattern: a panic caught above `b` means `b` never
         // ends explicitly; ending `a` must still balance the trace.
-        let mut sink = TraceSink::enabled(1);
+        let mut sink = TraceSink::new(1);
         let a = sink.begin("a");
         let b = sink.begin("b");
         sink.end(a); // closes b (innermost first), then a

@@ -31,7 +31,6 @@ use crate::json::{self, Json};
 use crate::ring::ExplainRecord;
 use crate::server::Shared;
 use diffcode::mcache::ChangeOutcome;
-use diffcode::pipeline::change_fingerprint;
 use diffcode::DiffCode;
 use std::sync::PoisonError;
 use std::time::Instant;
@@ -47,32 +46,41 @@ pub(crate) enum PathMatch {
     Prefix(&'static str),
 }
 
-/// The single route table — `(method, path, endpoint label)` — that
-/// dispatch, the `405` answers, and the per-endpoint latency spans
-/// (`serve.request.<label>`) all derive from.
-pub(crate) const ROUTES: [(&str, PathMatch, &str); 9] = [
-    ("POST", PathMatch::Exact("/mine"), "mine"),
-    ("POST", PathMatch::Exact("/mine-repo"), "mine_repo"),
-    ("POST", PathMatch::Exact("/check"), "check"),
-    ("GET", PathMatch::Exact("/metrics"), "metrics"),
-    ("GET", PathMatch::Exact("/status"), "status"),
-    ("GET", PathMatch::Exact("/healthz"), "healthz"),
-    ("GET", PathMatch::Exact("/readyz"), "readyz"),
-    ("GET", PathMatch::Prefix("/explain/"), "explain"),
-    ("GET", PathMatch::Query("/trace/capture"), "trace_capture"),
+/// One route-table row: the endpoint's latency span name is its label
+/// under `serve.request.`, spelled out once at compile time so the
+/// record path never formats it.
+macro_rules! route {
+    ($method:literal, $path:expr, $label:literal) => {
+        ($method, $path, $label, concat!("serve.request.", $label))
+    };
+}
+
+/// The single route table — `(method, path, endpoint label, latency
+/// span)` — that dispatch, the `405` answers, and the per-endpoint
+/// latency histograms all derive from.
+pub(crate) const ROUTES: [(&str, PathMatch, &str, &str); 9] = [
+    route!("POST", PathMatch::Exact("/mine"), "mine"),
+    route!("POST", PathMatch::Exact("/mine-repo"), "mine_repo"),
+    route!("POST", PathMatch::Exact("/check"), "check"),
+    route!("GET", PathMatch::Exact("/metrics"), "metrics"),
+    route!("GET", PathMatch::Exact("/status"), "status"),
+    route!("GET", PathMatch::Exact("/healthz"), "healthz"),
+    route!("GET", PathMatch::Exact("/readyz"), "readyz"),
+    route!("GET", PathMatch::Prefix("/explain/"), "explain"),
+    route!("GET", PathMatch::Query("/trace/capture"), "trace_capture"),
 ];
 
-/// The `(method, label)` of the route serving `path`, whatever the
-/// request method.
-pub(crate) fn route(path: &str) -> Option<(&'static str, &'static str)> {
+/// The `(method, label, latency span)` of the route serving `path`,
+/// whatever the request method.
+pub(crate) fn route(path: &str) -> Option<(&'static str, &'static str, &'static str)> {
     ROUTES
         .iter()
-        .find(|(_, pattern, _)| match *pattern {
+        .find(|(_, pattern, _, _)| match *pattern {
             PathMatch::Exact(p) => path == p,
             PathMatch::Query(p) => path.split('?').next() == Some(p),
             PathMatch::Prefix(p) => path.starts_with(p),
         })
-        .map(|&(method, _, label)| (method, label))
+        .map(|&(method, _, label, span)| (method, label, span))
 }
 
 /// Routes one request. Always returns a response; panics escape to the
@@ -99,7 +107,7 @@ pub(crate) fn handle(
         }
     }
 
-    let Some((method, label)) = route(&req.path) else {
+    let Some((method, label, _)) = route(&req.path) else {
         return err_json(404, "unknown path");
     };
     if req.method != method {
@@ -158,7 +166,7 @@ fn mine(req: &Request, shared: &Shared, request_id: u64) -> Response {
     // Default limits and depth: the same configuration as a one-shot
     // mining run.
     let mut dc = DiffCode::new();
-    let (outcome, cache_status) = match shared.cache.as_ref() {
+    let (outcome, cache_status, fingerprint) = match shared.cache.as_ref() {
         Some(lock) => {
             // Mining holds only a read lock: concurrent /mine requests
             // look the cache up in parallel and batch their writes in
@@ -173,23 +181,22 @@ fn mine(req: &Request, shared: &Shared, request_id: u64) -> Response {
             let mut cache = lock.write().unwrap_or_else(PoisonError::into_inner);
             cache.absorb(log);
             match cache.flush() {
-                Ok(n) => shared.with_registry(|r| r.inc("cache.flushed_entries", n as u64)),
-                Err(_) => shared.with_registry(|r| r.inc("serve.cache_flush_errors", 1)),
+                Ok(n) => shared.with_recorder(|r| r.inc("cache.flushed_entries", n as u64)),
+                Err(_) => shared.with_recorder(|r| r.inc("serve.cache_flush_errors", 1)),
             }
             result
         }
         None => dc.process_pair_cached(old, new, &classes, None),
     };
 
-    // Fold the pipeline's own counters (cache.hit/miss, mine spans,
-    // quarantine breakdown) into the served registry.
-    let request_metrics = dc.take_metrics();
-    shared.with_registry(|r| {
-        r.merge(&request_metrics);
+    // Fold the pipeline's own counters and stage spans (cache.hit/miss,
+    // analysis spans, quarantine breakdown) into the served recorder.
+    let request_metrics = dc.take_recorder();
+    shared.with_recorder(|r| {
+        r.merge(request_metrics);
         r.inc("serve.mine_requests", 1);
     });
 
-    let fingerprint = change_fingerprint(old, new);
     let tuples = diffcode::cli::outcome_digest_parts(&outcome);
     let (verdict, skip) = match &outcome {
         ChangeOutcome::Mined(_) => ("mined", None),
@@ -319,7 +326,7 @@ fn mine_repo(req: &Request, shared: &Shared, request_id: u64) -> Response {
         max_commits,
         limits: gitsrc::IngestLimits::DEFAULT,
     };
-    let mut ingest_metrics = obs::MetricsRegistry::new();
+    let mut ingest_metrics = obs::Recorder::new();
     let report = match gitsrc::ingest_repo(&repo, &opts, &mut ingest_metrics) {
         Ok(report) => report,
         // The repo exists but git could not walk it: the request is
@@ -335,9 +342,8 @@ fn mine_repo(req: &Request, shared: &Shared, request_id: u64) -> Response {
     let mut process = |view: Option<&mut diffcode::mcache::MiningCacheView>| {
         let mut view = view;
         for change in report.corpus.code_changes() {
-            let (outcome, cache_status) =
+            let (outcome, cache_status, fingerprint) =
                 dc.process_pair_cached(change.old, change.new, &[], view.as_deref_mut());
-            let fingerprint = change_fingerprint(change.old, change.new);
             let verdict = match &outcome {
                 ChangeOutcome::Mined(_) => "mined",
                 ChangeOutcome::Skipped { .. } => "quarantined",
@@ -374,17 +380,17 @@ fn mine_repo(req: &Request, shared: &Shared, request_id: u64) -> Response {
             let mut cache = lock.write().unwrap_or_else(PoisonError::into_inner);
             cache.absorb(log);
             match cache.flush() {
-                Ok(n) => shared.with_registry(|r| r.inc("cache.flushed_entries", n as u64)),
-                Err(_) => shared.with_registry(|r| r.inc("serve.cache_flush_errors", 1)),
+                Ok(n) => shared.with_recorder(|r| r.inc("cache.flushed_entries", n as u64)),
+                Err(_) => shared.with_recorder(|r| r.inc("serve.cache_flush_errors", 1)),
             }
         }
         None => process(None),
     }
 
-    let request_metrics = dc.take_metrics();
-    shared.with_registry(|r| {
-        r.merge(&ingest_metrics);
-        r.merge(&request_metrics);
+    let request_metrics = dc.take_recorder();
+    shared.with_recorder(|r| {
+        r.merge(ingest_metrics);
+        r.merge(request_metrics);
         r.inc("serve.mine_repo_requests", 1);
     });
 
@@ -515,7 +521,7 @@ fn explain(path: &str, shared: &Shared) -> Response {
 fn metrics(shared: &Shared) -> Response {
     let emitted = shared.log.emitted();
     let dropped = shared.log.dropped();
-    let text = shared.with_registry(|r| {
+    let text = shared.with_recorder(|r| {
         r.set_gauge("serve.log_emitted", emitted as f64);
         r.set_gauge("serve.log_dropped", dropped as f64);
         obs::to_prometheus_text(r)
@@ -530,7 +536,7 @@ fn metrics(shared: &Shared) -> Response {
 
 /// Hit-rate summary for a cache's `<prefix>.hit` / `.miss` /
 /// `.stale_version` counters; `Null` before any lookup happened.
-fn cache_rate_json(r: &obs::MetricsRegistry, prefix: &str) -> Json {
+fn cache_rate_json(r: &obs::Recorder, prefix: &str) -> Json {
     let hits = r.counter(&format!("{prefix}.hit"));
     let misses = r.counter(&format!("{prefix}.miss"));
     let stale = r.counter(&format!("{prefix}.stale_version"));
@@ -551,19 +557,16 @@ fn cache_rate_json(r: &obs::MetricsRegistry, prefix: &str) -> Json {
 /// `GET /status`: one JSON page of live runtime introspection —
 /// uptime, the accounting partition, cache hit rates, logger
 /// throughput, and the per-endpoint latency percentile table computed
-/// from the registry's log-linear histograms.
+/// from the recorder's log-linear histograms.
 fn status(shared: &Shared) -> Response {
     let uptime_ms = shared.started.elapsed().as_millis().min(u64::MAX as u128) as u64;
-    let trace_events = {
-        let trace = shared.trace.lock().unwrap_or_else(PoisonError::into_inner);
-        trace.len()
-    };
-    // Read before the registry lock: `queue_len` takes the queue lock
+    // Read before the recorder lock: `queue_len` takes the queue lock
     // (lock order on `Shared`).
     let queue_depth = shared.queue_len();
-    let body = shared.with_registry(|r| {
+    let body = shared.with_recorder(|r| {
+        let trace_events = r.trace().map_or(0, obs::TraceSink::len);
         let mut endpoints: Vec<(String, Json)> = Vec::new();
-        for (name, span) in r.spans() {
+        for (name, hist) in r.spans() {
             let label = if name == "serve.request" {
                 "all"
             } else if let Some(rest) = name.strip_prefix("serve.request.") {
@@ -572,24 +575,22 @@ fn status(shared: &Shared) -> Response {
                 continue;
             };
             let mut fields = vec![
-                ("count".to_owned(), Json::Num(span.count as f64)),
+                ("count".to_owned(), Json::Num(hist.count() as f64)),
                 (
                     "mean_ns".to_owned(),
-                    Json::Num(span.sum_ns as f64 / span.count.max(1) as f64),
+                    Json::Num(hist.sum_ns() as f64 / hist.count().max(1) as f64),
                 ),
             ];
-            if let Some(hist) = r.hist(name) {
-                for (key, q) in [
-                    ("p50_ns", 0.50),
-                    ("p90_ns", 0.90),
-                    ("p95_ns", 0.95),
-                    ("p99_ns", 0.99),
-                    ("p999_ns", 0.999),
-                ] {
-                    fields.push((key.to_owned(), Json::Num(hist.quantile(q) as f64)));
-                }
+            for (key, q) in [
+                ("p50_ns", 0.50),
+                ("p90_ns", 0.90),
+                ("p95_ns", 0.95),
+                ("p99_ns", 0.99),
+                ("p999_ns", 0.999),
+            ] {
+                fields.push((key.to_owned(), Json::Num(hist.quantile(q) as f64)));
             }
-            fields.push(("max_ns".to_owned(), Json::Num(span.max_ns as f64)));
+            fields.push(("max_ns".to_owned(), Json::Num(hist.max_ns() as f64)));
             endpoints.push((label.to_owned(), Json::Obj(fields)));
         }
         Json::Obj(vec![
@@ -675,17 +676,21 @@ fn trace_capture(path: &str, shared: &Shared) -> Response {
             }
         }
     }
-    let json = {
-        let trace = shared.trace.lock().unwrap_or_else(PoisonError::into_inner);
-        obs::to_chrome_json_tail(&trace, events)
-    };
+    // The server's recorder always traces; an untraced one would hold
+    // no events, which exports as the empty array.
+    let json = shared.with_recorder(|r| {
+        r.trace().map_or_else(
+            || "[\n\n]\n".to_owned(),
+            |trace| obs::to_chrome_json_tail(trace, events),
+        )
+    });
     Response::json(200, json)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::{endpoint_label, ServeConfig};
+    use crate::server::{endpoint, ServeConfig};
 
     fn body(text: &str) -> Json {
         json::parse(text).unwrap()
@@ -746,7 +751,7 @@ mod tests {
         for _ in 0..2 {
             assert_eq!(handle(&req, &shared, 1, later()).status, 200);
         }
-        let (hits, misses) = shared.with_registry(|r| {
+        let (hits, misses) = shared.with_recorder(|r| {
             (
                 r.counter("analyze.cache_hit"),
                 r.counter("analyze.cache_miss"),
@@ -771,10 +776,10 @@ mod tests {
         // other POST routes answer 400 for the missing fields.
         let (old, new) = ("class A {}", "class A { int x; }");
         let mine_body = format!(r#"{{"old": "{old}", "new": "{new}"}}"#);
-        for (method, pattern, label) in ROUTES {
+        for (method, pattern, label, span) in ROUTES {
             let path = match pattern {
                 PathMatch::Exact(p) | PathMatch::Query(p) => p.to_owned(),
-                PathMatch::Prefix(p) => format!("{p}{}", change_fingerprint(old, new)),
+                PathMatch::Prefix(p) => format!("{p}{}", diffcode::change_fingerprint(old, new)),
             };
             assert_ne!(send(method, &path, &mine_body), 404, "{method} {path}");
             for other in ["GET", "POST", "PUT", "DELETE"] {
@@ -782,11 +787,12 @@ mod tests {
                     assert_eq!(send(other, &path, ""), 405, "{other} {path}");
                 }
             }
-            assert_eq!(endpoint_label(&path), label);
+            assert_eq!(endpoint(&path), (label, span));
+            assert_eq!(span, format!("serve.request.{label}"));
             assert_ne!(label, "other");
         }
         assert_eq!(send("GET", "/nowhere", ""), 404);
-        assert_eq!(endpoint_label("/nowhere"), "other");
+        assert_eq!(endpoint("/nowhere"), ("other", "serve.request.other"));
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! Inputs are already bounded by the HTTP body cap before they reach
 //! the parser, so the only in-parser budget needed is depth.
 
+use obs::json::write_str;
 use std::fmt;
 
 /// Maximum nesting depth the parser accepts.
@@ -76,7 +77,7 @@ impl Json {
             Json::Bool(true) => out.push_str("true"),
             Json::Bool(false) => out.push_str("false"),
             Json::Num(n) => write_num(*n, out),
-            Json::Str(s) => write_str(s, out),
+            Json::Str(s) => write_str(out, s),
             Json::Arr(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -93,7 +94,7 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    write_str(k, out);
+                    write_str(out, k);
                     out.push(':');
                     v.write(out);
                 }
@@ -112,12 +113,6 @@ fn write_num(n: f64, out: &mut String) {
     } else {
         out.push_str(&format!("{n}"));
     }
-}
-
-fn write_str(s: &str, out: &mut String) {
-    out.push('"');
-    out.push_str(&obs::json::escape(s));
-    out.push('"');
 }
 
 /// A parse failure: byte offset plus a static description.

@@ -34,7 +34,7 @@ use crate::http::{self, HttpCaps, Response};
 use crate::ring::ExplainRing;
 use diffcode::quarantine::PipelineLimits;
 use diffcode::MiningCache;
-use obs::{LogLevel, Logger, MetricsRegistry, TraceSink};
+use obs::{AttrSet, LogLevel, Logger, Recorder};
 use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{self, AssertUnwindSafe};
@@ -118,8 +118,9 @@ pub struct ServeSummary {
     /// Cache entries flushed over the server's lifetime (per-request
     /// flushes plus the final drain flush).
     pub flushed_entries: u64,
-    /// The full final metrics registry.
-    pub registry: MetricsRegistry,
+    /// The server's final recorder: every counter, gauge and latency
+    /// histogram, plus the `/trace/capture` events.
+    pub recorder: Recorder,
 }
 
 impl Default for ServeSummary {
@@ -130,38 +131,37 @@ impl Default for ServeSummary {
             shed: 0,
             failed: 0,
             flushed_entries: 0,
-            registry: MetricsRegistry::new(),
+            recorder: Recorder::new(),
         }
     }
 }
 
 /// State shared by the accept loop, the workers, and the handlers.
 ///
-/// **Lock order.** `queue`, `registry`, `ring`, `trace` and
-/// `drain_deadline` are leaf locks: no path takes any other lock while
-/// holding one of them. Read what you need under one lock, drop it,
-/// then take the next — e.g. `GET /status` reads [`Shared::queue_len`]
-/// *before* entering [`Shared::with_registry`], and admission sets the
+/// **Lock order.** `queue`, `recorder`, `ring` and `drain_deadline`
+/// are leaf locks: no path takes any other lock while holding one of
+/// them. Read what you need under one lock, drop it, then take the
+/// next — e.g. `GET /status` reads [`Shared::queue_len`] *before*
+/// entering [`Shared::with_recorder`], and admission sets the
 /// `serve.queue_depth` gauge only after the queue guard is dropped.
-/// Two paths that take `queue` and `registry` in opposite orders
-/// deadlock under load, and the wedged registry then stalls every
+/// Two paths that take `queue` and `recorder` in opposite orders
+/// deadlock under load, and the wedged recorder then stalls every
 /// worker and the drain. Only the `cache` lock is held across other
 /// locks, and it is always taken first.
 pub(crate) struct Shared {
     /// The server configuration.
     pub config: ServeConfig,
-    /// The single metrics registry behind `GET /metrics`.
-    pub registry: Mutex<MetricsRegistry>,
+    /// The single recorder: the metrics behind `GET /metrics` and
+    /// `GET /status`, and the bounded capture trace behind
+    /// `GET /trace/capture` (one instant per finished request,
+    /// truncated to `config.trace_capacity` after each push).
+    pub recorder: Mutex<Recorder>,
     /// The hot mining cache, when configured.
     pub cache: Option<RwLock<MiningCache>>,
     /// The `/explain` verdict journal.
     pub ring: Mutex<ExplainRing>,
     /// The structured logger (clone of `config.logger`).
     pub log: Logger,
-    /// The bounded capture sink behind `GET /trace/capture`: one
-    /// instant per finished request, truncated to
-    /// `config.trace_capacity` after each push.
-    pub trace: Mutex<TraceSink>,
     /// When the server started (uptime for `GET /status`).
     pub started: Instant,
     next_request_id: AtomicU64,
@@ -181,15 +181,14 @@ struct Conn {
 }
 
 impl Shared {
-    /// Fresh shared state: empty registry, ring, queue, and capture
-    /// sink, serving `cache`.
+    /// Fresh shared state: empty recorder (traced, for the capture),
+    /// ring and queue, serving `cache`.
     pub(crate) fn new(config: ServeConfig, cache: Option<RwLock<MiningCache>>) -> Shared {
         Shared {
             ring: Mutex::new(ExplainRing::new(config.ring_capacity)),
-            registry: Mutex::new(MetricsRegistry::new()),
+            recorder: Mutex::new(Recorder::traced(1)),
             cache,
             log: config.logger.clone(),
-            trace: Mutex::new(TraceSink::enabled(1)),
             started: Instant::now(),
             next_request_id: AtomicU64::new(0),
             queue: Mutex::new(VecDeque::new()),
@@ -206,7 +205,7 @@ impl Shared {
     }
 
     /// Current admission-queue depth (for `GET /status`). Takes the
-    /// queue lock, so never call it inside [`Shared::with_registry`].
+    /// queue lock, so never call it inside [`Shared::with_recorder`].
     pub(crate) fn queue_len(&self) -> usize {
         self.queue
             .lock()
@@ -214,12 +213,12 @@ impl Shared {
             .len()
     }
 
-    /// Runs `f` on the locked registry, recovering a poisoned lock
+    /// Runs `f` on the locked recorder, recovering a poisoned lock
     /// (metrics are monotone counters; a panicked writer cannot leave
     /// them torn in a way that matters more than losing them). `f`
     /// must not take another lock of `Shared` (see the lock order).
-    pub(crate) fn with_registry<T>(&self, f: impl FnOnce(&mut MetricsRegistry) -> T) -> T {
-        let mut guard = self.registry.lock().unwrap_or_else(PoisonError::into_inner);
+    pub(crate) fn with_recorder<T>(&self, f: impl FnOnce(&mut Recorder) -> T) -> T {
+        let mut guard = self.recorder.lock().unwrap_or_else(PoisonError::into_inner);
         f(&mut guard)
     }
 }
@@ -415,7 +414,7 @@ fn run(listener: TcpListener, shared: Arc<Shared>, stop: &AtomicBool) -> ServeSu
         .event(LogLevel::Info, "serve.drain")
         .u64(
             "accepted",
-            shared.with_registry(|r| r.counter("serve.accepted")),
+            shared.with_recorder(|r| r.counter("serve.accepted")),
         )
         .u64("queued", shared.queue_len() as u64)
         .u64("drain_ms", shared.config.drain_ms)
@@ -432,7 +431,7 @@ fn run(listener: TcpListener, shared: Arc<Shared>, stop: &AtomicBool) -> ServeSu
         let mut cache = lock.write().unwrap_or_else(PoisonError::into_inner);
         match cache.flush() {
             Ok(n) => flushed = n as u64,
-            Err(_) => shared.with_registry(|r| r.inc("serve.cache_flush_errors", 1)),
+            Err(_) => shared.with_recorder(|r| r.inc("serve.cache_flush_errors", 1)),
         }
         shared
             .log
@@ -442,7 +441,7 @@ fn run(listener: TcpListener, shared: Arc<Shared>, stop: &AtomicBool) -> ServeSu
             .emit();
     }
 
-    let summary = shared.with_registry(|r| {
+    let summary = shared.with_recorder(|r| {
         r.inc("cache.flushed_entries", flushed);
         r.set_gauge("serve.log_emitted", shared.log.emitted() as f64);
         r.set_gauge("serve.log_dropped", shared.log.dropped() as f64);
@@ -452,7 +451,7 @@ fn run(listener: TcpListener, shared: Arc<Shared>, stop: &AtomicBool) -> ServeSu
             shed: r.counter("serve.shed"),
             failed: r.counter("serve.failed"),
             flushed_entries: r.counter("cache.flushed_entries"),
-            registry: r.clone(),
+            recorder: r.clone(),
         }
     });
     shared
@@ -469,27 +468,35 @@ fn run(listener: TcpListener, shared: Arc<Shared>, stop: &AtomicBool) -> ServeSu
     summary
 }
 
-/// Appends one instant to the bounded capture sink.
-fn trace_instant(shared: &Shared, name: &str, fill: impl FnOnce(&mut obs::AttrSet)) {
-    let mut trace = shared.trace.lock().unwrap_or_else(PoisonError::into_inner);
-    trace.instant_with(name, fill);
-    let keep = shared.config.trace_capacity.max(1);
-    trace.truncate_oldest(keep);
+/// Appends one instant to the recorder's bounded capture trace.
+fn trace_instant(shared: &Shared, name: &str, fill: impl FnOnce(&mut AttrSet)) {
+    shared.with_recorder(|r| capture_instant(r, shared.config.trace_capacity, name, fill));
 }
 
-/// The per-endpoint span label for a request path: `serve.request.<label>`,
+/// Records one capture instant into `r`, keeping the newest `keep`.
+fn capture_instant(r: &mut Recorder, keep: usize, name: &str, fill: impl FnOnce(&mut AttrSet)) {
+    r.instant_with(name, fill);
+    if let Some(trace) = r.trace_mut() {
+        trace.truncate_oldest(keep.max(1));
+    }
+}
+
+/// The endpoint label and per-endpoint latency span of a request path,
 /// from the route table dispatch uses. Unknown paths collapse into
-/// `other` so a URL-guessing client cannot grow the registry without
+/// `other` so a URL-guessing client cannot grow the recorder without
 /// bound.
-pub(crate) fn endpoint_label(path: &str) -> &'static str {
-    handlers::route(path).map_or("other", |(_, label)| label)
+pub(crate) fn endpoint(path: &str) -> (&'static str, &'static str) {
+    handlers::route(path).map_or(("other", "serve.request.other"), |(_, label, span)| {
+        (label, span)
+    })
 }
 
 /// Emits the full per-request observability record: the latency into
-/// the `serve.request` histograms (overall and per endpoint), one
-/// access-log line, and one bounded trace instant. Every accepted
-/// connection — answered, shed, or panicked — lands here exactly once,
-/// so access-log records partition the same way the counters do.
+/// the `serve.request` histograms (overall and per endpoint) and one
+/// bounded capture instant, under one lock, plus one access-log line.
+/// Every accepted connection — answered, shed, or panicked — lands
+/// here exactly once, so access-log records partition the same way the
+/// counters do.
 #[allow(clippy::too_many_arguments)]
 fn finish_request(
     shared: &Shared,
@@ -501,17 +508,21 @@ fn finish_request(
     bytes: usize,
     outcome: &'static str,
 ) {
-    let endpoint = if path == "-" {
-        None
-    } else {
-        Some(endpoint_label(path))
-    };
+    let route = (path != "-").then(|| endpoint(path));
+    let label = route.map_or("-", |(label, _)| label);
     let latency_ns = latency.as_nanos().min(u64::MAX as u128) as u64;
-    shared.with_registry(|r| {
+    shared.with_recorder(|r| {
         r.record_span("serve.request", latency);
-        if let Some(endpoint) = endpoint {
-            r.record_span(&format!("serve.request.{endpoint}"), latency);
+        if let Some((_, span)) = route {
+            r.record_span(span, latency);
         }
+        capture_instant(r, shared.config.trace_capacity, "serve.request", |a| {
+            a.u64("request_id", id)
+                .str("endpoint", label)
+                .u64("status", u64::from(status))
+                .u64("latency_ns", latency_ns)
+                .str("outcome", outcome);
+        });
     });
     let level = match outcome {
         "ok" => LogLevel::Info,
@@ -524,19 +535,12 @@ fn finish_request(
         .u64("request_id", id)
         .str("method", method)
         .str("path", path)
-        .str("endpoint", endpoint.unwrap_or("-"))
+        .str("endpoint", label)
         .u64("status", u64::from(status))
         .u64("latency_ns", latency_ns)
         .u64("bytes", bytes as u64)
         .str("outcome", outcome)
         .emit();
-    trace_instant(shared, "serve.request", |a| {
-        a.u64("request_id", id)
-            .str("endpoint", endpoint.unwrap_or("-"))
-            .u64("status", u64::from(status))
-            .u64("latency_ns", latency_ns)
-            .str("outcome", outcome);
-    });
 }
 
 /// Counts and enqueues one accepted connection, or sheds it with 429
@@ -546,8 +550,8 @@ fn admit(shared: &Shared, stream: TcpStream) {
     let _ = stream.set_write_timeout(Some(Duration::from_secs(5)));
     let id = shared.next_request_id.fetch_add(1, Ordering::Relaxed) + 1;
     let accepted = Instant::now();
-    shared.with_registry(|r| r.inc("serve.accepted", 1));
-    // The queue guard drops before the registry is touched (lock order
+    shared.with_recorder(|r| r.inc("serve.accepted", 1));
+    // The queue guard drops before the recorder is touched (lock order
     // on `Shared`).
     let admitted = {
         let mut queue = shared.queue.lock().unwrap_or_else(PoisonError::into_inner);
@@ -565,7 +569,7 @@ fn admit(shared: &Shared, stream: TcpStream) {
     match admitted {
         Ok(len) => {
             shared.queue_cv.notify_one();
-            shared.with_registry(|r| r.set_gauge("serve.queue_depth", len as f64));
+            shared.with_recorder(|r| r.set_gauge("serve.queue_depth", len as f64));
         }
         Err(mut stream) => {
             // Past the watermark: shed on the accept thread. The write
@@ -578,7 +582,7 @@ fn admit(shared: &Shared, stream: TcpStream) {
             resp.retry_after = Some(1);
             let bytes = resp.body.len();
             let _ = http::write_response(&mut stream, &resp);
-            shared.with_registry(|r| {
+            shared.with_recorder(|r| {
                 r.inc("serve.shed", 1);
                 r.inc("serve.http_429", 1);
             });
@@ -638,7 +642,7 @@ fn handle_connection(shared: &Shared, conn: Conn) {
         resp.retry_after = Some(1);
         let bytes = resp.body.len();
         let _ = http::write_response(&mut stream, &resp);
-        shared.with_registry(|r| {
+        shared.with_recorder(|r| {
             r.inc("serve.shed", 1);
             r.inc("serve.http_503", 1);
         });
@@ -661,7 +665,7 @@ fn handle_connection(shared: &Shared, conn: Conn) {
             }
             Err(err) => {
                 deadline_hit = err == http::RecvError::Deadline;
-                shared.with_registry(|r| r.inc(&format!("serve.recv_{}", err.name()), 1));
+                shared.with_recorder(|r| r.inc(&format!("serve.recv_{}", err.name()), 1));
                 err.status()
                     .map(|(status, msg)| Response::text(status, msg))
             }
@@ -673,7 +677,7 @@ fn handle_connection(shared: &Shared, conn: Conn) {
             let status = resp.status;
             let bytes = resp.body.len();
             let delivered = http::write_response(&mut stream, &resp).is_ok();
-            shared.with_registry(|r| {
+            shared.with_recorder(|r| {
                 r.inc(&format!("serve.http_{status}"), 1);
                 if !delivered {
                     r.inc("serve.response_write_errors", 1);
@@ -712,12 +716,12 @@ fn handle_connection(shared: &Shared, conn: Conn) {
             let resp = Response::json(500, body.render());
             let bytes = resp.body.len();
             let _ = http::write_response(&mut stream, &resp);
-            shared.with_registry(|r| r.inc("serve.http_500", 1));
+            shared.with_recorder(|r| r.inc("serve.http_500", 1));
             (Disposition::Failed, 500, bytes)
         }
     };
 
-    shared.with_registry(|r| match disposition {
+    shared.with_recorder(|r| match disposition {
         Disposition::Completed => r.inc("serve.completed", 1),
         Disposition::Failed => r.inc("serve.failed", 1),
     });

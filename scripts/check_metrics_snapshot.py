@@ -22,7 +22,11 @@ Chrome trace-event export:
      pid/tid/ts fields and ph in {B, E, i};
   7. per (pid, tid) lane, timestamps never decrease in array order;
   8. per lane, B/E events nest: every B has a matching E (same name,
-     LIFO order) and no E arrives without an open B.
+     LIFO order) and no E arrives without an open B;
+  9. one plane: every span name that opens a B event is a snapshot
+     span whose count is at least its number of B events (closing a
+     span records its histogram sample whether or not sampling kept
+     its trace events).
 
 Exit code 0 on success, 1 with a message per violation otherwise.
 Usage: check_metrics_snapshot.py <snapshot.json> [trace.json]
@@ -160,6 +164,26 @@ def check_trace(events):
     return errors
 
 
+def check_trace_spans(snapshot, events):
+    """Every traced span must also be a snapshot histogram with at least
+    as many samples as the trace has begin events for it."""
+    begins = {}
+    for event in events:
+        if event.get("ph") == "B":
+            begins[event["name"]] = begins.get(event["name"], 0) + 1
+    spans = snapshot.get("spans", {})
+    errors = []
+    for name, n_begin in sorted(begins.items()):
+        if name not in spans:
+            errors.append(f"trace span {name!r} ({n_begin} B event(s)) has no snapshot span")
+        elif spans[name].get("count", 0) < n_begin:
+            errors.append(
+                f"trace span {name!r}: snapshot count {spans[name].get('count', 0)} "
+                f"< {n_begin} B event(s)"
+            )
+    return errors
+
+
 def main():
     if len(sys.argv) not in (2, 3):
         print(__doc__.strip(), file=sys.stderr)
@@ -173,6 +197,8 @@ def main():
             trace, trace_errors = None, [f"trace is not well-formed JSON: {e}"]
         else:
             trace_errors = check_trace(trace)
+            if not trace_errors:
+                trace_errors = check_trace_spans(snapshot, trace)
         errors.extend(trace_errors)
         if not trace_errors:
             lanes = len({(e["pid"], e["tid"]) for e in trace})

@@ -87,7 +87,7 @@ fn warm_mine_allocates_within_budget_per_usage_change() {
     let allocs = ALLOCS.load(Ordering::Relaxed) - before;
 
     assert_eq!(report, cold);
-    let registry = &funnel.registry;
+    let registry = &funnel.recorder;
     assert_eq!(registry.counter("cache.miss"), 0, "mining cache not warm");
     assert_eq!(
         registry.counter("cluster.cache.miss"),

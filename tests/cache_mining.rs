@@ -6,7 +6,7 @@
 use diffcode::{
     mine_parallel, CachedLookup, MineOptions, MiningCache, MiningResult, ANALYSIS_VERSION,
 };
-use obs::{MetricsRegistry, TraceSink};
+use obs::Recorder;
 use std::path::PathBuf;
 
 /// A unique, cleaned-up-on-drop temp dir per test.
@@ -70,14 +70,14 @@ fn mine_with(
     corpus: &corpus::Corpus,
     n_threads: usize,
     cache: Option<&mut MiningCache>,
-) -> (MiningResult, MetricsRegistry) {
-    let mut registry = MetricsRegistry::new();
+) -> (MiningResult, Recorder) {
+    let mut registry = Recorder::new();
     let opts = MineOptions {
         threads: n_threads,
         cache,
         cancel: None,
     };
-    let result = mine_parallel(corpus, &[], opts, &mut registry, &mut TraceSink::disabled());
+    let result = mine_parallel(corpus, &[], opts, &mut registry);
     (result, registry)
 }
 

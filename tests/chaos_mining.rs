@@ -14,7 +14,7 @@
 
 use corpus::{generate, FaultKind, GeneratorConfig, Mutator};
 use diffcode::{mine_parallel, DiffCode, ErrorKind, MineOptions, MinedUsageChange, MiningResult};
-use obs::{MetricsRegistry, TraceSink};
+use obs::Recorder;
 
 const SEED: u64 = 2024;
 const FAULT_RATE: f64 = 0.4;
@@ -25,13 +25,7 @@ fn mine_threads(corpus: &corpus::Corpus, threads: usize) -> MiningResult {
         threads,
         ..MineOptions::default()
     };
-    mine_parallel(
-        corpus,
-        &[],
-        opts,
-        &mut MetricsRegistry::new(),
-        &mut TraceSink::disabled(),
-    )
+    mine_parallel(corpus, &[], opts, &mut Recorder::new())
 }
 
 #[test]

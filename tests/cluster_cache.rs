@@ -9,7 +9,7 @@ use diffcode::{
     apply_filters, elicit_auto, mine_parallel, CellLookup, ClusterCache, Elicitation, MineOptions,
     MinedUsageChange, SeenDups, CLUSTERING_VERSION,
 };
-use obs::{MetricsRegistry, TraceSink};
+use obs::Recorder;
 use proptest::prelude::*;
 use std::path::PathBuf;
 use usagegraph::{FeaturePath, Label, UsageChange};
@@ -40,20 +40,13 @@ fn generated(n_projects: usize, seed: u64) -> corpus::Corpus {
 
 /// Mines and filters a corpus — the changes the clustering stage sees.
 fn kept(corpus: &corpus::Corpus) -> Vec<MinedUsageChange> {
-    let mut registry = MetricsRegistry::new();
-    let mut trace = TraceSink::disabled();
+    let mut registry = Recorder::new();
     let opts = MineOptions {
         threads: 2,
         ..MineOptions::default()
     };
-    let result = mine_parallel(corpus, &[], opts, &mut registry, &mut trace);
-    apply_filters(
-        &result.changes,
-        &mut SeenDups::new(),
-        &mut registry,
-        &mut trace,
-    )
-    .0
+    let result = mine_parallel(corpus, &[], opts, &mut registry);
+    apply_filters(&result.changes, &mut SeenDups::new(), &mut registry).0
 }
 
 /// Runs the clustering stage and returns the elicitation plus the
@@ -61,10 +54,9 @@ fn kept(corpus: &corpus::Corpus) -> Vec<MinedUsageChange> {
 fn cluster_with(
     changes: &[MinedUsageChange],
     cache: Option<&mut ClusterCache>,
-) -> (Elicitation, MetricsRegistry) {
-    let mut registry = MetricsRegistry::new();
-    let mut trace = TraceSink::disabled();
-    let elicitation = elicit_auto(changes, cache, &mut registry, &mut trace);
+) -> (Elicitation, Recorder) {
+    let mut registry = Recorder::new();
+    let elicitation = elicit_auto(changes, cache, &mut registry);
     (elicitation, registry)
 }
 

@@ -73,7 +73,7 @@ fn decision_trace_matches_prerefactor_golden() {
         ..FunnelOptions::default()
     };
     let (_, funnel) = run_mine(&SOURCE, &opts).expect("traced mine runs");
-    let trace = funnel.trace;
+    let trace = funnel.recorder.trace().expect("traced run");
     let mut lines = String::new();
     for event in trace.events() {
         if trace.name(event.name) != DECISION_EVENT {

@@ -1,4 +1,4 @@
-//! Observability integration tests: the metrics registry must exactly
+//! Observability integration tests: the recorder's metrics must exactly
 //! reconcile with the pipeline's own statistics, sharded mining plus
 //! filtering must dedup identically to a sequential run, and the JSON
 //! snapshot must carry the full funnel.
@@ -8,34 +8,25 @@ use diffcode::{
     apply_filters, mine_parallel, DiffCode, ErrorKind, FilterStats, MineOptions, MinedUsageChange,
     MiningResult, SeenDups, FILTER_FUNNEL,
 };
-use obs::{MetricsRegistry, TraceSink};
+use obs::Recorder;
 
 const SEED: u64 = 7;
 
 /// Parallel mining, recording into `registry`.
-fn mine_metered(
-    corpus: &corpus::Corpus,
-    threads: usize,
-    registry: &mut MetricsRegistry,
-) -> MiningResult {
+fn mine_metered(corpus: &corpus::Corpus, threads: usize, registry: &mut Recorder) -> MiningResult {
     let opts = MineOptions {
         threads,
         ..MineOptions::default()
     };
-    mine_parallel(corpus, &[], opts, registry, &mut TraceSink::disabled())
+    mine_parallel(corpus, &[], opts, registry)
 }
 
 /// Filtering with fresh `fdup` state, recording into `registry`.
 fn filter_metered(
     changes: &[MinedUsageChange],
-    registry: &mut MetricsRegistry,
+    registry: &mut Recorder,
 ) -> (Vec<MinedUsageChange>, FilterStats) {
-    apply_filters(
-        changes,
-        &mut SeenDups::new(),
-        registry,
-        &mut TraceSink::disabled(),
-    )
+    apply_filters(changes, &mut SeenDups::new(), registry)
 }
 
 fn corpus_under_test() -> corpus::Corpus {
@@ -56,11 +47,11 @@ fn sharded_filtering_with_shared_seen_matches_sequential() {
 
     // Ground truth: one sequential mine + one-shot filtering.
     let sequential = DiffCode::new().mine(&corpus, &[], None);
-    let (kept_seq, stats_seq) = filter_metered(&sequential.changes, &mut MetricsRegistry::new());
+    let (kept_seq, stats_seq) = filter_metered(&sequential.changes, &mut Recorder::new());
 
     // Sharded: parallel mine, then filter the merged stream in batches
     // (as a shard-streaming consumer would) with one shared seen-set.
-    let mut registry = MetricsRegistry::new();
+    let mut registry = Recorder::new();
     let parallel = mine_metered(&corpus, 4, &mut registry);
     assert_eq!(
         parallel.changes, sequential.changes,
@@ -71,12 +62,7 @@ fn sharded_filtering_with_shared_seen_matches_sequential() {
     let mut kept_batched = Vec::new();
     let mut total_after_fdup = 0;
     for batch in parallel.changes.chunks(3) {
-        let (kept, stats) = apply_filters(
-            batch,
-            &mut seen,
-            &mut MetricsRegistry::new(),
-            &mut TraceSink::disabled(),
-        );
+        let (kept, stats) = apply_filters(batch, &mut seen, &mut Recorder::new());
         total_after_fdup += stats.after_fdup;
         kept_batched.extend(kept);
     }
@@ -93,7 +79,7 @@ fn sharded_filtering_with_shared_seen_matches_sequential() {
 #[test]
 fn metrics_counters_reconcile_with_pipeline_stats() {
     let corpus = corpus_under_test();
-    let mut registry = MetricsRegistry::new();
+    let mut registry = Recorder::new();
     let result = mine_metered(&corpus, 4, &mut registry);
 
     assert_eq!(
@@ -151,9 +137,9 @@ fn parallel_and_sequential_registries_agree_on_counts() {
 
     let mut dc = DiffCode::new();
     let _ = dc.mine(&corpus, &[], None);
-    let sequential = dc.take_metrics();
+    let sequential = dc.take_recorder();
 
-    let mut parallel = MetricsRegistry::new();
+    let mut parallel = Recorder::new();
     let _ = mine_metered(&corpus, 4, &mut parallel);
 
     let seq_counters: Vec<_> = sequential.counters().collect();
@@ -163,7 +149,7 @@ fn parallel_and_sequential_registries_agree_on_counts() {
     // Same number of per-change timing events, however they were sharded.
     let seq_span = sequential.span("mine.change").expect("sequential span");
     let par_span = parallel.span("mine.change").expect("parallel span");
-    assert_eq!(seq_span.count, par_span.count);
+    assert_eq!(seq_span.count(), par_span.count());
 }
 
 /// The snapshot is versioned and carries every funnel stage, including
@@ -171,7 +157,7 @@ fn parallel_and_sequential_registries_agree_on_counts() {
 #[test]
 fn json_snapshot_carries_the_funnel() {
     let corpus = corpus_under_test();
-    let mut registry = MetricsRegistry::new();
+    let mut registry = Recorder::new();
     let result = mine_metered(&corpus, 2, &mut registry);
     let (_, _) = filter_metered(&result.changes, &mut registry);
 
@@ -213,29 +199,29 @@ fn sharded_histogram_merge_matches_sequential_recording() {
         .map(|i| Duration::from_nanos((i * i * 997 + i * 31 + 1) % 10_000_000))
         .collect();
 
-    let mut sequential = MetricsRegistry::new();
+    let mut sequential = Recorder::new();
     for d in &durations {
         sequential.record_span("mine.change", *d);
     }
 
-    let mut merged = MetricsRegistry::new();
+    let mut merged = Recorder::new();
     for shard in durations.chunks(137) {
-        let mut worker = MetricsRegistry::new();
+        let mut worker = Recorder::new();
         for d in shard {
             worker.record_span("mine.change", *d);
         }
-        merged.merge(&worker);
+        merged.merge(worker);
     }
 
     assert_eq!(
-        merged.hist("mine.change"),
-        sequential.hist("mine.change"),
+        merged.span("mine.change"),
+        sequential.span("mine.change"),
         "merged shard histograms must equal a single-registry recording"
     );
     // And the quantiles the snapshot/status surfaces agree too.
     let (m, s) = (
-        merged.hist("mine.change").unwrap(),
-        sequential.hist("mine.change").unwrap(),
+        merged.span("mine.change").unwrap(),
+        sequential.span("mine.change").unwrap(),
     );
     for q in [0.5, 0.9, 0.99, 0.999] {
         assert_eq!(m.quantile(q), s.quantile(q));
@@ -251,17 +237,17 @@ fn parallel_histogram_count_matches_sequential() {
 
     let mut dc = DiffCode::new();
     let _ = dc.mine(&corpus, &[], None);
-    let sequential = dc.take_metrics();
+    let sequential = dc.take_recorder();
 
-    let mut parallel = MetricsRegistry::new();
+    let mut parallel = Recorder::new();
     let _ = mine_metered(&corpus, 4, &mut parallel);
 
-    let seq = sequential.hist("mine.change").expect("sequential hist");
-    let par = parallel.hist("mine.change").expect("parallel hist");
+    let seq = sequential.span("mine.change").expect("sequential hist");
+    let par = parallel.span("mine.change").expect("parallel hist");
     assert_eq!(seq.count(), par.count(), "one histogram sample per change");
     assert_eq!(
         seq.count(),
-        sequential.span("mine.change").unwrap().count,
-        "histogram and span stats count the same events"
+        sequential.counter("mine.code_changes"),
+        "the histogram counts every processed change"
     );
 }

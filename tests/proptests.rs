@@ -276,12 +276,11 @@ proptest! {
         let corpus = corpus::generate(&corpus::GeneratorConfig::small(n_projects, seed));
         let mut dc = diffcode::DiffCode::new();
         let mined = dc.mine(&corpus, &["Cipher", "SecureRandom", "MessageDigest"], None);
-        let mut registry = obs::MetricsRegistry::new();
+        let mut registry = obs::Recorder::new();
         let (kept, stats) = diffcode::apply_filters(
             &mined.changes,
             &mut diffcode::SeenDups::new(),
             &mut registry,
-            &mut obs::TraceSink::disabled(),
         );
         prop_assert!(stats.total >= stats.after_fsame);
         prop_assert!(stats.after_fsame >= stats.after_fadd);
@@ -305,8 +304,7 @@ proptest! {
             diffcode::apply_filters(
                 changes,
                 &mut diffcode::SeenDups::new(),
-                &mut obs::MetricsRegistry::new(),
-                &mut obs::TraceSink::disabled(),
+                &mut obs::Recorder::new(),
             )
         };
         let (once, stats1) = filter(&mined.changes);

@@ -231,7 +231,7 @@ fn soak_chaos_payloads_never_kill_workers_and_accounting_balances() {
         "serve.recv_io",
     ]
     .iter()
-    .map(|name| summary.registry.counter(name))
+    .map(|name| summary.recorder.counter(name))
     .sum();
     assert!(
         recv_total > 0,
@@ -265,7 +265,7 @@ fn mine_verdicts_match_one_shot_pipeline_and_warm_cache_hits() {
     for (old, new) in &pairs {
         // One-shot reference verdict: the same entry point the mining
         // loop uses (their equivalence is pinned in the core tests).
-        let (expected, _) = diffcode::DiffCode::new().process_pair_cached(old, new, &[], None);
+        let (expected, _, _) = diffcode::DiffCode::new().process_pair_cached(old, new, &[], None);
         let expected_tuples = diffcode::cli::outcome_digest_parts(&expected);
 
         let (status, _, body) = request(addr, "POST", "/mine", &[], &mine_body(old, new));
@@ -323,7 +323,7 @@ fn mine_verdicts_match_one_shot_pipeline_and_warm_cache_hits() {
 
     let summary = settle_and_shutdown(handle);
     assert!(
-        summary.registry.counter("cache.hit") >= 1,
+        summary.recorder.counter("cache.hit") >= 1,
         "the warm request hit the resident cache"
     );
     let _ = std::fs::remove_dir_all(&dir);
@@ -376,7 +376,7 @@ fn overload_sheds_with_429_and_retry_after() {
 
     let summary = settle_and_shutdown(handle);
     assert!(summary.shed >= shed_seen);
-    assert!(summary.registry.counter("serve.http_429") >= shed_seen);
+    assert!(summary.recorder.counter("serve.http_429") >= shed_seen);
 }
 
 // ---------------------------------------------------------------------
@@ -442,7 +442,7 @@ fn shutdown_drains_and_flushes_the_cache_log() {
         "the /mine verdict was flushed to the append log"
     );
     assert!(
-        summary.registry.counter("cache.flushed_entries") >= 1,
+        summary.recorder.counter("cache.flushed_entries") >= 1,
         "flush accounting: {summary:?}"
     );
     let _ = std::fs::remove_dir_all(&dir);
@@ -576,7 +576,7 @@ fn access_log_partitions_and_introspection_endpoints_work() {
     assert_eq!(boots, 1, "exactly one boot event");
     assert!(lifecycle >= 2, "drain + drained events logged");
     assert_eq!(
-        summary.registry.gauge("serve.log_dropped"),
+        summary.recorder.gauge("serve.log_dropped"),
         Some(0.0),
         "nothing overflowed the log queue"
     );
@@ -661,8 +661,8 @@ proptest! {
         prop_assert_eq!(summary.failed, expected_failed);
         prop_assert_eq!(summary.shed, 0, "queue depth 64 never sheds here");
         // /metrics is deterministic: same registry state, same bytes.
-        let once = obs::to_prometheus_text(&summary.registry);
-        let again = obs::to_prometheus_text(&summary.registry);
+        let once = obs::to_prometheus_text(&summary.recorder);
+        let again = obs::to_prometheus_text(&summary.recorder);
         prop_assert_eq!(once, again);
     }
 }
@@ -785,7 +785,7 @@ fn one_file_time() -> Duration {
         }
     };
     let events = || {
-        let (outcome, _) = diffcode::DiffCode::new().process_pair_cached(
+        let (outcome, _, _) = diffcode::DiffCode::new().process_pair_cached(
             "class Events {}",
             &distinct_events(20_000),
             &[],
@@ -897,7 +897,7 @@ fn compute_bombs_end_within_deadline_plus_one_file_budget() {
     assert_eq!(summary.accepted, 3 + honest);
     assert_eq!(summary.failed, 0);
     assert_eq!(
-        summary.registry.counter("analyze.cache_hit"),
+        summary.recorder.counter("analyze.cache_hit"),
         0,
         "distinct honest sources never hit the analysis memo"
     );

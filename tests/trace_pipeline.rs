@@ -5,10 +5,12 @@
 //! sampling never drops a decision, and sequential and parallel runs
 //! produce identical decision sets.
 
+use diffcode::cli::{run_mine, FunnelOptions, MineSource};
 use diffcode::{
     apply_filters, elicit_auto, mine_parallel, ErrorKind, MineOptions, MiningCache, SeenDups,
 };
-use obs::{MetricsRegistry, TraceKind, TraceSink};
+use obs::{Recorder, TraceKind, TraceSink};
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 /// A unique, cleaned-up-on-drop temp dir per test.
@@ -35,23 +37,23 @@ fn generated(n_projects: usize, seed: u64) -> corpus::Corpus {
     corpus::generate(&corpus::GeneratorConfig::small(n_projects, seed))
 }
 
-/// Parallel mining without a cache, recording into `registry` and `trace`.
+/// Parallel mining without a cache, recording into `rec`.
 fn mine_traced(
     corpus: &corpus::Corpus,
     threads: usize,
-    registry: &mut MetricsRegistry,
-    trace: &mut TraceSink,
+    rec: &mut Recorder,
 ) -> diffcode::MiningResult {
     let opts = MineOptions {
         threads,
         ..MineOptions::default()
     };
-    mine_parallel(corpus, &[], opts, registry, trace)
+    mine_parallel(corpus, &[], opts, rec)
 }
 
 /// All decision events as `(fingerprint, stage, reason)` triples, in
 /// trace order.
-fn decisions(trace: &TraceSink) -> Vec<(String, String, String)> {
+fn decisions(rec: &Recorder) -> Vec<(String, String, String)> {
+    let trace = rec.trace().expect("traced");
     trace
         .events()
         .iter()
@@ -68,25 +70,19 @@ fn decisions(trace: &TraceSink) -> Vec<(String, String, String)> {
 }
 
 /// Runs the full traced funnel (mine → filter → elicit) and returns
-/// the trace together with the mining result and registry.
+/// its recorder (metrics and trace) together with the mining result.
 fn run_traced(
     corpus: &corpus::Corpus,
     n_threads: usize,
     sample: u64,
-) -> (TraceSink, diffcode::MiningResult, MetricsRegistry) {
-    let mut registry = MetricsRegistry::new();
-    let mut trace = TraceSink::enabled(sample);
-    let result = mine_traced(corpus, n_threads, &mut registry, &mut trace);
-    let (kept, _) = apply_filters(
-        &result.changes,
-        &mut SeenDups::new(),
-        &mut registry,
-        &mut trace,
-    );
+) -> (Recorder, diffcode::MiningResult) {
+    let mut rec = Recorder::traced(sample);
+    let result = mine_traced(corpus, n_threads, &mut rec);
+    let (kept, _) = apply_filters(&result.changes, &mut SeenDups::new(), &mut rec);
     if kept.len() >= 2 {
-        let _ = elicit_auto(&kept, None, &mut registry, &mut trace);
+        let _ = elicit_auto(&kept, None, &mut rec);
     }
-    (trace, result, registry)
+    (rec, result)
 }
 
 #[test]
@@ -96,10 +92,9 @@ fn one_mine_decision_per_code_change_reasons_match_stats() {
     let mut corpus = generated(8, 7);
     let _ = corpus::Mutator::new(7, 0.3).inject(&mut corpus);
     for threads in [1, 4] {
-        let mut registry = MetricsRegistry::new();
-        let mut trace = TraceSink::enabled(1);
-        let result = mine_traced(&corpus, threads, &mut registry, &mut trace);
-        let mine: Vec<_> = decisions(&trace)
+        let mut registry = Recorder::traced(1);
+        let result = mine_traced(&corpus, threads, &mut registry);
+        let mine: Vec<_> = decisions(&registry)
             .into_iter()
             .filter(|(_, stage, _)| stage == "mine")
             .collect();
@@ -125,16 +120,10 @@ fn one_mine_decision_per_code_change_reasons_match_stats() {
 #[test]
 fn filter_decisions_reconcile_with_filter_stats() {
     let corpus = generated(10, 42);
-    let mut registry = MetricsRegistry::new();
-    let mut trace = TraceSink::enabled(1);
-    let result = mine_traced(&corpus, 1, &mut registry, &mut trace);
-    let (kept, stats) = apply_filters(
-        &result.changes,
-        &mut SeenDups::new(),
-        &mut registry,
-        &mut trace,
-    );
-    let filter: Vec<_> = decisions(&trace)
+    let mut registry = Recorder::traced(1);
+    let result = mine_traced(&corpus, 1, &mut registry);
+    let (kept, stats) = apply_filters(&result.changes, &mut SeenDups::new(), &mut registry);
+    let filter: Vec<_> = decisions(&registry)
         .into_iter()
         .filter(|(_, stage, _)| stage == "filter")
         .collect();
@@ -170,7 +159,7 @@ fn filter_decisions_reconcile_with_filter_stats() {
             );
         }
     }
-    // The trace agrees with the metrics registry's own funnel.
+    // The trace agrees with the recorder's own funnel counters.
     assert_eq!(registry.counter("filter.total"), stats.total as u64);
     assert_eq!(
         registry.counter("filter.after_fdup"),
@@ -181,8 +170,8 @@ fn filter_decisions_reconcile_with_filter_stats() {
 #[test]
 fn sequential_and_parallel_runs_produce_identical_decisions() {
     let corpus = generated(12, 42);
-    let (seq_trace, _, _) = run_traced(&corpus, 1, 1);
-    let (par_trace, _, _) = run_traced(&corpus, 4, 1);
+    let (seq_trace, _) = run_traced(&corpus, 1, 1);
+    let (par_trace, _) = run_traced(&corpus, 4, 1);
     // Shard sinks are absorbed in shard order, so even the unsorted
     // decision lists line up; sort anyway to pin only the multiset.
     let mut seq = decisions(&seq_trace);
@@ -195,8 +184,8 @@ fn sequential_and_parallel_runs_produce_identical_decisions() {
 #[test]
 fn cluster_decisions_cover_exactly_the_kept_changes() {
     let corpus = generated(12, 42);
-    let (trace, _, registry) = run_traced(&corpus, 2, 1);
-    let all = decisions(&trace);
+    let (registry, _) = run_traced(&corpus, 2, 1);
+    let all = decisions(&registry);
     let kept: Vec<&String> = all
         .iter()
         .filter(|(_, stage, r)| stage == "filter" && r == "kept")
@@ -222,13 +211,14 @@ fn cluster_decisions_cover_exactly_the_kept_changes() {
 #[test]
 fn sampling_thins_spans_but_never_decisions() {
     let corpus = generated(8, 42);
-    let (full, _, _) = run_traced(&corpus, 2, 1);
-    let (sampled, _, _) = run_traced(&corpus, 2, 1000);
+    let (full, _) = run_traced(&corpus, 2, 1);
+    let (sampled, _) = run_traced(&corpus, 2, 1000);
+    let events = |rec: &Recorder| rec.trace().map_or(0, TraceSink::len);
     assert!(
-        sampled.len() < full.len(),
+        events(&sampled) < events(&full),
         "sampling 1/1000 must drop spans ({} vs {})",
-        sampled.len(),
-        full.len()
+        events(&sampled),
+        events(&full)
     );
     let mut a = decisions(&full);
     let mut b = decisions(&sampled);
@@ -241,7 +231,8 @@ fn sampling_thins_spans_but_never_decisions() {
 fn warm_run_decisions_carry_cache_hit_status() {
     let tmp = TempDir::new("warm");
     let corpus = generated(6, 42);
-    let registry_hits = |trace: &TraceSink| {
+    let registry_hits = |rec: &Recorder| {
+        let trace = rec.trace().expect("traced");
         trace
             .events()
             .iter()
@@ -250,38 +241,87 @@ fn warm_run_decisions_carry_cache_hit_status() {
     };
     let mut cache =
         MiningCache::open(&tmp.0, &[], &diffcode::PipelineLimits::DEFAULT).expect("open cache");
-    let mut registry = MetricsRegistry::new();
-    let mut cold_trace = TraceSink::enabled(1);
+    let mut cold_trace = Recorder::traced(1);
     let opts = MineOptions {
         threads: 2,
         cache: Some(&mut cache),
         cancel: None,
     };
-    let cold = mine_parallel(&corpus, &[], opts, &mut registry, &mut cold_trace);
+    let cold = mine_parallel(&corpus, &[], opts, &mut cold_trace);
     cache.flush().expect("flush");
     assert_eq!(registry_hits(&cold_trace), 0, "cold run cannot hit");
 
-    let mut registry = MetricsRegistry::new();
-    let mut warm_trace = TraceSink::enabled(1);
+    let mut warm_trace = Recorder::traced(1);
     let opts = MineOptions {
         threads: 2,
         cache: Some(&mut cache),
         cancel: None,
     };
-    let warm = mine_parallel(&corpus, &[], opts, &mut registry, &mut warm_trace);
+    let warm = mine_parallel(&corpus, &[], opts, &mut warm_trace);
     assert_eq!(warm.stats.code_changes, cold.stats.code_changes);
     assert_eq!(
         registry_hits(&warm_trace) as u64,
-        registry.counter("cache.hit"),
+        warm_trace.counter("cache.hit"),
         "decision cache attrs must agree with the cache.hit counter"
     );
     assert_eq!(registry_hits(&warm_trace), warm.stats.code_changes);
     // Same decisions either way — the cache changes how a result is
     // obtained, never what was decided.
-    let strip = |t: &TraceSink| {
+    let strip = |t: &Recorder| {
         let mut d = decisions(t);
         d.sort();
         d
     };
     assert_eq!(strip(&cold_trace), strip(&warm_trace));
+}
+
+/// Each stage opens one span, and closing it feeds both the span's
+/// histogram and the trace: on an unsampled traced funnel that reaches
+/// clustering, every span name's histogram count equals its number of
+/// trace begin events, and the snapshot and the trace name the same
+/// spans. An untraced run of the same funnel records the same spans
+/// the same number of times.
+#[test]
+fn every_span_feeds_its_histogram_and_the_trace_once() {
+    let funnel = |trace_sample: Option<u64>, tag: &str| {
+        let dir = TempDir::new(tag);
+        let opts = FunnelOptions {
+            threads: 2,
+            cluster_cache_dir: Some(dir.0.clone()),
+            trace_sample,
+            ..FunnelOptions::default()
+        };
+        let source = MineSource::Seeded {
+            seed: 42,
+            n_projects: 6,
+        };
+        run_mine(&source, &opts).expect("mine").1.recorder
+    };
+    let span_counts = |rec: &Recorder| -> BTreeMap<String, u64> {
+        rec.spans()
+            .map(|(name, hist)| (name.to_owned(), hist.count()))
+            .collect()
+    };
+
+    let traced = funnel(Some(1), "plane-traced");
+    let trace = traced.trace().expect("traced");
+    let mut begins: BTreeMap<String, u64> = BTreeMap::new();
+    for event in trace.events().iter().filter(|e| e.kind == TraceKind::Begin) {
+        *begins.entry(trace.name(event.name).to_owned()).or_default() += 1;
+    }
+    let spans = span_counts(&traced);
+    assert_eq!(begins, spans, "one histogram sample per trace span");
+    for stage in [
+        "corpus.generate",
+        "parse",
+        "mine.change",
+        "cluster.matrix",
+        "elicit.total",
+    ] {
+        assert!(spans.contains_key(stage), "no {stage} span: {spans:?}");
+    }
+
+    let untraced = funnel(None, "plane-untraced");
+    assert!(untraced.trace().is_none());
+    assert_eq!(span_counts(&untraced), spans, "tracing adds no span");
 }
