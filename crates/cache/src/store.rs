@@ -29,7 +29,7 @@
 //! at open or on a hit.
 
 use crate::fingerprint::Fingerprint;
-use crate::wire::{Reader, WireError, Writer};
+use crate::wire::{Reader, WireError};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::io::{self, Write as _};
@@ -64,14 +64,57 @@ pub fn log_name(namespace: &str) -> String {
     format!("{namespace}.log")
 }
 
+/// FNV-1a 64 offset basis.
+const FNV64_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// FNV-1a 64 prime.
+const FNV64_PRIME: u64 = 0x100_0000_01b3;
+
 /// FNV-1a 64 of `bytes` — the per-record payload checksum.
 fn checksum(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut hash = FNV64_OFFSET;
     for &b in bytes {
         hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x100_0000_01b3);
+        hash = hash.wrapping_mul(FNV64_PRIME);
     }
     hash
+}
+
+/// [`checksum`] of every payload, in order.
+///
+/// One FNV chain waits on its previous multiply for every byte, so it
+/// runs at the multiplier's latency. Four independent chains, stepped
+/// together, keep the multiplier busy every cycle. Each group of four
+/// takes payloads that are neighbours in length order, so the chains
+/// stay in step to the end of the shortest, and the longer three finish
+/// alone only over the few bytes they are longer by; in log order a
+/// short payload beside a long one would leave most of the long one to
+/// a single chain. The last `len % 4` payloads run one chain each.
+fn checksums(payloads: &[&[u8]]) -> Vec<u64> {
+    let mut by_len: Vec<usize> = (0..payloads.len()).collect();
+    by_len.sort_unstable_by_key(|&i| payloads[i].len());
+    let mut sums = vec![0; payloads.len()];
+    let mut groups = by_len.chunks_exact(4);
+    for group in &mut groups {
+        let lanes = [group[0], group[1], group[2], group[3]].map(|i| payloads[i]);
+        let common = lanes[0].len();
+        let [a, b, c, d] = lanes.map(|lane| &lane[..common]);
+        let mut hash = [FNV64_OFFSET; 4];
+        for (((&a, &b), &c), &d) in a.iter().zip(b).zip(c).zip(d) {
+            for (h, byte) in hash.iter_mut().zip([a, b, c, d]) {
+                *h = (*h ^ u64::from(byte)).wrapping_mul(FNV64_PRIME);
+            }
+        }
+        for ((&i, lane), mut h) in group.iter().zip(lanes).zip(hash) {
+            for &byte in &lane[common..] {
+                h = (h ^ u64::from(byte)).wrapping_mul(FNV64_PRIME);
+            }
+            sums[i] = h;
+        }
+    }
+    for &i in groups.remainder() {
+        sums[i] = checksum(payloads[i]);
+    }
+    sums
 }
 
 /// Why a cache store could not be opened.
@@ -436,7 +479,9 @@ impl CacheStore {
             self.valid_len = 0;
             return Ok(());
         }
-        let mut reader = Reader::new(&bytes[MAGIC.len()..]);
+        let body = &bytes[MAGIC.len()..];
+        let (records, _) = frame_records(body);
+        let sums = record_checksums(body, &records);
         let mut consumed = MAGIC.len() as u64;
         // A checksum-failed record whose *framing* parsed is only a
         // benign "corrupt tail" if nothing valid follows it. Track how
@@ -447,38 +492,32 @@ impl CacheStore {
         let mut valid_seen = 0usize;
         let mut pending_corrupt = 0usize;
         let mut skipped_corrupt = 0usize;
-        while !reader.is_exhausted() {
-            let record_start = (MAGIC.len() + reader.position()) as u64;
-            match read_record(&mut reader) {
-                Ok(record) if record.checksum_ok => {
-                    consumed = (MAGIC.len() + reader.position()) as u64;
-                    self.records_loaded += 1;
-                    valid_seen += 1;
-                    skipped_corrupt += pending_corrupt;
-                    pending_corrupt = 0;
-                    let payload = SharedBytes {
-                        buf: Arc::clone(bytes),
-                        start: MAGIC.len() + record.payload.start,
-                        end: MAGIC.len() + record.payload.end,
-                    };
-                    let entry = Entry {
-                        version: record.version,
-                        payload,
-                    };
-                    // Last write wins: a re-recorded key supersedes.
-                    self.index.insert(record.key.0, entry);
+        for (record, sum) in records.into_iter().zip(sums) {
+            if sum == record.stored {
+                consumed = (MAGIC.len() + record.end()) as u64;
+                self.records_loaded += 1;
+                valid_seen += 1;
+                skipped_corrupt += pending_corrupt;
+                pending_corrupt = 0;
+                let payload = SharedBytes {
+                    buf: Arc::clone(bytes),
+                    start: MAGIC.len() + record.payload.start,
+                    end: MAGIC.len() + record.payload.end,
+                };
+                let entry = Entry {
+                    version: record.version,
+                    payload,
+                };
+                // Last write wins: a re-recorded key supersedes.
+                self.index.insert(record.key.0, entry);
+            } else {
+                // Framing intact, payload untrustworthy. Whether this
+                // is tail damage or mid-log corruption depends on what
+                // comes after.
+                if first_corrupt.is_none() {
+                    first_corrupt = Some(((MAGIC.len() + record.start) as u64, valid_seen));
                 }
-                Ok(_) => {
-                    // Framing intact, payload untrustworthy. Keep
-                    // scanning: whether this is tail damage or mid-log
-                    // corruption depends on what comes after.
-                    if first_corrupt.is_none() {
-                        first_corrupt = Some((record_start, valid_seen));
-                    }
-                    pending_corrupt += 1;
-                }
-                // Structural damage: everything from here is tail.
-                Err(_) => break,
+                pending_corrupt += 1;
             }
         }
         if skipped_corrupt > 0 {
@@ -586,14 +625,13 @@ impl CacheStore {
             out.write_all(MAGIC)?;
             written += MAGIC.len() as u64;
         }
-        let mut flushed = 0usize;
-        for key in std::mem::take(&mut self.pending) {
-            let entry = &self.index[&key.0];
-            let record = encode_record(key, entry.version, &entry.payload);
-            out.write_all(&record)?;
-            written += record.len() as u64;
-            flushed += 1;
+        let pending = std::mem::take(&mut self.pending);
+        let entries: Vec<&Entry> = pending.iter().map(|key| &self.index[&key.0]).collect();
+        let payloads: Vec<&[u8]> = entries.iter().map(|entry| &*entry.payload).collect();
+        for ((key, entry), sum) in pending.iter().zip(&entries).zip(checksums(&payloads)) {
+            written += write_record(&mut out, *key, entry.version, &entry.payload, sum)?;
         }
+        let flushed = pending.len();
         out.flush()?;
         self.valid_len = if fresh {
             written
@@ -649,15 +687,18 @@ impl CacheStore {
         keys.sort_unstable();
         let dropped_stale = self.index.len() - keys.len();
 
+        let entries: Vec<&Entry> = keys.iter().map(|key| &self.index[key]).collect();
+        let payloads: Vec<&[u8]> = entries.iter().map(|entry| &*entry.payload).collect();
         let mut out: Vec<u8> = Vec::with_capacity(MAGIC.len());
         out.extend_from_slice(MAGIC);
-        for key in &keys {
-            let entry = &self.index[key];
-            out.extend_from_slice(&encode_record(
+        for ((key, entry), sum) in keys.iter().zip(&entries).zip(checksums(&payloads)) {
+            write_record(
+                &mut out,
                 Fingerprint(*key),
                 entry.version,
                 &entry.payload,
-            ));
+                sum,
+            )?;
         }
         let tmp = self.dir.join(format!("{}.tmp", self.log_name));
         std::fs::write(&tmp, &out)?;
@@ -705,65 +746,108 @@ pub fn verify_ns(dir: &Path, namespace: &str) -> io::Result<VerifyReport> {
         return Ok(report);
     }
     let body = &bytes[MAGIC.len()..];
-    let mut reader = Reader::new(body);
+    let (records, framed) = frame_records(body);
+    // Like `CacheStore::load`, the tail starts where the unreadable
+    // record does, not where the read stopped.
+    report.corrupt_tail_bytes = (body.len() - framed) as u64;
+    let sums = record_checksums(body, &records);
     let mut keys = std::collections::HashSet::new();
-    while !reader.is_exhausted() {
-        let record_start = reader.position();
-        match read_record(&mut reader) {
-            Ok(record) if record.checksum_ok => {
-                report.valid_records += 1;
-                keys.insert(record.key.0);
-                *report.versions.entry(record.version).or_insert(0) += 1;
-            }
-            Ok(_) => report.checksum_failures += 1,
-            Err(_) => {
-                // Like `CacheStore::load`, the tail starts where the
-                // unreadable record does, not where the read stopped.
-                report.corrupt_tail_bytes = (body.len() - record_start) as u64;
-                break;
-            }
+    for (record, sum) in records.iter().zip(sums) {
+        if sum == record.stored {
+            report.valid_records += 1;
+            keys.insert(record.key.0);
+            *report.versions.entry(record.version).or_insert(0) += 1;
+        } else {
+            report.checksum_failures += 1;
         }
     }
     report.distinct_keys = keys.len();
     Ok(report)
 }
 
-/// Serializes one record.
-fn encode_record(key: Fingerprint, version: u32, payload: &[u8]) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.u128(key.0);
-    w.u32(version);
-    w.bytes(payload);
-    w.u64(checksum(payload));
-    w.finish()
+/// Bytes a record adds around its payload: key, version, length
+/// prefix and checksum.
+const RECORD_FRAMING: usize = 16 + 4 + 8 + 8;
+
+/// Writes one record — `key, version, payload_len, payload, sum` — to
+/// `out`, returning its length in bytes. `sum` is the payload's
+/// [`checksum`].
+fn write_record(
+    out: &mut impl io::Write,
+    key: Fingerprint,
+    version: u32,
+    payload: &[u8],
+    sum: u64,
+) -> io::Result<u64> {
+    out.write_all(&key.0.to_le_bytes())?;
+    out.write_all(&version.to_le_bytes())?;
+    out.write_all(&(payload.len() as u64).to_le_bytes())?;
+    out.write_all(payload)?;
+    out.write_all(&sum.to_le_bytes())?;
+    Ok((RECORD_FRAMING + payload.len()) as u64)
 }
 
 /// One record's framing as read off the log: its key and version,
-/// where its payload sits in the reader's input, and whether that
-/// payload passed its checksum.
+/// where it and its payload sit in the log body, and the checksum
+/// stored after the payload.
 struct RawRecord {
     key: Fingerprint,
     version: u32,
+    start: usize,
     payload: Range<usize>,
-    checksum_ok: bool,
+    stored: u64,
 }
 
-/// Reads one record. Structural damage (truncated framing) is a wire
-/// error; a checksum mismatch with intact framing is reported through
-/// [`RawRecord::checksum_ok`], so the scan can continue past it and
-/// the caller can decide whether it is tail damage or mid-log
-/// corruption.
+impl RawRecord {
+    /// Offset just past the record's checksum.
+    fn end(&self) -> usize {
+        self.payload.end + 8
+    }
+}
+
+/// Frames the records of a log body (the log after its magic) front
+/// to back, stopping at the first structural damage — truncated
+/// framing, a wire error. Returns the framed records and the length of
+/// the framed prefix, where any unreadable tail starts. Checksums are
+/// not checked here: whether a framed record is tail damage or mid-log
+/// corruption depends on the records after it.
+fn frame_records(body: &[u8]) -> (Vec<RawRecord>, usize) {
+    let mut reader = Reader::new(body);
+    let mut records = Vec::new();
+    while !reader.is_exhausted() {
+        match read_record(&mut reader) {
+            Ok(record) => records.push(record),
+            Err(_) => break,
+        }
+    }
+    let framed = records.last().map_or(0, RawRecord::end);
+    (records, framed)
+}
+
+/// The [`checksum`] of each framed record's payload, in log order.
+fn record_checksums(body: &[u8], records: &[RawRecord]) -> Vec<u64> {
+    let payloads: Vec<&[u8]> = records
+        .iter()
+        .map(|record| &body[record.payload.clone()])
+        .collect();
+    checksums(&payloads)
+}
+
+/// Reads one record's framing. Structural damage (truncated framing)
+/// is a wire error; the payload's checksum is left to the caller.
 fn read_record(reader: &mut Reader<'_>) -> Result<RawRecord, WireError> {
+    let start = reader.position();
     let key = Fingerprint(reader.u128()?);
     let version = reader.u32()?;
-    let payload = reader.bytes()?;
+    let payload_len = reader.bytes()?.len();
     let end = reader.position();
     let stored = reader.u64()?;
     Ok(RawRecord {
         key,
         version,
-        payload: end - payload.len()..end,
-        checksum_ok: stored == checksum(payload),
+        start,
+        payload: end - payload_len..end,
+        stored,
     })
 }
 
@@ -777,6 +861,13 @@ mod tests {
         fn get(&self, key: Fingerprint) -> Option<&[u8]> {
             self.get_shared(key).map(|payload| &**payload)
         }
+    }
+
+    /// One record as the log holds it.
+    fn encode_record(key: Fingerprint, version: u32, payload: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        write_record(&mut out, key, version, payload, checksum(payload)).unwrap();
+        out
     }
 
     fn temp_dir(tag: &str) -> PathBuf {

@@ -58,18 +58,8 @@ impl Writer {
         self.buf.push(v);
     }
 
-    /// Appends a little-endian u32.
-    pub(crate) fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
     /// Appends a little-endian u64.
     pub fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a little-endian u128.
-    pub(crate) fn u128(&mut self, v: u128) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
@@ -183,6 +173,18 @@ impl<'a> Reader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    // The store writes record framing straight to its file; only these
+    // tests build the two wider integers through a `Writer`.
+    impl Writer {
+        fn u32(&mut self, v: u32) {
+            self.buf.extend_from_slice(&v.to_le_bytes());
+        }
+
+        fn u128(&mut self, v: u128) {
+            self.buf.extend_from_slice(&v.to_le_bytes());
+        }
+    }
 
     #[test]
     fn round_trip_all_types() {

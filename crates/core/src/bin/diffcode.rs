@@ -129,8 +129,9 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             };
             // Every output is written and the process is about to exit.
             // Nothing in a `Funnel` has a `Drop` with side effects, so
-            // freeing the mined result tuple by tuple would only delay
-            // the exit that hands the whole heap back at once.
+            // freeing the mined result tuple by tuple, and the corpus it
+            // was mined from file by file, would only delay the exit
+            // that hands the whole heap back at once.
             std::mem::forget(funnel);
             Ok(code)
         }

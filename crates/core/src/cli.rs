@@ -469,6 +469,10 @@ pub struct Funnel {
     pub recorder: Recorder,
     /// Whether the cancel flag stopped mining early.
     pub interrupted: bool,
+    /// The corpus the run mined. Nothing reads it: the funnel owns it
+    /// so that a caller exiting right after the run skips its teardown
+    /// along with the funnel's (DESIGN.md §3e).
+    _corpus: corpus::Corpus,
 }
 
 /// The one funnel run behind `mine`, `explain` and `metrics`: mines
@@ -478,18 +482,19 @@ pub struct Funnel {
 /// is set — filters the mined changes and clusters the survivors
 /// (through the distance-cell cache under `opts.cluster_cache_dir`).
 /// `rec` arrives holding whatever building the corpus recorded, and
-/// traces the run if it traced that.
+/// traces the run if it traced that. The returned funnel keeps
+/// `corpus`.
 ///
 /// # Errors
 ///
 /// I/O failures opening or flushing either cache.
 fn run_funnel(
-    corpus: &corpus::Corpus,
+    corpus: corpus::Corpus,
     mut rec: Recorder,
     opts: &FunnelOptions,
     cluster: bool,
 ) -> Result<Funnel, String> {
-    corpus::corpus_stats(corpus).record(&mut rec);
+    corpus::corpus_stats(&corpus).record(&mut rec);
     let mut cache = match &opts.cache_dir {
         Some(dir) => Some(
             // DiffCode::new() mines at default limits and depth; the
@@ -505,7 +510,7 @@ fn run_funnel(
         cache: cache.as_mut(),
         cancel: opts.cancel,
     };
-    let result = mine_parallel(corpus, &[], mine_opts, &mut rec);
+    let result = mine_parallel(&corpus, &[], mine_opts, &mut rec);
     let interrupted = opts.cancel.is_some_and(|flag| flag.load(Ordering::SeqCst));
     if let Some(cache) = cache.as_mut() {
         let flushed = cache.flush().map_err(|e| format!("flushing cache: {e}"))?;
@@ -546,6 +551,7 @@ fn run_funnel(
         elicitation,
         recorder: rec,
         interrupted,
+        _corpus: corpus,
     })
 }
 
@@ -575,7 +581,7 @@ pub fn run_mine(source: &MineSource, opts: &FunnelOptions) -> Result<(String, Fu
         .map_or_else(Recorder::new, Recorder::traced);
     let (corpus, ingest_summary) = source.corpus(&mut rec)?;
     let cluster = rec.is_traced() || opts.cluster_cache_dir.is_some();
-    let funnel = run_funnel(&corpus, rec, opts, cluster)?;
+    let funnel = run_funnel(corpus, rec, opts, cluster)?;
     let mut out = source.header();
     out.push_str(&ingest_summary);
     if funnel.interrupted {
@@ -651,52 +657,91 @@ pub(crate) fn tuple_digest(
     out
 }
 
-/// A DAG whose digest text can be written: a decoded [`UsageDag`], or
-/// one read in place from a replayed cache payload, whose paths come in
-/// the same set order (the payload view checks it).
-trait DagText {
-    fn write_text(&self, out: &mut String);
+/// Where digest text is written: the `String` [`tuple_digest`]
+/// returns, or the byte buffer [`mined_digest`] hashes.
+trait DigestBuf {
+    fn push_text(&mut self, text: &str);
 }
 
-impl DagText for &UsageDag {
-    fn write_text(&self, out: &mut String) {
+impl DigestBuf for String {
+    fn push_text(&mut self, text: &str) {
+        self.push_str(text);
+    }
+}
+
+impl DigestBuf for Vec<u8> {
+    fn push_text(&mut self, text: &str) {
+        self.extend_from_slice(text.as_bytes());
+    }
+}
+
+/// One label of digest text: an owned DAG's `&str`, for either buffer,
+/// or the bytes of a replayed label, for the byte buffer only. The
+/// payload view checked those bytes as UTF-8 when it validated the
+/// payload, so writing them as bytes does not check them again.
+trait LabelText<B> {
+    fn push_to(self, out: &mut B);
+}
+
+impl<B: DigestBuf> LabelText<B> for &str {
+    fn push_to(self, out: &mut B) {
+        out.push_text(self);
+    }
+}
+
+impl LabelText<Vec<u8>> for &[u8] {
+    fn push_to(self, out: &mut Vec<u8>) {
+        out.extend_from_slice(self);
+    }
+}
+
+/// A DAG whose digest text can be written into a `B`: a decoded
+/// [`UsageDag`], into either buffer, or one read in place from a
+/// replayed cache payload, into the byte buffer; its paths come in the
+/// same set order (the payload view checks it).
+trait DagText<B> {
+    fn write_text(&self, out: &mut B);
+}
+
+impl<B: DigestBuf> DagText<B> for &UsageDag {
+    fn write_text(&self, out: &mut B) {
         let paths = self.paths.iter().map(|path| path.0.iter().map(|l| &**l));
         write_dag_text(out, &self.root_type, paths);
     }
 }
 
-impl DagText for DagView<'_> {
-    fn write_text(&self, out: &mut String) {
+impl DagText<Vec<u8>> for DagView<'_> {
+    fn write_text(&self, out: &mut Vec<u8>) {
         write_dag_text(
             out,
             self.root_type(),
-            self.paths().map(|path| path.labels()),
+            self.paths().map(|path| path.label_bytes()),
         );
     }
 }
 
 /// Writes `root:path;path;…`, each path its labels joined by spaces.
-fn write_dag_text<'l, L: Iterator<Item = &'l str>>(
-    out: &mut String,
+fn write_dag_text<B: DigestBuf, L: LabelText<B>>(
+    out: &mut B,
     root: &str,
-    paths: impl Iterator<Item = L>,
+    paths: impl Iterator<Item = impl Iterator<Item = L>>,
 ) {
-    out.push_str(root);
-    out.push(':');
+    out.push_text(root);
+    out.push_text(":");
     for (i, labels) in paths.enumerate() {
         if i > 0 {
-            out.push(';');
+            out.push_text(";");
         }
         write_labels(out, labels);
     }
 }
 
-fn write_labels<'l>(out: &mut String, labels: impl Iterator<Item = &'l str>) {
+fn write_labels<B: DigestBuf, L: LabelText<B>>(out: &mut B, labels: impl Iterator<Item = L>) {
     for (i, label) in labels.enumerate() {
         if i > 0 {
-            out.push(' ');
+            out.push_text(" ");
         }
-        out.push_str(label);
+        label.push_to(out);
     }
 }
 
@@ -705,24 +750,24 @@ fn write_labels<'l>(out: &mut String, labels: impl Iterator<Item = &'l str>) {
 /// `Display` (`- path` / `+ path` lines), where a path is its labels
 /// joined by spaces — the `Display` of [`usagegraph::FeaturePath`],
 /// written label by label so no intermediate string is built.
-fn write_tuple_digest(
-    out: &mut String,
+fn write_tuple_digest<B: DigestBuf>(
+    out: &mut B,
     class: &str,
-    old_dag: impl DagText,
-    new_dag: impl DagText,
+    old_dag: impl DagText<B>,
+    new_dag: impl DagText<B>,
     change: &UsageChange,
 ) {
-    out.push_str(class);
-    out.push('|');
+    out.push_text(class);
+    out.push_text("|");
     old_dag.write_text(out);
-    out.push('|');
+    out.push_text("|");
     new_dag.write_text(out);
-    out.push('|');
+    out.push_text("|");
     for (sign, paths) in [("- ", &change.removed), ("+ ", &change.added)] {
         for path in paths {
-            out.push_str(sign);
+            out.push_text(sign);
             write_labels(out, path.0.iter().map(|l| &**l));
-            out.push('\n');
+            out.push_text("\n");
         }
     }
 }
@@ -746,18 +791,19 @@ pub fn outcome_digest_parts(outcome: &crate::mcache::ChangeOutcome) -> Vec<Strin
 /// the byte-identical report).
 ///
 /// Each change's part, `project|commit|path|` plus its
-/// [`tuple_digest`] text, is written into one reused buffer and fed to
-/// a streaming fingerprint, so the digest costs no allocation per
-/// change or path. A replayed DAG pair's text is read straight from
-/// its cache payload, without decoding the DAGs.
+/// [`tuple_digest`] text, is written into one reused byte buffer and
+/// fed to a streaming fingerprint, so the digest costs no allocation
+/// per change or path. A replayed DAG pair's text is copied straight
+/// from the label bytes of its validated cache payload, without
+/// decoding the DAGs or checking their UTF-8 again.
 fn mined_digest(result: &MiningResult) -> cache::Fingerprint {
     let mut digest = cache::Fingerprinter::new();
-    let mut part = String::new();
+    let mut part: Vec<u8> = Vec::new();
     for mined in &result.changes {
         part.clear();
         for field in [&mined.meta.project, &mined.meta.commit, &mined.meta.path] {
-            part.push_str(field);
-            part.push('|');
+            part.push_text(field);
+            part.push_text("|");
         }
         let (class, change) = (&mined.class, &mined.change);
         match mined.dag_pair() {
@@ -767,7 +813,7 @@ fn mined_digest(result: &MiningResult) -> cache::Fingerprint {
                 write_tuple_digest(&mut part, class, old, new, change);
             }
         }
-        digest.part(part.as_bytes());
+        digest.part(&part);
     }
     digest.finish()
 }
@@ -814,7 +860,7 @@ pub fn run_explain(query: &str, source: &MineSource, threads: usize) -> Result<S
         threads,
         ..FunnelOptions::default()
     };
-    let funnel = run_funnel(&corpus, rec, &opts, true)?;
+    let funnel = run_funnel(corpus, rec, &opts, true)?;
     let Some(trace) = funnel.recorder.trace() else {
         return Err("explain needs a traced run".to_owned());
     };
@@ -1115,7 +1161,7 @@ pub fn run_metrics(
         threads: n_threads,
         ..FunnelOptions::default()
     };
-    let funnel = run_funnel(&corpus, rec, &opts, true)?;
+    let funnel = run_funnel(corpus, rec, &opts, true)?;
     // Reconciliation: the recorder must agree exactly with the
     // pipeline's own accounting structs.
     let (registry, stats) = (&funnel.recorder, &funnel.result.stats);

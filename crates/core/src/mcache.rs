@@ -381,9 +381,10 @@ impl<'a> PathView<'a> {
         (0..self.len).map(move |_| trusted(r.str()))
     }
 
-    /// The labels' bytes: they order like the labels (UTF-8 preserves
-    /// code-point order), without re-checking UTF-8.
-    fn label_bytes(&self) -> impl Iterator<Item = &'a [u8]> {
+    /// The labels' bytes, root first: the labels' text without
+    /// checking its UTF-8 again, ordered like the labels (UTF-8
+    /// preserves code-point order).
+    pub(crate) fn label_bytes(&self) -> impl Iterator<Item = &'a [u8]> {
         let mut r = Reader::new(self.rest);
         (0..self.len).map(move |_| trusted(r.bytes()))
     }

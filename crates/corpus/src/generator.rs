@@ -598,13 +598,19 @@ fn generate_project(idx: usize, config: &GeneratorConfig, rng: &mut StdRng) -> P
 
     let mut commits = Vec::new();
 
+    // Each module's text as last rendered. `render` is pure and draws
+    // nothing from the RNG, so a module's next `old` is this text: each
+    // file version is rendered once.
+    let mut rendered: Vec<String> = modules.iter().map(|m| m.render(&pkg_segment)).collect();
+
     // Initial commit adds every module file.
     let initial_changes: Vec<FileChange> = modules
         .iter()
-        .map(|m| FileChange {
+        .zip(&rendered)
+        .map(|(m, text)| FileChange {
             path: m.path(&pkg_segment),
             old: None,
-            new: Some(m.render(&pkg_segment)),
+            new: Some(text.clone()),
         })
         .collect();
     commits.push(Commit {
@@ -619,27 +625,22 @@ fn generate_project(idx: usize, config: &GeneratorConfig, rng: &mut StdRng) -> P
     for c in 1..=n_commits {
         let module_idx = rng.random_range(0..modules.len());
         let kind = sample_change_kind(rng);
-        let old = modules[module_idx].render(&pkg_segment);
         let message = apply_change(&mut modules[module_idx], kind, rng);
-        let new = modules[module_idx].render(&pkg_segment);
-        let path = modules[module_idx].path(&pkg_segment);
-        let mut changes = vec![FileChange {
-            path,
-            old: Some(old),
-            new: Some(new),
-        }];
+        let mut changes = vec![rerender(
+            &modules[module_idx],
+            &mut rendered[module_idx],
+            &pkg_segment,
+        )];
         // Sweeping commits occasionally touch a second crypto file
         // (comment/bookkeeping only), like real repository-wide edits.
         if modules.len() > 1 && rng.random_bool(0.08) {
             let other_idx = (module_idx + 1) % modules.len();
-            let old2 = modules[other_idx].render(&pkg_segment);
             modules[other_idx].style_mut().revision += 1;
-            let new2 = modules[other_idx].render(&pkg_segment);
-            changes.push(FileChange {
-                path: modules[other_idx].path(&pkg_segment),
-                old: Some(old2),
-                new: Some(new2),
-            });
+            changes.push(rerender(
+                &modules[other_idx],
+                &mut rendered[other_idx],
+                &pkg_segment,
+            ));
         }
         commits.push(Commit {
             id: commit_id(idx, c),
@@ -654,6 +655,17 @@ fn generate_project(idx: usize, config: &GeneratorConfig, rng: &mut StdRng) -> P
         name,
         facts,
         commits,
+    }
+}
+
+/// The change to `module`'s file since `last`, its previous render:
+/// `last` is the old text, and becomes the new one.
+fn rerender(module: &Module, last: &mut String, pkg_segment: &str) -> FileChange {
+    let new = module.render(pkg_segment);
+    FileChange {
+        path: module.path(pkg_segment),
+        old: Some(std::mem::replace(last, new.clone())),
+        new: Some(new),
     }
 }
 

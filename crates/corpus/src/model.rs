@@ -62,17 +62,18 @@ impl Project {
         format!("{}/{}", self.user, self.name)
     }
 
-    /// The file tree at HEAD (after applying all commits in order).
-    pub fn head_files(&self) -> BTreeMap<String, String> {
+    /// The file tree at HEAD (after applying all commits in order),
+    /// borrowed from the commits that last wrote each file.
+    pub fn head_files(&self) -> BTreeMap<&str, &str> {
         let mut files = BTreeMap::new();
         for commit in &self.commits {
             for change in &commit.changes {
                 match &change.new {
                     Some(content) => {
-                        files.insert(change.path.clone(), content.clone());
+                        files.insert(change.path.as_str(), content.as_str());
                     }
                     None => {
-                        files.remove(&change.path);
+                        files.remove(change.path.as_str());
                     }
                 }
             }
@@ -186,7 +187,7 @@ mod tests {
             ],
         };
         let head = project.head_files();
-        assert_eq!(head.get("A.java").map(String::as_str), Some("v2"));
+        assert_eq!(head.get("A.java"), Some(&"v2"));
         assert!(!head.contains_key("B.java"));
     }
 

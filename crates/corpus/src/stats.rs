@@ -67,6 +67,8 @@ pub fn corpus_stats(corpus: &Corpus) -> CorpusStats {
         ..CorpusStats::default()
     };
     let mut users = std::collections::BTreeSet::new();
+    // Each class's factory call and constructor, the textual marks of
+    // its use.
     let classes = [
         "Cipher",
         "IvParameterSpec",
@@ -76,7 +78,14 @@ pub fn corpus_stats(corpus: &Corpus) -> CorpusStats {
         "PBEKeySpec",
         "Mac",
         "Signature",
-    ];
+    ]
+    .map(|class| {
+        (
+            class,
+            format!("{class}.getInstance"),
+            format!("new {class}("),
+        )
+    });
     for project in &corpus.projects {
         users.insert(project.user.as_str());
         stats.total_commits += project.commits.len();
@@ -90,16 +99,14 @@ pub fn corpus_stats(corpus: &Corpus) -> CorpusStats {
                 .or_default() += 1;
         }
         let head = project.head_files();
-        for class in classes {
-            let pattern_factory = format!("{class}.getInstance");
-            let pattern_ctor = format!("new {class}(");
+        for (class, factory, ctor) in &classes {
             if head
                 .values()
-                .any(|src| src.contains(&pattern_factory) || src.contains(&pattern_ctor))
+                .any(|src| src.contains(factory.as_str()) || src.contains(ctor.as_str()))
             {
                 *stats
                     .projects_using_class
-                    .entry(class.to_owned())
+                    .entry((*class).to_owned())
                     .or_default() += 1;
             }
         }

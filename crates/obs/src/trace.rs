@@ -153,7 +153,10 @@ pub struct TraceSink {
     sample: u64,
     names: Vec<String>,
     index: HashMap<String, NameId>,
+    /// The recorded events from `first` on; the ones before it were
+    /// truncated away and wait to be reclaimed in one drain.
     events: Vec<TraceEvent>,
+    first: usize,
     next_seq: u64,
     next_span: u64,
     next_lane: u32,
@@ -173,6 +176,7 @@ impl TraceSink {
             names: Vec::new(),
             index: HashMap::new(),
             events: Vec::new(),
+            first: 0,
             next_seq: 0,
             next_span: 1,
             next_lane: 1,
@@ -189,12 +193,12 @@ impl TraceSink {
 
     /// All recorded events, in sequence order.
     pub fn events(&self) -> &[TraceEvent] {
-        &self.events
+        &self.events[self.first..]
     }
 
     /// Number of recorded events.
     pub fn len(&self) -> usize {
-        self.events.len()
+        self.events.len() - self.first
     }
 
     /// Drops the oldest events so at most `keep` remain — the bound a
@@ -205,16 +209,24 @@ impl TraceSink {
     /// instants are unaffected by truncation; a Begin whose End is
     /// truncated away would dangle, so bounded sinks should record
     /// point events.
+    ///
+    /// Amortized O(1) per appended event: dropped events leave the
+    /// view at once but are reclaimed only when there are as many of
+    /// them as events kept, so each kept event is moved once per `keep`
+    /// appends rather than on every call.
     pub fn truncate_oldest(&mut self, keep: usize) {
-        if self.events.len() > keep {
-            let excess = self.events.len() - keep;
-            self.events.drain(..excess);
+        if self.len() > keep {
+            self.first = self.events.len() - keep;
+            if self.first >= keep {
+                self.events.drain(..self.first);
+                self.first = 0;
+            }
         }
     }
 
     /// `true` when no event was recorded.
     pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
+        self.len() == 0
     }
 
     /// Resolves an interned name.
@@ -401,7 +413,7 @@ impl TraceSink {
                 SpanId(id.0 + span_offset)
             }
         };
-        for event in other.events {
+        for event in other.events.into_iter().skip(other.first) {
             let name = self.intern(&other.names[event.name.0 as usize]);
             let attrs = event
                 .attrs

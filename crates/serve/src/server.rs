@@ -753,3 +753,46 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         "non-string panic payload".to_owned()
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The `request_id` of every event in a Chrome trace export, in
+    /// export order.
+    fn exported_ids(json: &str) -> Vec<u64> {
+        json.split("\"request_id\":")
+            .skip(1)
+            .map(|rest| {
+                let digits = rest.split(|c: char| !c.is_ascii_digit()).next();
+                digits.and_then(|d| d.parse().ok()).expect("a request id")
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_full_capture_keeps_the_newest_events_in_order() {
+        const CAPACITY: usize = 2_048;
+        const CAPTURES: u64 = 10_000;
+        let mut r = Recorder::traced(1);
+        for id in 0..CAPTURES {
+            capture_instant(&mut r, CAPACITY, "serve.request", |a| {
+                a.u64("request_id", id);
+            });
+        }
+        let trace = r.trace().expect("the capture recorder traces");
+        assert_eq!(trace.len(), CAPACITY);
+        let newest: Vec<u64> = (CAPTURES - CAPACITY as u64..CAPTURES).collect();
+        let seqs: Vec<u64> = trace.events().iter().map(|e| e.seq).collect();
+        assert_eq!(seqs, newest, "sequence numbers survive truncation");
+        for events in [1, 100, CAPACITY, 5_000] {
+            let json = obs::to_chrome_json_tail(trace, events);
+            let kept = events.min(CAPACITY);
+            assert_eq!(
+                exported_ids(&json),
+                newest[CAPACITY - kept..],
+                "events={events}"
+            );
+        }
+    }
+}

@@ -3,11 +3,13 @@
 //! the new work, and the `processed = mined + skipped` accounting holds
 //! under every combination.
 
+use diffcode::cli::{run_mine, FunnelOptions, MineSource};
 use diffcode::{
     mine_parallel, CachedLookup, MineOptions, MiningCache, MiningResult, ANALYSIS_VERSION,
 };
 use obs::Recorder;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::process::Command;
 
 /// A unique, cleaned-up-on-drop temp dir per test.
 struct TempDir(PathBuf);
@@ -381,4 +383,117 @@ fn view_lookup_roundtrips_through_flushed_store() {
         }
         other => panic!("expected a mined hit, got {other:?}"),
     }
+}
+
+/// A cipher call whose provider argument is a non-ASCII string literal,
+/// which the new DAG carries as the label `arg2:Prövider-ñ`.
+const NON_ASCII_OLD: &str = "import javax.crypto.Cipher;
+
+class Enc {
+    byte[] enc(byte[] data) throws Exception {
+        Cipher c = Cipher.getInstance(\"AES/ECB/PKCS5Padding\");
+        return c.doFinal(data);
+    }
+}
+";
+const NON_ASCII_NEW: &str = "import javax.crypto.Cipher;
+
+class Enc {
+    byte[] enc(byte[] data) throws Exception {
+        Cipher c = Cipher.getInstance(\"AES/GCM/NoPadding\", \"Prövider-ñ\");
+        return c.doFinal(data);
+    }
+}
+";
+
+/// A git repository at `dir` whose second commit turns
+/// [`NON_ASCII_OLD`] into [`NON_ASCII_NEW`].
+fn non_ascii_repo(dir: &Path) {
+    std::fs::create_dir_all(dir).unwrap();
+    let git = |args: &[&str]| {
+        let output = Command::new("git")
+            .arg("-C")
+            .arg(dir)
+            .args(args)
+            .env("GIT_AUTHOR_NAME", "Test Author")
+            .env("GIT_AUTHOR_EMAIL", "author@test")
+            .env("GIT_COMMITTER_NAME", "Test Committer")
+            .env("GIT_COMMITTER_EMAIL", "committer@test")
+            .env("GIT_CONFIG_GLOBAL", "/dev/null")
+            .env("GIT_CONFIG_SYSTEM", "/dev/null")
+            .output()
+            .expect("spawn git");
+        assert!(
+            output.status.success(),
+            "git {args:?} failed: {}",
+            String::from_utf8_lossy(&output.stderr)
+        );
+    };
+    git(&["init", "-q"]);
+    for (text, message) in [(NON_ASCII_OLD, "add"), (NON_ASCII_NEW, "use GCM")] {
+        std::fs::write(dir.join("Enc.java"), text).unwrap();
+        git(&["add", "-A"]);
+        git(&["commit", "-q", "--no-gpg-sign", "-m", message]);
+    }
+}
+
+#[test]
+fn non_ascii_labels_replay_to_the_same_digest() {
+    let tmp = TempDir::new("non-ascii");
+    let repo = tmp.0.join("repo");
+    non_ascii_repo(&repo);
+    let cache_dir = tmp.0.join("cache");
+    let source = MineSource::Repo {
+        repo,
+        rev_range: None,
+        max_commits: None,
+    };
+    let opts = FunnelOptions {
+        threads: 1,
+        cache_dir: Some(cache_dir.clone()),
+        ..FunnelOptions::default()
+    };
+    let (cold, funnel) = run_mine(&source, &opts).expect("cold mine");
+    let carries_literal = |result: &MiningResult| {
+        result.changes.iter().any(|c| {
+            c.new_dag()
+                .paths
+                .iter()
+                .any(|p| p.to_string().contains("arg2:Prövider-ñ"))
+        })
+    };
+    assert!(
+        carries_literal(&funnel.result),
+        "no label carries the literal"
+    );
+    assert!(cold.contains("\nresult digest: "), "{cold}");
+
+    // Warm: the change is replayed, and its digest text is read from
+    // the payload's label bytes.
+    let (warm, funnel) = run_mine(&source, &opts).expect("warm mine");
+    assert_eq!(funnel.recorder.counter("cache.hit"), 1);
+    assert!(carries_literal(&funnel.result));
+    assert_eq!(warm, cold, "warm report and digest equal the cold ones");
+
+    // Break the literal's UTF-8 without moving any framing, under a
+    // fresh record checksum: the entry no longer validates, so the next
+    // run misses it, recomputes it, and prints the cold report again.
+    let key = open_cache(&cache_dir).change_key(NON_ASCII_OLD, NON_ASCII_NEW);
+    let mut store = cache::CacheStore::open(&cache_dir, ANALYSIS_VERSION).unwrap();
+    let mut payload = match store.get(key) {
+        cache::Lookup::Hit(bytes) => bytes.to_vec(),
+        other => panic!("expected a cached payload, got {other:?}"),
+    };
+    let literal = "ñ".as_bytes();
+    let at = payload
+        .windows(literal.len())
+        .position(|w| w == literal)
+        .expect("the payload holds the literal");
+    payload[at + 1] = 0xFF;
+    store.insert(key, payload);
+    store.flush().unwrap();
+    let (recomputed, funnel) = run_mine(&source, &opts).expect("mine over the bad entry");
+    assert_eq!(funnel.recorder.counter("cache.miss"), 1);
+    assert_eq!(funnel.recorder.counter("cache.hit"), 0);
+    assert_eq!(recomputed, cold);
 }
