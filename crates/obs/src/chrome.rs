@@ -18,8 +18,8 @@
 //! configuration (see [`TraceSink`] determinism notes); only the `ts`
 //! values vary between runs.
 
-use crate::json::write_str;
-use crate::trace::{TraceEvent, TraceKind, TraceSink, TraceValue};
+use crate::json::{write_str, write_value};
+use crate::trace::{TraceEvent, TraceKind, TraceSink};
 use std::fmt::Write as _;
 
 /// Serializes `sink` to the Chrome trace-event JSON array format.
@@ -68,12 +68,7 @@ fn render_event(out: &mut String, sink: &TraceSink, event: &TraceEvent) {
         out.push(',');
         write_str(out, sink.name(*key));
         out.push(':');
-        match value {
-            TraceValue::Str(s) => write_str(out, s),
-            TraceValue::U64(v) => {
-                let _ = write!(out, "{v}");
-            }
-        }
+        write_value(out, value);
     }
     out.push_str("}}");
 }

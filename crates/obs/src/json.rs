@@ -29,6 +29,7 @@
 //! unchanged, so consumers that read only `count`/`sum_ns` (the bench
 //! regression gate) keep working.
 
+use crate::trace::TraceValue;
 use crate::Recorder;
 use std::fmt::Write as _;
 
@@ -66,6 +67,16 @@ pub fn write_str(out: &mut String, s: &str) {
     }
     out.push_str(&s[clean..]);
     out.push('"');
+}
+
+/// Appends an attribute value: a string literal or an integer.
+pub(crate) fn write_value(out: &mut String, value: &TraceValue) {
+    match value {
+        TraceValue::Str(s) => write_str(out, s),
+        TraceValue::U64(v) => {
+            let _ = write!(out, "{v}");
+        }
+    }
 }
 
 /// Renders a finite `f64` so the snapshot stays valid JSON (NaN and

@@ -9,8 +9,10 @@
 //! record per mined change, exported by `chrome`. A stage opens one
 //! [`Span`] and closes it once; closing records the duration in the
 //! span's histogram and, when traced, the trace's begin/end pair.
-//! For operational event streams (access logs, lifecycle events) see
-//! the JSON-lines structured logger (`log`).
+//! Exporters render what the recorder holds: the JSON snapshot, the
+//! Prometheus text, the Chrome trace and, for operational events
+//! (access records, lifecycle), the JSON-lines [`Logger`], which
+//! writes an event's [`AttrSet`] as one log record.
 //!
 //! Design constraints, in priority order:
 //!
@@ -59,7 +61,7 @@ mod trace;
 
 pub use chrome::{to_chrome_json, to_chrome_json_tail};
 pub use hist::Histogram;
-pub use log::{EventBuilder, LogFormat, LogLevel, Logger};
+pub use log::{LogFormat, LogLevel, Logger};
 pub use prometheus::to_prometheus_text;
 pub use span::{fmt_ns, Span};
 pub use trace::{AttrSet, NameId, SpanId, TraceEvent, TraceKind, TraceSink, TraceValue};
@@ -279,7 +281,13 @@ impl Recorder {
         }
         self.gauges.extend(other.gauges);
         for (name, hist) in other.spans {
-            self.spans.entry(name).or_default().merge(&hist);
+            // A span new to this recorder moves in whole.
+            match self.spans.get_mut(&name) {
+                Some(mine) => mine.merge(&hist),
+                None => {
+                    self.spans.insert(name, hist);
+                }
+            }
         }
         if let (Some(mine), Some(theirs)) = (&mut self.trace, other.trace) {
             mine.absorb(theirs);

@@ -120,8 +120,10 @@ pub struct TraceEvent {
     pub attrs: Vec<(NameId, TraceValue)>,
 }
 
-/// Builder for an event's attributes. Only ever constructed inside the
-/// `*_with` closures, so an untraced recorder never allocates one.
+/// An event's attributes, in insertion order. The recorder builds one
+/// inside the `*_with` closures, so an untraced recorder never
+/// allocates one; a caller that exports the same event to the log
+/// builds it once and hands it to both.
 #[derive(Debug, Default)]
 pub struct AttrSet {
     items: Vec<(String, TraceValue)>,
@@ -139,6 +141,11 @@ impl AttrSet {
     pub fn u64(&mut self, key: &str, value: u64) -> &mut Self {
         self.items.push((key.to_owned(), TraceValue::U64(value)));
         self
+    }
+
+    /// The attributes in insertion order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (&str, &TraceValue)> {
+        self.items.iter().map(|(k, v)| (k.as_str(), v))
     }
 }
 

@@ -10,7 +10,7 @@
 //! `drained:` accounting — are protocol, read by supervisors and the
 //! smoke harness, and stay plain text.
 
-use obs::{LogFormat, LogLevel, Logger};
+use obs::{AttrSet, LogFormat, LogLevel, Logger};
 use serve::{ServeConfig, Server};
 use std::io::Write as _;
 use std::process::ExitCode;
@@ -64,14 +64,17 @@ impl Default for LogArgs {
 }
 
 impl LogArgs {
-    fn build(&self) -> Logger {
-        match self.format {
+    /// The logger these flags select; a `--log-file` that cannot be
+    /// opened is an error, like a bad flag.
+    fn build(&self) -> Result<Logger, String> {
+        Ok(match self.format {
             None => Logger::disabled(),
             Some(format) => match &self.file {
-                Some(path) => Logger::file(path, self.max_bytes, format, self.level),
+                Some(path) => Logger::file(path, self.max_bytes, format, self.level)
+                    .map_err(|e| format!("--log-file {}: {e}", path.display()))?,
                 None => Logger::stderr(format, self.level),
             },
-        }
+        })
     }
 }
 
@@ -139,7 +142,7 @@ fn parse_args(args: &[String]) -> Result<ServeConfig, String> {
     if std::env::var_os("DIFFCODE_SERVE_CHAOS").is_some() {
         config.chaos_hooks = true;
     }
-    config.logger = log.build();
+    config.logger = log.build()?;
     Ok(config)
 }
 
@@ -155,15 +158,15 @@ fn main() -> ExitCode {
 
     diffcode::shutdown::install();
     // Shares the writer with the server (Logger clones share one
-    // pipeline), so binary-level events interleave cleanly with the
-    // access log.
+    // pipeline). With no server there is no recorder to capture the
+    // boot failure, so it goes to the log alone.
     let log = config.logger.clone();
     let handle = match Server::spawn(config) {
         Ok(handle) => handle,
         Err(e) => {
-            log.event(LogLevel::Error, "serve.boot_failed")
-                .str("error", e.as_str())
-                .emit();
+            let mut attrs = AttrSet::default();
+            attrs.str("error", e.as_str());
+            log.write(LogLevel::Error, "serve.boot_failed", &attrs);
             log.sync(std::time::Duration::from_secs(2));
             eprintln!("diffcode-serve: {e}");
             return ExitCode::FAILURE;
@@ -184,4 +187,26 @@ fn main() -> ExitCode {
     );
     let _ = std::io::stdout().flush();
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|a| (*a).to_owned()).collect()
+    }
+
+    #[test]
+    fn an_unopenable_log_file_is_a_flag_error() {
+        let dir = std::env::temp_dir().join(format!("serve_no_log_dir_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let path = dir.join("serve.log");
+        let path = path.to_str().expect("a UTF-8 temp path");
+        let err = parse_args(&args(&["--log-file", path])).expect_err("the directory is missing");
+        assert!(err.starts_with(&format!("--log-file {path}: ")), "{err}");
+        assert!(!dir.exists(), "nothing was created");
+        // Logging off opens nothing, so the same path is no error.
+        assert!(parse_args(&args(&["--log-format", "off", "--log-file", path])).is_ok());
+    }
 }

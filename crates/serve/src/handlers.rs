@@ -19,19 +19,24 @@
 //! 10 MB "Java file" or pathologically nested source quarantines the
 //! *request* (a clean JSON verdict with provenance), never the worker.
 //!
-//! Each `/mine` and `/mine-repo` request builds its own
-//! [`diffcode::DiffCode`] (a few words, no allocation), so the
-//! pipeline's content-keyed analysis memo lives exactly as long as the
-//! request: a `/mine-repo` walk shares one memo across its pairs, and a
-//! long-lived server does not grow with every distinct source it is
-//! sent. Repeats across requests are the mining cache's job.
+//! `/mine` and `/mine-repo` share one served-mining path (`mine_pairs`):
+//! each request builds its own [`diffcode::DiffCode`] (a few words, no
+//! allocation), so the pipeline's content-keyed analysis memo lives
+//! exactly as long as the request: a `/mine-repo` walk shares one memo
+//! across its pairs, and a long-lived server does not grow with every
+//! distinct source it is sent. Repeats across requests are the mining
+//! cache's job.
+//!
+//! Handlers record into the request's own recorder, never the shared
+//! one: the server merges it once, when the request finishes.
 
 use crate::http::{Request, Response};
 use crate::json::{self, Json};
 use crate::ring::ExplainRecord;
 use crate::server::Shared;
-use diffcode::mcache::ChangeOutcome;
+use diffcode::mcache::{ChangeOutcome, MiningCacheView};
 use diffcode::DiffCode;
+use obs::Recorder;
 use std::sync::PoisonError;
 use std::time::Instant;
 
@@ -84,14 +89,15 @@ pub(crate) fn route(path: &str) -> Option<(&'static str, &'static str, &'static 
 }
 
 /// Routes one request. Always returns a response; panics escape to the
-/// per-request `catch_unwind` in the server loop. `request_id` is the
-/// admission-assigned id the access log records — handlers thread it
-/// into explain-ring records so verdicts join to request records.
-/// `deadline` is the request's deadline, which `/check` also applies to
-/// its compute.
+/// per-request `catch_unwind` in the server loop. `rec` is the request's
+/// own recorder. `request_id` is the admission-assigned id the access
+/// record carries — handlers thread it into explain-ring records so
+/// verdicts join to request records. `deadline` is the request's
+/// deadline, which `/check` also applies to its compute.
 pub(crate) fn handle(
     req: &Request,
     shared: &Shared,
+    rec: &mut Recorder,
     request_id: u64,
     deadline: Instant,
 ) -> Response {
@@ -114,8 +120,8 @@ pub(crate) fn handle(
         return err_json(405, "method not allowed for this path");
     }
     match label {
-        "mine" => mine(req, shared, request_id),
-        "mine_repo" => mine_repo(req, shared, request_id),
+        "mine" => mine(req, shared, rec, request_id),
+        "mine_repo" => mine_repo(req, shared, rec, request_id),
         "check" => check(req, deadline),
         "metrics" => metrics(shared),
         "status" => status(shared),
@@ -145,8 +151,88 @@ fn body_json(req: &Request) -> Result<Json, Response> {
     json::parse(text).map_err(|e| err_json(400, &format!("request body: {e}")))
 }
 
+/// Mines `pairs` through the shared cache with one [`DiffCode`],
+/// journals each verdict in the `/explain` ring, and returns the
+/// verdicts as journaled, in pair order. The pipeline's metrics and the
+/// cache flush's count go into `rec`.
+fn mine_pairs<'p>(
+    shared: &Shared,
+    rec: &mut Recorder,
+    request_id: u64,
+    classes: &[&str],
+    pairs: impl IntoIterator<Item = (&'p str, &'p str)>,
+) -> Vec<ExplainRecord> {
+    // Default limits and depth: the same configuration as a one-shot
+    // mining run.
+    let mut dc = DiffCode::new();
+    let mine = |mut view: Option<&mut MiningCacheView>| -> Vec<_> {
+        pairs
+            .into_iter()
+            .map(|(old, new)| dc.process_pair_cached(old, new, classes, view.as_deref_mut()))
+            .collect()
+    };
+    let outcomes = match shared.cache.as_ref() {
+        Some(lock) => {
+            // Mining holds only a read lock: concurrent requests look
+            // the cache up in parallel and batch their writes in
+            // per-request shard logs, absorbed under a brief write lock
+            // afterwards — same pattern as parallel mining.
+            let (outcomes, log) = {
+                let cache = lock.read().unwrap_or_else(PoisonError::into_inner);
+                let mut view = cache.view();
+                let outcomes = mine(Some(&mut view));
+                (outcomes, view.into_log())
+            };
+            let flushed = {
+                let mut cache = lock.write().unwrap_or_else(PoisonError::into_inner);
+                cache.absorb(log);
+                cache.flush()
+            };
+            match flushed {
+                Ok(n) => rec.inc("cache.flushed_entries", n as u64),
+                Err(_) => rec.inc("serve.cache_flush_errors", 1),
+            }
+            outcomes
+        }
+        None => mine(None),
+    };
+    // The pipeline's own counters and stage spans (cache.hit/miss,
+    // analysis spans, quarantine breakdown).
+    rec.merge(dc.take_recorder());
+
+    let mut ring = shared.ring.lock().unwrap_or_else(PoisonError::into_inner);
+    outcomes
+        .into_iter()
+        .map(|(outcome, cache, fingerprint)| {
+            let tuples = diffcode::cli::outcome_digest_parts(&outcome);
+            let (verdict, skip) = match outcome {
+                ChangeOutcome::Mined(_) => ("mined", None),
+                ChangeOutcome::Skipped {
+                    kind,
+                    error,
+                    excerpt,
+                } => (
+                    "quarantined",
+                    Some((kind.name().to_owned(), error, excerpt)),
+                ),
+            };
+            let mut record = ExplainRecord {
+                seq: 0,
+                request_id,
+                fingerprint,
+                verdict,
+                cache,
+                tuples,
+                skip,
+            };
+            record.seq = ring.push(record.clone());
+            record
+        })
+        .collect()
+}
+
 /// `POST /mine`: `{"old": "...", "new": "...", "classes": ["..."]?}`.
-fn mine(req: &Request, shared: &Shared, request_id: u64) -> Response {
+fn mine(req: &Request, shared: &Shared, rec: &mut Recorder, request_id: u64) -> Response {
     let body = match body_json(req) {
         Ok(v) => v,
         Err(resp) => return resp,
@@ -163,84 +249,20 @@ fn mine(req: &Request, shared: &Shared, request_id: u64) -> Response {
         .map(|items| items.iter().filter_map(Json::as_str).collect())
         .unwrap_or_default();
 
-    // Default limits and depth: the same configuration as a one-shot
-    // mining run.
-    let mut dc = DiffCode::new();
-    let (outcome, cache_status, fingerprint) = match shared.cache.as_ref() {
-        Some(lock) => {
-            // Mining holds only a read lock: concurrent /mine requests
-            // look the cache up in parallel and batch their writes in
-            // per-request shard logs, absorbed under a brief write
-            // lock afterwards — same pattern as parallel mining.
-            let (result, log) = {
-                let cache = lock.read().unwrap_or_else(PoisonError::into_inner);
-                let mut view = cache.view();
-                let result = dc.process_pair_cached(old, new, &classes, Some(&mut view));
-                (result, view.into_log())
-            };
-            let mut cache = lock.write().unwrap_or_else(PoisonError::into_inner);
-            cache.absorb(log);
-            match cache.flush() {
-                Ok(n) => shared.with_recorder(|r| r.inc("cache.flushed_entries", n as u64)),
-                Err(_) => shared.with_recorder(|r| r.inc("serve.cache_flush_errors", 1)),
-            }
-            result
-        }
-        None => dc.process_pair_cached(old, new, &classes, None),
-    };
-
-    // Fold the pipeline's own counters and stage spans (cache.hit/miss,
-    // analysis spans, quarantine breakdown) into the served recorder.
-    let request_metrics = dc.take_recorder();
-    shared.with_recorder(|r| {
-        r.merge(request_metrics);
-        r.inc("serve.mine_requests", 1);
-    });
-
-    let tuples = diffcode::cli::outcome_digest_parts(&outcome);
-    let (verdict, skip) = match &outcome {
-        ChangeOutcome::Mined(_) => ("mined", None),
-        ChangeOutcome::Skipped {
-            kind,
-            error,
-            excerpt,
-        } => (
-            "quarantined",
-            Some((kind.name().to_owned(), error.clone(), excerpt.clone())),
-        ),
-    };
-
-    let seq = {
-        let mut ring = shared.ring.lock().unwrap_or_else(PoisonError::into_inner);
-        ring.push(ExplainRecord {
-            seq: 0,
-            request_id,
-            fingerprint: fingerprint.clone(),
-            verdict,
-            cache: cache_status,
-            tuples: tuples.clone(),
-            skip: skip.clone(),
-        })
-    };
-
-    let skip_json = match skip {
-        Some((kind, error, excerpt)) => Json::Obj(vec![
-            ("kind".to_owned(), Json::Str(kind)),
-            ("error".to_owned(), Json::Str(error)),
-            ("excerpt".to_owned(), Json::Str(excerpt)),
-        ]),
-        None => Json::Null,
-    };
+    // One pair in, one verdict out.
+    let served = mine_pairs(shared, rec, request_id, &classes, [(old, new)]).swap_remove(0);
+    rec.inc("serve.mine_requests", 1);
+    let skip = served.skip_json();
     let body = Json::Obj(vec![
-        ("fingerprint".to_owned(), Json::Str(fingerprint)),
-        ("verdict".to_owned(), Json::Str(verdict.to_owned())),
-        ("cache".to_owned(), Json::Str(cache_status.to_owned())),
-        ("seq".to_owned(), Json::Num(seq as f64)),
+        ("fingerprint".to_owned(), Json::Str(served.fingerprint)),
+        ("verdict".to_owned(), Json::Str(served.verdict.to_owned())),
+        ("cache".to_owned(), Json::Str(served.cache.to_owned())),
+        ("seq".to_owned(), Json::Num(served.seq as f64)),
         (
             "tuples".to_owned(),
-            Json::Arr(tuples.into_iter().map(Json::Str).collect()),
+            Json::Arr(served.tuples.into_iter().map(Json::Str).collect()),
         ),
-        ("skip".to_owned(), skip_json),
+        ("skip".to_owned(), skip),
     ]);
     Response::json(200, body.render())
 }
@@ -287,7 +309,7 @@ fn parse_max_commits(body: &Json) -> Result<Option<usize>, &'static str> {
 /// that root (plain path components only — no absolute paths, no
 /// `..`). Each mined pair lands in the `/explain` ring like a `/mine`
 /// verdict would.
-fn mine_repo(req: &Request, shared: &Shared, request_id: u64) -> Response {
+fn mine_repo(req: &Request, shared: &Shared, rec: &mut Recorder, request_id: u64) -> Response {
     let Some(root) = shared.config.repo_root.as_ref() else {
         return err_json(
             404,
@@ -326,7 +348,7 @@ fn mine_repo(req: &Request, shared: &Shared, request_id: u64) -> Response {
         max_commits,
         limits: gitsrc::IngestLimits::DEFAULT,
     };
-    let mut ingest_metrics = obs::Recorder::new();
+    let mut ingest_metrics = Recorder::new();
     let report = match gitsrc::ingest_repo(&repo, &opts, &mut ingest_metrics) {
         Ok(report) => report,
         // The repo exists but git could not walk it: the request is
@@ -334,67 +356,13 @@ fn mine_repo(req: &Request, shared: &Shared, request_id: u64) -> Response {
         Err(e) => return err_json(422, &format!("ingestion failed: {e}")),
     };
 
-    // Mine every extracted pair through the same read-view / absorb
-    // pattern as `/mine`, batching all writes into one shard log. One
-    // pipeline for the whole walk, so its pairs share one memo.
-    let mut dc = DiffCode::new();
-    let mut verdicts: Vec<(String, &'static str, &'static str)> = Vec::new();
-    let mut process = |view: Option<&mut diffcode::mcache::MiningCacheView>| {
-        let mut view = view;
-        for change in report.corpus.code_changes() {
-            let (outcome, cache_status, fingerprint) =
-                dc.process_pair_cached(change.old, change.new, &[], view.as_deref_mut());
-            let verdict = match &outcome {
-                ChangeOutcome::Mined(_) => "mined",
-                ChangeOutcome::Skipped { .. } => "quarantined",
-            };
-            let tuples = diffcode::cli::outcome_digest_parts(&outcome);
-            let mut ring = shared.ring.lock().unwrap_or_else(PoisonError::into_inner);
-            ring.push(ExplainRecord {
-                seq: 0,
-                request_id,
-                fingerprint: fingerprint.clone(),
-                verdict,
-                cache: cache_status,
-                tuples,
-                skip: match outcome {
-                    ChangeOutcome::Mined(_) => None,
-                    ChangeOutcome::Skipped {
-                        kind,
-                        error,
-                        excerpt,
-                    } => Some((kind.name().to_owned(), error, excerpt)),
-                },
-            });
-            verdicts.push((fingerprint, verdict, cache_status));
-        }
-    };
-    match shared.cache.as_ref() {
-        Some(lock) => {
-            let log = {
-                let cache = lock.read().unwrap_or_else(PoisonError::into_inner);
-                let mut view = cache.view();
-                process(Some(&mut view));
-                view.into_log()
-            };
-            let mut cache = lock.write().unwrap_or_else(PoisonError::into_inner);
-            cache.absorb(log);
-            match cache.flush() {
-                Ok(n) => shared.with_recorder(|r| r.inc("cache.flushed_entries", n as u64)),
-                Err(_) => shared.with_recorder(|r| r.inc("serve.cache_flush_errors", 1)),
-            }
-        }
-        None => process(None),
-    }
+    rec.merge(ingest_metrics);
+    // One pipeline for the whole walk, so its pairs share one memo.
+    let pairs = report.corpus.code_changes().map(|c| (c.old, c.new));
+    let verdicts = mine_pairs(shared, rec, request_id, &[], pairs);
+    rec.inc("serve.mine_repo_requests", 1);
 
-    let request_metrics = dc.take_recorder();
-    shared.with_recorder(|r| {
-        r.merge(ingest_metrics);
-        r.merge(request_metrics);
-        r.inc("serve.mine_repo_requests", 1);
-    });
-
-    let mined = verdicts.iter().filter(|(_, v, _)| *v == "mined").count();
+    let mined = verdicts.iter().filter(|v| v.verdict == "mined").count();
     let stats = &report.stats;
     let body = Json::Obj(vec![
         ("repo".to_owned(), Json::Str(name.to_owned())),
@@ -427,11 +395,11 @@ fn mine_repo(req: &Request, shared: &Shared, request_id: u64) -> Response {
             Json::Arr(
                 verdicts
                     .into_iter()
-                    .map(|(fingerprint, verdict, cache)| {
+                    .map(|v| {
                         Json::Obj(vec![
-                            ("fingerprint".to_owned(), Json::Str(fingerprint)),
-                            ("verdict".to_owned(), Json::Str(verdict.to_owned())),
-                            ("cache".to_owned(), Json::Str(cache.to_owned())),
+                            ("fingerprint".to_owned(), Json::Str(v.fingerprint)),
+                            ("verdict".to_owned(), Json::Str(v.verdict.to_owned())),
+                            ("cache".to_owned(), Json::Str(v.cache.to_owned())),
                         ])
                     })
                     .collect(),
@@ -536,7 +504,7 @@ fn metrics(shared: &Shared) -> Response {
 
 /// Hit-rate summary for a cache's `<prefix>.hit` / `.miss` /
 /// `.stale_version` counters; `Null` before any lookup happened.
-fn cache_rate_json(r: &obs::Recorder, prefix: &str) -> Json {
+fn cache_rate_json(r: &Recorder, prefix: &str) -> Json {
     let hits = r.counter(&format!("{prefix}.hit"));
     let misses = r.counter(&format!("{prefix}.miss"));
     let stale = r.counter(&format!("{prefix}.stale_version"));
@@ -717,7 +685,14 @@ mod tests {
         let files = format!(
             r#"{{"files": [{{"name": "Bomb.java", "source": {bomb}}}, {{"name": "Ok.java", "source": "class Ok {{}}"}}]}}"#
         );
-        let resp = handle(&request("POST", "/check", &files), &shared, 1, later());
+        let mut rec = Recorder::new();
+        let resp = handle(
+            &request("POST", "/check", &files),
+            &shared,
+            &mut rec,
+            1,
+            later(),
+        );
         assert_eq!(resp.status, 200);
         let reply = body(std::str::from_utf8(&resp.body).unwrap());
         assert_eq!(reply.get("unanalyzed").and_then(Json::as_num), Some(1.0));
@@ -733,7 +708,13 @@ mod tests {
         assert!(report.contains("(1 not analyzed)"), "{report}");
 
         let past = Instant::now();
-        let resp = handle(&request("POST", "/check", &files), &shared, 2, past);
+        let resp = handle(
+            &request("POST", "/check", &files),
+            &shared,
+            &mut rec,
+            2,
+            past,
+        );
         assert_eq!(resp.status, 408);
         assert_eq!(resp.body, b"request deadline exceeded\n");
     }
@@ -748,15 +729,14 @@ mod tests {
             "/mine",
             r#"{"old": "class A {}", "new": "class A { int x; }"}"#,
         );
+        let mut rec = Recorder::new();
         for _ in 0..2 {
-            assert_eq!(handle(&req, &shared, 1, later()).status, 200);
+            assert_eq!(handle(&req, &shared, &mut rec, 1, later()).status, 200);
         }
-        let (hits, misses) = shared.with_recorder(|r| {
-            (
-                r.counter("analyze.cache_hit"),
-                r.counter("analyze.cache_miss"),
-            )
-        });
+        let (hits, misses) = (
+            rec.counter("analyze.cache_hit"),
+            rec.counter("analyze.cache_miss"),
+        );
         assert_eq!(hits, 0, "no analysis memo outlives its request");
         assert_eq!(misses, 4, "each request analyzes its old and new source");
     }
@@ -769,7 +749,8 @@ mod tests {
         };
         let shared = Shared::new(config, None);
         let send = |method: &str, path: &str, body: &str| {
-            handle(&request(method, path, body), &shared, 1, later()).status
+            let mut rec = Recorder::new();
+            handle(&request(method, path, body), &shared, &mut rec, 1, later()).status
         };
         // One body for every route: `/mine` (first in the table) mines
         // it, so `/explain/<its fingerprint>` finds a verdict; the

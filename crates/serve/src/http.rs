@@ -102,15 +102,15 @@ impl RecvError {
         }
     }
 
-    /// Stable counter suffix (`serve.recv_<name>`).
-    pub(crate) fn name(&self) -> &'static str {
+    /// The stable `serve.recv_<kind>` counter this error counts in.
+    pub(crate) fn counter(&self) -> &'static str {
         match self {
-            RecvError::Deadline => "deadline",
-            RecvError::HeadTooLarge => "head_too_large",
-            RecvError::BodyTooLarge => "body_too_large",
-            RecvError::Malformed(_) => "malformed",
-            RecvError::Closed => "closed",
-            RecvError::Io => "io",
+            RecvError::Deadline => "serve.recv_deadline",
+            RecvError::HeadTooLarge => "serve.recv_head_too_large",
+            RecvError::BodyTooLarge => "serve.recv_body_too_large",
+            RecvError::Malformed(_) => "serve.recv_malformed",
+            RecvError::Closed => "serve.recv_closed",
+            RecvError::Io => "serve.recv_io",
         }
     }
 }

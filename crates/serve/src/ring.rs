@@ -10,7 +10,7 @@
 use crate::json::Json;
 use std::collections::VecDeque;
 
-/// One served `/mine` verdict, kept for `/explain`.
+/// One served `/mine` or `/mine-repo` verdict, kept for `/explain`.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct ExplainRecord {
     /// Monotone per-server sequence number (1-based).
@@ -33,16 +33,21 @@ pub(crate) struct ExplainRecord {
 }
 
 impl ExplainRecord {
-    /// The JSON rendering served by `/explain`.
-    pub(crate) fn to_json(&self) -> Json {
-        let skip = match &self.skip {
+    /// The `skip` provenance as served: an object, or `null` for a
+    /// mined verdict.
+    pub(crate) fn skip_json(&self) -> Json {
+        match &self.skip {
             Some((kind, error, excerpt)) => Json::Obj(vec![
                 ("kind".to_owned(), Json::Str(kind.clone())),
                 ("error".to_owned(), Json::Str(error.clone())),
                 ("excerpt".to_owned(), Json::Str(excerpt.clone())),
             ]),
             None => Json::Null,
-        };
+        }
+    }
+
+    /// The JSON rendering served by `/explain`.
+    pub(crate) fn to_json(&self) -> Json {
         Json::Obj(vec![
             ("seq".to_owned(), Json::Num(self.seq as f64)),
             ("request_id".to_owned(), Json::Num(self.request_id as f64)),
@@ -56,7 +61,7 @@ impl ExplainRecord {
                 "tuples".to_owned(),
                 Json::Arr(self.tuples.iter().cloned().map(Json::Str).collect()),
             ),
-            ("skip".to_owned(), skip),
+            ("skip".to_owned(), self.skip_json()),
         ])
     }
 }

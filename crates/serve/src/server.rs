@@ -18,7 +18,10 @@
 //!    becomes a `500` with quarantine-style provenance and counts
 //!    `serve.failed`; the worker survives. Everything else — including
 //!    clean `4xx` rejections of malformed input — counts
-//!    `serve.completed`.
+//!    `serve.completed`. The request records into its own recorder;
+//!    when it finishes, one lock on the shared recorder merges that,
+//!    counts the outcome, records the latency and the `serve.access`
+//!    event, and only then is the response written.
 //! 3. On shutdown (SIGINT/SIGTERM via [`diffcode::shutdown`], or a
 //!    programmatic stop flag) the listener closes, queued connections
 //!    drain under the drain deadline (whatever the deadline catches
@@ -31,6 +34,7 @@
 
 use crate::handlers;
 use crate::http::{self, HttpCaps, Response};
+use crate::json::Json;
 use crate::ring::ExplainRing;
 use diffcode::quarantine::PipelineLimits;
 use diffcode::MiningCache;
@@ -72,15 +76,16 @@ pub struct ServeConfig {
     /// Honors the `X-Chaos-Sleep-Ms` / `X-Chaos-Panic` test headers.
     /// Off in production; the soak harness turns it on.
     pub chaos_hooks: bool,
-    /// The structured logger every request and lifecycle event goes
-    /// through. Cloning shares the underlying writer, so the binary can
-    /// keep a handle for its own boot/drain events. Disabled by default
+    /// The structured logger, the second exporter of every request and
+    /// lifecycle event the capture records. Cloning shares the
+    /// underlying writer, so the binary can keep a handle for the
+    /// events it writes before a server exists. Disabled by default
     /// (library embedders opt in); the `diffcode-serve` binary enables
     /// a stderr JSON logger unless told otherwise.
     pub logger: Logger,
     /// How many trace events `GET /trace/capture` retains (oldest
-    /// evicted first). The capture sink records one instant per
-    /// finished request plus lifecycle markers, so memory stays
+    /// evicted first). The capture records one `serve.access` instant
+    /// per finished request plus the lifecycle events, so memory stays
     /// bounded no matter how long the server runs.
     pub trace_capacity: usize,
 }
@@ -138,29 +143,31 @@ impl Default for ServeSummary {
 
 /// State shared by the accept loop, the workers, and the handlers.
 ///
-/// **Lock order.** `queue`, `recorder`, `ring` and `drain_deadline`
-/// are leaf locks: no path takes any other lock while holding one of
-/// them. Read what you need under one lock, drop it, then take the
-/// next — e.g. `GET /status` reads [`Shared::queue_len`] *before*
-/// entering [`Shared::with_recorder`], and admission sets the
-/// `serve.queue_depth` gauge only after the queue guard is dropped.
+/// **Lock order.** `cache`, `queue`, `recorder`, `ring` and
+/// `drain_deadline` are leaf locks: no path takes any other lock while
+/// holding one of them. Read what you need under one lock, drop it,
+/// then take the next — e.g. `GET /status` reads [`Shared::queue_len`]
+/// *before* entering [`Shared::with_recorder`], admission sets the
+/// `serve.queue_depth` gauge only after the queue guard is dropped, and
+/// a cache flush's outcome is counted after the cache guard is dropped.
 /// Two paths that take `queue` and `recorder` in opposite orders
 /// deadlock under load, and the wedged recorder then stalls every
-/// worker and the drain. Only the `cache` lock is held across other
-/// locks, and it is always taken first.
+/// worker and the drain.
 pub(crate) struct Shared {
     /// The server configuration.
     pub config: ServeConfig,
     /// The single recorder: the metrics behind `GET /metrics` and
     /// `GET /status`, and the bounded capture trace behind
-    /// `GET /trace/capture` (one instant per finished request,
-    /// truncated to `config.trace_capacity` after each push).
+    /// `GET /trace/capture` (one instant per event, truncated to
+    /// `config.trace_capacity` after each push). Each request records
+    /// into its own recorder, merged here once when it finishes.
     pub recorder: Mutex<Recorder>,
     /// The hot mining cache, when configured.
     pub cache: Option<RwLock<MiningCache>>,
     /// The `/explain` verdict journal.
     pub ring: Mutex<ExplainRing>,
-    /// The structured logger (clone of `config.logger`).
+    /// The structured logger (clone of `config.logger`), written only
+    /// through [`Shared::event`].
     pub log: Logger,
     /// When the server started (uptime for `GET /status`).
     pub started: Instant,
@@ -173,7 +180,7 @@ pub(crate) struct Shared {
 
 /// One admitted connection waiting for a worker, tagged with the
 /// request id and admission timestamp that thread through the access
-/// log, the explain ring, and quarantine provenance.
+/// record, the explain ring, and quarantine provenance.
 struct Conn {
     stream: TcpStream,
     id: u64,
@@ -220,6 +227,32 @@ impl Shared {
     pub(crate) fn with_recorder<T>(&self, f: impl FnOnce(&mut Recorder) -> T) -> T {
         let mut guard = self.recorder.lock().unwrap_or_else(PoisonError::into_inner);
         f(&mut guard)
+    }
+
+    /// Records one serve event: the attributes `fill` builds are
+    /// written once to the log, then appended once to the bounded
+    /// capture behind `GET /trace/capture` (oldest events evicted past
+    /// `trace_capacity`), so both exporters carry the same record.
+    /// `record` runs in the same lock as the capture append, after it.
+    /// The attributes are built and the log line written before the
+    /// lock is taken, so the lock covers only the recorder's own work.
+    pub(crate) fn event(
+        &self,
+        level: LogLevel,
+        name: &str,
+        fill: impl FnOnce(&mut AttrSet),
+        record: impl FnOnce(&mut Recorder),
+    ) {
+        let mut attrs = AttrSet::default();
+        fill(&mut attrs);
+        self.log.write(level, name, &attrs);
+        self.with_recorder(|r| {
+            r.instant_with(name, |a| *a = attrs);
+            if let Some(trace) = r.trace_mut() {
+                trace.truncate_oldest(self.config.trace_capacity.max(1));
+            }
+            record(r);
+        });
     }
 }
 
@@ -282,18 +315,13 @@ impl Server {
         };
 
         let shared = Arc::new(Shared::new(config, cache));
-
-        shared
-            .log
-            .event(LogLevel::Info, "serve.boot")
-            .str("addr", &addr.to_string())
-            .u64("threads", shared.config.threads.max(1) as u64)
-            .bool("cache", shared.cache.is_some())
-            .str("version", env!("CARGO_PKG_VERSION"))
-            .emit();
-        trace_instant(&shared, "serve.boot", |a| {
-            a.str("addr", addr.to_string());
-        });
+        let boot = |a: &mut AttrSet| {
+            a.str("addr", addr.to_string())
+                .u64("threads", shared.config.threads.max(1) as u64)
+                .u64("cache", u64::from(shared.cache.is_some()))
+                .str("version", env!("CARGO_PKG_VERSION"));
+        };
+        shared.event(LogLevel::Info, "serve.boot", boot, |_| {});
 
         let stop = Arc::new(AtomicBool::new(false));
         let thread = {
@@ -409,17 +437,14 @@ fn run(listener: TcpListener, shared: Arc<Shared>, stop: &AtomicBool) -> ServeSu
         *deadline = Some(Instant::now() + Duration::from_millis(shared.config.drain_ms));
     }
     shared.draining.store(true, Ordering::SeqCst);
-    shared
-        .log
-        .event(LogLevel::Info, "serve.drain")
-        .u64(
-            "accepted",
-            shared.with_recorder(|r| r.counter("serve.accepted")),
-        )
-        .u64("queued", shared.queue_len() as u64)
-        .u64("drain_ms", shared.config.drain_ms)
-        .emit();
-    trace_instant(&shared, "serve.drain", |_| {});
+    let accepted = shared.with_recorder(|r| r.counter("serve.accepted"));
+    let queued = shared.queue_len() as u64;
+    let drain = |a: &mut AttrSet| {
+        a.u64("accepted", accepted)
+            .u64("queued", queued)
+            .u64("drain_ms", shared.config.drain_ms);
+    };
+    shared.event(LogLevel::Info, "serve.drain", drain, |_| {});
     shared.queue_cv.notify_all();
     for handle in workers.into_iter().flatten() {
         let _ = handle.join();
@@ -428,20 +453,19 @@ fn run(listener: TcpListener, shared: Arc<Shared>, stop: &AtomicBool) -> ServeSu
     // Flush the cache append log so a restart starts warm.
     let mut flushed = 0u64;
     if let Some(lock) = &shared.cache {
-        let mut cache = lock.write().unwrap_or_else(PoisonError::into_inner);
-        match cache.flush() {
-            Ok(n) => flushed = n as u64,
-            Err(_) => shared.with_recorder(|r| r.inc("serve.cache_flush_errors", 1)),
-        }
-        shared
-            .log
-            .event(LogLevel::Info, "serve.cache_flush")
-            .str("cache", "mining")
-            .u64("entries", flushed)
-            .emit();
+        let result = lock.write().unwrap_or_else(PoisonError::into_inner).flush();
+        flushed = result.as_ref().map_or(0, |&n| n as u64);
+        let flush = |a: &mut AttrSet| {
+            a.str("cache", "mining").u64("entries", flushed);
+        };
+        shared.event(LogLevel::Info, "serve.cache_flush", flush, |r| {
+            if result.is_err() {
+                r.inc("serve.cache_flush_errors", 1);
+            }
+        });
     }
 
-    let summary = shared.with_recorder(|r| {
+    let mut summary = shared.with_recorder(|r| {
         r.inc("cache.flushed_entries", flushed);
         r.set_gauge("serve.log_emitted", shared.log.emitted() as f64);
         r.set_gauge("serve.log_dropped", shared.log.dropped() as f64);
@@ -451,34 +475,24 @@ fn run(listener: TcpListener, shared: Arc<Shared>, stop: &AtomicBool) -> ServeSu
             shed: r.counter("serve.shed"),
             failed: r.counter("serve.failed"),
             flushed_entries: r.counter("cache.flushed_entries"),
-            recorder: r.clone(),
+            recorder: Recorder::new(),
         }
     });
-    shared
-        .log
-        .event(LogLevel::Info, "serve.drained")
-        .u64("accepted", summary.accepted)
-        .u64("completed", summary.completed)
-        .u64("shed", summary.shed)
-        .u64("failed", summary.failed)
-        .u64("flushed_entries", summary.flushed_entries)
-        .emit();
+    let drained = |a: &mut AttrSet| {
+        a.u64("accepted", summary.accepted)
+            .u64("completed", summary.completed)
+            .u64("shed", summary.shed)
+            .u64("failed", summary.failed)
+            .u64("flushed_entries", summary.flushed_entries);
+    };
+    let mut recorder = Recorder::new();
+    shared.event(LogLevel::Info, "serve.drained", drained, |r| {
+        recorder = r.clone();
+    });
+    summary.recorder = recorder;
     // Bounded wait: a wedged writer must not stall shutdown forever.
     shared.log.sync(Duration::from_secs(2));
     summary
-}
-
-/// Appends one instant to the recorder's bounded capture trace.
-fn trace_instant(shared: &Shared, name: &str, fill: impl FnOnce(&mut AttrSet)) {
-    shared.with_recorder(|r| capture_instant(r, shared.config.trace_capacity, name, fill));
-}
-
-/// Records one capture instant into `r`, keeping the newest `keep`.
-fn capture_instant(r: &mut Recorder, keep: usize, name: &str, fill: impl FnOnce(&mut AttrSet)) {
-    r.instant_with(name, fill);
-    if let Some(trace) = r.trace_mut() {
-        trace.truncate_oldest(keep.max(1));
-    }
 }
 
 /// The endpoint label and per-endpoint latency span of a request path,
@@ -491,56 +505,95 @@ pub(crate) fn endpoint(path: &str) -> (&'static str, &'static str) {
     })
 }
 
-/// Emits the full per-request observability record: the latency into
-/// the `serve.request` histograms (overall and per endpoint) and one
-/// bounded capture instant, under one lock, plus one access-log line.
-/// Every accepted connection — answered, shed, or panicked — lands
-/// here exactly once, so access-log records partition the same way the
-/// counters do.
-#[allow(clippy::too_many_arguments)]
-fn finish_request(
+/// The `serve.http_<status>` counter of a status the server answers,
+/// spelled out at compile time; `None` for 0, the status of a peer that
+/// left before its request.
+fn http_counter(status: u16) -> Option<&'static str> {
+    macro_rules! counters {
+        ($($code:literal)*) => {
+            match status {
+                0 => None,
+                $($code => Some(concat!("serve.http_", $code)),)*
+                _ => Some("serve.http_other"),
+            }
+        };
+    }
+    counters!(200 400 404 405 408 413 422 429 431 500 503)
+}
+
+/// Finishes one accepted connection, whose request line was `req_line`
+/// (`None` when none was read): records its `serve.access` event, then
+/// writes `resp`, so a client holding its response finds the request
+/// counted. The event's one lock on the shared recorder also merges
+/// `request` (the handler's pipeline, cache and ingestion metrics),
+/// counts the status and the outcome's partition, and folds the latency
+/// into the `serve.request` histograms (overall and per endpoint).
+/// Every accepted connection — answered, shed, or panicked — ends here
+/// exactly once, so access records partition the same way the counters
+/// do.
+fn finish(
     shared: &Shared,
-    id: u64,
-    method: &str,
-    path: &str,
-    status: u16,
-    latency: Duration,
-    bytes: usize,
+    conn: Conn,
+    request: Recorder,
+    req_line: Option<(String, String)>,
+    resp: Option<Response>,
     outcome: &'static str,
 ) {
+    let Conn {
+        mut stream,
+        id,
+        accepted,
+    } = conn;
+    let latency = accepted.elapsed();
+    let (method, path) = req_line
+        .as_ref()
+        .map_or(("-", "-"), |(m, p)| (m.as_str(), p.as_str()));
+    let latency_ns = u64::try_from(latency.as_nanos()).unwrap_or(u64::MAX);
+    let (status, bytes) = resp.as_ref().map_or((0, 0), |r| (r.status, r.body.len()));
     let route = (path != "-").then(|| endpoint(path));
     let label = route.map_or("-", |(label, _)| label);
-    let latency_ns = latency.as_nanos().min(u64::MAX as u128) as u64;
-    shared.with_recorder(|r| {
+    let (partition, level) = match outcome {
+        "ok" => ("serve.completed", LogLevel::Info),
+        "deadline" => ("serve.completed", LogLevel::Warn),
+        "panic" => ("serve.failed", LogLevel::Error),
+        _ => ("serve.shed", LogLevel::Warn),
+    };
+    let access = |a: &mut AttrSet| {
+        a.u64("request_id", id)
+            .str("method", method)
+            .str("path", path)
+            .str("endpoint", label)
+            .u64("status", u64::from(status))
+            .u64("latency_ns", latency_ns)
+            .u64("bytes", bytes as u64)
+            .str("outcome", outcome);
+    };
+    shared.event(level, "serve.access", access, |r| {
+        r.merge(request);
+        if let Some(counter) = http_counter(status) {
+            r.inc(counter, 1);
+        }
+        r.inc(partition, 1);
         r.record_span("serve.request", latency);
         if let Some((_, span)) = route {
             r.record_span(span, latency);
         }
-        capture_instant(r, shared.config.trace_capacity, "serve.request", |a| {
-            a.u64("request_id", id)
-                .str("endpoint", label)
-                .u64("status", u64::from(status))
-                .u64("latency_ns", latency_ns)
-                .str("outcome", outcome);
-        });
     });
-    let level = match outcome {
-        "ok" => LogLevel::Info,
-        "panic" => LogLevel::Error,
-        _ => LogLevel::Warn,
-    };
-    shared
-        .log
-        .event(level, "serve.access")
-        .u64("request_id", id)
-        .str("method", method)
-        .str("path", path)
-        .str("endpoint", label)
-        .u64("status", u64::from(status))
-        .u64("latency_ns", latency_ns)
-        .u64("bytes", bytes as u64)
-        .str("outcome", outcome)
-        .emit();
+    if let Some(resp) = resp {
+        if http::write_response(&mut stream, &resp).is_err() {
+            shared.with_recorder(|r| r.inc("serve.response_write_errors", 1));
+        }
+    }
+}
+
+/// Sheds a connection unread with `status` (429 at the watermark, 503
+/// past the drain deadline) and `Retry-After`. The write is bounded by
+/// the socket write timeout, so a client that refuses to read cannot
+/// stall the caller for long.
+fn shed(shared: &Shared, conn: Conn, status: u16, body: &str) {
+    let mut resp = Response::json(status, body.to_owned());
+    resp.retry_after = Some(1);
+    finish(shared, conn, Recorder::new(), None, Some(resp), "shed");
 }
 
 /// Counts and enqueues one accepted connection, or sheds it with 429
@@ -548,21 +601,20 @@ fn finish_request(
 fn admit(shared: &Shared, stream: TcpStream) {
     let _ = stream.set_nonblocking(false);
     let _ = stream.set_write_timeout(Some(Duration::from_secs(5)));
-    let id = shared.next_request_id.fetch_add(1, Ordering::Relaxed) + 1;
-    let accepted = Instant::now();
+    let conn = Conn {
+        stream,
+        id: shared.next_request_id.fetch_add(1, Ordering::Relaxed) + 1,
+        accepted: Instant::now(),
+    };
     shared.with_recorder(|r| r.inc("serve.accepted", 1));
     // The queue guard drops before the recorder is touched (lock order
     // on `Shared`).
     let admitted = {
         let mut queue = shared.queue.lock().unwrap_or_else(PoisonError::into_inner);
         if queue.len() >= shared.config.queue_depth {
-            Err(stream)
+            Err(conn)
         } else {
-            queue.push_back(Conn {
-                stream,
-                id,
-                accepted,
-            });
+            queue.push_back(conn);
             Ok(queue.len())
         }
     };
@@ -571,23 +623,13 @@ fn admit(shared: &Shared, stream: TcpStream) {
             shared.queue_cv.notify_one();
             shared.with_recorder(|r| r.set_gauge("serve.queue_depth", len as f64));
         }
-        Err(mut stream) => {
-            // Past the watermark: shed on the accept thread. The write
-            // is bounded by the socket write timeout, so a client that
-            // refuses to read its 429 cannot stall accepts for long.
-            let mut resp = Response::json(
-                429,
-                "{\"error\":\"admission queue is full, retry shortly\"}".to_owned(),
-            );
-            resp.retry_after = Some(1);
-            let bytes = resp.body.len();
-            let _ = http::write_response(&mut stream, &resp);
-            shared.with_recorder(|r| {
-                r.inc("serve.shed", 1);
-                r.inc("serve.http_429", 1);
-            });
-            finish_request(shared, id, "-", "-", 429, accepted.elapsed(), bytes, "shed");
-        }
+        // Past the watermark: shed on the accept thread.
+        Err(conn) => shed(
+            shared,
+            conn,
+            429,
+            "{\"error\":\"admission queue is full, retry shortly\"}",
+        ),
     }
 }
 
@@ -616,20 +658,7 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
-/// Where one finished connection lands in the accounting partition.
-/// (Shed connections are counted at their shed site — the 429
-/// watermark rejection or the drain-deadline 503 — and never get here.)
-enum Disposition {
-    Completed,
-    Failed,
-}
-
-fn handle_connection(shared: &Shared, conn: Conn) {
-    let Conn {
-        mut stream,
-        id,
-        accepted,
-    } = conn;
+fn handle_connection(shared: &Shared, mut conn: Conn) {
     // Past the drain deadline: fast 503, no parsing.
     let past_drain = shared.draining()
         && shared
@@ -638,26 +667,21 @@ fn handle_connection(shared: &Shared, conn: Conn) {
             .unwrap_or_else(PoisonError::into_inner)
             .is_some_and(|d| Instant::now() >= d);
     if past_drain {
-        let mut resp = Response::json(503, "{\"error\":\"server is draining\"}".to_owned());
-        resp.retry_after = Some(1);
-        let bytes = resp.body.len();
-        let _ = http::write_response(&mut stream, &resp);
-        shared.with_recorder(|r| {
-            r.inc("serve.shed", 1);
-            r.inc("serve.http_503", 1);
-        });
-        finish_request(shared, id, "-", "-", 503, accepted.elapsed(), bytes, "shed");
+        shed(shared, conn, 503, "{\"error\":\"server is draining\"}");
         return;
     }
 
     let deadline = Instant::now() + Duration::from_millis(shared.config.deadline_ms);
+    // The request's own metrics, merged into the shared recorder once,
+    // when it finishes.
+    let mut request = Recorder::new();
     let mut req_line: Option<(String, String)> = None;
     let mut deadline_hit = false;
-    let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
-        match http::read_request(&mut stream, deadline, &shared.config.caps) {
+    let answered = panic::catch_unwind(AssertUnwindSafe(|| {
+        match http::read_request(&mut conn.stream, deadline, &shared.config.caps) {
             Ok(req) => {
                 req_line = Some((req.method.clone(), req.path.clone()));
-                let resp = handlers::handle(&req, shared, id, deadline);
+                let resp = handlers::handle(&req, shared, &mut request, conn.id, deadline);
                 // A handler answers 408 only when its compute overran
                 // the request deadline.
                 deadline_hit = resp.status == 408;
@@ -665,82 +689,40 @@ fn handle_connection(shared: &Shared, conn: Conn) {
             }
             Err(err) => {
                 deadline_hit = err == http::RecvError::Deadline;
-                shared.with_recorder(|r| r.inc(&format!("serve.recv_{}", err.name()), 1));
+                request.inc(err.counter(), 1);
                 err.status()
                     .map(|(status, msg)| Response::text(status, msg))
             }
         }
     }));
 
-    let (disposition, status, bytes) = match outcome {
-        Ok(Some(resp)) => {
-            let status = resp.status;
-            let bytes = resp.body.len();
-            let delivered = http::write_response(&mut stream, &resp).is_ok();
-            shared.with_recorder(|r| {
-                r.inc(&format!("serve.http_{status}"), 1);
-                if !delivered {
-                    r.inc("serve.response_write_errors", 1);
-                }
-            });
-            if status == 500 {
-                (Disposition::Failed, status, bytes)
-            } else {
-                (Disposition::Completed, status, bytes)
-            }
-        }
-        // Peer vanished before sending a request; cleanly done.
-        Ok(None) => (Disposition::Completed, 0, 0),
+    let (resp, outcome) = match answered {
+        Ok(Some(resp)) if resp.status == 500 => (Some(resp), "panic"),
+        Ok(Some(resp)) if deadline_hit => (Some(resp), "deadline"),
+        // Answered, or the peer left before sending a request.
+        Ok(resp) => (resp, "ok"),
+        // A panic escaped a handler: the worker survives, the client
+        // gets a 500 carrying quarantine-style provenance stamped with
+        // the request id the access record carries.
         Err(payload) => {
-            // A panic escaped a handler: the worker survives, the
-            // client gets a 500 carrying quarantine-style provenance
-            // stamped with the request id the access log records.
-            let msg = panic_message(payload.as_ref());
-            let body = crate::json::Json::Obj(vec![
+            let body = Json::Obj(vec![
                 (
                     "error".to_owned(),
-                    crate::json::Json::Str("internal error: handler panicked".to_owned()),
+                    Json::Str("internal error: handler panicked".to_owned()),
                 ),
-                ("request_id".to_owned(), crate::json::Json::Num(id as f64)),
+                ("request_id".to_owned(), Json::Num(conn.id as f64)),
                 (
                     "quarantine".to_owned(),
-                    crate::json::Json::Obj(vec![
-                        (
-                            "kind".to_owned(),
-                            crate::json::Json::Str("panic".to_owned()),
-                        ),
-                        ("error".to_owned(), crate::json::Json::Str(msg)),
+                    Json::Obj(vec![
+                        ("kind".to_owned(), Json::Str("panic".to_owned())),
+                        ("error".to_owned(), Json::Str(panic_message(&*payload))),
                     ]),
                 ),
             ]);
-            let resp = Response::json(500, body.render());
-            let bytes = resp.body.len();
-            let _ = http::write_response(&mut stream, &resp);
-            shared.with_recorder(|r| r.inc("serve.http_500", 1));
-            (Disposition::Failed, 500, bytes)
+            (Some(Response::json(500, body.render())), "panic")
         }
     };
-
-    shared.with_recorder(|r| match disposition {
-        Disposition::Completed => r.inc("serve.completed", 1),
-        Disposition::Failed => r.inc("serve.failed", 1),
-    });
-    let (method, path) = req_line.unwrap_or_else(|| ("-".to_owned(), "-".to_owned()));
-    let result = match disposition {
-        Disposition::Failed => "panic",
-        Disposition::Completed if deadline_hit => "deadline",
-        Disposition::Completed => "ok",
-    };
-    finish_request(
-        shared,
-        id,
-        &method,
-        &path,
-        status,
-        accepted.elapsed(),
-        bytes,
-        result,
-    );
+    finish(shared, conn, request, req_line, resp, outcome);
 }
 
 /// Extracts the message from a caught panic payload.
@@ -774,12 +756,18 @@ mod tests {
     fn a_full_capture_keeps_the_newest_events_in_order() {
         const CAPACITY: usize = 2_048;
         const CAPTURES: u64 = 10_000;
-        let mut r = Recorder::traced(1);
+        let config = ServeConfig {
+            trace_capacity: CAPACITY,
+            ..ServeConfig::default()
+        };
+        let shared = Shared::new(config, None);
         for id in 0..CAPTURES {
-            capture_instant(&mut r, CAPACITY, "serve.request", |a| {
+            let access = |a: &mut AttrSet| {
                 a.u64("request_id", id);
-            });
+            };
+            shared.event(LogLevel::Info, "serve.access", access, |_| {});
         }
+        let r = shared.recorder.lock().unwrap();
         let trace = r.trace().expect("the capture recorder traces");
         assert_eq!(trace.len(), CAPACITY);
         let newest: Vec<u64> = (CAPTURES - CAPACITY as u64..CAPTURES).collect();
@@ -794,5 +782,16 @@ mod tests {
                 "events={events}"
             );
         }
+    }
+
+    #[test]
+    fn status_counters_are_spelled_out_for_every_status() {
+        for status in [200, 400, 404, 405, 408, 413, 422, 429, 431, 500, 503] {
+            assert_eq!(
+                http_counter(status).map(str::to_owned),
+                Some(format!("serve.http_{status}"))
+            );
+        }
+        assert_eq!(http_counter(0), None, "a peer that never asked");
     }
 }

@@ -16,14 +16,17 @@ the process:
      with non-zero percentiles once traffic has flowed, and no longer
      carries a cluster_cache field (GET /cluster/stats is gone: 404);
   6. /trace/capture returns a well-formed Chrome-trace array covering
-     the recent requests, and rejects malformed queries with a 400;
+     the recent requests as serve.access instants, and rejects
+     malformed queries with a 400;
   7. SIGTERM drains: exit code 0 and a final accounting line whose
      partition `accepted = completed + shed + failed` balances;
   8. the stderr access log is valid JSON-lines: exactly one
      serve.access record per accepted request, with the documented
      schema, whose outcome partition cross-checks against the drain
      accounting line; plus serve.boot and serve.drained lifecycle
-     records.
+     records; and every request the capture holds has the access
+     record with its request_id, status and outcome (the capture and
+     the log export one event).
 
 Exit code 0 on success, 1 with a message per violation otherwise.
 Usage: check_serve_smoke.py <path-to-diffcode-binary>
@@ -83,18 +86,22 @@ ACCESS_KEYS = (
 )
 
 
-def check_access_log(stderr, accepted, completed, shed, failed):
-    """Validates the structured stderr log against the drain accounting.
+def check_access_log(stderr, accepted, completed, shed, failed, captured):
+    """Validates the structured stderr log against the drain accounting
+    and the trace capture.
 
     With the default `--log-format json`, every stderr line is one JSON
     record. Access records (`event == "serve.access"`) must appear once
     per accepted request with the full schema, and their outcome
     partition must reproduce the drain line exactly:
     `ok + deadline == completed`, `shed == shed`, `panic == failed`.
+    Each `captured` serve.access instant's args must match the access
+    record with the same request_id on status and outcome.
     """
     errors = []
     outcomes = {"ok": 0, "deadline": 0, "shed": 0, "panic": 0}
     events = {}
+    by_id = {}
     for line in stderr.splitlines():
         if not line.strip():
             continue
@@ -113,6 +120,7 @@ def check_access_log(stderr, accepted, completed, shed, failed):
         for key in ACCESS_KEYS:
             if key not in rec:
                 errors.append(f"access log: serve.access missing {key}: {line!r}")
+        by_id[rec.get("request_id")] = rec
         outcome = rec.get("outcome")
         if outcome in outcomes:
             outcomes[outcome] += 1
@@ -139,9 +147,21 @@ def check_access_log(stderr, accepted, completed, shed, failed):
         errors.append(
             f"access log: expected one serve.drained event, got {events.get('serve.drained', 0)}"
         )
+    for args in captured:
+        rec = by_id.get(args.get("request_id"))
+        if rec is None:
+            errors.append(f"capture: request {args.get('request_id')} has no access record")
+            continue
+        for key in ("status", "outcome"):
+            if args.get(key) != rec.get(key):
+                errors.append(
+                    f"capture: request {args.get('request_id')} {key} "
+                    f"{args.get(key)!r} != access record {rec.get(key)!r}"
+                )
     if not errors:
         print(
-            f"serve smoke: access log OK with {n_access} record(s) "
+            f"serve smoke: access log OK with {n_access} record(s), "
+            f"{len(captured)} cross-checked against the capture "
             f"(ok={outcomes['ok']} deadline={outcomes['deadline']} "
             f"shed={outcomes['shed']} panic={outcomes['panic']})"
         )
@@ -155,6 +175,7 @@ def main():
     diffcode = sys.argv[1]
     errors = []
 
+    captured = []
     with tempfile.TemporaryDirectory(prefix="serve_smoke_cache_") as cache_dir:
         proc = subprocess.Popen(
             [diffcode, "serve", "--addr", "127.0.0.1:0", "--cache-dir", cache_dir],
@@ -284,8 +305,12 @@ def main():
                     ]
                     if bad:
                         errors.append(f"/trace/capture: malformed event(s): {bad[:3]}")
-                    if not any(e.get("name") == "serve.request" for e in trace if isinstance(e, dict)):
-                        errors.append("/trace/capture: no serve.request events captured")
+                    captured = [
+                        e.get("args", {}) for e in trace
+                        if isinstance(e, dict) and e.get("name") == "serve.access"
+                    ]
+                    if not captured:
+                        errors.append("/trace/capture: no serve.access events captured")
             status, _ = request(port, "GET", "/trace/capture?events=nope")
             if status != 400:
                 errors.append(f"/trace/capture (malformed query): expected 400, got {status}")
@@ -320,7 +345,9 @@ def main():
                     f"serve smoke: drained with accepted={accepted} "
                     f"completed={completed} shed={shed} failed={failed} flushed={flushed}"
                 )
-                errors.extend(check_access_log(stderr, accepted, completed, shed, failed))
+                errors.extend(
+                    check_access_log(stderr, accepted, completed, shed, failed, captured)
+                )
         finally:
             if proc.poll() is None:
                 proc.kill()

@@ -445,6 +445,15 @@ fn shutdown_drains_and_flushes_the_cache_log() {
         summary.recorder.counter("cache.flushed_entries") >= 1,
         "flush accounting: {summary:?}"
     );
+    // The drain's flush and final accounting are capture events too.
+    let trace = summary.recorder.trace().expect("the server traces");
+    let lifecycle: Vec<&str> = trace
+        .events()
+        .iter()
+        .map(|e| trace.name(e.name))
+        .filter(|name| ["serve.cache_flush", "serve.drained"].contains(name))
+        .collect();
+    assert_eq!(lifecycle, ["serve.cache_flush", "serve.drained"]);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -454,9 +463,12 @@ fn shutdown_drains_and_flushes_the_cache_log() {
 
 /// Every accepted connection produces exactly one structured access
 /// record, and the records partition by outcome exactly like the
-/// counters do: `accepted = (ok + deadline) + shed + panic`. `/status`
-/// serves non-zero latency percentiles per endpoint and
-/// `/trace/capture` serves valid Chrome-trace JSON.
+/// counters do: `accepted = (ok + deadline) + shed + panic`. The
+/// capture and the log are two exporters of one event: each
+/// `serve.access` capture instant has the access record with its
+/// request id, field for field. `/status` serves non-zero latency
+/// percentiles per endpoint and `/trace/capture` serves valid
+/// Chrome-trace JSON.
 #[test]
 fn access_log_partitions_and_introspection_endpoints_work() {
     let log_path =
@@ -468,7 +480,8 @@ fn access_log_partitions_and_introspection_endpoints_work() {
             16 * 1024 * 1024,
             obs::LogFormat::Json,
             obs::LogLevel::Info,
-        ),
+        )
+        .expect("open the access log"),
         ..test_config(1_000)
     });
     let addr = handle.addr();
@@ -518,7 +531,7 @@ fn access_log_partitions_and_introspection_endpoints_work() {
     assert_eq!(status, 200);
     let text = std::str::from_utf8(&body).expect("UTF-8 trace");
     assert!(
-        text.contains("serve.request"),
+        text.contains("serve.access"),
         "trace names requests: {text}"
     );
     serve::json::parse(text).expect("trace capture is valid JSON");
@@ -533,6 +546,7 @@ fn access_log_partitions_and_introspection_endpoints_work() {
     let text = std::fs::read_to_string(&log_path).expect("log file written");
     let (mut access, mut ok, mut shed, mut deadline, mut panicked) = (0u64, 0u64, 0u64, 0u64, 0u64);
     let (mut boots, mut lifecycle) = (0u64, 0u64);
+    let mut by_id = std::collections::BTreeMap::new();
     for line in text.lines() {
         let rec = serve::json::parse(line).expect("every log line is one valid JSON record");
         for key in ["ts_ms", "level", "event"] {
@@ -541,6 +555,8 @@ fn access_log_partitions_and_introspection_endpoints_work() {
         match rec.get("event").and_then(Json::as_str).expect("event name") {
             "serve.access" => {
                 access += 1;
+                let id = rec.get("request_id").and_then(Json::as_num).expect("id") as u64;
+                assert!(by_id.insert(id, rec.clone()).is_none(), "one record per id");
                 for key in [
                     "request_id",
                     "method",
@@ -580,6 +596,48 @@ fn access_log_partitions_and_introspection_endpoints_work() {
         Some(0.0),
         "nothing overflowed the log queue"
     );
+
+    // The drained capture holds fewer events than its capacity, so it
+    // keeps every event: one `serve.access` instant per accepted
+    // request, each the same event as its access record.
+    let trace = summary.recorder.trace().expect("the server traces");
+    let named = |name: &str| {
+        trace
+            .events()
+            .iter()
+            .filter(|e| e.kind == obs::TraceKind::Instant && trace.name(e.name) == name)
+            .collect::<Vec<_>>()
+    };
+    let captured = named("serve.access");
+    assert_eq!(
+        captured.len() as u64,
+        summary.accepted,
+        "one instant per request"
+    );
+    for event in captured {
+        let number = |key: &str| trace.attr(event, key).and_then(obs::TraceValue::as_u64);
+        let id = number("request_id").expect("captured request_id");
+        let record = by_id
+            .get(&id)
+            .unwrap_or_else(|| panic!("no access record for {id}"));
+        for key in ["method", "path", "endpoint", "outcome"] {
+            assert_eq!(
+                trace.attr_str(event, key),
+                record.get(key).and_then(Json::as_str),
+                "request {id}: {key}"
+            );
+        }
+        for key in ["status", "latency_ns", "bytes"] {
+            assert_eq!(
+                number(key),
+                record.get(key).and_then(Json::as_num).map(|n| n as u64),
+                "request {id}: {key}"
+            );
+        }
+    }
+    for lifecycle in ["serve.boot", "serve.drain", "serve.drained"] {
+        assert_eq!(named(lifecycle).len(), 1, "{lifecycle} captured once");
+    }
     let _ = std::fs::remove_file(&log_path);
 }
 
@@ -830,7 +888,8 @@ fn compute_bombs_end_within_deadline_plus_one_file_budget() {
             16 * 1024 * 1024,
             obs::LogFormat::Json,
             obs::LogLevel::Info,
-        ),
+        )
+        .expect("open the access log"),
         ..test_config(DEADLINE.as_millis() as u64)
     });
     let addr = handle.addr();
