@@ -30,7 +30,7 @@
 
 use crate::fingerprint::Fingerprint;
 use crate::wire::{Reader, WireError};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{hash_map, BTreeMap, HashMap};
 use std::fmt;
 use std::io::{self, Write as _};
 use std::ops::{Deref, Range};
@@ -278,12 +278,16 @@ impl ShardLog {
     }
 
     /// Records `payload` for `key` (first write wins within a shard —
-    /// the pipeline only records a key it just missed on).
-    pub fn record(&mut self, key: Fingerprint, payload: Vec<u8>) {
-        if !self.entries.contains_key(&key.0) {
+    /// the pipeline only records a key it just missed on) and returns
+    /// it as a shared handle, so the caller can keep parts of what it
+    /// recorded without a copy.
+    pub fn record(&mut self, key: Fingerprint, payload: Vec<u8>) -> SharedBytes {
+        let payload = SharedBytes::from(payload);
+        if let hash_map::Entry::Vacant(slot) = self.entries.entry(key.0) {
             self.order.push(key);
-            self.entries.insert(key.0, payload.into());
+            slot.insert(payload.clone());
         }
+        payload
     }
 
     /// This shard's own payload for `key`, if it wrote one, as a shared
@@ -1072,6 +1076,19 @@ mod tests {
             assert_eq!(report.valid_records, 1, "cut at byte {cut}");
         }
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn record_returns_the_payload_it_was_given() {
+        let mut log = ShardLog::new();
+        let key = fingerprint(&[b"k"]);
+        let first = log.record(key, b"first".to_vec());
+        assert_eq!(&*first, b"first");
+        assert_eq!(&*first.slice(1..3), b"ir");
+        // First write wins in the log; the caller still gets its bytes.
+        let second = log.record(key, b"second".to_vec());
+        assert_eq!(&*second, b"second");
+        assert_eq!(log.get(key), Some(&b"first"[..]));
     }
 
     #[test]

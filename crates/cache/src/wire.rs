@@ -53,6 +53,20 @@ impl Writer {
         Writer::default()
     }
 
+    /// An empty writer whose buffer holds `capacity` bytes before it
+    /// has to grow: a caller that knows the encoded size up front gets
+    /// one allocation and no slack.
+    pub fn with_capacity(capacity: usize) -> Self {
+        Writer {
+            buf: Vec::with_capacity(capacity),
+        }
+    }
+
+    /// Bytes written so far: the offset of the next write.
+    pub fn position(&self) -> usize {
+        self.buf.len()
+    }
+
     /// Appends one byte.
     pub fn u8(&mut self, v: u8) {
         self.buf.push(v);

@@ -808,7 +808,7 @@ fn mined_digest(result: &MiningResult) -> cache::Fingerprint {
         let (class, change) = (&mined.class, &mined.change);
         match mined.dag_pair() {
             DagPair::Owned(old, new) => write_tuple_digest(&mut part, class, old, new, change),
-            DagPair::Replayed(pair) => {
+            DagPair::Encoded(pair) => {
                 let (old, new) = pair.view().old_new();
                 write_tuple_digest(&mut part, class, old, new, change);
             }
@@ -1655,32 +1655,38 @@ mod tests {
         let mut corpus = corpus::generate(&corpus::GeneratorConfig::small(6, 7));
         corpus::Mutator::new(7, 0.2).inject(&mut corpus);
         corpus.projects.insert(0, figure2_project());
+        // Mined without a result cache, every DAG pair is owned.
         let cold = DiffCode::new().mine(&corpus, &[], None);
-        // The same corpus mined again through a primed result cache:
-        // every DAG pair is replayed, still encoded in its payload.
+        // Mined cold through a result cache, every DAG pair is held as
+        // the bytes the run recorded; mined again through the primed
+        // cache, every DAG pair is replayed, still encoded in its
+        // payload.
         let dir = std::env::temp_dir().join(format!("diffcode-cli-digest-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let open = || MiningCache::open(&dir, &[], &PipelineLimits::DEFAULT).unwrap();
         let mut cache = open();
         let mut view = cache.view();
-        DiffCode::new().mine(&corpus, &[], Some(&mut view));
+        let recorded = DiffCode::new().mine(&corpus, &[], Some(&mut view));
         let log = view.into_log();
         cache.absorb(log);
         cache.flush().unwrap();
         let warm = DiffCode::new().mine(&corpus, &[], Some(&mut open().view()));
         std::fs::remove_dir_all(&dir).unwrap();
-        let form = |result: &MiningResult, replayed: bool| {
+        let form = |result: &MiningResult, encoded: bool| {
             result
                 .changes
                 .iter()
-                .all(|c| matches!(c.dag_pair(), DagPair::Replayed(_)) == replayed)
+                .all(|c| matches!(c.dag_pair(), DagPair::Encoded(_)) == encoded)
         };
-        assert!(form(&cold, false), "cold pairs are owned");
-        assert!(form(&warm, true), "warm pairs are replayed");
+        assert!(form(&cold, false), "uncached pairs are owned");
+        assert!(form(&recorded, true), "cached cold pairs are encoded");
+        assert!(form(&warm, true), "warm pairs are encoded");
+        assert_eq!(recorded, cold, "equality sees content, not form");
         assert_eq!(warm, cold, "equality sees content, not form");
+        assert_eq!(mined_digest(&recorded), mined_digest(&cold));
         assert_eq!(mined_digest(&warm), mined_digest(&cold));
 
-        for result in [&cold, &warm] {
+        for result in [&cold, &recorded, &warm] {
             let changes = &result.changes;
             assert!(!result.quarantine.is_empty(), "no quarantined skips");
             let empty_side = |c: &&crate::pipeline::MinedUsageChange| {

@@ -17,6 +17,9 @@
 //!   including quarantined skips — a change that was skipped stays
 //!   skipped on a warm run, keeping the
 //!   `processed = mined + skipped` accounting byte-identical.
+//! - **Record**: a miss's outcome is encoded once, into a buffer of its
+//!   exact size, and its mined tuples keep their DAG pairs as slices of
+//!   the recorded payload.
 //! - **Replay**: a hit is validated in place, in one pass that
 //!   allocates nothing, and its mined tuples keep their DAG pairs
 //!   encoded in the payload, which the store shares rather than copies.
@@ -33,6 +36,7 @@ use cache::wire::{Reader, WireError, Writer};
 use cache::{
     fingerprint, CacheStore, Fingerprint, Fingerprinter, Lookup, ShardLog, SharedBytes, StoreError,
 };
+use std::borrow::{Borrow, Cow};
 use std::cmp::Ordering;
 use std::ops::Range;
 use std::path::Path;
@@ -52,11 +56,15 @@ const CODEC_VERSION: &str = "outcome-v1";
 /// One cached per-change outcome: exactly what
 /// `DiffCode::process_change` produced, minus provenance (which comes
 /// from the corpus being mined, not the cache).
+///
+/// `D` is how a mined tuple holds its DAGs: owned (the default, and
+/// what decoding yields), or borrowed from the analyzed sources while a
+/// freshly computed outcome is recorded.
 #[derive(Debug, Clone, PartialEq)]
-pub enum ChangeOutcome {
+pub enum ChangeOutcome<D = UsageDag> {
     /// The change was analyzed to completion: per-class usage-change
     /// tuples, in mining order.
-    Mined(Vec<MinedTuple>),
+    Mined(Vec<MinedTuple<D>>),
     /// The change was skipped and quarantined.
     Skipped {
         /// Coarse classification (drives `SkipCounters`).
@@ -69,7 +77,32 @@ pub enum ChangeOutcome {
 }
 
 /// One mined tuple: target class plus the paired DAGs and their diff.
-pub(crate) type MinedTuple = (String, UsageDag, UsageDag, UsageChange);
+pub(crate) type MinedTuple<D = UsageDag> = (String, D, D, UsageChange);
+
+impl ChangeOutcome<Cow<'_, UsageDag>> {
+    /// The outcome with every borrowed DAG cloned.
+    pub(crate) fn into_owned(self) -> ChangeOutcome {
+        match self {
+            ChangeOutcome::Mined(tuples) => ChangeOutcome::Mined(
+                tuples
+                    .into_iter()
+                    .map(|(class, old, new, change)| {
+                        (class, old.into_owned(), new.into_owned(), change)
+                    })
+                    .collect(),
+            ),
+            ChangeOutcome::Skipped {
+                kind,
+                error,
+                excerpt,
+            } => ChangeOutcome::Skipped {
+                kind,
+                error,
+                excerpt,
+            },
+        }
+    }
+}
 
 // ---------------------------------------------------------------------
 // Outcome codec
@@ -119,16 +152,28 @@ fn kind_from_tag(tag: u8) -> Result<ErrorKind, WireError> {
 }
 
 /// Serializes an outcome to cache-payload bytes.
-pub fn encode_outcome(outcome: &ChangeOutcome) -> Vec<u8> {
-    let mut w = Writer::new();
+pub fn encode_outcome<D: Borrow<UsageDag>>(outcome: &ChangeOutcome<D>) -> Vec<u8> {
+    encode(outcome).0
+}
+
+/// Serializes `outcome` into a buffer of exactly its encoded size, so
+/// the buffer never regrows and keeps no slack, and returns where each
+/// mined tuple's DAG pair sits in it.
+fn encode<D: Borrow<UsageDag>>(outcome: &ChangeOutcome<D>) -> (Vec<u8>, Vec<Range<usize>>) {
+    let size = encoded_len(outcome);
+    let mut w = Writer::with_capacity(size);
+    let mut dags = Vec::new();
     match outcome {
         ChangeOutcome::Mined(tuples) => {
+            dags.reserve_exact(tuples.len());
             w.u8(0);
             w.u64(tuples.len() as u64);
             for (class, old_dag, new_dag, change) in tuples {
                 w.str(class);
-                write_dag(&mut w, old_dag);
-                write_dag(&mut w, new_dag);
+                let start = w.position();
+                write_dag(&mut w, old_dag.borrow());
+                write_dag(&mut w, new_dag.borrow());
+                dags.push(start..w.position());
                 w.str(&change.class);
                 write_paths(&mut w, change.removed.iter());
                 write_paths(&mut w, change.added.iter());
@@ -145,7 +190,40 @@ pub fn encode_outcome(outcome: &ChangeOutcome) -> Vec<u8> {
             w.str(excerpt);
         }
     }
-    w.finish()
+    debug_assert_eq!(w.position(), size, "encoded_len disagrees with encode");
+    (w.finish(), dags)
+}
+
+/// The bytes [`encode`] writes for `outcome`: a tag is 1, a count 8, a
+/// string 8 plus its length.
+fn encoded_len<D: Borrow<UsageDag>>(outcome: &ChangeOutcome<D>) -> usize {
+    match outcome {
+        ChangeOutcome::Mined(tuples) => {
+            let tuple_len = |(class, old_dag, new_dag, change): &MinedTuple<D>| {
+                str_len(class)
+                    + dag_len(old_dag.borrow())
+                    + dag_len(new_dag.borrow())
+                    + str_len(&change.class)
+                    + paths_len(change.removed.iter())
+                    + paths_len(change.added.iter())
+            };
+            1 + 8 + tuples.iter().map(tuple_len).sum::<usize>()
+        }
+        ChangeOutcome::Skipped { error, excerpt, .. } => 2 + str_len(error) + str_len(excerpt),
+    }
+}
+
+fn str_len(s: &str) -> usize {
+    8 + s.len()
+}
+
+fn dag_len(dag: &UsageDag) -> usize {
+    str_len(&dag.root_type) + paths_len(dag.paths.iter())
+}
+
+fn paths_len<'p>(paths: impl Iterator<Item = &'p FeaturePath>) -> usize {
+    let path_len = |path: &FeaturePath| 8 + path.0.iter().map(|l| str_len(l)).sum::<usize>();
+    8 + paths.map(path_len).sum::<usize>()
 }
 
 /// Decodes cache-payload bytes back into an outcome: the same
@@ -485,8 +563,9 @@ fn read_path<'a>(r: &mut Reader<'a>, validate: bool) -> Result<PathView<'a>, Wir
     Ok(path)
 }
 
-/// A replayed tuple's DAG pair: its encoded bytes inside a validated
-/// cache payload, shared with the store and decoded on demand.
+/// A cached tuple's DAG pair: its encoded bytes inside a cache payload —
+/// one a replay validated, or one this run just recorded — shared with
+/// the store and decoded on demand.
 #[derive(Debug, Clone)]
 pub(crate) struct EncodedDags(SharedBytes);
 
@@ -531,12 +610,16 @@ impl ReplayedTuples {
 /// A change outcome as the mining loop applies it.
 #[derive(Debug, Clone)]
 pub(crate) enum Resolved {
-    /// Held decoded: freshly computed, or a replayed quarantined skip
-    /// (whose report owns its strings anyway).
+    /// Held decoded: computed without a cache or for a served verdict,
+    /// or a quarantined skip (whose report owns its strings anyway).
     Decoded(ChangeOutcome),
     /// A replayed mined outcome whose tuples stay in the shared
     /// payload.
     Replayed(ReplayedTuples),
+    /// A mined outcome this run computed and recorded: each tuple's
+    /// class and feature diff as computed, its DAG pair as the bytes
+    /// the record holds.
+    Recorded(Vec<(String, UsageChange, EncodedDags)>),
 }
 
 impl Resolved {
@@ -545,6 +628,15 @@ impl Resolved {
         match self {
             Resolved::Decoded(outcome) => outcome,
             Resolved::Replayed(tuples) => OutcomeView::Mined(tuples.view()).to_outcome(),
+            Resolved::Recorded(tuples) => ChangeOutcome::Mined(
+                tuples
+                    .into_iter()
+                    .map(|(class, change, dags)| {
+                        let (old, new) = dags.view().old_new();
+                        (class, old.to_dag(), new.to_dag(), change)
+                    })
+                    .collect(),
+            ),
         }
     }
 }
@@ -688,6 +780,13 @@ impl MiningCacheView<'_> {
         self.cache.change_ids(old, new)
     }
 
+    /// Whether a lookup of `key` would find a current entry: one this
+    /// view recorded, or one the store holds at its analysis version.
+    /// The entry may still fail to decode.
+    pub(crate) fn holds(&self, key: Fingerprint) -> bool {
+        self.log.get_shared(key).is_some() || self.cache.store.get_shared(key).is_some()
+    }
+
     /// Looks up the outcome for `key` and validates its payload in
     /// place ([`OutcomeView::parse`]). A mined hit keeps its tuples in
     /// the payload, shared with the store; a skip is decoded. An
@@ -730,9 +829,20 @@ impl MiningCacheView<'_> {
         }
     }
 
-    /// Records a freshly computed outcome for `key` in this view's log.
-    pub(crate) fn record(&mut self, key: Fingerprint, outcome: &ChangeOutcome) {
-        self.log.record(key, encode_outcome(outcome));
+    /// Records a freshly computed outcome for `key` in this view's log
+    /// and returns each mined tuple's DAG pair as a slice of the
+    /// recorded payload: the encoder knows where each pair went, so
+    /// nothing is framed or validated again.
+    pub(crate) fn record<D: Borrow<UsageDag>>(
+        &mut self,
+        key: Fingerprint,
+        outcome: &ChangeOutcome<D>,
+    ) -> Vec<EncodedDags> {
+        let (payload, dags) = encode(outcome);
+        let payload = self.log.record(key, payload);
+        dags.into_iter()
+            .map(|range| EncodedDags(payload.slice(range)))
+            .collect()
     }
 
     /// Consumes the view, returning its write log for
@@ -805,6 +915,57 @@ mod tests {
         )]);
         let bytes = encode_outcome(&outcome);
         assert_eq!(decode_outcome(&bytes).unwrap(), outcome);
+    }
+
+    #[test]
+    fn record_returns_each_tuple_dag_pair_as_recorded_bytes() {
+        let dir = std::env::temp_dir().join(format!("diffcode-mcache-rec-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = MiningCache::open(&dir, &[], &PipelineLimits::DEFAULT).unwrap();
+        let (empty, dag) = (UsageDag::empty("Cipher"), sample_dag());
+        let change = UsageChange {
+            class: "Cipher".to_owned(),
+            removed: vec![path(&["Cipher", "getInstance", "arg1:AES"])],
+            added: Vec::new(),
+        };
+        // Borrowed DAGs encode exactly like owned ones.
+        let borrowed = ChangeOutcome::Mined(vec![
+            (
+                "Cipher".to_owned(),
+                Cow::Borrowed(&dag),
+                Cow::Borrowed(&empty),
+                change.clone(),
+            ),
+            (
+                "Mac".to_owned(),
+                Cow::Owned(UsageDag::empty("Mac")),
+                Cow::Borrowed(&dag),
+                change,
+            ),
+        ]);
+        let owned = borrowed.clone().into_owned();
+        let bytes = encode_outcome(&owned);
+        assert_eq!(encode_outcome(&borrowed), bytes);
+        assert_eq!(bytes.len(), encoded_len(&owned), "sized exactly");
+
+        let mut view = cache.view();
+        let key = cache.change_key("a", "b");
+        let dags = view.record(key, &borrowed);
+        let CachedLookup::Hit(ChangeOutcome::Mined(tuples)) = view.get(key) else {
+            panic!("the recorded outcome replays");
+        };
+        assert_eq!(dags.len(), tuples.len());
+        for (pair, (_, old, new, _)) in dags.iter().zip(&tuples) {
+            let (old_view, new_view) = pair.view().old_new();
+            assert_eq!((&old_view.to_dag(), &new_view.to_dag()), (old, new));
+        }
+        let skip = ChangeOutcome::<UsageDag>::Skipped {
+            kind: ErrorKind::Parse,
+            error: "e".to_owned(),
+            excerpt: "x".to_owned(),
+        };
+        assert!(view.record(cache.change_key("c", "d"), &skip).is_empty());
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -19,13 +19,15 @@ use analysis::{analyze, ApiModel, Usages, TARGET_CLASSES};
 use corpus::Corpus;
 use obs::Recorder;
 use std::borrow::Cow;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use usagegraph::{usage_changes, UsageChange, UsageDag};
+use usagegraph::{
+    dags_for_class, diff_dag_lists, usage_changes, DagError, DagLimits, UsageChange, UsageDag,
+};
 
 /// Provenance of a mined usage change.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -58,13 +60,13 @@ pub fn change_fingerprint(old: &str, new: &str) -> String {
 
 /// One usage change with provenance and the DAG pair it came from.
 ///
-/// A computed usage change owns its DAG pair. One replayed from the
-/// result cache keeps the pair encoded in the shared cache payload,
-/// because the funnel's filters and elicitation read only `meta`,
-/// `class` and `change`. [`Self::old_dag`] and
-/// [`Self::new_dag`] read either form, decoding an encoded pair on
-/// demand. Equality and `Debug` see the DAGs' content, never the form
-/// that holds them.
+/// A usage change computed without a result cache owns its DAG pair.
+/// With a cache, one replayed from it, or computed and recorded into
+/// it, keeps the pair encoded in the shared cache payload, because the
+/// funnel's filters and elicitation read only `meta`, `class` and
+/// `change`. [`Self::old_dag`] and [`Self::new_dag`] read either form,
+/// decoding an encoded pair on demand. Equality and `Debug` see the
+/// DAGs' content, never the form that holds them.
 #[derive(Clone)]
 pub struct MinedUsageChange {
     /// Where the change was mined, shared by every usage change of one
@@ -80,10 +82,11 @@ pub struct MinedUsageChange {
 /// Where a mined usage change's DAG pair lives.
 #[derive(Debug, Clone)]
 pub(crate) enum DagPair {
-    /// Computed by this run.
+    /// Computed by a run without a result cache.
     Owned(UsageDag, UsageDag),
-    /// Replayed from the result cache, still encoded.
-    Replayed(EncodedDags),
+    /// Encoded in a result-cache payload: replayed from the cache, or
+    /// recorded into it by this run.
+    Encoded(EncodedDags),
 }
 
 impl MinedUsageChange {
@@ -103,19 +106,19 @@ impl MinedUsageChange {
         }
     }
 
-    /// The paired old-version DAG (decoded if the pair was replayed).
+    /// The paired old-version DAG (decoded if the pair is encoded).
     pub fn old_dag(&self) -> Cow<'_, UsageDag> {
         match &self.dags {
             DagPair::Owned(old, _) => Cow::Borrowed(old),
-            DagPair::Replayed(pair) => Cow::Owned(pair.view().old_new().0.to_dag()),
+            DagPair::Encoded(pair) => Cow::Owned(pair.view().old_new().0.to_dag()),
         }
     }
 
-    /// The paired new-version DAG (decoded if the pair was replayed).
+    /// The paired new-version DAG (decoded if the pair is encoded).
     pub fn new_dag(&self) -> Cow<'_, UsageDag> {
         match &self.dags {
             DagPair::Owned(_, new) => Cow::Borrowed(new),
-            DagPair::Replayed(pair) => Cow::Owned(pair.view().old_new().1.to_dag()),
+            DagPair::Encoded(pair) => Cow::Owned(pair.view().old_new().1.to_dag()),
         }
     }
 
@@ -186,9 +189,11 @@ pub struct MiningResult {
 #[derive(Debug, Default)]
 pub struct DiffCode {
     api: ApiModel,
-    /// The analysis memo, keyed by the full source text: a hit needs
+    /// The analysis memo of the entry points that take one source or
+    /// one pair at a time, keyed by the full source text: a hit needs
     /// equal bytes, so no hash collision can return another file's
-    /// usages.
+    /// usages. [`Self::mine`] analyzes through a planned slot table
+    /// instead, which frees each analysis after its last use.
     cache: HashMap<Box<str>, Rc<Usages>>,
     limits: PipelineLimits,
     obs: Recorder,
@@ -250,32 +255,52 @@ impl DiffCode {
     }
 
     /// Parses and analyzes one source file under the full budget stack,
-    /// caching by content. Mining, checking, and the command-line tools
-    /// all analyze through here.
+    /// caching by content. Checking and the command-line tools analyze
+    /// through here; mining analyzes through the same private step.
     ///
     /// The cache is only written *after* parse and analysis both
     /// succeeded, so a panic anywhere in this function leaves the
-    /// pipeline state exactly as it was — the property that makes the
-    /// per-change `AssertUnwindSafe` in [`Self::mine`] sound. (The
-    /// metrics counters may reflect a half-finished attempt after an
-    /// unwind, but counters are monotone aggregates with no validity
-    /// invariant to break.)
+    /// pipeline state exactly as it was. (The metrics counters may
+    /// reflect a half-finished attempt after an unwind, but counters are
+    /// monotone aggregates with no validity invariant to break.)
     ///
     /// # Errors
     ///
     /// Typed [`PipelineError`]s for lexer/parser failures and
     /// analysis-budget overruns.
     pub fn analyze_source(&mut self, source: &str) -> Result<Rc<Usages>, PipelineError> {
+        let mut slot = self.memo_slot(source);
+        let hit = slot.usages.is_some();
+        let usages = self.resolve(&mut slot, source)?;
+        if !hit {
+            self.cache.insert(source.into(), Rc::clone(&usages));
+        }
+        Ok(usages)
+    }
+
+    /// A slot holding the memo's analysis of `source`, if it has one.
+    fn memo_slot(&self, source: &str) -> Slot {
+        Slot {
+            usages: self.cache.get(source).cloned(),
+            dags: Vec::new(),
+        }
+    }
+
+    /// Resolves one source text's analysis through its slot: a filled
+    /// slot counts a hit; an empty one is parsed and analyzed under the
+    /// full budget stack and filled only on success, so a failed text
+    /// is analyzed (and counted) again at its next use. Every entry
+    /// point analyzes through here.
+    fn resolve(&mut self, slot: &mut Slot, source: &str) -> Result<Rc<Usages>, PipelineError> {
         if let Some(marker) = chaos_panic_marker() {
             if source.contains(&marker) {
                 panic!("chaos fault injection: panic marker present in source");
             }
         }
-        if let Some(hit) = self.cache.get(source) {
-            let hit = Rc::clone(hit);
+        if let Some(usages) = &slot.usages {
             self.obs.inc("analyze.cache_hit", 1);
             self.obs.instant("analyze.cache_hit");
-            return Ok(hit);
+            return Ok(Rc::clone(usages));
         }
         self.obs.inc("analyze.cache_miss", 1);
         // Each fallible stage's span is closed *before* the error
@@ -293,7 +318,7 @@ impl DiffCode {
         let (usages, steps) = analyzed?;
         self.obs.inc("analysis.steps", steps);
         let usages = Rc::new(usages);
-        self.cache.insert(source.into(), Rc::clone(&usages));
+        slot.usages = Some(Rc::clone(&usages));
         Ok(usages)
     }
 
@@ -323,13 +348,20 @@ impl DiffCode {
     /// is skipped, counted under its [`ErrorKind`], and quarantined
     /// with provenance, while the remaining changes proceed.
     ///
+    /// Mining plans before it starts: each source text a
+    /// change will analyze gets a slot, which holds the text's analysis
+    /// and per-class DAG lists from their first use and is emptied right
+    /// after its last, so each text is parsed and analyzed once and no
+    /// analysis outlives its last use.
+    ///
     /// With a `cache` view, each change's key is looked up before any
     /// analysis work, a hit replays the cached [`ChangeOutcome`] (mined
     /// tuples *or* the quarantined skip — cached skips stay skipped, so
     /// `processed = mined + skipped` balances identically on warm
     /// runs), and a miss computes the outcome and records it in the
-    /// view's write log. Lookup results are counted as `cache.hit` /
-    /// `cache.miss` / `cache.stale_version`.
+    /// view's write log; its tuples then keep their DAG pairs as the
+    /// bytes recorded, the form a replayed tuple has. Lookup results are
+    /// counted as `cache.hit` / `cache.miss` / `cache.stale_version`.
     ///
     /// The caller is responsible for opening the cache with the same
     /// target classes, limits, and depth this pipeline mines with —
@@ -341,7 +373,20 @@ impl DiffCode {
         &mut self,
         corpus: &Corpus,
         classes: &[&str],
+        cache: Option<&mut MiningCacheView<'_>>,
+    ) -> MiningResult {
+        self.mine_observed(corpus, classes, cache, |_, _| {})
+    }
+
+    /// [`Self::mine`], calling `after_change` with each processed
+    /// change's index and the slot table once the change's slots are
+    /// released.
+    fn mine_observed(
+        &mut self,
+        corpus: &Corpus,
+        classes: &[&str],
         mut cache: Option<&mut MiningCacheView<'_>>,
+        mut after_change: impl FnMut(usize, &Slots),
     ) -> MiningResult {
         let classes: Vec<&str> = if classes.is_empty() {
             TARGET_CLASSES.to_vec()
@@ -354,8 +399,12 @@ impl DiffCode {
             }
         }
         let run_span = self.obs.begin("mine.run");
+        let Plan {
+            changes: planned,
+            mut slots,
+        } = Plan::new(corpus, cache.as_deref());
         let mut result = MiningResult::default();
-        for code_change in corpus.code_changes() {
+        for ((i, code_change), planned) in corpus.code_changes().enumerate().zip(planned) {
             if self.cancelled() {
                 // Between-change interruption: nothing in flight, the
                 // untouched remainder is simply never counted, so the
@@ -364,14 +413,13 @@ impl DiffCode {
                 break;
             }
             result.stats.code_changes += 1;
-            let (key, fingerprint) = change_ids(cache.as_deref(), code_change.old, code_change.new);
             let meta = ChangeMeta {
                 project: code_change.project.full_name(),
                 commit: code_change.commit.id.clone(),
                 author: code_change.commit.author.clone(),
                 message: code_change.commit.message.clone(),
                 path: code_change.path.to_owned(),
-                fingerprint,
+                fingerprint: planned.fingerprint.to_string(),
             };
             let change_span = self.obs.begin_with("mine.change", |a| {
                 a.str("project", meta.project.as_str());
@@ -387,7 +435,11 @@ impl DiffCode {
                 code_change.old,
                 code_change.new,
                 &classes,
-                cache.as_deref_mut().zip(key),
+                cache.as_deref_mut().zip(planned.key),
+                planned
+                    .sides
+                    .map(|sides| (slots.slots.as_mut_slice(), sides)),
+                true,
             );
             // The per-change decision: emitted inside the change span,
             // always retained regardless of sampling.
@@ -396,6 +448,7 @@ impl DiffCode {
                     (DecisionReason::Mined, tuples.len())
                 }
                 Resolved::Replayed(tuples) => (DecisionReason::Mined, tuples.len()),
+                Resolved::Recorded(tuples) => (DecisionReason::Mined, tuples.len()),
                 Resolved::Decoded(ChangeOutcome::Skipped { kind, .. }) => {
                     (DecisionReason::Quarantined(*kind), 0)
                 }
@@ -406,6 +459,10 @@ impl DiffCode {
             });
             apply_outcome(&mut result, meta, outcome);
             self.obs.end(change_span);
+            if let Some(sides) = planned.sides {
+                slots.release(i, sides);
+            }
+            after_change(i, &slots);
         }
         self.obs.end(run_span);
         self.obs
@@ -450,13 +507,18 @@ impl DiffCode {
             classes.to_vec()
         };
         let (key, fingerprint) = change_ids(cache.as_deref(), old, new);
-        let (outcome, status) = self.outcome_for_pair(old, new, &classes, cache.zip(key));
-        (outcome.into_outcome(), status, fingerprint)
+        let (outcome, status) =
+            self.outcome_for_pair(old, new, &classes, cache.zip(key), None, false);
+        (outcome.into_outcome(), status, fingerprint.to_string())
     }
 
     /// The shared look-aside path: cache lookup under the pair's `key`
     /// (hit replays, miss computes and records), with `cache.*`
-    /// counters and trace markers. Both the mining loop and
+    /// counters and trace markers. A change is computed over the
+    /// `planned` slots of a mining run, or else over slots loaded from
+    /// the analysis memo, whose new analyses the memo then keeps; a
+    /// recorded outcome keeps its DAG pairs `encoded` or owned
+    /// ([`Self::compute`]). Both the mining loop and
     /// [`Self::process_pair_cached`] go through here, so a served
     /// verdict and a mined one are the same computation by
     /// construction.
@@ -466,103 +528,280 @@ impl DiffCode {
         new: &str,
         classes: &[&str],
         cache: Option<(&mut MiningCacheView<'_>, cache::Fingerprint)>,
+        planned: Option<(&mut [Slot], (usize, usize))>,
+        encoded: bool,
     ) -> (Resolved, &'static str) {
-        match cache {
-            Some((view, key)) => match view.replay(key) {
-                CachedLookup::Hit(outcome) => {
-                    self.obs.inc("cache.hit", 1);
-                    self.obs.instant("cache.hit");
-                    (outcome, "hit")
+        let status = match &cache {
+            None => "off",
+            Some((view, key)) => {
+                let (counter, status) = match view.replay(*key) {
+                    CachedLookup::Hit(outcome) => {
+                        self.obs.inc("cache.hit", 1);
+                        self.obs.instant("cache.hit");
+                        return (outcome, "hit");
+                    }
+                    CachedLookup::StaleVersion => ("cache.stale_version", "stale_version"),
+                    CachedLookup::Miss => ("cache.miss", "miss"),
+                };
+                self.obs.inc(counter, 1);
+                self.obs.instant(counter);
+                status
+            }
+        };
+        let resolved = match planned {
+            Some((slots, sides)) => self.compute(slots, sides, (old, new), classes, cache, encoded),
+            None => {
+                let mut slots = vec![self.memo_slot(old)];
+                let sides = if old == new {
+                    (0, 0)
+                } else {
+                    slots.push(self.memo_slot(new));
+                    (0, 1)
+                };
+                let resolved = self.compute(&mut slots, sides, (old, new), classes, cache, encoded);
+                for (slot, source) in slots.into_iter().zip([old, new]) {
+                    if let Some(usages) = slot.usages {
+                        if !self.cache.contains_key(source) {
+                            self.cache.insert(source.into(), usages);
+                        }
+                    }
                 }
-                lookup => {
-                    let (counter, status) = match lookup {
-                        CachedLookup::StaleVersion => ("cache.stale_version", "stale_version"),
-                        _ => ("cache.miss", "miss"),
-                    };
-                    self.obs.inc(counter, 1);
-                    self.obs.instant(counter);
-                    let outcome = self.compute_outcome(old, new, classes);
-                    view.record(key, &outcome);
-                    (Resolved::Decoded(outcome), status)
-                }
-            },
-            None => (
-                Resolved::Decoded(self.compute_outcome(old, new, classes)),
-                "off",
-            ),
-        }
+                resolved
+            }
+        };
+        (resolved, status)
     }
 
-    /// [`Self::process_change`] with the result folded into the
-    /// cacheable [`ChangeOutcome`] form (the error reduced to its kind,
-    /// message, and excerpt — exactly what a [`QuarantineReport`]
-    /// keeps).
-    fn compute_outcome(&mut self, old: &str, new: &str, classes: &[&str]) -> ChangeOutcome {
-        match self.process_change(old, new, classes) {
-            Ok(mined) => ChangeOutcome::Mined(mined),
-            Err((error, excerpt)) => ChangeOutcome::Skipped {
-                kind: error.kind(),
-                error: error.to_string(),
-                excerpt,
-            },
+    /// Computes one change over `slots` ([`Self::process_change`]),
+    /// records it into the cache view if there is one, and puts it in
+    /// the form the caller keeps: with `encoded`, a recorded tuple's DAG
+    /// pair stays the bytes the record wrote (a mining run's result);
+    /// otherwise each DAG is cloned from its slot (a run without a
+    /// cache, or a served verdict, which is materialised anyway).
+    fn compute(
+        &mut self,
+        slots: &mut [Slot],
+        sides: (usize, usize),
+        (old, new): (&str, &str),
+        classes: &[&str],
+        cache: Option<(&mut MiningCacheView<'_>, cache::Fingerprint)>,
+        encoded: bool,
+    ) -> Resolved {
+        let outcome = self.process_change(slots, sides, old, new, classes);
+        let Some((view, key)) = cache else {
+            return Resolved::Decoded(outcome.into_owned());
+        };
+        let dags = view.record(key, &outcome);
+        match outcome {
+            ChangeOutcome::Mined(tuples) if encoded => Resolved::Recorded(
+                tuples
+                    .into_iter()
+                    .zip(dags)
+                    .map(|((class, _, _, change), dags)| (class, change, dags))
+                    .collect(),
+            ),
+            outcome => Resolved::Decoded(outcome.into_owned()),
         }
     }
 
     /// Runs one code change through analyze → DAG diff behind a panic
-    /// boundary. On failure returns the typed error plus the triage
-    /// excerpt of the offending side (the new version when the side is
-    /// unknowable, i.e. for panics and DAG-stage failures).
+    /// boundary, over the slots of its two source texts (`sides`; one
+    /// slot twice when the texts are equal). The tuples borrow their
+    /// DAGs from the slots' per-class lists; only padding is owned. A
+    /// failure becomes the quarantined skip: the error's kind and
+    /// message plus the triage excerpt of the offending side (the new
+    /// version when the side is unknowable, i.e. for panics and
+    /// DAG-stage failures).
     ///
-    /// `AssertUnwindSafe` audit: the only state the closure can leave
-    /// inconsistent on unwind is `self` — and every `&mut self` path
-    /// ([`Self::analyze_source`]) mutates only the content-keyed
-    /// analysis cache, *after* the fallible work for that entry has
-    /// fully succeeded. An unwind therefore observes either no cache
-    /// entry or a complete, valid one; no partially-initialized state
+    /// `AssertUnwindSafe` audit: the closure mutates only the recorder
+    /// and the two slots, and writes a slot's analysis, or one class's
+    /// DAG list, only after the work that produced it has fully
+    /// succeeded. An unwind therefore observes each slot entry either
+    /// absent or complete and valid; no partially-initialized state
     /// survives the catch.
-    fn process_change(
+    fn process_change<'s>(
         &mut self,
+        slots: &'s mut [Slot],
+        (old_slot, new_slot): (usize, usize),
         old_source: &str,
         new_source: &str,
         classes: &[&str],
-    ) -> Result<MinedTuples, (PipelineError, String)> {
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
+    ) -> ChangeOutcome<Cow<'s, UsageDag>> {
+        let outcome = catch_unwind(AssertUnwindSafe(move || {
             let span = self.obs.begin("analyze.old");
-            let old = self.analyze_source(old_source);
+            let old = self.resolve(&mut slots[old_slot], old_source);
             self.obs.end(span);
             let old = old.map_err(|e| (e, excerpt(old_source)))?;
             let span = self.obs.begin("analyze.new");
-            let new = self.analyze_source(new_source);
+            let new = self.resolve(&mut slots[new_slot], new_source);
             self.obs.end(span);
             let new = new.map_err(|e| (e, excerpt(new_source)))?;
             let dags_span = self.obs.begin("dags.diff");
-            let mut mined = MinedTuples::new();
-            for class in classes {
-                let tuples = match usage_changes(&old, &new, class, &self.limits.dag) {
-                    Ok(tuples) => tuples,
-                    Err(e) => {
+            // Build (or find) every class's lists first, failing on the
+            // first error in class order, old side before new side.
+            for (c, class) in classes.iter().enumerate() {
+                for (slot, usages) in [(old_slot, &old), (new_slot, &new)] {
+                    let limits = &self.limits.dag;
+                    let built = slots[slot].build_dags(c, classes.len(), class, usages, limits);
+                    if let Err(e) = built {
                         self.obs.end(dags_span);
                         return Err((e.into(), excerpt(new_source)));
                     }
-                };
-                for (old_dag, new_dag, change) in tuples {
+                }
+            }
+            // Moved out of the capture (not reborrowed), so the tuples
+            // can borrow the lists for as long as the caller's slots.
+            let slots = slots;
+            let slots: &'s [Slot] = slots;
+            let mut mined = Vec::new();
+            for (c, class) in classes.iter().enumerate() {
+                let (old_dags, new_dags) = (slots[old_slot].dags(c), slots[new_slot].dags(c));
+                for (old_dag, new_dag, change) in diff_dag_lists(old_dags, new_dags, class) {
                     mined.push(((*class).to_owned(), old_dag, new_dag, change));
                 }
             }
             self.obs.end(dags_span);
             Ok(mined)
         }));
-        match outcome {
-            Ok(processed) => processed,
-            Err(payload) => Err((
+        let error = match outcome {
+            Ok(Ok(mined)) => return ChangeOutcome::Mined(mined),
+            Ok(Err(error)) => error,
+            Err(payload) => (
                 PipelineError::Panic(panic_message(payload)),
                 excerpt(new_source),
-            )),
+            ),
+        };
+        let (error, excerpt) = error;
+        ChangeOutcome::Skipped {
+            kind: error.kind(),
+            error: error.to_string(),
+            excerpt,
         }
     }
 }
 
-type MinedTuples = Vec<(String, UsageDag, UsageDag, UsageChange)>;
+/// One source text's analysis and, per target class, its DAG list, each
+/// built on first need and kept for the text's later uses. A failed
+/// analysis leaves the slot empty; a failed DAG build is kept as its
+/// error.
+#[derive(Debug, Default)]
+struct Slot {
+    usages: Option<Rc<Usages>>,
+    /// Indexed like the run's class list; `None` until first needed.
+    dags: Vec<Option<Result<Vec<UsageDag>, DagError>>>,
+}
+
+impl Slot {
+    /// Builds this text's DAG list of class `c` (of `n_classes`) from
+    /// `usages`, unless an earlier use did.
+    fn build_dags(
+        &mut self,
+        c: usize,
+        n_classes: usize,
+        class: &str,
+        usages: &Usages,
+        limits: &DagLimits,
+    ) -> Result<(), DagError> {
+        if self.dags.len() < n_classes {
+            self.dags.resize_with(n_classes, || None);
+        }
+        let built = self.dags[c].get_or_insert_with(|| dags_for_class(usages, class, limits));
+        built.as_ref().map(|_| ()).map_err(DagError::clone)
+    }
+
+    /// The DAG list of class `c` that [`Self::build_dags`] built; empty
+    /// if it built none.
+    fn dags(&self, c: usize) -> &[UsageDag] {
+        match self.dags.get(c) {
+            Some(Some(Ok(dags))) => dags,
+            _ => &[],
+        }
+    }
+}
+
+/// The slot table of a planned mining run: one slot per distinct source
+/// text a change will analyze, each emptied right after its last use.
+#[derive(Debug)]
+struct Slots {
+    slots: Vec<Slot>,
+    /// Per slot, the index of the last code change that uses it.
+    last_use: Vec<usize>,
+}
+
+impl Slots {
+    /// Empties whichever of `sides` change `i` used for the last time.
+    fn release(&mut self, i: usize, (old, new): (usize, usize)) {
+        for s in [old, new] {
+            if self.last_use.get(s) == Some(&i) {
+                if let Some(slot) = self.slots.get_mut(s) {
+                    *slot = Slot::default();
+                }
+            }
+        }
+    }
+}
+
+/// What a mining run will do, decided before its first change: each
+/// code change's ids and, for each change the cache will not replay,
+/// the slots of its two source texts.
+struct Plan {
+    /// Per code change, in corpus order.
+    changes: Vec<PlannedChange>,
+    slots: Slots,
+}
+
+struct PlannedChange {
+    key: Option<cache::Fingerprint>,
+    fingerprint: cache::Fingerprint,
+    /// The slots of the old and the new text; `None` when the cache
+    /// will replay the change.
+    sides: Option<(usize, usize)>,
+}
+
+impl Plan {
+    /// Plans mining `corpus` through `cache`. One pass hashes each
+    /// change's file pair for its ids. A change whose key the cache
+    /// holds, or that an earlier planned change will record, is not
+    /// planned; for the others each side's text is looked up once,
+    /// borrowed, to find its slot, so equal texts share one.
+    fn new(corpus: &Corpus, cache: Option<&MiningCacheView<'_>>) -> Plan {
+        let mut slot_of: HashMap<&str, usize> = HashMap::new();
+        let mut planned_keys: HashSet<u128> = HashSet::new();
+        let mut last_use: Vec<usize> = Vec::new();
+        let mut changes = Vec::new();
+        for (i, change) in corpus.code_changes().enumerate() {
+            let (key, fingerprint) = change_ids(cache, change.old, change.new);
+            let replayed = cache
+                .zip(key)
+                .is_some_and(|(view, key)| view.holds(key) || !planned_keys.insert(key.0));
+            let sides = (!replayed).then(|| {
+                let mut slot = |text| {
+                    let next = last_use.len();
+                    let s = *slot_of.entry(text).or_insert(next);
+                    if s == next {
+                        last_use.push(i);
+                    } else {
+                        last_use[s] = i;
+                    }
+                    s
+                };
+                (slot(change.old), slot(change.new))
+            });
+            changes.push(PlannedChange {
+                key,
+                fingerprint,
+                sides,
+            });
+        }
+        let slots = Slots {
+            slots: std::iter::repeat_with(Slot::default)
+                .take(last_use.len())
+                .collect(),
+            last_use,
+        };
+        Plan { changes, slots }
+    }
+}
 
 /// The cache key (when there is a cache) and the [`change_fingerprint`]
 /// of one code change. With a cache both come from one pass over the
@@ -571,13 +810,13 @@ fn change_ids(
     cache: Option<&MiningCacheView<'_>>,
     old: &str,
     new: &str,
-) -> (Option<cache::Fingerprint>, String) {
+) -> (Option<cache::Fingerprint>, cache::Fingerprint) {
     match cache {
         Some(view) => {
             let (key, fingerprint) = view.change_ids(old, new);
-            (Some(key), fingerprint.to_string())
+            (Some(key), fingerprint)
         }
-        None => (None, change_fingerprint(old, new)),
+        None => (None, cache::fingerprint(&[old.as_bytes(), new.as_bytes()])),
     }
 }
 
@@ -604,7 +843,19 @@ fn apply_outcome(result: &mut MiningResult, meta: ChangeMeta, outcome: Resolved)
                     meta: Arc::clone(&meta),
                     class: tuple.class().to_owned(),
                     change: tuple.change(),
-                    dags: DagPair::Replayed(dags),
+                    dags: DagPair::Encoded(dags),
+                });
+            }
+        }
+        Resolved::Recorded(tuples) => {
+            result.stats.mined += 1;
+            let meta = Arc::new(meta);
+            for (class, change, dags) in tuples {
+                result.changes.push(MinedUsageChange {
+                    meta: Arc::clone(&meta),
+                    class,
+                    change,
+                    dags: DagPair::Encoded(dags),
                 });
             }
         }
@@ -908,6 +1159,101 @@ mod tests {
                 ..DiffCode::new()
             }
         }
+    }
+
+    impl Slots {
+        /// The last use of each slot that holds an analysis.
+        fn live(&self) -> impl Iterator<Item = usize> + '_ {
+            self.slots
+                .iter()
+                .zip(&self.last_use)
+                .filter(|(slot, _)| slot.usages.is_some() || !slot.dags.is_empty())
+                .map(|(_, &last)| last)
+        }
+    }
+
+    /// Mines `corpus` with a fresh recorder, checking after each change
+    /// that no slot outlives its last use. Returns the result, the
+    /// number of live slots after each change, and the recorder.
+    fn mine_checking_slots(
+        corpus: &Corpus,
+        cache: Option<&mut MiningCacheView<'_>>,
+    ) -> (MiningResult, Vec<usize>, Recorder) {
+        let mut dc = DiffCode::new();
+        let mut live = Vec::new();
+        let result = dc.mine_observed(corpus, &[], cache, |i, slots| {
+            assert!(
+                slots.live().all(|last| last > i),
+                "change {i} left a slot past its last use"
+            );
+            live.push(slots.live().count());
+        });
+        (result, live, dc.take_recorder())
+    }
+
+    fn cipher_class(name: &str, transformation: &str) -> String {
+        format!(
+            "class {name} {{ void m() throws Exception {{ \
+             Cipher c = Cipher.getInstance(\"{transformation}\"); }} }}"
+        )
+    }
+
+    #[test]
+    fn a_planned_run_parses_each_text_once_and_frees_each_slot_after_its_last_use() {
+        // A is used by changes 0 and 2, B by 0 and 1, C by 1 and 2, and
+        // D is both sides of change 3.
+        let [a, b, c, d] = ["AES", "DES", "AES/GCM/NoPadding", "RC4"].map(|t| cipher_class("K", t));
+        let pairs = [(&a, &b), (&b, &c), (&c, &a), (&d, &d)].map(|(o, n)| (o.as_str(), n.as_str()));
+        let (result, live, rec) = mine_checking_slots(&corpus_of_pairs("p", &pairs), None);
+        assert_eq!(result.stats.mined, 4);
+        assert_eq!(live, [2, 2, 0, 0], "A and B, then A and C, then none");
+        assert_eq!(
+            rec.counter("analyze.cache_miss"),
+            4,
+            "one analysis per text"
+        );
+        assert_eq!(rec.counter("analyze.cache_hit"), 4);
+        assert_eq!(rec.span("parse").map(|h| h.count()), Some(4));
+
+        // A generated corpus: every distinct text is parsed exactly once.
+        let corpus = corpus::generate(&corpus::GeneratorConfig::small(4, 11));
+        let (result, live, rec) = mine_checking_slots(&corpus, None);
+        let texts: HashSet<&str> = corpus
+            .code_changes()
+            .flat_map(|change| [change.old, change.new])
+            .collect();
+        assert_eq!(result.stats.mined, result.stats.code_changes);
+        assert_eq!(rec.counter("analyze.cache_miss"), texts.len() as u64);
+        assert_eq!(
+            rec.span("parse").map(|h| h.count()),
+            Some(texts.len() as u64)
+        );
+        assert_eq!(live.last(), Some(&0), "no slot survives the run");
+    }
+
+    #[test]
+    fn a_planned_run_gives_no_slot_to_a_change_the_cache_replays() {
+        let [a, b, c] = ["AES", "DES", "RC4"].map(|t| cipher_class("K", t));
+        let pairs = [(&a, &b), (&b, &c), (&a, &b)].map(|(o, n)| (o.as_str(), n.as_str()));
+        let dir = std::env::temp_dir().join(format!("diffcode-plan-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = MiningCache::open(&dir, &[], &PipelineLimits::DEFAULT).unwrap();
+        let mut view = cache.view();
+        let (result, live, rec) =
+            mine_checking_slots(&corpus_of_pairs("p", &pairs), Some(&mut view));
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert_eq!(result.stats.mined, 3);
+        // Change 2 repeats change 0's pair, which change 0 records, so
+        // A's last use is change 0.
+        assert_eq!(live, [1, 0, 0], "B, then none");
+        assert_eq!(rec.counter("cache.miss"), 2);
+        assert_eq!(rec.counter("cache.hit"), 1);
+        assert_eq!(rec.counter("analyze.cache_miss"), 3);
+        assert_eq!(rec.counter("analyze.cache_hit"), 1);
+        assert!(result
+            .changes
+            .iter()
+            .all(|c| matches!(c.dag_pair(), DagPair::Encoded(_))));
     }
 
     fn mine_threads(corpus: &Corpus, threads: usize) -> MiningResult {

@@ -108,7 +108,9 @@ enum Sink {
     File {
         path: PathBuf,
         max_bytes: u64,
-        /// The live file; `None` once a reopen after rotation failed.
+        /// The live file; `None` while the path cannot be opened (a
+        /// reopen after rotation failed), tried again on the next
+        /// record.
         file: Option<fs::File>,
         /// Bytes in the live file.
         written: u64,
@@ -136,6 +138,14 @@ impl Sink {
                     let _ = fs::rename(&*path, PathBuf::from(rotated));
                     *file = open_append(path).ok();
                     *written = 0;
+                } else if file.is_none() {
+                    // An earlier reopen failed: try the path again, once
+                    // per record, so records land once it opens.
+                    *file = open_append(path).ok();
+                    *written = file
+                        .as_ref()
+                        .and_then(|f| f.metadata().ok())
+                        .map_or(0, |m| m.len());
                 }
                 let Some(f) = file.as_mut() else {
                     return false;
@@ -562,6 +572,37 @@ mod tests {
         assert!(log.sync(Duration::from_secs(5)));
         assert_eq!(log.emitted(), 4, "all four were accepted onto the queue");
         assert_eq!(log.dropped(), 3, "the three after the removal were lost");
+
+        // Once the directory is back, the next record reopens the path.
+        fs::create_dir_all(&dir).unwrap();
+        for i in 0..2 {
+            log.write(
+                LogLevel::Info,
+                "back",
+                &attrs(|a| {
+                    a.u64("i", i);
+                }),
+            );
+        }
+        assert!(log.sync(Duration::from_secs(5)));
+        assert_eq!(log.emitted(), 6);
+        assert_eq!(
+            log.dropped(),
+            3,
+            "the records after the return were written"
+        );
+        // The second record rotated the first into `serve.log.1`.
+        let live = fs::read_to_string(dir.join("serve.log")).unwrap();
+        let rotated = fs::read_to_string(dir.join("serve.log.1")).unwrap();
+        assert!(
+            rotated.contains("\"back\"") && rotated.contains("\"i\":0"),
+            "{rotated}"
+        );
+        assert!(
+            live.contains("\"back\"") && live.contains("\"i\":1"),
+            "{live}"
+        );
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[cfg(unix)]

@@ -124,28 +124,30 @@ pub struct TraceEvent {
 /// inside the `*_with` closures, so an untraced recorder never
 /// allocates one; a caller that exports the same event to the log
 /// builds it once and hands it to both.
+///
+/// Keys are `'static`: every attribute name is a literal, so adding one
+/// copies no key.
 #[derive(Debug, Default)]
 pub struct AttrSet {
-    items: Vec<(String, TraceValue)>,
+    items: Vec<(&'static str, TraceValue)>,
 }
 
 impl AttrSet {
     /// Adds a string attribute.
-    pub fn str(&mut self, key: &str, value: impl Into<String>) -> &mut Self {
-        self.items
-            .push((key.to_owned(), TraceValue::Str(value.into())));
+    pub fn str(&mut self, key: &'static str, value: impl Into<String>) -> &mut Self {
+        self.items.push((key, TraceValue::Str(value.into())));
         self
     }
 
     /// Adds an unsigned integer attribute.
-    pub fn u64(&mut self, key: &str, value: u64) -> &mut Self {
-        self.items.push((key.to_owned(), TraceValue::U64(value)));
+    pub fn u64(&mut self, key: &'static str, value: u64) -> &mut Self {
+        self.items.push((key, TraceValue::U64(value)));
         self
     }
 
     /// The attributes in insertion order.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (&str, &TraceValue)> {
-        self.items.iter().map(|(k, v)| (k.as_str(), v))
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (&'static str, &TraceValue)> {
+        self.items.iter().map(|(k, v)| (*k, v))
     }
 }
 
@@ -292,12 +294,12 @@ impl TraceSink {
         name: NameId,
         span: SpanId,
         parent: SpanId,
-        attrs: Vec<(String, TraceValue)>,
+        attrs: Vec<(&'static str, TraceValue)>,
         ts_ns: u64,
     ) {
         let attrs = attrs
             .into_iter()
-            .map(|(k, v)| (self.intern(&k), v))
+            .map(|(k, v)| (self.intern(k), v))
             .collect();
         let event = TraceEvent {
             seq: self.next_seq,

@@ -61,4 +61,40 @@ fn recording_a_seen_name_allocates_nothing() {
     assert_eq!(rec.counter("analyze.cache_hit"), 1_001);
     assert_eq!(rec.span("serve.request").map(|h| h.count()), Some(1_001));
     assert_eq!(rec.span("mine.change").map(|h| h.count()), Some(1_002));
+
+    // A traced event with attributes, shaped like a served request's
+    // `serve.access`: eight attributes, four of them strings. Warming
+    // with 1 025 events interns the names and grows the trace's event
+    // list to 2 048, so the 1 000 measured below never regrow it.
+    let mut traced = Recorder::traced(1);
+    let (method, path, endpoint, outcome) = ("POST", "/mine", "mine", "ok");
+    let access = |rec: &mut Recorder, i: u64| {
+        rec.instant_with("serve.access", |a| {
+            a.u64("request_id", i)
+                .str("method", method)
+                .str("path", path)
+                .str("endpoint", endpoint)
+                .u64("status", 200)
+                .u64("latency_ns", 1_000 + i)
+                .u64("bytes", 64)
+                .str("outcome", outcome);
+        });
+    };
+    for i in 0..1_025 {
+        access(&mut traced, i);
+    }
+    let before = ALLOCS.load(Ordering::Relaxed);
+    for i in 0..1_000 {
+        access(&mut traced, i);
+    }
+    let per_event = (ALLOCS.load(Ordering::Relaxed) - before) as f64 / 1_000.0;
+    // Per event: the four string values and the attribute list growing
+    // to four, then eight entries; the event keeps that allocation for
+    // its interned list. No key is copied: each is a `'static` literal,
+    // interned by reference (copying the keys made it 14).
+    assert_eq!(
+        per_event, 6.0,
+        "a traced access event allocated {per_event} time(s)"
+    );
+    assert_eq!(traced.trace().map(|t| t.len()), Some(2_025));
 }

@@ -293,6 +293,7 @@ impl Response {
             405 => "Method Not Allowed",
             408 => "Request Timeout",
             413 => "Payload Too Large",
+            422 => "Unprocessable Entity",
             429 => "Too Many Requests",
             431 => "Request Header Fields Too Large",
             500 => "Internal Server Error",

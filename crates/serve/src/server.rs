@@ -784,14 +784,33 @@ mod tests {
         }
     }
 
+    /// Every status with its own `serve.http_<status>` counter.
+    const ANSWERED: [u16; 11] = [200, 400, 404, 405, 408, 413, 422, 429, 431, 500, 503];
+
     #[test]
     fn status_counters_are_spelled_out_for_every_status() {
-        for status in [200, 400, 404, 405, 408, 413, 422, 429, 431, 500, 503] {
+        for status in ANSWERED {
             assert_eq!(
                 http_counter(status).map(str::to_owned),
                 Some(format!("serve.http_{status}"))
             );
         }
         assert_eq!(http_counter(0), None, "a peer that never asked");
+        // `ANSWERED` is the whole table: every other status shares the
+        // `other` counter.
+        for status in (1..1000).filter(|s| !ANSWERED.contains(s)) {
+            assert_eq!(http_counter(status), Some("serve.http_other"), "{status}");
+        }
+    }
+
+    #[test]
+    fn every_counted_status_has_a_reason_phrase() {
+        for status in ANSWERED {
+            assert_ne!(
+                crate::http::Response::reason(status),
+                "Unknown",
+                "HTTP/1.1 {status} has no reason phrase"
+            );
+        }
     }
 }

@@ -12,6 +12,7 @@ use crate::matching::min_cost_assignment;
 use absdomain::{AValue, AllocSite};
 use analysis::Usages;
 use intern::intern;
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::fmt;
 use std::fmt::Write as _;
@@ -387,23 +388,50 @@ pub fn dags_for_class(
 /// Returns the paired DAGs (old, new) — padded entries appear as
 /// trivial DAGs.
 pub fn pair_dags(old: Vec<UsageDag>, new: Vec<UsageDag>, class: &str) -> Vec<(UsageDag, UsageDag)> {
+    let pairs = assign(&old, &new, class);
+    // The inputs are consumed: each DAG moves into its assigned pair,
+    // and only padding slots (unequal version sides) allocate.
+    let mut old: Vec<Option<UsageDag>> = old.into_iter().map(Some).collect();
+    let mut new: Vec<Option<UsageDag>> = new.into_iter().map(Some).collect();
+    let take = |side: &mut Vec<Option<UsageDag>>, i: Option<usize>| {
+        i.and_then(|i| side.get_mut(i).and_then(Option::take))
+            .unwrap_or_else(|| UsageDag::empty(class))
+    };
+    pairs
+        .into_iter()
+        .map(|(i, j)| (take(&mut old, i), take(&mut new, j)))
+        .collect()
+}
+
+/// [`pair_dags`] over borrowed DAG lists: each pair borrows its DAGs
+/// from `old` and `new`, and only padding is owned.
+pub(crate) fn pair_dag_refs<'a>(
+    old: &'a [UsageDag],
+    new: &'a [UsageDag],
+    class: &str,
+) -> Vec<(Cow<'a, UsageDag>, Cow<'a, UsageDag>)> {
+    let side = |dags: &'a [UsageDag], i: Option<usize>| {
+        i.and_then(|i| dags.get(i))
+            .map_or_else(|| Cow::Owned(UsageDag::empty(class)), Cow::Borrowed)
+    };
+    assign(old, new, class)
+        .into_iter()
+        .map(|(i, j)| (side(old, i), side(new, j)))
+        .collect()
+}
+
+/// The min-cost assignment of old-version to new-version DAGs, as index
+/// pairs in old-side order; `None` stands for a padding DAG.
+fn assign(old: &[UsageDag], new: &[UsageDag], class: &str) -> Vec<(Option<usize>, Option<usize>)> {
     let n = old.len().max(new.len());
-    if n == 0 {
-        return Vec::new();
-    }
+    let present = |len: usize, i: usize| (i < len).then_some(i);
     // One DAG per side (or one side absent) — the overwhelmingly common
     // shape per (change, class) — has a forced assignment: skip the
     // cost matrix and Hungarian solve entirely.
-    if n == 1 {
-        let a = old
-            .into_iter()
-            .next()
-            .unwrap_or_else(|| UsageDag::empty(class));
-        let b = new
-            .into_iter()
-            .next()
-            .unwrap_or_else(|| UsageDag::empty(class));
-        return vec![(a, b)];
+    if n <= 1 {
+        return (0..n)
+            .map(|i| (present(old.len(), i), present(new.len(), i)))
+            .collect();
     }
     let pad = UsageDag::empty(class);
     let cost: Vec<Vec<f64>> = (0..n)
@@ -415,21 +443,10 @@ pub fn pair_dags(old: Vec<UsageDag>, new: Vec<UsageDag>, class: &str) -> Vec<(Us
         })
         .collect();
     let (assignment, _) = min_cost_assignment(&cost);
-    // The inputs are consumed: each DAG moves into its assigned pair,
-    // and only padding slots (unequal version sides) allocate.
-    let mut old_slots: Vec<Option<UsageDag>> = old.into_iter().map(Some).collect();
-    let mut new_slots: Vec<Option<UsageDag>> = new.into_iter().map(Some).collect();
     assignment
         .iter()
         .enumerate()
-        .map(|(i, &j)| {
-            let a = old_slots.get_mut(i).and_then(Option::take);
-            let b = new_slots.get_mut(j).and_then(Option::take);
-            (
-                a.unwrap_or_else(|| pad.clone()),
-                b.unwrap_or_else(|| pad.clone()),
-            )
-        })
+        .map(|(i, &j)| (present(old.len(), i), present(new.len(), j)))
         .collect()
 }
 

@@ -46,7 +46,9 @@ pub use diff::{removed, UsageChange};
 pub use limits::{DagError, DagLimits};
 
 use analysis::Usages;
+use dag::pair_dag_refs;
 use diff::diff_dags;
+use std::borrow::Cow;
 
 /// Derives all usage changes of `class` between two program versions —
 /// build DAGs → pair → diff (Figure 4 of the paper) — under `limits`.
@@ -72,4 +74,24 @@ pub fn usage_changes(
             (a, b, change)
         })
         .collect())
+}
+
+/// The usage changes of `class` between two versions' DAG lists, as
+/// [`dags_for_class`] builds them: pair, then diff, like
+/// [`usage_changes`]. Each change borrows its paired DAGs from the
+/// lists, so a caller that keeps a version's lists (a source text shared
+/// by consecutive changes) pairs them again without rebuilding or
+/// copying them; only padding DAGs are owned.
+pub fn diff_dag_lists<'a>(
+    old: &'a [UsageDag],
+    new: &'a [UsageDag],
+    class: &str,
+) -> Vec<(Cow<'a, UsageDag>, Cow<'a, UsageDag>, UsageChange)> {
+    pair_dag_refs(old, new, class)
+        .into_iter()
+        .map(|(a, b)| {
+            let change = diff_dags(&a, &b);
+            (a, b, change)
+        })
+        .collect()
 }

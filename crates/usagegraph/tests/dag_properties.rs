@@ -2,7 +2,10 @@
 //! cycle prevention, nested expansion, and pairing stability.
 
 use analysis::{analyze, AnalysisLimits, ApiModel, Usages};
-use usagegraph::{build_dag, dags_for_class, pair_dags, usage_changes, DagLimits, UsageDag};
+use std::borrow::Cow;
+use usagegraph::{
+    build_dag, dags_for_class, diff_dag_lists, pair_dags, usage_changes, DagLimits, UsageDag,
+};
 
 fn usages(src: &str) -> Usages {
     let unit = javalang::parse_compilation_unit(src).unwrap();
@@ -161,4 +164,45 @@ fn distance_monotone_under_feature_removal() {
     let without = a.distance(&b);
     assert!(without <= with_extra);
     assert_eq!(without, 0.0);
+}
+
+#[test]
+fn diffing_borrowed_dag_lists_equals_usage_changes() {
+    // One Cipher object against two (padding on the old side), two
+    // against two (a Hungarian solve), two against none, and none
+    // against none.
+    let one = r#"class C { void m() throws Exception {
+        Cipher c = Cipher.getInstance("AES");
+    } }"#;
+    let two = r#"class C { void m() throws Exception {
+        Cipher a = Cipher.getInstance("AES/GCM/NoPadding");
+        Cipher b = Cipher.getInstance("DES");
+        b.init(Cipher.DECRYPT_MODE, null);
+    } }"#;
+    let none = "class C { void m() { int x = 1; } }";
+    for (old_src, new_src) in [
+        (one, two),
+        (two, two),
+        (two, NESTED),
+        (two, none),
+        (none, none),
+    ] {
+        let (old, new) = (usages(old_src), usages(new_src));
+        let limits = DagLimits::DEFAULT;
+        let owned = usage_changes(&old, &new, "Cipher", &limits).unwrap();
+        let old_dags = dags_for_class(&old, "Cipher", &limits).unwrap();
+        let new_dags = dags_for_class(&new, "Cipher", &limits).unwrap();
+        let borrowed = diff_dag_lists(&old_dags, &new_dags, "Cipher");
+        assert_eq!(borrowed.len(), owned.len());
+        for ((a, b, change), (old_dag, new_dag, owned_change)) in borrowed.iter().zip(&owned) {
+            assert_eq!((&**a, &**b, change), (old_dag, new_dag, owned_change));
+            // A paired DAG borrows from its list; only padding is owned.
+            for (dag, list) in [(a, &old_dags), (b, &new_dags)] {
+                match dag {
+                    Cow::Borrowed(dag) => assert!(list.iter().any(|d| std::ptr::eq(d, *dag))),
+                    Cow::Owned(dag) => assert_eq!(dag, &UsageDag::empty("Cipher")),
+                }
+            }
+        }
+    }
 }
