@@ -8,7 +8,9 @@ use crate::ccache::ClusterCache;
 use crate::elicit::{elicit_auto, Elicitation};
 use crate::filter::{apply_filters, FilterStats, SeenDups, FILTER_FUNNEL};
 use crate::mcache::{DagView, MiningCache};
-use crate::pipeline::{mine_parallel, DagPair, DiffCode, MineOptions, MiningResult};
+use crate::pipeline::{
+    mine_parallel, DagPair, DiffCode, MineOptions, MinedUsageChange, MiningResult,
+};
 use crate::quarantine::{ErrorKind, PipelineError, PipelineLimits};
 use crate::report::Table;
 use analysis::TARGET_CLASSES;
@@ -641,76 +643,45 @@ fn cluster_digest(elicitation: &Elicitation) -> cache::Fingerprint {
     cache::fingerprint_str(&parts)
 }
 
-/// The canonical provenance-free digest text of one mined tuple:
-/// `class|old-dag|new-dag|change`. This exact formatting is shared
-/// between the one-shot mining digest below and the `serve` `/mine`
-/// endpoint, which is what makes a served verdict byte-comparable to a
-/// one-shot run's.
-pub(crate) fn tuple_digest(
-    class: &str,
-    old_dag: &UsageDag,
-    new_dag: &UsageDag,
-    change: &UsageChange,
-) -> String {
-    let mut out = String::new();
-    write_tuple_digest(&mut out, class, old_dag, new_dag, change);
-    out
-}
-
-/// Where digest text is written: the `String` [`tuple_digest`]
-/// returns, or the byte buffer [`mined_digest`] hashes.
-trait DigestBuf {
-    fn push_text(&mut self, text: &str);
-}
-
-impl DigestBuf for String {
-    fn push_text(&mut self, text: &str) {
-        self.push_str(text);
+/// Appends the provenance-free digest text of one mined usage change,
+/// `class|old-dag|new-dag|change`, to `out`: the text [`run_mine`]'s
+/// `result digest` hashes after each change's `project|commit|path|`
+/// prefix, and the text the `serve` endpoints list per tuple, so a
+/// served verdict is byte-comparable to a one-shot run's.
+///
+/// A DAG reads `root:path;path;…` in set order and the change reads as
+/// its `Display` (`- path` / `+ path` lines), where a path is its labels
+/// joined by spaces — the `Display` of [`usagegraph::FeaturePath`],
+/// written label by label so no intermediate string is built. A DAG
+/// pair encoded in a cache payload is copied from its label bytes,
+/// without decoding the DAGs or checking their UTF-8 again: the payload
+/// view checked it when it validated the payload.
+pub fn write_usage_digest(out: &mut Vec<u8>, mined: &MinedUsageChange) {
+    let (class, change) = (&mined.class, &mined.change);
+    match mined.dag_pair() {
+        DagPair::Owned(old, new) => write_tuple_digest(out, class, old, new, change),
+        DagPair::Encoded(pair) => {
+            let (old, new) = pair.view().old_new();
+            write_tuple_digest(out, class, old, new, change);
+        }
     }
 }
 
-impl DigestBuf for Vec<u8> {
-    fn push_text(&mut self, text: &str) {
-        self.extend_from_slice(text.as_bytes());
-    }
+/// A DAG whose digest text can be written: a decoded [`UsageDag`], or
+/// one read in place from a cache payload; its paths come in the same
+/// set order (the payload view checks it).
+trait DagText {
+    fn write_text(&self, out: &mut Vec<u8>);
 }
 
-/// One label of digest text: an owned DAG's `&str`, for either buffer,
-/// or the bytes of a replayed label, for the byte buffer only. The
-/// payload view checked those bytes as UTF-8 when it validated the
-/// payload, so writing them as bytes does not check them again.
-trait LabelText<B> {
-    fn push_to(self, out: &mut B);
-}
-
-impl<B: DigestBuf> LabelText<B> for &str {
-    fn push_to(self, out: &mut B) {
-        out.push_text(self);
-    }
-}
-
-impl LabelText<Vec<u8>> for &[u8] {
-    fn push_to(self, out: &mut Vec<u8>) {
-        out.extend_from_slice(self);
-    }
-}
-
-/// A DAG whose digest text can be written into a `B`: a decoded
-/// [`UsageDag`], into either buffer, or one read in place from a
-/// replayed cache payload, into the byte buffer; its paths come in the
-/// same set order (the payload view checks it).
-trait DagText<B> {
-    fn write_text(&self, out: &mut B);
-}
-
-impl<B: DigestBuf> DagText<B> for &UsageDag {
-    fn write_text(&self, out: &mut B) {
+impl DagText for &UsageDag {
+    fn write_text(&self, out: &mut Vec<u8>) {
         let paths = self.paths.iter().map(|path| path.0.iter().map(|l| &**l));
         write_dag_text(out, &self.root_type, paths);
     }
 }
 
-impl DagText<Vec<u8>> for DagView<'_> {
+impl DagText for DagView<'_> {
     fn write_text(&self, out: &mut Vec<u8>) {
         write_dag_text(
             out,
@@ -721,66 +692,50 @@ impl DagText<Vec<u8>> for DagView<'_> {
 }
 
 /// Writes `root:path;path;…`, each path its labels joined by spaces.
-fn write_dag_text<B: DigestBuf, L: LabelText<B>>(
-    out: &mut B,
+fn write_dag_text(
+    out: &mut Vec<u8>,
     root: &str,
-    paths: impl Iterator<Item = impl Iterator<Item = L>>,
+    paths: impl Iterator<Item = impl Iterator<Item = impl AsRef<[u8]>>>,
 ) {
-    out.push_text(root);
-    out.push_text(":");
+    out.extend_from_slice(root.as_bytes());
+    out.push(b':');
     for (i, labels) in paths.enumerate() {
         if i > 0 {
-            out.push_text(";");
+            out.push(b';');
         }
         write_labels(out, labels);
     }
 }
 
-fn write_labels<B: DigestBuf, L: LabelText<B>>(out: &mut B, labels: impl Iterator<Item = L>) {
+fn write_labels(out: &mut Vec<u8>, labels: impl Iterator<Item = impl AsRef<[u8]>>) {
     for (i, label) in labels.enumerate() {
         if i > 0 {
-            out.push_text(" ");
+            out.push(b' ');
         }
-        label.push_to(out);
+        out.extend_from_slice(label.as_ref());
     }
 }
 
-/// Appends [`tuple_digest`]'s text to `out`. A DAG reads
-/// `root:path;path;…` in set order and the change reads as its
-/// `Display` (`- path` / `+ path` lines), where a path is its labels
-/// joined by spaces — the `Display` of [`usagegraph::FeaturePath`],
-/// written label by label so no intermediate string is built.
-fn write_tuple_digest<B: DigestBuf>(
-    out: &mut B,
+/// The [`write_usage_digest`] text of one tuple.
+fn write_tuple_digest(
+    out: &mut Vec<u8>,
     class: &str,
-    old_dag: impl DagText<B>,
-    new_dag: impl DagText<B>,
+    old_dag: impl DagText,
+    new_dag: impl DagText,
     change: &UsageChange,
 ) {
-    out.push_text(class);
-    out.push_text("|");
+    out.extend_from_slice(class.as_bytes());
+    out.push(b'|');
     old_dag.write_text(out);
-    out.push_text("|");
+    out.push(b'|');
     new_dag.write_text(out);
-    out.push_text("|");
-    for (sign, paths) in [("- ", &change.removed), ("+ ", &change.added)] {
+    out.push(b'|');
+    for (sign, paths) in [(b"- ", &change.removed), (b"+ ", &change.added)] {
         for path in paths {
-            out.push_text(sign);
-            write_labels(out, path.0.iter().map(|l| &**l));
-            out.push_text("\n");
+            out.extend_from_slice(sign);
+            write_labels(out, path.0.iter().map(|l| l.as_bytes()));
+            out.push(b'\n');
         }
-    }
-}
-
-/// The digest texts of one [`crate::mcache::ChangeOutcome`] — one
-/// `tuple_digest` per mined tuple, empty for a quarantined skip.
-pub fn outcome_digest_parts(outcome: &crate::mcache::ChangeOutcome) -> Vec<String> {
-    match outcome {
-        crate::mcache::ChangeOutcome::Mined(tuples) => tuples
-            .iter()
-            .map(|(class, old_dag, new_dag, change)| tuple_digest(class, old_dag, new_dag, change))
-            .collect(),
-        crate::mcache::ChangeOutcome::Skipped { .. } => Vec::new(),
     }
 }
 
@@ -791,28 +746,19 @@ pub fn outcome_digest_parts(outcome: &crate::mcache::ChangeOutcome) -> Vec<Strin
 /// the byte-identical report).
 ///
 /// Each change's part, `project|commit|path|` plus its
-/// [`tuple_digest`] text, is written into one reused byte buffer and
-/// fed to a streaming fingerprint, so the digest costs no allocation
-/// per change or path. A replayed DAG pair's text is copied straight
-/// from the label bytes of its validated cache payload, without
-/// decoding the DAGs or checking their UTF-8 again.
+/// [`write_usage_digest`] text, is written into one reused byte buffer
+/// and fed to a streaming fingerprint, so the digest costs no
+/// allocation per change or path.
 fn mined_digest(result: &MiningResult) -> cache::Fingerprint {
     let mut digest = cache::Fingerprinter::new();
     let mut part: Vec<u8> = Vec::new();
     for mined in &result.changes {
         part.clear();
         for field in [&mined.meta.project, &mined.meta.commit, &mined.meta.path] {
-            part.push_text(field);
-            part.push_text("|");
+            part.extend_from_slice(field.as_bytes());
+            part.push(b'|');
         }
-        let (class, change) = (&mined.class, &mined.change);
-        match mined.dag_pair() {
-            DagPair::Owned(old, new) => write_tuple_digest(&mut part, class, old, new, change),
-            DagPair::Encoded(pair) => {
-                let (old, new) = pair.view().old_new();
-                write_tuple_digest(&mut part, class, old, new, change);
-            }
-        }
+        write_usage_digest(&mut part, mined);
         digest.part(&part);
     }
     digest.finish()
@@ -1366,7 +1312,9 @@ fn effective_classes<'a>(classes: &[&'a str]) -> Vec<&'a str> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::Verdict;
     use corpus::fixtures::{FIGURE2_NEW, FIGURE2_OLD};
+    use std::sync::Arc;
 
     #[test]
     fn analyze_renders_dags() {
@@ -1606,7 +1554,8 @@ mod tests {
     }
 
     /// The `format!`/`join` rendering the digests had before they were
-    /// streamed: the reference [`tuple_digest`] must equal byte for byte.
+    /// streamed: the reference [`write_usage_digest`] must equal byte for
+    /// byte.
     fn reference_tuple_digest(
         class: &str,
         old_dag: &UsageDag,
@@ -1671,6 +1620,17 @@ mod tests {
         cache.absorb(log);
         cache.flush().unwrap();
         let warm = DiffCode::new().mine(&corpus, &[], Some(&mut open().view()));
+        // Served verdicts mine one-change corpora through a cache view.
+        let served_cache =
+            MiningCache::open(&dir.join("served"), &[], &PipelineLimits::DEFAULT).unwrap();
+        let served: Vec<MiningResult> = corpus
+            .code_changes()
+            .take(40)
+            .map(|change| {
+                let one = crate::pipeline::tests::corpus_of_pairs("p", &[(change.old, change.new)]);
+                DiffCode::new().mine(&one, &[], Some(&mut served_cache.view()))
+            })
+            .collect();
         std::fs::remove_dir_all(&dir).unwrap();
         let form = |result: &MiningResult, encoded: bool| {
             result
@@ -1681,10 +1641,28 @@ mod tests {
         assert!(form(&cold, false), "uncached pairs are owned");
         assert!(form(&recorded, true), "cached cold pairs are encoded");
         assert!(form(&warm, true), "warm pairs are encoded");
-        assert_eq!(recorded, cold, "equality sees content, not form");
-        assert_eq!(warm, cold, "equality sees content, not form");
+        // The runs' verdicts differ only in the cache status each
+        // lookup recorded.
+        let outcomes = |result: &MiningResult| -> Vec<_> {
+            let verdicts = result.verdicts.iter();
+            verdicts.map(|v| (Arc::clone(&v.meta), v.outcome)).collect()
+        };
+        for result in [&recorded, &warm] {
+            assert_eq!(
+                result.changes, cold.changes,
+                "equality sees content, not form"
+            );
+            assert_eq!(result.stats, cold.stats);
+            assert_eq!(result.quarantine, cold.quarantine);
+            assert_eq!(outcomes(result), outcomes(&cold));
+        }
         assert_eq!(mined_digest(&recorded), mined_digest(&cold));
         assert_eq!(mined_digest(&warm), mined_digest(&cold));
+        let digest_text = |c: &MinedUsageChange| {
+            let mut text = Vec::new();
+            write_usage_digest(&mut text, c);
+            String::from_utf8(text).unwrap()
+        };
 
         for result in [&cold, &recorded, &warm] {
             let changes = &result.changes;
@@ -1710,24 +1688,28 @@ mod tests {
             assert_eq!(mined_digest(result), reference_mined_digest(result));
             for c in changes {
                 assert_eq!(
-                    tuple_digest(&c.class, &c.old_dag(), &c.new_dag(), &c.change),
+                    digest_text(c),
                     reference_tuple_digest(&c.class, &c.old_dag(), &c.new_dag(), &c.change)
                 );
             }
         }
         // Served verdicts render through the same writer; a skip has
         // no tuples.
-        let mut dc = DiffCode::new();
-        for change in corpus.code_changes().take(40) {
-            let (outcome, _, _) = dc.process_pair_cached(change.old, change.new, &[], None);
-            let expected: Vec<String> = match &outcome {
-                crate::mcache::ChangeOutcome::Mined(tuples) => tuples
+        assert!(served.iter().any(|one| !one.quarantine.is_empty()));
+        for one in &served {
+            assert!(form(one, true), "served cold pairs are encoded");
+            let expected: Vec<String> = match one.verdicts[0].outcome {
+                Verdict::Mined(_) => one
+                    .changes
                     .iter()
-                    .map(|(class, old, new, diff)| reference_tuple_digest(class, old, new, diff))
+                    .map(|c| {
+                        reference_tuple_digest(&c.class, &c.old_dag(), &c.new_dag(), &c.change)
+                    })
                     .collect(),
-                crate::mcache::ChangeOutcome::Skipped { .. } => Vec::new(),
+                Verdict::Quarantined(_) => Vec::new(),
             };
-            assert_eq!(outcome_digest_parts(&outcome), expected);
+            let texts: Vec<String> = one.changes.iter().map(digest_text).collect();
+            assert_eq!(texts, expected);
         }
     }
 

@@ -62,8 +62,8 @@ pub use experiments::{
 pub use filter::{apply_filters, stage_changes, FilterStage, FilterStats, SeenDups, FILTER_FUNNEL};
 pub use mcache::{CachedLookup, ChangeOutcome, MiningCache, MiningCacheView, ANALYSIS_VERSION};
 pub use pipeline::{
-    change_fingerprint, mine_parallel, ChangeMeta, DiffCode, MineOptions, MinedUsageChange,
-    MiningResult, MiningStats,
+    change_fingerprint, mine_parallel, ChangeMeta, ChangeVerdict, DiffCode, MineOptions,
+    MinedUsageChange, MiningResult, MiningStats, Verdict,
 };
 pub use quarantine::{ErrorKind, PipelineError, PipelineLimits, QuarantineReport, SkipCounters};
 pub use report::Table;

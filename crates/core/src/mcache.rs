@@ -610,8 +610,8 @@ impl ReplayedTuples {
 /// A change outcome as the mining loop applies it.
 #[derive(Debug, Clone)]
 pub(crate) enum Resolved {
-    /// Held decoded: computed without a cache or for a served verdict,
-    /// or a quarantined skip (whose report owns its strings anyway).
+    /// Held decoded: computed without a cache, or a quarantined skip
+    /// (whose report owns its strings anyway).
     Decoded(ChangeOutcome),
     /// A replayed mined outcome whose tuples stay in the shared
     /// payload.
@@ -1090,11 +1090,33 @@ mod tests {
         corpus::Mutator::new(7, 0.2).inject(&mut corpus);
         let mut pairs: Vec<(&str, &str)> = corpus.code_changes().map(|c| (c.old, c.new)).collect();
         pairs.push((corpus::fixtures::FIGURE2_OLD, corpus::fixtures::FIGURE2_NEW));
-        let mut dc = crate::pipeline::DiffCode::new();
         pairs
             .into_iter()
-            .map(|(old, new)| encode_outcome(&dc.process_pair_cached(old, new, &[], None).0))
+            .map(|(old, new)| encode_outcome(&mined_outcome(old, new)))
             .collect()
+    }
+
+    /// The outcome a one-change mining run reports for `(old, new)`.
+    fn mined_outcome(old: &str, new: &str) -> ChangeOutcome {
+        let corpus = crate::pipeline::tests::corpus_of_pairs("p", &[(old, new)]);
+        let mut result = crate::pipeline::DiffCode::new().mine(&corpus, &[], None);
+        match result.quarantine.pop() {
+            Some(report) => ChangeOutcome::Skipped {
+                kind: report.kind,
+                error: report.error,
+                excerpt: report.excerpt,
+            },
+            None => ChangeOutcome::Mined(
+                result
+                    .changes
+                    .iter()
+                    .map(|c| {
+                        let (old, new) = (c.old_dag().into_owned(), c.new_dag().into_owned());
+                        (c.class.clone(), old, new, c.change.clone())
+                    })
+                    .collect(),
+            ),
+        }
     }
 
     #[test]

@@ -25,6 +25,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 use usagegraph::{
     dags_for_class, diff_dag_lists, usage_changes, DagError, DagLimits, UsageChange, UsageDag,
 };
@@ -183,17 +184,42 @@ pub struct MiningResult {
     pub stats: MiningStats,
     /// One report per skipped code change, in corpus order.
     pub quarantine: Vec<QuarantineReport>,
+    /// One verdict per processed code change, in corpus order: a mined
+    /// verdict's usage changes are the next ones of [`Self::changes`],
+    /// a quarantined one's report the next one of [`Self::quarantine`].
+    pub verdicts: Vec<ChangeVerdict>,
+}
+
+/// What mining decided for one code change.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ChangeVerdict {
+    /// The change's provenance, its fingerprint included.
+    pub meta: Arc<ChangeMeta>,
+    /// The status the change's cache lookup recorded: `hit`, `miss`,
+    /// `stale_version`, or `off` without a cache.
+    pub cache: &'static str,
+    /// Mined or quarantined.
+    pub outcome: Verdict,
+}
+
+/// Whether a code change was mined or quarantined.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Verdict {
+    /// Analyzed to completion, with this many usage changes.
+    Mined(usize),
+    /// Skipped and quarantined under this kind.
+    Quarantined(ErrorKind),
 }
 
 /// The DiffCode system: configuration + analysis cache.
 #[derive(Debug, Default)]
 pub struct DiffCode {
     api: ApiModel,
-    /// The analysis memo of the entry points that take one source or
-    /// one pair at a time, keyed by the full source text: a hit needs
-    /// equal bytes, so no hash collision can return another file's
-    /// usages. [`Self::mine`] analyzes through a planned slot table
-    /// instead, which frees each analysis after its last use.
+    /// The analysis memo of [`Self::analyze_source`], keyed by the full
+    /// source text: a hit needs equal bytes, so no hash collision can
+    /// return another file's usages. [`Self::mine`] analyzes through a
+    /// planned slot table instead, which frees each analysis after its
+    /// last use.
     cache: HashMap<Box<str>, Rc<Usages>>,
     limits: PipelineLimits,
     obs: Recorder,
@@ -203,6 +229,9 @@ pub struct DiffCode {
     /// drains in-flight requests rather than aborting them, so only
     /// the one-shot CLI wires a signal flag in here.
     cancel: Option<&'static AtomicBool>,
+    /// A second stop condition of the same check: a served request's
+    /// deadline.
+    deadline: Option<Instant>,
 }
 
 impl DiffCode {
@@ -221,10 +250,15 @@ impl DiffCode {
         self.cancel = Some(flag);
     }
 
+    /// Makes [`Self::mine`] stop between code changes, as the cancel
+    /// flag does, once `deadline` has passed.
+    pub fn set_deadline(&mut self, deadline: Instant) {
+        self.deadline = Some(deadline);
+    }
+
     fn cancelled(&self) -> bool {
-        self.cancel
-            .map(|flag| flag.load(Ordering::Relaxed))
-            .unwrap_or(false)
+        self.cancel.is_some_and(|flag| flag.load(Ordering::Relaxed))
+            || self.deadline.is_some_and(|d| Instant::now() >= d)
     }
 
     /// Overrides the DAG construction depth.
@@ -269,21 +303,16 @@ impl DiffCode {
     /// Typed [`PipelineError`]s for lexer/parser failures and
     /// analysis-budget overruns.
     pub fn analyze_source(&mut self, source: &str) -> Result<Rc<Usages>, PipelineError> {
-        let mut slot = self.memo_slot(source);
+        let mut slot = Slot {
+            usages: self.cache.get(source).cloned(),
+            dags: Vec::new(),
+        };
         let hit = slot.usages.is_some();
         let usages = self.resolve(&mut slot, source)?;
         if !hit {
             self.cache.insert(source.into(), Rc::clone(&usages));
         }
         Ok(usages)
-    }
-
-    /// A slot holding the memo's analysis of `source`, if it has one.
-    fn memo_slot(&self, source: &str) -> Slot {
-        Slot {
-            usages: self.cache.get(source).cloned(),
-            dags: Vec::new(),
-        }
     }
 
     /// Resolves one source text's analysis through its slot: a filled
@@ -346,7 +375,9 @@ impl DiffCode {
     ///
     /// Mining never aborts: a change that fails any stage — or panics —
     /// is skipped, counted under its [`ErrorKind`], and quarantined
-    /// with provenance, while the remaining changes proceed.
+    /// with provenance, while the remaining changes proceed. Each
+    /// processed change gets one [`ChangeVerdict`]. A cancel flag or a
+    /// deadline ([`Self::set_deadline`]) stops mining between changes.
     ///
     /// Mining plans before it starts: each source text a
     /// change will analyze gets a slot, which holds the text's analysis
@@ -432,30 +463,36 @@ impl DiffCode {
             // through the same function below, so a warm run is
             // byte-identical to the cold run by construction.
             let (outcome, cache_status) = self.outcome_for_pair(
-                code_change.old,
-                code_change.new,
+                (code_change.old, code_change.new),
                 &classes,
                 cache.as_deref_mut().zip(planned.key),
                 planned
                     .sides
                     .map(|sides| (slots.slots.as_mut_slice(), sides)),
-                true,
             );
             // The per-change decision: emitted inside the change span,
             // always retained regardless of sampling.
-            let (reason, usage_changes) = match &outcome {
-                Resolved::Decoded(ChangeOutcome::Mined(tuples)) => {
-                    (DecisionReason::Mined, tuples.len())
-                }
-                Resolved::Replayed(tuples) => (DecisionReason::Mined, tuples.len()),
-                Resolved::Recorded(tuples) => (DecisionReason::Mined, tuples.len()),
+            let verdict = match &outcome {
+                Resolved::Decoded(ChangeOutcome::Mined(tuples)) => Verdict::Mined(tuples.len()),
+                Resolved::Replayed(tuples) => Verdict::Mined(tuples.len()),
+                Resolved::Recorded(tuples) => Verdict::Mined(tuples.len()),
                 Resolved::Decoded(ChangeOutcome::Skipped { kind, .. }) => {
-                    (DecisionReason::Quarantined(*kind), 0)
+                    Verdict::Quarantined(*kind)
                 }
+            };
+            let (reason, usage_changes) = match verdict {
+                Verdict::Mined(n) => (DecisionReason::Mined, n),
+                Verdict::Quarantined(kind) => (DecisionReason::Quarantined(kind), 0),
             };
             record_decision(&mut self.obs, &meta, &reason, |a| {
                 a.str("cache", cache_status);
                 a.u64("usage_changes", usage_changes as u64);
+            });
+            let meta = Arc::new(meta);
+            result.verdicts.push(ChangeVerdict {
+                meta: Arc::clone(&meta),
+                cache: cache_status,
+                outcome: verdict,
             });
             apply_outcome(&mut result, meta, outcome);
             self.obs.end(change_span);
@@ -483,53 +520,17 @@ impl DiffCode {
         result
     }
 
-    /// Processes one `(old, new)` source pair through the full
-    /// budgeted, panic-isolated pipeline, optionally through a cache
-    /// view — the resident-service entry point (one request = one
-    /// change). Resolves an empty class list to the paper's targets,
-    /// exactly like [`Self::mine`], so a served verdict is computed
-    /// under the same configuration as a one-shot mining run's.
-    ///
-    /// Returns the outcome, the cache status this lookup recorded
-    /// (`"hit"`, `"miss"`, `"stale_version"`, or `"off"` without a
-    /// cache), and the pair's [`change_fingerprint`] — with a cache,
-    /// hashed in the same pass over the pair as the cache key.
-    pub fn process_pair_cached(
-        &mut self,
-        old: &str,
-        new: &str,
-        classes: &[&str],
-        cache: Option<&mut MiningCacheView<'_>>,
-    ) -> (ChangeOutcome, &'static str, String) {
-        let classes: Vec<&str> = if classes.is_empty() {
-            TARGET_CLASSES.to_vec()
-        } else {
-            classes.to_vec()
-        };
-        let (key, fingerprint) = change_ids(cache.as_deref(), old, new);
-        let (outcome, status) =
-            self.outcome_for_pair(old, new, &classes, cache.zip(key), None, false);
-        (outcome.into_outcome(), status, fingerprint.to_string())
-    }
-
     /// The shared look-aside path: cache lookup under the pair's `key`
     /// (hit replays, miss computes and records), with `cache.*`
-    /// counters and trace markers. A change is computed over the
-    /// `planned` slots of a mining run, or else over slots loaded from
-    /// the analysis memo, whose new analyses the memo then keeps; a
-    /// recorded outcome keeps its DAG pairs `encoded` or owned
-    /// ([`Self::compute`]). Both the mining loop and
-    /// [`Self::process_pair_cached`] go through here, so a served
-    /// verdict and a mined one are the same computation by
-    /// construction.
+    /// counters and trace markers. A change is computed over its
+    /// `planned` slots, or, when the plan left it to a cache entry that
+    /// then failed to decode, over fresh temporary ones.
     fn outcome_for_pair(
         &mut self,
-        old: &str,
-        new: &str,
+        (old, new): (&str, &str),
         classes: &[&str],
         cache: Option<(&mut MiningCacheView<'_>, cache::Fingerprint)>,
         planned: Option<(&mut [Slot], (usize, usize))>,
-        encoded: bool,
     ) -> (Resolved, &'static str) {
         let status = match &cache {
             None => "off",
@@ -549,35 +550,20 @@ impl DiffCode {
             }
         };
         let resolved = match planned {
-            Some((slots, sides)) => self.compute(slots, sides, (old, new), classes, cache, encoded),
+            Some((slots, sides)) => self.compute(slots, sides, (old, new), classes, cache),
             None => {
-                let mut slots = vec![self.memo_slot(old)];
-                let sides = if old == new {
-                    (0, 0)
-                } else {
-                    slots.push(self.memo_slot(new));
-                    (0, 1)
-                };
-                let resolved = self.compute(&mut slots, sides, (old, new), classes, cache, encoded);
-                for (slot, source) in slots.into_iter().zip([old, new]) {
-                    if let Some(usages) = slot.usages {
-                        if !self.cache.contains_key(source) {
-                            self.cache.insert(source.into(), usages);
-                        }
-                    }
-                }
-                resolved
+                let mut fresh = [Slot::default(), Slot::default()];
+                let sides = if old == new { (0, 0) } else { (0, 1) };
+                self.compute(&mut fresh, sides, (old, new), classes, cache)
             }
         };
         (resolved, status)
     }
 
-    /// Computes one change over `slots` ([`Self::process_change`]),
-    /// records it into the cache view if there is one, and puts it in
-    /// the form the caller keeps: with `encoded`, a recorded tuple's DAG
-    /// pair stays the bytes the record wrote (a mining run's result);
-    /// otherwise each DAG is cloned from its slot (a run without a
-    /// cache, or a served verdict, which is materialised anyway).
+    /// Computes one change over `slots` ([`Self::process_change`]) and
+    /// records it into the cache view if there is one. A recorded
+    /// tuple's DAG pair stays the bytes the record wrote; without a
+    /// cache each DAG is cloned from its slot.
     fn compute(
         &mut self,
         slots: &mut [Slot],
@@ -585,7 +571,6 @@ impl DiffCode {
         (old, new): (&str, &str),
         classes: &[&str],
         cache: Option<(&mut MiningCacheView<'_>, cache::Fingerprint)>,
-        encoded: bool,
     ) -> Resolved {
         let outcome = self.process_change(slots, sides, old, new, classes);
         let Some((view, key)) = cache else {
@@ -593,7 +578,7 @@ impl DiffCode {
         };
         let dags = view.record(key, &outcome);
         match outcome {
-            ChangeOutcome::Mined(tuples) if encoded => Resolved::Recorded(
+            ChangeOutcome::Mined(tuples) => Resolved::Recorded(
                 tuples
                     .into_iter()
                     .zip(dags)
@@ -824,11 +809,10 @@ fn change_ids(
 /// computed — into the running result. The single accounting path for
 /// both, which is what makes warm runs byte-identical to cold ones. The
 /// usage changes of one code change share its `meta`.
-fn apply_outcome(result: &mut MiningResult, meta: ChangeMeta, outcome: Resolved) {
+fn apply_outcome(result: &mut MiningResult, meta: Arc<ChangeMeta>, outcome: Resolved) {
     match outcome {
         Resolved::Decoded(ChangeOutcome::Mined(mined)) => {
             result.stats.mined += 1;
-            let meta = Arc::new(meta);
             for (class, old_dag, new_dag, change) in mined {
                 let usage =
                     MinedUsageChange::new(Arc::clone(&meta), class, old_dag, new_dag, change);
@@ -837,7 +821,6 @@ fn apply_outcome(result: &mut MiningResult, meta: ChangeMeta, outcome: Resolved)
         }
         Resolved::Replayed(tuples) => {
             result.stats.mined += 1;
-            let meta = Arc::new(meta);
             for (tuple, dags) in tuples.iter() {
                 result.changes.push(MinedUsageChange {
                     meta: Arc::clone(&meta),
@@ -849,7 +832,6 @@ fn apply_outcome(result: &mut MiningResult, meta: ChangeMeta, outcome: Resolved)
         }
         Resolved::Recorded(tuples) => {
             result.stats.mined += 1;
-            let meta = Arc::new(meta);
             for (class, change, dags) in tuples {
                 result.changes.push(MinedUsageChange {
                     meta: Arc::clone(&meta),
@@ -866,7 +848,7 @@ fn apply_outcome(result: &mut MiningResult, meta: ChangeMeta, outcome: Resolved)
         }) => {
             result.stats.skipped.bump(kind);
             result.quarantine.push(QuarantineReport {
-                meta,
+                meta: ChangeMeta::clone(&meta),
                 kind,
                 error,
                 excerpt,
@@ -1028,6 +1010,7 @@ pub fn mine_parallel(
         merged.stats.skipped.absorb(&result.stats.skipped);
         merged.changes.extend(result.changes);
         merged.quarantine.extend(result.quarantine);
+        merged.verdicts.extend(result.verdicts);
         if let Some(shard_rec) = shard_rec {
             rec.merge(shard_rec);
         }
@@ -1080,10 +1063,15 @@ fn shard_failure_result(shard: &Corpus, message: &str, rec: &mut Recorder) -> Mi
             },
         );
         result.quarantine.push(QuarantineReport {
-            meta,
+            meta: meta.clone(),
             kind: ErrorKind::Panic,
             error: format!("mining shard panicked: {message}"),
             excerpt: excerpt(code_change.new),
+        });
+        result.verdicts.push(ChangeVerdict {
+            meta: Arc::new(meta),
+            cache: "off",
+            outcome: Verdict::Quarantined(ErrorKind::Panic),
         });
     }
     rec.inc("mine.shard_failures", 1);
@@ -1147,7 +1135,7 @@ fn shard_by_code_changes(corpus: &Corpus, n_shards: usize) -> Vec<Corpus> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use corpus::fixtures;
 
@@ -1291,6 +1279,8 @@ mod tests {
         let sequential = DiffCode::new().mine(&corpus, &[], None);
         let parallel = mine_threads(&corpus, 4);
         assert_eq!(sequential.stats, parallel.stats);
+        assert_eq!(sequential.verdicts, parallel.verdicts);
+        assert_eq!(sequential.verdicts.len(), sequential.stats.code_changes);
         assert_eq!(sequential.changes.len(), parallel.changes.len());
         for (a, b) in sequential.changes.iter().zip(&parallel.changes) {
             assert_eq!(a.change, b.change);
@@ -1376,7 +1366,7 @@ mod tests {
     }
 
     /// A one-project corpus with one code change per (old, new) pair.
-    fn corpus_of_pairs(name: &str, pairs: &[(&str, &str)]) -> corpus::Corpus {
+    pub(crate) fn corpus_of_pairs(name: &str, pairs: &[(&str, &str)]) -> corpus::Corpus {
         corpus::Corpus {
             projects: vec![corpus::Project {
                 user: "u".into(),
@@ -1427,6 +1417,19 @@ mod tests {
             report.error
         );
         assert!(report.excerpt.contains("class B"), "{}", report.excerpt);
+        let verdicts: Vec<_> = result
+            .verdicts
+            .iter()
+            .map(|v| (v.cache, v.outcome))
+            .collect();
+        assert_eq!(
+            verdicts,
+            [
+                ("off", Verdict::Mined(result.changes.len())),
+                ("off", Verdict::Quarantined(ErrorKind::Lex))
+            ]
+        );
+        assert_eq!(result.verdicts[1].meta.as_ref(), &report.meta);
     }
 
     #[test]
@@ -1480,6 +1483,12 @@ mod tests {
             "{}",
             result.quarantine[0].error
         );
+        assert_eq!(result.verdicts.len(), 2, "one verdict per change");
+        assert_eq!(
+            result.verdicts[1].outcome,
+            Verdict::Quarantined(ErrorKind::Panic)
+        );
+        assert_eq!(result.verdicts[1].meta.as_ref(), &result.quarantine[0].meta);
     }
 
     #[test]
@@ -1534,22 +1543,15 @@ mod tests {
     }
 
     #[test]
-    fn process_pair_matches_mining_outcome() {
-        let (old, new) = (fixtures::FIGURE2_OLD, fixtures::FIGURE2_NEW);
+    fn a_past_deadline_stops_mining_before_its_first_change_with_balanced_stats() {
+        let corpus = corpus::generate(&corpus::GeneratorConfig::small(4, 11));
         let mut dc = DiffCode::new();
-        let (outcome, status, fingerprint) = dc.process_pair_cached(old, new, &[], None);
-        assert_eq!(status, "off");
-        assert_eq!(fingerprint, change_fingerprint(old, new));
-        let ChangeOutcome::Mined(tuples) = outcome else {
-            panic!("figure 2 pair must mine");
-        };
-        let corpus = corpus_of_pairs("p", &[(old, new)]);
-        let mined = DiffCode::new().mine(&corpus, &[], None);
-        assert_eq!(tuples.len(), mined.changes.len());
-        for (tuple, mined_change) in tuples.iter().zip(&mined.changes) {
-            assert_eq!(tuple.0, mined_change.class);
-            assert_eq!(tuple.3, mined_change.change);
-        }
+        dc.set_deadline(Instant::now());
+        let result = dc.mine(&corpus, &[], None);
+        assert_eq!(result.stats.code_changes, 0, "nothing is processed");
+        assert!(result.verdicts.is_empty());
+        assert!(result.stats.is_balanced());
+        assert_eq!(dc.take_recorder().counter("mine.interrupted"), 1);
     }
 
     #[test]

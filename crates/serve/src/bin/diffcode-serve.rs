@@ -32,8 +32,9 @@ Resident mining/checking service. Endpoints:
   GET  /trace/capture?events=N Chrome-trace snapshot of recent requests
   GET  /healthz, /readyz      liveness; readiness goes 503 while draining
 
---deadline-ms (default 2000) bounds each request: reading it and, for
-/check, its compute, checked between files; an overrun answers 408.
+--deadline-ms (default 2000) bounds each request: reading it and its
+compute, checked between the code changes of /mine and /mine-repo and
+between the files of /check; an overrun answers 408.
 
 One structured access-log record per request (and lifecycle events) is
 written as JSON lines on stderr, or to --log-file with size rotation at

@@ -11,21 +11,19 @@
 //! | `GET /trace/capture?events=N` | Chrome-trace snapshot of recent requests |
 //! | `GET /healthz`, `GET /readyz` | liveness / drain-aware readiness |
 //!
-//! `/mine` goes through [`diffcode::DiffCode::process_pair_cached`] —
-//! the exact look-aside path the one-shot `diffcode mine` loop uses —
-//! and renders verdict tuples with [`diffcode::cli::tuple_digest`], so
-//! a served verdict is byte-comparable to a mining run's digest parts.
-//! The pipeline's own fuel budgets do the heavy robustness lifting: a
-//! 10 MB "Java file" or pathologically nested source quarantines the
-//! *request* (a clean JSON verdict with provenance), never the worker.
-//!
-//! `/mine` and `/mine-repo` share one served-mining path (`mine_pairs`):
-//! each request builds its own [`diffcode::DiffCode`] (a few words, no
-//! allocation), so the pipeline's content-keyed analysis memo lives
-//! exactly as long as the request: a `/mine-repo` walk shares one memo
-//! across its pairs, and a long-lived server does not grow with every
-//! distinct source it is sent. Repeats across requests are the mining
-//! cache's job.
+//! `/mine` and `/mine-repo` share one served-mining path
+//! (`mine_corpus`): `/mine` mines a one-change corpus and `/mine-repo`
+//! the corpus its walk ingested, both with [`diffcode::DiffCode::mine`]
+//! — the loop a one-shot `diffcode mine` runs — and render each tuple
+//! with [`diffcode::cli::write_usage_digest`], the text `result digest`
+//! hashes, so a served verdict is byte-comparable to a mining run's.
+//! Each request builds its own [`diffcode::DiffCode`], so no analysis
+//! outlives the request; repeats across requests are the mining
+//! cache's job. The request deadline stops mining between changes: what
+//! was mined is still cached, and the request answers 408. The
+//! pipeline's own fuel budgets do the heavy robustness lifting: a 10 MB
+//! "Java file" or pathologically nested source quarantines the
+//! *change* (a clean JSON verdict with provenance), never the worker.
 //!
 //! Handlers record into the request's own recorder, never the shared
 //! one: the server merges it once, when the request finishes.
@@ -34,8 +32,8 @@ use crate::http::{Request, Response};
 use crate::json::{self, Json};
 use crate::ring::ExplainRecord;
 use crate::server::Shared;
-use diffcode::mcache::{ChangeOutcome, MiningCacheView};
-use diffcode::DiffCode;
+use corpus::Corpus;
+use diffcode::{DiffCode, Verdict};
 use obs::Recorder;
 use std::sync::PoisonError;
 use std::time::Instant;
@@ -93,7 +91,8 @@ pub(crate) fn route(path: &str) -> Option<(&'static str, &'static str, &'static 
 /// own recorder. `request_id` is the admission-assigned id the access
 /// record carries — handlers thread it into explain-ring records so
 /// verdicts join to request records. `deadline` is the request's
-/// deadline, which `/check` also applies to its compute.
+/// deadline, which `/mine`, `/mine-repo` and `/check` also apply to
+/// their compute.
 pub(crate) fn handle(
     req: &Request,
     shared: &Shared,
@@ -120,8 +119,8 @@ pub(crate) fn handle(
         return err_json(405, "method not allowed for this path");
     }
     match label {
-        "mine" => mine(req, shared, rec, request_id),
-        "mine_repo" => mine_repo(req, shared, rec, request_id),
+        "mine" => mine(req, shared, rec, request_id, deadline),
+        "mine_repo" => mine_repo(req, shared, rec, request_id, deadline),
         "check" => check(req, deadline),
         "metrics" => metrics(shared),
         "status" => status(shared),
@@ -151,37 +150,35 @@ fn body_json(req: &Request) -> Result<Json, Response> {
     json::parse(text).map_err(|e| err_json(400, &format!("request body: {e}")))
 }
 
-/// Mines `pairs` through the shared cache with one [`DiffCode`],
-/// journals each verdict in the `/explain` ring, and returns the
-/// verdicts as journaled, in pair order. The pipeline's metrics and the
-/// cache flush's count go into `rec`.
-fn mine_pairs<'p>(
+/// Mines `corpus` with [`DiffCode::mine`] through the shared cache,
+/// stopping between changes once `deadline` has passed. What was mined
+/// is absorbed into the cache and flushed either way, so a retry replays
+/// it. Unless the deadline stopped it, journals each change's verdict in
+/// the `/explain` ring and returns the verdicts as journaled, in corpus
+/// order. The pipeline's metrics and the cache flush's count go into
+/// `rec`.
+fn mine_corpus(
     shared: &Shared,
     rec: &mut Recorder,
     request_id: u64,
-    classes: &[&str],
-    pairs: impl IntoIterator<Item = (&'p str, &'p str)>,
-) -> Vec<ExplainRecord> {
-    // Default limits and depth: the same configuration as a one-shot
-    // mining run.
+    corpus: &Corpus,
+    deadline: Instant,
+) -> Option<Vec<ExplainRecord>> {
+    // Default limits, depth and classes: the configuration the server
+    // opened its cache with, as a one-shot mining run does.
     let mut dc = DiffCode::new();
-    let mine = |mut view: Option<&mut MiningCacheView>| -> Vec<_> {
-        pairs
-            .into_iter()
-            .map(|(old, new)| dc.process_pair_cached(old, new, classes, view.as_deref_mut()))
-            .collect()
-    };
-    let outcomes = match shared.cache.as_ref() {
+    dc.set_deadline(deadline);
+    let result = match shared.cache.as_ref() {
         Some(lock) => {
             // Mining holds only a read lock: concurrent requests look
             // the cache up in parallel and batch their writes in
             // per-request shard logs, absorbed under a brief write lock
             // afterwards — same pattern as parallel mining.
-            let (outcomes, log) = {
+            let (result, log) = {
                 let cache = lock.read().unwrap_or_else(PoisonError::into_inner);
                 let mut view = cache.view();
-                let outcomes = mine(Some(&mut view));
-                (outcomes, view.into_log())
+                let result = dc.mine(corpus, &[], Some(&mut view));
+                (result, view.into_log())
             };
             let flushed = {
                 let mut cache = lock.write().unwrap_or_else(PoisonError::into_inner);
@@ -192,47 +189,62 @@ fn mine_pairs<'p>(
                 Ok(n) => rec.inc("cache.flushed_entries", n as u64),
                 Err(_) => rec.inc("serve.cache_flush_errors", 1),
             }
-            outcomes
+            result
         }
-        None => mine(None),
+        None => dc.mine(corpus, &[], None),
     };
-    // The pipeline's own counters and stage spans (cache.hit/miss,
+    // The pipeline's own counters and stage spans (mine.*, cache.*,
     // analysis spans, quarantine breakdown).
     rec.merge(dc.take_recorder());
+    if result.verdicts.len() < corpus.code_changes().count() {
+        return None;
+    }
 
+    let mut mined = result.changes.iter();
+    let mut skips = result.quarantine.into_iter();
+    let mut text = Vec::new();
     let mut ring = shared.ring.lock().unwrap_or_else(PoisonError::into_inner);
-    outcomes
-        .into_iter()
-        .map(|(outcome, cache, fingerprint)| {
-            let tuples = diffcode::cli::outcome_digest_parts(&outcome);
-            let (verdict, skip) = match outcome {
-                ChangeOutcome::Mined(_) => ("mined", None),
-                ChangeOutcome::Skipped {
-                    kind,
-                    error,
-                    excerpt,
-                } => (
-                    "quarantined",
-                    Some((kind.name().to_owned(), error, excerpt)),
-                ),
-            };
-            let mut record = ExplainRecord {
-                seq: 0,
-                request_id,
-                fingerprint,
-                verdict,
-                cache,
-                tuples,
-                skip,
-            };
-            record.seq = ring.push(record.clone());
-            record
-        })
-        .collect()
+    let records = result.verdicts.into_iter().map(|v| {
+        let (verdict, tuples, skip) = match v.outcome {
+            Verdict::Mined(n) => {
+                let texts = mined.by_ref().take(n).map(|usage| {
+                    text.clear();
+                    diffcode::cli::write_usage_digest(&mut text, usage);
+                    String::from_utf8_lossy(&text).into_owned()
+                });
+                ("mined", texts.collect(), None)
+            }
+            Verdict::Quarantined(_) => {
+                let skip = skips
+                    .next()
+                    .map(|r| (r.kind.name().to_owned(), r.error, r.excerpt));
+                ("quarantined", Vec::new(), skip)
+            }
+        };
+        let mut record = ExplainRecord {
+            seq: 0,
+            request_id,
+            fingerprint: v.meta.fingerprint.clone(),
+            verdict,
+            cache: v.cache,
+            tuples,
+            skip,
+        };
+        record.seq = ring.push(record.clone());
+        record
+    });
+    Some(records.collect())
 }
 
-/// `POST /mine`: `{"old": "...", "new": "...", "classes": ["..."]?}`.
-fn mine(req: &Request, shared: &Shared, rec: &mut Recorder, request_id: u64) -> Response {
+/// `POST /mine`: `{"old": "...", "new": "..."}`, mined as a one-change
+/// corpus whose provenance no response shows.
+fn mine(
+    req: &Request,
+    shared: &Shared,
+    rec: &mut Recorder,
+    request_id: u64,
+    deadline: Instant,
+) -> Response {
     let body = match body_json(req) {
         Ok(v) => v,
         Err(resp) => return resp,
@@ -243,14 +255,34 @@ fn mine(req: &Request, shared: &Shared, rec: &mut Recorder, request_id: u64) -> 
     let Some(new) = body.get("new").and_then(Json::as_str) else {
         return err_json(400, "missing string field `new`");
     };
-    let classes: Vec<&str> = body
-        .get("classes")
-        .and_then(Json::as_array)
-        .map(|items| items.iter().filter_map(Json::as_str).collect())
-        .unwrap_or_default();
+    if body.get("classes").is_some() {
+        return err_json(
+            400,
+            "unknown field `classes`: served mining mines every target class",
+        );
+    }
+    let one_change = Corpus {
+        projects: vec![corpus::Project {
+            user: String::new(),
+            name: String::new(),
+            facts: corpus::ProjectFacts::default(),
+            commits: vec![corpus::Commit {
+                id: String::new(),
+                author: String::new(),
+                message: String::new(),
+                changes: vec![corpus::FileChange {
+                    path: String::new(),
+                    old: Some(old.to_owned()),
+                    new: Some(new.to_owned()),
+                }],
+            }],
+        }],
+    };
 
-    // One pair in, one verdict out.
-    let served = mine_pairs(shared, rec, request_id, &classes, [(old, new)]).swap_remove(0);
+    let Some(mut verdicts) = mine_corpus(shared, rec, request_id, &one_change, deadline) else {
+        return Response::text(408, "request deadline exceeded");
+    };
+    let served = verdicts.swap_remove(0);
     rec.inc("serve.mine_requests", 1);
     let skip = served.skip_json();
     let body = Json::Obj(vec![
@@ -309,7 +341,13 @@ fn parse_max_commits(body: &Json) -> Result<Option<usize>, &'static str> {
 /// that root (plain path components only — no absolute paths, no
 /// `..`). Each mined pair lands in the `/explain` ring like a `/mine`
 /// verdict would.
-fn mine_repo(req: &Request, shared: &Shared, rec: &mut Recorder, request_id: u64) -> Response {
+fn mine_repo(
+    req: &Request,
+    shared: &Shared,
+    rec: &mut Recorder,
+    request_id: u64,
+    deadline: Instant,
+) -> Response {
     let Some(root) = shared.config.repo_root.as_ref() else {
         return err_json(
             404,
@@ -357,9 +395,9 @@ fn mine_repo(req: &Request, shared: &Shared, rec: &mut Recorder, request_id: u64
     };
 
     rec.merge(ingest_metrics);
-    // One pipeline for the whole walk, so its pairs share one memo.
-    let pairs = report.corpus.code_changes().map(|c| (c.old, c.new));
-    let verdicts = mine_pairs(shared, rec, request_id, &[], pairs);
+    let Some(verdicts) = mine_corpus(shared, rec, request_id, &report.corpus, deadline) else {
+        return Response::text(408, "request deadline exceeded");
+    };
     rec.inc("serve.mine_repo_requests", 1);
 
     let mined = verdicts.iter().filter(|v| v.verdict == "mined").count();
@@ -659,6 +697,8 @@ fn trace_capture(path: &str, shared: &Shared) -> Response {
 mod tests {
     use super::*;
     use crate::server::{endpoint, ServeConfig};
+    use diffcode::{MiningCache, PipelineLimits};
+    use std::sync::RwLock;
 
     fn body(text: &str) -> Json {
         json::parse(text).unwrap()
@@ -717,6 +757,67 @@ mod tests {
         );
         assert_eq!(resp.status, 408);
         assert_eq!(resp.body, b"request deadline exceeded\n");
+    }
+
+    #[test]
+    fn a_classes_field_answers_400_and_the_cache_keeps_every_class() {
+        let dir = std::env::temp_dir().join(format!("serve-classes-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = MiningCache::open(&dir, &[], &PipelineLimits::DEFAULT).unwrap();
+        let shared = Shared::new(ServeConfig::default(), Some(RwLock::new(cache)));
+        let change = |transformation: &str, algorithm: &str| {
+            Json::Str(format!(
+                "class K {{ void m() throws Exception {{ \
+                 javax.crypto.Cipher c = javax.crypto.Cipher.getInstance(\"{transformation}\"); \
+                 java.security.MessageDigest d = \
+                 java.security.MessageDigest.getInstance(\"{algorithm}\"); }} }}"
+            ))
+            .render()
+        };
+        let (old, new) = (change("AES", "MD5"), change("AES/GCM/NoPadding", "SHA-256"));
+        let send = |body: String| {
+            let resp = handle(
+                &request("POST", "/mine", &body),
+                &shared,
+                &mut Recorder::new(),
+                1,
+                later(),
+            );
+            (resp.status, String::from_utf8(resp.body).unwrap())
+        };
+
+        let narrowed = format!(r#"{{"old": {old}, "new": {new}, "classes": ["Cipher"]}}"#);
+        let (status, reply) = send(narrowed);
+        assert_eq!(status, 400);
+        assert!(reply.contains("`classes`"), "{reply}");
+
+        let (status, reply) = send(format!(r#"{{"old": {old}, "new": {new}}}"#));
+        assert_eq!(status, 200);
+        let reply = body(&reply);
+        assert_eq!(reply.get("cache").and_then(Json::as_str), Some("miss"));
+        let classes: Vec<&str> = reply
+            .get("tuples")
+            .and_then(Json::as_array)
+            .unwrap()
+            .iter()
+            .filter_map(|t| t.as_str()?.split('|').next())
+            .collect();
+        assert_eq!(classes, ["Cipher", "MessageDigest"]);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_mine_past_its_deadline_answers_408() {
+        let shared = Shared::new(ServeConfig::default(), None);
+        let req = request(
+            "POST",
+            "/mine",
+            r#"{"old": "class A {}", "new": "class A { int x; }"}"#,
+        );
+        let mut rec = Recorder::new();
+        let resp = handle(&req, &shared, &mut rec, 1, Instant::now());
+        assert_eq!(resp.status, 408);
+        assert_eq!(rec.counter("mine.code_changes"), 0, "nothing was mined");
     }
 
     #[test]

@@ -7,9 +7,10 @@
 //! wraps it in a full robustness envelope:
 //!
 //! - **Deadlines**: every request read races a per-request deadline
-//!   (`http`); compute is bounded by the pipeline's own fuel budgets,
-//!   so a 10 MB "Java file" or pathological nesting quarantines the
-//!   request, never the worker.
+//!   (`http`), and `/mine`, `/mine-repo` and `/check` stop before their
+//!   next code change or file once it has passed; each one is bounded
+//!   by the pipeline's own fuel budgets, so a 10 MB "Java file" or
+//!   pathological nesting quarantines the change, never the worker.
 //! - **Bounded admission**: a fixed queue with load shedding — past the
 //!   watermark, clients get `429` + `Retry-After` instead of latency.
 //! - **Panic isolation**: `catch_unwind` per request; a handler panic

@@ -26,7 +26,7 @@ pub(crate) struct ExplainRecord {
     /// Cache status of the lookup: `hit`, `miss`, `stale_version`, or
     /// `off`.
     pub cache: &'static str,
-    /// The tuple digest texts ([`diffcode::cli::tuple_digest`] format).
+    /// The tuple digest texts ([`diffcode::cli::write_usage_digest`]).
     pub tuples: Vec<String>,
     /// For quarantined verdicts: `(kind, error, excerpt)` provenance.
     pub skip: Option<(String, String, String)>,

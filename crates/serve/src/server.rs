@@ -62,8 +62,9 @@ pub struct ServeConfig {
     /// name a repository relative to this root and can never escape it.
     pub repo_root: Option<PathBuf>,
     /// Per-request deadline, milliseconds. It bounds reading the
-    /// request and, for `/check`, the compute: the check stops before
-    /// its next file once the deadline has passed and answers 408.
+    /// request and its compute: `/mine` and `/mine-repo` stop mining
+    /// before their next code change, and `/check` before its next
+    /// file, once the deadline has passed, and answer 408.
     pub deadline_ms: u64,
     /// Admission-queue watermark: connections beyond this are shed.
     pub queue_depth: usize,

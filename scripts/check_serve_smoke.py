@@ -11,16 +11,21 @@ the process:
   3. verdict parity: mining the same change cold then warm returns the
      identical fingerprint/verdict/tuples (the warm one from the
      cache), i.e. a served verdict never depends on cache state;
-  4. malformed input gets a clean 4xx, not a dropped connection;
-  5. /status reports live accounting and a per-endpoint latency table
+  4. malformed input gets a clean 4xx, not a dropped connection, and a
+     /mine body carrying `classes` is refused with a 400;
+  5. /mine-repo walks the git fixture (scripts/make_fixture_repo.sh,
+     served from --repo-root) twice: both walks report the pairs,
+     mined and quarantined counts of `diffcode mine --repo` on the same
+     fixture, and every change of the second walk is a cache hit;
+  6. /status reports live accounting and a per-endpoint latency table
      with non-zero percentiles once traffic has flowed, and no longer
      carries a cluster_cache field (GET /cluster/stats is gone: 404);
-  6. /trace/capture returns a well-formed Chrome-trace array covering
+  7. /trace/capture returns a well-formed Chrome-trace array covering
      the recent requests as serve.access instants, and rejects
      malformed queries with a 400;
-  7. SIGTERM drains: exit code 0 and a final accounting line whose
+  8. SIGTERM drains: exit code 0 and a final accounting line whose
      partition `accepted = completed + shed + failed` balances;
-  8. the stderr access log is valid JSON-lines: exactly one
+  9. the stderr access log is valid JSON-lines: exactly one
      serve.access record per accepted request, with the documented
      schema, whose outcome partition cross-checks against the drain
      accounting line; plus serve.boot and serve.drained lifecycle
@@ -34,6 +39,7 @@ Usage: check_serve_smoke.py <path-to-diffcode-binary>
 
 import http.client
 import json
+import os
 import re
 import signal
 import subprocess
@@ -45,6 +51,10 @@ import cilib
 
 STARTUP_TIMEOUT_S = 30
 DRAIN_TIMEOUT_S = 30
+PROCESSED_RE = re.compile(
+    r"^processed (\d+) code change\(s\): (\d+) mined, (\d+) skipped$", re.M
+)
+FIXTURE_SCRIPT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "make_fixture_repo.sh")
 DRAIN_RE = re.compile(
     r"drained: accepted (\d+) = completed (\d+) \+ shed (\d+) \+ failed (\d+); "
     r"flushed (\d+) cache entries"
@@ -84,6 +94,46 @@ ACCESS_KEYS = (
     "bytes",
     "outcome",
 )
+
+
+def one_shot_counts(diffcode, repo):
+    """(processed, mined, skipped) from `diffcode mine --repo`'s
+    accounting line."""
+    out = subprocess.run(
+        [diffcode, "mine", "--repo", repo], capture_output=True, text=True, check=True
+    ).stdout
+    m = PROCESSED_RE.search(out)
+    if not m:
+        raise SystemExit(f"no accounting line in `mine --repo` stdout: {out!r}")
+    return tuple(map(int, m.groups()))
+
+
+def check_fixture_walks(port, expected):
+    """Walks the fixture twice through /mine-repo: each walk must report
+    `expected` = (pairs, mined, quarantined), and every change of the
+    second walk must be a cache hit."""
+    errors = []
+    for walk in ("cold", "warm"):
+        status, body = request_json(port, "POST", "/mine-repo", {"repo": "fixture-repo"})
+        if status != 200:
+            errors.append(f"/mine-repo ({walk}): expected 200, got {status} {body}")
+            continue
+        got = (body.get("pairs"), body.get("mined"), body.get("mine_quarantined"))
+        if got != expected:
+            errors.append(
+                f"/mine-repo ({walk}): (pairs, mined, mine_quarantined) = {got}, "
+                f"but `mine --repo` processed/mined/skipped {expected}"
+            )
+        caches = [change.get("cache") for change in body.get("changes", [])]
+        if len(caches) != expected[0]:
+            errors.append(f"/mine-repo ({walk}): {len(caches)} change(s) for {expected[0]} pair(s)")
+        if walk == "warm" and any(cache != "hit" for cache in caches):
+            errors.append(f"/mine-repo (warm): every change must hit, got {caches}")
+        print(
+            f"serve smoke: /mine-repo {walk} walk: {len(caches)} change(s), "
+            f"{caches.count('miss')} miss, {caches.count('hit')} hit"
+        )
+    return errors
 
 
 def check_access_log(stderr, accepted, completed, shed, failed, captured):
@@ -176,9 +226,18 @@ def main():
     errors = []
 
     captured = []
-    with tempfile.TemporaryDirectory(prefix="serve_smoke_cache_") as cache_dir:
+    with tempfile.TemporaryDirectory(prefix="serve_smoke_") as tmp:
+        cache_dir = os.path.join(tmp, "cache")
+        repo_root = os.path.join(tmp, "repos")
+        fixture = os.path.join(repo_root, "fixture-repo")
+        os.makedirs(repo_root)
+        subprocess.run(["bash", FIXTURE_SCRIPT, fixture], check=True, stdout=subprocess.DEVNULL)
+        one_shot = one_shot_counts(diffcode, fixture)
         proc = subprocess.Popen(
-            [diffcode, "serve", "--addr", "127.0.0.1:0", "--cache-dir", cache_dir],
+            [
+                diffcode, "serve", "--addr", "127.0.0.1:0",
+                "--cache-dir", cache_dir, "--repo-root", repo_root,
+            ],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             text=True,
@@ -240,6 +299,12 @@ def main():
             status, _ = request(port, "POST", "/mine", {"old": 42})
             if status != 400:
                 errors.append(f"/mine (malformed): expected 400, got {status}")
+            status, refused = request_json(port, "POST", "/mine", dict(change, classes=["Cipher"]))
+            if status != 400 or "classes" not in refused.get("error", ""):
+                errors.append(f"/mine (classes): expected a 400 naming the field, got {status} {refused}")
+
+            # 6b. The git fixture, walked twice through /mine-repo.
+            errors.extend(check_fixture_walks(port, one_shot))
 
             # 7. /metrics exposes the serve counters in Prometheus text.
             status, metrics = request(port, "GET", "/metrics")
@@ -356,8 +421,8 @@ def main():
     return cilib.report(
         "SERVE",
         errors,
-        "ok: serve smoke passed (endpoints, warm-cache parity, /status "
-        "percentiles, trace capture, structured access log, SIGTERM drain)",
+        "ok: serve smoke passed (endpoints, warm-cache parity, fixture walks, "
+        "/status percentiles, trace capture, structured access log, SIGTERM drain)",
     )
 
 

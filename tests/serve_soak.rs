@@ -6,8 +6,9 @@
 //!   gets a clean 4xx/timeout and the process survives;
 //! - exact accounting: `accepted = completed + shed + failed` at rest;
 //! - verdict parity: `/mine` answers byte-identical tuple digests to
-//!   the one-shot pipeline entry point (whose equivalence to
-//!   `DiffCode::mine` the core test suite pins);
+//!   one-shot mining of the same change, and a `/mine-repo` walk
+//!   answers the verdicts, tuples and skips of one-shot mining of the
+//!   same history;
 //! - warm cache: a repeated `/mine` is a cache hit under the deadline;
 //! - load shedding: past the admission watermark, clients get `429` +
 //!   `Retry-After`;
@@ -23,6 +24,7 @@
 use corpus::chaos::{
     call_chain_bomb, distinct_events, HttpFaultKind, HttpMutator, HttpPlan, HttpStep,
 };
+use diffcode::{MinedUsageChange, Verdict};
 use proptest::prelude::*;
 use serve::{Json, ServeConfig, ServeSummary, Server, ServerHandle};
 use std::io::{Read, Write};
@@ -154,6 +156,35 @@ fn settle_and_shutdown(handle: ServerHandle) -> ServeSummary {
     summary
 }
 
+/// A one-project, one-commit corpus changing one file from `old` to
+/// `new`: what `/mine` mines.
+fn one_change_corpus(old: &str, new: &str) -> corpus::Corpus {
+    corpus::Corpus {
+        projects: vec![corpus::Project {
+            user: "u".to_owned(),
+            name: "p".to_owned(),
+            facts: corpus::ProjectFacts::default(),
+            commits: vec![corpus::Commit {
+                id: "c".to_owned(),
+                author: String::new(),
+                message: String::new(),
+                changes: vec![corpus::FileChange {
+                    path: "F.java".to_owned(),
+                    old: Some(old.to_owned()),
+                    new: Some(new.to_owned()),
+                }],
+            }],
+        }],
+    }
+}
+
+/// The digest text one-shot mining gives one usage change.
+fn digest_text(mined: &MinedUsageChange) -> String {
+    let mut text = Vec::new();
+    diffcode::cli::write_usage_digest(&mut text, mined);
+    String::from_utf8(text).expect("digest text is UTF-8")
+}
+
 fn figure2_pair() -> (&'static str, &'static str) {
     (
         r#"class F2 { void m() throws Exception {
@@ -263,10 +294,10 @@ fn mine_verdicts_match_one_shot_pipeline_and_warm_cache_hits() {
 
     let mut fingerprints = Vec::new();
     for (old, new) in &pairs {
-        // One-shot reference verdict: the same entry point the mining
-        // loop uses (their equivalence is pinned in the core tests).
-        let (expected, _, _) = diffcode::DiffCode::new().process_pair_cached(old, new, &[], None);
-        let expected_tuples = diffcode::cli::outcome_digest_parts(&expected);
+        // One-shot reference verdict: the change mined as a one-change
+        // corpus, uncached.
+        let expected = diffcode::DiffCode::new().mine(&one_change_corpus(old, new), &[], None);
+        let expected_tuples: Vec<String> = expected.changes.iter().map(digest_text).collect();
 
         let (status, _, body) = request(addr, "POST", "/mine", &[], &mine_body(old, new));
         assert_eq!(status, 200);
@@ -327,6 +358,301 @@ fn mine_verdicts_match_one_shot_pipeline_and_warm_cache_hits() {
         "the warm request hit the resident cache"
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+// ---------------------------------------------------------------------
+// Repository walks: served mining equals one-shot mining
+// ---------------------------------------------------------------------
+
+/// A scratch directory removed on drop.
+struct ScratchDir(std::path::PathBuf);
+
+impl ScratchDir {
+    fn new(tag: &str) -> ScratchDir {
+        let dir = std::env::temp_dir().join(format!("serve_soak_{tag}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("create scratch dir");
+        ScratchDir(dir)
+    }
+}
+
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+fn cipher_class(name: &str, transformation: &str) -> String {
+    format!(
+        "class {name} {{ byte[] run(byte[] data) throws Exception {{
+            javax.crypto.Cipher c = javax.crypto.Cipher.getInstance(\"{transformation}\");
+            return c.doFinal(data);
+        }} }}"
+    )
+}
+
+fn digest_class(name: &str, algorithm: &str) -> String {
+    format!(
+        "class {name} {{ byte[] hash(byte[] data) throws Exception {{
+            java.security.MessageDigest d = java.security.MessageDigest.getInstance(\"{algorithm}\");
+            return d.digest(data);
+        }} }}"
+    )
+}
+
+/// Writes a four-commit history at `dir` with fixed identities and
+/// dates. Its code changes, in walk order: `A.java` and `B.java` fixed
+/// in commit 2, `B.java` broken so it no longer lexes in commit 3, and
+/// `A.java` edited again in commit 4.
+fn write_history(dir: &std::path::Path) {
+    std::fs::create_dir_all(dir).expect("create repo dir");
+    let mut tick = 0;
+    let mut git = |args: &[&str]| {
+        tick += 1;
+        let when = format!("2021-01-01T00:{tick:02}:00Z");
+        let output = std::process::Command::new("git")
+            .arg("-C")
+            .arg(dir)
+            .args(args)
+            .env("GIT_AUTHOR_NAME", "Test Author")
+            .env("GIT_AUTHOR_EMAIL", "author@test")
+            .env("GIT_COMMITTER_NAME", "Test Committer")
+            .env("GIT_COMMITTER_EMAIL", "committer@test")
+            .env("GIT_AUTHOR_DATE", &when)
+            .env("GIT_COMMITTER_DATE", &when)
+            .env("GIT_CONFIG_GLOBAL", "/dev/null")
+            .env("GIT_CONFIG_SYSTEM", "/dev/null")
+            .output()
+            .expect("spawn git");
+        assert!(
+            output.status.success(),
+            "git {args:?} failed: {}",
+            String::from_utf8_lossy(&output.stderr)
+        );
+    };
+    git(&["init", "-q", "-b", "main", "."]);
+    let commits: [(&str, &[(&str, String)]); 4] = [
+        (
+            "add a cipher and a digest",
+            &[
+                ("A.java", cipher_class("A", "DES")),
+                ("B.java", digest_class("B", "MD5")),
+                ("README.md", "# history\n".to_owned()),
+            ],
+        ),
+        (
+            "retire DES and MD5",
+            &[
+                ("A.java", cipher_class("A", "AES/GCM/NoPadding")),
+                ("B.java", digest_class("B", "SHA-256")),
+            ],
+        ),
+        (
+            "break the digest",
+            &[(
+                "B.java",
+                "class B { String s = \"unterminated; }".to_owned(),
+            )],
+        ),
+        (
+            "tune the cipher",
+            &[("A.java", cipher_class("A", "AES/CBC/PKCS5Padding"))],
+        ),
+    ];
+    for (message, files) in commits {
+        for (path, text) in files {
+            std::fs::write(dir.join(path), text).expect("write a file");
+        }
+        git(&["add", "-A"]);
+        git(&["commit", "-q", "--no-gpg-sign", "-m", message]);
+    }
+}
+
+/// `(fingerprint, verdict, cache)` of each change a `/mine-repo` body
+/// lists.
+fn walked_changes(body: &Json) -> Vec<(String, String, String)> {
+    let field = |change: &Json, key: &str| {
+        change
+            .get(key)
+            .and_then(Json::as_str)
+            .unwrap_or_else(|| panic!("change without `{key}`"))
+            .to_owned()
+    };
+    body.get("changes")
+        .and_then(Json::as_array)
+        .expect("changes array")
+        .iter()
+        .map(|c| {
+            (
+                field(c, "fingerprint"),
+                field(c, "verdict"),
+                field(c, "cache"),
+            )
+        })
+        .collect()
+}
+
+#[test]
+fn served_repository_walk_equals_one_shot_mining() {
+    let root = ScratchDir::new("walk");
+    let repo = root.0.join("history");
+    write_history(&repo);
+    let handle = spawn(ServeConfig {
+        cache_dir: Some(root.0.join("cache")),
+        repo_root: Some(root.0.clone()),
+        ..test_config(10_000)
+    });
+    let addr = handle.addr();
+    let walk = || {
+        let (status, _, body) = request(addr, "POST", "/mine-repo", &[], br#"{"repo": "history"}"#);
+        assert_eq!(status, 200, "{}", String::from_utf8_lossy(&body));
+        json_body(&body)
+    };
+
+    // The one-shot reference: the same walk, mined without a cache.
+    let opts = gitsrc::IngestOptions {
+        limits: gitsrc::IngestLimits::DEFAULT,
+        ..gitsrc::IngestOptions::default()
+    };
+    let report = gitsrc::ingest_repo(&repo, &opts, &mut obs::Recorder::new()).expect("ingest");
+    let one_shot = diffcode::DiffCode::new().mine(&report.corpus, &[], None);
+    let (mut expected, mut tuples, mut skips) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut mined, mut reports) = (one_shot.changes.iter(), one_shot.quarantine.iter());
+    for verdict in &one_shot.verdicts {
+        let fingerprint = verdict.meta.fingerprint.clone();
+        match verdict.outcome {
+            Verdict::Mined(n) => {
+                expected.push((fingerprint, "mined".to_owned(), "miss".to_owned()));
+                tuples.push(mined.by_ref().take(n).map(digest_text).collect());
+                skips.push(None);
+            }
+            Verdict::Quarantined(_) => {
+                let r = reports.next().expect("a report per quarantined change");
+                expected.push((fingerprint, "quarantined".to_owned(), "miss".to_owned()));
+                tuples.push(Vec::new());
+                skips.push(Some((
+                    r.kind.name().to_owned(),
+                    r.error.clone(),
+                    r.excerpt.clone(),
+                )));
+            }
+        }
+    }
+    let walk_order: Vec<String> = report
+        .corpus
+        .code_changes()
+        .map(|c| diffcode::change_fingerprint(c.old, c.new))
+        .collect();
+    let fingerprints: Vec<String> = expected.iter().map(|(fp, _, _)| fp.clone()).collect();
+    assert_eq!(fingerprints, walk_order);
+    assert_eq!(expected.len(), 4, "four code changes");
+    assert_eq!(one_shot.stats.mined, 3);
+    assert_eq!(one_shot.quarantine.len(), 1, "one change fails to lex");
+    for (texts, skip) in tuples.iter().zip(&skips) {
+        assert_eq!(
+            texts.is_empty(),
+            skip.is_some(),
+            "each mined change has tuples"
+        );
+    }
+
+    // Cold: every change misses, in the ingester's order, with the
+    // one-shot verdict.
+    let cold = walk();
+    assert_eq!(walked_changes(&cold), expected);
+    let count = |key: &str| cold.get(key).and_then(Json::as_num);
+    assert_eq!(count("pairs"), Some(4.0));
+    assert_eq!(count("mined"), Some(3.0));
+    assert_eq!(count("mine_quarantined"), Some(1.0));
+
+    // `/explain` serves each change's one-shot tuples or its skip.
+    for (i, (fingerprint, _, _)) in expected.iter().enumerate() {
+        let (status, _, body) = request(addr, "GET", &format!("/explain/{fingerprint}"), &[], b"");
+        assert_eq!(status, 200);
+        let explained = json_body(&body);
+        let record = &explained
+            .get("records")
+            .and_then(Json::as_array)
+            .expect("records")[0];
+        let served: Vec<String> = record
+            .get("tuples")
+            .and_then(Json::as_array)
+            .expect("tuples")
+            .iter()
+            .map(|t| t.as_str().expect("tuple text").to_owned())
+            .collect();
+        assert_eq!(served, tuples[i], "change {i}");
+        let skip = record.get("skip").expect("skip");
+        let served_skip = skip.get("kind").map(|kind| {
+            let text = |v: Option<&Json>| v.and_then(Json::as_str).expect("skip text").to_owned();
+            (
+                text(Some(kind)),
+                text(skip.get("error")),
+                text(skip.get("excerpt")),
+            )
+        });
+        assert_eq!(served_skip, skips[i], "change {i}");
+    }
+
+    // Warm: every change hits, and the body is otherwise the same.
+    let warm = walk();
+    let hits: Vec<_> = expected
+        .iter()
+        .map(|(fp, verdict, _)| (fp.clone(), verdict.clone(), "hit".to_owned()))
+        .collect();
+    assert_eq!(walked_changes(&warm), hits);
+    let without_changes = |body: &Json| match body {
+        Json::Obj(fields) => fields
+            .iter()
+            .filter(|(k, _)| k != "changes")
+            .cloned()
+            .collect(),
+        _ => Vec::new(),
+    };
+    assert_eq!(without_changes(&warm), without_changes(&cold));
+
+    settle_and_shutdown(handle);
+}
+
+/// `/mine-repo` stops mining between changes once its request deadline
+/// has passed and answers 408, logged as a `deadline` outcome; the same
+/// walk inside its deadline answers 200.
+#[test]
+fn mine_repo_past_its_deadline_answers_408() {
+    let root = ScratchDir::new("walk_deadline");
+    write_history(&root.0.join("history"));
+    let handle = spawn(ServeConfig {
+        repo_root: Some(root.0.clone()),
+        ..test_config(1_000)
+    });
+    let addr = handle.addr();
+    let body = br#"{"repo": "history"}"#;
+    let late = [("X-Chaos-Sleep-Ms", "1100")];
+    let (status, _, reply) = request(addr, "POST", "/mine-repo", &late, body);
+    assert_eq!(status, 408, "{}", String::from_utf8_lossy(&reply));
+    let (status, _, _) = request(addr, "POST", "/mine-repo", &[], body);
+    assert_eq!(status, 200);
+
+    let (status, _, capture) = request(addr, "GET", "/trace/capture", &[], b"");
+    assert_eq!(status, 200);
+    let capture = json_body(&capture);
+    let walks: Vec<(f64, String)> = capture
+        .as_array()
+        .expect("a trace array")
+        .iter()
+        .filter_map(|event| event.get("args"))
+        .filter(|args| args.get("path").and_then(Json::as_str) == Some("/mine-repo"))
+        .map(|args| {
+            let status = args.get("status").and_then(Json::as_num).expect("status");
+            let outcome = args.get("outcome").and_then(Json::as_str).expect("outcome");
+            (status, outcome.to_owned())
+        })
+        .collect();
+    assert_eq!(
+        walks,
+        [(408.0, "deadline".to_owned()), (200.0, "ok".to_owned())]
+    );
+    settle_and_shutdown(handle);
 }
 
 // ---------------------------------------------------------------------
@@ -843,21 +1169,13 @@ fn one_file_time() -> Duration {
         }
     };
     let events = || {
-        let (outcome, _, _) = diffcode::DiffCode::new().process_pair_cached(
-            "class Events {}",
-            &distinct_events(20_000),
-            &[],
-            None,
-        );
-        assert!(
-            matches!(
-                outcome,
-                diffcode::ChangeOutcome::Skipped {
-                    kind: diffcode::ErrorKind::DagBudget,
-                    ..
-                }
-            ),
-            "{outcome:?}"
+        let corpus = one_change_corpus("class Events {}", &distinct_events(20_000));
+        let result = diffcode::DiffCode::new().mine(&corpus, &[], None);
+        let outcomes: Vec<_> = result.verdicts.iter().map(|v| v.outcome).collect();
+        assert_eq!(
+            outcomes,
+            [Verdict::Quarantined(diffcode::ErrorKind::DagBudget)],
+            "{result:?}"
         );
     };
     timed(&chain(160))
