@@ -17,9 +17,23 @@ const FNV_PRIME: u128 = 0x0000000001000000000000000000013b;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Fingerprint(pub u128);
 
+impl Fingerprint {
+    /// The 32 lowercase hex digits, most significant first, built from
+    /// a digit table rather than through the formatter; also what
+    /// [`fmt::Display`] writes.
+    pub fn to_hex(&self) -> String {
+        const DIGITS: &[u8; 16] = b"0123456789abcdef";
+        let mut hex = String::with_capacity(32);
+        for shift in (0..32).rev() {
+            hex.push(char::from(DIGITS[(self.0 >> (4 * shift)) as usize & 0xF]));
+        }
+        hex
+    }
+}
+
 impl fmt::Display for Fingerprint {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:032x}", self.0)
+        f.write_str(&self.to_hex())
     }
 }
 
@@ -55,6 +69,17 @@ impl Fingerprinter {
     pub fn part(&mut self, part: &[u8]) {
         self.update(&(part.len() as u64).to_le_bytes());
         self.update(part);
+    }
+
+    /// Feeds one part given as consecutive slices: the same fingerprint
+    /// as [`Fingerprinter::part`] over their concatenation, without
+    /// building it.
+    pub fn part_slices(&mut self, slices: &[&[u8]]) {
+        let len: usize = slices.iter().map(|s| s.len()).sum();
+        self.update(&(len as u64).to_le_bytes());
+        for slice in slices {
+            self.update(slice);
+        }
     }
 
     /// Feeds the same part to `self` and `other` in one pass over its
@@ -164,6 +189,23 @@ mod tests {
         }
         assert_eq!(keyed.finish(), fingerprint(&[b"config", b"old", b"new"]));
         assert_eq!(plain.finish(), fingerprint(&[b"old", b"new"]));
+    }
+
+    #[test]
+    fn a_part_of_slices_hashes_like_its_concatenation() {
+        let mut sliced = Fingerprinter::new();
+        sliced.part(b"first");
+        sliced.part_slices(&[b"proj|", b"", b"c1|", "pa\u{f1}th|".as_bytes()]);
+        sliced.part_slices(&[]);
+        let concat = "proj|c1|pa\u{f1}th|".as_bytes();
+        assert_eq!(sliced.finish(), fingerprint(&[b"first", concat, b""]));
+    }
+
+    #[test]
+    fn hex_is_32_zero_padded_lowercase_digits() {
+        for v in [0, 1, 0xF, 0xABC, u128::MAX, 1 << 127, FNV_OFFSET] {
+            assert_eq!(Fingerprint(v).to_hex(), format!("{v:032x}"));
+        }
     }
 
     #[test]

@@ -14,7 +14,8 @@
 //!    are negligible for corpus-scale key counts, and the hash is
 //!    stable across platforms and runs (unlike `DefaultHasher`);
 //!    [`Fingerprinter`] computes the same hash one part at a time.
-//! 2. [`wire`] — a tiny length-prefixed binary codec
+//! 2. [`wire`] — a tiny binary codec of fixed-width integers,
+//!    length-prefixed strings and LEB128 varints
 //!    ([`wire::Writer`]/[`wire::Reader`]) used both for the store's
 //!    on-disk records and by callers to serialize payloads. Typed
 //!    [`wire::WireError`]s, never panics on malformed input.

@@ -7,7 +7,7 @@
 use crate::ccache::ClusterCache;
 use crate::elicit::{elicit_auto, Elicitation};
 use crate::filter::{apply_filters, FilterStats, SeenDups, FILTER_FUNNEL};
-use crate::mcache::{DagView, MiningCache};
+use crate::mcache::{write_tuple_digest, MiningCache};
 use crate::pipeline::{
     mine_parallel, DagPair, DiffCode, MineOptions, MinedUsageChange, MiningResult,
 };
@@ -20,7 +20,6 @@ use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
-use usagegraph::{UsageChange, UsageDag};
 
 /// Renders the abstract usages of one source file: every abstract
 /// object of a target class with its usage DAG.
@@ -652,90 +651,15 @@ fn cluster_digest(elicitation: &Elicitation) -> cache::Fingerprint {
 /// A DAG reads `root:path;path;…` in set order and the change reads as
 /// its `Display` (`- path` / `+ path` lines), where a path is its labels
 /// joined by spaces — the `Display` of [`usagegraph::FeaturePath`],
-/// written label by label so no intermediate string is built. A DAG
-/// pair encoded in a cache payload is copied from its label bytes,
-/// without decoding the DAGs or checking their UTF-8 again: the payload
-/// view checked it when it validated the payload.
-pub fn write_usage_digest(out: &mut Vec<u8>, mined: &MinedUsageChange) {
-    let (class, change) = (&mined.class, &mined.change);
+/// written label by label so no intermediate string is built. A tuple
+/// held in a cache payload already stores this text, which is copied as
+/// it is.
+pub fn write_usage_digest(out: &mut String, mined: &MinedUsageChange) {
     match mined.dag_pair() {
-        DagPair::Owned(old, new) => write_tuple_digest(out, class, old, new, change),
-        DagPair::Encoded(pair) => {
-            let (old, new) = pair.view().old_new();
-            write_tuple_digest(out, class, old, new, change);
+        DagPair::Owned(old, new) => {
+            write_tuple_digest(out, &mined.class, old, new, &mined.change);
         }
-    }
-}
-
-/// A DAG whose digest text can be written: a decoded [`UsageDag`], or
-/// one read in place from a cache payload; its paths come in the same
-/// set order (the payload view checks it).
-trait DagText {
-    fn write_text(&self, out: &mut Vec<u8>);
-}
-
-impl DagText for &UsageDag {
-    fn write_text(&self, out: &mut Vec<u8>) {
-        let paths = self.paths.iter().map(|path| path.0.iter().map(|l| &**l));
-        write_dag_text(out, &self.root_type, paths);
-    }
-}
-
-impl DagText for DagView<'_> {
-    fn write_text(&self, out: &mut Vec<u8>) {
-        write_dag_text(
-            out,
-            self.root_type(),
-            self.paths().map(|path| path.label_bytes()),
-        );
-    }
-}
-
-/// Writes `root:path;path;…`, each path its labels joined by spaces.
-fn write_dag_text(
-    out: &mut Vec<u8>,
-    root: &str,
-    paths: impl Iterator<Item = impl Iterator<Item = impl AsRef<[u8]>>>,
-) {
-    out.extend_from_slice(root.as_bytes());
-    out.push(b':');
-    for (i, labels) in paths.enumerate() {
-        if i > 0 {
-            out.push(b';');
-        }
-        write_labels(out, labels);
-    }
-}
-
-fn write_labels(out: &mut Vec<u8>, labels: impl Iterator<Item = impl AsRef<[u8]>>) {
-    for (i, label) in labels.enumerate() {
-        if i > 0 {
-            out.push(b' ');
-        }
-        out.extend_from_slice(label.as_ref());
-    }
-}
-
-/// The [`write_usage_digest`] text of one tuple.
-fn write_tuple_digest(
-    out: &mut Vec<u8>,
-    class: &str,
-    old_dag: impl DagText,
-    new_dag: impl DagText,
-    change: &UsageChange,
-) {
-    out.extend_from_slice(class.as_bytes());
-    out.push(b'|');
-    old_dag.write_text(out);
-    out.push(b'|');
-    new_dag.write_text(out);
-    out.push(b'|');
-    for (sign, paths) in [(b"- ", &change.removed), (b"+ ", &change.added)] {
-        for path in paths {
-            out.extend_from_slice(sign);
-            write_labels(out, path.0.iter().map(|l| l.as_bytes()));
-            out.push(b'\n');
-        }
+        DagPair::Encoded(tuple) => out.push_str(tuple.view().digest()),
     }
 }
 
@@ -745,21 +669,33 @@ fn write_tuple_digest(
 /// changes — the warm-vs-cold CI gate compares this (plus the rest of
 /// the byte-identical report).
 ///
-/// Each change's part, `project|commit|path|` plus its
-/// [`write_usage_digest`] text, is written into one reused byte buffer
-/// and fed to a streaming fingerprint, so the digest costs no
-/// allocation per change or path.
+/// Each change's part is `project|commit|path|` plus its
+/// [`write_usage_digest`] text, fed to a streaming fingerprint as
+/// slices: a cached tuple's stored text is hashed where it lies, and an
+/// uncached one's is rendered into one reused buffer, so the digest
+/// costs no allocation per change or path.
 fn mined_digest(result: &MiningResult) -> cache::Fingerprint {
     let mut digest = cache::Fingerprinter::new();
-    let mut part: Vec<u8> = Vec::new();
+    let mut rendered = String::new();
     for mined in &result.changes {
-        part.clear();
-        for field in [&mined.meta.project, &mined.meta.commit, &mined.meta.path] {
-            part.extend_from_slice(field.as_bytes());
-            part.push(b'|');
-        }
-        write_usage_digest(&mut part, mined);
-        digest.part(&part);
+        let text = match mined.dag_pair() {
+            DagPair::Encoded(tuple) => tuple.view().digest(),
+            DagPair::Owned(..) => {
+                rendered.clear();
+                write_usage_digest(&mut rendered, mined);
+                rendered.as_str()
+            }
+        };
+        let meta = &mined.meta;
+        digest.part_slices(&[
+            meta.project.as_bytes(),
+            b"|",
+            meta.commit.as_bytes(),
+            b"|",
+            meta.path.as_bytes(),
+            b"|",
+            text.as_bytes(),
+        ]);
     }
     digest.finish()
 }
@@ -1315,6 +1251,7 @@ mod tests {
     use crate::pipeline::Verdict;
     use corpus::fixtures::{FIGURE2_NEW, FIGURE2_OLD};
     use std::sync::Arc;
+    use usagegraph::{UsageChange, UsageDag};
 
     #[test]
     fn analyze_renders_dags() {
@@ -1659,9 +1596,9 @@ mod tests {
         assert_eq!(mined_digest(&recorded), mined_digest(&cold));
         assert_eq!(mined_digest(&warm), mined_digest(&cold));
         let digest_text = |c: &MinedUsageChange| {
-            let mut text = Vec::new();
+            let mut text = String::new();
             write_usage_digest(&mut text, c);
-            String::from_utf8(text).unwrap()
+            text
         };
 
         for result in [&cold, &recorded, &warm] {

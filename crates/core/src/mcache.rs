@@ -17,22 +17,29 @@
 //!   including quarantined skips — a change that was skipped stays
 //!   skipped on a warm run, keeping the
 //!   `processed = mined + skipped` accounting byte-identical.
+//! - **Payloads** hold each mined tuple's digest text — byte for byte
+//!   what `diffcode mine`'s `result digest` hashes for it — beside a
+//!   compact index of varint counts and lengths that says where every
+//!   label lies in that text.
 //! - **Record**: a miss's outcome is encoded once, into a buffer of its
-//!   exact size, and its mined tuples keep their DAG pairs as slices of
-//!   the recorded payload.
+//!   exact size, and its mined tuples keep their index and text as the
+//!   record holds them.
 //! - **Replay**: a hit is validated in place, in one pass that
-//!   allocates nothing, and its mined tuples keep their DAG pairs
-//!   encoded in the payload, which the store shares rather than copies.
-//!   Only what the funnel reads — class, feature diff, provenance — is
-//!   materialised; a DAG is decoded when something asks for it
-//!   ([`crate::MinedUsageChange::old_dag`]).
+//!   allocates nothing: one UTF-8 check over its text and a walk of its
+//!   index that checks every separator. Its mined tuples keep their
+//!   index in the payload, which the store shares rather than copies,
+//!   and their text in one copy per outcome. Only what the funnel reads
+//!   — class, feature diff, provenance — is materialised; the digest
+//!   hashes the stored text, and a DAG is decoded when something asks
+//!   for it ([`crate::MinedUsageChange::old_dag`]).
 //! - **Versioning** ([`ANALYSIS_VERSION`]): bumped on any semantic
-//!   change to `javalang`, `analysis`, or `usagegraph`; entries written
-//!   under another version count as `cache.stale_version` and are
-//!   recomputed (the store keeps the bytes until `vacuum`).
+//!   change to `javalang`, `analysis`, or `usagegraph`, and on any
+//!   change to the payload format; entries written under another
+//!   version count as `cache.stale_version` and are recomputed (the
+//!   store keeps the bytes until `vacuum`).
 
 use crate::quarantine::ErrorKind;
-use cache::wire::{Reader, WireError, Writer};
+use cache::wire::{varint_len, Reader, WireError, Writer};
 use cache::{
     fingerprint, CacheStore, Fingerprint, Fingerprinter, Lookup, ShardLog, SharedBytes, StoreError,
 };
@@ -40,17 +47,23 @@ use std::borrow::{Borrow, Cow};
 use std::cmp::Ordering;
 use std::ops::Range;
 use std::path::Path;
+use std::sync::Arc;
 use usagegraph::{FeaturePath, Label, UsageChange, UsageDag};
 
-/// The semantic version of the lex → parse → analysis → DAG-diff
-/// stack. **Bump this on any change to `javalang`, `analysis`, or
-/// `usagegraph` that can alter a mining outcome** — cached entries
-/// written under an older version are then reported stale and
-/// recomputed instead of replayed.
-pub const ANALYSIS_VERSION: u32 = 1;
+/// The version every cache record is stamped with: the semantic version
+/// of the lex → parse → analysis → DAG-diff stack together with the
+/// payload format. **Bump this on any change to `javalang`,
+/// `analysis`, or `usagegraph` that can alter a mining outcome, and on
+/// any change to the outcome codec** — cached entries written under an
+/// older version are then reported stale and recomputed instead of
+/// replayed, and `cache vacuum` drops them. Version 2 is the payload
+/// that stores each tuple's digest text beside a varint index.
+pub const ANALYSIS_VERSION: u32 = 2;
 
-/// Version tag of the payload encoding itself (bumped on codec
-/// change; folded into every cache key's configuration part).
+/// A fixed part of every cache key's configuration fingerprint. It
+/// names the first payload format and stays as it is, so cache keys do
+/// not move when the format does: the record version
+/// ([`ANALYSIS_VERSION`]) marks records of an older format out of date.
 const CODEC_VERSION: &str = "outcome-v1";
 
 /// One cached per-change outcome: exactly what
@@ -108,26 +121,98 @@ impl ChangeOutcome<Cow<'_, UsageDag>> {
 // Outcome codec
 // ---------------------------------------------------------------------
 //
-// A payload is `u8 0, count, count × tuple` for a mined outcome and
-// `u8 1, u8 kind, error, excerpt` for a skip. A tuple is `class, old
-// dag, new dag, change class, removed paths, added paths`; a DAG is
-// `root type, paths`; a run of paths is `count, count × path`; a path
-// is `count, count × label`. Counts are u64, strings length-prefixed
-// UTF-8 (`cache::wire`).
+// A skip is `u8 1, u8 kind, error, excerpt`, each string a varint
+// length and its UTF-8 bytes.
+//
+// A mined outcome is `u8 0, varint n, n index entries, text region`.
+// The text region is each tuple's digest text (`write_tuple_digest`),
+// concatenated; a tuple whose change class is not its old DAG's root
+// (never one the pipeline mines) has that class appended to its text.
+// A tuple's index entry is `text length, body length, body`, and its
+// body is `class length, change class code, removed paths, added
+// paths, old DAG, new DAG`: a DAG is `root length, paths`, a run of
+// paths `count, count × path`, and a path `count, count × label
+// length`. The change class code is 0 when the class is the old DAG's
+// root, else the appended class's length plus one. Every integer is a
+// varint (`cache::wire`).
+//
+// The index delimits every label; the text between labels holds the
+// separators the digest text puts there (`|`, `:`, `;`, ` `, `- `,
+// `+ `, `\n`), which validation checks but nothing reads.
 
-fn write_paths<'p>(w: &mut Writer, paths: impl ExactSizeIterator<Item = &'p FeaturePath>) {
-    w.u64(paths.len() as u64);
-    for path in paths {
-        w.u64(path.0.len() as u64);
-        for label in &path.0 {
-            w.str(label);
+/// Appends the digest text of one mined tuple, `class|old|new|change`,
+/// to `out`: a DAG reads `root:path;path;…` in set order, a path its
+/// labels joined by spaces, and the change its `Display` (one `- path`
+/// or `+ path` line per removed or added feature). This is the text a
+/// cache payload stores for the tuple and the text `diffcode mine`'s
+/// `result digest` hashes.
+pub(crate) fn write_tuple_digest(
+    out: &mut String,
+    class: &str,
+    old_dag: &UsageDag,
+    new_dag: &UsageDag,
+    change: &UsageChange,
+) {
+    out.push_str(class);
+    out.push('|');
+    write_dag_text(out, old_dag);
+    out.push('|');
+    write_dag_text(out, new_dag);
+    out.push('|');
+    for (sign, paths) in [("- ", &change.removed), ("+ ", &change.added)] {
+        for path in paths {
+            out.push_str(sign);
+            write_path_text(out, path);
+            out.push('\n');
         }
     }
 }
 
-fn write_dag(w: &mut Writer, dag: &UsageDag) {
-    w.str(&dag.root_type);
-    write_paths(w, dag.paths.iter());
+fn write_dag_text(out: &mut String, dag: &UsageDag) {
+    out.push_str(&dag.root_type);
+    out.push(':');
+    for (i, path) in dag.paths.iter().enumerate() {
+        if i > 0 {
+            out.push(';');
+        }
+        write_path_text(out, path);
+    }
+}
+
+fn write_path_text(out: &mut String, path: &FeaturePath) {
+    for (i, label) in path.0.iter().enumerate() {
+        if i > 0 {
+            out.push(' ');
+        }
+        out.push_str(label);
+    }
+}
+
+/// The bytes [`write_tuple_digest`] appends.
+fn tuple_digest_len(
+    class: &str,
+    old_dag: &UsageDag,
+    new_dag: &UsageDag,
+    change: &UsageChange,
+) -> usize {
+    let lines = change.removed.iter().chain(&change.added);
+    class.len()
+        + 1
+        + dag_text_len(old_dag)
+        + 1
+        + dag_text_len(new_dag)
+        + 1
+        + lines.map(|path| 2 + path_text_len(path) + 1).sum::<usize>()
+}
+
+fn dag_text_len(dag: &UsageDag) -> usize {
+    let paths = dag.paths.iter().map(path_text_len).sum::<usize>();
+    dag.root_type.len() + 1 + paths + dag.paths.len().saturating_sub(1)
+}
+
+fn path_text_len(path: &FeaturePath) -> usize {
+    let labels = path.0.iter().map(|label| label.len()).sum::<usize>();
+    labels + path.0.len().saturating_sub(1)
 }
 
 fn kind_tag(kind: ErrorKind) -> u8 {
@@ -151,33 +236,110 @@ fn kind_from_tag(tag: u8) -> Result<ErrorKind, WireError> {
     })
 }
 
+/// The change class code of a tuple's index: 0 when the change's class
+/// is the old DAG's root, else the length of the class its text
+/// carries plus one.
+fn change_class_code(old_dag: &UsageDag, change: &UsageChange) -> usize {
+    if change.class == *old_dag.root_type {
+        0
+    } else {
+        change.class.len() + 1
+    }
+}
+
+/// One tuple's sizes: its text (digest text plus any appended change
+/// class) and its index body.
+fn tuple_sizes<D: Borrow<UsageDag>>((class, old, new, change): &MinedTuple<D>) -> (usize, usize) {
+    let (old, new) = (old.borrow(), new.borrow());
+    let code = change_class_code(old, change);
+    let text = tuple_digest_len(class, old, new, change) + code.saturating_sub(1);
+    let body = uvarint_len(class.len())
+        + uvarint_len(code)
+        + paths_index_len(&change.removed)
+        + paths_index_len(&change.added)
+        + dag_index_len(old)
+        + dag_index_len(new);
+    (text, body)
+}
+
+fn uvarint_len(v: usize) -> usize {
+    varint_len(v as u64)
+}
+
+fn dag_index_len(dag: &UsageDag) -> usize {
+    uvarint_len(dag.root_type.len()) + paths_index_len(&dag.paths)
+}
+
+fn paths_index_len<'p>(paths: impl IntoIterator<Item = &'p FeaturePath>) -> usize {
+    let mut count = 0;
+    let mut len = 0;
+    for path in paths {
+        count += 1;
+        len += uvarint_len(path.0.len());
+        len += path
+            .0
+            .iter()
+            .map(|label| uvarint_len(label.len()))
+            .sum::<usize>();
+    }
+    uvarint_len(count) + len
+}
+
+fn write_dag_index(w: &mut Writer, dag: &UsageDag) {
+    w.varint(dag.root_type.len() as u64);
+    write_paths_index(w, dag.paths.iter());
+}
+
+fn write_paths_index<'p>(w: &mut Writer, paths: impl ExactSizeIterator<Item = &'p FeaturePath>) {
+    w.varint(paths.len() as u64);
+    for path in paths {
+        w.varint(path.0.len() as u64);
+        for label in &path.0 {
+            w.varint(label.len() as u64);
+        }
+    }
+}
+
 /// Serializes an outcome to cache-payload bytes.
 pub fn encode_outcome<D: Borrow<UsageDag>>(outcome: &ChangeOutcome<D>) -> Vec<u8> {
     encode(outcome).0
 }
 
 /// Serializes `outcome` into a buffer of exactly its encoded size, so
-/// the buffer never regrows and keeps no slack, and returns where each
-/// mined tuple's DAG pair sits in it.
-fn encode<D: Borrow<UsageDag>>(outcome: &ChangeOutcome<D>) -> (Vec<u8>, Vec<Range<usize>>) {
-    let size = encoded_len(outcome);
+/// the buffer never regrows and keeps no slack, and returns it with a
+/// copy of its text region.
+fn encode<D: Borrow<UsageDag>>(outcome: &ChangeOutcome<D>) -> (Vec<u8>, String) {
+    let (size, text_len) = encoded_sizes(outcome);
     let mut w = Writer::with_capacity(size);
-    let mut dags = Vec::new();
+    let mut text = String::new();
     match outcome {
         ChangeOutcome::Mined(tuples) => {
-            dags.reserve_exact(tuples.len());
+            text.reserve_exact(text_len);
             w.u8(0);
-            w.u64(tuples.len() as u64);
-            for (class, old_dag, new_dag, change) in tuples {
-                w.str(class);
-                let start = w.position();
-                write_dag(&mut w, old_dag.borrow());
-                write_dag(&mut w, new_dag.borrow());
-                dags.push(start..w.position());
-                w.str(&change.class);
-                write_paths(&mut w, change.removed.iter());
-                write_paths(&mut w, change.added.iter());
+            w.varint(tuples.len() as u64);
+            for tuple in tuples {
+                let (text_len, body_len) = tuple_sizes(tuple);
+                let (class, old, new, change) = tuple;
+                let (old, new) = (old.borrow(), new.borrow());
+                let code = change_class_code(old, change);
+                w.varint(text_len as u64);
+                w.varint(body_len as u64);
+                let body_start = w.position();
+                w.varint(class.len() as u64);
+                w.varint(code as u64);
+                write_paths_index(&mut w, change.removed.iter());
+                write_paths_index(&mut w, change.added.iter());
+                write_dag_index(&mut w, old);
+                write_dag_index(&mut w, new);
+                debug_assert_eq!(w.position() - body_start, body_len, "tuple_sizes: body");
+                let text_start = text.len();
+                write_tuple_digest(&mut text, class, old, new, change);
+                if code > 0 {
+                    text.push_str(&change.class);
+                }
+                debug_assert_eq!(text.len() - text_start, text_len, "tuple_sizes: text");
             }
+            w.raw(text.as_bytes());
         }
         ChangeOutcome::Skipped {
             kind,
@@ -186,44 +348,35 @@ fn encode<D: Borrow<UsageDag>>(outcome: &ChangeOutcome<D>) -> (Vec<u8>, Vec<Rang
         } => {
             w.u8(1);
             w.u8(kind_tag(*kind));
-            w.str(error);
-            w.str(excerpt);
+            for field in [error, excerpt] {
+                w.varint(field.len() as u64);
+                w.raw(field.as_bytes());
+            }
         }
     }
-    debug_assert_eq!(w.position(), size, "encoded_len disagrees with encode");
-    (w.finish(), dags)
+    debug_assert_eq!(w.position(), size, "encoded_sizes disagrees with encode");
+    (w.finish(), text)
 }
 
-/// The bytes [`encode`] writes for `outcome`: a tag is 1, a count 8, a
-/// string 8 plus its length.
-fn encoded_len<D: Borrow<UsageDag>>(outcome: &ChangeOutcome<D>) -> usize {
+/// The bytes [`encode`] writes for `outcome`, and how many of them are
+/// its text region.
+fn encoded_sizes<D: Borrow<UsageDag>>(outcome: &ChangeOutcome<D>) -> (usize, usize) {
     match outcome {
         ChangeOutcome::Mined(tuples) => {
-            let tuple_len = |(class, old_dag, new_dag, change): &MinedTuple<D>| {
-                str_len(class)
-                    + dag_len(old_dag.borrow())
-                    + dag_len(new_dag.borrow())
-                    + str_len(&change.class)
-                    + paths_len(change.removed.iter())
-                    + paths_len(change.added.iter())
-            };
-            1 + 8 + tuples.iter().map(tuple_len).sum::<usize>()
+            let mut size = 1 + uvarint_len(tuples.len());
+            let mut text = 0;
+            for tuple in tuples {
+                let (text_len, body_len) = tuple_sizes(tuple);
+                size += uvarint_len(text_len) + uvarint_len(body_len) + body_len + text_len;
+                text += text_len;
+            }
+            (size, text)
         }
-        ChangeOutcome::Skipped { error, excerpt, .. } => 2 + str_len(error) + str_len(excerpt),
+        ChangeOutcome::Skipped { error, excerpt, .. } => {
+            let field = |s: &str| uvarint_len(s.len()) + s.len();
+            (2 + field(error) + field(excerpt), 0)
+        }
     }
-}
-
-fn str_len(s: &str) -> usize {
-    8 + s.len()
-}
-
-fn dag_len(dag: &UsageDag) -> usize {
-    str_len(&dag.root_type) + paths_len(dag.paths.iter())
-}
-
-fn paths_len<'p>(paths: impl Iterator<Item = &'p FeaturePath>) -> usize {
-    let path_len = |path: &FeaturePath| 8 + path.0.iter().map(|l| str_len(l)).sum::<usize>();
-    8 + paths.map(path_len).sum::<usize>()
 }
 
 /// Decodes cache-payload bytes back into an outcome: the same
@@ -234,8 +387,8 @@ fn paths_len<'p>(paths: impl Iterator<Item = &'p FeaturePath>) -> usize {
 /// # Errors
 ///
 /// [`WireError`] on truncated, malformed, or trailing-garbage input,
-/// and on a DAG whose paths are not in the order [`encode_outcome`]
-/// writes them.
+/// on an index that disagrees with the text it describes, and on a DAG
+/// whose paths are not in the order [`encode_outcome`] writes them.
 pub fn decode_outcome(bytes: &[u8]) -> Result<ChangeOutcome, WireError> {
     OutcomeView::parse(bytes).map(|view| view.to_outcome())
 }
@@ -243,12 +396,14 @@ pub fn decode_outcome(bytes: &[u8]) -> Result<ChangeOutcome, WireError> {
 /// A borrowed view of one encoded [`ChangeOutcome`], read in place.
 ///
 /// [`OutcomeView::parse`] validates the whole payload in one pass that
-/// allocates nothing: framing, tags, UTF-8, no trailing bytes, and each
-/// DAG's paths strictly ascending — the order [`encode_outcome`] writes
-/// a DAG's `BTreeSet` in. That order check is what makes text read
-/// from the bytes equal the decoded DAG's text: decoding collects the
-/// paths into a set, which would silently reorder or merge paths
-/// written any other way. Reading a parsed view cannot fail.
+/// allocates nothing: framing, tags, the text region's UTF-8 in one
+/// check, every separator byte where the index puts it, index and text
+/// lengths that add up exactly, and each DAG's paths strictly ascending
+/// — the order [`encode_outcome`] writes a DAG's `BTreeSet` in. That
+/// order check is what makes the stored text equal the decoded DAG's
+/// text: decoding collects the paths into a set, which would silently
+/// reorder or merge paths written any other way. Reading a parsed view
+/// cannot fail.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum OutcomeView<'a> {
     /// The change was analyzed to completion.
@@ -267,36 +422,65 @@ pub(crate) enum OutcomeView<'a> {
 impl<'a> OutcomeView<'a> {
     /// Validates `payload` end to end and returns a view over it.
     ///
+    /// The text region is checked as UTF-8 once, and each tuple's text
+    /// must start and end on a character boundary. Every label then
+    /// lies between two ASCII separators or a tuple's ends, so every
+    /// label is a `&str` slice of the checked text.
+    ///
     /// # Errors
     ///
     /// [`WireError`] on truncated, malformed, or trailing-garbage input,
-    /// and on a DAG whose paths are not strictly ascending.
+    /// on an index that disagrees with the text, and on a DAG whose
+    /// paths are not strictly ascending.
     pub(crate) fn parse(payload: &'a [u8]) -> Result<OutcomeView<'a>, WireError> {
         let mut r = Reader::new(payload);
-        let view = match r.u8()? {
+        match r.u8()? {
             0 => {
-                let len = read_count(&mut r)?;
-                let first = r.position();
+                let len = r.count()?;
+                let index_start = r.position();
+                let mut text_len = 0usize;
                 for _ in 0..len {
-                    read_tuple(&mut r, 0, true)?;
+                    let tuple_text = r.varint_usize()?;
+                    let body = r.varint_usize()?;
+                    r.take(body)?;
+                    text_len = text_len
+                        .checked_add(tuple_text)
+                        .ok_or(WireError::Malformed("text lengths overflow"))?;
                 }
-                OutcomeView::Mined(TuplesView {
-                    payload,
-                    first,
-                    len,
+                let index = payload
+                    .get(index_start..r.position())
+                    .ok_or(WireError::Malformed("index region"))?;
+                if r.rest().len() != text_len {
+                    return Err(WireError::Malformed(
+                        "text region length disagrees with the index",
+                    ));
+                }
+                let text = std::str::from_utf8(r.rest())
+                    .map_err(|_| WireError::Malformed("text region is not UTF-8"))?;
+                for (body, range) in spans(index, len) {
+                    let tuple = text
+                        .get(range)
+                        .ok_or(WireError::Malformed("tuple text splits a character"))?;
+                    let body = index.get(body).ok_or(WireError::Malformed("index entry"))?;
+                    check_tuple(body, tuple)?;
+                }
+                Ok(OutcomeView::Mined(TuplesView { index, text, len }))
+            }
+            1 => {
+                let kind = kind_from_tag(r.u8()?)?;
+                let error = read_str(&mut r)?;
+                let excerpt = read_str(&mut r)?;
+                if !r.is_exhausted() {
+                    return Err(WireError::Malformed("trailing bytes after outcome"));
+                }
+                Ok(OutcomeView::Skipped {
+                    kind,
+                    error,
+                    excerpt,
                 })
             }
-            1 => OutcomeView::Skipped {
-                kind: kind_from_tag(r.u8()?)?,
-                error: r.str()?,
-                excerpt: r.str()?,
-            },
-            _ => return Err(WireError::Malformed("unknown outcome tag")),
-        };
-        if !r.is_exhausted() {
-            return Err(WireError::Malformed("trailing bytes after outcome"));
+            _ => Err(WireError::Malformed("unknown outcome tag")),
         }
-        Ok(view)
     }
 
     /// The decoded outcome: owned tuples with materialised DAGs.
@@ -318,159 +502,258 @@ impl<'a> OutcomeView<'a> {
     }
 }
 
-/// The tuples of a validated mined payload.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct TuplesView<'a> {
-    payload: &'a [u8],
-    /// Offset of the first tuple in `payload`.
-    first: usize,
-    len: usize,
+fn read_str<'a>(r: &mut Reader<'a>) -> Result<&'a str, WireError> {
+    let len = r.varint_usize()?;
+    std::str::from_utf8(r.take(len)?).map_err(|_| WireError::Malformed("string is not UTF-8"))
 }
 
-impl<'a> TuplesView<'a> {
-    /// The tuples, in mining order.
-    fn iter(&self) -> impl Iterator<Item = TupleView<'a>> {
-        let first = self.first;
-        let mut r = Reader::new(&self.payload[first..]);
-        (0..self.len).map(move |_| trusted(read_tuple(&mut r, first, false)))
+/// Checks one tuple's index body against its text: each label where
+/// the index puts it, each separator between, nothing left over on
+/// either side, and each DAG's paths strictly ascending.
+fn check_tuple(body: &[u8], text: &str) -> Result<(), WireError> {
+    let mut r = Reader::new(body);
+    let class_len = r.varint_usize()?;
+    let code = r.varint_usize()?;
+    let removed = PathsIndex::read(&mut r)?;
+    let added = PathsIndex::read(&mut r)?;
+    let mut t = TextCursor {
+        text: text.as_bytes(),
+        at: 0,
+    };
+    t.skip(class_len)?;
+    t.sep(b'|')?;
+    for _ in 0..2 {
+        let root = r.varint_usize()?;
+        t.skip(root)?;
+        t.sep(b':')?;
+        let count = r.count()?;
+        let mut prev: Option<(PathIndex<'_>, usize)> = None;
+        for i in 0..count {
+            if i > 0 {
+                t.sep(b';')?;
+            }
+            prev = Some(t.dag_path(&mut r, prev)?);
+        }
+        t.sep(b'|')?;
     }
+    for (sign, paths) in [(b'-', removed), (b'+', added)] {
+        for path in paths.iter() {
+            t.sep(sign)?;
+            t.sep(b' ')?;
+            t.path(path)?;
+            t.sep(b'\n')?;
+        }
+    }
+    t.skip(code.saturating_sub(1))?;
+    if t.at != t.text.len() || !r.is_exhausted() {
+        return Err(WireError::Malformed("tuple index and text disagree"));
+    }
+    Ok(())
 }
 
-/// One mined tuple of a validated payload.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct TupleView<'a> {
-    class: &'a str,
-    /// The encoded old and new DAGs, back to back, and where they sit in
-    /// the payload.
-    dag_bytes: &'a [u8],
-    dags: Range<usize>,
-    change_class: &'a str,
-    removed: PathsView<'a>,
-    added: PathsView<'a>,
+/// A walk over one tuple's text, checking it against the index.
+struct TextCursor<'t> {
+    text: &'t [u8],
+    at: usize,
 }
 
-impl<'a> TupleView<'a> {
-    /// The target API class.
-    pub(crate) fn class(&self) -> &'a str {
-        self.class
+impl TextCursor<'_> {
+    /// Steps over `byte`, which must come next.
+    fn sep(&mut self, byte: u8) -> Result<(), WireError> {
+        if self.text.get(self.at) != Some(&byte) {
+            return Err(WireError::Malformed(
+                "no separator where the index puts one",
+            ));
+        }
+        self.at += 1;
+        Ok(())
     }
 
-    /// The encoded DAG pair.
-    pub(crate) fn dag_pair(&self) -> DagPairView<'a> {
-        DagPairView {
-            bytes: self.dag_bytes,
+    /// Steps over a label of `len` bytes.
+    fn skip(&mut self, len: usize) -> Result<(), WireError> {
+        match self.at.checked_add(len) {
+            Some(end) if end <= self.text.len() => {
+                self.at = end;
+                Ok(())
+            }
+            _ => Err(WireError::Malformed("label runs past its tuple's text")),
         }
     }
 
-    /// The `(F⁻, F⁺)` feature diff, materialised. A change `fsame`
-    /// drops has no feature on either side and allocates only its
-    /// class name.
-    pub(crate) fn change(&self) -> UsageChange {
-        UsageChange {
-            class: self.change_class.to_owned(),
-            removed: self.removed.to_paths(),
-            added: self.added.to_paths(),
+    /// Steps over the next path of a DAG, whose index `r` reads, and
+    /// checks that it sorts strictly after `prev` (a path and where its
+    /// text starts), comparing labels only until their order is
+    /// decided. Returns the path and where its text starts.
+    fn dag_path<'b>(
+        &mut self,
+        r: &mut Reader<'b>,
+        prev: Option<(PathIndex<'_>, usize)>,
+    ) -> Result<(PathIndex<'b>, usize), WireError> {
+        let (count, rest, start, at) = (r.count()?, r.rest(), r.position(), self.at);
+        let mut prev_labels = prev.map(|(path, at)| path.label_ranges(at));
+        let mut order = match prev_labels {
+            Some(_) => Ordering::Equal,
+            None => Ordering::Less,
+        };
+        for j in 0..count {
+            if j > 0 {
+                self.sep(b' ')?;
+            }
+            let label = self.at;
+            self.skip(r.varint_usize()?)?;
+            if order == Ordering::Equal {
+                order = match prev_labels.as_mut().and_then(Iterator::next) {
+                    Some(prev) => self.text.get(prev).cmp(&self.text.get(label..self.at)),
+                    None => Ordering::Less,
+                };
+            }
         }
-    }
-
-    /// The tuple, fully materialised.
-    fn to_tuple(&self) -> MinedTuple {
-        let (old, new) = self.dag_pair().old_new();
-        let class = self.class.to_owned();
-        (class, old.to_dag(), new.to_dag(), self.change())
-    }
-}
-
-/// The encoded old and new DAGs of one validated tuple.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct DagPairView<'a> {
-    bytes: &'a [u8],
-}
-
-impl<'a> DagPairView<'a> {
-    /// The old and the new DAG.
-    pub(crate) fn old_new(&self) -> (DagView<'a>, DagView<'a>) {
-        let mut r = Reader::new(self.bytes);
-        let old = trusted(read_dag(&mut r, false));
-        (old, trusted(read_dag(&mut r, false)))
-    }
-}
-
-/// One encoded DAG: its root type and its paths in ascending order.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct DagView<'a> {
-    root_type: &'a str,
-    paths: PathsView<'a>,
-}
-
-impl<'a> DagView<'a> {
-    /// The root object's type.
-    pub(crate) fn root_type(&self) -> &'a str {
-        self.root_type
-    }
-
-    /// The root-to-node paths, in the decoded DAG's set order.
-    pub(crate) fn paths(&self) -> impl Iterator<Item = PathView<'a>> {
-        self.paths.iter()
-    }
-
-    /// The decoded DAG (root type interned, like the analysis builds
-    /// it).
-    pub(crate) fn to_dag(self) -> UsageDag {
-        UsageDag {
-            root_type: intern::intern(self.root_type),
-            paths: self.paths().map(|path| path.to_path()).collect(),
+        // Still equal: `prev` is this path, or has it as a prefix.
+        if order != Ordering::Less {
+            return Err(WireError::Malformed("DAG paths not strictly ascending"));
         }
+        let lens = rest.get(..r.position() - start).unwrap_or_default();
+        Ok((PathIndex { lens, count }, at))
+    }
+
+    /// Steps over a path's labels and the spaces between them.
+    fn path(&mut self, path: PathIndex<'_>) -> Result<(), WireError> {
+        for (i, len) in path.label_lens().enumerate() {
+            if i > 0 {
+                self.sep(b' ')?;
+            }
+            self.skip(len)?;
+        }
+        Ok(())
     }
 }
 
-/// A count-prefixed run of encoded paths.
+/// Each tuple's body range in `index` and text range in the text
+/// region, read from index entries [`OutcomeView::parse`] accepted.
+fn spans(index: &[u8], len: usize) -> impl Iterator<Item = (Range<usize>, Range<usize>)> + '_ {
+    let mut r = Reader::new(index);
+    let mut text_at = 0;
+    (0..len).map(move |_| {
+        let text_len = trusted(r.varint_usize());
+        let body_len = trusted(r.varint_usize());
+        let body = r.position()..r.position() + body_len;
+        trusted(r.take(body_len));
+        let text = text_at..text_at + text_len;
+        text_at += text_len;
+        (body, text)
+    })
+}
+
+/// One path of a tuple's index: its label lengths.
 #[derive(Debug, Clone, Copy, Default)]
-struct PathsView<'a> {
-    /// The input from the first path on.
-    rest: &'a [u8],
-    len: usize,
+struct PathIndex<'a> {
+    lens: &'a [u8],
+    count: usize,
 }
 
-impl<'a> PathsView<'a> {
-    /// The paths, in encoded order.
-    fn iter(&self) -> impl Iterator<Item = PathView<'a>> {
-        let mut r = Reader::new(self.rest);
-        (0..self.len).map(move |_| trusted(read_path(&mut r, false)))
+impl<'a> PathIndex<'a> {
+    fn read(r: &mut Reader<'a>) -> Result<PathIndex<'a>, WireError> {
+        let count = r.count()?;
+        let rest = r.rest();
+        let start = r.position();
+        for _ in 0..count {
+            r.varint_usize()?;
+        }
+        Ok(PathIndex {
+            lens: rest.get(..r.position() - start).unwrap_or_default(),
+            count,
+        })
     }
 
-    fn to_paths(self) -> Vec<FeaturePath> {
-        self.iter().map(|path| path.to_path()).collect()
+    fn label_lens(self) -> impl Iterator<Item = usize> + 'a {
+        let mut r = Reader::new(self.lens);
+        (0..self.count).map(move |_| trusted(r.varint_usize()))
+    }
+
+    /// The bytes of the path's text: its labels joined by spaces.
+    fn text_len(self) -> usize {
+        self.label_lens().sum::<usize>() + self.count.saturating_sub(1)
+    }
+
+    /// Where each label of the path whose text starts at `at` lies.
+    fn label_ranges(self, at: usize) -> impl Iterator<Item = Range<usize>> + 'a {
+        let mut at = at;
+        self.label_lens().map(move |len| {
+            let label = at..at + len;
+            at += len + 1;
+            label
+        })
+    }
+
+    /// The decoded path, from its text at `at` in `text`.
+    fn to_path(self, text: &str, at: usize) -> FeaturePath {
+        let labels = self
+            .label_ranges(at)
+            .map(|label| Label::from(sub(text, label)));
+        FeaturePath(labels.collect())
     }
 }
 
-/// One encoded feature path.
+/// A run of paths of a tuple's index.
 #[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct PathView<'a> {
-    /// The input from the first label on.
-    rest: &'a [u8],
-    len: usize,
+struct PathsIndex<'a> {
+    paths: &'a [u8],
+    count: usize,
 }
 
-impl<'a> PathView<'a> {
-    /// The labels, root first.
-    pub(crate) fn labels(&self) -> impl Iterator<Item = &'a str> {
-        let mut r = Reader::new(self.rest);
-        (0..self.len).map(move |_| trusted(r.str()))
+impl<'a> PathsIndex<'a> {
+    fn read(r: &mut Reader<'a>) -> Result<PathsIndex<'a>, WireError> {
+        let count = r.count()?;
+        let rest = r.rest();
+        let start = r.position();
+        for _ in 0..count {
+            PathIndex::read(r)?;
+        }
+        Ok(PathsIndex {
+            paths: rest.get(..r.position() - start).unwrap_or_default(),
+            count,
+        })
     }
 
-    /// The labels' bytes, root first: the labels' text without
-    /// checking its UTF-8 again, ordered like the labels (UTF-8
-    /// preserves code-point order).
-    pub(crate) fn label_bytes(&self) -> impl Iterator<Item = &'a [u8]> {
-        let mut r = Reader::new(self.rest);
-        (0..self.len).map(move |_| trusted(r.bytes()))
+    fn iter(self) -> impl Iterator<Item = PathIndex<'a>> {
+        let mut r = Reader::new(self.paths);
+        (0..self.count).map(move |_| trusted(PathIndex::read(&mut r)))
     }
 
-    /// The decoded path.
-    fn to_path(self) -> FeaturePath {
-        FeaturePath(self.labels().map(Label::from).collect())
+    /// The paths of a change's lines starting at `*at` in `text`, each
+    /// line `sign path\n`; leaves `*at` past the last line.
+    fn lines_to_paths(self, text: &str, at: &mut usize) -> Vec<FeaturePath> {
+        self.iter()
+            .map(|path| {
+                *at += 2;
+                let labels = path.label_lens().map(|len| {
+                    let label = Label::from(sub(text, *at..*at + len));
+                    *at += len + 1;
+                    label
+                });
+                let path = FeaturePath(labels.collect());
+                // A path without labels still ends its line.
+                *at += usize::from(path.0.is_empty());
+                path
+            })
+            .collect()
     }
+
+    /// The bytes of the run's text as change lines.
+    fn lines_len(self) -> usize {
+        self.iter().map(|path| 2 + path.text_len() + 1).sum()
+    }
+}
+
+/// A slice of a text [`OutcomeView::parse`] validated, at a range the
+/// index put on a character boundary, which cannot fail. Should one
+/// fail anyway — a codec bug — it yields the empty string (debug builds
+/// assert) rather than panic on the mining path.
+fn sub(text: &str, range: Range<usize>) -> &str {
+    text.get(range).unwrap_or_else(|| {
+        debug_assert!(false, "a validated label is not a slice of its text");
+        ""
+    })
 }
 
 /// Unwraps a re-read of bytes [`OutcomeView::parse`] already accepted,
@@ -484,107 +767,196 @@ fn trusted<T: Default>(read: Result<T, WireError>) -> T {
     })
 }
 
-fn read_count(r: &mut Reader<'_>) -> Result<usize, WireError> {
-    usize::try_from(r.u64()?).map_err(|_| WireError::Malformed("count exceeds usize"))
-}
-
-/// Reads one tuple; `base` is the offset of `r`'s input within the
-/// payload. With `validate` every string is checked as UTF-8 and every
-/// DAG's paths for strict ascent; without, the read only frames bytes
-/// that were validated before.
-fn read_tuple<'a>(
-    r: &mut Reader<'a>,
-    base: usize,
-    validate: bool,
-) -> Result<TupleView<'a>, WireError> {
-    let class = r.str()?;
-    let rest = r.rest();
-    let start = r.position();
-    read_dag(r, validate)?;
-    read_dag(r, validate)?;
-    let dag_len = r.position() - start;
-    Ok(TupleView {
-        class,
-        dag_bytes: &rest[..dag_len],
-        dags: base + start..base + start + dag_len,
-        change_class: r.str()?,
-        removed: read_paths(r, validate, false)?,
-        added: read_paths(r, validate, false)?,
-    })
-}
-
-fn read_dag<'a>(r: &mut Reader<'a>, validate: bool) -> Result<DagView<'a>, WireError> {
-    Ok(DagView {
-        root_type: r.str()?,
-        paths: read_paths(r, validate, true)?,
-    })
-}
-
-/// Reads a run of paths; a DAG's (`ascending`) must sort strictly
-/// upward when validated.
-fn read_paths<'a>(
-    r: &mut Reader<'a>,
-    validate: bool,
-    ascending: bool,
-) -> Result<PathsView<'a>, WireError> {
-    let len = read_count(r)?;
-    let paths = PathsView {
-        rest: r.rest(),
-        len,
-    };
-    let mut prev: Option<PathView<'a>> = None;
-    for _ in 0..len {
-        let path = read_path(r, validate)?;
-        if validate && ascending {
-            if let Some(prev) = prev {
-                if prev.label_bytes().cmp(path.label_bytes()) != Ordering::Less {
-                    return Err(WireError::Malformed("DAG paths not strictly ascending"));
-                }
-            }
-            prev = Some(path);
-        }
-    }
-    Ok(paths)
-}
-
-fn read_path<'a>(r: &mut Reader<'a>, validate: bool) -> Result<PathView<'a>, WireError> {
-    let len = read_count(r)?;
-    let path = PathView {
-        rest: r.rest(),
-        len,
-    };
-    for _ in 0..len {
-        if validate {
-            r.str()?;
-        } else {
-            r.bytes()?;
-        }
-    }
-    Ok(path)
-}
-
-/// A cached tuple's DAG pair: its encoded bytes inside a cache payload —
-/// one a replay validated, or one this run just recorded — shared with
-/// the store and decoded on demand.
-#[derive(Debug, Clone)]
-pub(crate) struct EncodedDags(SharedBytes);
-
-impl EncodedDags {
-    /// The encoded pair, read in place.
-    pub(crate) fn view(&self) -> DagPairView<'_> {
-        DagPairView { bytes: &self.0 }
-    }
-}
-
-/// A validated mined payload whose tuples a replay reads in place.
-#[derive(Debug, Clone)]
-pub(crate) struct ReplayedTuples {
-    payload: SharedBytes,
-    first: usize,
+/// The tuples of a validated mined payload.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct TuplesView<'a> {
+    /// The index entries, one per tuple.
+    index: &'a [u8],
+    /// The text region.
+    text: &'a str,
     len: usize,
 }
 
-impl ReplayedTuples {
+impl<'a> TuplesView<'a> {
+    /// The tuples, in mining order, each found by the lengths its index
+    /// entry starts with.
+    fn iter(&self) -> impl Iterator<Item = TupleView<'a>> {
+        let (index, text) = (self.index, self.text);
+        spans(index, self.len).map(move |(body, range)| TupleView {
+            body: index.get(body).unwrap_or_default(),
+            text: sub(text, range),
+        })
+    }
+}
+
+/// One mined tuple of a validated payload: its index body and its text.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct TupleView<'a> {
+    body: &'a [u8],
+    text: &'a str,
+}
+
+impl<'a> TupleView<'a> {
+    /// The class length and the change class code the body starts
+    /// with, and the reader after them.
+    fn head(&self) -> (usize, usize, Reader<'a>) {
+        let mut r = Reader::new(self.body);
+        let class_len = trusted(r.varint_usize());
+        let code = trusted(r.varint_usize());
+        (class_len, code, r)
+    }
+
+    /// The target API class.
+    pub(crate) fn class(&self) -> &'a str {
+        sub(self.text, 0..self.head().0)
+    }
+
+    /// The tuple's digest text: what [`write_tuple_digest`] wrote for
+    /// it.
+    pub(crate) fn digest(&self) -> &'a str {
+        let extra = self.head().1.saturating_sub(1);
+        sub(self.text, 0..self.text.len().saturating_sub(extra))
+    }
+
+    /// The `(F⁻, F⁺)` feature diff, materialised from the change lines
+    /// that end the digest text, without reading the DAGs' labels. A
+    /// change `fsame` drops has no feature on either side and allocates
+    /// only its class name.
+    pub(crate) fn change(&self) -> UsageChange {
+        let (class_len, code, mut r) = self.head();
+        let removed = trusted(PathsIndex::read(&mut r));
+        let added = trusted(PathsIndex::read(&mut r));
+        let digest_end = self.text.len().saturating_sub(code.saturating_sub(1));
+        let class = if code == 0 {
+            let root = class_len + 1;
+            sub(self.text, root..root + trusted(r.varint_usize()))
+        } else {
+            sub(self.text, digest_end..self.text.len())
+        };
+        let lines = removed.lines_len() + added.lines_len();
+        let mut at = digest_end.saturating_sub(lines);
+        UsageChange {
+            class: class.to_owned(),
+            removed: removed.lines_to_paths(self.text, &mut at),
+            added: added.lines_to_paths(self.text, &mut at),
+        }
+    }
+
+    /// The old and the new DAG.
+    pub(crate) fn dags(&self) -> (DagView<'a>, DagView<'a>) {
+        let (class_len, _, mut r) = self.head();
+        trusted(PathsIndex::read(&mut r));
+        trusted(PathsIndex::read(&mut r));
+        let mut at = class_len + 1;
+        let mut dag = || {
+            let root = trusted(r.varint_usize());
+            let paths = trusted(PathsIndex::read(&mut r));
+            let view = DagView {
+                root_type: sub(self.text, at..at + root),
+                paths,
+                text: self.text,
+                at: at + root + 1,
+            };
+            at = view.at + view.paths_len() + 1;
+            view
+        };
+        let old = dag();
+        (old, dag())
+    }
+
+    /// The tuple, fully materialised.
+    fn to_tuple(self) -> MinedTuple {
+        let (old, new) = self.dags();
+        let class = self.class().to_owned();
+        (class, old.to_dag(), new.to_dag(), self.change())
+    }
+}
+
+/// One DAG of a validated tuple: its root type and its paths in
+/// ascending order.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct DagView<'a> {
+    root_type: &'a str,
+    paths: PathsIndex<'a>,
+    /// The tuple's text, and where the DAG's first path starts in it.
+    text: &'a str,
+    at: usize,
+}
+
+impl<'a> DagView<'a> {
+    /// The root-to-node paths, in the decoded DAG's set order.
+    fn paths(&self) -> impl Iterator<Item = FeaturePath> + 'a {
+        let (text, mut at) = (self.text, self.at);
+        self.paths.iter().map(move |path| {
+            let decoded = path.to_path(text, at);
+            at += path.text_len() + 1;
+            decoded
+        })
+    }
+
+    /// The bytes of the DAG's paths' text, `;` between paths.
+    fn paths_len(&self) -> usize {
+        let paths = self.paths.iter().map(PathIndex::text_len).sum::<usize>();
+        paths + self.paths.count.saturating_sub(1)
+    }
+
+    /// The decoded DAG (root type interned, like the analysis builds
+    /// it).
+    pub(crate) fn to_dag(self) -> UsageDag {
+        UsageDag {
+            root_type: intern::intern(self.root_type),
+            paths: self.paths().collect(),
+        }
+    }
+}
+
+/// A cached tuple as a mined usage change holds it: its index body, a
+/// slice of the cache payload, and its text, a slice of its outcome's
+/// text region. The text was validated once, when it was replayed or
+/// recorded, and is held as a `str`, so reading it checks nothing
+/// again.
+#[derive(Debug, Clone)]
+pub(crate) struct EncodedTuple {
+    body: SharedBytes,
+    text: Arc<str>,
+    range: Range<usize>,
+}
+
+impl EncodedTuple {
+    /// The tuple, read in place.
+    pub(crate) fn view(&self) -> TupleView<'_> {
+        TupleView {
+            body: &self.body,
+            text: sub(&self.text, self.range.clone()),
+        }
+    }
+}
+
+/// The tuples of a validated mined payload held past its lookup: the
+/// payload, shared with the store or the shard log, and a copy of its
+/// text region as a `str`.
+#[derive(Debug, Clone)]
+pub(crate) struct CachedTuples {
+    payload: SharedBytes,
+    /// The index entries' range in `payload`.
+    index: Range<usize>,
+    text: Arc<str>,
+    len: usize,
+}
+
+impl CachedTuples {
+    /// The `len` tuples of the mined `payload`, whose text region is
+    /// `text`.
+    fn new(payload: SharedBytes, text: Arc<str>, len: usize) -> CachedTuples {
+        let index_start = 1 + uvarint_len(len);
+        CachedTuples {
+            index: index_start..payload.len().saturating_sub(text.len()),
+            payload,
+            text,
+            len,
+        }
+    }
+
     /// Number of tuples.
     pub(crate) fn len(&self) -> usize {
         self.len
@@ -592,34 +964,41 @@ impl ReplayedTuples {
 
     fn view(&self) -> TuplesView<'_> {
         TuplesView {
-            payload: &self.payload,
-            first: self.first,
+            index: self.payload.get(self.index.clone()).unwrap_or_default(),
+            text: &self.text,
             len: self.len,
         }
     }
 
-    /// Each tuple with its DAG pair as a handle into the shared payload.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (TupleView<'_>, EncodedDags)> {
-        self.view().iter().map(|tuple| {
-            let dags = EncodedDags(self.payload.slice(tuple.dags.clone()));
-            (tuple, dags)
-        })
+    /// Each tuple, read in place and as a handle into the shared
+    /// payload and text.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (TupleView<'_>, EncodedTuple)> {
+        let view = self.view();
+        let start = self.index.start;
+        view.iter()
+            .zip(spans(view.index, self.len))
+            .map(move |(tuple, (body, range))| {
+                let body = self.payload.slice(start + body.start..start + body.end);
+                let text = Arc::clone(&self.text);
+                (tuple, EncodedTuple { body, text, range })
+            })
     }
 }
 
 /// A change outcome as the mining loop applies it.
 #[derive(Debug, Clone)]
 pub(crate) enum Resolved {
-    /// Held decoded: computed without a cache, or a quarantined skip
-    /// (whose report owns its strings anyway).
+    /// Held decoded: computed without a cache, a quarantined skip
+    /// (whose report owns its strings anyway), or a replayed mined
+    /// outcome without tuples.
     Decoded(ChangeOutcome),
     /// A replayed mined outcome whose tuples stay in the shared
     /// payload.
-    Replayed(ReplayedTuples),
+    Replayed(CachedTuples),
     /// A mined outcome this run computed and recorded: each tuple's
-    /// class and feature diff as computed, its DAG pair as the bytes
-    /// the record holds.
-    Recorded(Vec<(String, UsageChange, EncodedDags)>),
+    /// class and feature diff as computed, the tuple itself as the
+    /// record holds it.
+    Recorded(Vec<(String, UsageChange, EncodedTuple)>),
 }
 
 impl Resolved {
@@ -631,8 +1010,8 @@ impl Resolved {
             Resolved::Recorded(tuples) => ChangeOutcome::Mined(
                 tuples
                     .into_iter()
-                    .map(|(class, change, dags)| {
-                        let (old, new) = dags.view().old_new();
+                    .map(|(class, change, tuple)| {
+                        let (old, new) = tuple.view().dags();
                         (class, old.to_dag(), new.to_dag(), change)
                     })
                     .collect(),
@@ -788,9 +1167,10 @@ impl MiningCacheView<'_> {
     }
 
     /// Looks up the outcome for `key` and validates its payload in
-    /// place ([`OutcomeView::parse`]). A mined hit keeps its tuples in
-    /// the payload, shared with the store; a skip is decoded. An
-    /// undecodable payload degrades to a miss (the entry will be
+    /// place ([`OutcomeView::parse`]). A mined hit keeps its tuples'
+    /// index in the payload, shared with the store, and their text in
+    /// one copy; a skip, or a mined outcome without tuples, is decoded.
+    /// An undecodable payload degrades to a miss (the entry will be
     /// recomputed and re-recorded).
     pub(crate) fn replay(&self, key: Fingerprint) -> CachedLookup<Resolved> {
         let payload = match self.log.get_shared(key) {
@@ -806,12 +1186,10 @@ impl MiningCacheView<'_> {
             },
         };
         match OutcomeView::parse(payload) {
-            Ok(OutcomeView::Mined(tuples)) => {
-                CachedLookup::Hit(Resolved::Replayed(ReplayedTuples {
-                    payload: payload.clone(),
-                    first: tuples.first,
-                    len: tuples.len,
-                }))
+            Ok(OutcomeView::Mined(tuples)) if tuples.len > 0 => {
+                let text = Arc::from(tuples.text);
+                let tuples = CachedTuples::new(payload.clone(), text, tuples.len);
+                CachedLookup::Hit(Resolved::Replayed(tuples))
             }
             Ok(view) => CachedLookup::Hit(Resolved::Decoded(view.to_outcome())),
             Err(_) => CachedLookup::Miss,
@@ -830,19 +1208,22 @@ impl MiningCacheView<'_> {
     }
 
     /// Records a freshly computed outcome for `key` in this view's log
-    /// and returns each mined tuple's DAG pair as a slice of the
-    /// recorded payload: the encoder knows where each pair went, so
-    /// nothing is framed or validated again.
+    /// and returns each mined tuple as the record holds it: its index
+    /// body a slice of the recorded payload, its text a slice of the
+    /// text the encoder wrote, so nothing is validated again.
     pub(crate) fn record<D: Borrow<UsageDag>>(
         &mut self,
         key: Fingerprint,
         outcome: &ChangeOutcome<D>,
-    ) -> Vec<EncodedDags> {
-        let (payload, dags) = encode(outcome);
+    ) -> Vec<EncodedTuple> {
+        let (payload, text) = encode(outcome);
         let payload = self.log.record(key, payload);
-        dags.into_iter()
-            .map(|range| EncodedDags(payload.slice(range)))
-            .collect()
+        let len = match outcome {
+            ChangeOutcome::Mined(tuples) if !tuples.is_empty() => tuples.len(),
+            _ => return Vec::new(),
+        };
+        let tuples = CachedTuples::new(payload, Arc::from(text), len);
+        tuples.iter().map(|(_, tuple)| tuple).collect()
     }
 
     /// Consumes the view, returning its write log for
@@ -946,18 +1327,20 @@ mod tests {
         let owned = borrowed.clone().into_owned();
         let bytes = encode_outcome(&owned);
         assert_eq!(encode_outcome(&borrowed), bytes);
-        assert_eq!(bytes.len(), encoded_len(&owned), "sized exactly");
+        assert_eq!(bytes.len(), encoded_sizes(&owned).0, "sized exactly");
 
         let mut view = cache.view();
         let key = cache.change_key("a", "b");
-        let dags = view.record(key, &borrowed);
+        let recorded = view.record(key, &borrowed);
         let CachedLookup::Hit(ChangeOutcome::Mined(tuples)) = view.get(key) else {
             panic!("the recorded outcome replays");
         };
-        assert_eq!(dags.len(), tuples.len());
-        for (pair, (_, old, new, _)) in dags.iter().zip(&tuples) {
-            let (old_view, new_view) = pair.view().old_new();
+        assert_eq!(recorded.len(), tuples.len());
+        for (tuple, (class, old, new, change)) in recorded.iter().zip(&tuples) {
+            let (old_view, new_view) = tuple.view().dags();
             assert_eq!((&old_view.to_dag(), &new_view.to_dag()), (old, new));
+            assert_eq!(tuple.view().class(), class);
+            assert_eq!(&tuple.view().change(), change);
         }
         let skip = ChangeOutcome::<UsageDag>::Skipped {
             kind: ErrorKind::Parse,
@@ -999,39 +1382,104 @@ mod tests {
         assert!(decode_outcome(&trailing).is_err(), "trailing byte");
     }
 
-    /// The decoder the view replaced — owned paths collected into each
-    /// DAG's `BTreeSet` — kept as the reference the view must match.
+    /// A second decoder of the payload format, written apart from the
+    /// view: it reads the whole index into owned lengths first, takes
+    /// each label out of the text by those lengths, steps over the
+    /// separators without checking them, and collects each DAG's paths
+    /// into its `BTreeSet`. The view must match it on every payload it
+    /// accepts.
     fn reference_decode(bytes: &[u8]) -> Result<ChangeOutcome, WireError> {
-        fn paths(r: &mut Reader<'_>) -> Result<Vec<FeaturePath>, WireError> {
-            let n = r.u64()?;
-            let mut paths = Vec::new();
-            for _ in 0..n {
-                let len = r.u64()?;
+        struct Text<'t>(&'t str, usize);
+        impl<'t> Text<'t> {
+            fn take(&mut self, len: usize) -> Result<&'t str, WireError> {
+                let label = self.0.get(self.1..self.1 + len);
+                self.1 += len;
+                label.ok_or(WireError::Malformed("reference: label"))
+            }
+            fn path(&mut self, lens: &[usize]) -> Result<FeaturePath, WireError> {
                 let mut labels = Vec::new();
-                for _ in 0..len {
-                    labels.push(Label::from(r.str()?));
+                for (i, &len) in lens.iter().enumerate() {
+                    self.1 += usize::from(i > 0);
+                    labels.push(Label::from(self.take(len)?));
                 }
-                paths.push(FeaturePath(labels));
+                Ok(FeaturePath(labels))
+            }
+            fn dag(
+                &mut self,
+                (root, paths): &(usize, Vec<Vec<usize>>),
+            ) -> Result<UsageDag, WireError> {
+                let root_type = intern::intern(self.take(*root)?);
+                self.1 += 1;
+                let mut set = std::collections::BTreeSet::new();
+                for (i, lens) in paths.iter().enumerate() {
+                    self.1 += usize::from(i > 0);
+                    set.insert(self.path(lens)?);
+                }
+                self.1 += 1;
+                Ok(UsageDag {
+                    root_type,
+                    paths: set,
+                })
+            }
+            fn lines(&mut self, paths: &[Vec<usize>]) -> Result<Vec<FeaturePath>, WireError> {
+                let mut lines = Vec::new();
+                for lens in paths {
+                    self.1 += 2;
+                    lines.push(self.path(lens)?);
+                    self.1 += 1;
+                }
+                Ok(lines)
+            }
+        }
+        fn len(r: &mut Reader<'_>) -> Result<usize, WireError> {
+            usize::try_from(r.varint()?).map_err(|_| WireError::PastUsize)
+        }
+        fn paths(r: &mut Reader<'_>) -> Result<Vec<Vec<usize>>, WireError> {
+            let n = len(r)?;
+            let mut paths = Vec::new();
+            for _ in 0..n.min(r.rest().len()) {
+                let labels = len(r)?;
+                let mut lens = Vec::new();
+                for _ in 0..labels.min(r.rest().len()) {
+                    lens.push(len(r)?);
+                }
+                paths.push(lens);
             }
             Ok(paths)
-        }
-        fn dag(r: &mut Reader<'_>) -> Result<UsageDag, WireError> {
-            let root_type = intern::intern(r.str()?);
-            let paths = paths(r)?.into_iter().collect();
-            Ok(UsageDag { root_type, paths })
         }
         let mut r = Reader::new(bytes);
         let outcome = match r.u8()? {
             0 => {
-                let n = r.u64()?;
+                let n = len(&mut r)?;
+                let mut entries = Vec::new();
+                for _ in 0..n.min(bytes.len()) {
+                    let text_len = len(&mut r)?;
+                    let body_len = len(&mut r)?;
+                    entries.push((text_len, r.take(body_len)?));
+                }
+                let text = std::str::from_utf8(r.rest())
+                    .map_err(|_| WireError::Malformed("reference: text"))?;
                 let mut tuples = Vec::new();
-                for _ in 0..n {
-                    let class = r.str()?.to_owned();
-                    let old_dag = dag(&mut r)?;
-                    let new_dag = dag(&mut r)?;
-                    let change_class = r.str()?.to_owned();
-                    let removed = paths(&mut r)?;
-                    let added = paths(&mut r)?;
+                let mut at = 0;
+                for (text_len, body) in entries {
+                    let tuple = text
+                        .get(at..at + text_len)
+                        .ok_or(WireError::Malformed("reference: tuple"))?;
+                    at += text_len;
+                    let mut b = Reader::new(body);
+                    let (class_len, code) = (len(&mut b)?, len(&mut b)?);
+                    let (removed, added) = (paths(&mut b)?, paths(&mut b)?);
+                    let old = (len(&mut b)?, paths(&mut b)?);
+                    let new = (len(&mut b)?, paths(&mut b)?);
+                    let mut t = Text(tuple, 0);
+                    let class = t.take(class_len)?.to_owned();
+                    t.1 += 1;
+                    let (old_dag, new_dag) = (t.dag(&old)?, t.dag(&new)?);
+                    let (removed, added) = (t.lines(&removed)?, t.lines(&added)?);
+                    let change_class = match code {
+                        0 => old_dag.root_type.to_string(),
+                        _ => t.take(code - 1)?.to_owned(),
+                    };
                     let change = UsageChange {
                         class: change_class,
                         removed,
@@ -1041,22 +1489,44 @@ mod tests {
                 }
                 ChangeOutcome::Mined(tuples)
             }
-            1 => ChangeOutcome::Skipped {
-                kind: kind_from_tag(r.u8()?)?,
-                error: r.str()?.to_owned(),
-                excerpt: r.str()?.to_owned(),
-            },
-            _ => return Err(WireError::Malformed("unknown outcome tag")),
+            1 => {
+                let kind = kind_from_tag(r.u8()?)?;
+                let mut field = || -> Result<String, WireError> {
+                    let n = len(&mut r)?;
+                    let bytes = r.take(n)?;
+                    std::str::from_utf8(bytes)
+                        .map(str::to_owned)
+                        .map_err(|_| WireError::Malformed("reference: field"))
+                };
+                let (error, excerpt) = (field()?, field()?);
+                if !r.is_exhausted() {
+                    return Err(WireError::Malformed("reference: trailing bytes"));
+                }
+                ChangeOutcome::Skipped {
+                    kind,
+                    error,
+                    excerpt,
+                }
+            }
+            _ => return Err(WireError::Malformed("reference: tag")),
         };
-        if !r.is_exhausted() {
-            return Err(WireError::Malformed("trailing bytes after outcome"));
-        }
         Ok(outcome)
+    }
+
+    /// The `Display`-based digest text of one tuple, built apart from
+    /// [`write_tuple_digest`].
+    fn display_digest((class, old, new, change): &MinedTuple) -> String {
+        let dag = |dag: &UsageDag| {
+            let paths: Vec<String> = dag.paths.iter().map(ToString::to_string).collect();
+            format!("{}:{}", dag.root_type, paths.join(";"))
+        };
+        format!("{class}|{}|{}|{change}", dag(old), dag(new))
     }
 
     /// Whether `bytes` reads the same through the view as through the
     /// reference: rejected by the view, or decoded identically both
-    /// ways with each DAG's in-place paths in the decoded set's order.
+    /// ways, with each tuple's stored digest text equal to the text its
+    /// decoded tuple renders.
     fn view_agrees_with_reference(bytes: &[u8]) -> Result<(), String> {
         let Ok(view) = OutcomeView::parse(bytes) else {
             return Ok(());
@@ -1067,14 +1537,9 @@ mod tests {
             other => return Err(format!("view gave {decoded:?}, reference {other:?}")),
         }
         if let (OutcomeView::Mined(tuples), ChangeOutcome::Mined(owned)) = (view, &decoded) {
-            for (tuple, (_, old_dag, new_dag, _)) in tuples.iter().zip(owned) {
-                let (old, new) = tuple.dag_pair().old_new();
-                for (view, dag) in [(old, old_dag), (new, new_dag)] {
-                    let in_place: Vec<FeaturePath> = view.paths().map(|p| p.to_path()).collect();
-                    let in_set: Vec<FeaturePath> = dag.paths.iter().cloned().collect();
-                    if view.root_type() != &*dag.root_type || in_place != in_set {
-                        return Err(format!("in-place text of {dag:?} differs"));
-                    }
+            for (tuple, owned) in tuples.iter().zip(owned) {
+                if tuple.digest() != display_digest(owned) {
+                    return Err(format!("stored text {:?} of {owned:?}", tuple.digest()));
                 }
             }
         }
@@ -1180,17 +1645,25 @@ mod tests {
 
     #[test]
     fn view_rejects_dag_paths_out_of_set_order() {
+        // One `Cipher` tuple whose old DAG lists `paths` in the order
+        // given, written by hand.
         let encode = |paths: &[FeaturePath]| {
+            let mut body = Writer::new();
+            for v in [6, 0, 0, 0, 6] {
+                body.varint(v);
+            }
+            write_paths_index(&mut body, paths.iter());
+            write_dag_index(&mut body, &UsageDag::empty("Cipher"));
+            let body = body.finish();
+            let old: Vec<String> = paths.iter().map(ToString::to_string).collect();
+            let text = format!("Cipher|Cipher:{}|Cipher:Cipher|", old.join(";"));
             let mut w = Writer::new();
             w.u8(0);
-            w.u64(1);
-            w.str("Cipher");
-            w.str("Cipher");
-            write_paths(&mut w, paths.iter());
-            write_dag(&mut w, &UsageDag::empty("Cipher"));
-            w.str("Cipher");
-            write_paths(&mut w, [].iter());
-            write_paths(&mut w, [].iter());
+            w.varint(1);
+            w.varint(text.len() as u64);
+            w.varint(body.len() as u64);
+            w.raw(&body);
+            w.raw(text.as_bytes());
             w.finish()
         };
         let (a, b) = (path(&["Cipher"]), path(&["Cipher", "getInstance"]));
@@ -1198,11 +1671,155 @@ mod tests {
         for paths in [[b.clone(), a.clone()], [a.clone(), a]] {
             let bytes = encode(&paths);
             // The set-collecting reference accepts both — and would
-            // render a different text than the bytes hold.
+            // render a different text than the payload stores.
             assert!(reference_decode(&bytes).is_ok());
             assert!(OutcomeView::parse(&bytes).is_err(), "{paths:?}");
             assert!(decode_outcome(&bytes).is_err(), "{paths:?}");
         }
+    }
+
+    /// Labels the separators of the digest text could be mistaken for:
+    /// the index, not the separator bytes, says where each one ends.
+    fn separator_like_labels() -> Vec<&'static str> {
+        let long = "L".repeat(200);
+        let long: &'static str = Box::leak(long.into_boxed_str());
+        vec![
+            "a b",
+            "a;b",
+            "a:b",
+            "a|b",
+            "a\nb",
+            "- x",
+            "+ y",
+            "|é",
+            "é|",
+            "ñ;ñ",
+            "\u{22a4} ",
+            "",
+            long,
+        ]
+    }
+
+    /// Outcomes whose classes, roots and labels are separator-like, one
+    /// per label, plus one whose change class is not its old DAG's root.
+    fn separator_like_outcomes() -> Vec<ChangeOutcome> {
+        let mut outcomes: Vec<ChangeOutcome> = separator_like_labels()
+            .into_iter()
+            .map(|label| {
+                let mut paths = BTreeSet::new();
+                paths.insert(path(&[label]));
+                paths.insert(path(&[label, label]));
+                paths.insert(path(&[label, "getInstance", label]));
+                let dag = UsageDag {
+                    root_type: label.into(),
+                    paths,
+                };
+                let change = UsageChange {
+                    class: label.to_owned(),
+                    removed: vec![path(&[label, label]), path(&[])],
+                    added: vec![path(&[label, "x", label]), path(&[""])],
+                };
+                ChangeOutcome::Mined(vec![
+                    (
+                        label.to_owned(),
+                        dag.clone(),
+                        UsageDag::empty(label),
+                        change,
+                    ),
+                    (
+                        format!("{label}|{label}"),
+                        UsageDag::empty("Cipher"),
+                        dag,
+                        UsageChange::default(),
+                    ),
+                ])
+            })
+            .collect();
+        outcomes.push(ChangeOutcome::Mined(vec![(
+            "Mac".to_owned(),
+            UsageDag::empty("Mac"),
+            sample_dag(),
+            UsageChange {
+                class: "Cip|her\n".to_owned(),
+                removed: vec![path(&["Cipher", "init"])],
+                added: Vec::new(),
+            },
+        )]));
+        outcomes
+    }
+
+    #[test]
+    fn separator_like_labels_round_trip_and_replay_their_rendered_text() {
+        let dir = std::env::temp_dir().join(format!("diffcode-mcache-seps-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut cache = MiningCache::open(&dir, &[], &PipelineLimits::DEFAULT).unwrap();
+        let outcomes = separator_like_outcomes();
+        let keys: Vec<Fingerprint> = (0..outcomes.len())
+            .map(|i| cache.change_key("old", &i.to_string()))
+            .collect();
+        let mut view = cache.view();
+        for (key, outcome) in keys.iter().zip(&outcomes) {
+            let bytes = encode_outcome(outcome);
+            assert_eq!(bytes.len(), encoded_sizes(outcome).0, "sized exactly");
+            assert_eq!(decode_outcome(&bytes).as_ref(), Ok(outcome));
+            assert_eq!(reference_decode(&bytes).as_ref(), Ok(outcome));
+            view_agrees_with_reference(&bytes).unwrap();
+            for cut in 0..bytes.len() {
+                assert!(OutcomeView::parse(&bytes[..cut]).is_err(), "cut at {cut}");
+            }
+            for at in 0..bytes.len() {
+                for mask in [0x01, 0x20, 0x80, 0xFF] {
+                    let mut flipped = bytes.clone();
+                    flipped[at] ^= mask;
+                    if let Err(e) = view_agrees_with_reference(&flipped) {
+                        panic!("byte {at} ^ {mask:#04x}: {e}");
+                    }
+                }
+            }
+            let ChangeOutcome::Mined(tuples) = outcome else {
+                unreachable!("mined outcomes only");
+            };
+            // Recorded, each tuple reads back its rendered text.
+            let recorded = view.record(*key, outcome);
+            for (tuple, owned) in recorded.iter().zip(tuples) {
+                let (class, old, new, change) = owned;
+                let mut rendered = String::new();
+                write_tuple_digest(&mut rendered, class, old, new, change);
+                assert_eq!(rendered, display_digest(owned));
+                assert_eq!(tuple.view().digest(), rendered);
+                assert_eq!(tuple.view().class(), class);
+                assert_eq!(&tuple.view().change(), change);
+            }
+        }
+        let log = view.into_log();
+        cache.absorb(log);
+        cache.flush().unwrap();
+
+        // Replayed from the log on disk, byte for byte the same.
+        let reopened = MiningCache::open(&dir, &[], &PipelineLimits::DEFAULT).unwrap();
+        let view = reopened.view();
+        for (key, outcome) in keys.iter().zip(&outcomes) {
+            let CachedLookup::Hit(Resolved::Replayed(tuples)) = view.replay(*key) else {
+                panic!("{outcome:?} replays in place");
+            };
+            let ChangeOutcome::Mined(owned) = outcome else {
+                unreachable!("mined outcomes only");
+            };
+            assert_eq!(tuples.len(), owned.len());
+            for ((tuple, held), owned) in tuples.iter().zip(owned) {
+                assert_eq!(tuple.digest(), display_digest(owned));
+                assert_eq!(held.view().digest(), display_digest(owned));
+                assert_eq!(tuple.class(), owned.0);
+                assert_eq!(tuple.change(), owned.3);
+                let (old, new) = held.view().dags();
+                assert_eq!(
+                    (old.to_dag(), new.to_dag()),
+                    (owned.1.clone(), owned.2.clone())
+                );
+            }
+            assert_eq!(view.get(*key), CachedLookup::Hit(outcome.clone()));
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

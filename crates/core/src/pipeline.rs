@@ -10,7 +10,7 @@
 
 use crate::decision::{record_decision, DecisionReason};
 use crate::mcache::{
-    CachedLookup, ChangeOutcome, EncodedDags, MiningCache, MiningCacheView, Resolved,
+    CachedLookup, ChangeOutcome, EncodedTuple, MiningCache, MiningCacheView, Resolved,
 };
 use crate::quarantine::{
     excerpt, ErrorKind, PipelineError, PipelineLimits, QuarantineReport, SkipCounters,
@@ -56,18 +56,20 @@ pub struct ChangeMeta {
 /// the same textual change carries the same fingerprint wherever it
 /// appears. Rendered as 32 lowercase hex chars.
 pub fn change_fingerprint(old: &str, new: &str) -> String {
-    cache::fingerprint(&[old.as_bytes(), new.as_bytes()]).to_string()
+    cache::fingerprint(&[old.as_bytes(), new.as_bytes()]).to_hex()
 }
 
 /// One usage change with provenance and the DAG pair it came from.
 ///
 /// A usage change computed without a result cache owns its DAG pair.
 /// With a cache, one replayed from it, or computed and recorded into
-/// it, keeps the pair encoded in the shared cache payload, because the
-/// funnel's filters and elicitation read only `meta`, `class` and
-/// `change`. [`Self::old_dag`] and [`Self::new_dag`] read either form,
-/// decoding an encoded pair on demand. Equality and `Debug` see the
-/// DAGs' content, never the form that holds them.
+/// it, keeps the tuple as the cache payload holds it — its digest text
+/// and the index of its labels — because the funnel's filters and
+/// elicitation read only `meta`, `class` and `change`, and the result
+/// digest reads the stored text. [`Self::old_dag`] and
+/// [`Self::new_dag`] read either form, decoding an encoded pair on
+/// demand. Equality and `Debug` see the DAGs' content, never the form
+/// that holds them.
 #[derive(Clone)]
 pub struct MinedUsageChange {
     /// Where the change was mined, shared by every usage change of one
@@ -87,7 +89,7 @@ pub(crate) enum DagPair {
     Owned(UsageDag, UsageDag),
     /// Encoded in a result-cache payload: replayed from the cache, or
     /// recorded into it by this run.
-    Encoded(EncodedDags),
+    Encoded(EncodedTuple),
 }
 
 impl MinedUsageChange {
@@ -111,7 +113,7 @@ impl MinedUsageChange {
     pub fn old_dag(&self) -> Cow<'_, UsageDag> {
         match &self.dags {
             DagPair::Owned(old, _) => Cow::Borrowed(old),
-            DagPair::Encoded(pair) => Cow::Owned(pair.view().old_new().0.to_dag()),
+            DagPair::Encoded(tuple) => Cow::Owned(tuple.view().dags().0.to_dag()),
         }
     }
 
@@ -119,7 +121,7 @@ impl MinedUsageChange {
     pub fn new_dag(&self) -> Cow<'_, UsageDag> {
         match &self.dags {
             DagPair::Owned(_, new) => Cow::Borrowed(new),
-            DagPair::Encoded(pair) => Cow::Owned(pair.view().old_new().1.to_dag()),
+            DagPair::Encoded(tuple) => Cow::Owned(tuple.view().dags().1.to_dag()),
         }
     }
 
@@ -391,7 +393,7 @@ impl DiffCode {
     /// `processed = mined + skipped` balances identically on warm
     /// runs), and a miss computes the outcome and records it in the
     /// view's write log; its tuples then keep their DAG pairs as the
-    /// bytes recorded, the form a replayed tuple has. Lookup results are
+    /// record holds them, the form a replayed tuple has. Lookup results are
     /// counted as `cache.hit` / `cache.miss` / `cache.stale_version`.
     ///
     /// The caller is responsible for opening the cache with the same
@@ -435,6 +437,9 @@ impl DiffCode {
             mut slots,
         } = Plan::new(corpus, cache.as_deref());
         let mut result = MiningResult::default();
+        // The current project's full name, built once for all its
+        // changes (a corpus lists each project's changes together).
+        let mut project: Option<(&corpus::Project, String)> = None;
         for ((i, code_change), planned) in corpus.code_changes().enumerate().zip(planned) {
             if self.cancelled() {
                 // Between-change interruption: nothing in flight, the
@@ -444,13 +449,20 @@ impl DiffCode {
                 break;
             }
             result.stats.code_changes += 1;
+            let full_name = match &project {
+                Some((p, name)) if std::ptr::eq(*p, code_change.project) => name,
+                _ => {
+                    let name = code_change.project.full_name();
+                    &project.insert((code_change.project, name)).1
+                }
+            };
             let meta = ChangeMeta {
-                project: code_change.project.full_name(),
+                project: full_name.clone(),
                 commit: code_change.commit.id.clone(),
                 author: code_change.commit.author.clone(),
                 message: code_change.commit.message.clone(),
                 path: code_change.path.to_owned(),
-                fingerprint: planned.fingerprint.to_string(),
+                fingerprint: planned.fingerprint.to_hex(),
             };
             let change_span = self.obs.begin_with("mine.change", |a| {
                 a.str("project", meta.project.as_str());
@@ -562,7 +574,7 @@ impl DiffCode {
 
     /// Computes one change over `slots` ([`Self::process_change`]) and
     /// records it into the cache view if there is one. A recorded
-    /// tuple's DAG pair stays the bytes the record wrote; without a
+    /// tuple keeps its DAG pair as the record holds it; without a
     /// cache each DAG is cloned from its slot.
     fn compute(
         &mut self,
@@ -576,13 +588,13 @@ impl DiffCode {
         let Some((view, key)) = cache else {
             return Resolved::Decoded(outcome.into_owned());
         };
-        let dags = view.record(key, &outcome);
+        let encoded = view.record(key, &outcome);
         match outcome {
             ChangeOutcome::Mined(tuples) => Resolved::Recorded(
                 tuples
                     .into_iter()
-                    .zip(dags)
-                    .map(|((class, _, _, change), dags)| (class, change, dags))
+                    .zip(encoded)
+                    .map(|((class, _, _, change), tuple)| (class, change, tuple))
                     .collect(),
             ),
             outcome => Resolved::Decoded(outcome.into_owned()),
@@ -821,23 +833,23 @@ fn apply_outcome(result: &mut MiningResult, meta: Arc<ChangeMeta>, outcome: Reso
         }
         Resolved::Replayed(tuples) => {
             result.stats.mined += 1;
-            for (tuple, dags) in tuples.iter() {
+            for (view, tuple) in tuples.iter() {
                 result.changes.push(MinedUsageChange {
                     meta: Arc::clone(&meta),
-                    class: tuple.class().to_owned(),
-                    change: tuple.change(),
-                    dags: DagPair::Encoded(dags),
+                    class: view.class().to_owned(),
+                    change: view.change(),
+                    dags: DagPair::Encoded(tuple),
                 });
             }
         }
         Resolved::Recorded(tuples) => {
             result.stats.mined += 1;
-            for (class, change, dags) in tuples {
+            for (class, change, tuple) in tuples {
                 result.changes.push(MinedUsageChange {
                     meta: Arc::clone(&meta),
                     class,
                     change,
-                    dags: DagPair::Encoded(dags),
+                    dags: DagPair::Encoded(tuple),
                 });
             }
         }

@@ -57,6 +57,17 @@ impl ErrorKind {
             ErrorKind::Panic => "panic",
         }
     }
+
+    /// The `mine.skipped.<kind>` counter name of [`ErrorKind::name`].
+    fn counter_name(&self) -> &'static str {
+        match self {
+            ErrorKind::Lex => "mine.skipped.lex",
+            ErrorKind::Parse => "mine.skipped.parse",
+            ErrorKind::AnalysisBudget => "mine.skipped.analysis-budget",
+            ErrorKind::DagBudget => "mine.skipped.dag-budget",
+            ErrorKind::Panic => "mine.skipped.panic",
+        }
+    }
 }
 
 impl fmt::Display for ErrorKind {
@@ -182,10 +193,7 @@ impl SkipCounters {
     pub(crate) fn record(&self, registry: &mut obs::Recorder) {
         registry.inc("mine.skipped", self.total() as u64);
         for kind in ErrorKind::ALL {
-            registry.inc(
-                &format!("mine.skipped.{}", kind.name()),
-                self.get(kind) as u64,
-            );
+            registry.inc(kind.counter_name(), self.get(kind) as u64);
         }
     }
 }
@@ -274,6 +282,24 @@ impl Default for PipelineLimits {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn skip_counter_names_are_mine_skipped_and_the_kind_name() {
+        let mut counts = SkipCounters::default();
+        for kind in ErrorKind::ALL {
+            assert_eq!(kind.counter_name(), format!("mine.skipped.{}", kind.name()));
+            counts.bump(kind);
+        }
+        let mut recorder = obs::Recorder::new();
+        counts.record(&mut recorder);
+        assert_eq!(recorder.counter("mine.skipped"), 5);
+        for kind in ErrorKind::ALL {
+            assert_eq!(
+                recorder.counter(&format!("mine.skipped.{}", kind.name())),
+                1
+            );
+        }
+    }
 
     #[test]
     fn kind_classification() {

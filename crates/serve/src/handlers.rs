@@ -155,8 +155,11 @@ fn body_json(req: &Request) -> Result<Json, Response> {
 /// is absorbed into the cache and flushed either way, so a retry replays
 /// it. Unless the deadline stopped it, journals each change's verdict in
 /// the `/explain` ring and returns the verdicts as journaled, in corpus
-/// order. The pipeline's metrics and the cache flush's count go into
-/// `rec`.
+/// order. Only the verdicts the ring keeps — the last `ring_capacity` —
+/// have their tuple texts rendered and a record pushed; each earlier one
+/// only takes its sequence number, and is returned without tuples (a
+/// `/mine-repo` body lists none). The pipeline's metrics and the cache
+/// flush's count go into `rec`.
 fn mine_corpus(
     shared: &Shared,
     rec: &mut Recorder,
@@ -202,17 +205,25 @@ fn mine_corpus(
 
     let mut mined = result.changes.iter();
     let mut skips = result.quarantine.into_iter();
-    let mut text = Vec::new();
     let mut ring = shared.ring.lock().unwrap_or_else(PoisonError::into_inner);
-    let records = result.verdicts.into_iter().map(|v| {
+    let kept_from = result.verdicts.len().saturating_sub(ring.capacity());
+    let records = result.verdicts.into_iter().enumerate().map(|(i, v)| {
+        let kept = i >= kept_from;
         let (verdict, tuples, skip) = match v.outcome {
             Verdict::Mined(n) => {
-                let texts = mined.by_ref().take(n).map(|usage| {
-                    text.clear();
-                    diffcode::cli::write_usage_digest(&mut text, usage);
-                    String::from_utf8_lossy(&text).into_owned()
-                });
-                ("mined", texts.collect(), None)
+                let usages = mined.by_ref().take(n);
+                let texts = if kept {
+                    let text = |usage| {
+                        let mut text = String::new();
+                        diffcode::cli::write_usage_digest(&mut text, usage);
+                        text
+                    };
+                    usages.map(text).collect()
+                } else {
+                    usages.for_each(drop);
+                    Vec::new()
+                };
+                ("mined", texts, None)
             }
             Verdict::Quarantined(_) => {
                 let skip = skips
@@ -230,7 +241,11 @@ fn mine_corpus(
             tuples,
             skip,
         };
-        record.seq = ring.push(record.clone());
+        record.seq = if kept {
+            ring.push(record.clone())
+        } else {
+            ring.pass()
+        };
         record
     });
     Some(records.collect())
@@ -804,6 +819,52 @@ mod tests {
             .collect();
         assert_eq!(classes, ["Cipher", "MessageDigest"]);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_walk_longer_than_the_ring_journals_only_what_the_ring_keeps() {
+        let corpus = corpus::generate(&corpus::GeneratorConfig::small(2, 7));
+        let n = corpus.code_changes().count();
+        let small = ServeConfig {
+            ring_capacity: 3,
+            ..ServeConfig::default()
+        };
+        assert!(n > small.ring_capacity, "{n} changes");
+        let first = corpus::Corpus {
+            projects: vec![corpus.projects[0].clone()],
+        };
+        // The same two walks against a ring that keeps them all and one
+        // that keeps three records.
+        let walk = |config: ServeConfig| {
+            let shared = Shared::new(config, None);
+            let mut rec = Recorder::new();
+            mine_corpus(&shared, &mut rec, 1, &first, later()).unwrap();
+            let records = mine_corpus(&shared, &mut rec, 2, &corpus, later()).unwrap();
+            let ring = shared.ring.lock().unwrap();
+            let kept: Vec<ExplainRecord> = ring.find("").into_iter().cloned().collect();
+            (records, kept)
+        };
+        let (all, all_kept) = walk(ServeConfig::default());
+        let (records, kept) = walk(small);
+        assert_eq!(all_kept.len(), first.code_changes().count() + n);
+
+        // Every returned verdict has the sequence number, fingerprint,
+        // verdict and cache status it has with the large ring; only the
+        // records the small ring keeps carry their tuples.
+        assert_eq!(records.len(), n);
+        for (i, (record, full)) in records.iter().zip(&all).enumerate() {
+            let summary = |r: &ExplainRecord| (r.seq, r.fingerprint.clone(), r.verdict, r.cache);
+            assert_eq!(summary(record), summary(full), "record {i}");
+            if i < n - 3 {
+                assert!(record.tuples.is_empty(), "record {i} was rendered");
+            } else {
+                assert_eq!(record, full, "record {i}");
+            }
+        }
+        assert!(all.iter().any(|r| !r.tuples.is_empty()), "no tuples");
+        // The small ring holds exactly the large one's newest three.
+        assert_eq!(kept, all_kept[..3]);
+        assert_eq!(kept[0].seq as usize, first.code_changes().count() + n);
     }
 
     #[test]

@@ -97,6 +97,21 @@ impl ExplainRing {
         seq
     }
 
+    /// The most records the ring retains.
+    pub(crate) fn capacity(&self) -> usize {
+        self.capacity
+    }
+
+    /// Takes the next sequence number for a record that is not
+    /// retained: one at least `capacity` later pushes of the same batch
+    /// evict before anything can read it. The ring ends the batch as if
+    /// the record had been pushed.
+    pub(crate) fn pass(&mut self) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        seq
+    }
+
     /// All records whose fingerprint starts with `prefix`, newest
     /// first.
     pub(crate) fn find(&self, prefix: &str) -> Vec<&ExplainRecord> {

@@ -8,9 +8,10 @@ snapshot here. The gate enforces the cache's two acceptance criteria:
   1. byte-identical output: the warm run's stdout must equal the cold
      run's exactly (the report is deterministic by construction — any
      divergence means a cached outcome replayed differently);
-  2. hit rate: cache.hit / (cache.hit + cache.miss +
-     cache.stale_version) >= cilib.MIN_HIT_RATE on the warm run, i.e.
-     at least 95% of per-change analysis work was skipped.
+  2. full replay: the warm run re-mines the corpus the cold run mined,
+     so every change must replay from the cache (cache.miss ==
+     cache.stale_version == 0) and nothing may be written back
+     (cache.flushed_entries == 0).
 
 Exit code 0 on success, 1 with a message per violation otherwise.
 Usage: check_cache_warm.py <cold_stdout> <warm_stdout> <warm_metrics.json>
@@ -27,9 +28,7 @@ def check(cold_text, warm_text, snapshot):
     )
 
     counters = snapshot.get("counters", {})
-    rate_errors, hits, misses, stale = cilib.hit_rate_errors(
-        counters, "cache", "--cache-dir"
-    )
+    rate_errors, hits, misses, stale = cilib.full_replay_errors(counters, "--cache-dir")
     errors += rate_errors
 
     lookups = hits + misses + stale

@@ -12,9 +12,10 @@ here. The gate enforces the real-git ingestion acceptance criteria:
      result digest are all pinned;
   2. warm determinism: the warm run's stdout must equal the cold
      run's byte-for-byte;
-  3. warm hit rate: cache.hit / lookups >= cilib.MIN_HIT_RATE on the
-     warm run — re-mining an unchanged repository replays cached
-     outcomes instead of re-analyzing;
+  3. warm full replay: re-mining an unchanged repository replays every
+     cached outcome instead of re-analyzing (cache.miss ==
+     cache.stale_version == 0) and writes nothing back
+     (cache.flushed_entries == 0);
   4. rename-aware extraction: the walk followed at least one rename
      to its pre-image (gitsrc.renames_followed >= 1) and extracted
      pre/post pairs (gitsrc.pairs >= 1);
@@ -39,9 +40,7 @@ def check(golden_text, cold_text, warm_text, snapshot):
     )
 
     counters = snapshot.get("counters", {})
-    rate_errors, hits, misses, stale = cilib.hit_rate_errors(
-        counters, "cache", "--cache-dir"
-    )
+    rate_errors, hits, misses, stale = cilib.full_replay_errors(counters, "--cache-dir")
     errors += rate_errors
 
     if counters.get("gitsrc.pairs", 0) < 1:

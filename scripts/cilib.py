@@ -100,6 +100,25 @@ def hit_rate_errors(counters, prefix, enabling_flag, min_rate=MIN_HIT_RATE):
     return errors, hits, misses, stale
 
 
+def full_replay_errors(counters, enabling_flag):
+    """The warm-run check over an input the cold run already mined:
+    every change replays (cache.miss == cache.stale_version == 0, a hit
+    rate of 1.0) and nothing is written back (cache.flushed_entries ==
+    0). A replay that wrongly rejected a valid payload would recompute
+    it, print the same stdout, and fail only here. Returns (errors,
+    hits, misses, stale)."""
+    errors, hits, misses, stale = hit_rate_errors(
+        counters, "cache", enabling_flag, min_rate=1.0
+    )
+    flushed = counters.get("cache.flushed_entries", 0)
+    if flushed:
+        errors.append(
+            f"warm run flushed {flushed} cache entries; over an unchanged "
+            "input it must write none"
+        )
+    return errors, hits, misses, stale
+
+
 # The v2 snapshot's quantile keys, in the order they must not decrease.
 SPAN_QUANTILES = ["p50_ns", "p90_ns", "p95_ns", "p99_ns", "p999_ns"]
 

@@ -497,3 +497,75 @@ fn non_ascii_labels_replay_to_the_same_digest() {
     assert_eq!(funnel.recorder.counter("cache.hit"), 0);
     assert_eq!(recomputed, cold);
 }
+
+/// A change whose string literals hold every separator of the digest
+/// text — `|`, `:`, `;`, a space, a newline — and multi-byte characters
+/// beside them, so its labels do too.
+const SEPARATOR_LITERALS_OLD: &str = "import javax.crypto.Cipher;
+
+class Sep {
+    byte[] enc(byte[] data) throws Exception {
+        Cipher c = Cipher.getInstance(\"AES\");
+        return c.doFinal(data);
+    }
+}
+";
+const SEPARATOR_LITERALS_NEW: &str = "import javax.crypto.Cipher;
+
+class Sep {
+    byte[] enc(byte[] data) throws Exception {
+        Cipher c = Cipher.getInstance(\"- AES|GCM;x:y z\\nq\", \"+ é|ñ; \");
+        return c.doFinal(data);
+    }
+}
+";
+
+#[test]
+fn separator_like_literals_replay_to_the_same_digest_text() {
+    let tmp = TempDir::new("separators");
+    let corpus = corpus::Corpus {
+        projects: vec![corpus::Project {
+            user: "u".into(),
+            name: "p".into(),
+            facts: corpus::ProjectFacts::default(),
+            commits: vec![corpus::Commit {
+                id: "c1".into(),
+                author: String::new(),
+                message: "separators".into(),
+                changes: vec![corpus::FileChange {
+                    path: "Sep.java".into(),
+                    old: Some(SEPARATOR_LITERALS_OLD.into()),
+                    new: Some(SEPARATOR_LITERALS_NEW.into()),
+                }],
+            }],
+        }],
+    };
+    let texts = |result: &MiningResult| -> Vec<String> {
+        let texts = result.changes.iter().map(|mined| {
+            let mut text = String::new();
+            diffcode::cli::write_usage_digest(&mut text, mined);
+            text
+        });
+        texts.collect()
+    };
+    let (uncached, _) = mine_with(&corpus, 1, None);
+    let rendered = texts(&uncached);
+    assert!(
+        rendered
+            .iter()
+            .any(|t| t.contains("arg1:- AES|GCM;x:y z\nq") && t.contains("arg2:+ é|ñ; ")),
+        "{rendered:?}"
+    );
+
+    let mut cache = open_cache(&tmp.0);
+    let (cold, reg) = mine_with(&corpus, 1, Some(&mut cache));
+    cache.flush().unwrap();
+    assert_eq!(reg.counter("cache.miss"), 1);
+    let mut cache = open_cache(&tmp.0);
+    let (warm, reg) = mine_with(&corpus, 1, Some(&mut cache));
+    assert_eq!(reg.counter("cache.hit"), 1);
+    for result in [&cold, &warm] {
+        assert_eq!(texts(result), rendered);
+        assert_eq!(run_signature(result), run_signature(&uncached));
+    }
+}

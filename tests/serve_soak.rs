@@ -180,9 +180,9 @@ fn one_change_corpus(old: &str, new: &str) -> corpus::Corpus {
 
 /// The digest text one-shot mining gives one usage change.
 fn digest_text(mined: &MinedUsageChange) -> String {
-    let mut text = Vec::new();
+    let mut text = String::new();
     diffcode::cli::write_usage_digest(&mut text, mined);
-    String::from_utf8(text).expect("digest text is UTF-8")
+    text
 }
 
 fn figure2_pair() -> (&'static str, &'static str) {
